@@ -17,6 +17,8 @@ Letters order in text form: character k acts on qubit k.
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from .fermion import FermionOperator
 
 DEFAULT_PRUNE_THRESHOLD = 1e-12
@@ -25,6 +27,18 @@ _LETTER_FOR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _PHASE_POWER = {1: 0, 1j: 1, -1: 2, -1j: 3}
 _POWER_PHASE = (1, 1j, -1, -1j)
+
+
+def bit_parity(values: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry (values must be < 2**63).
+
+    With values = b & z this is the exponent of the sign (-1)^{|z & b|}
+    that Z^z puts on basis state b.
+    """
+    v = values.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return (v & 1).astype(np.int8)
 
 
 class MappingKind(Enum):

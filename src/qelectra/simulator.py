@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, bit_parity
 
 MAX_QUBITS = 24
 
@@ -25,14 +25,6 @@ _H_GATE = np.array([[_SQ_HALF, _SQ_HALF], [_SQ_HALF, -_SQ_HALF]],
                    dtype=complex)
 # H S^dagger rotates the Y eigenbasis onto the computational basis
 _Y_BASIS_GATE = _H_GATE @ np.diag([1.0, -1.0j])
-
-
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry (values must be < 2**63)."""
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(np.int8)
 
 
 class StateVector:
@@ -74,7 +66,7 @@ class StateVector:
         if string.n_qubits != self.n_qubits:
             raise ValueError("register size mismatch")
         idx = np.arange(self.data.size, dtype=np.int64)
-        signs = 1.0 - 2.0 * _bit_parity(idx & string.z)
+        signs = 1.0 - 2.0 * bit_parity(idx & string.z)
         out = np.empty_like(self.data)
         out[idx ^ string.x] = signs * self.data
         return out * _POWER_PHASE[string.phase_power % 4]
@@ -133,7 +125,7 @@ class StateVector:
         conj = np.conj(self.data)
         for (x, z), coeff in obs.items():
             n_y = (x & z).bit_count()
-            signs = 1.0 - 2.0 * _bit_parity(idx & z)
+            signs = 1.0 - 2.0 * bit_parity(idx & z)
             overlap = np.dot(conj[idx ^ x], signs * self.data)
             total += coeff * _POWER_PHASE[n_y % 4] * overlap
         if abs(total.imag) > imag_tol * max(1.0, abs(total.real)):
@@ -184,7 +176,7 @@ class StateVector:
             probs = rotated.probabilities()
             probs = probs / probs.sum()
             outcomes = rng.choice(probs.size, size=shots, p=probs)
-            values = 1.0 - 2.0 * _bit_parity(outcomes & support)
+            values = 1.0 - 2.0 * bit_parity(outcomes & support)
             term_mean = float(values.mean())
             term_var = float(values.var(ddof=1)) if shots > 1 else 0.0
             mean_total += c * term_mean

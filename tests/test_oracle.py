@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qelectra.oracle import (
     MAX_DENSE_QUBITS,
@@ -17,6 +19,7 @@ from qelectra.oracle import (
     pauli_to_sparse,
 )
 from qelectra.pauli import PauliString, PauliSum
+from qelectra.simulator import StateVector
 from test_pauli import dense, dense_sum
 
 
@@ -45,10 +48,76 @@ def test_matrix_builders_match_local_kron():
         assert np.allclose(pauli_to_sparse(op).toarray(), want, atol=1e-13)
 
 
+# coefficient parts drawn partly from a few exact values, so that terms
+# sharing an X-mask often cancel exactly on some matrix entries
+_PARTS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def pauli_sums(draw):
+    """Random sums on 1-6 qubits: complex coefficients, string phases
+    +-1 and +-i, repeated strings, exactly cancelling pairs, and (with
+    an empty term list) the empty sum."""
+    n = draw(st.integers(1, 6))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(
+        words, st.sampled_from([1, -1, 1j, -1j]),
+        st.builds(complex, _PARTS, _PARTS), st.booleans()), max_size=12))
+    op = PauliSum(n)
+    for word, phase, coeff, cancel in terms:
+        string = PauliString(word, phase)
+        op.add_string(string, coeff)
+        if cancel:
+            op.add_string(string, -coeff)
+    return op
+
+
+@settings(deadline=None)
+@given(pauli_sums())
+def test_sparse_build_matches_kron_reference(op):
+    matrix = pauli_to_sparse(op)
+    want = dense_sum(op)
+    assert matrix.shape == want.shape
+    assert np.array_equal(matrix.toarray(), want)
+    # no stored zeros: oracle.nnz counts nonzero entries
+    assert matrix.nnz == np.count_nonzero(want)
+    assert matrix.has_canonical_format
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_empty_sum_gives_zero_matrix(n):
+    matrix = pauli_to_sparse(PauliSum(n))
+    assert matrix.shape == (1 << n, 1 << n)
+    assert matrix.nnz == 0
+    assert not matrix.toarray().any()
+
+
+def test_sparse_build_matches_term_by_term_action(assembled):
+    # LiH: 10 qubits, 276 terms; StateVector.apply_pauli is an independent
+    # implementation of each term's action
+    hamiltonian = assembled("lih").qubit_hamiltonian
+    n = hamiltonian.n_qubits
+    rng = np.random.default_rng(33)
+    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    psi /= np.linalg.norm(psi)
+    want = np.zeros_like(psi)
+    for string, coeff in hamiltonian.strings():
+        state = StateVector(n, psi)
+        state.apply_pauli(string)
+        want += coeff * state.data
+    got = pauli_to_sparse(hamiltonian) @ psi
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_qubit_caps_enforced():
     big_dense = PauliSum.identity(MAX_DENSE_QUBITS + 1)
     with pytest.raises(ValueError, match="dense-matrix limit"):
         pauli_to_matrix(big_dense)
+    with pytest.raises(ValueError, match="dense-matrix limit"):
+        exact_spectrum(big_dense)
+    with pytest.raises(ValueError, match="dense-matrix limit"):
+        exact_ground_state(big_dense)
     big_sparse = PauliSum.identity(MAX_SPARSE_QUBITS + 1)
     with pytest.raises(ValueError, match="sparse-matrix limit"):
         pauli_to_sparse(big_sparse)
@@ -99,6 +168,12 @@ def test_non_hermitian_inputs_rejected():
         lowest_eigenvalues(crooked)
     with pytest.raises(ValueError, match="Hermitian"):
         exact_spectrum(crooked)
+    with pytest.raises(ValueError, match="Hermitian"):
+        exact_ground_state(crooked)
+    # 1j * X has eigenvalues +-i; eigh would read one triangle and
+    # report -1
+    with pytest.raises(ValueError, match="Hermitian"):
+        exact_ground_state(PauliSum.from_string(PauliString("X"), 1j))
     with pytest.raises(TypeError):
         lowest_eigenvalues("not an operator")
 
