@@ -92,8 +92,10 @@ def pauli_to_matrix(observable: Union[PauliString, PauliSum]) -> np.ndarray:
 
 
 def _as_sparse(operator) -> sp.csr_matrix:
-    if isinstance(operator, (PauliString, PauliSum)):
-        if isinstance(operator, PauliSum) and not operator.is_hermitian():
+    if isinstance(operator, PauliString):
+        operator = PauliSum.from_string(operator)
+    if isinstance(operator, PauliSum):
+        if not operator.is_hermitian():
             raise ValueError(
                 "eigenvalue routines need a Hermitian operator")
         return pauli_to_sparse(operator)

@@ -8,11 +8,21 @@ Pauli application never builds a matrix. In the symplectic picture
 (X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so a string acts as one permutation
 of the amplitude array plus a sign mask, with bit-parity evaluated by
 folding.
+
+A VQE energy evaluation is compiled once per run. `Circuit.run` caches, per
+instruction, the gather vector b ^ x (shared by the instructions with the
+same X-mask) and the gathered signs, so each later run only gathers and
+multiplies; the state is bit-identical to applying the instructions one by
+one. `StateVector.expectation` also takes the sparse matrix of the
+observable (`oracle.pauli_to_sparse`, up to 14 qubits) and then costs one
+mat-vec; the term-by-term loop over a `PauliSum` covers larger registers
+and is the reference the matrix route is checked against.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .pauli import PauliString, PauliSum, bit_parity
 
@@ -25,6 +35,15 @@ _H_GATE = np.array([[_SQ_HALF, _SQ_HALF], [_SQ_HALF, -_SQ_HALF]],
                    dtype=complex)
 # H S^dagger rotates the Y eigenbasis onto the computational basis
 _Y_BASIS_GATE = _H_GATE @ np.diag([1.0, -1.0j])
+
+
+def _string_sign(string: PauliString) -> int:
+    """+1 or -1: the phase of a Hermitian string relative to its letters."""
+    rel = (string.phase_power - (string.x & string.z).bit_count()) % 4
+    if rel not in (0, 2):
+        raise ValueError("exponential needs a Hermitian string "
+                         "(phase +1 or -1)")
+    return 1 - rel
 
 
 class StateVector:
@@ -78,8 +97,9 @@ class StateVector:
         """Flip one qubit (used to prepare occupation-encoded references)."""
         if not 0 <= qubit < self.n_qubits:
             raise ValueError("qubit index out of range")
-        idx = np.arange(self.data.size, dtype=np.int64)
-        self.data = self.data[idx ^ (1 << qubit)]
+        # swapping the two halves of every 2 * 2**qubit block flips the bit
+        step = 1 << qubit
+        self.data = self.data.reshape(-1, 2, step)[:, ::-1, :].reshape(-1)
 
     def apply_single_qubit(self, qubit: int, gate: np.ndarray) -> None:
         step = 1 << qubit
@@ -97,12 +117,7 @@ class StateVector:
         a -1 phase is folded into the angle.
         """
         n_y = (string.x & string.z).bit_count()
-        rel = (string.phase_power - n_y) % 4
-        if rel == 2:
-            angle = -angle
-        elif rel != 0:
-            raise ValueError("exponential needs a Hermitian string "
-                             "(phase +1 or -1)")
+        angle = _string_sign(string) * angle
         hermitian = PauliString.from_masks(self.n_qubits, string.x, string.z,
                                            n_y)
         half = 0.5 * angle
@@ -110,10 +125,29 @@ class StateVector:
         self.data = np.cos(half) * self.data - 1.0j * np.sin(half) * image
 
     # ---- expectation values -----------------------------------------------------
-    def expectation(self, observable: Union[PauliString, PauliSum],
+    def expectation(self, observable: Union[PauliString, PauliSum,
+                                            sp.spmatrix],
                     imag_tol: float = 1e-10) -> float:
         """Exact <psi|O|psi>; raises if a nominally real value comes out
-        complex."""
+        complex.
+
+        `observable` is a Pauli string or sum, summed term by term, or its
+        sparse matrix, applied in one mat-vec.
+        """
+        if sp.issparse(observable):
+            if observable.shape != (self.data.size, self.data.size):
+                raise ValueError("register size mismatch")
+            total = complex(np.vdot(self.data, observable @ self.data))
+        else:
+            total = self._term_expectation(observable)
+        if abs(total.imag) > imag_tol * max(1.0, abs(total.real)):
+            raise ValueError(
+                f"expectation has imaginary part {total.imag:.3e}; "
+                "observable is not Hermitian on this state")
+        return float(total.real)
+
+    def _term_expectation(self, observable: Union[PauliString, PauliSum]
+                          ) -> complex:
         if isinstance(observable, PauliString):
             obs = PauliSum.from_string(observable)
         else:
@@ -128,11 +162,7 @@ class StateVector:
             signs = 1.0 - 2.0 * bit_parity(idx & z)
             overlap = np.dot(conj[idx ^ x], signs * self.data)
             total += coeff * _POWER_PHASE[n_y % 4] * overlap
-        if abs(total.imag) > imag_tol * max(1.0, abs(total.real)):
-            raise ValueError(
-                f"expectation has imaginary part {total.imag:.3e}; "
-                "observable is not Hermitian on this state")
-        return float(total.real)
+        return total
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.data) ** 2
@@ -158,7 +188,6 @@ class StateVector:
             rng = np.random.default_rng(seed)
         mean_total = 0.0
         var_total = 0.0
-        idx = np.arange(self.data.size, dtype=np.int64)
         for (x, z), coeff in observable.items():
             c = coeff.real
             if x == 0 and z == 0:
@@ -186,12 +215,13 @@ class StateVector:
 
 # ---- circuits ------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Instruction:
     """One circuit element.
 
     kind "x": flip `qubit`. kind "exp": apply
     exp(-i * (scale * theta[param_index]) / 2 * string).
+    Frozen, so that a compiled circuit cannot go stale under it.
     """
     kind: str
     qubit: int = -1
@@ -200,12 +230,20 @@ class Instruction:
     scale: float = 1.0
 
 
+# One compiled instruction: gather vector, gathered signs as int8 (None for
+# an X flip), phase of the Hermitian string, parameter index and the scale
+# with the string's sign folded in.
+_Step = Tuple[np.ndarray, Optional[np.ndarray], complex, int, float]
+
+
 @dataclass
 class Circuit:
     """Parametrized sequence of X flips and Pauli exponentials."""
     n_qubits: int
     instructions: List[Instruction] = field(default_factory=list)
     n_parameters: int = 0
+    _compiled: Optional[Tuple[tuple, List[_Step]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_x(self, qubit: int) -> None:
         self.instructions.append(Instruction(kind="x", qubit=qubit))
@@ -221,21 +259,69 @@ class Circuit:
                                              scale=scale))
         self.n_parameters = max(self.n_parameters, param_index + 1)
 
+    def _steps(self) -> List[_Step]:
+        """The compiled instructions, rebuilt when `instructions` changed.
+
+        Exponential k maps the state to cos(h) psi - i sin(h) image with
+        image[b] = phase * s[b ^ x] * psi[b ^ x], s the Z-mask signs; the
+        gather b ^ x and the gathered signs depend only on the string.
+        """
+        key = (self.n_qubits, tuple(self.instructions))
+        if self._compiled is not None and self._compiled[0] == key:
+            return self._compiled[1]
+        basis = np.arange(1 << self.n_qubits, dtype=np.int64)
+        gathers: Dict[int, np.ndarray] = {}
+        signs: Dict[Tuple[int, int], np.ndarray] = {}
+
+        def gather(x: int) -> np.ndarray:
+            if x not in gathers:
+                gathers[x] = basis ^ x
+            return gathers[x]
+
+        steps: List[_Step] = []
+        for ins in self.instructions:
+            if ins.kind == "x":
+                if not 0 <= ins.qubit < self.n_qubits:
+                    raise ValueError("qubit index out of range")
+                steps.append((gather(1 << ins.qubit), None, 1.0, -1, 0.0))
+            elif ins.kind == "exp":
+                string = ins.string
+                if string.n_qubits != self.n_qubits:
+                    raise ValueError("register size mismatch")
+                sign = _string_sign(string)
+                x, z = string.x, string.z
+                if (x, z) not in signs:
+                    signs[(x, z)] = 1 - 2 * bit_parity(gather(x) & z)
+                n_y = (x & z).bit_count()
+                steps.append((gather(x), signs[(x, z)],
+                              _POWER_PHASE[n_y % 4], ins.param_index,
+                              sign * ins.scale))
+            else:
+                raise ValueError(f"unknown instruction kind {ins.kind!r}")
+        self._compiled = (key, steps)
+        return steps
+
     def run(self, parameters: Sequence[float],
             initial: Optional[StateVector] = None) -> StateVector:
         theta = np.asarray(parameters, dtype=float)
         if theta.shape != (self.n_parameters,):
             raise ValueError(
                 f"expected {self.n_parameters} parameters, got {theta.shape}")
+        steps = self._steps()
         state = StateVector(self.n_qubits) if initial is None else initial.copy()
-        for ins in self.instructions:
-            if ins.kind == "x":
-                state.apply_x(ins.qubit)
-            elif ins.kind == "exp":
-                angle = ins.scale * theta[ins.param_index]
-                state.apply_pauli_exponential(ins.string, angle)
-            else:
-                raise ValueError(f"unknown instruction kind {ins.kind!r}")
+        if state.n_qubits != self.n_qubits:
+            raise ValueError("register size mismatch")
+        data = state.data
+        # an X flip only permutes; an exponential does the floating-point
+        # operations of apply_pauli_exponential, in the same order
+        for order, signs, phase, param_index, scale in steps:
+            if signs is None:
+                data = data[order]
+                continue
+            half = 0.5 * (scale * theta[param_index])
+            image = (signs * data[order]) * phase
+            data = np.cos(half) * data - 1.0j * np.sin(half) * image
+        state.data = data
         return state
 
 

@@ -12,6 +12,13 @@ Two optimizers are provided: simultaneous-perturbation stochastic
 approximation with the standard gain schedules, and plain gradient descent
 on central-difference gradients. Both record the full energy trajectory
 and stop after `patience` consecutive sub-tolerance energy changes.
+
+An exact energy evaluation is one `Circuit.run` plus one
+`StateVector.expectation`. The work that does not depend on the parameters
+is done once per `run_vqe`: the circuit caches its gather and sign vectors
+on the first run, and up to `oracle.MAX_SPARSE_QUBITS` qubits the
+Hamiltonian is compiled to the sparse matrix the eigensolver uses, so
+<H> is one mat-vec. Larger registers sum the Pauli terms one by one.
 """
 
 import csv
@@ -19,6 +26,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
+from . import oracle
 from .fermion import FermionOperator
 from .pauli import MappingKind, PauliString, PauliSum, encode_occupation, map_fermion
 from .simulator import Circuit, StateVector
@@ -254,12 +262,15 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
     circuit = ansatz_circuit(ansatz, kind=kind)
     rng = np.random.default_rng(config.seed)
     counter = {"n": 0}
+    observable = hamiltonian
+    if shots is None and hamiltonian.n_qubits <= oracle.MAX_SPARSE_QUBITS:
+        observable = oracle.pauli_to_sparse(hamiltonian)
 
     def evaluate(theta: np.ndarray) -> float:
         counter["n"] += 1
         state = circuit.run(theta)
         if shots is None:
-            return state.expectation(hamiltonian)
+            return state.expectation(observable)
         mean, _ = state.sampled_expectation(hamiltonian, shots, rng=rng)
         return mean
 
@@ -300,10 +311,7 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         if config.kind == "spsa":
             a_k = config.a / (k + 1 + big_a) ** config.alpha
             c_k = config.c / (k + 1) ** config.gamma
-            delta = rng.integers(0, 2, size=m) * 2 - 1
-            e_plus = evaluate(theta + c_k * delta)
-            e_minus = evaluate(theta - c_k * delta)
-            gradient = (e_plus - e_minus) / (2.0 * c_k) * delta
+            gradient = spsa_gradient_estimate(evaluate, theta, c_k, rng)
             theta = theta - a_k * gradient
         else:
             gradient = np.empty(m)
@@ -340,8 +348,8 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
 
 def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,
                            rng: np.random.Generator) -> np.ndarray:
-    """One simultaneous-perturbation gradient estimate (exposed for
-    diagnostics)."""
+    """One simultaneous-perturbation gradient estimate: a Rademacher
+    direction from `rng`, then two evaluations c_k either side."""
     m = theta.size
     delta = rng.integers(0, 2, size=m) * 2 - 1
     e_plus = evaluate(theta + c_k * delta)

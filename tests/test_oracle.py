@@ -174,6 +174,11 @@ def test_non_hermitian_inputs_rejected():
     # report -1
     with pytest.raises(ValueError, match="Hermitian"):
         exact_ground_state(PauliSum.from_string(PauliString("X"), 1j))
+    # a bare string with an imaginary phase is not Hermitian either
+    with pytest.raises(ValueError, match="Hermitian"):
+        lowest_eigenvalues(PauliString("X", 1j))
+    with pytest.raises(ValueError, match="Hermitian"):
+        exact_ground_energy(PauliString("XY", -1j))
     with pytest.raises(TypeError):
         lowest_eigenvalues("not an operator")
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qelectra.oracle import MAX_SPARSE_QUBITS, pauli_to_sparse
 from qelectra.pauli import PauliString, PauliSum
 from qelectra.simulator import (
     MAX_QUBITS,
@@ -12,6 +15,7 @@ from qelectra.simulator import (
     StateVector,
     reference_state,
 )
+from qelectra.vqe import ansatz_circuit, build_uccsd
 from test_pauli import dense, dense_sum
 
 
@@ -120,8 +124,43 @@ def test_expectation_flags_imaginary_result():
     skewed.add_string(PauliString("X"), 1.0j)
     with pytest.raises(ValueError, match="imaginary"):
         plus.expectation(skewed)
+    with pytest.raises(ValueError, match="imaginary"):
+        plus.expectation(pauli_to_sparse(skewed))
     with pytest.raises(ValueError, match="mismatch"):
         plus.expectation(PauliSum.identity(2))
+    with pytest.raises(ValueError, match="mismatch"):
+        plus.expectation(pauli_to_sparse(PauliSum.identity(2)))
+
+
+def test_matrix_expectation_matches_term_loop_on_lih(assembled):
+    system = assembled("lih")
+    hamiltonian = system.qubit_hamiltonian
+    so = system.spin_orbitals
+    ansatz = build_uccsd(so.n_orbitals, so.n_electrons)
+    circuit = ansatz_circuit(ansatz, kind=system.mapping)
+    theta = np.random.default_rng(28).normal(scale=0.2,
+                                             size=ansatz.n_parameters)
+    state = circuit.run(theta)
+    matrix = pauli_to_sparse(hamiltonian)
+    assert state.expectation(matrix) == pytest.approx(
+        state.expectation(hamiltonian), abs=1e-12)
+
+
+def test_term_loop_serves_registers_above_the_sparse_cap():
+    n = MAX_SPARSE_QUBITS + 1
+    op = PauliSum(n)
+    op.add_string(PauliString("Z" + "I" * (n - 1)), 0.75)
+    op.add_string(PauliString("X" * n), -0.5)
+    op.add_string(PauliString("I" * (n - 2) + "YY"), 0.25)
+    with pytest.raises(ValueError, match="limit"):
+        pauli_to_sparse(op)
+    # |+>^n on every qubit but qubit 0, which is |1>: <Z_0> = -1,
+    # <X...X> = 0 because of qubit 0, <Y_{n-2} Y_{n-1}> = 0
+    plus = np.full(1 << (n - 1), (1.0 / np.sqrt(2.0)) ** (n - 1))
+    data = np.zeros(1 << n, dtype=complex)
+    data[1::2] = plus
+    state = StateVector(n, data)
+    assert state.expectation(op) == pytest.approx(-0.75, abs=1e-12)
 
 
 def test_probabilities_normalized():
@@ -246,6 +285,82 @@ def test_circuit_validation():
                      instructions=[Instruction(kind="measure")])
     with pytest.raises(ValueError, match="unknown instruction"):
         broken.run([])
+
+
+def test_circuit_rejects_initial_state_of_another_size():
+    circ = Circuit(n_qubits=2)
+    circ.add_x(0)
+    with pytest.raises(ValueError, match="mismatch"):
+        circ.run([], initial=StateVector(3))
+
+
+def run_one_by_one(circuit, theta):
+    """Reference for Circuit.run: each instruction applied by StateVector."""
+    state = StateVector(circuit.n_qubits)
+    for ins in circuit.instructions:
+        if ins.kind == "x":
+            state.apply_x(ins.qubit)
+        else:
+            state.apply_pauli_exponential(
+                ins.string, ins.scale * theta[ins.param_index])
+    return state
+
+
+_ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+@st.composite
+def circuits(draw):
+    """Random circuits on 1-6 qubits: X flips and Hermitian exponentials
+    with phase +1 or -1, drawn from a small pool of X-masks so that
+    instructions share gathers, with arbitrary scales and shared
+    parameters."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(masks, min_size=1, max_size=3))
+    n_params = draw(st.integers(1, 4))
+    circuit = Circuit(n)
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            circuit.add_x(draw(st.integers(0, n - 1)))
+            continue
+        x, z = draw(st.sampled_from(pool)), draw(masks)
+        flip = draw(st.sampled_from([0, 2]))
+        string = PauliString.from_masks(n, x, z,
+                                        (x & z).bit_count() + flip)
+        circuit.add_exponential(string, draw(st.integers(0, n_params - 1)),
+                                draw(st.floats(-3.0, 3.0)))
+    circuit.n_parameters = max(circuit.n_parameters, n_params)
+    theta = np.array(draw(st.lists(_ANGLES, min_size=circuit.n_parameters,
+                                   max_size=circuit.n_parameters)))
+    return circuit, theta
+
+
+@settings(deadline=None)
+@given(circuits())
+def test_compiled_run_is_bit_identical_to_instruction_by_instruction(case):
+    circuit, theta = case
+    want = run_one_by_one(circuit, theta).data
+    assert np.array_equal(circuit.run(theta).data, want)
+    # the second run reuses the cached gathers and signs
+    assert np.array_equal(circuit.run(theta).data, want)
+
+
+def test_circuit_recompiles_after_instructions_change():
+    circ = Circuit(n_qubits=3)
+    circ.add_x(1)
+    circ.add_exponential(PauliString("XYZ"), 0, scale=0.5)
+    theta = np.array([0.9, -0.4])
+    circ.n_parameters = 2
+    first = circ.run(theta).data
+    assert np.array_equal(first, run_one_by_one(circ, theta).data)
+    circ.add_exponential(PauliString("YXI"), 1, scale=-1.5)
+    second = circ.run(theta).data
+    assert np.array_equal(second, run_one_by_one(circ, theta).data)
+    assert not np.allclose(first, second)
+    circ.instructions[0] = Instruction(kind="x", qubit=2)
+    third = circ.run(theta).data
+    assert np.array_equal(third, run_one_by_one(circ, theta).data)
 
 
 def test_reference_state_sets_requested_qubits():

@@ -5,7 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from qelectra.oracle import exact_ground_energy
+from qelectra import oracle
+from qelectra.fermion import number_operator
+from qelectra.oracle import MAX_SPARSE_QUBITS, exact_ground_energy
 from qelectra.pauli import MappingKind, map_fermion
 from qelectra.vqe import (
     Excitation,
@@ -175,8 +177,46 @@ def test_register_mismatch_rejected(assembled):
         run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig())
 
 
+def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
+                                                      monkeypatch):
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    built = []
+    build = oracle.pauli_to_sparse
+
+    def counting(observable):
+        built.append(observable)
+        return build(observable)
+
+    monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
+    config = OptimizerConfig(kind="spsa", max_iterations=5, seed=3)
+    result = run_vqe(system.qubit_hamiltonian, ansatz, config,
+                     kind=MappingKind.PARITY)
+    assert built == [system.qubit_hamiltonian]
+    assert result.n_evaluations > 1
+    # sampled energies measure the Pauli terms; no matrix is built
+    run_vqe(system.qubit_hamiltonian, ansatz, config,
+            kind=MappingKind.PARITY, shots=64)
+    assert len(built) == 1
+
+
+def test_registers_above_the_sparse_cap_sum_the_terms(monkeypatch):
+    n = MAX_SPARSE_QUBITS + 1
+
+    def refuse(observable):
+        raise AssertionError("no sparse matrix above the cap")
+
+    monkeypatch.setattr(oracle, "pauli_to_sparse", refuse)
+    ansatz = build_uccsd(n, 1)
+    counted = map_fermion(number_operator(n), MappingKind.JORDAN_WIGNER, n)
+    result = run_vqe(counted, ansatz,
+                     OptimizerConfig(kind="spsa", max_iterations=2, seed=1))
+    # the ansatz conserves the particle number, so every energy is <N> = 1
+    assert result.n_evaluations == 7
+    assert result.energy_history == pytest.approx([1.0] * 3, abs=1e-12)
+
+
 def test_empty_ansatz_returns_reference_energy():
-    from qelectra.fermion import number_operator
     bare = UccsdAnsatz(n_spin_orbitals=2, n_electrons=1, excitations=[],
                        parameters=np.zeros(0))
     mapped = map_fermion(number_operator(2), MappingKind.JORDAN_WIGNER, 2)
