@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 from .basis import ContractedGaussian, load_basis
 from .fcidump import read_fcidump, write_fcidump
 from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
-                      apply_active_space, build_hamiltonian,
-                      mo_spatial_integrals, mo_transform, number_operator,
-                      spatial_active_space, sz_operator, to_spin_orbitals)
+                      build_hamiltonian, mo_spatial_integrals,
+                      number_operator, spatial_active_space, sz_operator,
+                      to_spin_orbitals)
 from .integrals import IntegralSet, boys, compute_integrals
 from .molecule import Atom, Molecule, from_atom_list, load_xyz
 from .oracle import (MetropolisConfig, MetropolisResult, exact_ground_energy,
@@ -37,14 +37,14 @@ __all__ = [
     "Molecule", "OneElectronQuadrature", "OptimizerConfig", "PauliString",
     "PauliSum", "ScfConfig", "ScfResult", "SpinOrbitalIntegrals",
     "StateVector", "UccsdAnsatz", "VqeResult", "__version__",
-    "ansatz_circuit", "anticommutation_check", "apply_active_space",
+    "ansatz_circuit", "anticommutation_check",
     "assemble", "boys", "build_hamiltonian", "build_uccsd",
     "compute_integrals", "diatomic_geometry", "encode_occupation",
     "exact_ground_energy", "exact_ground_state", "exact_spectrum",
     "excited_estimate", "export_history", "from_atom_list", "ladder_image",
     "load_basis", "load_xyz", "lowest_eigenvalues", "map_fermion",
     "mapping_from_name", "metropolis_sample", "mo_spatial_integrals",
-    "mo_transform", "number_operator", "pauli_to_matrix", "pauli_to_sparse",
+    "number_operator", "pauli_to_matrix", "pauli_to_sparse",
     "quadrature_one_electron", "read_fcidump", "reference_state", "run_rhf",
     "run_vqe", "shipped_geometry", "spatial_active_space", "sz_operator",
     "taper_parity_two_qubits", "to_spin_orbitals", "write_fcidump",

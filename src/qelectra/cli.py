@@ -7,11 +7,11 @@ result objects only, never serialized.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +23,7 @@ from .oracle import MAX_SPARSE_QUBITS, exact_ground_energy
 from .pauli import MappingKind, mapping_from_name
 from .pipeline import (AssembledSystem, assemble, canonical_formula,
                        diatomic_geometry, display_name,
-                       load_molecule_argument, thread_cap)
+                       load_molecule_argument)
 from .reference import REFERENCE_FOOTNOTE, reference_for
 from .vqe import OptimizerConfig, build_uccsd, run_vqe
 
@@ -45,8 +45,7 @@ class RunSpec:
     basis: str = "sto-3g"
     methods: Tuple[str, ...] = ("hf",)
     mapping: MappingKind = MappingKind.PARITY
-    active: Optional[ActiveSpaceSpec] = None
-    active_is_override: bool = False
+    active: Optional[ActiveSpaceSpec] = None    # None: the shipped window
     optimizer: str = "spsa"
     shots: Optional[int] = None
     seed: int = 0
@@ -125,9 +124,7 @@ def execute(spec: RunSpec,
     """Run the requested methods on one geometry."""
     if system is None:
         system = assemble(spec.molecule, basis=spec.basis,
-                          active=spec.active if spec.active_is_override
-                          else "auto",
-                          mapping=spec.mapping)
+                          active=spec.active or "auto", mapping=spec.mapping)
     active = system.active_space
     report = ComparisonReport(
         molecule_name=display_name(system.molecule),
@@ -205,28 +202,15 @@ def scan(spec: RunSpec, start: float, stop: float,
     symbols = (spec.molecule.atoms[0].symbol, spec.molecule.atoms[1].symbol)
     charge = spec.molecule.charge
     name = display_name(spec.molecule)
-    distances = [float(r) for r in np.linspace(start, stop, steps)]
-
-    def one_point(r: float) -> ScanPoint:
+    points = []
+    for r in np.linspace(start, stop, steps).tolist():
         geometry = diatomic_geometry(symbols, r, charge=charge, name=name)
-        point_spec = RunSpec(molecule=geometry, basis=spec.basis,
-                             methods=spec.methods, mapping=spec.mapping,
-                             active=spec.active,
-                             active_is_override=spec.active_is_override,
-                             optimizer=spec.optimizer, shots=spec.shots,
-                             seed=spec.seed)
-        report = execute(point_spec)
-        return ScanPoint(r_bohr=r,
-                         energies={row.method: float(row.energy)
-                                   for row in report.results},
-                         converged=report.all_converged)
-
-    workers = min(thread_cap(), steps)
-    if workers == 1:
-        points = [one_point(r) for r in distances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(one_point, distances))
+        report = execute(dataclasses.replace(spec, molecule=geometry,
+                                             fcidump_path=None))
+        points.append(ScanPoint(r_bohr=r,
+                                energies={row.method: float(row.energy)
+                                          for row in report.results},
+                                converged=report.all_converged))
     points.sort(key=lambda p: p.r_bohr)
     return points
 
@@ -274,6 +258,14 @@ def report_to_csv(report: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
+def _aligned(columns: List[str], rows: List[List[str]]) -> List[str]:
+    """Header, dashed rule and rows, each column padded to its widest cell."""
+    widths = [max(len(col), max((len(r[i]) for r in rows), default=0))
+              for i, col in enumerate(columns)]
+    return ["  ".join(c.ljust(w) for c, w in zip(cells, widths))
+            for cells in [columns, ["-" * w for w in widths]] + rows]
+
+
 def render_table(report: ComparisonReport,
                  include_reference: bool = False) -> str:
     reference = reference_for(report.formula) if include_reference else None
@@ -299,13 +291,7 @@ def render_table(report: ComparisonReport,
     if reference is not None and "dft" in reference:
         rows.append(["dft", "-", "-", "-", "-", f"{reference['dft']:.10f}"])
 
-    widths = [max(len(col), max((len(r[i]) for r in rows), default=0))
-              for i, col in enumerate(columns)]
-    lines = [head, ""]
-    lines.append("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for cells in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+    lines = [head, ""] + _aligned(columns, rows)
     for note in report.notes:
         lines.append(f"note: {note}")
     if reference is not None:
@@ -352,13 +338,7 @@ def scan_to_table(points: List[ScanPoint], methods: Sequence[str]) -> str:
             value = point.energies.get(method)
             cells.append("-" if value is None else f"{value:.10f}")
         rows.append(cells)
-    widths = [max(len(col), max((len(r[i]) for r in rows), default=0))
-              for i, col in enumerate(columns)]
-    lines = ["  ".join(col.ljust(w) for col, w in zip(columns, widths)),
-             "  ".join("-" * w for w in widths)]
-    for cells in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    return "\n".join(lines)
+    return "\n".join(_aligned(columns, rows))
 
 
 # ---- argument handling ------------------------------------------------------------
@@ -479,7 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),
                        active=_parse_active(args.active_space),
-                       active_is_override=args.active_space is not None,
                        optimizer=args.optimizer,
                        shots=_parse_shots(args.shots),
                        seed=args.seed,

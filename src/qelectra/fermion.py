@@ -146,63 +146,6 @@ def to_spin_orbitals(h_mo: np.ndarray, eri_mo: np.ndarray, core_energy: float,
                                 n_electrons=n_electrons)
 
 
-def mo_transform(integrals: IntegralSet, mo_coefficients: np.ndarray,
-                 n_electrons: int) -> SpinOrbitalIntegrals:
-    h_mo, eri_mo = mo_spatial_integrals(integrals, mo_coefficients)
-    return to_spin_orbitals(h_mo, eri_mo, integrals.nuclear_repulsion,
-                            n_electrons)
-
-
-def apply_active_space(so: SpinOrbitalIntegrals,
-                       spec: ActiveSpaceSpec) -> SpinOrbitalIntegrals:
-    """Freeze core orbitals into the constant and drop high virtuals.
-
-    Spatial orbitals below the window are assumed doubly occupied (they fold
-    into the core energy and an effective one-body correction); spatial
-    orbitals above the window are discarded.
-    """
-    n_spatial = so.n_orbitals // 2
-    n_frozen2 = so.n_electrons - spec.n_active_electrons
-    if n_frozen2 < 0 or n_frozen2 % 2 != 0:
-        raise ValueError(
-            f"cannot freeze {so.n_electrons} -> {spec.n_active_electrons} "
-            f"electrons: need an even, nonnegative difference")
-    n_frozen = n_frozen2 // 2
-    if n_frozen + spec.n_active_orbitals > n_spatial:
-        raise ValueError(
-            f"active window ({n_frozen} frozen + {spec.n_active_orbitals} "
-            f"active) exceeds {n_spatial} spatial orbitals")
-    if spec.n_active_electrons > 2 * spec.n_active_orbitals:
-        raise ValueError("more active electrons than active spin orbitals")
-
-    frozen = list(range(2 * n_frozen))
-    active = list(range(2 * n_frozen, 2 * (n_frozen + spec.n_active_orbitals)))
-    h = so.one_body
-    g = so.two_body
-
-    core = so.core_energy
-    for i in frozen:
-        core += h[i, i].real
-    for i in frozen:
-        for j in frozen:
-            core += 0.5 * (g[i, j, i, j] - g[i, j, j, i]).real
-
-    idx = np.ix_(active, active)
-    h_eff = h[idx].copy()
-    for a, p in enumerate(active):
-        for b, q in enumerate(active):
-            corr = 0.0
-            for i in frozen:
-                corr += g[p, i, q, i] - g[p, i, i, q]
-            h_eff[a, b] += corr
-
-    g_act = g[np.ix_(active, active, active, active)].copy()
-    return SpinOrbitalIntegrals(core_energy=core, one_body=h_eff,
-                                two_body=g_act,
-                                n_orbitals=2 * spec.n_active_orbitals,
-                                n_electrons=spec.n_active_electrons)
-
-
 def spatial_active_space(h_mo: np.ndarray, eri_mo: np.ndarray,
                          core_energy: float, n_electrons: int,
                          spec: ActiveSpaceSpec):

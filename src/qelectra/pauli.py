@@ -144,11 +144,6 @@ class PauliString:
         return f"PauliString({ph}{self.letters or 'I'})"
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product of two Pauli strings, phase-exact."""
-    return a * b
-
-
 class PauliSum:
     """Complex linear combination of Pauli strings on a fixed register.
 

@@ -23,8 +23,6 @@ from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
 from .pauli import MappingKind, PauliSum, map_fermion
 from .simulator import MAX_QUBITS
 
-THREADS_ENV = "QELECTRA_THREADS"
-
 # Active windows keyed by canonical formula: (n_active_electrons,
 # n_active_spatial_orbitals). Three constraints shape these. The window
 # must keep each example inside the exact-diagonalization range (<= 12
@@ -113,20 +111,6 @@ def load_molecule_argument(argument: str) -> Molecule:
     raise FileNotFoundError(
         f"no such file {argument!r} and it is not a shipped molecule name "
         f"({', '.join(SHIPPED_MOLECULES)})")
-
-
-def thread_cap(default: int = 4) -> int:
-    """Worker limit for concurrent scan points."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, min(default, os.cpu_count() or 1))
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be at least 1")
-    return value
 
 
 @dataclass

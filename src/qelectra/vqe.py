@@ -5,8 +5,7 @@ the aufbau determinant, one real parameter per excitation. Each generator
 theta * (T - T^) is anti-Hermitian, so its qubit image has purely
 imaginary coefficients and exponentiates to a product of Pauli rotations.
 For these generators the mapped strings commute pairwise (asserted at
-build time), which makes the per-generator product exact; Trotter
-repetition is still exposed for experimentation.
+build time), which makes the per-generator product exact.
 
 Two optimizers are provided: simultaneous-perturbation stochastic
 approximation with the standard gain schedules, and plain gradient descent
@@ -55,15 +54,13 @@ class UccsdAnsatz:
     n_electrons: int
     excitations: List[Excitation]
     parameters: np.ndarray
-    trotter_steps: int = 1
 
     @property
     def n_parameters(self) -> int:
         return len(self.excitations)
 
 
-def build_uccsd(n_spin_orbitals: int, n_electrons: int,
-                trotter_steps: int = 1) -> UccsdAnsatz:
+def build_uccsd(n_spin_orbitals: int, n_electrons: int) -> UccsdAnsatz:
     """All spin-preserving singles and doubles from the aufbau reference.
 
     Spin orbitals are interleaved (even = alpha, odd = beta); occupied
@@ -76,8 +73,6 @@ def build_uccsd(n_spin_orbitals: int, n_electrons: int,
             f"need 0 < n_electrons < n_spin_orbitals, got "
             f"{n_electrons}/{n_spin_orbitals}; no virtual space leaves a "
             "degenerate ansatz")
-    if trotter_steps < 1:
-        raise ValueError("trotter_steps must be at least 1")
     occupied = range(n_electrons)
     virtual = range(n_electrons, n_spin_orbitals)
     excitations: List[Excitation] = []
@@ -100,8 +95,7 @@ def build_uccsd(n_spin_orbitals: int, n_electrons: int,
     return UccsdAnsatz(n_spin_orbitals=n_spin_orbitals,
                        n_electrons=n_electrons,
                        excitations=excitations,
-                       parameters=np.zeros(len(excitations)),
-                       trotter_steps=trotter_steps)
+                       parameters=np.zeros(len(excitations)))
 
 
 def excitation_generator(excitation: Excitation) -> FermionOperator:
@@ -150,31 +144,21 @@ def _generator_rotations(excitation: Excitation, kind: MappingKind,
 
 
 def ansatz_circuit(ansatz: UccsdAnsatz,
-                   theta: Optional[Sequence[float]] = None,
-                   kind: MappingKind = MappingKind.JORDAN_WIGNER,
-                   reference_occupied: Optional[Sequence[int]] = None
-                   ) -> Circuit:
+                   kind: MappingKind = MappingKind.JORDAN_WIGNER) -> Circuit:
     """Parametrized state-preparation circuit for the ansatz.
 
-    X gates encode the reference determinant for the chosen mapping, then
+    X gates encode the aufbau determinant for the chosen mapping, then
     every excitation contributes its Pauli rotations, parameter index k
-    for excitation k, repeated trotter_steps times with scaled angles.
-    The returned circuit is evaluated as circuit.run(theta).
+    for excitation k. The returned circuit is evaluated as
+    circuit.run(theta).
     """
-    if theta is not None and len(theta) != ansatz.n_parameters:
-        raise ValueError(
-            f"expected {ansatz.n_parameters} parameters, got {len(theta)}")
     n = ansatz.n_spin_orbitals
-    if reference_occupied is None:
-        reference_occupied = list(range(ansatz.n_electrons))
     circuit = Circuit(n)
-    for qubit in encode_occupation(kind, reference_occupied, n):
+    for qubit in encode_occupation(kind, range(ansatz.n_electrons), n):
         circuit.add_x(qubit)
-    reps = ansatz.trotter_steps
-    for _ in range(reps):
-        for p, exc in enumerate(ansatz.excitations):
-            for string, scale in _generator_rotations(exc, kind, n):
-                circuit.add_exponential(string, p, scale / reps)
+    for p, exc in enumerate(ansatz.excitations):
+        for string, scale in _generator_rotations(exc, kind, n):
+            circuit.add_exponential(string, p, scale)
     circuit.n_parameters = max(circuit.n_parameters, ansatz.n_parameters)
     return circuit
 

@@ -171,8 +171,7 @@ def test_version_flag(capsys):
     assert "qelectra" in capsys.readouterr().out
 
 
-def test_scan_csv_grid(capsys, monkeypatch):
-    monkeypatch.setenv("QELECTRA_THREADS", "2")
+def test_scan_csv_grid(capsys):
     code, out, _ = run_cli(capsys, "--molecule", "h2",
                            "--scan", "1.2,1.6,3", "--method", "hf,fci",
                            "--output", "csv")
@@ -200,6 +199,16 @@ def test_scan_json_shape(capsys):
     assert first["r_bohr"] == 1.2
     assert first["converged"] is True
     assert "hf" in first["methods"]
+
+
+def test_descending_scan_prints_ascending_r(capsys):
+    code, out, _ = run_cli(capsys, "--molecule", "h2",
+                           "--scan", "1.6,1.2,3", "--output", "json")
+    assert code == 0
+    r = [point["r_bohr"] for point in json.loads(out)["points"]]
+    assert len(r) == 3
+    assert r == sorted(r)
+    assert (r[0], r[-1]) == (1.2, 1.6)
 
 
 def test_scan_table_columns(capsys):

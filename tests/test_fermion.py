@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from qelectra.fermion import (ActiveSpaceSpec, FermionOperator,
-                              apply_active_space, build_hamiltonian,
+                              SpinOrbitalIntegrals, build_hamiltonian,
                               hamiltonian_expectation_hf,
-                              mo_spatial_integrals, mo_transform,
-                              number_operator, spatial_active_space,
-                              sz_operator, to_spin_orbitals)
+                              mo_spatial_integrals, number_operator,
+                              spatial_active_space, sz_operator,
+                              to_spin_orbitals)
 from qelectra.integrals import compute_integrals
 from qelectra.molecule import from_atom_list
 from qelectra.oracle import exact_ground_energy, pauli_to_matrix
@@ -41,11 +41,54 @@ def dense_operator(op: FermionOperator, n_modes):
     return total
 
 
+def full_spin_orbitals(ints, scf, n_electrons):
+    h_mo, eri_mo = mo_spatial_integrals(ints, scf.mo_coefficients)
+    return to_spin_orbitals(h_mo, eri_mo, ints.nuclear_repulsion,
+                            n_electrons)
+
+
+def active_spin_orbitals(ints, scf, n_electrons, spec):
+    """The production window: fold spatial integrals, then add spin."""
+    h_mo, eri_mo = mo_spatial_integrals(ints, scf.mo_coefficients)
+    return to_spin_orbitals(*spatial_active_space(
+        h_mo, eri_mo, ints.nuclear_repulsion, n_electrons, spec))
+
+
+def fold_spin_orbital_window(so, spec):
+    """Independent oracle for spatial_active_space: the same frozen-core
+    window folded in the spin-orbital basis. Frozen spin orbitals go into
+    the constant and an effective one-body term; orbitals above the window
+    are dropped."""
+    n_frozen = (so.n_electrons - spec.n_active_electrons) // 2
+    frozen = list(range(2 * n_frozen))
+    active = list(range(2 * n_frozen, 2 * (n_frozen + spec.n_active_orbitals)))
+    h = so.one_body
+    g = so.two_body
+
+    core = so.core_energy
+    for i in frozen:
+        core += h[i, i].real
+    for i in frozen:
+        for j in frozen:
+            core += 0.5 * (g[i, j, i, j] - g[i, j, j, i]).real
+
+    h_eff = h[np.ix_(active, active)].copy()
+    for a, p in enumerate(active):
+        for b, q in enumerate(active):
+            for i in frozen:
+                h_eff[a, b] += g[p, i, q, i] - g[p, i, i, q]
+
+    g_act = g[np.ix_(active, active, active, active)].copy()
+    return SpinOrbitalIntegrals(core_energy=core, one_body=h_eff,
+                                two_body=g_act, n_orbitals=len(active),
+                                n_electrons=spec.n_active_electrons)
+
+
 def h2_spin_orbitals():
     mol = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, 1.388861))])
     ints = compute_integrals(mol, "sto-3g")
     scf = run_rhf(ints, 2)
-    return scf, mo_transform(ints, scf.mo_coefficients, 2)
+    return scf, full_spin_orbitals(ints, scf, 2)
 
 
 def test_normal_ordering_car():
@@ -131,14 +174,9 @@ def test_active_space_routes_agree():
         mol = shipped_geometry(key)
         ints = compute_integrals(mol, "sto-3g")
         scf = run_rhf(ints, mol.n_electrons)
-        h_mo, eri_mo = mo_spatial_integrals(ints, scf.mo_coefficients)
-
-        h_act, eri_act, core, n_act = spatial_active_space(
-            h_mo, eri_mo, ints.nuclear_repulsion, mol.n_electrons, spec)
-        so_a = to_spin_orbitals(h_act, eri_act, core, n_act)
-
-        so_full = mo_transform(ints, scf.mo_coefficients, mol.n_electrons)
-        so_b = apply_active_space(so_full, spec)
+        so_a = active_spin_orbitals(ints, scf, mol.n_electrons, spec)
+        so_b = fold_spin_orbital_window(
+            full_spin_orbitals(ints, scf, mol.n_electrons), spec)
 
         assert so_a.core_energy == pytest.approx(so_b.core_energy, abs=1e-10)
         assert np.allclose(so_a.one_body, so_b.one_body, atol=1e-10)
@@ -149,20 +187,23 @@ def test_active_space_preserves_total_hf_energy():
     mol = shipped_geometry("h2o")
     ints = compute_integrals(mol, "sto-3g")
     scf = run_rhf(ints, 10)
-    so_full = mo_transform(ints, scf.mo_coefficients, 10)
-    so_act = apply_active_space(so_full, ActiveSpaceSpec(8, 6))
+    so_act = active_spin_orbitals(ints, scf, 10, ActiveSpaceSpec(8, 6))
     assert hamiltonian_expectation_hf(so_act) == pytest.approx(
         scf.e_total, abs=1e-9)
 
 
 def test_active_space_validation():
-    _, so = h2_spin_orbitals()
-    with pytest.raises(ValueError):
-        apply_active_space(so, ActiveSpaceSpec(1, 2))   # odd freeze
-    with pytest.raises(ValueError):
-        apply_active_space(so, ActiveSpaceSpec(2, 9))   # window too wide
-    with pytest.raises(ValueError):
-        apply_active_space(so, ActiveSpaceSpec(6, 1))   # too many electrons
+    for key, spec, message in [
+            ("h2", ActiveSpaceSpec(1, 2), "cannot freeze"),
+            ("h2", ActiveSpaceSpec(2, 9), "exceeds 2 spatial orbitals"),
+            ("h2o", ActiveSpaceSpec(6, 2), "more active electrons")]:
+        mol = shipped_geometry(key)
+        ints = compute_integrals(mol, "sto-3g")
+        scf = run_rhf(ints, mol.n_electrons)
+        h_mo, eri_mo = mo_spatial_integrals(ints, scf.mo_coefficients)
+        with pytest.raises(ValueError, match=message):
+            spatial_active_space(h_mo, eri_mo, ints.nuclear_repulsion,
+                                 mol.n_electrons, spec)
 
 
 def test_number_and_sz_operators():
@@ -182,11 +223,11 @@ def test_full_vs_active_ground_state_bound():
     mol = shipped_geometry("lih")
     ints = compute_integrals(mol, "sto-3g")
     scf = run_rhf(ints, 4)
-    so_full = mo_transform(ints, scf.mo_coefficients, 4)
+    so_full = full_spin_orbitals(ints, scf, 4)
     e_full = exact_ground_energy(
         map_fermion(build_hamiltonian(so_full), MappingKind.PARITY,
                     so_full.n_orbitals))
-    so_act = apply_active_space(so_full, ActiveSpaceSpec(2, 5))
+    so_act = active_spin_orbitals(ints, scf, 4, ActiveSpaceSpec(2, 5))
     e_act = exact_ground_energy(
         map_fermion(build_hamiltonian(so_act), MappingKind.PARITY,
                     so_act.n_orbitals))

@@ -15,7 +15,6 @@ from qelectra.pauli import (
     ladder_image,
     map_fermion,
     mapping_from_name,
-    multiply,
     taper_parity_two_qubits,
 )
 from test_fermion import dense_annihilator
@@ -83,7 +82,6 @@ def test_string_product_matches_dense():
         want = dense(a) @ dense(b)
         got = dense(prod.letters, prod.phase)
         assert np.allclose(got, want, atol=1e-14)
-        assert multiply(sa, sb) == prod
 
 
 def test_string_product_is_associative():

@@ -16,7 +16,6 @@ from qelectra.pipeline import (
     display_name,
     load_molecule_argument,
     shipped_geometry,
-    thread_cap,
 )
 
 
@@ -113,20 +112,6 @@ def test_load_molecule_argument_paths(tmp_path):
     assert canonical_formula(by_name) == "HLi"
     with pytest.raises(FileNotFoundError, match="shipped molecule"):
         load_molecule_argument("unobtainium.xyz")
-
-
-def test_thread_cap_reads_environment(monkeypatch):
-    monkeypatch.delenv("QELECTRA_THREADS", raising=False)
-    default = thread_cap()
-    assert 1 <= default <= 4
-    monkeypatch.setenv("QELECTRA_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("QELECTRA_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_cap()
-    monkeypatch.setenv("QELECTRA_THREADS", "many")
-    with pytest.raises(ValueError):
-        thread_cap()
 
 
 def test_diatomic_geometry_layout():
