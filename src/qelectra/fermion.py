@@ -10,7 +10,7 @@ Conventions, fixed package-wide:
     exactly as constructed, with a separate normal-ordering operation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np

@@ -7,9 +7,22 @@ accurate to about 1e-13 across the switch.
 
 Electron repulsion integrals are returned as a dense (n, n, n, n) array in
 chemists' notation (ij|kl); only canonical index quartets are computed and
-the eight symmetry images are filled from each one.
+the eight symmetry images are filled from each one. The canonical quartets
+are batched by angular class: basis-function pairs are keyed by primitive
+count and per-axis Hermite lengths, and every quartet of one (bra class,
+ket class) is evaluated in one Hermite Coulomb call over all its primitive
+quartets, up to a fixed number per call.
+
+Batching follows one rule: the tensor is bit-identical to evaluating the
+quartets one at a time. Each primitive quartet goes through the same
+elementwise operations in the same order (the Hermite products summed in a
+fixed s1/s2/s3 order, then one sum over each quartet's primitives), and no
+reduction is regrouped. The rule matters because a split degenerate shell
+(the shipped CO2 window) turns a 1e-16 change in the integrals into a
+milli-Hartree change in the correlation energy.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List
 
@@ -20,6 +33,9 @@ from .molecule import Molecule, nuclear_repulsion
 
 MAX_BASIS_FUNCTIONS = 32
 _BOYS_SWITCH = 35.0
+# Primitive quartets per Hermite Coulomb call: caps the working memory of
+# one batch (compute_integrals on CO2 peaks at about 4 MB).
+_PRIMITIVE_QUARTETS_PER_CALL = 1 << 15
 
 
 def boys(m_max: int, x) -> np.ndarray:
@@ -243,47 +259,87 @@ def _nuclear_pair(pair: _PairData, coords: np.ndarray, charges: np.ndarray) -> f
 def _signed_convolution(Ea: np.ndarray, Eb: np.ndarray) -> np.ndarray:
     """Combine bra/ket Hermite coefficients along one axis with the ket sign.
 
-    Ea has shape (na, ta), Eb (nb, tb); result (na, nb, ta + tb - 1) with
-    entry [i, j, s] = sum_{t + tau = s} Ea[i, t] * Eb[j, tau] * (-1)^tau.
+    Ea has shape (m, na, ta), Eb (m, nb, tb) for m quartets; the result has
+    shape (ta + tb - 1, m, na, nb) with entry [s, q, i, j] =
+    sum_{t + tau = s} Ea[q, i, t] * Eb[q, j, tau] * (-1)^tau.
     """
-    na, ta = Ea.shape
-    nb, tb = Eb.shape
-    out = np.zeros((na, nb, ta + tb - 1))
+    m, na, ta = Ea.shape
+    nb, tb = Eb.shape[1:]
+    out = np.zeros((ta + tb - 1, m, na, nb))
     for t in range(ta):
         for tau in range(tb):
             sign = -1.0 if tau % 2 else 1.0
-            out[:, :, t + tau] += sign * Ea[:, t][:, None] * Eb[:, tau][None, :]
+            out[t + tau] += sign * Ea[:, :, t, None] * Eb[:, None, :, tau]
     return out
 
 
-def _eri_quartet(bra: _PairData, ket: _PairData) -> float:
-    p = bra.p
-    q = ket.p
-    np_, nq = p.shape[0], q.shape[0]
-    pq = p[:, None] * q[None, :]
-    psum = p[:, None] + q[None, :]
+class _PairClass:
+    """The pairs of one angular class, stacked along a leading axis."""
+
+    def __init__(self, pairs: List[_PairData]):
+        self.p = np.stack([pair.p for pair in pairs])          # (n, K)
+        self.P = np.stack([pair.P for pair in pairs])          # (n, K, 3)
+        self.coeff = np.stack([pair.coeff for pair in pairs])  # (n, K)
+        self.E = tuple(np.stack([getattr(pair, axis) for pair in pairs])
+                       for axis in ("Ex", "Ey", "Ez"))         # (n, K, t)
+
+
+def _eri_batch(bra: _PairClass, ket: _PairClass,
+               rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(bra[rows[q]] | ket[cols[q]]) for every quartet q of one class pair."""
+    p = bra.p[rows]
+    q = ket.p[cols]
+    m, kb = p.shape
+    kk = q.shape[1]
+    pq = p[:, :, None] * q[:, None, :]
+    psum = p[:, :, None] + q[:, None, :]
     alpha = (pq / psum).ravel()
-    PQ = (bra.P[:, None, :] - ket.P[None, :, :]).reshape(-1, 3)
+    PQ = (bra.P[rows][:, :, None, :] - ket.P[cols][:, None, :, :]).reshape(-1, 3)
 
-    Gx = _signed_convolution(bra.Ex, ket.Ex)
-    Gy = _signed_convolution(bra.Ey, ket.Ey)
-    Gz = _signed_convolution(bra.Ez, ket.Ez)
-    smax_x = Gx.shape[2] - 1
-    smax_y = Gy.shape[2] - 1
-    smax_z = Gz.shape[2] - 1
+    Gx, Gy, Gz = (_signed_convolution(Eb[rows], Ek[cols])
+                  for Eb, Ek in zip(bra.E, ket.E))
+    sx, sy, sz = Gx.shape[0], Gy.shape[0], Gz.shape[0]
+    R = _hermite_coulomb(sx - 1, sy - 1, sz - 1, alpha, PQ)
+    R = R.reshape(sx, sy, sz, m, kb, kk)
 
-    R = _hermite_coulomb(smax_x, smax_y, smax_z, alpha, PQ)
-    R = R.reshape(smax_x + 1, smax_y + 1, smax_z + 1, np_, nq)
-
-    acc = np.zeros((np_, nq))
-    for s1 in range(smax_x + 1):
-        for s2 in range(smax_y + 1):
-            for s3 in range(smax_z + 1):
-                acc += Gx[:, :, s1] * Gy[:, :, s2] * Gz[:, :, s3] * R[s1, s2, s3]
+    acc = np.zeros((m, kb, kk))
+    for s1 in range(sx):
+        for s2 in range(sy):
+            for s3 in range(sz):
+                acc += Gx[s1] * Gy[s2] * Gz[s3] * R[s1, s2, s3]
 
     pref = 2.0 * np.pi ** 2.5 / (pq * np.sqrt(psum))
-    weights = bra.coeff[:, None] * ket.coeff[None, :]
-    return float(np.sum(weights * pref * acc))
+    weights = bra.coeff[rows][:, :, None] * ket.coeff[cols][:, None, :]
+    return np.sum((weights * pref * acc).reshape(m, kb * kk), axis=1)
+
+
+def _eri_table(pairs: List[_PairData]) -> np.ndarray:
+    """(bra|ket) for every two pairs, as a symmetric (pairs x pairs) table.
+
+    Each canonical quartet (ket index <= bra index) is computed once, in
+    one batch per (bra class, ket class), and mirrored.
+    """
+    members = defaultdict(list)
+    for index, pair in enumerate(pairs):
+        # angular class: primitive count and per-axis Hermite lengths
+        key = (pair.p.size, pair.Ex.shape[1], pair.Ey.shape[1],
+               pair.Ez.shape[1])
+        members[key].append(index)
+    classes = {key: (np.array(idx), _PairClass([pairs[i] for i in idx]))
+               for key, idx in members.items()}
+
+    table = np.zeros((len(pairs), len(pairs)))
+    for bra_index, bra in classes.values():
+        for ket_index, ket in classes.values():
+            rows, cols = np.nonzero(ket_index[None, :] <= bra_index[:, None])
+            per_quartet = bra.p.shape[1] * ket.p.shape[1]
+            step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // per_quartet)
+            for lo in range(0, rows.size, step):
+                r, c = rows[lo:lo + step], cols[lo:lo + step]
+                vals = _eri_batch(bra, ket, r, c)
+                table[bra_index[r], ket_index[c]] = vals
+                table[ket_index[c], bra_index[r]] = vals
+    return table
 
 
 @dataclass
@@ -322,27 +378,19 @@ def compute_integrals(molecule: Molecule, basis_name: str = "sto-3g") -> Integra
     coords = molecule.coordinates()
     charges = molecule.charges()
 
-    pairs = {}
+    pair_list = []
+    pair_of = np.empty((n, n), dtype=np.intp)
     for i in range(n):
         for j in range(i + 1):
             pair = _PairData(funcs[i], funcs[j])
-            pairs[(i, j)] = pair
+            pair_of[i, j] = pair_of[j, i] = len(pair_list)
+            pair_list.append(pair)
             S[i, j] = S[j, i] = _overlap_pair(funcs[i], funcs[j])
             T[i, j] = T[j, i] = _kinetic_pair(funcs[i], funcs[j])
             V[i, j] = V[j, i] = _nuclear_pair(pair, coords, charges)
 
-    eri = np.zeros((n, n, n, n))
-    pair_list = [(i, j) for i in range(n) for j in range(i + 1)]
-    index_of = {ij: k for k, ij in enumerate(pair_list)}
-    for (i, j) in pair_list:
-        for (k, l) in pair_list:
-            if index_of[(k, l)] > index_of[(i, j)]:
-                continue
-            val = _eri_quartet(pairs[(i, j)], pairs[(k, l)])
-            for (a, b) in ((i, j), (j, i)):
-                for (c, d) in ((k, l), (l, k)):
-                    eri[a, b, c, d] = val
-                    eri[c, d, a, b] = val
+    table = _eri_table(pair_list)
+    eri = table[pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
     return IntegralSet(overlap=S, kinetic=T, nuclear=V, eri=eri,
                        basis_name=basis_name, n_basis=n,

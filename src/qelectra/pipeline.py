@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Optional, Tuple, Union
 
+from .basis import load_basis
 from .molecule import Molecule, from_atom_list, load_xyz, parse_xyz
 from .integrals import compute_integrals, IntegralSet
 from .scf import ScfConfig, ScfResult, run_rhf
@@ -167,6 +168,17 @@ def assemble(molecule: Molecule, basis: str = "sto-3g",
     else:
         spec = active
 
+    # The register size is known from the basis alone, so an oversized
+    # problem is refused before any integral is computed. A window wider
+    # than the basis is left to spatial_active_space and its own message.
+    n_spatial = len(load_basis(molecule, basis))
+    n_qubits = 2 * min(spec.n_active_orbitals if spec else n_spatial,
+                       n_spatial)
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"{n_qubits} qubits exceeds the simulator cap of "
+            f"{MAX_QUBITS}; restrict the problem with an active space "
+            f"(for example --active-space 8,6)")
     integrals = compute_integrals(molecule, basis)
     scf = run_rhf(integrals, molecule.n_electrons,
                   config=scf_config or ScfConfig())
@@ -179,11 +191,6 @@ def assemble(molecule: Molecule, basis: str = "sto-3g",
             h_mo, eri_mo, integrals.nuclear_repulsion,
             molecule.n_electrons, spec)
         so = to_spin_orbitals(h_act, eri_act, core_act, n_act)
-    if so.n_orbitals > MAX_QUBITS:
-        raise ValueError(
-            f"{so.n_orbitals} qubits exceeds the simulator cap of "
-            f"{MAX_QUBITS}; restrict the problem with an active space "
-            f"(for example --active-space 8,6)")
     hamiltonian = build_hamiltonian(so)
     qubit_hamiltonian = map_fermion(hamiltonian, mapping, so.n_orbitals)
     return AssembledSystem(molecule=molecule, basis_name=basis,

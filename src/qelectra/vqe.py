@@ -22,13 +22,13 @@ Hamiltonian is compiled to the sparse matrix the eigensolver uses, so
 
 import csv
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from . import oracle
 from .fermion import FermionOperator
 from .pauli import MappingKind, PauliString, PauliSum, encode_occupation, map_fermion
-from .simulator import Circuit, StateVector
+from .simulator import Circuit
 
 GENERATOR_PRUNE = 1e-12
 

@@ -1,14 +1,22 @@
 """Integral engine checks: Boys function against an arbitrary-precision
-oracle, matrix symmetries, and agreement with brute-force quadrature."""
+oracle, matrix symmetries, agreement with brute-force quadrature, and the
+batched electron-repulsion tensor against a quartet-by-quartet oracle."""
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qelectra.integrals import boys, compute_integrals
+from qelectra import integrals
+from qelectra.basis import load_basis
+from qelectra.integrals import (_hermite_coulomb, _PairData, boys,
+                                compute_integrals)
 from qelectra.molecule import from_atom_list
 from qelectra.pipeline import shipped_geometry
 from qelectra.quadrature import GridSpec, quadrature_one_electron
+
+SHIPPED = ["h2", "lih", "h2o", "nh3", "ch4", "co2"]
 
 
 def boys_reference(n, t):
@@ -105,3 +113,117 @@ def test_grid_spec_validation():
         GridSpec(points_per_axis=4)
     with pytest.raises(ValueError):
         GridSpec(padding=0.0)
+
+
+# Quartet-by-quartet oracle: each canonical (bra|ket) evaluated on its own,
+# then mirrored into its eight images. The batched engine must reproduce
+# it bit for bit, since the CO2 window turns a 1e-16 change in one
+# integral into a milli-Hartree change in the FCI energy.
+
+def signed_convolution(Ea, Eb):
+    """entry [i, j, s] = sum_{t + tau = s} Ea[i, t] * Eb[j, tau] * (-1)^tau"""
+    na, ta = Ea.shape
+    nb, tb = Eb.shape
+    out = np.zeros((na, nb, ta + tb - 1))
+    for t in range(ta):
+        for tau in range(tb):
+            sign = -1.0 if tau % 2 else 1.0
+            out[:, :, t + tau] += sign * Ea[:, t][:, None] * Eb[:, tau][None, :]
+    return out
+
+
+def eri_quartet(bra, ket):
+    p = bra.p
+    q = ket.p
+    np_, nq = p.shape[0], q.shape[0]
+    pq = p[:, None] * q[None, :]
+    psum = p[:, None] + q[None, :]
+    alpha = (pq / psum).ravel()
+    PQ = (bra.P[:, None, :] - ket.P[None, :, :]).reshape(-1, 3)
+
+    Gx = signed_convolution(bra.Ex, ket.Ex)
+    Gy = signed_convolution(bra.Ey, ket.Ey)
+    Gz = signed_convolution(bra.Ez, ket.Ez)
+    smax_x = Gx.shape[2] - 1
+    smax_y = Gy.shape[2] - 1
+    smax_z = Gz.shape[2] - 1
+
+    R = _hermite_coulomb(smax_x, smax_y, smax_z, alpha, PQ)
+    R = R.reshape(smax_x + 1, smax_y + 1, smax_z + 1, np_, nq)
+
+    acc = np.zeros((np_, nq))
+    for s1 in range(smax_x + 1):
+        for s2 in range(smax_y + 1):
+            for s3 in range(smax_z + 1):
+                acc += Gx[:, :, s1] * Gy[:, :, s2] * Gz[:, :, s3] * R[s1, s2, s3]
+
+    pref = 2.0 * np.pi ** 2.5 / (pq * np.sqrt(psum))
+    weights = bra.coeff[:, None] * ket.coeff[None, :]
+    return float(np.sum(weights * pref * acc))
+
+
+def eri_quartet_by_quartet(molecule):
+    funcs = load_basis(molecule, "sto-3g")
+    n = len(funcs)
+    pairs = {(i, j): _PairData(funcs[i], funcs[j])
+             for i in range(n) for j in range(i + 1)}
+    pair_list = list(pairs)
+    eri = np.zeros((n, n, n, n))
+    for index, (i, j) in enumerate(pair_list):
+        for (k, l) in pair_list[:index + 1]:
+            val = eri_quartet(pairs[(i, j)], pairs[(k, l)])
+            for (a, b) in ((i, j), (j, i)):
+                for (c, d) in ((k, l), (l, k)):
+                    eri[a, b, c, d] = val
+                    eri[c, d, a, b] = val
+    return eri
+
+
+@pytest.mark.parametrize("key", SHIPPED)
+def test_batched_eri_is_bit_identical_to_quartet_loop(key):
+    molecule = shipped_geometry(key)
+    assert np.array_equal(compute_integrals(molecule, "sto-3g").eri,
+                          eri_quartet_by_quartet(molecule))
+
+
+_LIGHT = ["H", "He"]
+_HEAVY = ["Li", "Be", "B", "C", "N", "O", "F"]
+_COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_molecules(draw):
+    """2-4 atoms from H-F, at least 0.5 Bohr apart, closed-shell charge.
+
+    At most two atoms come from Li-F (five functions each), so the basis
+    stays at 12 functions or fewer and the oracle at a few seconds.
+    """
+    heavy = draw(st.lists(st.sampled_from(_HEAVY), max_size=2))
+    light = draw(st.lists(st.sampled_from(_LIGHT), min_size=2 - len(heavy),
+                          max_size=4 - len(heavy)))
+    symbols = draw(st.permutations(heavy + light))
+    coords = np.array(draw(st.lists(st.tuples(_COORD, _COORD, _COORD),
+                                    min_size=len(symbols),
+                                    max_size=len(symbols))))
+    gaps = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    assume(gaps.min() >= 0.5)
+    z_total = sum((_LIGHT + _HEAVY).index(symbol) + 1 for symbol in symbols)
+    return from_atom_list(list(zip(symbols, map(tuple, coords))),
+                          charge=z_total % 2)
+
+
+@settings(deadline=None, max_examples=8)
+@given(small_molecules())
+def test_batched_eri_is_bit_identical_on_random_geometries(molecule):
+    assert np.array_equal(compute_integrals(molecule, "sto-3g").eri,
+                          eri_quartet_by_quartet(molecule))
+
+
+def test_batch_boundaries_do_not_change_the_eri(monkeypatch):
+    # H2O: 28 pairs, 81 primitive quartets per quartet; a cap of 200 runs
+    # two quartets per call and leaves ragged last batches
+    molecule = shipped_geometry("h2o")
+    want = compute_integrals(molecule, "sto-3g").eri
+    monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", 200)
+    assert np.array_equal(compute_integrals(molecule, "sto-3g").eri, want)

@@ -5,6 +5,8 @@ import pytest
 
 from qelectra.fermion import ActiveSpaceSpec
 from qelectra.molecule import from_atom_list
+from qelectra import pipeline
+from qelectra.oracle import exact_ground_energy
 from qelectra.pauli import MappingKind
 from qelectra.pipeline import (
     DEFAULT_ACTIVE_SPACES,
@@ -60,6 +62,47 @@ def test_assemble_rejects_unknown_active_setting():
 def test_qubit_cap_suggests_an_active_space():
     with pytest.raises(ValueError, match="--active-space"):
         assemble(shipped_geometry("co2"), active=None)
+
+
+def test_qubit_cap_is_checked_before_any_integral(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for an oversized register")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    with pytest.raises(ValueError, match="30 qubits exceeds .*--active-space"):
+        assemble(shipped_geometry("co2"), active=None)
+    with pytest.raises(ValueError, match="26 qubits exceeds"):
+        assemble(shipped_geometry("co2"), active=ActiveSpaceSpec(8, 13))
+
+
+def test_window_wider_than_the_basis_keeps_its_own_message():
+    # 2 x 20 orbitals is over the cap, but the window does not fit H2's
+    # two orbitals, and that is the error to report
+    with pytest.raises(ValueError, match="exceeds 2 spatial orbitals"):
+        assemble(shipped_geometry("h2"), active=ActiveSpaceSpec(2, 20))
+
+
+# HF and FCI energies of the shipped molecules in their default windows,
+# the same pins the benchmark gates on. The CO2 window splits a degenerate
+# pi shell, so its FCI energy moves by milli-Hartree under a 1e-16 change
+# in the integrals; this pin catches such a drift in the unit suite.
+PINNED_ENERGIES = {
+    "h2": (-1.1169989968520082, -1.1373060359051401),
+    "lih": (-7.862026973277844, -7.882176004920568),
+    "h2o": (-74.9629282714757, -75.0123255243906),
+    "nh3": (-55.45399652884778, -55.46377581098422),
+    "ch4": (-39.726810112419486, -39.76875373561735),
+    "co2": (-185.0652201647274, -185.0961537618902),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))
+def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
+    e_hf, e_fci = PINNED_ENERGIES[key]
+    system = assembled(key)
+    assert system.e_hf == pytest.approx(e_hf, abs=1e-6)
+    assert exact_ground_energy(system.qubit_hamiltonian) == pytest.approx(
+        e_fci, abs=1e-6)
 
 
 def test_registry_windows_resolve_for_all_shipped_molecules():
