@@ -20,7 +20,8 @@ from .oracle import (MetropolisConfig, MetropolisResult, exact_ground_energy,
                      metropolis_sample, pauli_to_matrix, pauli_to_sparse)
 from .pauli import (FenwickTree, MappingKind, PauliString, PauliSum,
                     anticommutation_check, encode_occupation, ladder_image,
-                    map_fermion, mapping_from_name, taper_parity_two_qubits)
+                    map_fermion, mapping_from_name, sector_basis,
+                    taper_parity_two_qubits)
 from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
 from .quadrature import (GridSpec, OneElectronQuadrature,
@@ -28,7 +29,7 @@ from .quadrature import (GridSpec, OneElectronQuadrature,
 from .scf import ScfConfig, ScfResult, run_rhf
 from .simulator import Circuit, StateVector, reference_state
 from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
-                  build_uccsd, excited_estimate, export_history, run_vqe)
+                  build_uccsd, export_history, run_vqe)
 
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
@@ -41,11 +42,12 @@ __all__ = [
     "assemble", "boys", "build_hamiltonian", "build_uccsd",
     "compute_integrals", "diatomic_geometry", "encode_occupation",
     "exact_ground_energy", "exact_ground_state", "exact_spectrum",
-    "excited_estimate", "export_history", "from_atom_list", "ladder_image",
+    "export_history", "from_atom_list", "ladder_image",
     "load_basis", "load_xyz", "lowest_eigenvalues", "map_fermion",
     "mapping_from_name", "metropolis_sample", "mo_spatial_integrals",
     "number_operator", "pauli_to_matrix", "pauli_to_sparse",
     "quadrature_one_electron", "read_fcidump", "reference_state", "run_rhf",
-    "run_vqe", "shipped_geometry", "spatial_active_space", "sz_operator",
-    "taper_parity_two_qubits", "to_spin_orbitals", "write_fcidump",
+    "run_vqe", "sector_basis", "shipped_geometry", "spatial_active_space",
+    "sz_operator", "taper_parity_two_qubits", "to_spin_orbitals",
+    "write_fcidump",
 ]

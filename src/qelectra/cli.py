@@ -23,7 +23,7 @@ from .oracle import MAX_SPARSE_QUBITS, exact_ground_energy
 from .pauli import MappingKind, mapping_from_name
 from .pipeline import (AssembledSystem, assemble, canonical_formula,
                        diatomic_geometry, display_name,
-                       load_molecule_argument)
+                       load_molecule_argument, register_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
 from .vqe import OptimizerConfig, build_uccsd, run_vqe
 
@@ -122,6 +122,14 @@ def _optimizer_config(spec: RunSpec, n_parameters: int) -> OptimizerConfig:
 def execute(spec: RunSpec,
             system: Optional[AssembledSystem] = None) -> ComparisonReport:
     """Run the requested methods on one geometry."""
+    if "fci" in spec.methods:
+        n_qubits = (system.n_qubits if system is not None else
+                    register_size(spec.molecule, spec.basis,
+                                  spec.active or "auto"))
+        if n_qubits > MAX_SPARSE_QUBITS:
+            raise ValueError(
+                f"fci needs at most {MAX_SPARSE_QUBITS} qubits, got "
+                f"{n_qubits}; restrict the problem with --active-space")
     if system is None:
         system = assemble(spec.molecule, basis=spec.basis,
                           active=spec.active or "auto", mapping=spec.mapping)
@@ -164,12 +172,8 @@ def execute(spec: RunSpec,
                     f"vqe energies are sampled estimates at {spec.shots} "
                     "shots per term")
         else:
-            if system.n_qubits > MAX_SPARSE_QUBITS:
-                raise ValueError(
-                    f"fci needs at most {MAX_SPARSE_QUBITS} qubits, got "
-                    f"{system.n_qubits}; restrict the problem with "
-                    "--active-space")
-            energy = exact_ground_energy(system.qubit_hamiltonian)
+            energy = exact_ground_energy(system.qubit_hamiltonian,
+                                         basis=system.sector())
             row = MethodResult(method="fci", energy=energy, converged=True)
         row.wall_time = time.perf_counter() - t0
         report.results.append(row)

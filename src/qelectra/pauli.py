@@ -9,11 +9,17 @@ matrices), so a sum is Hermitian exactly when every coefficient is real.
 Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform, and Bravyi-Kitaev through a Fenwick tree (update, parity, flip
 and remainder index sets). A binary-code style transformation is out of
-scope and requesting one raises immediately.
+scope and requesting one raises immediately. Each mapping encodes a
+determinant as a basis state linearly over GF(2), so `sector_basis` lists
+the encoded states of one (N, S_z) sector by forward enumeration, and no
+inverse map is needed.
 
 Letters order in text form: character k acts on qubit k.
 """
 
+import functools
+import itertools
+import operator
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 
@@ -469,6 +475,37 @@ def encode_occupation(kind: MappingKind, occupied: Iterable[int],
     else:
         raise ValueError(f"unsupported mapping {kind}")
     return [q for q, b in enumerate(bits) if b]
+
+
+def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
+                 n_beta: int) -> np.ndarray:
+    """Encoded basis states of the determinants in one (N, S_z) sector.
+
+    `n_alpha` electrons sit on the even (alpha) modes and `n_beta` on the
+    odd (beta) modes. `encode_occupation` is linear over GF(2), so each
+    determinant's state is the XOR of the states that encode its occupied
+    modes one at a time. Returns C(n/2, n_alpha) * C(n/2, n_beta) states as
+    a sorted int64 array.
+    """
+    if n_modes % 2 != 0:
+        raise ValueError("spin layout needs an even number of modes")
+    half = n_modes // 2
+    if not (0 <= n_alpha <= half and 0 <= n_beta <= half):
+        raise ValueError(
+            f"({n_alpha}, {n_beta}) electrons do not fit {half} spatial "
+            "orbitals per spin")
+    unit = [_mask(encode_occupation(kind, [m], n_modes))
+            for m in range(n_modes)]
+
+    def spin_states(first: int, count: int) -> np.ndarray:
+        return np.array([functools.reduce(operator.xor,
+                                          (unit[2 * p + first] for p in ps),
+                                          0)
+                         for ps in itertools.combinations(range(half), count)],
+                        dtype=np.int64)
+
+    states = spin_states(0, n_alpha)[:, None] ^ spin_states(1, n_beta)
+    return np.sort(states, axis=None)
 
 
 # ---- parity two-qubit reduction ----------------------------------------------

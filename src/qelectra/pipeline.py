@@ -21,7 +21,7 @@ from .scf import ScfConfig, ScfResult, run_rhf
 from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
                       build_hamiltonian, mo_spatial_integrals,
                       spatial_active_space, to_spin_orbitals)
-from .pauli import MappingKind, PauliSum, map_fermion
+from .pauli import MappingKind, PauliSum, map_fermion, sector_basis
 from .simulator import MAX_QUBITS
 
 # Active windows keyed by canonical formula: (n_active_electrons,
@@ -137,6 +137,15 @@ class AssembledSystem:
     def e_hf(self) -> float:
         return self.scf.e_total
 
+    def sector(self) -> np.ndarray:
+        """Encoded determinants of the closed-shell (N, S_z = 0) sector.
+
+        These are the basis states the FCI energy is taken over; RHF and
+        the active window already require an even electron count.
+        """
+        half = self.spin_orbitals.n_electrons // 2
+        return sector_basis(self.mapping, self.n_qubits, half, half)
+
     def active_integrals(self):
         """Spatial integrals of the active window, for file export."""
         if self.active_space is None:
@@ -151,6 +160,29 @@ class AssembledSystem:
 _AUTO = "auto"
 
 
+def _resolve_active(molecule: Molecule,
+                    active: Union[str, None, ActiveSpaceSpec]
+                    ) -> Optional[ActiveSpaceSpec]:
+    if isinstance(active, str):
+        if active != _AUTO:
+            raise ValueError(f"unrecognized active-space setting {active!r}")
+        return default_active_space(molecule)
+    return active
+
+
+def register_size(molecule: Molecule, basis: str = "sto-3g",
+                  active: Union[str, None, ActiveSpaceSpec] = _AUTO) -> int:
+    """Qubits `assemble` would map onto, from the basis size alone.
+
+    No integral is computed, so an oversized problem can be refused at
+    once. A window wider than the basis is left to spatial_active_space
+    and its own message.
+    """
+    spec = _resolve_active(molecule, active)
+    n_spatial = len(load_basis(molecule, basis))
+    return 2 * min(spec.n_active_orbitals if spec else n_spatial, n_spatial)
+
+
 def assemble(molecule: Molecule, basis: str = "sto-3g",
              active: Union[str, None, ActiveSpaceSpec] = _AUTO,
              mapping: MappingKind = MappingKind.PARITY,
@@ -161,19 +193,8 @@ def assemble(molecule: Molecule, basis: str = "sto-3g",
     or "auto" (default) to consult the shipped registry and fall back to
     the full space.
     """
-    if isinstance(active, str):
-        if active != _AUTO:
-            raise ValueError(f"unrecognized active-space setting {active!r}")
-        spec = default_active_space(molecule)
-    else:
-        spec = active
-
-    # The register size is known from the basis alone, so an oversized
-    # problem is refused before any integral is computed. A window wider
-    # than the basis is left to spatial_active_space and its own message.
-    n_spatial = len(load_basis(molecule, basis))
-    n_qubits = 2 * min(spec.n_active_orbitals if spec else n_spatial,
-                       n_spatial)
+    spec = _resolve_active(molecule, active)
+    n_qubits = register_size(molecule, basis, spec)
     if n_qubits > MAX_QUBITS:
         raise ValueError(
             f"{n_qubits} qubits exceeds the simulator cap of "

@@ -223,7 +223,6 @@ class VqeResult:
     n_evaluations: int
     converged: bool
     n_iterations: int
-    excited: Optional[List[float]] = None
 
 
 def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
@@ -339,19 +338,6 @@ def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,
     e_plus = evaluate(theta + c_k * delta)
     e_minus = evaluate(theta - c_k * delta)
     return (e_plus - e_minus) / (2.0 * c_k) * delta
-
-
-def excited_estimate(e0: float, k: int, lam: float = 0.1) -> float:
-    """Linear-offset guess E_k = E0 + k * lambda for excited levels.
-
-    This is a bookkeeping heuristic, not a computed spectrum; it is
-    reported with that label wherever it surfaces.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    return e0 + k * lam
 
 
 def export_history(result: VqeResult, destination: Union[str, IO]) -> None:

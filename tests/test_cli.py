@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qelectra.cli as cli
+from qelectra import pipeline
 from qelectra.fcidump import read_fcidump
 
 
@@ -149,6 +150,17 @@ def test_input_errors_exit_one(capsys, argv, fragment):
     assert code == 1
     assert "error:" in err
     assert fragment in err
+
+
+def test_fci_cap_is_checked_before_the_chain_runs(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for an FCI run over the cap")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    code, _, err = run_cli(capsys, "--molecule", "ch4", "--method", "fci",
+                           "--active-space", "8,8")
+    assert code == 1
+    assert "fci needs at most 14 qubits, got 16" in err
 
 
 def test_unknown_flag_exits_one(capsys):

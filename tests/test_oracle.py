@@ -1,11 +1,15 @@
 """Exact diagonalization and Metropolis sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qelectra import cli
+from qelectra.fermion import FermionOperator, number_operator
 from qelectra.oracle import (
     MAX_DENSE_QUBITS,
     MAX_SPARSE_QUBITS,
@@ -18,7 +22,9 @@ from qelectra.oracle import (
     pauli_to_matrix,
     pauli_to_sparse,
 )
-from qelectra.pauli import PauliString, PauliSum
+from qelectra.pauli import (MappingKind, PauliString, PauliSum,
+                            encode_occupation, map_fermion, sector_basis)
+from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
 from test_pauli import dense, dense_sum
 
@@ -211,6 +217,104 @@ def test_exact_ground_state_satisfies_eigen_equation(assembled):
     assert energy == pytest.approx(
         exact_ground_energy(system.qubit_hamiltonian), abs=1e-12)
     assert np.linalg.norm(vector) == pytest.approx(1.0)
+
+
+# ---- sector blocks -------------------------------------------------------------
+
+
+def fixed_number_basis(kind, n_modes, n_electrons):
+    """Encoded states of every determinant with n_electrons, sorted."""
+    half = n_modes // 2
+    return np.sort(np.concatenate([
+        sector_basis(kind, n_modes, n_alpha, n_electrons - n_alpha)
+        for n_alpha in range(max(0, n_electrons - half),
+                             min(half, n_electrons) + 1)]))
+
+
+@st.composite
+def number_conserving(draw):
+    """A mapping, a particle number and a random operator on 2-8 modes
+    built from one- and two-body terms that conserve the particle number
+    but not necessarily S_z."""
+    kind = draw(st.sampled_from(list(MappingKind)))
+    n_modes = 2 * draw(st.integers(1, 4))
+    n_electrons = draw(st.integers(0, n_modes))
+    mode = st.integers(0, n_modes - 1)
+    coeff = st.floats(-1.0, 1.0, allow_nan=False)
+    op = FermionOperator()
+    for p, q, c in draw(st.lists(st.tuples(mode, mode, coeff), max_size=4)):
+        op.add_term(((p, 1), (q, 0)), c)
+    for p, q, r, s, c in draw(st.lists(
+            st.tuples(mode, mode, mode, mode, coeff), max_size=4)):
+        op.add_term(((p, 1), (q, 1), (r, 0), (s, 0)), c)
+    mapped = map_fermion(op, kind, n_modes)
+    return mapped, fixed_number_basis(kind, n_modes, n_electrons)
+
+
+@settings(deadline=None)
+@given(number_conserving())
+def test_sector_block_equals_the_slice_of_the_full_matrix(case):
+    operator, basis = case
+    block = pauli_to_sparse(operator, basis)
+    assert block.shape == (basis.size, basis.size)
+    want = pauli_to_sparse(operator)[basis][:, basis].toarray()
+    assert np.array_equal(block.toarray(), want)
+
+
+def test_lithium_hydride_sector_block_equals_the_slice(assembled):
+    system = assembled("lih")
+    basis = system.sector()
+    assert basis.size == 25
+    block = pauli_to_sparse(system.qubit_hamiltonian, basis)
+    full = pauli_to_sparse(system.qubit_hamiltonian)
+    assert np.array_equal(block.toarray(), full[basis][:, basis].toarray())
+
+
+@pytest.mark.parametrize("kind", list(MappingKind))
+def test_sector_block_refuses_an_operator_that_leaves_it(kind):
+    # a_0^ + a_0 changes the particle number of every state it touches
+    ladder = map_fermion(FermionOperator({((0, 1),): 1.0, ((0, 0),): 1.0}),
+                         kind, 4)
+    basis = sector_basis(kind, 4, 1, 1)
+    with pytest.raises(ValueError, match="outside the basis"):
+        pauli_to_sparse(ladder, basis)
+    with pytest.raises(ValueError, match="outside the basis"):
+        exact_ground_energy(ladder, basis=basis)
+
+
+def test_sector_basis_argument_validation():
+    op = PauliSum.identity(2)
+    for bad, fragment in (([2, 1], "sorted"), ([1, 1], "sorted"),
+                          ([0, 4], "0..3"), ([-1, 0], "0..3"),
+                          ([], "nonempty")):
+        with pytest.raises(ValueError, match=fragment):
+            pauli_to_sparse(op, np.array(bad, dtype=np.int64))
+    with pytest.raises(ValueError, match="Pauli operators only"):
+        lowest_eigenvalues(np.eye(4), basis=np.arange(2))
+
+
+@pytest.mark.parametrize("kind", list(MappingKind))
+def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
+    # H2 - mu N with mu = 5 Ha: the Fock-space minimum fills all four
+    # modes, so only a solve inside the (2, 0) sector gives the FCI energy
+    system = assemble(shipped_geometry("h2"), mapping=kind)
+    n = system.n_qubits
+    shifted = (system.qubit_hamiltonian
+               - map_fermion(number_operator(n), kind, n) * 5.0)
+    # the (2, 0) block built independently: one alpha mode of {0, 2},
+    # one beta mode of {1, 3}
+    states = [sum(1 << q for q in encode_occupation(kind, [a, b], n))
+              for a in (0, 2) for b in (1, 3)]
+    matrix = pauli_to_matrix(shifted)
+    want = np.linalg.eigvalsh(matrix[np.ix_(states, states)])[0]
+    got = exact_ground_energy(shifted, basis=system.sector())
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got > exact_ground_energy(shifted) + 1.0
+    report = cli.execute(
+        cli.RunSpec(molecule=system.molecule, methods=("fci",),
+                    mapping=kind),
+        system=dataclasses.replace(system, qubit_hamiltonian=shifted))
+    assert report.result("fci").energy == pytest.approx(want, abs=1e-12)
 
 
 # ---- Metropolis --------------------------------------------------------------

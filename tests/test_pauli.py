@@ -1,10 +1,12 @@
 """Pauli algebra, Fenwick trees, fermion-to-qubit mappings, tapering."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
-from qelectra.fermion import FermionOperator, number_operator
-from qelectra.oracle import lowest_eigenvalues, pauli_to_matrix
+from qelectra.fermion import FermionOperator, number_operator, sz_operator
+from qelectra.oracle import lowest_eigenvalues, pauli_to_matrix, pauli_to_sparse
 from qelectra.pauli import (
     FenwickTree,
     MappingKind,
@@ -15,6 +17,7 @@ from qelectra.pauli import (
     ladder_image,
     map_fermion,
     mapping_from_name,
+    sector_basis,
     taper_parity_two_qubits,
 )
 from test_fermion import dense_annihilator
@@ -364,6 +367,40 @@ def test_mapping_from_name_aliases():
         mapping_from_name("binary_code")
     with pytest.raises(ValueError, match="unknown mapping"):
         mapping_from_name("steane")
+
+
+# ---- (N, S_z) sectors ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_spatial", range(1, 7))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sector_basis_holds_exactly_the_sector(kind, n_spatial):
+    # distinct states, as many as determinants, each an eigenstate of N
+    # and S_z with the sector's values: together these make the array the
+    # whole sector
+    n = 2 * n_spatial
+    number = pauli_to_sparse(map_fermion(number_operator(n), kind, n))
+    spin = pauli_to_sparse(map_fermion(sz_operator(n), kind, n))
+    for n_alpha in range(n_spatial + 1):
+        for n_beta in range(n_spatial + 1):
+            states = sector_basis(kind, n, n_alpha, n_beta)
+            assert states.dtype == np.int64
+            assert np.all(np.diff(states) > 0)
+            assert states.size == comb(n_spatial, n_alpha) * comb(n_spatial,
+                                                                  n_beta)
+            assert np.allclose(number.diagonal()[states], n_alpha + n_beta,
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(spin.diagonal()[states],
+                               (n_alpha - n_beta) / 2, rtol=0.0, atol=1e-12)
+
+
+def test_sector_basis_validation():
+    with pytest.raises(ValueError, match="even number"):
+        sector_basis(MappingKind.PARITY, 5, 1, 1)
+    with pytest.raises(ValueError, match="do not fit"):
+        sector_basis(MappingKind.PARITY, 4, 3, 0)
+    with pytest.raises(ValueError, match="do not fit"):
+        sector_basis(MappingKind.PARITY, 4, 1, -1)
 
 
 # ---- parity taper -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qelectra.cli import RunSpec, execute
 from qelectra.fermion import ActiveSpaceSpec
 from qelectra.molecule import from_atom_list
 from qelectra import pipeline
@@ -98,11 +99,23 @@ PINNED_ENERGIES = {
 
 @pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))
 def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
+    # through cli.execute, the route whose FCI energy the CLI prints
     e_hf, e_fci = PINNED_ENERGIES[key]
     system = assembled(key)
-    assert system.e_hf == pytest.approx(e_hf, abs=1e-6)
-    assert exact_ground_energy(system.qubit_hamiltonian) == pytest.approx(
-        e_fci, abs=1e-6)
+    report = execute(RunSpec(molecule=system.molecule,
+                             methods=("hf", "fci")), system=system)
+    assert report.result("hf").energy == pytest.approx(e_hf, abs=1e-6)
+    assert report.result("fci").energy == pytest.approx(e_fci, abs=1e-6)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))
+def test_sector_and_fock_space_minima_agree(assembled, key):
+    # the whole-Fock-space minimum of every shipped window lies in its
+    # closed-shell sector; FCI before the sector solve relied on this
+    system = assembled(key)
+    hamiltonian = system.qubit_hamiltonian
+    assert exact_ground_energy(hamiltonian, basis=system.sector()) == \
+        pytest.approx(exact_ground_energy(hamiltonian), abs=1e-10)
 
 
 def test_registry_windows_resolve_for_all_shipped_molecules():

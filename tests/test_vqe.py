@@ -16,7 +16,6 @@ from qelectra.vqe import (
     ansatz_circuit,
     build_uccsd,
     excitation_generator,
-    excited_estimate,
     export_history,
     run_vqe,
     spsa_gradient_estimate,
@@ -265,18 +264,6 @@ def test_spsa_gradient_is_unbiased_on_average():
         spsa_gradient_estimate(lambda t: float(t @ t), theta, 1e-3, rng)
         for _ in range(4000)])
     assert np.allclose(estimates.mean(axis=0), 2 * theta, atol=0.05)
-
-
-def test_excited_estimate_offsets():
-    assert excited_estimate(-1.5, 0) == -1.5
-    assert excited_estimate(-1.5, 3) == pytest.approx(-1.2)
-    assert excited_estimate(-1.5, 2, lam=0.25) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        excited_estimate(-1.5, -1)
-    with pytest.raises(ValueError):
-        excited_estimate(-1.5, 1, lam=1.5)
-    with pytest.raises(ValueError):
-        excited_estimate(-1.5, 1, lam=-0.1)
 
 
 def test_export_history_round_trip(tmp_path, assembled):
