@@ -159,37 +159,6 @@ class ContractedGaussian:
             val = val + c * np.exp(-a * r2) * poly
         return val
 
-    def laplacian(self, x, y, z):
-        """Evaluate the Laplacian of the function (used by the quadrature check)."""
-        dx = x - self.center[0]
-        dy = y - self.center[1]
-        dz = z - self.center[2]
-        r2 = dx * dx + dy * dy + dz * dz
-        l, m, n = self.powers
-        out = 0.0
-        for a, c in zip(self.alphas, self.coeffs):
-            g = np.exp(-a * r2)
-            fx = _safe_pow(dx, l)
-            fy = _safe_pow(dy, m)
-            fz = _safe_pow(dz, n)
-            d2x = (4.0 * a * a * dx * dx - 2.0 * a * (2 * l + 1)) * fx
-            if l >= 2:
-                d2x = d2x + l * (l - 1) * _safe_pow(dx, l - 2)
-            d2y = (4.0 * a * a * dy * dy - 2.0 * a * (2 * m + 1)) * fy
-            if m >= 2:
-                d2y = d2y + m * (m - 1) * _safe_pow(dy, m - 2)
-            d2z = (4.0 * a * a * dz * dz - 2.0 * a * (2 * n + 1)) * fz
-            if n >= 2:
-                d2z = d2z + n * (n - 1) * _safe_pow(dz, n - 2)
-            out = out + c * g * (d2x * fy * fz + fx * d2y * fz + fx * fy * d2z)
-        return out
-
-
-def _safe_pow(base, exponent: int):
-    if exponent == 0:
-        return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
-    return base ** exponent
-
 
 def _contracted_self_overlap(alphas, coeffs, powers) -> float:
     l, m, n = powers

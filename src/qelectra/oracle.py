@@ -1,16 +1,17 @@
 """Reference answers: exact diagonalization and a Metropolis sampler.
 
 These routines are the independent yardstick the variational code is
-measured against. The matrix builders use the same little-endian
+measured against. The matrix builder uses the same little-endian
 convention as the simulator (qubit k lives in bit k, so qubit n-1 is the
 leftmost Kronecker factor).
 
 Every matrix comes from `pauli_to_sparse`, which builds it in one pass
-over X-mask diagonals; the dense builder and the eigensolvers go through it.
-Given a sorted array of basis states, such as one (N, S_z) sector from
-`pauli.sector_basis`, the same builder fills only the block on those
-states, so FCI diagonalizes the determinants of the requested electron
-count and spin rather than the whole Fock space.
+over X-mask diagonals, and every eigenvalue from `lowest_eigenvalues`.
+The one Hamiltonian form is the block on a sorted array of basis states,
+such as one (N, S_z) sector from `pauli.sector_basis`: FCI diagonalizes
+the determinants of the requested electron count and spin rather than
+the whole Fock space, and VQE takes <H> on the sector of its reference.
+The whole register is the default basis, kept for tests.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .pauli import PauliString, PauliSum, bit_parity
 
 MAX_SPARSE_QUBITS = 14
-MAX_DENSE_QUBITS = 10
 _DENSE_DIRECT_DIM = 1024
 _RESIDUAL_TOL = 1e-9
 _LEAK_TOL = 1e-10
@@ -43,7 +43,7 @@ def _diagonal(x: int, terms: List[Tuple[int, complex]],
 
 def pauli_to_sparse(observable: Union[PauliString, PauliSum],
                     basis: Optional[np.ndarray] = None) -> sp.csr_matrix:
-    """Sparse matrix of a Pauli string or sum (up to 14 qubits).
+    """Sparse matrix of a Pauli string or sum on the given basis states.
 
     A term c * i^{n_y} X^x Z^z maps |b> to c i^{n_y} (-1)^{|z & b|} |b ^ x>,
     so the terms sharing an X-mask x fill one generalized diagonal: entry
@@ -57,56 +57,30 @@ def pauli_to_sparse(observable: Union[PauliString, PauliSum],
     to the block on those states (for example `pauli.sector_basis`): row
     and column i stand for state basis[i], and the entries are the same
     sums as in the full matrix. An operator that maps a basis state outside
-    the basis (an entry above 1e-10) raises ValueError.
+    the basis (an entry above 1e-10) raises ValueError. The block never
+    forms a vector over the whole register, so it has no qubit cap;
+    `basis=None`, the whole register, is capped at 14 qubits.
     """
     if isinstance(observable, PauliString):
         observable = PauliSum.from_string(observable)
     n = observable.n_qubits
-    if n > MAX_SPARSE_QUBITS:
-        raise ValueError(
-            f"{n} qubits exceeds the sparse-matrix limit of "
-            f"{MAX_SPARSE_QUBITS}")
-    masks: Dict[int, List[Tuple[int, complex]]] = {}
-    for (x, z), coeff in observable.items():
-        masks.setdefault(x, []).append((z, coeff))
-    if basis is not None:
-        return _block(masks, np.asarray(basis, dtype=np.int64), n)
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-
-    # Two passes, one counting and one filling, so that the entries go
-    # straight into arrays of their final size. Keeping one small array per
-    # mask instead left about 8 MB of fragmented heap resident after the
-    # CH4 build, which raised the peak RSS of the jobs that followed it.
-    counts = [np.count_nonzero(_diagonal(x, terms, states))
-              for x, terms in masks.items()]
-    rows = np.empty(sum(counts), dtype=np.int32)
-    cols = np.empty_like(rows)
-    values = np.empty(rows.size, dtype=complex)
-    start = 0
-    for (x, terms), count in zip(masks.items(), counts):
-        d_x = _diagonal(x, terms, states)
-        nonzero = np.flatnonzero(d_x)
-        stop = start + count
-        rows[start:stop] = nonzero ^ x
-        cols[start:stop] = nonzero
-        values[start:stop] = d_x[nonzero]
-        start = stop
-    # the (data, (row, col)) constructor sums duplicates and sorts the
-    # column indices of every row; there are no duplicates to sum
-    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
-
-
-def _block(masks: Dict[int, List[Tuple[int, complex]]], states: np.ndarray,
-           n_qubits: int) -> sp.csr_matrix:
-    """The rows and columns of `states` (sorted, distinct) of the matrix."""
+    if basis is None:
+        if n > MAX_SPARSE_QUBITS:
+            raise ValueError(
+                f"{n} qubits exceeds the full-register matrix limit of "
+                f"{MAX_SPARSE_QUBITS}; pass a basis to build a block")
+        basis = np.arange(1 << n, dtype=np.int64)
+    states = np.asarray(basis, dtype=np.int64)
     dim = states.size
     if states.ndim != 1 or dim == 0:
         raise ValueError("basis must be a nonempty 1-D array of states")
-    if states[0] < 0 or states[-1] >= 1 << n_qubits:
-        raise ValueError(f"basis states must lie in 0..{(1 << n_qubits) - 1}")
+    if states[0] < 0 or states[-1] >= 1 << n:
+        raise ValueError(f"basis states must lie in 0..{(1 << n) - 1}")
     if np.any(np.diff(states) <= 0):
         raise ValueError("basis states must be sorted and distinct")
+    masks: Dict[int, List[Tuple[int, complex]]] = {}
+    for (x, z), coeff in observable.items():
+        masks.setdefault(x, []).append((z, coeff))
     if not masks:
         return sp.csr_matrix((dim, dim), dtype=complex)
     rows, cols, values = [], [], []
@@ -122,20 +96,11 @@ def _block(masks: Dict[int, List[Tuple[int, complex]]], states: np.ndarray,
         rows.append(at[inside])
         cols.append(nonzero[inside])
         values.append(d_x[nonzero[inside]])
+    # the (data, (row, col)) constructor sums duplicates and sorts the
+    # column indices of every row; there are no duplicates to sum
     return sp.csr_matrix((np.concatenate(values),
                           (np.concatenate(rows), np.concatenate(cols))),
                          shape=(dim, dim))
-
-
-def pauli_to_matrix(observable: Union[PauliString, PauliSum]) -> np.ndarray:
-    """Dense matrix of a Pauli string or sum (up to 10 qubits)."""
-    if isinstance(observable, PauliString):
-        observable = PauliSum.from_string(observable)
-    if observable.n_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"{observable.n_qubits} qubits exceeds the dense-matrix limit "
-            f"of {MAX_DENSE_QUBITS}")
-    return pauli_to_sparse(observable).toarray()
 
 
 def _as_sparse(operator, basis: Optional[np.ndarray]) -> sp.csr_matrix:
@@ -203,22 +168,6 @@ def exact_ground_energy(hamiltonian,
     the whole Fock space.
     """
     return float(lowest_eigenvalues(hamiltonian, k=1, basis=basis)[0])
-
-
-def exact_spectrum(hamiltonian: PauliSum, k: Optional[int] = None) -> np.ndarray:
-    """Sorted eigenvalues (all of them, or the k lowest)."""
-    if not hamiltonian.is_hermitian():
-        raise ValueError("spectrum is defined for Hermitian operators")
-    values = np.linalg.eigvalsh(pauli_to_matrix(hamiltonian))
-    return values if k is None else values[:k]
-
-
-def exact_ground_state(hamiltonian: PauliSum) -> Tuple[float, np.ndarray]:
-    """Lowest eigenvalue with its eigenvector (dense path only)."""
-    if not hamiltonian.is_hermitian():
-        raise ValueError("ground state is defined for Hermitian operators")
-    values, vectors = np.linalg.eigh(pauli_to_matrix(hamiltonian))
-    return float(values[0]), vectors[:, 0]
 
 
 # ---- Metropolis sampling ---------------------------------------------------

@@ -13,14 +13,13 @@ A VQE energy evaluation is compiled once per run. `Circuit.run` caches, per
 instruction, the gather vector b ^ x (shared by the instructions with the
 same X-mask) and the gathered signs, so each later run only gathers and
 multiplies; the state is bit-identical to applying the instructions one by
-one. `StateVector.expectation` also takes the sparse matrix of the
-observable (`oracle.pauli_to_sparse`, up to 14 qubits) and then costs one
-mat-vec; the term-by-term loop over a `PauliSum` covers larger registers
-and is the reference the matrix route is checked against.
+one. `StateVector.expectation` sums a Pauli operator term by term over the
+whole register; VQE takes its energies on the sector block instead
+(`oracle.pauli_to_sparse`), and this loop is the reference that route is
+checked against.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -125,44 +124,27 @@ class StateVector:
         self.data = np.cos(half) * self.data - 1.0j * np.sin(half) * image
 
     # ---- expectation values -----------------------------------------------------
-    def expectation(self, observable: Union[PauliString, PauliSum,
-                                            sp.spmatrix],
+    def expectation(self, observable: Union[PauliString, PauliSum],
                     imag_tol: float = 1e-10) -> float:
-        """Exact <psi|O|psi>; raises if a nominally real value comes out
-        complex.
-
-        `observable` is a Pauli string or sum, summed term by term, or its
-        sparse matrix, applied in one mat-vec.
-        """
-        if sp.issparse(observable):
-            if observable.shape != (self.data.size, self.data.size):
-                raise ValueError("register size mismatch")
-            total = complex(np.vdot(self.data, observable @ self.data))
-        else:
-            total = self._term_expectation(observable)
+        """Exact <psi|O|psi> of a Pauli string or sum, summed term by term;
+        raises if a nominally real value comes out complex."""
+        if isinstance(observable, PauliString):
+            observable = PauliSum.from_string(observable)
+        if observable.n_qubits != self.n_qubits:
+            raise ValueError("register size mismatch")
+        idx = np.arange(self.data.size, dtype=np.int64)
+        total = 0.0 + 0.0j
+        conj = np.conj(self.data)
+        for (x, z), coeff in observable.items():
+            n_y = (x & z).bit_count()
+            signs = 1.0 - 2.0 * bit_parity(idx & z)
+            overlap = np.dot(conj[idx ^ x], signs * self.data)
+            total += coeff * _POWER_PHASE[n_y % 4] * overlap
         if abs(total.imag) > imag_tol * max(1.0, abs(total.real)):
             raise ValueError(
                 f"expectation has imaginary part {total.imag:.3e}; "
                 "observable is not Hermitian on this state")
         return float(total.real)
-
-    def _term_expectation(self, observable: Union[PauliString, PauliSum]
-                          ) -> complex:
-        if isinstance(observable, PauliString):
-            obs = PauliSum.from_string(observable)
-        else:
-            obs = observable
-        if obs.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        idx = np.arange(self.data.size, dtype=np.int64)
-        total = 0.0 + 0.0j
-        conj = np.conj(self.data)
-        for (x, z), coeff in obs.items():
-            n_y = (x & z).bit_count()
-            signs = 1.0 - 2.0 * bit_parity(idx & z)
-            overlap = np.dot(conj[idx ^ x], signs * self.data)
-            total += coeff * _POWER_PHASE[n_y % 4] * overlap
-        return total
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.data) ** 2

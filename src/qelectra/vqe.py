@@ -12,12 +12,13 @@ approximation with the standard gain schedules, and plain gradient descent
 on central-difference gradients. Both record the full energy trajectory
 and stop after `patience` consecutive sub-tolerance energy changes.
 
-An exact energy evaluation is one `Circuit.run` plus one
-`StateVector.expectation`. The work that does not depend on the parameters
-is done once per `run_vqe`: the circuit caches its gather and sign vectors
-on the first run, and up to `oracle.MAX_SPARSE_QUBITS` qubits the
-Hamiltonian is compiled to the sparse matrix the eigensolver uses, so
-<H> is one mat-vec. Larger registers sum the Pauli terms one by one.
+Every generator conserves the particle number and S_z, so the ansatz
+state stays in the (N, S_z) sector of its aufbau reference. An exact
+energy evaluation is one `Circuit.run`, a gather of the sector's
+amplitudes psi_S and psi_S^ H_SS psi_S with H_SS the sector block the
+FCI eigensolver diagonalizes. The work that does not depend on the
+parameters is done once per `run_vqe`: the circuit caches its gather and
+sign vectors on the first run, and the block is built once.
 """
 
 import csv
@@ -27,7 +28,8 @@ from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from . import oracle
 from .fermion import FermionOperator
-from .pauli import MappingKind, PauliString, PauliSum, encode_occupation, map_fermion
+from .pauli import (MappingKind, PauliString, PauliSum, encode_occupation,
+                    map_fermion, sector_basis)
 from .simulator import Circuit
 
 GENERATOR_PRUNE = 1e-12
@@ -66,8 +68,13 @@ def build_uccsd(n_spin_orbitals: int, n_electrons: int) -> UccsdAnsatz:
     Spin orbitals are interleaved (even = alpha, odd = beta); occupied
     means index < n_electrons. Singles keep the spin label, doubles keep
     the summed spin. Order is deterministic: singles lexicographic, then
-    doubles lexicographic.
+    doubles lexicographic. The register must be even: the last mode of an
+    odd one has no partner of the other spin.
     """
+    if n_spin_orbitals % 2 != 0:
+        raise ValueError(
+            f"spin layout needs an even number of spin orbitals, got "
+            f"{n_spin_orbitals}")
     if n_electrons <= 0 or n_electrons >= n_spin_orbitals:
         raise ValueError(
             f"need 0 < n_electrons < n_spin_orbitals, got "
@@ -233,27 +240,37 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
             ) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
-    `shots = None` evaluates exact expectations; an integer turns on
-    simulated projective measurement with that many shots per term, drawn
-    from the same seeded generator as the optimizer. Identical
-    (hamiltonian, ansatz, config, shots) reproduce the identical result.
+    `shots = None` evaluates exact expectations on the (N, S_z) sector of
+    the ansatz's aufbau reference, (n_e + 1) // 2 alpha and n_e // 2 beta
+    electrons: the Hamiltonian must map that sector into itself, as a
+    number- and spin-conserving molecular Hamiltonian does, and one that
+    leaves it raises the ValueError of `oracle.pauli_to_sparse`. An
+    integer turns on simulated projective measurement with that many shots
+    per term, drawn from the same seeded generator as the optimizer.
+    Identical (hamiltonian, ansatz, config, shots) reproduce the identical
+    result.
     """
-    if hamiltonian.n_qubits != ansatz.n_spin_orbitals:
+    n = hamiltonian.n_qubits
+    if n != ansatz.n_spin_orbitals:
         raise ValueError(
-            f"hamiltonian acts on {hamiltonian.n_qubits} qubits but the "
-            f"ansatz register has {ansatz.n_spin_orbitals}")
+            f"hamiltonian acts on {n} qubits but the ansatz register has "
+            f"{ansatz.n_spin_orbitals}")
+    if not hamiltonian.is_hermitian():
+        raise ValueError("VQE needs a Hermitian Hamiltonian")
     circuit = ansatz_circuit(ansatz, kind=kind)
     rng = np.random.default_rng(config.seed)
     counter = {"n": 0}
-    observable = hamiltonian
-    if shots is None and hamiltonian.n_qubits <= oracle.MAX_SPARSE_QUBITS:
-        observable = oracle.pauli_to_sparse(hamiltonian)
+    if shots is None:
+        n_e = ansatz.n_electrons
+        basis = sector_basis(kind, n, (n_e + 1) // 2, n_e // 2)
+        block = oracle.pauli_to_sparse(hamiltonian, basis)
 
     def evaluate(theta: np.ndarray) -> float:
         counter["n"] += 1
         state = circuit.run(theta)
         if shots is None:
-            return state.expectation(observable)
+            psi = state.data[basis]
+            return float(np.vdot(psi, block @ psi).real)
         mean, _ = state.sampled_expectation(hamiltonian, shots, rng=rng)
         return mean
 

@@ -20,7 +20,7 @@ from qelectra.oracle import (
     MetropolisConfig,
     exact_ground_energy,
     metropolis_sample,
-    pauli_to_matrix,
+    pauli_to_sparse,
 )
 from qelectra.pauli import (
     MappingKind,
@@ -30,7 +30,7 @@ from qelectra.pauli import (
     map_fermion,
 )
 from qelectra.pipeline import SHIPPED_MOLECULES, assemble, diatomic_geometry
-from qelectra.quadrature import quadrature_one_electron
+from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector
 from qelectra.vqe import OptimizerConfig, ansatz_circuit, build_uccsd, run_vqe
 
@@ -63,7 +63,7 @@ def test_three_mappings_are_isospectral(assembled):
         for kind in ALL_KINDS:
             mapped = map_fermion(system.hamiltonian, kind, system.n_qubits)
             spectra.append(np.sort(np.linalg.eigvalsh(
-                pauli_to_matrix(mapped))))
+                pauli_to_sparse(mapped).toarray())))
         for other in spectra[1:]:
             worst = max(worst, float(np.max(np.abs(spectra[0] - other))))
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,7 @@ from qelectra.fermion import (ActiveSpaceSpec, FermionOperator,
                               to_spin_orbitals)
 from qelectra.integrals import compute_integrals
 from qelectra.molecule import from_atom_list
-from qelectra.oracle import exact_ground_energy, pauli_to_matrix
+from qelectra.oracle import exact_ground_energy, pauli_to_sparse
 from qelectra.pauli import MappingKind, map_fermion
 from qelectra.pipeline import shipped_geometry
 from qelectra.scf import run_rhf
@@ -131,8 +131,8 @@ def test_hamiltonian_against_dense_ladder_construction():
     ham = build_hamiltonian(so)
     dense = dense_operator(ham, so.n_orbitals)
     # independently: same matrix out of the mapped Pauli form
-    mapped = pauli_to_matrix(map_fermion(ham, MappingKind.JORDAN_WIGNER,
-                                         so.n_orbitals))
+    mapped = pauli_to_sparse(map_fermion(ham, MappingKind.JORDAN_WIGNER,
+                                         so.n_orbitals)).toarray()
     assert np.max(np.abs(dense - mapped)) < 1e-12
     # the reference determinant |0011> must give the SCF energy
     hf_index = 0b0011

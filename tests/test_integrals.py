@@ -14,7 +14,7 @@ from qelectra.integrals import (_hermite_coulomb, _PairData, boys,
                                 compute_integrals)
 from qelectra.molecule import from_atom_list
 from qelectra.pipeline import shipped_geometry
-from qelectra.quadrature import GridSpec, quadrature_one_electron
+from quadrature_oracle import GridSpec, quadrature_one_electron
 
 SHIPPED = ["h2", "lih", "h2o", "nh3", "ch4", "co2"]
 

@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 from qelectra import cli
 from qelectra.fermion import FermionOperator, number_operator
 from qelectra.oracle import (
-    MAX_DENSE_QUBITS,
     MAX_SPARSE_QUBITS,
     MetropolisConfig,
     exact_ground_energy,
-    exact_ground_state,
-    exact_spectrum,
     lowest_eigenvalues,
     metropolis_sample,
-    pauli_to_matrix,
     pauli_to_sparse,
 )
 from qelectra.pauli import (MappingKind, PauliString, PauliSum,
@@ -30,13 +26,10 @@ from test_pauli import dense, dense_sum
 
 
 def test_single_letter_matrices():
-    assert np.allclose(pauli_to_matrix(PauliString("X")),
-                       [[0, 1], [1, 0]])
-    assert np.allclose(pauli_to_matrix(PauliString("Y")),
-                       [[0, -1j], [1j, 0]])
-    assert np.allclose(pauli_to_matrix(PauliString("Z")),
-                       [[1, 0], [0, -1]])
-    assert np.allclose(pauli_to_matrix(PauliString("I")), np.eye(2))
+    for word, want in (("X", [[0, 1], [1, 0]]), ("Y", [[0, -1j], [1j, 0]]),
+                       ("Z", [[1, 0], [0, -1]]), ("I", np.eye(2))):
+        assert np.allclose(pauli_to_sparse(PauliString(word)).toarray(),
+                           want)
 
 
 def test_matrix_builders_match_local_kron():
@@ -50,7 +43,6 @@ def test_matrix_builders_match_local_kron():
             op.add_string(PauliString(word),
                           complex(*rng.standard_normal(2)))
         want = dense_sum(op)
-        assert np.allclose(pauli_to_matrix(op), want, atol=1e-13)
         assert np.allclose(pauli_to_sparse(op).toarray(), want, atol=1e-13)
 
 
@@ -117,16 +109,13 @@ def test_sparse_build_matches_term_by_term_action(assembled):
 
 
 def test_qubit_caps_enforced():
-    big_dense = PauliSum.identity(MAX_DENSE_QUBITS + 1)
-    with pytest.raises(ValueError, match="dense-matrix limit"):
-        pauli_to_matrix(big_dense)
-    with pytest.raises(ValueError, match="dense-matrix limit"):
-        exact_spectrum(big_dense)
-    with pytest.raises(ValueError, match="dense-matrix limit"):
-        exact_ground_state(big_dense)
-    big_sparse = PauliSum.identity(MAX_SPARSE_QUBITS + 1)
-    with pytest.raises(ValueError, match="sparse-matrix limit"):
-        pauli_to_sparse(big_sparse)
+    big = PauliSum.identity(MAX_SPARSE_QUBITS + 1)
+    with pytest.raises(ValueError, match="full-register matrix limit"):
+        pauli_to_sparse(big)
+    # a block never spans the register, so it has no qubit cap
+    block = pauli_to_sparse(PauliSum.identity(MAX_SPARSE_QUBITS + 6),
+                            np.array([0, 5, 1 << 19]))
+    assert np.array_equal(block.toarray(), np.eye(3))
 
 
 def test_lowest_eigenvalues_dense_path():
@@ -172,14 +161,10 @@ def test_non_hermitian_inputs_rejected():
     crooked.add_string(PauliString("X"), 0.5j)
     with pytest.raises(ValueError, match="Hermitian"):
         lowest_eigenvalues(crooked)
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_spectrum(crooked)
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_state(crooked)
     # 1j * X has eigenvalues +-i; eigh would read one triangle and
     # report -1
     with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_state(PauliSum.from_string(PauliString("X"), 1j))
+        exact_ground_energy(PauliSum.from_string(PauliString("X"), 1j))
     # a bare string with an imaginary phase is not Hermitian either
     with pytest.raises(ValueError, match="Hermitian"):
         lowest_eigenvalues(PauliString("X", 1j))
@@ -196,27 +181,16 @@ def test_ground_energy_of_assembled_hydrogen(assembled):
     assert energy < system.e_hf
 
 
-def test_exact_spectrum_ordering_and_truncation():
+def test_lowest_eigenvalues_of_a_pauli_sum_ascending_and_truncated():
     op = PauliSum(2)
     op.add_string(PauliString("ZI"), 0.5)
     op.add_string(PauliString("IZ"), 0.25)
     op.add_string(PauliString("XX"), 0.1)
-    full = exact_spectrum(op)
+    full = lowest_eigenvalues(op, k=4)
     assert full.shape == (4,)
     assert np.all(np.diff(full) >= 0)
-    assert np.allclose(exact_spectrum(op, k=2), full[:2])
+    assert np.allclose(lowest_eigenvalues(op, k=2), full[:2])
     assert np.allclose(full, np.linalg.eigvalsh(dense_sum(op)), atol=1e-12)
-
-
-def test_exact_ground_state_satisfies_eigen_equation(assembled):
-    system = assembled("h2")
-    energy, vector = exact_ground_state(system.qubit_hamiltonian)
-    matrix = pauli_to_matrix(system.qubit_hamiltonian)
-    residual = np.linalg.norm(matrix @ vector - energy * vector)
-    assert residual < 1e-10
-    assert energy == pytest.approx(
-        exact_ground_energy(system.qubit_hamiltonian), abs=1e-12)
-    assert np.linalg.norm(vector) == pytest.approx(1.0)
 
 
 # ---- sector blocks -------------------------------------------------------------
@@ -305,7 +279,7 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
     # one beta mode of {1, 3}
     states = [sum(1 << q for q in encode_occupation(kind, [a, b], n))
               for a in (0, 2) for b in (1, 3)]
-    matrix = pauli_to_matrix(shifted)
+    matrix = pauli_to_sparse(shifted).toarray()
     want = np.linalg.eigvalsh(matrix[np.ix_(states, states)])[0]
     got = exact_ground_energy(shifted, basis=system.sector())
     assert got == pytest.approx(want, abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qelectra.fermion import FermionOperator, number_operator, sz_operator
-from qelectra.oracle import lowest_eigenvalues, pauli_to_matrix, pauli_to_sparse
+from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
 from qelectra.pauli import (
     FenwickTree,
     MappingKind,
@@ -348,13 +348,6 @@ def test_mapped_hamiltonian_is_hermitian_and_isospectral(kind, assembled):
                      system.n_qubits)
     ref = np.sort(np.linalg.eigvalsh(dense_sum(jw)))
     assert np.allclose(vals, ref, atol=1e-10)
-
-
-def test_pauli_to_matrix_agrees_with_local_kron():
-    op = PauliSum(3)
-    op.add_string(PauliString("XYZ"), 0.7)
-    op.add_string(PauliString("ZII"), -0.3)
-    assert np.allclose(pauli_to_matrix(op), dense_sum(op), atol=1e-14)
 
 
 def test_mapping_from_name_aliases():

@@ -5,10 +5,11 @@ import io
 import numpy as np
 import pytest
 
-from qelectra import oracle
-from qelectra.fermion import number_operator
+from qelectra import oracle, simulator
+from qelectra.fermion import FermionOperator, number_operator
 from qelectra.oracle import MAX_SPARSE_QUBITS, exact_ground_energy
-from qelectra.pauli import MappingKind, map_fermion
+from qelectra.pauli import (MappingKind, PauliString, PauliSum, map_fermion,
+                            sector_basis)
 from qelectra.vqe import (
     Excitation,
     OptimizerConfig,
@@ -64,6 +65,9 @@ def test_build_uccsd_validation():
         build_uccsd(4, 4)
     with pytest.raises(ValueError, match="no spin-preserving"):
         build_uccsd(2, 1)
+    # interleaved spin layout: mode 4 of five would have no beta partner
+    with pytest.raises(ValueError, match="even number"):
+        build_uccsd(5, 2)
 
 
 def test_generators_are_anti_hermitian():
@@ -184,15 +188,21 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
     built = []
     build = oracle.pauli_to_sparse
 
-    def counting(observable):
-        built.append(observable)
-        return build(observable)
+    def counting(observable, basis=None):
+        built.append((observable, basis))
+        return build(observable, basis)
 
     monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
     config = OptimizerConfig(kind="spsa", max_iterations=5, seed=3)
     result = run_vqe(system.qubit_hamiltonian, ansatz, config,
                      kind=MappingKind.PARITY)
-    assert built == [system.qubit_hamiltonian]
+    assert len(built) == 1
+    observable, basis = built[0]
+    assert observable is system.qubit_hamiltonian
+    # the (1 alpha, 1 beta) sector of H2's aufbau reference: 4 states
+    assert np.array_equal(basis,
+                          sector_basis(MappingKind.PARITY, 4, 1, 1))
+    assert basis.size == 4
     assert result.n_evaluations > 1
     # sampled energies measure the Pauli terms; no matrix is built
     run_vqe(system.qubit_hamiltonian, ansatz, config,
@@ -200,20 +210,70 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
     assert len(built) == 1
 
 
-def test_registers_above_the_sparse_cap_sum_the_terms(monkeypatch):
-    n = MAX_SPARSE_QUBITS + 1
-
-    def refuse(observable):
-        raise AssertionError("no sparse matrix above the cap")
-
-    monkeypatch.setattr(oracle, "pauli_to_sparse", refuse)
+def test_registers_above_the_full_register_cap_use_the_sector_block():
+    n = MAX_SPARSE_QUBITS + 2
     ansatz = build_uccsd(n, 1)
     counted = map_fermion(number_operator(n), MappingKind.JORDAN_WIGNER, n)
+    with pytest.raises(ValueError, match="limit"):
+        oracle.pauli_to_sparse(counted)
+    # the block on the 8 one-alpha determinants builds with no qubit cap
     result = run_vqe(counted, ansatz,
                      OptimizerConfig(kind="spsa", max_iterations=2, seed=1))
     # the ansatz conserves the particle number, so every energy is <N> = 1
     assert result.n_evaluations == 7
     assert result.energy_history == pytest.approx([1.0] * 3, abs=1e-12)
+
+
+def test_non_hermitian_hamiltonian_rejected_before_any_evaluation(
+        assembled, monkeypatch):
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    skewed = (system.qubit_hamiltonian
+              + PauliSum.from_string(PauliString("XYII"), 0.1j))
+
+    def refuse(self, parameters, initial=None):
+        raise AssertionError("no circuit runs for a rejected Hamiltonian")
+
+    monkeypatch.setattr(simulator.Circuit, "run", refuse)
+    for shots in (None, 64):
+        with pytest.raises(ValueError, match="Hermitian"):
+            run_vqe(skewed, ansatz, OptimizerConfig(seed=0),
+                    kind=MappingKind.PARITY, shots=shots)
+
+
+def test_hamiltonian_leaving_the_reference_sector_is_refused(assembled):
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    # a_0^ + a_0 is Hermitian but changes the particle number
+    ladder = map_fermion(FermionOperator({((0, 1),): 0.1, ((0, 0),): 0.1}),
+                         MappingKind.PARITY, system.n_qubits)
+    with pytest.raises(ValueError, match="outside the basis"):
+        run_vqe(system.qubit_hamiltonian + ladder, ansatz,
+                OptimizerConfig(seed=0), kind=MappingKind.PARITY)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("key", ["lih", "h2o"])
+def test_sector_energy_matches_the_full_register_term_loop(key, kind,
+                                                           assembled):
+    # run_vqe's first energy is psi_S^ H_SS psi_S at the initial angles;
+    # the term loop sums every Pauli term over all 2^n amplitudes
+    system = assembled(key)
+    n = system.n_qubits
+    n_e = system.spin_orbitals.n_electrons
+    hamiltonian = map_fermion(system.hamiltonian, kind, n)
+    ansatz = build_uccsd(n, n_e)
+    theta = np.random.default_rng(41).uniform(-1.0, 1.0,
+                                              ansatz.n_parameters)
+    result = run_vqe(hamiltonian, ansatz,
+                     OptimizerConfig(kind="spsa", max_iterations=1, seed=0),
+                     kind=kind, initial_parameters=theta)
+    state = ansatz_circuit(ansatz, kind=kind).run(theta)
+    assert result.energy_history[0] == pytest.approx(
+        state.expectation(hamiltonian), abs=1e-10)
+    outside = np.delete(state.data,
+                        sector_basis(kind, n, n_e // 2, n_e // 2))
+    assert np.linalg.norm(outside) <= 1e-12
 
 
 def test_empty_ansatz_returns_reference_energy():
