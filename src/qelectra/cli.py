@@ -33,7 +33,7 @@ EXIT_NOT_CONVERGED = 2
 
 _METHOD_ORDER = ("hf", "vqe", "fci")
 
-VQE_DEFAULT_ITERATIONS = {"spsa": 300, "gd": 200}
+VQE_DEFAULT_ITERATIONS = {"spsa": 300, "gd": 200, "bfgs": 200}
 # ansatz size up to which the base SPSA budget applies unscaled
 SPSA_BUDGET_PARAMETERS = 48
 
@@ -46,7 +46,7 @@ class RunSpec:
     methods: Tuple[str, ...] = ("hf",)
     mapping: MappingKind = MappingKind.PARITY
     active: Optional[ActiveSpaceSpec] = None    # None: the shipped window
-    optimizer: str = "spsa"
+    optimizer: str = "bfgs"
     shots: Optional[int] = None
     seed: int = 0
     output: str = "table"
@@ -92,6 +92,9 @@ class ComparisonReport:
 def _optimizer_config(spec: RunSpec, n_parameters: int) -> OptimizerConfig:
     """Optimizer settings for a CLI run.
 
+    bfgs and gd run at the library defaults within their
+    VQE_DEFAULT_ITERATIONS budget.
+
     SPSA perturbation sizes shrink with the parameter count: at the flat
     library defaults a ~100-parameter ansatz probes the landscape about a
     radian away from the reference state, where the two-point estimate
@@ -114,9 +117,9 @@ def _optimizer_config(spec: RunSpec, n_parameters: int) -> OptimizerConfig:
         return OptimizerConfig(kind="spsa", max_iterations=budget,
                                a=2.0 * c, c=c, big_a=0.1 * base,
                                seed=spec.seed)
-    return OptimizerConfig(kind="gd",
-                           max_iterations=VQE_DEFAULT_ITERATIONS["gd"],
-                           seed=spec.seed)
+    return OptimizerConfig(
+        kind=spec.optimizer,
+        max_iterations=VQE_DEFAULT_ITERATIONS[spec.optimizer], seed=spec.seed)
 
 
 def execute(spec: RunSpec,
@@ -375,9 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--active-space", default=None, metavar="NE,NO",
                         help="override the active window: electrons,"
                              "spatial-orbitals (for example 8,6)")
-    parser.add_argument("--optimizer", default="spsa",
-                        choices=["spsa", "gd"],
-                        help="vqe optimizer (default: spsa)")
+    parser.add_argument("--optimizer", default=None,
+                        choices=["bfgs", "gd", "spsa"],
+                        help="vqe optimizer (default: bfgs for exact "
+                             "expectations, spsa with --shots)")
     parser.add_argument("--shots", default="exact",
                         help="'exact' or a shot count per measured term "
                              "(default: exact)")
@@ -442,6 +446,17 @@ def _parse_shots(raw: str) -> Optional[int]:
     return shots
 
 
+def _resolve_optimizer(raw: Optional[str], shots: Optional[int]) -> str:
+    """The optimizer flag, defaulted by the shot setting: bfgs and gd
+    differentiate exact expectations, so only spsa runs with shots."""
+    if raw is None:
+        return "bfgs" if shots is None else "spsa"
+    if shots is not None and raw != "spsa":
+        raise ValueError(f"--optimizer {raw} needs exact expectations; use "
+                         "--optimizer spsa with --shots, or --shots exact")
+    return raw
+
+
 def _parse_scan(raw: str) -> Tuple[float, float, int]:
     parts = raw.split(",")
     if len(parts) != 3:
@@ -458,13 +473,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         molecule = load_molecule_argument(args.molecule)
+        shots = _parse_shots(args.shots)
         spec = RunSpec(molecule=molecule,
                        basis=args.basis,
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),
                        active=_parse_active(args.active_space),
-                       optimizer=args.optimizer,
-                       shots=_parse_shots(args.shots),
+                       optimizer=_resolve_optimizer(args.optimizer, shots),
+                       shots=shots,
                        seed=args.seed,
                        output=args.output,
                        fcidump_path=args.fcidump,

@@ -13,10 +13,11 @@ A VQE energy evaluation is compiled once per run. `Circuit.run` caches, per
 instruction, the gather vector b ^ x (shared by the instructions with the
 same X-mask) and the gathered signs, so each later run only gathers and
 multiplies; the state is bit-identical to applying the instructions one by
-one. `StateVector.expectation` sums a Pauli operator term by term over the
-whole register; VQE takes its energies on the sector block instead
-(`oracle.pauli_to_sparse`), and this loop is the reference that route is
-checked against.
+one. `Circuit.adjoint_gradient` walks the same compiled steps backwards
+for the gradient of an expectation value. `StateVector.expectation` sums
+a Pauli operator term by term over the whole register; VQE takes its
+energies on the sector block instead (`oracle.pauli_to_sparse`), and this
+loop is the reference that route is checked against.
 """
 
 import numpy as np
@@ -305,6 +306,42 @@ class Circuit:
             data = np.cos(half) * data - 1.0j * np.sin(half) * image
         state.data = data
         return state
+
+    def adjoint_gradient(self, parameters: Sequence[float], psi: np.ndarray,
+                         lam: np.ndarray) -> np.ndarray:
+        """Gradient of <psi|H|psi> over the parameters by one reverse sweep.
+
+        `psi` is the amplitude array `run(parameters)` returned and `lam` is
+        H psi on the same register. Walking the compiled steps backwards,
+        each exponential exp(-i h P) adds scale * Im<lam|P psi> to the
+        derivative of its parameter, then is undone on both vectors,
+        v -> cos(h) v + i sin(h) P v, so that lam stays H psi pulled back
+        through the suffix already walked (adjoint differentiation, Jones &
+        Gacon, arXiv:2009.02823). The sweep stops at the leading X flips,
+        which carry no parameter.
+        """
+        theta = np.asarray(parameters, dtype=float)
+        if theta.shape != (self.n_parameters,):
+            raise ValueError(
+                f"expected {self.n_parameters} parameters, got {theta.shape}")
+        dim = 1 << self.n_qubits
+        if psi.shape != (dim,) or lam.shape != (dim,):
+            raise ValueError(f"psi and lam must have shape ({dim},)")
+        steps = self._steps()
+        lead = next((k for k, step in enumerate(steps) if step[1] is not None),
+                    len(steps))
+        gradient = np.zeros(self.n_parameters)
+        for order, signs, phase, param_index, scale in reversed(steps[lead:]):
+            if signs is None:
+                psi, lam = psi[order], lam[order]
+                continue
+            image = (signs * psi[order]) * phase
+            gradient[param_index] += scale * np.vdot(lam, image).imag
+            half = 0.5 * (scale * theta[param_index])
+            cos, isin = np.cos(half), 1.0j * np.sin(half)
+            psi = cos * psi + isin * image
+            lam = cos * lam + isin * ((signs * lam[order]) * phase)
+        return gradient
 
 
 def reference_state(n_qubits: int, set_qubits: Iterable[int]) -> StateVector:

@@ -7,18 +7,24 @@ imaginary coefficients and exponentiates to a product of Pauli rotations.
 For these generators the mapped strings commute pairwise (asserted at
 build time), which makes the per-generator product exact.
 
-Two optimizers are provided: simultaneous-perturbation stochastic
-approximation with the standard gain schedules, and plain gradient descent
-on central-difference gradients. Both record the full energy trajectory
-and stop after `patience` consecutive sub-tolerance energy changes.
+Three optimizers are provided. BFGS with an Armijo line search and plain
+gradient descent take exact gradients: one circuit run forward and one
+adjoint sweep back (`Circuit.adjoint_gradient`) give the energy and all
+its parameter derivatives. BFGS stops when the largest derivative is below
+its tolerance, gradient descent after `patience` consecutive sub-tolerance
+energy changes. Simultaneous-perturbation stochastic approximation, with
+the standard gain schedules and the same patience rule, needs only
+energies and is the one optimizer for shot-sampled runs. All three record
+the energy trajectory, one entry per accepted iterate.
 
 Every generator conserves the particle number and S_z, so the ansatz
 state stays in the (N, S_z) sector of its aufbau reference. An exact
 energy evaluation is one `Circuit.run`, a gather of the sector's
 amplitudes psi_S and psi_S^ H_SS psi_S with H_SS the sector block the
-FCI eigensolver diagonalizes. The work that does not depend on the
-parameters is done once per `run_vqe`: the circuit caches its gather and
-sign vectors on the first run, and the block is built once.
+FCI eigensolver diagonalizes; for a gradient, H psi is the block mat-vec
+inside the sector and zero outside it. The work that does not depend on
+the parameters is done once per `run_vqe`: the circuit caches its gather
+and sign vectors on the first run, and the block is built once.
 """
 
 import csv
@@ -172,16 +178,30 @@ def ansatz_circuit(ansatz: UccsdAnsatz,
 
 # ---- optimization ----------------------------------------------------------
 
+# sufficient-decrease constant of the BFGS backtracking line search
+ARMIJO_C1 = 1e-4
+# BFGS gives up on a line search once the step falls below this fraction
+# of the quasi-Newton step: no decrease is left at machine precision
+MIN_STEP = 1e-10
+# convergence tolerance per optimizer kind: a gradient bound for bfgs, an
+# energy change for spsa and gd
+_DEFAULT_TOLERANCE = {"spsa": 1e-5, "gd": 1e-8, "bfgs": 1e-6}
+
+
 @dataclass
 class OptimizerConfig:
     """Settings for the variational minimizer.
 
+    kind "bfgs": quasi-Newton descent on exact adjoint gradients, with a
+    dense inverse Hessian and an Armijo backtracking line search; converged
+    when max |dE/dtheta| <= `tolerance` (default 1e-6).
     kind "spsa": gains a_k = a / (k + 1 + A)**alpha and
     c_k = c / (k + 1)**gamma with Rademacher directions from the seeded
     generator; A defaults to 0.1 * max_iterations.
-    kind "gd": fixed-step descent on central-difference gradients.
-    Convergence needs `patience` consecutive energy changes below
-    `tolerance` (default 1e-8 for gd, 1e-5 for spsa).
+    kind "gd": fixed-step descent on exact adjoint gradients.
+    spsa and gd converge after `patience` consecutive energy changes below
+    `tolerance` (default 1e-5 for spsa, 1e-8 for gd). bfgs and gd need
+    exact expectations.
     """
     kind: str = "spsa"
     max_iterations: int = 200
@@ -191,17 +211,16 @@ class OptimizerConfig:
     gamma: float = 0.101
     big_a: Optional[float] = None
     learning_rate: float = 0.1
-    fd_step: float = 1e-5
     tolerance: Optional[float] = None
     patience: int = 5
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("spsa", "gd"):
+        if self.kind not in _DEFAULT_TOLERANCE:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        for name in ("a", "c", "alpha", "gamma", "learning_rate", "fd_step"):
+        for name in ("a", "c", "alpha", "gamma", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.tolerance is not None and self.tolerance <= 0:
@@ -213,7 +232,7 @@ class OptimizerConfig:
     def effective_tolerance(self) -> float:
         if self.tolerance is not None:
             return self.tolerance
-        return 1e-8 if self.kind == "gd" else 1e-5
+        return _DEFAULT_TOLERANCE[self.kind]
 
     @property
     def effective_big_a(self) -> float:
@@ -246,9 +265,9 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
     number- and spin-conserving molecular Hamiltonian does, and one that
     leaves it raises the ValueError of `oracle.pauli_to_sparse`. An
     integer turns on simulated projective measurement with that many shots
-    per term, drawn from the same seeded generator as the optimizer.
-    Identical (hamiltonian, ansatz, config, shots) reproduce the identical
-    result.
+    per term, drawn from the same seeded generator as the optimizer; only
+    spsa accepts it. Identical (hamiltonian, ansatz, config, shots)
+    reproduce the identical result.
     """
     n = hamiltonian.n_qubits
     if n != ansatz.n_spin_orbitals:
@@ -257,6 +276,10 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
             f"{ansatz.n_spin_orbitals}")
     if not hamiltonian.is_hermitian():
         raise ValueError("VQE needs a Hermitian Hamiltonian")
+    if shots is not None and config.kind != "spsa":
+        raise ValueError(
+            f"the {config.kind} optimizer needs exact expectations; use "
+            "spsa for shot-sampled energies")
     circuit = ansatz_circuit(ansatz, kind=kind)
     rng = np.random.default_rng(config.seed)
     counter = {"n": 0}
@@ -274,6 +297,19 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         mean, _ = state.sampled_expectation(hamiltonian, shots, rng=rng)
         return mean
 
+    def evaluate_with_gradient(theta: np.ndarray
+                               ) -> Tuple[float, np.ndarray]:
+        """Exact energy and gradient: one run and one adjoint sweep, with
+        H psi zero outside the sector and the block mat-vec inside it."""
+        counter["n"] += 1
+        data = circuit.run(theta).data
+        psi = data[basis]
+        h_psi = block @ psi
+        lam = np.zeros_like(data)
+        lam[basis] = h_psi
+        return (float(np.vdot(psi, h_psi).real),
+                circuit.adjoint_gradient(theta, data, lam))
+
     if initial_parameters is None:
         theta = ansatz.parameters.astype(float).copy()
     else:
@@ -290,17 +326,28 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         theta_history.append(th.copy())
         eval_history.append(counter["n"])
 
-    e_current = evaluate(theta)
+    if config.kind == "spsa":
+        e_current = evaluate(theta)
+    else:
+        e_current, gradient = evaluate_with_gradient(theta)
     record(e_current, theta)
 
-    m = ansatz.n_parameters
-    if m == 0:
-        return VqeResult(e_min=e_current, theta_star=theta,
+    def result(converged: bool, iterations: int) -> VqeResult:
+        best = int(np.argmin(energy_history))
+        return VqeResult(e_min=float(energy_history[best]),
+                         theta_star=theta_history[best],
                          energy_history=energy_history,
                          theta_history=theta_history,
                          evaluation_history=eval_history,
-                         n_evaluations=counter["n"], converged=True,
-                         n_iterations=0)
+                         n_evaluations=counter["n"],
+                         converged=converged,
+                         n_iterations=iterations)
+
+    if ansatz.n_parameters == 0:
+        return result(True, 0)
+    if config.kind == "bfgs":
+        return result(*_bfgs(evaluate_with_gradient, theta, e_current,
+                             gradient, config, record))
 
     tol = config.effective_tolerance
     big_a = config.effective_big_a
@@ -313,16 +360,10 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
             c_k = config.c / (k + 1) ** config.gamma
             gradient = spsa_gradient_estimate(evaluate, theta, c_k, rng)
             theta = theta - a_k * gradient
+            e_new = evaluate(theta)
         else:
-            gradient = np.empty(m)
-            h = config.fd_step
-            for i in range(m):
-                step = np.zeros(m)
-                step[i] = h
-                gradient[i] = (evaluate(theta + step)
-                               - evaluate(theta - step)) / (2.0 * h)
             theta = theta - config.learning_rate * gradient
-        e_new = evaluate(theta)
+            e_new, gradient = evaluate_with_gradient(theta)
         record(e_new, theta)
         iterations_done = k + 1
         if abs(e_new - e_current) <= tol:
@@ -334,16 +375,48 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         else:
             streak = 0
         e_current = e_new
+    return result(converged, iterations_done)
 
-    best = int(np.argmin(energy_history))
-    return VqeResult(e_min=float(energy_history[best]),
-                     theta_star=theta_history[best],
-                     energy_history=energy_history,
-                     theta_history=theta_history,
-                     evaluation_history=eval_history,
-                     n_evaluations=counter["n"],
-                     converged=converged,
-                     n_iterations=iterations_done)
+
+def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
+          gradient: np.ndarray, config: OptimizerConfig,
+          record) -> Tuple[bool, int]:
+    """BFGS from (theta, energy, gradient); returns (converged, iterations).
+
+    The inverse Hessian starts as the identity and is scaled by s.y / y.y
+    before its first update; a step with s.y <= 0 leaves it unchanged, so
+    it stays positive definite. Each iteration backtracks by halves from
+    the full quasi-Newton step until the Armijo condition holds and records
+    the accepted iterate. Converged means max |gradient| <= tolerance.
+    """
+    tol = config.effective_tolerance
+    inverse = np.eye(theta.size)
+    for k in range(config.max_iterations):
+        if np.max(np.abs(gradient)) <= tol:
+            return True, k
+        direction = -(inverse @ gradient)
+        slope = float(gradient @ direction)
+        step = 1.0
+        while True:
+            trial = theta + step * direction
+            e_trial, g_trial = evaluate_with_gradient(trial)
+            if e_trial <= energy + ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+            if step < MIN_STEP:
+                return False, k
+        s, y = trial - theta, g_trial - gradient
+        sy = float(s @ y)
+        if sy > 0.0:
+            if k == 0:
+                inverse *= sy / float(y @ y)
+            rho = 1.0 / sy
+            hy = inverse @ y
+            inverse += ((rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+                        - rho * (np.outer(hy, s) + np.outer(s, hy)))
+        theta, energy, gradient = trial, e_trial, g_trial
+        record(energy, theta)
+    return bool(np.max(np.abs(gradient)) <= tol), config.max_iterations
 
 
 def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,

@@ -1,6 +1,10 @@
 """Command-line interface: argument handling, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,14 +88,15 @@ def test_json_output_is_byte_stable(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     doc = json.loads(out_a)
-    assert doc["optimizer"] == "spsa"
+    assert doc["optimizer"] == "bfgs"
     assert doc["seed"] == 3
     assert doc["methods"]["vqe"]["energy_hartree"] == pytest.approx(
         doc["methods"]["fci"]["energy_hartree"], abs=1e-3)
 
 
 def test_unconverged_vqe_sets_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.VQE_DEFAULT_ITERATIONS, "spsa", 1)
+    # H2 needs four BFGS iterations
+    monkeypatch.setitem(cli.VQE_DEFAULT_ITERATIONS, "bfgs", 1)
     code, out, _ = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
                            "--output", "json")
     assert code == 2
@@ -101,7 +106,7 @@ def test_unconverged_vqe_sets_exit_code(capsys, monkeypatch):
 
 def test_spsa_budget_grows_with_parameter_count_but_gains_do_not():
     spec = cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
-                       methods=("vqe",))
+                       methods=("vqe",), optimizer="spsa")
     for m, budget in ((3, 300), (24, 300), (92, 575), (117, 732)):
         config = cli._optimizer_config(spec, m)
         c = min(0.1, 0.25 / np.sqrt(m))
@@ -122,6 +127,51 @@ def test_gd_optimizer_converges_tightly(capsys):
     assert doc["optimizer"] == "gd"
     assert doc["methods"]["vqe"]["energy_hartree"] == pytest.approx(
         doc["methods"]["fci"]["energy_hartree"], abs=1e-6)
+
+
+@pytest.mark.parametrize("shots,optimizer", [("exact", "bfgs"),
+                                             ("64", "spsa")])
+def test_default_optimizer_follows_the_shot_setting(capsys, shots,
+                                                    optimizer):
+    code, out, _ = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
+                           "--shots", shots, "--output", "json")
+    assert code in (0, 2)
+    assert json.loads(out)["optimizer"] == optimizer
+
+
+@pytest.mark.parametrize("optimizer", ["bfgs", "gd"])
+def test_gradient_optimizers_refuse_shots_before_the_chain_runs(
+        capsys, monkeypatch, optimizer):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for a refused optimizer")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
+                             "--optimizer", optimizer, "--shots", "100")
+    assert code == 1
+    assert out == ""
+    assert f"--optimizer {optimizer} needs exact expectations" in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+NO_SCIPY_OPTIMIZE = """
+import contextlib, io, sys
+from qelectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["--molecule", "h2", "--method", "hf,vqe"])
+print(rc, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_a_vqe_run_never_imports_scipy_optimize():
+    # importing scipy.optimize costs about 15 MB of resident memory
+    env = dict(os.environ, PYTHONPATH="src")
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_OPTIMIZE],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("argv,fragment", [

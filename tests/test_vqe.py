@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qelectra import oracle, simulator
 from qelectra.fermion import FermionOperator, number_operator
@@ -125,7 +127,107 @@ def test_gradient_descent_reaches_exact_ground_state(assembled):
     assert len(result.theta_history) == len(result.energy_history)
     assert result.evaluation_history[-1] == result.n_evaluations
     assert result.e_min == min(result.energy_history)
-    assert np.all(np.diff(result.evaluation_history) > 0)
+    # one energy-plus-gradient evaluation per iteration
+    assert result.evaluation_history == list(range(1, len(
+        result.energy_history) + 1))
+
+
+@settings(deadline=None, max_examples=5)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("key", ["h2", "lih"])
+def test_adjoint_gradient_matches_central_differences(key, kind, assembled,
+                                                      data):
+    system = assembled(key)
+    n = system.n_qubits
+    hamiltonian = map_fermion(system.hamiltonian, kind, n)
+    matrix = oracle.pauli_to_sparse(hamiltonian)
+    ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
+    m = ansatz.n_parameters
+    theta = np.array(data.draw(st.lists(
+        st.floats(-np.pi, np.pi, allow_nan=False), min_size=m, max_size=m)))
+    circuit = ansatz_circuit(ansatz, kind=kind)
+
+    def energy(t):
+        psi = circuit.run(t).data
+        return np.vdot(psi, matrix @ psi).real
+
+    psi = circuit.run(theta).data
+    gradient = circuit.adjoint_gradient(theta, psi, matrix @ psi)
+    h = 1e-5
+    central = np.array([(energy(theta + h * e) - energy(theta - h * e))
+                        / (2.0 * h) for e in np.eye(m)])
+    assert np.max(np.abs(gradient - central)) <= 1e-7
+    # BFGS from the same point is deterministic to the last bit
+    config = OptimizerConfig(kind="bfgs", max_iterations=10)
+    first, second = (run_vqe(hamiltonian, ansatz, config, kind=kind,
+                             initial_parameters=theta) for _ in range(2))
+    assert first.energy_history == second.energy_history
+    assert first.theta_star.tobytes() == second.theta_star.tobytes()
+
+
+def test_adjoint_gradient_validation():
+    circuit = ansatz_circuit(build_uccsd(4, 2))
+    psi = circuit.run(np.zeros(3)).data
+    with pytest.raises(ValueError, match="parameters"):
+        circuit.adjoint_gradient(np.zeros(2), psi, psi)
+    with pytest.raises(ValueError, match="shape"):
+        circuit.adjoint_gradient(np.zeros(3), psi[:8], psi)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
+    system = assembled("lih")
+    hamiltonian = map_fermion(system.hamiltonian, kind, system.n_qubits)
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    result = run_vqe(hamiltonian, ansatz, OptimizerConfig(kind="bfgs"),
+                     kind=kind)
+    half = system.spin_orbitals.n_electrons // 2
+    target = exact_ground_energy(
+        hamiltonian, basis=sector_basis(kind, system.n_qubits, half, half))
+    assert result.converged
+    assert result.n_iterations < 20
+    assert result.e_min == pytest.approx(target, abs=1e-8)
+    # Armijo steps only go down, one record per accepted iterate
+    assert np.all(np.diff(result.energy_history) < 0.0)
+    assert len(result.energy_history) == result.n_iterations + 1
+    assert result.evaluation_history[-1] == result.n_evaluations
+    circuit = ansatz_circuit(ansatz, kind=kind)
+    psi = circuit.run(result.theta_star).data
+    lam = oracle.pauli_to_sparse(hamiltonian) @ psi
+    gradient = circuit.adjoint_gradient(result.theta_star, psi, lam)
+    assert np.max(np.abs(gradient)) <= 1e-6
+
+
+def test_bfgs_stops_when_no_descent_is_left(assembled):
+    # a gradient bound below what double precision resolves: near the
+    # minimum the Armijo test fails on rounding, and the run ends there
+    system = assembled("lih")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    result = run_vqe(system.qubit_hamiltonian, ansatz,
+                     OptimizerConfig(kind="bfgs", tolerance=1e-12),
+                     kind=MappingKind.PARITY)
+    assert not result.converged
+    assert result.n_iterations < 200
+    assert result.e_min == pytest.approx(
+        exact_ground_energy(system.qubit_hamiltonian, basis=system.sector()),
+        abs=1e-10)
+
+
+@pytest.mark.parametrize("optimizer", ["bfgs", "gd"])
+def test_gradient_optimizers_refuse_shots(optimizer, assembled,
+                                          monkeypatch):
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+
+    def refuse(self, parameters, initial=None):
+        raise AssertionError("no circuit runs for a refused optimizer")
+
+    monkeypatch.setattr(simulator.Circuit, "run", refuse)
+    with pytest.raises(ValueError, match="exact expectations"):
+        run_vqe(system.qubit_hamiltonian, ansatz,
+                OptimizerConfig(kind=optimizer), kind=MappingKind.PARITY,
+                shots=64)
 
 
 def test_spsa_reproduces_bitwise_and_lands_near_target(assembled):
@@ -308,6 +410,8 @@ def test_optimizer_config_defaults():
     gd = OptimizerConfig(kind="gd", tolerance=1e-4, big_a=7.0)
     assert gd.effective_tolerance == 1e-4
     assert gd.effective_big_a == 7.0
+    assert OptimizerConfig(kind="gd").effective_tolerance == 1e-8
+    assert OptimizerConfig(kind="bfgs").effective_tolerance == 1e-6
 
 
 def test_spsa_gradient_is_exact_for_one_parameter_quadratic():
