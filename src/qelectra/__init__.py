@@ -17,10 +17,9 @@ from .integrals import IntegralSet, boys, compute_integrals
 from .molecule import Atom, Molecule, from_atom_list, load_xyz
 from .oracle import (MetropolisConfig, MetropolisResult, exact_ground_energy,
                      lowest_eigenvalues, metropolis_sample, pauli_to_sparse)
-from .pauli import (FenwickTree, MappingKind, PauliString, PauliSum,
-                    anticommutation_check, encode_occupation, ladder_image,
-                    map_fermion, mapping_from_name, sector_basis,
-                    taper_parity_two_qubits)
+from .pauli import (MappingKind, PauliString, PauliSum, anticommutation_check,
+                    encode_occupation, ladder_image, map_fermion,
+                    mapping_from_name, sector_basis, taper_parity_two_qubits)
 from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
 from .scf import ScfConfig, ScfResult, run_rhf
@@ -30,8 +29,8 @@ from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
 
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
-    "ContractedGaussian", "FenwickTree", "FermionOperator", "IntegralSet",
-    "MappingKind", "MetropolisConfig", "MetropolisResult", "Molecule",
+    "ContractedGaussian", "FermionOperator", "IntegralSet", "MappingKind",
+    "MetropolisConfig", "MetropolisResult", "Molecule",
     "OptimizerConfig", "PauliString", "PauliSum", "ScfConfig", "ScfResult",
     "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz", "VqeResult",
     "__version__", "ansatz_circuit", "anticommutation_check",

@@ -7,19 +7,17 @@ coefficient of the Hermitian letters-operator (the one with literal Y
 matrices), so a sum is Hermitian exactly when every coefficient is real.
 
 Three mappings are implemented: Jordan-Wigner, the full-register parity
-transform, and Bravyi-Kitaev through a Fenwick tree (update, parity, flip
-and remainder index sets). A binary-code style transformation is out of
-scope and requesting one raises immediately. Each mapping encodes a
-determinant as a basis state linearly over GF(2), so `sector_basis` lists
-the encoded states of one (N, S_z) sector by forward enumeration, and no
-inverse map is needed.
+transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
+Richard & Love, arXiv:1208.5986): qubit q stores the parity of the modes in
+row q. Ladder images and encoded states both come from those rows, so
+`sector_basis` lists one (N, S_z) sector by forward enumeration and no
+inverse map is needed. A binary-code style transformation is out of scope
+and requesting one raises immediately.
 
 Letters order in text form: character k acts on qubit k.
 """
 
-import functools
 import itertools
-import operator
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 
@@ -281,72 +279,51 @@ class PauliSum:
         return out
 
 
-# ---- Fenwick tree for the Bravyi-Kitaev transform ---------------------------
+# ---- GF(2) encodings and ladder-operator images ------------------------------
 
-class FenwickTree:
-    """Partial-sum tree over mode indices, rooted at index n - 1."""
+def _encoding(kind: MappingKind, n_modes: int) -> List[int]:
+    """Row masks of a mapping's encoding matrix over GF(2).
 
-    def __init__(self, n_modes: int):
-        self.n_modes = n_modes
-        self.parent = [-1] * n_modes
-        self.children: List[List[int]] = [[] for _ in range(n_modes)]
+    Row q holds mode q and otherwise only lower modes: every encoding is
+    lower-triangular with a unit diagonal, hence invertible.
+    """
+    if kind == MappingKind.JORDAN_WIGNER:
+        return [1 << q for q in range(n_modes)]
+    if kind == MappingKind.PARITY:
+        return [(2 << q) - 1 for q in range(n_modes)]
+    if kind != MappingKind.BRAVYI_KITAEV:
+        raise ValueError(f"unsupported mapping {kind}")
+    # qubit q stores modes [start[q], q]: the root n - 1 stores them all and
+    # each midpoint split stores its left part up to the pivot
+    start = [0] * n_modes
 
-        def build(left: int, right: int, parent: int) -> None:
-            if left >= right:
-                return
+    def build(left: int, right: int) -> None:
+        if left < right:
             pivot = (left + right) >> 1
-            self.parent[pivot] = parent
-            self.children[parent].append(pivot)
-            build(left, pivot, pivot)
-            build(pivot + 1, right, parent)
+            start[pivot] = left
+            build(left, pivot)
+            build(pivot + 1, right)
 
-        if n_modes > 0:
-            build(0, n_modes - 1, n_modes - 1)
-
-    def update_set(self, j: int) -> List[int]:
-        """Strict ancestors of j."""
-        out = []
-        node = self.parent[j]
-        while node != -1:
-            out.append(node)
-            node = self.parent[node]
-        return out
-
-    def flip_set(self, j: int) -> List[int]:
-        """Direct children of j."""
-        return list(self.children[j])
-
-    def remainder_set(self, j: int) -> List[int]:
-        """Children with index < j of every ancestor of j."""
-        out = []
-        for anc in self.update_set(j):
-            for ch in self.children[anc]:
-                if ch < j:
-                    out.append(ch)
-        return out
-
-    def parity_set(self, j: int) -> List[int]:
-        """Nodes whose stored sums give the parity of modes < j."""
-        return sorted(set(self.flip_set(j)) | set(self.remainder_set(j)))
-
-    def subtree(self, j: int) -> List[int]:
-        """j together with all of its descendants."""
-        out = []
-        stack = [j]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(self.children[node])
-        return sorted(out)
+    build(0, n_modes - 1)
+    return [(2 << q) - (1 << start[q]) for q in range(n_modes)]
 
 
-# ---- ladder-operator images --------------------------------------------------
+def _flip_mask(rows: List[int], mode: int) -> int:
+    """Qubits whose stored parity changes when `mode` is flipped."""
+    return sum(1 << q for q, row in enumerate(rows) if (row >> mode) & 1)
 
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+
+def _occupation_masks(rows: List[int]) -> List[int]:
+    """Qubits whose parity reads each mode's occupation, by back-substitution:
+    n_q is b_q XOR the occupations of the lower modes in row q."""
+    occ: List[int] = []
+    for q, row in enumerate(rows):
+        mask = 1 << q
+        for m in range(q):
+            if (row >> m) & 1:
+                mask ^= occ[m]
+        occ.append(mask)
+    return occ
 
 
 def _ladder_image(kind: MappingKind, index: int, dagger: bool,
@@ -354,50 +331,27 @@ def _ladder_image(kind: MappingKind, index: int, dagger: bool,
     """Qubit image of a single creation or annihilation operator.
 
     Both branches are (X-like - i Y-like)/2 for a_i^ and the conjugate for
-    a_i; only the support masks differ between the mappings.
+    a_i. X flips the qubits that store mode i; Z reads the parity of the
+    modes below i (X-like) or up to and including i (Y-like).
     """
     if not 0 <= index < n_modes:
         raise ValueError(f"mode index {index} outside register of {n_modes}")
-    if kind == MappingKind.JORDAN_WIGNER:
-        below = _mask(range(index))
-        x_branch = (1 << index, below)            # Z on all lower qubits
-        y_branch = (1 << index, below | (1 << index))
-    elif kind == MappingKind.PARITY:
-        above = _mask(range(index + 1, n_modes))
-        zprev = (1 << (index - 1)) if index > 0 else 0
-        x_branch = (above | (1 << index), zprev)  # X on higher, X_i, Z_{i-1}
-        y_branch = (above | (1 << index), 1 << index)
-    elif kind == MappingKind.BRAVYI_KITAEV:
-        tree = _fenwick(n_modes)
-        upd = _mask(tree.update_set(index))
-        par = _mask(tree.parity_set(index))
-        rem = _mask(tree.remainder_set(index))
-        x_branch = (upd | (1 << index), par)
-        y_branch = (upd | (1 << index), rem | (1 << index))
-    else:
-        raise ValueError(f"unsupported mapping {kind}")
-
-    sign = -1.0 if dagger else 1.0
+    rows = _encoding(kind, n_modes)
+    flip = _flip_mask(rows, index)
+    occ = _occupation_masks(rows)
+    parity = 0
+    for mask in occ[:index]:
+        parity ^= mask
     out = PauliSum(n_modes)
-    xb_x, xb_z = x_branch
-    yb_x, yb_z = y_branch
-    # X-like branch: coefficient +1/2 of i^{y} X^x Z^z with y Ys
-    out.add_string(PauliString.from_masks(n_modes, xb_x, xb_z,
-                                          (xb_x & xb_z).bit_count()), 0.5)
-    out.add_string(PauliString.from_masks(n_modes, yb_x, yb_z,
-                                          (yb_x & yb_z).bit_count()),
-                   sign * 0.5j)
+    # coefficient of i^{y} X^x Z^z with y Ys, i.e. of the letters-operator
+    for z, coeff in ((parity, 0.5),
+                     (parity ^ occ[index], -0.5j if dagger else 0.5j)):
+        out.add_string(PauliString.from_masks(n_modes, flip, z,
+                                              (flip & z).bit_count()), coeff)
     return out
 
 
-_FENWICK_CACHE: Dict[int, FenwickTree] = {}
 _IMAGE_CACHE: Dict[Tuple[MappingKind, int, int, bool], PauliSum] = {}
-
-
-def _fenwick(n_modes: int) -> FenwickTree:
-    if n_modes not in _FENWICK_CACHE:
-        _FENWICK_CACHE[n_modes] = FenwickTree(n_modes)
-    return _FENWICK_CACHE[n_modes]
 
 
 def ladder_image(kind: MappingKind, index: int, dagger: bool,
@@ -411,18 +365,18 @@ def ladder_image(kind: MappingKind, index: int, dagger: bool,
 def map_fermion(op: FermionOperator, kind: MappingKind, n_modes: int,
                 threshold: float = DEFAULT_PRUNE_THRESHOLD) -> PauliSum:
     """Map a fermionic operator to a qubit operator on n_modes qubits."""
-    total = PauliSum(n_modes)
+    data: Dict[Tuple[int, int], complex] = {}
     for key, coeff in op.terms.items():
         if not key:
-            ident = PauliSum.identity(n_modes, coeff)
-            total = total + ident
+            data[(0, 0)] = data.get((0, 0), 0.0) + coeff
             continue
         prod = None
         for index, dagger in key:
             img = ladder_image(kind, index, dagger, n_modes)
             prod = img if prod is None else prod * img
-        total = total + prod * coeff
-    return total.simplify(threshold)
+        for k, c in prod.items():
+            data[k] = data.get(k, 0.0) + c * coeff
+    return PauliSum(n_modes, data).simplify(threshold)
 
 
 def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
@@ -451,30 +405,16 @@ def encode_occupation(kind: MappingKind, occupied: Iterable[int],
                       n_modes: int) -> List[int]:
     """Qubits set to 1 in the encoded basis state of a given determinant.
 
-    For Jordan-Wigner these are the occupied modes themselves; for parity,
-    running prefix parities; for Bravyi-Kitaev, subtree parities of the
-    Fenwick tree.
+    Qubit q is set when its encoding row holds an odd number of occupied
+    modes.
     """
-    occ = [0] * n_modes
+    occ = 0
     for m in occupied:
         if not 0 <= m < n_modes:
             raise ValueError(f"mode {m} outside register")
-        occ[m] = 1
-    if kind == MappingKind.JORDAN_WIGNER:
-        bits = occ
-    elif kind == MappingKind.PARITY:
-        bits = []
-        run = 0
-        for m in range(n_modes):
-            run ^= occ[m]
-            bits.append(run)
-    elif kind == MappingKind.BRAVYI_KITAEV:
-        tree = _fenwick(n_modes)
-        bits = [sum(occ[k] for k in tree.subtree(j)) % 2
-                for j in range(n_modes)]
-    else:
-        raise ValueError(f"unsupported mapping {kind}")
-    return [q for q, b in enumerate(bits) if b]
+        occ |= 1 << m
+    return [q for q, row in enumerate(_encoding(kind, n_modes))
+            if (row & occ).bit_count() & 1]
 
 
 def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
@@ -482,10 +422,10 @@ def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
     """Encoded basis states of the determinants in one (N, S_z) sector.
 
     `n_alpha` electrons sit on the even (alpha) modes and `n_beta` on the
-    odd (beta) modes. `encode_occupation` is linear over GF(2), so each
-    determinant's state is the XOR of the states that encode its occupied
-    modes one at a time. Returns C(n/2, n_alpha) * C(n/2, n_beta) states as
-    a sorted int64 array.
+    odd (beta) modes. The encoding is linear over GF(2), so each
+    determinant's state is the XOR of its occupied modes' flip masks.
+    Returns C(n/2, n_alpha) * C(n/2, n_beta) states as a sorted int64
+    array.
     """
     if n_modes % 2 != 0:
         raise ValueError("spin layout needs an even number of modes")
@@ -494,15 +434,14 @@ def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
         raise ValueError(
             f"({n_alpha}, {n_beta}) electrons do not fit {half} spatial "
             "orbitals per spin")
-    unit = [_mask(encode_occupation(kind, [m], n_modes))
-            for m in range(n_modes)]
+    rows = _encoding(kind, n_modes)
+    unit = np.array([_flip_mask(rows, m) for m in range(n_modes)],
+                    dtype=np.int64)
 
     def spin_states(first: int, count: int) -> np.ndarray:
-        return np.array([functools.reduce(operator.xor,
-                                          (unit[2 * p + first] for p in ps),
-                                          0)
-                         for ps in itertools.combinations(range(half), count)],
-                        dtype=np.int64)
+        picks = np.array(list(itertools.combinations(
+            range(first, n_modes, 2), count)), dtype=np.int64)
+        return np.bitwise_xor.reduce(unit[picks], axis=1)
 
     states = spin_states(0, n_alpha)[:, None] ^ spin_states(1, n_beta)
     return np.sort(states, axis=None)

@@ -1,14 +1,15 @@
-"""Pauli algebra, Fenwick trees, fermion-to-qubit mappings, tapering."""
+"""Pauli algebra, GF(2) encodings, fermion-to-qubit mappings, tapering."""
 
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qelectra.fermion import FermionOperator, number_operator, sz_operator
 from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
 from qelectra.pauli import (
-    FenwickTree,
     MappingKind,
     PauliString,
     PauliSum,
@@ -194,51 +195,51 @@ def test_from_text_rejects_bad_input():
         PauliSum.from_text("1.0 0.0 XX\n1.0 0.0 XXX")
 
 
-# ---- Fenwick tree -----------------------------------------------------------
-
-
-def test_fenwick_structure_four_modes():
-    tree = FenwickTree(4)
-    assert tree.parent == [1, 3, 3, -1]
-    assert tree.children == [[], [0], [], [1, 2]]
-    assert tree.update_set(0) == [1, 3]
-    assert tree.update_set(3) == []
-    assert tree.flip_set(3) == [1, 2]
-    assert tree.remainder_set(2) == [1]
-    assert tree.parity_set(2) == [1]
-    assert tree.parity_set(3) == [1, 2]
-    assert tree.subtree(3) == [0, 1, 2, 3]
-    assert tree.subtree(1) == [0, 1]
-
-
-def test_fenwick_parity_set_reproduces_prefix_parity():
-    # stored subtree sums over the parity set must give the parity of all
-    # modes below j, for any occupation pattern
-    rng = np.random.default_rng(15)
-    for n in (2, 4, 6, 8):
-        tree = FenwickTree(n)
-        for _ in range(20):
-            occ = rng.integers(0, 2, size=n)
-            for j in range(n):
-                want = int(occ[:j].sum()) % 2
-                got = sum(int(occ[list(tree.subtree(p))].sum())
-                          for p in tree.parity_set(j)) % 2
-                assert got == want
-
-
-def test_fenwick_update_set_is_ancestor_chain():
-    tree = FenwickTree(8)
-    for j in range(8):
-        for anc in tree.update_set(j):
-            assert j in tree.subtree(anc)
-            assert j != anc
-
-
 # ---- ladder images -----------------------------------------------------------
 
 
 ALL_KINDS = [MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
              MappingKind.BRAVYI_KITAEV]
+
+
+def encoded(kind, occupation, n_modes):
+    """Encoded basis state of an occupation bitmask, as a bitmask."""
+    occupied = [m for m in range(n_modes) if (occupation >> m) & 1]
+    return sum(1 << q for q in encode_occupation(kind, occupied, n_modes))
+
+
+def odd(mask):
+    return mask.bit_count() & 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 24), data=st.data())
+def test_ladder_masks_flip_and_read_the_encoded_state(kind, n, data):
+    # the encoding is invertible, so these three facts fix each mask
+    occupation = data.draw(st.integers(0, (1 << n) - 1))
+    state = encoded(kind, occupation, n)
+    for j in range(n):
+        ((flip, parity), _), ((y_flip, y_z), _) = ladder_image(
+            kind, j, False, n).items()
+        assert y_flip == flip
+        occupation_j = y_z ^ parity
+        assert encoded(kind, occupation ^ (1 << j), n) == state ^ flip
+        assert odd(state & parity) == odd(occupation & ((1 << j) - 1))
+        assert odd(state & occupation_j) == (occupation >> j) & 1
+
+
+@pytest.mark.parametrize("n, starts", [
+    (4, [0, 0, 2, 0]),
+    (10, [0, 0, 0, 3, 0, 5, 5, 5, 8, 0]),
+    (12, [0, 0, 0, 3, 3, 0, 6, 6, 6, 9, 9, 0]),
+])
+def test_bravyi_kitaev_qubits_store_midpoint_ranges(n, starts):
+    # qubit q stores the parity of modes [starts[q], q]
+    rows = [0] * n
+    for m in range(n):
+        for q in encode_occupation(MappingKind.BRAVYI_KITAEV, [m], n):
+            rows[q] |= 1 << m
+    assert rows == [(2 << q) - (1 << start) for q, start in enumerate(starts)]
 
 
 def encoding_permutation(kind, n_modes):
@@ -348,6 +349,26 @@ def test_mapped_hamiltonian_is_hermitian_and_isospectral(kind, assembled):
                      system.n_qubits)
     ref = np.sort(np.linalg.eigvalsh(dense_sum(jw)))
     assert np.allclose(vals, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("molecule", ["lih", "h2o"])
+def test_map_fermion_matches_term_by_term_sums(kind, molecule, assembled):
+    system = assembled(molecule)
+    n = system.n_qubits
+    total = PauliSum(n)
+    for key, coeff in system.hamiltonian.terms.items():
+        if not key:
+            total = total + PauliSum.identity(n, coeff)
+            continue
+        prod = None
+        for index, dagger in key:
+            img = ladder_image(kind, index, dagger, n)
+            prod = img if prod is None else prod * img
+        total = total + prod * coeff
+    want = total.simplify()
+    got = map_fermion(system.hamiltonian, kind, n)
+    assert list(got.items()) == list(want.items())
 
 
 def test_mapping_from_name_aliases():
