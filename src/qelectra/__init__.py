@@ -15,32 +15,29 @@ from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
                       to_spin_orbitals)
 from .integrals import IntegralSet, boys, compute_integrals
 from .molecule import Atom, Molecule, from_atom_list, load_xyz
-from .oracle import (MetropolisConfig, MetropolisResult, exact_ground_energy,
-                     lowest_eigenvalues, metropolis_sample, pauli_to_sparse)
+from .oracle import exact_ground_energy, lowest_eigenvalues, pauli_to_sparse
 from .pauli import (MappingKind, PauliString, PauliSum, anticommutation_check,
                     encode_occupation, ladder_image, map_fermion,
-                    mapping_from_name, sector_basis, taper_parity_two_qubits)
+                    mapping_from_name, sector_basis)
 from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
 from .scf import ScfConfig, ScfResult, run_rhf
-from .simulator import Circuit, StateVector, reference_state
+from .simulator import Circuit, StateVector
 from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
                   build_uccsd, export_history, run_vqe)
 
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
     "ContractedGaussian", "FermionOperator", "IntegralSet", "MappingKind",
-    "MetropolisConfig", "MetropolisResult", "Molecule",
-    "OptimizerConfig", "PauliString", "PauliSum", "ScfConfig", "ScfResult",
-    "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz", "VqeResult",
-    "__version__", "ansatz_circuit", "anticommutation_check",
+    "Molecule", "OptimizerConfig", "PauliString", "PauliSum", "ScfConfig",
+    "ScfResult", "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz",
+    "VqeResult", "__version__", "ansatz_circuit", "anticommutation_check",
     "assemble", "boys", "build_hamiltonian", "build_uccsd",
     "compute_integrals", "diatomic_geometry", "encode_occupation",
     "exact_ground_energy", "export_history", "from_atom_list", "ladder_image",
     "load_basis", "load_xyz", "lowest_eigenvalues", "map_fermion",
-    "mapping_from_name", "metropolis_sample", "mo_spatial_integrals",
-    "number_operator", "pauli_to_sparse", "read_fcidump", "reference_state",
-    "run_rhf", "run_vqe", "sector_basis", "shipped_geometry",
-    "spatial_active_space", "sz_operator", "taper_parity_two_qubits",
+    "mapping_from_name", "mo_spatial_integrals", "number_operator",
+    "pauli_to_sparse", "read_fcidump", "run_rhf", "run_vqe", "sector_basis",
+    "shipped_geometry", "spatial_active_space", "sz_operator",
     "to_spin_orbitals", "write_fcidump",
 ]

@@ -33,7 +33,7 @@ EXIT_NOT_CONVERGED = 2
 
 _METHOD_ORDER = ("hf", "vqe", "fci")
 
-VQE_DEFAULT_ITERATIONS = {"spsa": 300, "gd": 200, "bfgs": 200}
+VQE_DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
 # ansatz size up to which the base SPSA budget applies unscaled
 SPSA_BUDGET_PARAMETERS = 48
 
@@ -92,8 +92,8 @@ class ComparisonReport:
 def _optimizer_config(spec: RunSpec, n_parameters: int) -> OptimizerConfig:
     """Optimizer settings for a CLI run.
 
-    bfgs and gd run at the library defaults within their
-    VQE_DEFAULT_ITERATIONS budget.
+    bfgs runs at the library defaults within its VQE_DEFAULT_ITERATIONS
+    budget.
 
     SPSA perturbation sizes shrink with the parameter count: at the flat
     library defaults a ~100-parameter ansatz probes the landscape about a
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the active window: electrons,"
                              "spatial-orbitals (for example 8,6)")
     parser.add_argument("--optimizer", default=None,
-                        choices=["bfgs", "gd", "spsa"],
+                        choices=["bfgs", "spsa"],
                         help="vqe optimizer (default: bfgs for exact "
                              "expectations, spsa with --shots)")
     parser.add_argument("--shots", default="exact",
@@ -447,8 +447,8 @@ def _parse_shots(raw: str) -> Optional[int]:
 
 
 def _resolve_optimizer(raw: Optional[str], shots: Optional[int]) -> str:
-    """The optimizer flag, defaulted by the shot setting: bfgs and gd
-    differentiate exact expectations, so only spsa runs with shots."""
+    """The optimizer flag, defaulted by the shot setting: bfgs
+    differentiates exact expectations, so only spsa runs with shots."""
     if raw is None:
         return "bfgs" if shots is None else "spsa"
     if shots is not None and raw != "spsa":

@@ -7,7 +7,7 @@ Conventions, fixed package-wide:
     Hamiltonian is  H = E_core + sum_pq h_pq a_p^ a_q
                       + 1/2 sum_pqrs <pq|rs> a_p^ a_q^ a_s a_r;
   - FermionOperator terms are tuples of (orbital index, dagger flag), kept
-    exactly as constructed, with a separate normal-ordering operation.
+    exactly as constructed; the qubit mappings take them in that order.
 """
 
 from dataclasses import dataclass
@@ -56,59 +56,6 @@ class FermionOperator:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def pruned(self, threshold: float = 1e-12) -> "FermionOperator":
-        return FermionOperator({k: c for k, c in self.terms.items()
-                                if abs(c) > threshold})
-
-    def normal_ordered(self, threshold: float = 1e-12) -> "FermionOperator":
-        """Rewrite with creations (descending index) left of annihilations
-        (descending index), applying the anticommutation rules."""
-        out = FermionOperator()
-        for key, coeff in self.terms.items():
-            for k2, c2 in _normal_order_term(key, coeff):
-                out.add_term(k2, c2)
-        return out.pruned(threshold)
-
-
-def _normal_order_term(key: TermKey, coeff: complex):
-    """Yield (key, coeff) pieces of one ladder product in canonical order."""
-    # bubble toward: daggers first (descending), then non-daggers (descending)
-    stack = [(list(key), coeff)]
-    results = []
-    while stack:
-        ops, c = stack.pop()
-        swapped = False
-        for i in range(len(ops) - 1):
-            (p, dp), (q, dq) = ops[i], ops[i + 1]
-            if dp == dq:
-                if p == q:
-                    # a a or a^ a^ with equal indices annihilates the term
-                    swapped = True
-                    results_piece = None
-                    ops = None
-                    break
-                if p < q:
-                    ops[i], ops[i + 1] = ops[i + 1], ops[i]
-                    c = -c
-                    swapped = True
-                    break
-            elif dp == 0 and dq == 1:
-                # a_p a_q^ = delta_pq - a_q^ a_p
-                rest = ops[: i] + ops[i + 2:]
-                if p == q:
-                    stack.append((rest, c))
-                ops[i], ops[i + 1] = ops[i + 1], ops[i]
-                c = -c
-                swapped = True
-                break
-        if ops is None:
-            continue
-        if swapped:
-            stack.append((ops, c))
-        else:
-            results.append((tuple(ops), c))
-    return results
 
 
 def mo_spatial_integrals(integrals: IntegralSet, mo_coefficients: np.ndarray):
@@ -220,18 +167,6 @@ def build_hamiltonian(so: SpinOrbitalIntegrals,
                     if abs(c) > threshold:
                         op.add_term(((p, 1), (q, 1), (s, 0), (r, 0)), c)
     return op
-
-
-def hamiltonian_expectation_hf(so: SpinOrbitalIntegrals) -> float:
-    """Energy of the aufbau determinant, a cheap independent consistency hook."""
-    occ = list(range(so.n_electrons))
-    e = so.core_energy
-    for i in occ:
-        e += so.one_body[i, i].real
-    for i in occ:
-        for j in occ:
-            e += 0.5 * (so.two_body[i, j, i, j] - so.two_body[i, j, j, i]).real
-    return e
 
 
 def number_operator(n_modes: int) -> FermionOperator:

@@ -4,7 +4,7 @@ All internal coordinates are in Bohr; XYZ files are read as Angstrom and
 converted on input. Energies elsewhere in the package are in Hartree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np

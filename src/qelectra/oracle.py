@@ -1,4 +1,4 @@
-"""Reference answers: exact diagonalization and a Metropolis sampler.
+"""Reference answers: exact diagonalization.
 
 These routines are the independent yardstick the variational code is
 measured against. The matrix builder uses the same little-endian
@@ -17,8 +17,7 @@ The whole register is the default basis, kept for tests.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .pauli import PauliString, PauliSum, bit_parity
 
@@ -169,55 +168,3 @@ def exact_ground_energy(hamiltonian,
     """
     return float(lowest_eigenvalues(hamiltonian, k=1, basis=basis)[0])
 
-
-# ---- Metropolis sampling ---------------------------------------------------
-
-@dataclass
-class MetropolisConfig:
-    n_samples: int
-    temperature: float = 1.0
-    burn_in: int = 0
-    seed: Optional[int] = None
-
-
-@dataclass
-class MetropolisResult:
-    samples: np.ndarray
-    acceptance_rate: float
-    mean_energy: float
-
-
-def metropolis_sample(energy: Callable, proposal: Callable, initial,
-                      config: MetropolisConfig) -> MetropolisResult:
-    """Metropolis chain over an arbitrary discrete or continuous state.
-
-    `energy(state)` returns a float; `proposal(state, rng)` returns a
-    candidate state. A move with energy change dE is accepted when dE <= 0,
-    otherwise with probability exp(-dE / T). Burn-in sweeps are discarded
-    from the returned samples and from the acceptance statistics.
-    """
-    if config.n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if config.temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    rng = np.random.default_rng(config.seed)
-    state = initial
-    e_cur = float(energy(state))
-    energies = np.empty(config.n_samples)
-    accepted = 0
-    total = config.burn_in + config.n_samples
-    for step in range(total):
-        candidate = proposal(state, rng)
-        e_new = float(energy(candidate))
-        d_e = e_new - e_cur
-        take = d_e <= 0.0 or rng.random() < np.exp(-d_e / config.temperature)
-        if take:
-            state = candidate
-            e_cur = e_new
-        if step >= config.burn_in:
-            if take:
-                accepted += 1
-            energies[step - config.burn_in] = e_cur
-    rate = accepted / config.n_samples
-    return MetropolisResult(samples=energies, acceptance_rate=rate,
-                            mean_energy=float(energies.mean()))

@@ -14,7 +14,7 @@ row q. Ladder images and encoded states both come from those rows, so
 inverse map is needed. A binary-code style transformation is out of scope
 and requesting one raises immediately.
 
-Letters order in text form: character k acts on qubit k.
+In a letters string, character k acts on qubit k.
 """
 
 import itertools
@@ -246,38 +246,6 @@ class PauliSum:
                         {k: c for k, c in self._data.items()
                          if abs(c) > threshold})
 
-    # ---- text round trip -----------------------------------------------------
-    def to_text(self) -> str:
-        """One `<re> <im> <letters>` line per term, sorted by letters."""
-        rows = []
-        for (x, z), c in self._data.items():
-            n_y = (x & z).bit_count()
-            letters = PauliString.from_masks(self.n_qubits, x, z, n_y).letters
-            rows.append((letters, c))
-        rows.sort(key=lambda t: t[0])
-        return "\n".join(f"{c.real!r} {c.imag!r} {letters}"
-                         for letters, c in rows)
-
-    @classmethod
-    def from_text(cls, text: str) -> "PauliSum":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty Pauli-sum text")
-        n_qubits = None
-        out = None
-        for ln in lines:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed line {ln!r}")
-            re_c, im_c, letters = float(parts[0]), float(parts[1]), parts[2]
-            if n_qubits is None:
-                n_qubits = len(letters)
-                out = cls(n_qubits)
-            elif len(letters) != n_qubits:
-                raise ValueError("inconsistent register sizes in text")
-            out.add_string(PauliString(letters), complex(re_c, im_c))
-        return out
-
 
 # ---- GF(2) encodings and ladder-operator images ------------------------------
 
@@ -446,73 +414,3 @@ def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
     states = spin_states(0, n_alpha)[:, None] ^ spin_states(1, n_beta)
     return np.sort(states, axis=None)
 
-
-# ---- parity two-qubit reduction ----------------------------------------------
-
-def taper_parity_two_qubits(op: FermionOperator, n_modes: int,
-                            n_electrons: int, two_s_z: int = 0,
-                            threshold: float = DEFAULT_PRUNE_THRESHOLD) -> PauliSum:
-    """Parity-map with spin-blocked ordering and drop the two fixed qubits.
-
-    Under a blocked (all alpha, then all beta) mode order, the parity
-    encoding stores the alpha-sector parity on qubit n/2 - 1 and the total
-    parity on qubit n - 1. Both are constants of motion once the particle
-    number and S_z sector are fixed, so their Z eigenvalues are substituted
-    and the qubits removed. The register shrinks by two; the remaining
-    qubit order is preserved.
-
-    Only valid for operators that conserve both symmetries; anything with
-    X or Y support on the fixed qubits raises.
-    """
-    if n_modes % 2 != 0:
-        raise ValueError("parity reduction needs an even register")
-    if (n_electrons + two_s_z) % 2 != 0:
-        raise ValueError("n_electrons + 2*S_z must be even")
-    n_alpha = (n_electrons + two_s_z) // 2
-    if not 0 <= n_alpha <= n_electrons:
-        raise ValueError(f"unphysical sector: n_alpha = {n_alpha}")
-
-    half = n_modes // 2
-
-    def blocked(m: int) -> int:
-        return m // 2 if m % 2 == 0 else half + m // 2
-
-    relabeled = FermionOperator(
-        {tuple((blocked(i), d) for i, d in key): c
-         for key, c in op.terms.items()})
-    mapped = map_fermion(relabeled, MappingKind.PARITY, n_modes, threshold)
-
-    k1 = half - 1
-    k2 = n_modes - 1
-    s1 = -1.0 if n_alpha % 2 else 1.0
-    s2 = -1.0 if n_electrons % 2 else 1.0
-
-    out = PauliSum(n_modes - 2)
-    for (x, z), c in mapped.items():
-        if (x >> k1) & 1 or (x >> k2) & 1:
-            raise ValueError(
-                "operator does not commute with the tapered symmetries")
-        factor = 1.0
-        if (z >> k1) & 1:
-            factor *= s1
-        if (z >> k2) & 1:
-            factor *= s2
-        xr = _drop_bits(x, (k1, k2))
-        zr = _drop_bits(z, (k1, k2))
-        n_y = (xr & zr).bit_count()
-        out.add_string(PauliString.from_masks(n_modes - 2, xr, zr, n_y),
-                       c * factor)
-    return out.simplify(threshold)
-
-
-def _drop_bits(mask: int, positions) -> int:
-    """Remove the given bit positions and close the gaps."""
-    out = 0
-    out_bit = 0
-    for k in range(max(mask.bit_length(), max(positions) + 1)):
-        if k in positions:
-            continue
-        if (mask >> k) & 1:
-            out |= 1 << out_bit
-        out_bit += 1
-    return out

@@ -14,8 +14,6 @@ pipeline.canonical_formula.
 
 from typing import Dict, Optional
 
-from .molecule import Molecule
-
 REFERENCE_ENERGIES: Dict[str, Dict[str, float]] = {
     "H2O": {
         "hf": -76.02679364497443,

@@ -22,7 +22,7 @@ loop is the reference that route is checked against.
 
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .pauli import PauliString, PauliSum, bit_parity
 
@@ -342,13 +342,3 @@ class Circuit:
             psi = cos * psi + isin * image
             lam = cos * lam + isin * ((signs * lam[order]) * phase)
         return gradient
-
-
-def reference_state(n_qubits: int, set_qubits: Iterable[int]) -> StateVector:
-    """Basis state with the listed qubits set to 1."""
-    index = 0
-    for q in set_qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit {q} outside register")
-        index |= 1 << q
-    return StateVector.computational_basis(n_qubits, index)

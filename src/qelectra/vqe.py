@@ -7,15 +7,16 @@ imaginary coefficients and exponentiates to a product of Pauli rotations.
 For these generators the mapped strings commute pairwise (asserted at
 build time), which makes the per-generator product exact.
 
-Three optimizers are provided. BFGS with an Armijo line search and plain
-gradient descent take exact gradients: one circuit run forward and one
-adjoint sweep back (`Circuit.adjoint_gradient`) give the energy and all
-its parameter derivatives. BFGS stops when the largest derivative is below
-its tolerance, gradient descent after `patience` consecutive sub-tolerance
-energy changes. Simultaneous-perturbation stochastic approximation, with
-the standard gain schedules and the same patience rule, needs only
-energies and is the one optimizer for shot-sampled runs. All three record
-the energy trajectory, one entry per accepted iterate.
+Two optimizers are provided. BFGS with an Armijo line search takes exact
+gradients: one circuit run forward and one adjoint sweep back
+(`Circuit.adjoint_gradient`) give the energy and all its parameter
+derivatives. It stops when the largest derivative is below its tolerance,
+or once an accepted step changes the energy only at the level of
+rounding. Simultaneous-perturbation stochastic approximation, with the
+standard gain schedules, needs only energies and is the one optimizer for
+shot-sampled runs; it stops after `patience` consecutive sub-tolerance
+energy changes. Both record the energy trajectory, one entry per accepted
+iterate.
 
 Every generator conserves the particle number and S_z, so the ansatz
 state stays in the (N, S_z) sector of its aufbau reference. An exact
@@ -183,9 +184,13 @@ ARMIJO_C1 = 1e-4
 # BFGS gives up on a line search once the step falls below this fraction
 # of the quasi-Newton step: no decrease is left at machine precision
 MIN_STEP = 1e-10
+# BFGS ends a run once an accepted step moves the energy by at most this
+# fraction of |E| (4 eps): the energy no longer resolves further descent,
+# and later line searches would only fail on rounding
+ROUNDING_LEVEL = 4.0 * float(np.finfo(float).eps)
 # convergence tolerance per optimizer kind: a gradient bound for bfgs, an
-# energy change for spsa and gd
-_DEFAULT_TOLERANCE = {"spsa": 1e-5, "gd": 1e-8, "bfgs": 1e-6}
+# energy change for spsa
+_DEFAULT_TOLERANCE = {"spsa": 1e-5, "bfgs": 1e-6}
 
 
 @dataclass
@@ -194,14 +199,12 @@ class OptimizerConfig:
 
     kind "bfgs": quasi-Newton descent on exact adjoint gradients, with a
     dense inverse Hessian and an Armijo backtracking line search; converged
-    when max |dE/dtheta| <= `tolerance` (default 1e-6).
+    when max |dE/dtheta| <= `tolerance` (default 1e-6). It needs exact
+    expectations.
     kind "spsa": gains a_k = a / (k + 1 + A)**alpha and
     c_k = c / (k + 1)**gamma with Rademacher directions from the seeded
-    generator; A defaults to 0.1 * max_iterations.
-    kind "gd": fixed-step descent on exact adjoint gradients.
-    spsa and gd converge after `patience` consecutive energy changes below
-    `tolerance` (default 1e-5 for spsa, 1e-8 for gd). bfgs and gd need
-    exact expectations.
+    generator; A defaults to 0.1 * max_iterations. Converged after
+    `patience` consecutive energy changes below `tolerance` (default 1e-5).
     """
     kind: str = "spsa"
     max_iterations: int = 200
@@ -210,7 +213,6 @@ class OptimizerConfig:
     alpha: float = 0.602
     gamma: float = 0.101
     big_a: Optional[float] = None
-    learning_rate: float = 0.1
     tolerance: Optional[float] = None
     patience: int = 5
     seed: Optional[int] = None
@@ -220,7 +222,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        for name in ("a", "c", "alpha", "gamma", "learning_rate"):
+        for name in ("a", "c", "alpha", "gamma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.tolerance is not None and self.tolerance <= 0:
@@ -355,15 +357,11 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
     converged = False
     iterations_done = 0
     for k in range(config.max_iterations):
-        if config.kind == "spsa":
-            a_k = config.a / (k + 1 + big_a) ** config.alpha
-            c_k = config.c / (k + 1) ** config.gamma
-            gradient = spsa_gradient_estimate(evaluate, theta, c_k, rng)
-            theta = theta - a_k * gradient
-            e_new = evaluate(theta)
-        else:
-            theta = theta - config.learning_rate * gradient
-            e_new, gradient = evaluate_with_gradient(theta)
+        a_k = config.a / (k + 1 + big_a) ** config.alpha
+        c_k = config.c / (k + 1) ** config.gamma
+        gradient = spsa_gradient_estimate(evaluate, theta, c_k, rng)
+        theta = theta - a_k * gradient
+        e_new = evaluate(theta)
         record(e_new, theta)
         iterations_done = k + 1
         if abs(e_new - e_current) <= tol:
@@ -387,7 +385,9 @@ def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
     before its first update; a step with s.y <= 0 leaves it unchanged, so
     it stays positive definite. Each iteration backtracks by halves from
     the full quasi-Newton step until the Armijo condition holds and records
-    the accepted iterate. Converged means max |gradient| <= tolerance.
+    the accepted iterate. Converged means max |gradient| <= tolerance. An
+    accepted step with |dE| <= ROUNDING_LEVEL * |E| ends the run there,
+    converged only if that iterate meets the gradient bound.
     """
     tol = config.effective_tolerance
     inverse = np.eye(theta.size)
@@ -414,8 +414,11 @@ def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
             hy = inverse @ y
             inverse += ((rho * rho * float(y @ hy) + rho) * np.outer(s, s)
                         - rho * (np.outer(hy, s) + np.outer(s, hy)))
+        stalled = abs(e_trial - energy) <= ROUNDING_LEVEL * abs(e_trial)
         theta, energy, gradient = trial, e_trial, g_trial
         record(energy, theta)
+        if stalled:
+            return bool(np.max(np.abs(gradient)) <= tol), k + 1
     return bool(np.max(np.abs(gradient)) <= tol), config.max_iterations
 
 

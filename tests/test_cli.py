@@ -118,13 +118,13 @@ def test_spsa_budget_grows_with_parameter_count_but_gains_do_not():
         assert config.seed == 0
 
 
-def test_gd_optimizer_converges_tightly(capsys):
+def test_bfgs_optimizer_converges_tightly(capsys):
     code, out, _ = run_cli(capsys, "--molecule", "h2",
-                           "--method", "vqe,fci", "--optimizer", "gd",
+                           "--method", "vqe,fci", "--optimizer", "bfgs",
                            "--output", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["optimizer"] == "gd"
+    assert doc["optimizer"] == "bfgs"
     assert doc["methods"]["vqe"]["energy_hartree"] == pytest.approx(
         doc["methods"]["fci"]["energy_hartree"], abs=1e-6)
 
@@ -139,7 +139,7 @@ def test_default_optimizer_follows_the_shot_setting(capsys, shots,
     assert json.loads(out)["optimizer"] == optimizer
 
 
-@pytest.mark.parametrize("optimizer", ["bfgs", "gd"])
+@pytest.mark.parametrize("optimizer", ["bfgs"])
 def test_gradient_optimizers_refuse_shots_before_the_chain_runs(
         capsys, monkeypatch, optimizer):
     def refuse(*args, **kwargs):
@@ -218,6 +218,16 @@ def test_unknown_flag_exits_one(capsys):
         cli.main(["--molecule", "h2", "--frobnicate"])
     assert info.value.code == 1
     assert "usage" in capsys.readouterr().err
+
+
+def test_removed_gd_optimizer_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--molecule", "h2", "--method", "vqe", "--optimizer",
+                  "gd"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --optimizer: invalid choice: 'gd'" in captured.err
 
 
 def test_missing_molecule_flag_exits_one(capsys):

@@ -1,12 +1,11 @@
-"""Second-quantization layer: normal ordering, Hamiltonian assembly (checked
-against dense ladder matrices built from scratch), and active windows."""
+"""Second-quantization layer: Hamiltonian assembly (checked against dense
+ladder matrices built from scratch) and active windows."""
 
 import numpy as np
 import pytest
 
 from qelectra.fermion import (ActiveSpaceSpec, FermionOperator,
                               SpinOrbitalIntegrals, build_hamiltonian,
-                              hamiltonian_expectation_hf,
                               mo_spatial_integrals, number_operator,
                               spatial_active_space, sz_operator,
                               to_spin_orbitals)
@@ -16,6 +15,7 @@ from qelectra.oracle import exact_ground_energy, pauli_to_sparse
 from qelectra.pauli import MappingKind, map_fermion
 from qelectra.pipeline import shipped_geometry
 from qelectra.scf import run_rhf
+from qelectra.simulator import StateVector
 
 
 def dense_annihilator(mode, n_modes):
@@ -91,39 +91,12 @@ def h2_spin_orbitals():
     return scf, full_spin_orbitals(ints, scf, 2)
 
 
-def test_normal_ordering_car():
-    # a_0 a_0^dagger = 1 - a_0^dagger a_0
-    op = FermionOperator({((0, 0), (0, 1)): 1.0})
-    no = op.normal_ordered()
-    assert no.constant() == pytest.approx(1.0)
-    assert no.terms[((0, 1), (0, 0))] == pytest.approx(-1.0)
-
-
-def test_normal_ordering_kills_repeated_ladders():
-    op = FermionOperator({((1, 1), (1, 1)): 2.0, ((0, 0), (0, 0)): 3.0})
-    assert len(op.normal_ordered()) == 0
-
-
-def test_normal_ordering_matches_dense_matrices():
-    rng = np.random.default_rng(11)
-    n_modes = 3
-    op = FermionOperator()
-    for _ in range(12):
-        length = rng.integers(1, 5)
-        key = tuple((int(rng.integers(0, n_modes)), int(rng.integers(0, 2)))
-                    for _ in range(length))
-        op.add_term(key, complex(rng.normal(), rng.normal()))
-    no = op.normal_ordered()
-    assert np.allclose(dense_operator(op, n_modes),
-                       dense_operator(no, n_modes), atol=1e-12)
-
-
 def test_h2_term_count():
     _, so = h2_spin_orbitals()
-    no = build_hamiltonian(so).normal_ordered()
-    body_terms = [k for k in no.terms if k]
-    assert len(body_terms) == 14
-    assert no.constant() == pytest.approx(so.core_energy)
+    ham = build_hamiltonian(so)
+    assert ham.constant() == so.core_energy
+    assert len(map_fermion(ham, MappingKind.JORDAN_WIGNER,
+                           so.n_orbitals)) == 15
 
 
 def test_hamiltonian_against_dense_ladder_construction():
@@ -158,13 +131,6 @@ def test_two_body_spin_selection():
     assert g[0, 1, 0, 1] != pytest.approx(0.0, abs=1e-6)
 
 
-def test_hf_expectation_shortcut():
-    _, so = h2_spin_orbitals()
-    scf, _ = h2_spin_orbitals()
-    assert hamiltonian_expectation_hf(so) == pytest.approx(scf.e_total,
-                                                           abs=1e-10)
-
-
 def test_active_space_routes_agree():
     # folding in the spatial basis and in the spin-orbital basis must
     # produce identical reduced problems
@@ -188,7 +154,11 @@ def test_active_space_preserves_total_hf_energy():
     ints = compute_integrals(mol, "sto-3g")
     scf = run_rhf(ints, 10)
     so_act = active_spin_orbitals(ints, scf, 10, ActiveSpaceSpec(8, 6))
-    assert hamiltonian_expectation_hf(so_act) == pytest.approx(
+    # the window's aufbau determinant, 8 electrons in 12 Jordan-Wigner modes
+    reference = StateVector.computational_basis(12, 0xFF)
+    hamiltonian = map_fermion(build_hamiltonian(so_act),
+                              MappingKind.JORDAN_WIGNER, 12)
+    assert reference.expectation(hamiltonian) == pytest.approx(
         scf.e_total, abs=1e-9)
 
 

@@ -1,4 +1,4 @@
-"""Exact diagonalization and Metropolis sampling."""
+"""Exact diagonalization: the Pauli matrix builder and the eigensolver."""
 
 import dataclasses
 
@@ -12,17 +12,15 @@ from qelectra import cli
 from qelectra.fermion import FermionOperator, number_operator
 from qelectra.oracle import (
     MAX_SPARSE_QUBITS,
-    MetropolisConfig,
     exact_ground_energy,
     lowest_eigenvalues,
-    metropolis_sample,
     pauli_to_sparse,
 )
 from qelectra.pauli import (MappingKind, PauliString, PauliSum,
                             encode_occupation, map_fermion, sector_basis)
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
-from test_pauli import dense, dense_sum
+from test_pauli import dense_sum
 
 
 def test_single_letter_matrices():
@@ -290,69 +288,3 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
         system=dataclasses.replace(system, qubit_hamiltonian=shifted))
     assert report.result("fci").energy == pytest.approx(want, abs=1e-12)
 
-
-# ---- Metropolis --------------------------------------------------------------
-
-
-def two_level_flip(state, rng):
-    return 1 - state
-
-
-def test_two_level_occupation_matches_boltzmann():
-    config = MetropolisConfig(n_samples=100_000, temperature=1.0,
-                              burn_in=1_000, seed=8)
-    result = metropolis_sample(float, two_level_flip, 0, config)
-    p_excited = result.samples.mean()
-    ratio = p_excited / (1.0 - p_excited)
-    want = np.exp(-1.0)
-    p_exact = want / (1.0 + want)
-    sigma = np.sqrt(p_exact * (1.0 - p_exact) / config.n_samples)
-    # the chain is correlated, so allow a few extra sigma of slack
-    assert abs(p_excited - p_exact) < 5.0 * sigma
-    assert abs(ratio - want) < 0.02
-    assert result.mean_energy == pytest.approx(result.samples.mean())
-    assert 0.0 < result.acceptance_rate <= 1.0
-
-
-def test_metropolis_is_deterministic_per_seed():
-    config = MetropolisConfig(n_samples=2_000, temperature=0.5, seed=13)
-    first = metropolis_sample(float, two_level_flip, 0, config)
-    second = metropolis_sample(float, two_level_flip, 0, config)
-    assert np.array_equal(first.samples, second.samples)
-    assert first.acceptance_rate == second.acceptance_rate
-    third = metropolis_sample(
-        float, two_level_flip, 0,
-        MetropolisConfig(n_samples=2_000, temperature=0.5, seed=14))
-    assert not np.array_equal(first.samples, third.samples)
-
-
-def test_downhill_moves_always_accepted_and_burn_in_discarded():
-    config = MetropolisConfig(n_samples=5, burn_in=10, seed=0)
-    result = metropolis_sample(float, lambda s, rng: s - 1, 100, config)
-    assert np.array_equal(result.samples, [89.0, 88.0, 87.0, 86.0, 85.0])
-    assert result.acceptance_rate == 1.0
-
-
-def test_uphill_moves_frozen_out_at_low_temperature():
-    config = MetropolisConfig(n_samples=200, temperature=1e-9, seed=1)
-    result = metropolis_sample(float, lambda s, rng: s + 1, 3, config)
-    assert np.all(result.samples == 3.0)
-    assert result.acceptance_rate == 0.0
-
-
-def test_flat_landscape_accepts_everything():
-    config = MetropolisConfig(n_samples=50, seed=2)
-    result = metropolis_sample(lambda s: 0.0, lambda s, rng: s + 1, 0, config)
-    assert result.acceptance_rate == 1.0
-
-
-def test_metropolis_config_validation():
-    with pytest.raises(ValueError):
-        metropolis_sample(float, two_level_flip, 0,
-                          MetropolisConfig(n_samples=0))
-    with pytest.raises(ValueError):
-        metropolis_sample(float, two_level_flip, 0,
-                          MetropolisConfig(n_samples=10, temperature=0.0))
-    with pytest.raises(ValueError):
-        metropolis_sample(float, two_level_flip, 0,
-                          MetropolisConfig(n_samples=10, temperature=-1.0))

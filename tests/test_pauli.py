@@ -1,4 +1,4 @@
-"""Pauli algebra, GF(2) encodings, fermion-to-qubit mappings, tapering."""
+"""Pauli algebra, GF(2) encodings and fermion-to-qubit mappings."""
 
 from math import comb
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelectra.fermion import FermionOperator, number_operator, sz_operator
-from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
+from qelectra.fermion import number_operator, sz_operator
+from qelectra.oracle import pauli_to_sparse
 from qelectra.pauli import (
     MappingKind,
     PauliString,
@@ -19,7 +19,6 @@ from qelectra.pauli import (
     map_fermion,
     mapping_from_name,
     sector_basis,
-    taper_parity_two_qubits,
 )
 from test_fermion import dense_annihilator
 
@@ -174,25 +173,6 @@ def test_is_hermitian_checks_imaginary_parts():
     assert op.is_hermitian()
     op.add_string(PauliString("Z"), 0.5j)
     assert not op.is_hermitian()
-
-
-def test_text_round_trip():
-    op = PauliSum(3)
-    op.add_string(PauliString("XYZ"), 0.5 - 0.25j)
-    op.add_string(PauliString("IIZ"), 1.75)
-    back = PauliSum.from_text(op.to_text())
-    assert back.n_qubits == 3
-    assert back.coefficient("XYZ") == pytest.approx(0.5 - 0.25j)
-    assert back.coefficient("IIZ") == pytest.approx(1.75)
-
-
-def test_from_text_rejects_bad_input():
-    with pytest.raises(ValueError):
-        PauliSum.from_text("")
-    with pytest.raises(ValueError):
-        PauliSum.from_text("1.0 XX")
-    with pytest.raises(ValueError):
-        PauliSum.from_text("1.0 0.0 XX\n1.0 0.0 XXX")
 
 
 # ---- ladder images -----------------------------------------------------------
@@ -415,37 +395,6 @@ def test_sector_basis_validation():
         sector_basis(MappingKind.PARITY, 4, 3, 0)
     with pytest.raises(ValueError, match="do not fit"):
         sector_basis(MappingKind.PARITY, 4, 1, -1)
-
-
-# ---- parity taper -------------------------------------------------------------
-
-
-def test_taper_reduces_register_and_keeps_ground_energy(assembled):
-    system = assembled("h2")
-    n = system.n_qubits
-    n_e = system.spin_orbitals.n_electrons
-    tapered = taper_parity_two_qubits(system.hamiltonian, n, n_e)
-    assert tapered.n_qubits == n - 2
-    assert tapered.is_hermitian()
-    full = lowest_eigenvalues(system.qubit_hamiltonian, k=1)[0]
-    small = lowest_eigenvalues(tapered, k=1)[0]
-    assert small == pytest.approx(full, abs=1e-10)
-    assert len(tapered) <= len(system.qubit_hamiltonian)
-
-
-def test_taper_rejects_symmetry_breaking_operator():
-    # a lone annihilator flips the conserved parities
-    op = FermionOperator({((0, False),): 1.0})
-    with pytest.raises(ValueError, match="commute"):
-        taper_parity_two_qubits(op, 4, 2)
-
-
-def test_taper_validates_sector():
-    op = number_operator(4)
-    with pytest.raises(ValueError):
-        taper_parity_two_qubits(op, 5, 2)
-    with pytest.raises(ValueError):
-        taper_parity_two_qubits(op, 4, 2, two_s_z=1)
 
 
 def test_encode_occupation_values_and_validation():

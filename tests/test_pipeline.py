@@ -1,8 +1,10 @@
-"""End-to-end assembly, shipped-molecule registry, scan plumbing helpers."""
+"""End-to-end assembly, shipped-molecule registry, scan plumbing helpers,
+and the package exports."""
 
 import numpy as np
 import pytest
 
+import qelectra
 from qelectra.cli import RunSpec, execute
 from qelectra.fermion import ActiveSpaceSpec
 from qelectra.molecule import from_atom_list
@@ -22,6 +24,13 @@ from qelectra.pipeline import (
 )
 
 
+def test_every_export_resolves():
+    missing = [name for name in qelectra.__all__
+               if not hasattr(qelectra, name)]
+    assert missing == []
+    assert len(set(qelectra.__all__)) == len(qelectra.__all__)
+
+
 def test_assembled_hydrogen_fields(assembled):
     system = assembled("h2")
     assert system.basis_name == "sto-3g"
@@ -30,7 +39,7 @@ def test_assembled_hydrogen_fields(assembled):
     assert system.active_space == ActiveSpaceSpec(2, 2)
     assert system.spin_orbitals.n_electrons == 2
     assert system.e_hf == pytest.approx(-1.1169989968520082, abs=1e-10)
-    assert len(system.hamiltonian.normal_ordered()) == 15
+    assert len(system.qubit_hamiltonian) == 15
     assert system.qubit_hamiltonian.n_qubits == 4
     assert system.h_mo.shape == (2, 2)
     assert system.eri_mo.shape == (2, 2, 2, 2)

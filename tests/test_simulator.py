@@ -13,7 +13,6 @@ from qelectra.simulator import (
     Circuit,
     Instruction,
     StateVector,
-    reference_state,
 )
 from qelectra.vqe import ansatz_circuit, build_uccsd
 from test_pauli import dense, dense_sum
@@ -253,7 +252,7 @@ def test_circuit_zero_angles_reproduce_reference():
     circ.add_x(2)
     circ.add_exponential(PauliString("XYZ"), 0, scale=2.0)
     out = circ.run([0.0])
-    assert np.allclose(out.data, reference_state(3, [0, 2]).data)
+    assert np.allclose(out.data, StateVector.computational_basis(3, 0b101).data)
 
 
 def test_circuit_scale_multiplies_parameter():
@@ -361,11 +360,3 @@ def test_circuit_recompiles_after_instructions_change():
     circ.instructions[0] = Instruction(kind="x", qubit=2)
     third = circ.run(theta).data
     assert np.array_equal(third, run_one_by_one(circ, theta).data)
-
-
-def test_reference_state_sets_requested_qubits():
-    sv = reference_state(4, [1, 3])
-    assert sv.data[0b1010] == 1.0
-    assert sv.norm() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        reference_state(2, [2])

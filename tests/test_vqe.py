@@ -111,27 +111,6 @@ def test_ansatz_circuit_validation():
     assert state.norm() == pytest.approx(1.0)
 
 
-def test_gradient_descent_reaches_exact_ground_state(assembled):
-    system = assembled("h2")
-    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    config = OptimizerConfig(kind="gd", max_iterations=100)
-    result = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                     kind=MappingKind.PARITY)
-    target = exact_ground_energy(system.qubit_hamiltonian)
-    assert result.converged
-    assert result.e_min == pytest.approx(target, abs=1e-6)
-    assert result.e_min <= system.e_hf + 1e-12
-    # bookkeeping: one record per iteration plus the starting point, and
-    # the reported minimum is the best recorded energy
-    assert len(result.energy_history) == result.n_iterations + 1
-    assert len(result.theta_history) == len(result.energy_history)
-    assert result.evaluation_history[-1] == result.n_evaluations
-    assert result.e_min == min(result.energy_history)
-    # one energy-plus-gradient evaluation per iteration
-    assert result.evaluation_history == list(range(1, len(
-        result.energy_history) + 1))
-
-
 @settings(deadline=None, max_examples=5)
 @given(data=st.data())
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -191,7 +170,9 @@ def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
     # Armijo steps only go down, one record per accepted iterate
     assert np.all(np.diff(result.energy_history) < 0.0)
     assert len(result.energy_history) == result.n_iterations + 1
+    assert len(result.theta_history) == len(result.energy_history)
     assert result.evaluation_history[-1] == result.n_evaluations
+    assert result.e_min == min(result.energy_history)
     circuit = ansatz_circuit(ansatz, kind=kind)
     psi = circuit.run(result.theta_star).data
     lam = oracle.pauli_to_sparse(hamiltonian) @ psi
@@ -200,8 +181,9 @@ def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
 
 
 def test_bfgs_stops_when_no_descent_is_left(assembled):
-    # a gradient bound below what double precision resolves: near the
-    # minimum the Armijo test fails on rounding, and the run ends there
+    # a gradient bound below what double precision resolves: the run ends
+    # at the first step that moves the energy only at rounding level
+    # (iterate 17, 18 evaluations) instead of in failing line searches
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     result = run_vqe(system.qubit_hamiltonian, ansatz,
@@ -209,12 +191,13 @@ def test_bfgs_stops_when_no_descent_is_left(assembled):
                      kind=MappingKind.PARITY)
     assert not result.converged
     assert result.n_iterations < 200
+    assert result.n_evaluations <= 20
     assert result.e_min == pytest.approx(
         exact_ground_energy(system.qubit_hamiltonian, basis=system.sector()),
         abs=1e-10)
 
 
-@pytest.mark.parametrize("optimizer", ["bfgs", "gd"])
+@pytest.mark.parametrize("optimizer", ["bfgs"])
 def test_gradient_optimizers_refuse_shots(optimizer, assembled,
                                           monkeypatch):
     system = assembled("h2")
@@ -263,16 +246,16 @@ def test_initial_parameters_are_honored(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     warm = run_vqe(system.qubit_hamiltonian, ansatz,
-                   OptimizerConfig(kind="gd", max_iterations=60),
+                   OptimizerConfig(kind="bfgs", max_iterations=60),
                    kind=MappingKind.PARITY)
     resumed = run_vqe(system.qubit_hamiltonian, ansatz,
-                      OptimizerConfig(kind="gd", max_iterations=20),
+                      OptimizerConfig(kind="bfgs", max_iterations=20),
                       kind=MappingKind.PARITY,
                       initial_parameters=warm.theta_star)
     assert resumed.energy_history[0] == pytest.approx(warm.e_min, abs=1e-9)
     with pytest.raises(ValueError, match="length"):
         run_vqe(system.qubit_hamiltonian, ansatz,
-                OptimizerConfig(kind="gd"), kind=MappingKind.PARITY,
+                OptimizerConfig(kind="bfgs"), kind=MappingKind.PARITY,
                 initial_parameters=[0.0])
 
 
@@ -389,14 +372,15 @@ def test_empty_ansatz_returns_reference_energy():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError, match="kind"):
-        OptimizerConfig(kind="adam")
+    for kind in ("adam", "gd"):
+        with pytest.raises(ValueError, match="kind"):
+            OptimizerConfig(kind=kind)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(a=0.0)
     with pytest.raises(ValueError):
-        OptimizerConfig(learning_rate=-0.1)
+        OptimizerConfig(c=-0.1)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
@@ -407,10 +391,9 @@ def test_optimizer_config_defaults():
     spsa = OptimizerConfig(kind="spsa", max_iterations=300)
     assert spsa.effective_tolerance == 1e-5
     assert spsa.effective_big_a == pytest.approx(30.0)
-    gd = OptimizerConfig(kind="gd", tolerance=1e-4, big_a=7.0)
-    assert gd.effective_tolerance == 1e-4
-    assert gd.effective_big_a == 7.0
-    assert OptimizerConfig(kind="gd").effective_tolerance == 1e-8
+    custom = OptimizerConfig(kind="spsa", tolerance=1e-4, big_a=7.0)
+    assert custom.effective_tolerance == 1e-4
+    assert custom.effective_big_a == 7.0
     assert OptimizerConfig(kind="bfgs").effective_tolerance == 1e-6
 
 
@@ -434,8 +417,8 @@ def test_export_history_round_trip(tmp_path, assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     result = run_vqe(system.qubit_hamiltonian, ansatz,
-                     OptimizerConfig(kind="gd", max_iterations=3,
-                                     patience=1, tolerance=1e-20),
+                     OptimizerConfig(kind="spsa", max_iterations=3,
+                                     patience=1, tolerance=1e-20, seed=0),
                      kind=MappingKind.PARITY)
     buffer = io.StringIO()
     export_history(result, buffer)
