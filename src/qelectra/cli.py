@@ -19,11 +19,11 @@ from . import __version__
 from .fcidump import write_fcidump
 from .fermion import ActiveSpaceSpec
 from .molecule import Molecule
-from .oracle import MAX_SPARSE_QUBITS, exact_ground_energy
+from .oracle import exact_ground_energy
 from .pauli import MappingKind, mapping_from_name
 from .pipeline import (AssembledSystem, assemble, canonical_formula,
                        diatomic_geometry, display_name,
-                       load_molecule_argument, register_size)
+                       load_molecule_argument, sector_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
 from .vqe import OptimizerConfig, build_uccsd, run_vqe
 
@@ -36,6 +36,9 @@ _METHOD_ORDER = ("hf", "vqe", "fci")
 VQE_DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
 # ansatz size up to which the base SPSA budget applies unscaled
 SPSA_BUDGET_PARAMETERS = 48
+# FCI sector size the CLI accepts: CH4 (8e, 8o) has 4,900 determinants
+# and a 1.6 M-entry block; the full CH4 space has 15,876
+MAX_FCI_DETERMINANTS = 8192
 
 
 @dataclass
@@ -126,13 +129,14 @@ def execute(spec: RunSpec,
             system: Optional[AssembledSystem] = None) -> ComparisonReport:
     """Run the requested methods on one geometry."""
     if "fci" in spec.methods:
-        n_qubits = (system.n_qubits if system is not None else
-                    register_size(spec.molecule, spec.basis,
-                                  spec.active or "auto"))
-        if n_qubits > MAX_SPARSE_QUBITS:
+        n_determinants = (system.sector().size if system is not None else
+                          sector_size(spec.molecule, spec.basis,
+                                      spec.active or "auto"))
+        if n_determinants > MAX_FCI_DETERMINANTS:
             raise ValueError(
-                f"fci needs at most {MAX_SPARSE_QUBITS} qubits, got "
-                f"{n_qubits}; restrict the problem with --active-space")
+                f"fci needs at most {MAX_FCI_DETERMINANTS} determinants, "
+                f"got {n_determinants}; restrict the problem with "
+                "--active-space")
     if system is None:
         system = assemble(spec.molecule, basis=spec.basis,
                           active=spec.active or "auto", mapping=spec.mapping)

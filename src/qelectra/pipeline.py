@@ -9,6 +9,7 @@ representative while every system remains exactly diagonalizable.
 """
 
 import os
+from math import comb
 import numpy as np
 from dataclasses import dataclass
 from importlib import resources
@@ -181,6 +182,20 @@ def register_size(molecule: Molecule, basis: str = "sto-3g",
     spec = _resolve_active(molecule, active)
     n_spatial = len(load_basis(molecule, basis))
     return 2 * min(spec.n_active_orbitals if spec else n_spatial, n_spatial)
+
+
+def sector_size(molecule: Molecule, basis: str = "sto-3g",
+                active: Union[str, None, ActiveSpaceSpec] = _AUTO) -> int:
+    """Determinants in the sector `AssembledSystem.sector` would hold.
+
+    C(n_orb, n_e / 2) squared, from the basis size alone like
+    `register_size`, so an oversized FCI run can be refused before any
+    integral is computed.
+    """
+    spec = _resolve_active(molecule, active)
+    n_electrons = spec.n_active_electrons if spec else molecule.n_electrons
+    return comb(register_size(molecule, basis, spec) // 2,
+                n_electrons // 2) ** 2
 
 
 def assemble(molecule: Molecule, basis: str = "sto-3g",

@@ -155,23 +155,33 @@ def test_gradient_optimizers_refuse_shots_before_the_chain_runs(
 
 ROOT = Path(__file__).resolve().parents[1]
 
-NO_SCIPY_OPTIMIZE = """
+NO_SCIPY = """
 import contextlib, io, sys
 from qelectra import cli
+from qelectra.oracle import lowest_eigenvalues
+from qelectra.pauli import PauliString, PauliSum
 with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(["--molecule", "h2", "--method", "hf,vqe"])
-print(rc, "scipy.optimize" in sys.modules)
+    rc = cli.main(["--molecule", "h2", "--method", "hf,vqe,fci"])
+# 12 qubits, 4,096 dimensions: above the dense cutoff
+spins = PauliSum(12)
+for q in range(12):
+    spins.add_string(PauliString("I" * q + "Z" + "I" * (11 - q)), 1.0 + q)
+    spins.add_string(PauliString("I" * q + "X" + "I" * (11 - q)), 0.3)
+lowest_eigenvalues(spins, k=2)
+print(rc, *sorted(name for name in sys.modules
+                  if name == "scipy" or name.startswith("scipy.")))
 """
 
 
-def test_a_vqe_run_never_imports_scipy_optimize():
-    # importing scipy.optimize costs about 15 MB of resident memory
+def test_the_run_path_never_imports_scipy():
+    # importing scipy.sparse.linalg takes about 0.3 s and 30 MB of
+    # resident memory, more than a short run's own work
     env = dict(os.environ, PYTHONPATH="src")
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_OPTIMIZE],
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
+    assert done.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -192,7 +202,7 @@ def test_a_vqe_run_never_imports_scipy_optimize():
     (("--molecule", "h2o", "--scan", "1.2,1.6,3"), "diatomic"),
     (("--molecule", "h2", "--scan", "1.2,1.6,3", "--fcidump", "x.fcidump"),
      "single-run"),
-    (("--molecule", "ch4", "--method", "fci", "--active-space", "8,8"),
+    (("--molecule", "ch4", "--method", "fci", "--active-space", "10,9"),
      "--active-space"),
 ])
 def test_input_errors_exit_one(capsys, argv, fragment):
@@ -208,9 +218,18 @@ def test_fci_cap_is_checked_before_the_chain_runs(capsys, monkeypatch):
 
     monkeypatch.setattr(pipeline, "compute_integrals", refuse)
     code, _, err = run_cli(capsys, "--molecule", "ch4", "--method", "fci",
-                           "--active-space", "8,8")
+                           "--active-space", "10,9")
     assert code == 1
-    assert "fci needs at most 14 qubits, got 16" in err
+    assert "fci needs at most 8192 determinants, got 15876" in err
+
+
+def test_fci_runs_on_a_sector_above_the_dense_cutoff(capsys):
+    # CH4 (8e, 8o): 16 qubits and 4,900 determinants, solved by Davidson
+    code, out, err = run_cli(capsys, "--molecule", "ch4", "--method", "fci",
+                             "--active-space", "8,8", "--output", "json")
+    assert code == 0, err
+    energy = json.loads(out)["methods"]["fci"]["energy_hartree"]
+    assert energy == pytest.approx(-39.80526233501304, abs=1e-10)
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qelectra import cli
 from qelectra.fermion import FermionOperator, number_operator
+from qelectra import oracle
 from qelectra.oracle import (
     MAX_SPARSE_QUBITS,
     exact_ground_energy,
@@ -78,7 +79,9 @@ def test_sparse_build_matches_kron_reference(op):
     assert np.array_equal(matrix.toarray(), want)
     # no stored zeros: oracle.nnz counts nonzero entries
     assert matrix.nnz == np.count_nonzero(want)
-    assert matrix.has_canonical_format
+    # (row, col) pairs strictly ascending: sorted, no duplicates
+    row_step, col_step = np.diff(matrix.rows), np.diff(matrix.cols)
+    assert np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -106,6 +109,20 @@ def test_sparse_build_matches_term_by_term_action(assembled):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", list(MappingKind))
+def test_block_matvec_is_bit_identical_to_csr(kind):
+    # exact VQE energies are <psi|H psi> with this mat-vec, so it must
+    # add every row's products in the order a CSR mat-vec does
+    system = assemble(shipped_geometry("h2o"), mapping=kind)
+    block = pauli_to_sparse(system.qubit_hamiltonian, system.sector())
+    csr = sp.csr_matrix((block.values, (block.rows, block.cols)),
+                        shape=block.shape)
+    rng = np.random.default_rng(34)
+    psi = rng.standard_normal(block.shape[0]) \
+        + 1j * rng.standard_normal(block.shape[0])
+    assert np.array_equal(block @ psi, csr @ psi)
+
+
 def test_qubit_caps_enforced():
     big = PauliSum.identity(MAX_SPARSE_QUBITS + 1)
     with pytest.raises(ValueError, match="full-register matrix limit"):
@@ -127,11 +144,11 @@ def test_lowest_eigenvalues_dense_path():
 
 
 def test_lowest_eigenvalues_sparse_path():
-    # 1D Laplacian above the dense-direct cutoff; spectrum is known in
-    # closed form, so the Lanczos branch is checked independently
+    # 1D Laplacian just below the dense cutoff, so this checks the dense
+    # branch against a spectrum known in closed form
     n = 2000
-    lap = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
-                   offsets=(-1, 0, 1), format="csr")
+    lap = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
+           - np.diag(np.ones(n - 1), -1))
     got = lowest_eigenvalues(lap, k=4)
     want = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, 5) / (n + 1))
     assert np.allclose(got, want, atol=1e-9)
@@ -139,7 +156,7 @@ def test_lowest_eigenvalues_sparse_path():
 
 def test_full_spectrum_request_falls_back_to_dense():
     values = np.arange(2000, dtype=float)
-    diag = sp.diags(values, format="csr")
+    diag = np.diag(values)
     got = lowest_eigenvalues(diag, k=2000)
     assert np.allclose(got, values, atol=1e-10)
 
@@ -168,8 +185,41 @@ def test_non_hermitian_inputs_rejected():
         lowest_eigenvalues(PauliString("X", 1j))
     with pytest.raises(ValueError, match="Hermitian"):
         exact_ground_energy(PauliString("XY", -1j))
+    with pytest.raises(ValueError, match="Hermitian"):
+        lowest_eigenvalues(pauli_to_sparse(PauliString("X", 1j)))
     with pytest.raises(TypeError):
         lowest_eigenvalues("not an operator")
+
+
+def independent_spins(n, fields, coupling):
+    """H = sum_i (h_i Z_i + g X_i): each qubit contributes +-sqrt(h_i^2 +
+    g^2), so the spectrum is known in closed form."""
+    op = PauliSum(n)
+    for q, h in enumerate(fields):
+        for letter, coeff in (("Z", h), ("X", coupling)):
+            op.add_string(PauliString("I" * q + letter + "I" * (n - 1 - q)),
+                          coeff)
+    return op
+
+
+def test_davidson_branch_matches_a_closed_form_spectrum():
+    # 12 qubits, 4,096 dimensions: above the dense cutoff
+    fields = 1.0 + 0.37 * np.arange(12)
+    op = independent_spins(12, fields, 0.6)
+    levels = np.sqrt(fields ** 2 + 0.36)
+    # ground state, then the two cheapest single flips
+    want = -levels.sum() + np.concatenate([[0.0], 2.0 * np.sort(levels)[:2]])
+    assert np.allclose(lowest_eigenvalues(op, k=3), want, rtol=0.0,
+                       atol=1e-9)
+    assert np.allclose(lowest_eigenvalues(pauli_to_sparse(op), k=3), want,
+                       rtol=0.0, atol=1e-9)
+
+
+def test_davidson_that_does_not_converge_raises(monkeypatch):
+    op = independent_spins(12, 1.0 + 0.37 * np.arange(12), 0.6)
+    monkeypatch.setattr(oracle, "_DAVIDSON_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="residual"):
+        lowest_eigenvalues(op, k=3)
 
 
 def test_ground_energy_of_assembled_hydrogen(assembled):
@@ -229,7 +279,7 @@ def test_sector_block_equals_the_slice_of_the_full_matrix(case):
     operator, basis = case
     block = pauli_to_sparse(operator, basis)
     assert block.shape == (basis.size, basis.size)
-    want = pauli_to_sparse(operator)[basis][:, basis].toarray()
+    want = pauli_to_sparse(operator).toarray()[np.ix_(basis, basis)]
     assert np.array_equal(block.toarray(), want)
 
 
@@ -239,7 +289,8 @@ def test_lithium_hydride_sector_block_equals_the_slice(assembled):
     assert basis.size == 25
     block = pauli_to_sparse(system.qubit_hamiltonian, basis)
     full = pauli_to_sparse(system.qubit_hamiltonian)
-    assert np.array_equal(block.toarray(), full[basis][:, basis].toarray())
+    assert np.array_equal(block.toarray(),
+                          full.toarray()[np.ix_(basis, basis)])
 
 
 @pytest.mark.parametrize("kind", list(MappingKind))

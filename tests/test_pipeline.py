@@ -115,6 +115,8 @@ def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
                              methods=("hf", "fci")), system=system)
     assert report.result("hf").energy == pytest.approx(e_hf, abs=1e-6)
     assert report.result("fci").energy == pytest.approx(e_fci, abs=1e-6)
+    # the CLI's FCI cap counts, before any integral, the sector solved here
+    assert pipeline.sector_size(system.molecule) == system.sector().size
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))
