@@ -25,7 +25,7 @@ from .pipeline import (AssembledSystem, assemble, canonical_formula,
                        diatomic_geometry, display_name,
                        load_molecule_argument, sector_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
-from .vqe import OptimizerConfig, build_uccsd, run_vqe
+from .vqe import OptimizerConfig, build_uccsd, optimizer_kind, run_vqe
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -33,9 +33,6 @@ EXIT_NOT_CONVERGED = 2
 
 _METHOD_ORDER = ("hf", "vqe", "fci")
 
-VQE_DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
-# ansatz size up to which the base SPSA budget applies unscaled
-SPSA_BUDGET_PARAMETERS = 48
 # FCI sector size the CLI accepts: CH4 (8e, 8o) has 4,900 determinants
 # and a 1.6 M-entry block; the full CH4 space has 15,876
 MAX_FCI_DETERMINANTS = 8192
@@ -49,7 +46,7 @@ class RunSpec:
     methods: Tuple[str, ...] = ("hf",)
     mapping: MappingKind = MappingKind.PARITY
     active: Optional[ActiveSpaceSpec] = None    # None: the shipped window
-    optimizer: str = "bfgs"
+    optimizer: Optional[str] = None             # None: by the shot setting
     shots: Optional[int] = None
     seed: int = 0
     output: str = "table"
@@ -92,42 +89,14 @@ class ComparisonReport:
         return all(row.converged for row in self.results)
 
 
-def _optimizer_config(spec: RunSpec, n_parameters: int) -> OptimizerConfig:
-    """Optimizer settings for a CLI run.
-
-    bfgs runs at the library defaults within its VQE_DEFAULT_ITERATIONS
-    budget.
-
-    SPSA perturbation sizes shrink with the parameter count: at the flat
-    library defaults a ~100-parameter ansatz probes the landscape about a
-    radian away from the reference state, where the two-point estimate
-    carries no usable gradient signal and the optimizer stalls. Scaling c
-    like 1/sqrt(m) keeps the probe radius roughly constant; small systems
-    are unaffected by the cap.
-
-    The SPSA iteration budget grows with the parameter count, because the
-    variance of the two-point gradient estimate does: the base budget up
-    to SPSA_BUDGET_PARAMETERS parameters, base * m / SPSA_BUDGET_PARAMETERS
-    (rounded up) beyond. The gain schedule does not grow with it: the
-    stability constant A stays at 10% of the base budget, so a larger
-    budget only lets the same trajectory run longer.
-    """
-    if spec.optimizer == "spsa":
-        base = VQE_DEFAULT_ITERATIONS["spsa"]
-        m = max(1, n_parameters)
-        c = min(0.1, 0.25 / np.sqrt(m))
-        budget = max(base, -(-base * m // SPSA_BUDGET_PARAMETERS))
-        return OptimizerConfig(kind="spsa", max_iterations=budget,
-                               a=2.0 * c, c=c, big_a=0.1 * base,
-                               seed=spec.seed)
-    return OptimizerConfig(
-        kind=spec.optimizer,
-        max_iterations=VQE_DEFAULT_ITERATIONS[spec.optimizer], seed=spec.seed)
-
-
 def execute(spec: RunSpec,
             system: Optional[AssembledSystem] = None) -> ComparisonReport:
     """Run the requested methods on one geometry."""
+    # refused before any integral: bfgs differentiates exact expectations
+    if spec.shots is not None and spec.optimizer not in (None, "spsa"):
+        raise ValueError(f"--optimizer {spec.optimizer} needs exact "
+                         "expectations; use --optimizer spsa with --shots, "
+                         "or --shots exact")
     if "fci" in spec.methods:
         n_determinants = (system.sector().size if system is not None else
                           sector_size(spec.molecule, spec.basis,
@@ -152,7 +121,8 @@ def execute(spec: RunSpec,
         n_qubits=system.n_qubits,
         seed=spec.seed,
         shots=spec.shots,
-        optimizer=spec.optimizer if "vqe" in spec.methods else None)
+        optimizer=(optimizer_kind(spec.optimizer, spec.shots)
+                   if "vqe" in spec.methods else None))
 
     for method in _METHOD_ORDER:
         if method not in spec.methods:
@@ -168,7 +138,8 @@ def execute(spec: RunSpec,
             so = system.spin_orbitals
             ansatz = build_uccsd(so.n_orbitals, so.n_electrons)
             result = run_vqe(system.qubit_hamiltonian, ansatz,
-                             _optimizer_config(spec, ansatz.n_parameters),
+                             OptimizerConfig(kind=spec.optimizer,
+                                             seed=spec.seed),
                              kind=system.mapping, shots=spec.shots)
             row = MethodResult(method="vqe", energy=result.e_min,
                                converged=result.converged,
@@ -450,17 +421,6 @@ def _parse_shots(raw: str) -> Optional[int]:
     return shots
 
 
-def _resolve_optimizer(raw: Optional[str], shots: Optional[int]) -> str:
-    """The optimizer flag, defaulted by the shot setting: bfgs
-    differentiates exact expectations, so only spsa runs with shots."""
-    if raw is None:
-        return "bfgs" if shots is None else "spsa"
-    if shots is not None and raw != "spsa":
-        raise ValueError(f"--optimizer {raw} needs exact expectations; use "
-                         "--optimizer spsa with --shots, or --shots exact")
-    return raw
-
-
 def _parse_scan(raw: str) -> Tuple[float, float, int]:
     parts = raw.split(",")
     if len(parts) != 3:
@@ -477,14 +437,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         molecule = load_molecule_argument(args.molecule)
-        shots = _parse_shots(args.shots)
         spec = RunSpec(molecule=molecule,
                        basis=args.basis,
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),
                        active=_parse_active(args.active_space),
-                       optimizer=_resolve_optimizer(args.optimizer, shots),
-                       shots=shots,
+                       optimizer=args.optimizer,
+                       shots=_parse_shots(args.shots),
                        seed=args.seed,
                        output=args.output,
                        fcidump_path=args.fcidump,

@@ -26,7 +26,6 @@ class Atom:
 class Molecule:
     atoms: List[Atom]
     charge: int = 0
-    multiplicity: int = 1
     name: str = ""
 
     @property
@@ -51,20 +50,20 @@ def make_atom(symbol: str, position_bohr) -> Atom:
     return Atom(symbol.strip().capitalize(), z, (x, y, zc))
 
 
-def from_atom_list(spec, charge: int = 0, multiplicity: int = 1, name: str = "") -> Molecule:
+def from_atom_list(spec, charge: int = 0, name: str = "") -> Molecule:
     """Build a molecule from [(symbol, (x, y, z) in Bohr), ...]."""
     atoms = [make_atom(sym, pos) for sym, pos in spec]
-    mol = Molecule(atoms=atoms, charge=charge, multiplicity=multiplicity, name=name)
+    mol = Molecule(atoms=atoms, charge=charge, name=name)
     _validate(mol)
     return mol
 
 
-def parse_xyz(text: str, charge: int = 0, multiplicity: int = 1, name: str = "") -> Molecule:
+def parse_xyz(text: str, charge: int = 0, name: str = "") -> Molecule:
     """Parse standard XYZ text (coordinates in Angstrom).
 
     Line 1 is the atom count, line 2 a free-form comment, then one
-    `symbol x y z` line per atom. Charge and multiplicity are not part of
-    the format and default to 0/1 unless the caller overrides them.
+    `symbol x y z` line per atom. The charge is not part of the format and
+    defaults to 0 unless the caller overrides it.
     """
     lines = [ln for ln in text.splitlines()]
     if not lines:
@@ -88,18 +87,18 @@ def parse_xyz(text: str, charge: int = 0, multiplicity: int = 1, name: str = "")
             raise ValueError(f"non-numeric coordinate in line: {ln!r}") from None
         pos_bohr = tuple(v * BOHR_PER_ANGSTROM for v in pos_ang)
         atoms.append(make_atom(sym, pos_bohr))
-    mol = Molecule(atoms=atoms, charge=charge, multiplicity=multiplicity, name=name)
+    mol = Molecule(atoms=atoms, charge=charge, name=name)
     _validate(mol)
     return mol
 
 
-def load_xyz(path, charge: int = 0, multiplicity: int = 1) -> Molecule:
+def load_xyz(path, charge: int = 0) -> Molecule:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     import os
 
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return parse_xyz(text, charge=charge, multiplicity=multiplicity, name=stem)
+    return parse_xyz(text, charge=charge, name=stem)
 
 
 def nuclear_repulsion(molecule: Molecule) -> float:

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple, Union
 from .basis import load_basis
 from .molecule import Molecule, from_atom_list, load_xyz, parse_xyz
 from .integrals import compute_integrals, IntegralSet
-from .scf import ScfConfig, ScfResult, run_rhf
+from .scf import ScfResult, run_rhf
 from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
                       build_hamiltonian, mo_spatial_integrals,
                       spatial_active_space, to_spin_orbitals)
@@ -200,8 +200,7 @@ def sector_size(molecule: Molecule, basis: str = "sto-3g",
 
 def assemble(molecule: Molecule, basis: str = "sto-3g",
              active: Union[str, None, ActiveSpaceSpec] = _AUTO,
-             mapping: MappingKind = MappingKind.PARITY,
-             scf_config: Optional[ScfConfig] = None) -> AssembledSystem:
+             mapping: MappingKind = MappingKind.PARITY) -> AssembledSystem:
     """Run the full chain up to the qubit Hamiltonian.
 
     `active` accepts an ActiveSpaceSpec, None for the full orbital space,
@@ -216,8 +215,7 @@ def assemble(molecule: Molecule, basis: str = "sto-3g",
             f"{MAX_QUBITS}; restrict the problem with an active space "
             f"(for example --active-space 8,6)")
     integrals = compute_integrals(molecule, basis)
-    scf = run_rhf(integrals, molecule.n_electrons,
-                  config=scf_config or ScfConfig())
+    scf = run_rhf(integrals, molecule.n_electrons)
     h_mo, eri_mo = mo_spatial_integrals(integrals, scf.mo_coefficients)
     if spec is None:
         so = to_spin_orbitals(h_mo, eri_mo, integrals.nuclear_repulsion,

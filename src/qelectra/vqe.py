@@ -7,16 +7,19 @@ imaginary coefficients and exponentiates to a product of Pauli rotations.
 For these generators the mapped strings commute pairwise (asserted at
 build time), which makes the per-generator product exact.
 
-Two optimizers are provided. BFGS with an Armijo line search takes exact
-gradients: one circuit run forward and one adjoint sweep back
-(`Circuit.adjoint_gradient`) give the energy and all its parameter
-derivatives. It stops when the largest derivative is below its tolerance,
-or once an accepted step changes the energy only at the level of
-rounding. Simultaneous-perturbation stochastic approximation, with the
-standard gain schedules, needs only energies and is the one optimizer for
-shot-sampled runs; it stops after `patience` consecutive sub-tolerance
-energy changes. Both record the energy trajectory, one entry per accepted
-iterate.
+Two optimizers are provided, and this module owns every setting of both:
+`OptimizerConfig` names the kind, budget, tolerance and seed, and
+`run_vqe` derives whatever is left open from the shot setting and the
+ansatz size. BFGS with an Armijo line search, the default for exact
+expectations, takes exact gradients: one circuit run forward and one
+adjoint sweep back (`Circuit.adjoint_gradient`) give the energy and all
+its parameter derivatives. It stops when the largest derivative is below
+its tolerance, or once an accepted step changes the energy only at the
+level of rounding. Simultaneous-perturbation stochastic approximation
+needs only energies and is the one optimizer for shot-sampled runs; its
+gains and budget follow the parameter count (`spsa_schedule`), and it
+stops after SPSA_PATIENCE consecutive sub-tolerance energy changes. Both
+record the energy trajectory, one entry per accepted iterate.
 
 Every generator conserves the particle number and S_z, so the ansatz
 state stays in the (N, S_z) sector of its aufbau reference. An exact
@@ -188,57 +191,84 @@ MIN_STEP = 1e-10
 # fraction of |E| (4 eps): the energy no longer resolves further descent,
 # and later line searches would only fail on rounding
 ROUNDING_LEVEL = 4.0 * float(np.finfo(float).eps)
+# SPSA gain exponents, fixed by Spall (IEEE Trans. Aerosp. Electron. Syst.
+# 34, 817 (1998)): a_k = a / (k + 1 + A)**alpha, c_k = c / (k + 1)**gamma
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+# an SPSA run converges after this many consecutive sub-tolerance changes
+SPSA_PATIENCE = 5
+# ansatz size up to which the base SPSA budget applies unscaled
+SPSA_BUDGET_PARAMETERS = 48
+# base iteration budget per optimizer kind when max_iterations is None
+DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
 # convergence tolerance per optimizer kind: a gradient bound for bfgs, an
 # energy change for spsa
-_DEFAULT_TOLERANCE = {"spsa": 1e-5, "bfgs": 1e-6}
+DEFAULT_TOLERANCE = {"spsa": 1e-5, "bfgs": 1e-6}
 
 
 @dataclass
 class OptimizerConfig:
-    """Settings for the variational minimizer.
-
-    kind "bfgs": quasi-Newton descent on exact adjoint gradients, with a
-    dense inverse Hessian and an Armijo backtracking line search; converged
-    when max |dE/dtheta| <= `tolerance` (default 1e-6). It needs exact
-    expectations.
-    kind "spsa": gains a_k = a / (k + 1 + A)**alpha and
-    c_k = c / (k + 1)**gamma with Rademacher directions from the seeded
-    generator; A defaults to 0.1 * max_iterations. Converged after
-    `patience` consecutive energy changes below `tolerance` (default 1e-5).
+    """What a caller chooses for the variational minimizer ("bfgs" or
+    "spsa"); `run_vqe` derives the rest. None takes the default: `kind` by
+    the shot setting (`optimizer_kind`), `max_iterations` from
+    DEFAULT_ITERATIONS (for spsa the base that `spsa_schedule` scales) and
+    `tolerance` from DEFAULT_TOLERANCE.
     """
-    kind: str = "spsa"
-    max_iterations: int = 200
-    a: float = 0.2
-    c: float = 0.1
-    alpha: float = 0.602
-    gamma: float = 0.101
-    big_a: Optional[float] = None
+    kind: Optional[str] = None
+    max_iterations: Optional[int] = None
     tolerance: Optional[float] = None
-    patience: int = 5
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _DEFAULT_TOLERANCE:
+        if self.kind is not None and self.kind not in DEFAULT_TOLERANCE:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.max_iterations < 1:
+        if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        for name in ("a", "c", "alpha", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
 
-    @property
-    def effective_tolerance(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return _DEFAULT_TOLERANCE[self.kind]
 
-    @property
-    def effective_big_a(self) -> float:
-        return 0.1 * self.max_iterations if self.big_a is None else self.big_a
+def optimizer_kind(kind: Optional[str], shots: Optional[int]) -> str:
+    """The optimizer a run uses: `kind`, or by default bfgs for exact
+    expectations and spsa for shot-sampled ones."""
+    if kind is not None:
+        return kind
+    return "bfgs" if shots is None else "spsa"
+
+
+@dataclass(frozen=True)
+class SpsaSchedule:
+    """Iteration budget and gains of one SPSA run: a_k = a / (k + 1 +
+    big_a)**SPSA_ALPHA and c_k = c / (k + 1)**SPSA_GAMMA."""
+    iterations: int
+    a: float
+    c: float
+    big_a: float
+
+
+def spsa_schedule(n_parameters: int,
+                  max_iterations: Optional[int] = None) -> SpsaSchedule:
+    """SPSA settings for an ansatz of m = `n_parameters` parameters.
+
+    Perturbation sizes shrink with m: at a flat c = 0.1 a ~100-parameter
+    ansatz probes the landscape about a radian away from the reference
+    state, where the two-point estimate carries no usable gradient signal
+    and the optimizer stalls. c = min(0.1, 0.25 / sqrt(m)) keeps the probe
+    radius roughly constant, and a = 2c.
+
+    The iteration budget grows with m, because the variance of the
+    two-point gradient estimate does: the base budget (`max_iterations`,
+    or DEFAULT_ITERATIONS["spsa"]) up to SPSA_BUDGET_PARAMETERS parameters,
+    base * m / SPSA_BUDGET_PARAMETERS (rounded up) beyond. The gains do not
+    grow with it: the stability constant A stays at 10% of the base, so a
+    larger budget only lets the same trajectory run longer.
+    """
+    base = max_iterations or DEFAULT_ITERATIONS["spsa"]
+    m = max(1, n_parameters)
+    c = min(0.1, 0.25 / np.sqrt(m))
+    return SpsaSchedule(
+        iterations=max(base, -(-base * m // SPSA_BUDGET_PARAMETERS)),
+        a=2.0 * c, c=c, big_a=0.1 * base)
 
 
 @dataclass
@@ -268,8 +298,10 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
     leaves it raises the ValueError of `oracle.pauli_to_sparse`. An
     integer turns on simulated projective measurement with that many shots
     per term, drawn from the same seeded generator as the optimizer; only
-    spsa accepts it. Identical (hamiltonian, ansatz, config, shots)
-    reproduce the identical result.
+    spsa accepts it. The SPSA gains, and the kind, budget and tolerance
+    that `config` leaves None, are derived here from the shot setting and
+    the ansatz size (`optimizer_kind`, `spsa_schedule`). Identical
+    (hamiltonian, ansatz, config, shots) reproduce the identical result.
     """
     n = hamiltonian.n_qubits
     if n != ansatz.n_spin_orbitals:
@@ -278,10 +310,12 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
             f"{ansatz.n_spin_orbitals}")
     if not hamiltonian.is_hermitian():
         raise ValueError("VQE needs a Hermitian Hamiltonian")
-    if shots is not None and config.kind != "spsa":
+    optimizer = optimizer_kind(config.kind, shots)
+    if shots is not None and optimizer != "spsa":
         raise ValueError(
-            f"the {config.kind} optimizer needs exact expectations; use "
+            f"the {optimizer} optimizer needs exact expectations; use "
             "spsa for shot-sampled energies")
+    tol = config.tolerance or DEFAULT_TOLERANCE[optimizer]
     circuit = ansatz_circuit(ansatz, kind=kind)
     rng = np.random.default_rng(config.seed)
     counter = {"n": 0}
@@ -328,7 +362,7 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         theta_history.append(th.copy())
         eval_history.append(counter["n"])
 
-    if config.kind == "spsa":
+    if optimizer == "spsa":
         e_current = evaluate(theta)
     else:
         e_current, gradient = evaluate_with_gradient(theta)
@@ -347,18 +381,18 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
 
     if ansatz.n_parameters == 0:
         return result(True, 0)
-    if config.kind == "bfgs":
-        return result(*_bfgs(evaluate_with_gradient, theta, e_current,
-                             gradient, config, record))
+    if optimizer == "bfgs":
+        return result(*_bfgs(
+            evaluate_with_gradient, theta, e_current, gradient, tol,
+            config.max_iterations or DEFAULT_ITERATIONS["bfgs"], record))
 
-    tol = config.effective_tolerance
-    big_a = config.effective_big_a
+    schedule = spsa_schedule(ansatz.n_parameters, config.max_iterations)
     streak = 0
     converged = False
     iterations_done = 0
-    for k in range(config.max_iterations):
-        a_k = config.a / (k + 1 + big_a) ** config.alpha
-        c_k = config.c / (k + 1) ** config.gamma
+    for k in range(schedule.iterations):
+        a_k = schedule.a / (k + 1 + schedule.big_a) ** SPSA_ALPHA
+        c_k = schedule.c / (k + 1) ** SPSA_GAMMA
         gradient = spsa_gradient_estimate(evaluate, theta, c_k, rng)
         theta = theta - a_k * gradient
         e_new = evaluate(theta)
@@ -366,7 +400,7 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         iterations_done = k + 1
         if abs(e_new - e_current) <= tol:
             streak += 1
-            if streak >= config.patience:
+            if streak >= SPSA_PATIENCE:
                 converged = True
                 e_current = e_new
                 break
@@ -377,7 +411,7 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
 
 
 def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
-          gradient: np.ndarray, config: OptimizerConfig,
+          gradient: np.ndarray, tol: float, max_iterations: int,
           record) -> Tuple[bool, int]:
     """BFGS from (theta, energy, gradient); returns (converged, iterations).
 
@@ -389,9 +423,8 @@ def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
     accepted step with |dE| <= ROUNDING_LEVEL * |E| ends the run there,
     converged only if that iterate meets the gradient bound.
     """
-    tol = config.effective_tolerance
     inverse = np.eye(theta.size)
-    for k in range(config.max_iterations):
+    for k in range(max_iterations):
         if np.max(np.abs(gradient)) <= tol:
             return True, k
         direction = -(inverse @ gradient)
@@ -419,7 +452,7 @@ def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
         record(energy, theta)
         if stalled:
             return bool(np.max(np.abs(gradient)) <= tol), k + 1
-    return bool(np.max(np.abs(gradient)) <= tol), config.max_iterations
+    return bool(np.max(np.abs(gradient)) <= tol), max_iterations
 
 
 def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,

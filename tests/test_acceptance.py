@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qelectra.cli import RunSpec, _optimizer_config, execute
+from qelectra.cli import RunSpec, execute
 from qelectra.fermion import number_operator, sz_operator
 from qelectra.integrals import compute_integrals
 from qelectra.oracle import (
@@ -30,7 +30,8 @@ from qelectra.pauli import (
 from qelectra.pipeline import SHIPPED_MOLECULES, assemble, diatomic_geometry
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector
-from qelectra.vqe import OptimizerConfig, ansatz_circuit, build_uccsd, run_vqe
+from qelectra.vqe import (DEFAULT_ITERATIONS, OptimizerConfig, ansatz_circuit,
+                          build_uccsd, run_vqe)
 
 ALL_KINDS = (MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
              MappingKind.BRAVYI_KITAEV)
@@ -141,10 +142,7 @@ def test_variational_ordering_on_every_shipped_molecule(assembled):
               and e_vqe >= e_fci - 1e-9
               and e_hf >= e_fci - 1e-9
               and report.result("vqe").converged)
-        so = system.spin_orbitals
-        budget = _optimizer_config(
-            spec, build_uccsd(so.n_orbitals, so.n_electrons).n_parameters
-        ).max_iterations
+        budget = DEFAULT_ITERATIONS[report.optimizer]
         margins.append(f"{key} {e_hf - e_vqe:.4f} Ha (gap to fci "
                        f"{1000.0 * (e_vqe - e_fci):.3g} mHa, "
                        f"converged={vqe.converged} at "

@@ -48,7 +48,7 @@ def test_unknown_basis_name():
 
 
 def test_element_outside_table():
-    mol = from_atom_list([("Na", (0, 0, 0))], charge=0, multiplicity=2)
+    mol = from_atom_list([("Na", (0, 0, 0))], charge=0)
     with pytest.raises(ValueError) as err:
         load_basis(mol, "sto-3g")
     assert "Na" in str(err.value)

@@ -6,11 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import qelectra.cli as cli
-from qelectra import pipeline
+from qelectra import pipeline, vqe
 from qelectra.fcidump import read_fcidump
 
 
@@ -96,26 +95,12 @@ def test_json_output_is_byte_stable(capsys):
 
 def test_unconverged_vqe_sets_exit_code(capsys, monkeypatch):
     # H2 needs four BFGS iterations
-    monkeypatch.setitem(cli.VQE_DEFAULT_ITERATIONS, "bfgs", 1)
+    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "bfgs", 1)
     code, out, _ = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
                            "--output", "json")
     assert code == 2
     doc = json.loads(out)
     assert doc["methods"]["vqe"]["converged"] is False
-
-
-def test_spsa_budget_grows_with_parameter_count_but_gains_do_not():
-    spec = cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
-                       methods=("vqe",), optimizer="spsa")
-    for m, budget in ((3, 300), (24, 300), (92, 575), (117, 732)):
-        config = cli._optimizer_config(spec, m)
-        c = min(0.1, 0.25 / np.sqrt(m))
-        assert config.kind == "spsa"
-        assert config.max_iterations == budget
-        assert config.effective_big_a == 0.1 * 300
-        assert config.c == c
-        assert config.a == 2.0 * c
-        assert config.seed == 0
 
 
 def test_bfgs_optimizer_converges_tightly(capsys):
@@ -139,6 +124,41 @@ def test_default_optimizer_follows_the_shot_setting(capsys, shots,
     assert json.loads(out)["optimizer"] == optimizer
 
 
+def test_run_spec_with_shots_defaults_to_spsa():
+    # the default optimizer follows the shot setting in the library too,
+    # not only behind the --optimizer flag
+    report = cli.execute(cli.RunSpec(
+        molecule=cli.load_molecule_argument("h2"), methods=("vqe",),
+        shots=64))
+    assert report.optimizer == "spsa"
+    assert report.result("vqe").evaluations > 1
+
+
+def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
+                                                 monkeypatch):
+    # the SPSA schedule belongs to run_vqe: a library run on LiH (24
+    # parameters, c = 0.051) retraces the CLI run step by step
+    system = assembled("lih")
+    ansatz = vqe.build_uccsd(system.n_qubits,
+                             system.spin_orbitals.n_electrons)
+    library = vqe.run_vqe(system.qubit_hamiltonian, ansatz,
+                          vqe.OptimizerConfig(kind="spsa", seed=0),
+                          kind=system.mapping)
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(vqe.run_vqe(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_vqe", recording)
+    _, out, _ = run_cli(capsys, "--molecule", "lih", "--method", "vqe",
+                        "--optimizer", "spsa", "--seed", "0",
+                        "--output", "json")
+    assert json.loads(out)["optimizer"] == "spsa"
+    assert len(runs) == 1
+    assert runs[0].energy_history == library.energy_history
+
+
 @pytest.mark.parametrize("optimizer", ["bfgs"])
 def test_gradient_optimizers_refuse_shots_before_the_chain_runs(
         capsys, monkeypatch, optimizer):
@@ -151,6 +171,11 @@ def test_gradient_optimizers_refuse_shots_before_the_chain_runs(
     assert code == 1
     assert out == ""
     assert f"--optimizer {optimizer} needs exact expectations" in err
+    # a library caller of execute is refused as early
+    with pytest.raises(ValueError, match="needs exact expectations"):
+        cli.execute(cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
+                                methods=("vqe",), optimizer=optimizer,
+                                shots=100))
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,5 +1,6 @@
 """Coupled-cluster ansatz construction and the variational optimizers."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -13,6 +14,8 @@ from qelectra.oracle import MAX_SPARSE_QUBITS, exact_ground_energy
 from qelectra.pauli import (MappingKind, PauliString, PauliSum, map_fermion,
                             sector_basis)
 from qelectra.vqe import (
+    DEFAULT_ITERATIONS,
+    DEFAULT_TOLERANCE,
     Excitation,
     OptimizerConfig,
     UccsdAnsatz,
@@ -20,8 +23,10 @@ from qelectra.vqe import (
     build_uccsd,
     excitation_generator,
     export_history,
+    optimizer_kind,
     run_vqe,
     spsa_gradient_estimate,
+    spsa_schedule,
 )
 from test_fermion import dense_operator
 
@@ -378,23 +383,36 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(a=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(c=-0.1)
-    with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(patience=0)
+    # the gains are derived by run_vqe, not set
+    with pytest.raises(TypeError):
+        OptimizerConfig(a=0.2)
 
 
 def test_optimizer_config_defaults():
-    spsa = OptimizerConfig(kind="spsa", max_iterations=300)
-    assert spsa.effective_tolerance == 1e-5
-    assert spsa.effective_big_a == pytest.approx(30.0)
-    custom = OptimizerConfig(kind="spsa", tolerance=1e-4, big_a=7.0)
-    assert custom.effective_tolerance == 1e-4
-    assert custom.effective_big_a == 7.0
-    assert OptimizerConfig(kind="bfgs").effective_tolerance == 1e-6
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
+        "kind", "max_iterations", "tolerance", "seed"]
+    config = OptimizerConfig()
+    assert (config.kind, config.max_iterations, config.tolerance,
+            config.seed) == (None, None, None, None)
+    assert optimizer_kind(None, None) == "bfgs"
+    assert optimizer_kind(None, 64) == "spsa"
+    assert optimizer_kind("spsa", None) == "spsa"
+    assert DEFAULT_TOLERANCE == {"spsa": 1e-5, "bfgs": 1e-6}
+    assert DEFAULT_ITERATIONS == {"spsa": 300, "bfgs": 200}
+
+
+def test_spsa_budget_grows_with_parameter_count_but_gains_do_not():
+    for m, budget in ((3, 300), (24, 300), (92, 575), (117, 732)):
+        schedule = spsa_schedule(m)
+        c = min(0.1, 0.25 / np.sqrt(m))
+        assert schedule.iterations == budget
+        assert schedule.big_a == 0.1 * 300
+        assert schedule.c == c
+        assert schedule.a == 2.0 * c
+    # an explicit budget is the base the schedule scales
+    assert spsa_schedule(117, 100) == dataclasses.replace(
+        spsa_schedule(117), iterations=244, big_a=0.1 * 100)
 
 
 def test_spsa_gradient_is_exact_for_one_parameter_quadratic():
@@ -418,7 +436,7 @@ def test_export_history_round_trip(tmp_path, assembled):
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     result = run_vqe(system.qubit_hamiltonian, ansatz,
                      OptimizerConfig(kind="spsa", max_iterations=3,
-                                     patience=1, tolerance=1e-20, seed=0),
+                                     tolerance=1e-20, seed=0),
                      kind=MappingKind.PARITY)
     buffer = io.StringIO()
     export_history(result, buffer)
