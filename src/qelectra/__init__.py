@@ -21,7 +21,7 @@ from .pauli import (MappingKind, PauliString, PauliSum, anticommutation_check,
                     mapping_from_name, sector_basis)
 from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
-from .scf import ScfConfig, ScfResult, run_rhf
+from .scf import ScfResult, run_rhf
 from .simulator import Circuit, StateVector
 from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
                   build_uccsd, export_history, run_vqe)
@@ -29,9 +29,9 @@ from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
     "ContractedGaussian", "FermionOperator", "IntegralSet", "MappingKind",
-    "Molecule", "OptimizerConfig", "PauliString", "PauliSum", "ScfConfig",
-    "ScfResult", "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz",
-    "VqeResult", "__version__", "ansatz_circuit", "anticommutation_check",
+    "Molecule", "OptimizerConfig", "PauliString", "PauliSum", "ScfResult",
+    "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz", "VqeResult",
+    "__version__", "ansatz_circuit", "anticommutation_check",
     "assemble", "boys", "build_hamiltonian", "build_uccsd",
     "compute_integrals", "diatomic_geometry", "encode_occupation",
     "exact_ground_energy", "export_history", "from_atom_list", "ladder_image",

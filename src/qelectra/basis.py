@@ -136,8 +136,6 @@ class ContractedGaussian:
     powers: Tuple[int, int, int]     # Cartesian angular momentum (l, m, n)
     alphas: np.ndarray               # primitive exponents
     coeffs: np.ndarray               # fully normalized contraction coefficients
-    atom_index: int = -1
-    label: str = ""
 
     @property
     def angular_momentum(self) -> int:
@@ -174,7 +172,7 @@ def _contracted_self_overlap(alphas, coeffs, powers) -> float:
     return s
 
 
-def _build_function(center, powers, prims, atom_index, label) -> ContractedGaussian:
+def _build_function(center, powers, prims) -> ContractedGaussian:
     alphas = np.array([p[0] for p in prims], dtype=float)
     raw = np.array([p[1] for p in prims], dtype=float)
     coeffs = raw * np.array([primitive_norm(a, powers) for a in alphas])
@@ -182,11 +180,10 @@ def _build_function(center, powers, prims, atom_index, label) -> ContractedGauss
     s = _contracted_self_overlap(alphas, coeffs, powers)
     coeffs = coeffs / np.sqrt(s)
     return ContractedGaussian(center=np.asarray(center, dtype=float), powers=powers,
-                              alphas=alphas, coeffs=coeffs,
-                              atom_index=atom_index, label=label)
+                              alphas=alphas, coeffs=coeffs)
 
 
-_P_COMPONENTS = [((1, 0, 0), "px"), ((0, 1, 0), "py"), ((0, 0, 1), "pz")]
+_P_POWERS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def load_basis(molecule: Molecule, name: str = "sto-3g") -> List[ContractedGaussian]:
@@ -200,31 +197,24 @@ def load_basis(molecule: Molecule, name: str = "sto-3g") -> List[ContractedGauss
         raise ValueError(f"unknown basis set {name!r} (available: {sorted(BASIS_SETS)})")
     table = BASIS_SETS[key]
     functions: List[ContractedGaussian] = []
-    for atom_index, atom in enumerate(molecule.atoms):
+    for atom in molecule.atoms:
         if atom.symbol not in table:
             raise ValueError(
                 f"no {name} data for element {atom.symbol}; "
                 f"tabulated elements: {sorted(table)}")
-        shells = table[atom.symbol]
-        n_shell = 0
-        for kind, prims in shells:
-            n_shell += 1
-            tag = f"{atom.symbol}{atom_index}"
+        for kind, prims in table[atom.symbol]:
             if kind == _S:
                 functions.append(_build_function(
                     atom.position, (0, 0, 0),
-                    [(a, cs) for (a, cs) in prims],
-                    atom_index, f"{tag} s{n_shell}"))
+                    [(a, cs) for (a, cs) in prims]))
             elif kind == _SP:
                 functions.append(_build_function(
                     atom.position, (0, 0, 0),
-                    [(a, cs) for (a, cs, _cp) in prims],
-                    atom_index, f"{tag} s{n_shell}"))
-                for powers, plabel in _P_COMPONENTS:
+                    [(a, cs) for (a, cs, _cp) in prims]))
+                for powers in _P_POWERS:
                     functions.append(_build_function(
                         atom.position, powers,
-                        [(a, cp) for (a, _cs, cp) in prims],
-                        atom_index, f"{tag} {plabel}"))
+                        [(a, cp) for (a, _cs, cp) in prims]))
             else:
                 raise ValueError(f"unsupported shell kind {kind!r}")
     return functions

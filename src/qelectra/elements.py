@@ -1,4 +1,4 @@
-"""Element symbol <-> atomic number lookup for the supported range (H through Ar)."""
+"""Element symbol -> atomic number lookup for H through Ar."""
 
 SYMBOLS = [
     "H", "He",
@@ -17,8 +17,3 @@ def atomic_number(symbol: str) -> int:
     except KeyError:
         raise ValueError(f"unknown element symbol {symbol!r} (supported: H..Ar)") from None
 
-
-def symbol_for(z: int) -> str:
-    if not 1 <= z <= len(SYMBOLS):
-        raise ValueError(f"atomic number {z} out of supported range 1..{len(SYMBOLS)}")
-    return SYMBOLS[z - 1]

@@ -15,10 +15,11 @@ WRITE_THRESHOLD = 1e-14
 
 
 def write_fcidump(path, h_mo: np.ndarray, eri_mo: np.ndarray, core_energy: float,
-                  n_electrons: int, ms2: int = 0) -> None:
+                  n_electrons: int) -> None:
+    """Write closed-shell (MS2 = 0) integrals, as restricted HF gives them."""
     n = h_mo.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f" &FCI NORB={n:4d},NELEC={n_electrons:3d},MS2={ms2:2d},\n")
+        fh.write(f" &FCI NORB={n:4d},NELEC={n_electrons:3d},MS2= 0,\n")
         fh.write("  ORBSYM=" + "1," * n + "\n")
         fh.write("  ISYM=1,\n")
         fh.write(" &END\n")

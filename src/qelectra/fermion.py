@@ -19,6 +19,9 @@ from .integrals import IntegralSet
 
 TermKey = Tuple[Tuple[int, int], ...]
 
+# integrals at or below this magnitude emit no Hamiltonian term
+TERM_THRESHOLD = 1e-12
+
 
 @dataclass
 class SpinOrbitalIntegrals:
@@ -136,13 +139,12 @@ def spatial_active_space(h_mo: np.ndarray, eri_mo: np.ndarray,
     return h_act, eri_act, core, spec.n_active_electrons
 
 
-def build_hamiltonian(so: SpinOrbitalIntegrals,
-                      threshold: float = 1e-12) -> FermionOperator:
+def build_hamiltonian(so: SpinOrbitalIntegrals) -> FermionOperator:
     """Assemble the second-quantized Hamiltonian from spin-orbital integrals.
 
-    Every index tuple with a coefficient above `threshold` is emitted; terms
-    that vanish identically (repeated creation or annihilation index) are
-    skipped.
+    Every index tuple with a coefficient above TERM_THRESHOLD is emitted;
+    terms that vanish identically (repeated creation or annihilation index)
+    are skipped.
     """
     op = FermionOperator()
     if abs(so.core_energy) > 0.0:
@@ -153,7 +155,7 @@ def build_hamiltonian(so: SpinOrbitalIntegrals,
     for p in range(n):
         for q in range(n):
             c = complex(h[p, q])
-            if abs(c) > threshold:
+            if abs(c) > TERM_THRESHOLD:
                 op.add_term(((p, 1), (q, 0)), c)
     for p in range(n):
         for q in range(n):
@@ -164,7 +166,7 @@ def build_hamiltonian(so: SpinOrbitalIntegrals,
                     if r == s:
                         continue
                     c = 0.5 * complex(g[p, q, r, s])
-                    if abs(c) > threshold:
+                    if abs(c) > TERM_THRESHOLD:
                         op.add_term(((p, 1), (q, 1), (s, 0), (r, 0)), c)
     return op
 

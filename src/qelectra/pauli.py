@@ -25,7 +25,10 @@ import numpy as np
 
 from .fermion import FermionOperator
 
+# terms at or below this magnitude are dropped from a mapped operator
 DEFAULT_PRUNE_THRESHOLD = 1e-12
+# largest imaginary coefficient a Hermitian sum may carry
+HERMITIAN_TOL = 1e-10
 
 _LETTER_FOR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -201,8 +204,8 @@ class PauliSum:
             out.append((PauliString.from_masks(self.n_qubits, x, z, n_y), c))
         return out
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._data.values())
+    def is_hermitian(self) -> bool:
+        return all(abs(c.imag) <= HERMITIAN_TOL for c in self._data.values())
 
     def norm_l1(self) -> float:
         return sum(abs(c) for c in self._data.values())
@@ -330,9 +333,10 @@ def ladder_image(kind: MappingKind, index: int, dagger: bool,
     return _IMAGE_CACHE[key]
 
 
-def map_fermion(op: FermionOperator, kind: MappingKind, n_modes: int,
-                threshold: float = DEFAULT_PRUNE_THRESHOLD) -> PauliSum:
-    """Map a fermionic operator to a qubit operator on n_modes qubits."""
+def map_fermion(op: FermionOperator, kind: MappingKind,
+                n_modes: int) -> PauliSum:
+    """Map a fermionic operator to a qubit operator on n_modes qubits,
+    dropping terms at or below DEFAULT_PRUNE_THRESHOLD."""
     data: Dict[Tuple[int, int], complex] = {}
     for key, coeff in op.terms.items():
         if not key:
@@ -344,7 +348,7 @@ def map_fermion(op: FermionOperator, kind: MappingKind, n_modes: int,
             prod = img if prod is None else prod * img
         for k, c in prod.items():
             data[k] = data.get(k, 0.0) + c * coeff
-    return PauliSum(n_modes, data).simplify(threshold)
+    return PauliSum(n_modes, data).simplify()
 
 
 def anticommutation_check(kind: MappingKind, n_modes: int) -> float:

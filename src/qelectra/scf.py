@@ -1,8 +1,9 @@
 """Restricted Hartree-Fock with Loewdin orthogonalization and DIIS.
 
-Closed-shell only: the electron count must be even. Convergence requires
-both the energy delta and the rms density change to pass their thresholds.
-With `diis_depth = 0` the solver is plain Roothaan iteration.
+Closed-shell only: the electron count must be even. Every iteration
+extrapolates the Fock matrix by DIIS over the last DIIS_DEPTH iterates.
+Convergence requires both the energy change (ENERGY_TOL) and the rms
+density change (DENSITY_TOL) to pass within MAX_ITERATIONS iterations.
 """
 
 from dataclasses import dataclass, field
@@ -13,14 +14,10 @@ import numpy as np
 from .integrals import IntegralSet
 
 OVERLAP_EIGENVALUE_FLOOR = 1e-8
-
-
-@dataclass
-class ScfConfig:
-    max_iterations: int = 100
-    energy_tol: float = 1e-10    # Hartree
-    density_tol: float = 1e-8    # rms change in P
-    diis_depth: int = 8          # 0 disables DIIS
+MAX_ITERATIONS = 100
+ENERGY_TOL = 1e-10    # Hartree
+DENSITY_TOL = 1e-8    # rms change in P
+DIIS_DEPTH = 8
 
 
 @dataclass
@@ -66,11 +63,8 @@ def _solve_fock(F: np.ndarray, A: np.ndarray):
     return eps, A @ Cp
 
 
-def run_rhf(integrals: IntegralSet, n_electrons: int,
-            config: ScfConfig = None) -> ScfResult:
+def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
     """Solve the closed-shell RHF equations for a precomputed integral set."""
-    if config is None:
-        config = ScfConfig()
     if n_electrons <= 0:
         raise ValueError("need at least two electrons")
     if n_electrons % 2 != 0:
@@ -100,21 +94,20 @@ def run_rhf(integrals: IntegralSet, n_electrons: int,
     iteration = 0
     F = h.copy()
 
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         F = _fock(h, eri, P)
         e_new = 0.5 * float(np.einsum("nm,mn->", P, h + F))
 
-        if config.diis_depth > 0:
-            err = A.T @ (F @ P @ S - S @ P @ F) @ A
-            fock_list.append(F.copy())
-            error_list.append(err)
-            if len(fock_list) > config.diis_depth:
-                fock_list.pop(0)
-                error_list.pop(0)
-            if len(fock_list) >= 2:
-                F_use = _diis_extrapolate(fock_list, error_list)
-                if F_use is not None:
-                    F = F_use
+        err = A.T @ (F @ P @ S - S @ P @ F) @ A
+        fock_list.append(F.copy())
+        error_list.append(err)
+        if len(fock_list) > DIIS_DEPTH:
+            fock_list.pop(0)
+            error_list.pop(0)
+        if len(fock_list) >= 2:
+            F_use = _diis_extrapolate(fock_list, error_list)
+            if F_use is not None:
+                F = F_use
 
         eps, C = _solve_fock(F, A)
         P_new = density_matrix(C, n_occ)
@@ -124,7 +117,7 @@ def run_rhf(integrals: IntegralSet, n_electrons: int,
 
         P = P_new
         e_elec = e_new
-        if iteration > 1 and abs(de) < config.energy_tol and rms_dp < config.density_tol:
+        if iteration > 1 and abs(de) < ENERGY_TOL and rms_dp < DENSITY_TOL:
             converged = True
             break
 

@@ -9,24 +9,28 @@ Pauli application never builds a matrix. In the symplectic picture
 of the amplitude array plus a sign mask, with bit-parity evaluated by
 folding.
 
-A VQE energy evaluation is compiled once per run. `Circuit.run` caches, per
-instruction, the gather vector b ^ x (shared by the instructions with the
-same X-mask) and the gathered signs, so each later run only gathers and
-multiplies; the state is bit-identical to applying the instructions one by
-one. `Circuit.adjoint_gradient` walks the same compiled steps backwards
-for the gradient of an expectation value. `StateVector.expectation` sums
-a Pauli operator term by term over the whole register; VQE takes its
-energies on the sector block instead (`oracle.pauli_to_sparse`), and this
-loop is the reference that route is checked against.
+A `Circuit` is an immutable program: a reference basis state and a tuple
+of Pauli rotations, compiled when it is built. Each rotation keeps the
+gather vector b ^ x (shared by the rotations with the same X-mask) and
+its gathered signs, so `Circuit.run` only gathers and multiplies, and its
+state is bit-identical to applying the rotations one by one to the
+reference. `Circuit.adjoint_gradient` walks the same compiled rotations
+backwards for the gradient of an expectation value.
+`StateVector.expectation` sums a Pauli operator term by term over the
+whole register; VQE takes its energies on the sector block instead
+(`oracle.pauli_to_sparse`), and this loop is the reference that route is
+checked against.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .pauli import PauliString, PauliSum, bit_parity
 
 MAX_QUBITS = 24
+# largest imaginary part, relative to max(1, |real part|), that an
+# expectation value may carry before the observable counts as not Hermitian
+IMAG_TOL = 1e-10
 
 _POWER_PHASE = (1.0, 1.0j, -1.0, -1.0j)
 
@@ -125,8 +129,7 @@ class StateVector:
         self.data = np.cos(half) * self.data - 1.0j * np.sin(half) * image
 
     # ---- expectation values -----------------------------------------------------
-    def expectation(self, observable: Union[PauliString, PauliSum],
-                    imag_tol: float = 1e-10) -> float:
+    def expectation(self, observable: Union[PauliString, PauliSum]) -> float:
         """Exact <psi|O|psi> of a Pauli string or sum, summed term by term;
         raises if a nominally real value comes out complex."""
         if isinstance(observable, PauliString):
@@ -141,7 +144,7 @@ class StateVector:
             signs = 1.0 - 2.0 * bit_parity(idx & z)
             overlap = np.dot(conj[idx ^ x], signs * self.data)
             total += coeff * _POWER_PHASE[n_y % 4] * overlap
-        if abs(total.imag) > imag_tol * max(1.0, abs(total.real)):
+        if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
             raise ValueError(
                 f"expectation has imaginary part {total.imag:.3e}; "
                 "observable is not Hermitian on this state")
@@ -151,15 +154,14 @@ class StateVector:
         return np.abs(self.data) ** 2
 
     def sampled_expectation(self, observable: PauliSum, shots: int,
-                            rng: Optional[np.random.Generator] = None,
-                            seed: Optional[int] = None
+                            rng: np.random.Generator
                             ) -> Tuple[float, float]:
         """Estimate <O> by simulated projective measurement.
 
         Each non-identity term is measured in its own rotated basis with
-        `shots` repetitions; identity terms enter exactly. Returns the
-        estimate and its standard error (square root of the summed
-        per-term variances of the mean).
+        `shots` repetitions drawn from `rng`; identity terms enter
+        exactly. Returns the estimate and its standard error (square root
+        of the summed per-term variances of the mean).
         """
         if shots < 1:
             raise ValueError("shots must be positive")
@@ -167,8 +169,6 @@ class StateVector:
             raise ValueError("register size mismatch")
         if not observable.is_hermitian():
             raise ValueError("sampling needs a Hermitian observable")
-        if rng is None:
-            rng = np.random.default_rng(seed)
         mean_total = 0.0
         var_total = 0.0
         for (x, z), coeff in observable.items():
@@ -198,109 +198,72 @@ class StateVector:
 
 # ---- circuits ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instruction:
-    """One circuit element.
-
-    kind "x": flip `qubit`. kind "exp": apply
-    exp(-i * (scale * theta[param_index]) / 2 * string).
-    Frozen, so that a compiled circuit cannot go stale under it.
-    """
-    kind: str
-    qubit: int = -1
-    string: Optional[PauliString] = None
-    param_index: int = -1
-    scale: float = 1.0
+# One compiled rotation: gather vector b ^ x, gathered signs as int8, phase
+# of the Hermitian string, parameter index and the scale with the string's
+# sign folded in.
+_Step = Tuple[np.ndarray, np.ndarray, complex, int, float]
 
 
-# One compiled instruction: gather vector, gathered signs as int8 (None for
-# an X flip), phase of the Hermitian string, parameter index and the scale
-# with the string's sign folded in.
-_Step = Tuple[np.ndarray, Optional[np.ndarray], complex, int, float]
-
-
-@dataclass
 class Circuit:
-    """Parametrized sequence of X flips and Pauli exponentials."""
-    n_qubits: int
-    instructions: List[Instruction] = field(default_factory=list)
-    n_parameters: int = 0
-    _compiled: Optional[Tuple[tuple, List[_Step]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    """Pauli rotations on one computational basis state, compiled once.
 
-    def add_x(self, qubit: int) -> None:
-        self.instructions.append(Instruction(kind="x", qubit=qubit))
+    `instructions` is a tuple of (string, parameter index, scale); rotation
+    k applies exp(-i * (scale * theta[index]) / 2 * string) to the state
+    the rotations before it left, starting from basis state `reference`.
+    The constructor checks the register, the parameter range and that
+    every string is Hermitian, then compiles: rotation k maps the state to
+    cos(h) psi - i sin(h) image with image[b] = phase * s[b ^ x] *
+    psi[b ^ x], s the Z-mask signs. The gather b ^ x (shared by the
+    rotations with the same X-mask) and the gathered signs depend only on
+    the string, so a run only gathers and multiplies.
+    """
 
-    def add_exponential(self, string: PauliString, param_index: int,
-                        scale: float = 1.0) -> None:
-        if string.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        if param_index < 0:
-            raise ValueError("parameter index must be non-negative")
-        self.instructions.append(Instruction(kind="exp", string=string,
-                                             param_index=param_index,
-                                             scale=scale))
-        self.n_parameters = max(self.n_parameters, param_index + 1)
-
-    def _steps(self) -> List[_Step]:
-        """The compiled instructions, rebuilt when `instructions` changed.
-
-        Exponential k maps the state to cos(h) psi - i sin(h) image with
-        image[b] = phase * s[b ^ x] * psi[b ^ x], s the Z-mask signs; the
-        gather b ^ x and the gathered signs depend only on the string.
-        """
-        key = (self.n_qubits, tuple(self.instructions))
-        if self._compiled is not None and self._compiled[0] == key:
-            return self._compiled[1]
-        basis = np.arange(1 << self.n_qubits, dtype=np.int64)
+    def __init__(self, n_qubits: int, reference: int,
+                 instructions: Sequence[Tuple[PauliString, int, float]],
+                 n_parameters: int):
+        # validates the register size and the reference index
+        StateVector.computational_basis(n_qubits, reference)
+        self.n_qubits = n_qubits
+        self.reference = reference
+        self.instructions = tuple(instructions)
+        self.n_parameters = n_parameters
+        basis = np.arange(1 << n_qubits, dtype=np.int64)
         gathers: Dict[int, np.ndarray] = {}
         signs: Dict[Tuple[int, int], np.ndarray] = {}
-
-        def gather(x: int) -> np.ndarray:
+        steps: List[_Step] = []
+        for string, param_index, scale in self.instructions:
+            if string.n_qubits != n_qubits:
+                raise ValueError("register size mismatch")
+            if not 0 <= param_index < n_parameters:
+                raise ValueError(
+                    f"parameter index {param_index} outside 0.."
+                    f"{n_parameters - 1}")
+            sign = _string_sign(string)
+            x, z = string.x, string.z
             if x not in gathers:
                 gathers[x] = basis ^ x
-            return gathers[x]
+            if (x, z) not in signs:
+                signs[(x, z)] = 1 - 2 * bit_parity(gathers[x] & z)
+            n_y = (x & z).bit_count()
+            steps.append((gathers[x], signs[(x, z)], _POWER_PHASE[n_y % 4],
+                          param_index, sign * scale))
+        self._steps = tuple(steps)
 
-        steps: List[_Step] = []
-        for ins in self.instructions:
-            if ins.kind == "x":
-                if not 0 <= ins.qubit < self.n_qubits:
-                    raise ValueError("qubit index out of range")
-                steps.append((gather(1 << ins.qubit), None, 1.0, -1, 0.0))
-            elif ins.kind == "exp":
-                string = ins.string
-                if string.n_qubits != self.n_qubits:
-                    raise ValueError("register size mismatch")
-                sign = _string_sign(string)
-                x, z = string.x, string.z
-                if (x, z) not in signs:
-                    signs[(x, z)] = 1 - 2 * bit_parity(gather(x) & z)
-                n_y = (x & z).bit_count()
-                steps.append((gather(x), signs[(x, z)],
-                              _POWER_PHASE[n_y % 4], ins.param_index,
-                              sign * ins.scale))
-            else:
-                raise ValueError(f"unknown instruction kind {ins.kind!r}")
-        self._compiled = (key, steps)
-        return steps
-
-    def run(self, parameters: Sequence[float],
-            initial: Optional[StateVector] = None) -> StateVector:
+    def _angles(self, parameters: Sequence[float]) -> np.ndarray:
         theta = np.asarray(parameters, dtype=float)
         if theta.shape != (self.n_parameters,):
             raise ValueError(
                 f"expected {self.n_parameters} parameters, got {theta.shape}")
-        steps = self._steps()
-        state = StateVector(self.n_qubits) if initial is None else initial.copy()
-        if state.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
+        return theta
+
+    def run(self, parameters: Sequence[float]) -> StateVector:
+        """The state the rotations at `parameters` make of the reference;
+        each does the floating-point operations of
+        `StateVector.apply_pauli_exponential`, in the same order."""
+        theta = self._angles(parameters)
+        state = StateVector.computational_basis(self.n_qubits, self.reference)
         data = state.data
-        # an X flip only permutes; an exponential does the floating-point
-        # operations of apply_pauli_exponential, in the same order
-        for order, signs, phase, param_index, scale in steps:
-            if signs is None:
-                data = data[order]
-                continue
+        for order, signs, phase, param_index, scale in self._steps:
             half = 0.5 * (scale * theta[param_index])
             image = (signs * data[order]) * phase
             data = np.cos(half) * data - 1.0j * np.sin(half) * image
@@ -312,29 +275,19 @@ class Circuit:
         """Gradient of <psi|H|psi> over the parameters by one reverse sweep.
 
         `psi` is the amplitude array `run(parameters)` returned and `lam` is
-        H psi on the same register. Walking the compiled steps backwards,
-        each exponential exp(-i h P) adds scale * Im<lam|P psi> to the
+        H psi on the same register. Walking the compiled rotations
+        backwards, each exp(-i h P) adds scale * Im<lam|P psi> to the
         derivative of its parameter, then is undone on both vectors,
         v -> cos(h) v + i sin(h) P v, so that lam stays H psi pulled back
         through the suffix already walked (adjoint differentiation, Jones &
-        Gacon, arXiv:2009.02823). The sweep stops at the leading X flips,
-        which carry no parameter.
+        Gacon, arXiv:2009.02823).
         """
-        theta = np.asarray(parameters, dtype=float)
-        if theta.shape != (self.n_parameters,):
-            raise ValueError(
-                f"expected {self.n_parameters} parameters, got {theta.shape}")
+        theta = self._angles(parameters)
         dim = 1 << self.n_qubits
         if psi.shape != (dim,) or lam.shape != (dim,):
             raise ValueError(f"psi and lam must have shape ({dim},)")
-        steps = self._steps()
-        lead = next((k for k, step in enumerate(steps) if step[1] is not None),
-                    len(steps))
         gradient = np.zeros(self.n_parameters)
-        for order, signs, phase, param_index, scale in reversed(steps[lead:]):
-            if signs is None:
-                psi, lam = psi[order], lam[order]
-                continue
+        for order, signs, phase, param_index, scale in reversed(self._steps):
             image = (signs * psi[order]) * phase
             gradient[param_index] += scale * np.vdot(lam, image).imag
             half = 0.5 * (scale * theta[param_index])

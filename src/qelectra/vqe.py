@@ -27,8 +27,11 @@ energy evaluation is one `Circuit.run`, a gather of the sector's
 amplitudes psi_S and psi_S^ H_SS psi_S with H_SS the sector block the
 FCI eigensolver diagonalizes; for a gradient, H psi is the block mat-vec
 inside the sector and zero outside it. The work that does not depend on
-the parameters is done once per `run_vqe`: the circuit caches its gather
-and sign vectors on the first run, and the block is built once.
+the parameters is done once per `run_vqe`: `ansatz_circuit` compiles the
+circuit, which starts from the encoded aufbau determinant, and the block
+is built once. A `PauliSum` does not record its mapping, so `run_vqe` and
+`ansatz_circuit` take the mapping kind with no default: it must be the one
+that produced the Hamiltonian.
 """
 
 import csv
@@ -41,8 +44,6 @@ from .fermion import FermionOperator
 from .pauli import (MappingKind, PauliString, PauliSum, encode_occupation,
                     map_fermion, sector_basis)
 from .simulator import Circuit
-
-GENERATOR_PRUNE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,7 @@ def _generator_rotations(excitation: Excitation, kind: MappingKind,
     generator commute pairwise. Both facts are checked here rather than
     assumed.
     """
-    mapped = map_fermion(excitation_generator(excitation), kind, n_modes,
-                         threshold=GENERATOR_PRUNE)
+    mapped = map_fermion(excitation_generator(excitation), kind, n_modes)
     pairs: List[Tuple[PauliString, float]] = []
     for string, coeff in mapped.strings():
         if abs(coeff.real) > 1e-12:
@@ -160,24 +160,21 @@ def _generator_rotations(excitation: Excitation, kind: MappingKind,
     return pairs
 
 
-def ansatz_circuit(ansatz: UccsdAnsatz,
-                   kind: MappingKind = MappingKind.JORDAN_WIGNER) -> Circuit:
+def ansatz_circuit(ansatz: UccsdAnsatz, kind: MappingKind) -> Circuit:
     """Parametrized state-preparation circuit for the ansatz.
 
-    X gates encode the aufbau determinant for the chosen mapping, then
-    every excitation contributes its Pauli rotations, parameter index k
-    for excitation k. The returned circuit is evaluated as
+    The circuit starts from the aufbau determinant encoded under `kind`,
+    and every excitation contributes its Pauli rotations, parameter index
+    k for excitation k. The returned circuit is evaluated as
     circuit.run(theta).
     """
     n = ansatz.n_spin_orbitals
-    circuit = Circuit(n)
-    for qubit in encode_occupation(kind, range(ansatz.n_electrons), n):
-        circuit.add_x(qubit)
-    for p, exc in enumerate(ansatz.excitations):
-        for string, scale in _generator_rotations(exc, kind, n):
-            circuit.add_exponential(string, p, scale)
-    circuit.n_parameters = max(circuit.n_parameters, ansatz.n_parameters)
-    return circuit
+    reference = sum(1 << q for q in encode_occupation(
+        kind, range(ansatz.n_electrons), n))
+    rotations = [(string, p, scale)
+                 for p, exc in enumerate(ansatz.excitations)
+                 for string, scale in _generator_rotations(exc, kind, n)]
+    return Circuit(n, reference, rotations, ansatz.n_parameters)
 
 
 # ---- optimization ----------------------------------------------------------
@@ -284,21 +281,21 @@ class VqeResult:
 
 
 def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
-            config: OptimizerConfig,
-            kind: MappingKind = MappingKind.JORDAN_WIGNER,
+            config: OptimizerConfig, kind: MappingKind,
             shots: Optional[int] = None,
             initial_parameters: Optional[Sequence[float]] = None
             ) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
-    `shots = None` evaluates exact expectations on the (N, S_z) sector of
-    the ansatz's aufbau reference, (n_e + 1) // 2 alpha and n_e // 2 beta
-    electrons: the Hamiltonian must map that sector into itself, as a
-    number- and spin-conserving molecular Hamiltonian does, and one that
-    leaves it raises the ValueError of `oracle.pauli_to_sparse`. An
-    integer turns on simulated projective measurement with that many shots
-    per term, drawn from the same seeded generator as the optimizer; only
-    spsa accepts it. The SPSA gains, and the kind, budget and tolerance
+    `kind` is the mapping that produced `hamiltonian`; the ansatz circuit
+    and the sector are encoded under it. `shots = None` evaluates exact
+    expectations on the (N, S_z) sector of the ansatz's aufbau reference,
+    (n_e + 1) // 2 alpha and n_e // 2 beta electrons: the Hamiltonian
+    must map that sector into itself, as a number- and spin-conserving
+    molecular Hamiltonian does, and one that leaves it raises the
+    ValueError of `oracle.pauli_to_sparse`. An integer turns on simulated
+    projective measurement with that many shots per term, drawn from the
+    same seeded generator as the optimizer; only spsa accepts it. The SPSA gains, and the kind, budget and tolerance
     that `config` leaves None, are derived here from the shot setting and
     the ansatz size (`optimizer_kind`, `spsa_schedule`). Identical
     (hamiltonian, ansatz, config, shots) reproduce the identical result.

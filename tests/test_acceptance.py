@@ -231,8 +231,8 @@ def test_sampled_expectation_tracks_exact_statistics():
         amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         state = StateVector(n, amp / np.linalg.norm(amp))
         exact = state.expectation(op)
-        est, err = state.sampled_expectation(op, shots,
-                                             seed=int(rng.integers(1 << 31)))
+        est, err = state.sampled_expectation(
+            op, shots, np.random.default_rng(int(rng.integers(1 << 31))))
         allowed = max(5.0 * err, 1e-12)
         if abs(est - exact) > allowed:
             failures += 1

@@ -4,13 +4,13 @@ import pytest
 from qelectra.integrals import compute_integrals
 from qelectra.molecule import from_atom_list
 from qelectra.pipeline import shipped_geometry
-from qelectra.scf import ScfConfig, density_matrix, run_rhf
+from qelectra import scf as scf_module
+from qelectra.scf import density_matrix, run_rhf
 
 
-def solve(mol, n_electrons, **kwargs):
+def solve(mol, n_electrons):
     ints = compute_integrals(mol, "sto-3g")
-    config = ScfConfig(**kwargs) if kwargs else None
-    return ints, run_rhf(ints, n_electrons, config=config)
+    return ints, run_rhf(ints, n_electrons)
 
 
 def test_h2_energy_golden():
@@ -55,9 +55,10 @@ def test_history_records_monotone_convergence_tail():
     assert abs(energies[-1] - energies[-2]) < 1e-8
 
 
-def test_max_iterations_reports_nonconvergence():
+def test_max_iterations_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(scf_module, "MAX_ITERATIONS", 1)
     mol = shipped_geometry("h2o")
-    _, scf = solve(mol, 10, max_iterations=1)
+    _, scf = solve(mol, 10)
     assert not scf.converged
     assert scf.n_iterations == 1
 

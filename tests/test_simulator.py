@@ -8,12 +8,7 @@ from scipy.linalg import expm
 
 from qelectra.oracle import MAX_SPARSE_QUBITS, pauli_to_sparse
 from qelectra.pauli import PauliString, PauliSum
-from qelectra.simulator import (
-    MAX_QUBITS,
-    Circuit,
-    Instruction,
-    StateVector,
-)
+from qelectra.simulator import MAX_QUBITS, Circuit, StateVector
 from qelectra.vqe import ansatz_circuit, build_uccsd
 from test_pauli import dense, dense_sum
 
@@ -179,7 +174,7 @@ def test_sampled_expectation_tracks_exact_value():
     op.add_string(PauliString("YY"), 0.4)
     sv = random_state(2, rng)
     exact = sv.expectation(op)
-    est, err = sv.sampled_expectation(op, shots=8192, seed=7)
+    est, err = sv.sampled_expectation(op, 8192, np.random.default_rng(7))
     assert err > 0.0
     assert abs(est - exact) <= 5.0 * err
 
@@ -190,16 +185,17 @@ def test_sampled_expectation_is_deterministic_per_seed():
     op.add_string(PauliString("XZ"), 1.0)
     op.add_string(PauliString("ZI"), -0.5)
     sv = random_state(2, rng)
-    first = sv.sampled_expectation(op, shots=500, seed=42)
-    second = sv.sampled_expectation(op, shots=500, seed=42)
+    first = sv.sampled_expectation(op, 500, np.random.default_rng(42))
+    second = sv.sampled_expectation(op, 500, np.random.default_rng(42))
     assert first == second
-    other = sv.sampled_expectation(op, shots=500, seed=43)
+    other = sv.sampled_expectation(op, 500, np.random.default_rng(43))
     assert first != other
 
 
 def test_sampled_expectation_identity_is_exact():
     sv = StateVector(2)
-    est, err = sv.sampled_expectation(PauliSum.identity(2, 1.25), shots=10)
+    est, err = sv.sampled_expectation(PauliSum.identity(2, 1.25), 10,
+                                      np.random.default_rng(0))
     assert est == pytest.approx(1.25)
     assert err == 0.0
 
@@ -208,7 +204,7 @@ def test_sampling_measures_y_in_its_eigenbasis():
     # +1 eigenstate of Y gives a deterministic outcome after rotation
     sv = StateVector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
     op = PauliSum.from_string(PauliString("Y"))
-    est, err = sv.sampled_expectation(op, shots=64, seed=0)
+    est, err = sv.sampled_expectation(op, 64, np.random.default_rng(0))
     assert est == pytest.approx(1.0)
     assert err == pytest.approx(0.0, abs=1e-12)
 
@@ -216,29 +212,29 @@ def test_sampling_measures_y_in_its_eigenbasis():
 def test_sampled_expectation_validation():
     sv = StateVector(1)
     op = PauliSum.from_string(PauliString("Z"))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sv.sampled_expectation(op, shots=0)
+        sv.sampled_expectation(op, 0, rng)
     with pytest.raises(ValueError):
-        sv.sampled_expectation(PauliSum.identity(2), shots=10)
+        sv.sampled_expectation(PauliSum.identity(2), 10, rng)
     crooked = PauliSum(1)
     crooked.add_string(PauliString("Z"), 1j)
     with pytest.raises(ValueError, match="Hermitian"):
-        sv.sampled_expectation(crooked, shots=10)
+        sv.sampled_expectation(crooked, 10, rng)
 
 
 def test_single_shot_has_zero_variance_estimate():
     sv = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
     est, err = sv.sampled_expectation(PauliSum.from_string(PauliString("Z")),
-                                      shots=1, seed=3)
+                                      1, np.random.default_rng(3))
     assert est in (-1.0, 1.0)
     assert err == 0.0
 
 
 def test_circuit_runs_flips_then_exponentials():
-    circ = Circuit(n_qubits=2)
-    circ.add_x(0)
-    circ.add_exponential(PauliString("YI"), 0)
-    assert circ.n_parameters == 1
+    # the reference 0b01 is qubit 0 flipped; the rotation follows it
+    circ = Circuit(2, 0b01, [(PauliString("YI"), 0, 1.0)], 1)
+    assert circ.instructions == ((PauliString("YI"), 0, 1.0),)
     theta = 0.7
     out = circ.run([theta])
     start = StateVector.computational_basis(2, 0b01)
@@ -247,61 +243,42 @@ def test_circuit_runs_flips_then_exponentials():
 
 
 def test_circuit_zero_angles_reproduce_reference():
-    circ = Circuit(n_qubits=3)
-    circ.add_x(0)
-    circ.add_x(2)
-    circ.add_exponential(PauliString("XYZ"), 0, scale=2.0)
+    circ = Circuit(3, 0b101, [(PauliString("XYZ"), 0, 2.0)], 1)
     out = circ.run([0.0])
     assert np.allclose(out.data, StateVector.computational_basis(3, 0b101).data)
 
 
 def test_circuit_scale_multiplies_parameter():
-    circ = Circuit(n_qubits=1)
-    circ.add_exponential(PauliString("X"), 0, scale=-3.0)
+    circ = Circuit(1, 0, [(PauliString("X"), 0, -3.0)], 1)
     out = circ.run([0.5])
     want = expm(-0.5j * (-1.5) * dense("X")) @ StateVector(1).data
     assert np.allclose(out.data, want, atol=1e-12)
 
 
-def test_circuit_does_not_mutate_initial_state():
-    circ = Circuit(n_qubits=1)
-    circ.add_x(0)
-    initial = StateVector(1)
-    circ.run([], initial=initial)
-    assert initial.data[0] == 1.0
-
-
 def test_circuit_validation():
-    circ = Circuit(n_qubits=2)
-    with pytest.raises(ValueError):
-        circ.add_exponential(PauliString("X"), 0)
-    with pytest.raises(ValueError):
-        circ.add_exponential(PauliString("XX"), -1)
-    circ.add_exponential(PauliString("XX"), 0)
-    with pytest.raises(ValueError):
-        circ.run([0.1, 0.2])
-    broken = Circuit(n_qubits=1,
-                     instructions=[Instruction(kind="measure")])
-    with pytest.raises(ValueError, match="unknown instruction"):
-        broken.run([])
-
-
-def test_circuit_rejects_initial_state_of_another_size():
-    circ = Circuit(n_qubits=2)
-    circ.add_x(0)
     with pytest.raises(ValueError, match="mismatch"):
-        circ.run([], initial=StateVector(3))
+        Circuit(2, 0, [(PauliString("X"), 0, 1.0)], 1)
+    for index in (-1, 1):
+        with pytest.raises(ValueError, match="parameter index"):
+            Circuit(2, 0, [(PauliString("XX"), index, 1.0)], 1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        Circuit(1, 0, [(PauliString("X", phase=1j), 0, 1.0)], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit(2, 4, [], 0)
+    with pytest.raises(ValueError, match="register size"):
+        Circuit(MAX_QUBITS + 1, 0, [], 0)
+    circ = Circuit(2, 0, [(PauliString("XX"), 0, 1.0)], 1)
+    with pytest.raises(ValueError, match="parameters"):
+        circ.run([0.1, 0.2])
 
 
 def run_one_by_one(circuit, theta):
-    """Reference for Circuit.run: each instruction applied by StateVector."""
-    state = StateVector(circuit.n_qubits)
-    for ins in circuit.instructions:
-        if ins.kind == "x":
-            state.apply_x(ins.qubit)
-        else:
-            state.apply_pauli_exponential(
-                ins.string, ins.scale * theta[ins.param_index])
+    """Reference for Circuit.run: the reference basis state, then each
+    rotation applied by StateVector."""
+    state = StateVector.computational_basis(circuit.n_qubits,
+                                            circuit.reference)
+    for string, param_index, scale in circuit.instructions:
+        state.apply_pauli_exponential(string, scale * theta[param_index])
     return state
 
 
@@ -310,28 +287,25 @@ _ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
 @st.composite
 def circuits(draw):
-    """Random circuits on 1-6 qubits: X flips and Hermitian exponentials
-    with phase +1 or -1, drawn from a small pool of X-masks so that
-    instructions share gathers, with arbitrary scales and shared
-    parameters."""
+    """Random circuits on 1-6 qubits: a reference basis state, then
+    Hermitian exponentials with phase +1 or -1, drawn from a small pool of
+    X-masks so that rotations share gathers, with arbitrary scales and
+    shared parameters."""
     n = draw(st.integers(1, 6))
     masks = st.integers(0, (1 << n) - 1)
     pool = draw(st.lists(masks, min_size=1, max_size=3))
     n_params = draw(st.integers(1, 4))
-    circuit = Circuit(n)
+    rotations = []
     for _ in range(draw(st.integers(0, 12))):
-        if draw(st.booleans()):
-            circuit.add_x(draw(st.integers(0, n - 1)))
-            continue
         x, z = draw(st.sampled_from(pool)), draw(masks)
         flip = draw(st.sampled_from([0, 2]))
         string = PauliString.from_masks(n, x, z,
                                         (x & z).bit_count() + flip)
-        circuit.add_exponential(string, draw(st.integers(0, n_params - 1)),
-                                draw(st.floats(-3.0, 3.0)))
-    circuit.n_parameters = max(circuit.n_parameters, n_params)
-    theta = np.array(draw(st.lists(_ANGLES, min_size=circuit.n_parameters,
-                                   max_size=circuit.n_parameters)))
+        rotations.append((string, draw(st.integers(0, n_params - 1)),
+                          draw(st.floats(-3.0, 3.0))))
+    circuit = Circuit(n, draw(masks), rotations, n_params)
+    theta = np.array(draw(st.lists(_ANGLES, min_size=n_params,
+                                   max_size=n_params)))
     return circuit, theta
 
 
@@ -341,22 +315,5 @@ def test_compiled_run_is_bit_identical_to_instruction_by_instruction(case):
     circuit, theta = case
     want = run_one_by_one(circuit, theta).data
     assert np.array_equal(circuit.run(theta).data, want)
-    # the second run reuses the cached gathers and signs
+    # a second run gathers from the same compiled vectors
     assert np.array_equal(circuit.run(theta).data, want)
-
-
-def test_circuit_recompiles_after_instructions_change():
-    circ = Circuit(n_qubits=3)
-    circ.add_x(1)
-    circ.add_exponential(PauliString("XYZ"), 0, scale=0.5)
-    theta = np.array([0.9, -0.4])
-    circ.n_parameters = 2
-    first = circ.run(theta).data
-    assert np.array_equal(first, run_one_by_one(circ, theta).data)
-    circ.add_exponential(PauliString("YXI"), 1, scale=-1.5)
-    second = circ.run(theta).data
-    assert np.array_equal(second, run_one_by_one(circ, theta).data)
-    assert not np.allclose(first, second)
-    circ.instructions[0] = Instruction(kind="x", qubit=2)
-    third = circ.run(theta).data
-    assert np.array_equal(third, run_one_by_one(circ, theta).data)

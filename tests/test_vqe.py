@@ -109,7 +109,7 @@ def test_zero_angles_match_scf_on_ten_qubits(assembled):
 
 def test_ansatz_circuit_validation():
     ansatz = build_uccsd(4, 2)
-    circuit = ansatz_circuit(ansatz)
+    circuit = ansatz_circuit(ansatz, kind=MappingKind.JORDAN_WIGNER)
     with pytest.raises(ValueError, match="parameters"):
         circuit.run([0.1])
     state = circuit.run([0.02, -0.03, 0.05])
@@ -151,7 +151,8 @@ def test_adjoint_gradient_matches_central_differences(key, kind, assembled,
 
 
 def test_adjoint_gradient_validation():
-    circuit = ansatz_circuit(build_uccsd(4, 2))
+    circuit = ansatz_circuit(build_uccsd(4, 2),
+                             kind=MappingKind.JORDAN_WIGNER)
     psi = circuit.run(np.zeros(3)).data
     with pytest.raises(ValueError, match="parameters"):
         circuit.adjoint_gradient(np.zeros(2), psi, psi)
@@ -208,7 +209,7 @@ def test_gradient_optimizers_refuse_shots(optimizer, assembled,
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
 
-    def refuse(self, parameters, initial=None):
+    def refuse(self, parameters):
         raise AssertionError("no circuit runs for a refused optimizer")
 
     monkeypatch.setattr(simulator.Circuit, "run", refuse)
@@ -268,7 +269,24 @@ def test_register_mismatch_rejected(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(6, 2)
     with pytest.raises(ValueError, match="qubits"):
+        run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig(),
+                kind=MappingKind.PARITY)
+
+
+def test_the_mapping_has_no_default(assembled):
+    # a PauliSum does not record its mapping: a Jordan-Wigner default on
+    # the parity-mapped H2 Hamiltonian returned -0.5246 Ha, converged
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    with pytest.raises(TypeError, match="kind"):
         run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig())
+    with pytest.raises(TypeError, match="kind"):
+        ansatz_circuit(ansatz)
+    result = run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig(),
+                     kind=system.mapping)
+    assert result.e_min == pytest.approx(
+        exact_ground_energy(system.qubit_hamiltonian, basis=system.sector()),
+        abs=1e-9)
 
 
 def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
@@ -308,7 +326,8 @@ def test_registers_above_the_full_register_cap_use_the_sector_block():
         oracle.pauli_to_sparse(counted)
     # the block on the 8 one-alpha determinants builds with no qubit cap
     result = run_vqe(counted, ansatz,
-                     OptimizerConfig(kind="spsa", max_iterations=2, seed=1))
+                     OptimizerConfig(kind="spsa", max_iterations=2, seed=1),
+                     kind=MappingKind.JORDAN_WIGNER)
     # the ansatz conserves the particle number, so every energy is <N> = 1
     assert result.n_evaluations == 7
     assert result.energy_history == pytest.approx([1.0] * 3, abs=1e-12)
@@ -321,7 +340,7 @@ def test_non_hermitian_hamiltonian_rejected_before_any_evaluation(
     skewed = (system.qubit_hamiltonian
               + PauliSum.from_string(PauliString("XYII"), 0.1j))
 
-    def refuse(self, parameters, initial=None):
+    def refuse(self, parameters):
         raise AssertionError("no circuit runs for a rejected Hamiltonian")
 
     monkeypatch.setattr(simulator.Circuit, "run", refuse)
@@ -370,7 +389,8 @@ def test_empty_ansatz_returns_reference_energy():
     bare = UccsdAnsatz(n_spin_orbitals=2, n_electrons=1, excitations=[],
                        parameters=np.zeros(0))
     mapped = map_fermion(number_operator(2), MappingKind.JORDAN_WIGNER, 2)
-    result = run_vqe(mapped, bare, OptimizerConfig())
+    result = run_vqe(mapped, bare, OptimizerConfig(),
+                     kind=MappingKind.JORDAN_WIGNER)
     assert result.converged
     assert result.n_iterations == 0
     assert result.e_min == pytest.approx(1.0)
