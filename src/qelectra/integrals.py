@@ -1,25 +1,39 @@
 """Analytic one- and two-electron integrals over contracted Gaussians.
 
-Uses Hermite-Gaussian expansion recurrences for overlap, kinetic, nuclear
-attraction and electron repulsion. The Boys function is evaluated by a
-downward-recursion series below x = 35 and the asymptotic closed form above,
-accurate to about 1e-13 across the switch.
+Uses the McMurchie-Davidson Hermite-Gaussian recurrences for overlap,
+kinetic, nuclear attraction and electron repulsion. The Boys function is
+evaluated by a downward-recursion series below x = 35 and the asymptotic
+closed form above, accurate to about 1e-13 across the switch.
 
-Electron repulsion integrals are returned as a dense (n, n, n, n) array in
-chemists' notation (ij|kl); only canonical index quartets are computed and
-the eight symmetry images are filled from each one. The canonical quartets
-are batched by angular class: basis-function pairs are keyed by primitive
-count and per-axis Hermite lengths, and every quartet of one (bra class,
-ket class) is evaluated in one Hermite Coulomb call over all its primitive
-quartets, up to a fixed number per call.
+Basis-function pairs are grouped into angular classes, keyed by primitive
+count and per-axis Hermite lengths. Each pair's Hermite coefficients come
+from one call per axis over all its primitive pairs. S and T are summed per
+class; V takes one Hermite Coulomb call per class over all its pairs,
+nuclei and primitive pairs. Electron repulsion integrals are returned as a
+dense (n, n, n, n) array in chemists' notation (ij|kl); only canonical
+index quartets are computed and the eight symmetry images are filled from
+each one. Every quartet of one (bra class, ket class) is evaluated in one
+Hermite Coulomb call over all its primitive quartets, up to a fixed number
+per call.
 
-Batching follows one rule: the tensor is bit-identical to evaluating the
-quartets one at a time. Each primitive quartet goes through the same
-elementwise operations in the same order (the Hermite products summed in a
-fixed s1/s2/s3 order, then one sum over each quartet's primitives), and no
-reduction is regrouped. The rule matters because a split degenerate shell
-(the shipped CO2 window) turns a 1e-16 change in the integrals into a
-milli-Hartree change in the correlation energy.
+Batching follows one rule: S, T, V and the ERI tensor are bit-identical to
+evaluating one primitive pair, pair, nucleus or quartet at a time. This
+holds because:
+- every primitive pair or quartet goes through the same elementwise
+  operations in the same order (Hermite products in a fixed t/u/v order,
+  and (pi/p)^1.5 as a scalar power, since numpy's array power can round
+  differently);
+- no reduction is regrouped: S, T and the sum over nuclei add one term at
+  a time from 0.0 as the loops did, and V and the ERIs take np.sum over
+  each row of primitives, as the loops' np.sum did;
+- the Boys series stops summing an element once its term is at most 1e-17
+  of its sum, not when the slowest element of the batch converges. Such a
+  term is below half an ulp of the sum and every later term is smaller, so
+  the additions it skips changed nothing, and an element's value does not
+  depend on the others in its batch.
+The rule matters because a split degenerate shell (the shipped CO2 window)
+turns a 1e-16 change in the integrals into a milli-Hartree change in the
+correlation energy.
 """
 
 from collections import defaultdict
@@ -33,6 +47,11 @@ from .molecule import Molecule, nuclear_repulsion
 
 MAX_BASIS_FUNCTIONS = 32
 _BOYS_SWITCH = 35.0
+# The Boys series compacts its working set only while it holds more than
+# this many elements. Its masks take a byte per element, and numpy keeps
+# freed buffers under 1 KB for reuse, one set per size: compacting further
+# left about 0.15 MB of such buffers held after CO2's integrals.
+_BOYS_MIN_COMPACTION = 1024
 # Primitive quartets per Hermite Coulomb call: caps the working memory of
 # one batch (compute_integrals on CO2 peaks at about 4 MB).
 _PRIMITIVE_QUARTETS_PER_CALL = 1 << 15
@@ -57,15 +76,31 @@ def _boys_series(m_max: int, x: np.ndarray) -> np.ndarray:
     # F_m(x) = exp(-x) * sum_k (2x)^k (2m-1)!! / (2m+2k+1)!!, evaluated at the
     # highest order, then recurred downward (stable direction).
     two_x = 2.0 * x
-    term = np.full_like(x, 1.0 / (2 * m_max + 1))
-    acc = term.copy()
-    k = 0
-    while True:
-        k += 1
-        term = term * two_x / (2 * m_max + 2 * k + 1)
-        acc += term
-        if np.all(term <= 1e-17 * acc) or k > 300:
-            break
+    acc = np.full_like(x, 1.0 / (2 * m_max + 1))
+    # Every fourth term, once at least half of the working set has a term
+    # at most 1e-17 of its sum, those elements leave it. Such a term is
+    # below half an ulp of the sum, and it lies past the largest term (up
+    # to there each term is at least 1/(k+1) of the sum), so the terms only
+    # shrink after it and summing on would change no bit. Leaving only in
+    # halves keeps the copies few: a copy at every check grew the peak
+    # memory of CO2's integrals by 0.4 MB.
+    live = np.arange(x.size)
+    term, part, ratio = acc.copy(), acc.copy(), two_x
+    for k in range(1, 302):
+        term *= ratio
+        term /= 2 * m_max + 2 * k + 1
+        part += term
+        if k % 4 == 0:
+            done = term <= 1e-17 * part
+            converged = np.count_nonzero(done)
+            if converged == live.size:
+                break
+            if 2 * converged >= live.size > _BOYS_MIN_COMPACTION:
+                acc[live[done]] = part[done]
+                keep = ~done
+                live, term = live[keep], term[keep]
+                part, ratio = part[keep], ratio[keep]
+    acc[live] = part
     ex = np.exp(-x)
     out = np.empty((m_max + 1,) + x.shape, dtype=float)
     out[m_max] = ex * acc
@@ -83,16 +118,18 @@ def _boys_asymptotic(m_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermite_coefficients(i: int, j: int, a: float, b: float, ab: float) -> np.ndarray:
+def hermite_coefficients(i: int, j: int, a, b, ab: float) -> np.ndarray:
     """1D Hermite expansion coefficients E_t for x^i, x^j Gaussians.
 
+    `a` and `b` are the exponents, scalars or arrays of one shape (one entry
+    per primitive pair); the result has shape (i + j + 1,) + that shape.
     `ab` is (A - B) along the axis. Includes the pair prefactor
     exp(-mu * ab^2), so E[0] for i = j = 0 is the full 1D overlap kernel.
     """
     p = a + b
     mu = a * b / p
     # E[iprime, jprime, t]; recursion over one index at a time
-    E = np.zeros((i + 1, j + 1, i + j + 2))
+    E = np.zeros((i + 1, j + 1, i + j + 2) + np.shape(p))
     E[0, 0, 0] = np.exp(-mu * ab * ab)
     pa = -b * ab / p   # P - A with P = (aA + bB)/p; A - B = ab
     pb = a * ab / p    # P - B
@@ -126,12 +163,11 @@ def _hermite_coulomb(tmax: int, umax: int, vmax: int, p, PC) -> np.ndarray:
     k = p.shape[0]
     n_tot = tmax + umax + vmax
     r2 = np.einsum("ki,ki->k", PC, PC)
-    F = boys(n_tot, p * r2)                      # (n_tot+1, k)
+    base = boys(n_tot, p * r2)                   # (n_tot+1, k)
     minus_2p = -2.0 * p
-    base = np.empty_like(F)
     scale = np.ones_like(p)
     for n in range(n_tot + 1):
-        base[n] = scale * F[n]                   # (-2p)^n F_n
+        base[n] *= scale                         # (-2p)^n F_n
         scale = scale * minus_2p
     # R[n][t,u,v] built downward in n
     R_prev = {(0, 0, 0): base[n_tot]}
@@ -164,96 +200,59 @@ def _hermite_coulomb(tmax: int, umax: int, vmax: int, p, PC) -> np.ndarray:
 
 
 class _PairData:
-    """Precomputed primitive-pair quantities for one basis-function pair."""
+    """Primitive-pair quantities for one basis-function pair.
 
-    __slots__ = ("p", "P", "coeff", "Ex", "Ey", "Ez", "la", "lb")
+    Primitive pairs run along the leading axis of every array, bra primitive
+    major. `overlap` and `kinetic` are the pair's S and T terms per primitive
+    pair, in the operation order of the one-primitive-pair formulas.
+    """
+
+    __slots__ = ("p", "P", "coeff", "Ex", "Ey", "Ez", "overlap", "kinetic")
 
     def __init__(self, fa: ContractedGaussian, fb: ContractedGaussian):
         A, B = fa.center, fb.center
-        la, lb = fa.powers, fb.powers
-        self.la, self.lb = la, lb
-        pairs = [(a1, c1, a2, c2)
-                 for a1, c1 in zip(fa.alphas, fa.coeffs)
-                 for a2, c2 in zip(fb.alphas, fb.coeffs)]
-        n = len(pairs)
-        self.p = np.array([a1 + a2 for a1, _, a2, _ in pairs])
-        self.coeff = np.array([c1 * c2 for _, c1, _, c2 in pairs])
-        self.P = np.array([(a1 * A + a2 * B) / (a1 + a2)
-                           for a1, _, a2, _ in pairs])
+        na, nb = fa.alphas.size, fb.alphas.size
+        a1, c1 = np.repeat(fa.alphas, nb), np.repeat(fa.coeffs, nb)
+        a2, c2 = np.tile(fb.alphas, na), np.tile(fb.coeffs, na)
+        self.p = a1 + a2
+        self.coeff = c1 * c2
+        self.P = (a1[:, None] * A + a2[:, None] * B) / self.p[:, None]
         ab = A - B
-        # per-axis Hermite coefficient arrays, shape (n_pairs, t_range)
-        self.Ex = np.array([hermite_coefficients(la[0], lb[0], a1, a2, ab[0])
-                            for a1, _, a2, _ in pairs])
-        self.Ey = np.array([hermite_coefficients(la[1], lb[1], a1, a2, ab[1])
-                            for a1, _, a2, _ in pairs])
-        self.Ez = np.array([hermite_coefficients(la[2], lb[2], a1, a2, ab[2])
-                            for a1, _, a2, _ in pairs])
+        # per-axis Hermite coefficient arrays, shape (n_pairs, t_range);
+        # copied, so that they do not hold the whole recursion table
+        self.Ex, self.Ey, self.Ez = (
+            hermite_coefficients(i, j, a1, a2, d).T.copy()
+            for i, j, d in zip(fa.powers, fb.powers, ab))
+
+        # (pi / p)^1.5 as one scalar power per element: numpy's array power
+        # can round differently in the last bit
+        gaussian = np.array([(np.pi / p) ** 1.5 for p in self.p])
+        self.overlap = (self.coeff * self.Ex[:, 0] * self.Ey[:, 0]
+                        * self.Ez[:, 0] * gaussian)
+
+        # kinetic: the ket's 1D second derivative, as 1D overlaps (s) with
+        # the ket power moved by -2, 0 and +2, giving 1D kinetic terms (t)
+        root = np.sqrt(np.pi / self.p)
+        s = [E[:, 0] * root for E in (self.Ex, self.Ey, self.Ez)]
+        t = []
+        for axis, (i, j, d) in enumerate(zip(fa.powers, fb.powers, ab)):
+            hi = hermite_coefficients(i, j + 2, a1, a2, d)[0] * root
+            val = -2.0 * a2 * (2 * j + 1) * s[axis] + 4.0 * a2 * a2 * hi
+            if j >= 2:
+                lo = hermite_coefficients(i, j - 2, a1, a2, d)[0] * root
+                val += j * (j - 1) * lo
+            t.append(-0.5 * val)
+        self.kinetic = self.coeff * (t[0] * s[1] * s[2] + s[0] * t[1] * s[2]
+                                     + s[0] * s[1] * t[2])
 
 
-def _overlap_pair(fa: ContractedGaussian, fb: ContractedGaussian) -> float:
-    s = 0.0
-    A, B = fa.center, fb.center
-    ab = A - B
-    for a1, c1 in zip(fa.alphas, fa.coeffs):
-        for a2, c2 in zip(fb.alphas, fb.coeffs):
-            p = a1 + a2
-            ex = hermite_coefficients(fa.powers[0], fb.powers[0], a1, a2, ab[0])[0]
-            ey = hermite_coefficients(fa.powers[1], fb.powers[1], a1, a2, ab[1])[0]
-            ez = hermite_coefficients(fa.powers[2], fb.powers[2], a1, a2, ab[2])[0]
-            s += c1 * c2 * ex * ey * ez * (np.pi / p) ** 1.5
-    return s
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis one term at a time, starting from 0.0.
 
-
-def _kinetic_pair(fa: ContractedGaussian, fb: ContractedGaussian) -> float:
-    # Apply the 1D second-derivative expansion to the ket and reuse overlaps.
-    t_total = 0.0
-    A, B = fa.center, fb.center
-    ab = A - B
-    la = fa.powers
-
-    def s1d(i, j, a1, a2, axis):
-        if i < 0 or j < 0:
-            return 0.0
-        return hermite_coefficients(i, j, a1, a2, ab[axis])[0] * np.sqrt(np.pi / (a1 + a2))
-
-    for a1, c1 in zip(fa.alphas, fa.coeffs):
-        for a2, c2 in zip(fb.alphas, fb.coeffs):
-            sx = [s1d(la[0], fb.powers[0] + d, a1, a2, 0) for d in (-2, 0, 2)]
-            sy = [s1d(la[1], fb.powers[1] + d, a1, a2, 1) for d in (-2, 0, 2)]
-            sz = [s1d(la[2], fb.powers[2] + d, a1, a2, 2) for d in (-2, 0, 2)]
-
-            def t1d(j, s_list):
-                lo, mid, hi = s_list
-                val = -2.0 * a2 * (2 * j + 1) * mid + 4.0 * a2 * a2 * hi
-                if j >= 2:
-                    val += j * (j - 1) * lo
-                return -0.5 * val
-
-            tx = t1d(fb.powers[0], sx)
-            ty = t1d(fb.powers[1], sy)
-            tz = t1d(fb.powers[2], sz)
-            t_total += c1 * c2 * (tx * sy[1] * sz[1]
-                                  + sx[1] * ty * sz[1]
-                                  + sx[1] * sy[1] * tz)
-    return t_total
-
-
-def _nuclear_pair(pair: _PairData, coords: np.ndarray, charges: np.ndarray) -> float:
-    la, lb = pair.la, pair.lb
-    tmax = la[0] + lb[0]
-    umax = la[1] + lb[1]
-    vmax = la[2] + lb[2]
-    total = 0.0
-    for C, Z in zip(coords, charges):
-        PC = pair.P - C[None, :]
-        R = _hermite_coulomb(tmax, umax, vmax, pair.p, PC)
-        acc = np.zeros_like(pair.p)
-        for t in range(tmax + 1):
-            for u in range(umax + 1):
-                for v in range(vmax + 1):
-                    acc += pair.Ex[:, t] * pair.Ey[:, u] * pair.Ez[:, v] * R[t, u, v]
-        total += -Z * np.sum(pair.coeff * (2.0 * np.pi / pair.p) * acc)
-    return total
+    This is the order of a Python loop `total += term`; np.sum regroups the
+    additions and np.cumsum can leave -0.0 where the loop gives 0.0.
+    """
+    return sum(np.moveaxis(terms, -1, 0), 0.0)
 
 
 def _signed_convolution(Ea: np.ndarray, Eb: np.ndarray) -> np.ndarray:
@@ -282,6 +281,43 @@ class _PairClass:
         self.coeff = np.stack([pair.coeff for pair in pairs])  # (n, K)
         self.E = tuple(np.stack([getattr(pair, axis) for pair in pairs])
                        for axis in ("Ex", "Ey", "Ez"))         # (n, K, t)
+        self.overlap = np.stack([pair.overlap for pair in pairs])  # (n, K)
+        self.kinetic = np.stack([pair.kinetic for pair in pairs])  # (n, K)
+
+
+def _pair_classes(pairs: List[_PairData]):
+    """Group pairs by angular class: primitive count and per-axis Hermite
+    lengths. Returns (pair indices, _PairClass) per class."""
+    members = defaultdict(list)
+    for index, pair in enumerate(pairs):
+        key = (pair.p.size, pair.Ex.shape[1], pair.Ey.shape[1],
+               pair.Ez.shape[1])
+        members[key].append(index)
+    return [(np.array(idx), _PairClass([pairs[i] for i in idx]))
+            for idx in members.values()]
+
+
+def _nuclear_attraction(cls: _PairClass, coords: np.ndarray,
+                        charges: np.ndarray) -> np.ndarray:
+    """V for every pair of one class, from one Hermite Coulomb call over
+    all its pairs, nuclei and primitive pairs."""
+    PC = cls.P[:, None] - coords[None, :, None]       # (n, nuclei, K, 3)
+    shape = PC.shape[:3]
+    tmax, umax, vmax = (E.shape[2] - 1 for E in cls.E)
+    p = np.broadcast_to(cls.p[:, None], shape).ravel()
+    R = _hermite_coulomb(tmax, umax, vmax, p, PC.reshape(-1, 3))
+    R = R.reshape(R.shape[:3] + shape)
+    Ex, Ey, Ez = (E[:, None] for E in cls.E)          # (n, 1, K, t)
+    acc = np.zeros(shape)
+    for t in range(tmax + 1):
+        for u in range(umax + 1):
+            for v in range(vmax + 1):
+                acc += Ex[..., t] * Ey[..., u] * Ez[..., v] * R[t, u, v]
+    # np.sum over each (pair, nucleus) row of primitive pairs, then the
+    # nuclei added in input order
+    per_nucleus = np.sum(cls.coeff[:, None] * (2.0 * np.pi / cls.p[:, None])
+                         * acc, axis=-1)
+    return _sequential_sum(-charges * per_nucleus)
 
 
 def _eri_batch(bra: _PairClass, ket: _PairClass,
@@ -313,24 +349,15 @@ def _eri_batch(bra: _PairClass, ket: _PairClass,
     return np.sum((weights * pref * acc).reshape(m, kb * kk), axis=1)
 
 
-def _eri_table(pairs: List[_PairData]) -> np.ndarray:
+def _eri_table(classes, n_pairs: int) -> np.ndarray:
     """(bra|ket) for every two pairs, as a symmetric (pairs x pairs) table.
 
     Each canonical quartet (ket index <= bra index) is computed once, in
     one batch per (bra class, ket class), and mirrored.
     """
-    members = defaultdict(list)
-    for index, pair in enumerate(pairs):
-        # angular class: primitive count and per-axis Hermite lengths
-        key = (pair.p.size, pair.Ex.shape[1], pair.Ey.shape[1],
-               pair.Ez.shape[1])
-        members[key].append(index)
-    classes = {key: (np.array(idx), _PairClass([pairs[i] for i in idx]))
-               for key, idx in members.items()}
-
-    table = np.zeros((len(pairs), len(pairs)))
-    for bra_index, bra in classes.values():
-        for ket_index, ket in classes.values():
+    table = np.zeros((n_pairs, n_pairs))
+    for bra_index, bra in classes:
+        for ket_index, ket in classes:
             rows, cols = np.nonzero(ket_index[None, :] <= bra_index[:, None])
             per_quartet = bra.p.shape[1] * ket.p.shape[1]
             step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // per_quartet)
@@ -372,27 +399,25 @@ def compute_integrals(molecule: Molecule, basis_name: str = "sto-3g") -> Integra
         raise ValueError(
             f"{n} basis functions exceeds the dense-ERI cap of {MAX_BASIS_FUNCTIONS}")
 
-    S = np.zeros((n, n))
-    T = np.zeros((n, n))
-    V = np.zeros((n, n))
+    rows, cols = np.tril_indices(n)
+    pairs = [_PairData(funcs[i], funcs[j]) for i, j in zip(rows, cols)]
+    pair_of = np.empty((n, n), dtype=np.intp)
+    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(rows.size)
+
+    classes = _pair_classes(pairs)
     coords = molecule.coordinates()
     charges = molecule.charges()
+    s, t, v = (np.empty(len(pairs)) for _ in range(3))
+    for index, cls in classes:
+        s[index] = _sequential_sum(cls.overlap)
+        t[index] = _sequential_sum(cls.kinetic)
+        v[index] = _nuclear_attraction(cls, coords, charges)
 
-    pair_list = []
-    pair_of = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(i + 1):
-            pair = _PairData(funcs[i], funcs[j])
-            pair_of[i, j] = pair_of[j, i] = len(pair_list)
-            pair_list.append(pair)
-            S[i, j] = S[j, i] = _overlap_pair(funcs[i], funcs[j])
-            T[i, j] = T[j, i] = _kinetic_pair(funcs[i], funcs[j])
-            V[i, j] = V[j, i] = _nuclear_pair(pair, coords, charges)
-
-    table = _eri_table(pair_list)
+    table = _eri_table(classes, len(pairs))
     eri = table[pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
-    return IntegralSet(overlap=S, kinetic=T, nuclear=V, eri=eri,
+    return IntegralSet(overlap=s[pair_of], kinetic=t[pair_of],
+                       nuclear=v[pair_of], eri=eri,
                        basis_name=basis_name, n_basis=n,
                        basis_functions=funcs,
                        nuclear_repulsion=nuclear_repulsion(molecule))

@@ -97,14 +97,6 @@ class StateVector:
     def apply_pauli(self, string: PauliString) -> None:
         self.data = self._string_image(string)
 
-    def apply_x(self, qubit: int) -> None:
-        """Flip one qubit (used to prepare occupation-encoded references)."""
-        if not 0 <= qubit < self.n_qubits:
-            raise ValueError("qubit index out of range")
-        # swapping the two halves of every 2 * 2**qubit block flips the bit
-        step = 1 << qubit
-        self.data = self.data.reshape(-1, 2, step)[:, ::-1, :].reshape(-1)
-
     def apply_single_qubit(self, qubit: int, gate: np.ndarray) -> None:
         step = 1 << qubit
         work = self.data.reshape(-1, 2, step)

@@ -1,6 +1,9 @@
 """Integral engine checks: Boys function against an arbitrary-precision
 oracle, matrix symmetries, agreement with brute-force quadrature, and the
-batched electron-repulsion tensor against a quartet-by-quartet oracle."""
+batched integrals against pair-by-pair and quartet-by-quartet oracles, byte
+for byte."""
+
+from collections import Counter, defaultdict
 
 import mpmath
 import numpy as np
@@ -8,15 +11,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from integral_oracle import (boys_all_elements, eri_quartet_by_quartet,
+                             one_electron_pair_by_pair)
 from qelectra import integrals
 from qelectra.basis import load_basis
-from qelectra.integrals import (_hermite_coulomb, _PairData, boys,
-                                compute_integrals)
+from qelectra.integrals import boys, compute_integrals
 from qelectra.molecule import from_atom_list
-from qelectra.pipeline import shipped_geometry
+from qelectra.pipeline import diatomic_geometry, shipped_geometry
 from quadrature_oracle import GridSpec, quadrature_one_electron
 
 SHIPPED = ["h2", "lih", "h2o", "nh3", "ch4", "co2"]
+# the benchmark's LiH scan: seven points from 2.0 to 5.0 Bohr
+LIH_SCAN = np.linspace(2.0, 5.0, 7).tolist()
 
 
 def boys_reference(n, t):
@@ -28,13 +34,33 @@ def boys_reference(n, t):
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 5.0, 12.0,
-                               25.0, 40.0, 120.0])
+                               25.0, 34.99, 35.0, 35.01, 40.0, 120.0])
 def test_boys_against_mpmath(t):
     n_max = 6
     table = boys(n_max, np.array([t]))
     for n in range(n_max + 1):
         assert table[n, 0] == pytest.approx(boys_reference(n, t),
                                             rel=1e-12, abs=1e-14)
+
+
+# x near 0, around the series/asymptotic switch at 35, far above it, and
+# anywhere in the series range
+_BOYS_X = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(34.9, 35.1),
+                    st.floats(35.0, 1e4), st.floats(0.0, 35.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 8), st.lists(_BOYS_X, min_size=1, max_size=64),
+       st.booleans())
+def test_boys_is_bit_identical_to_the_all_elements_series(m_max, xs, large):
+    # a large batch repeats the values up to a size at which the series
+    # compacts its working set
+    x = np.resize(xs, 2048 if large else len(xs))
+    table = boys(m_max, x)
+    assert table.tobytes() == boys_all_elements(m_max, x).tobytes()
+    # an element's value does not depend on the rest of its batch
+    alone = np.hstack([boys(m_max, value) for value in xs])
+    assert table.tobytes() == alone[:, np.arange(x.size) % len(xs)].tobytes()
 
 
 def test_boys_downward_recursion_consistency():
@@ -115,75 +141,30 @@ def test_grid_spec_validation():
         GridSpec(padding=0.0)
 
 
-# Quartet-by-quartet oracle: each canonical (bra|ket) evaluated on its own,
-# then mirrored into its eight images. The batched engine must reproduce
-# it bit for bit, since the CO2 window turns a 1e-16 change in one
-# integral into a milli-Hartree change in the FCI energy.
+# tobytes() rather than np.array_equal, which takes -0.0 for 0.0
 
-def signed_convolution(Ea, Eb):
-    """entry [i, j, s] = sum_{t + tau = s} Ea[i, t] * Eb[j, tau] * (-1)^tau"""
-    na, ta = Ea.shape
-    nb, tb = Eb.shape
-    out = np.zeros((na, nb, ta + tb - 1))
-    for t in range(ta):
-        for tau in range(tb):
-            sign = -1.0 if tau % 2 else 1.0
-            out[:, :, t + tau] += sign * Ea[:, t][:, None] * Eb[:, tau][None, :]
-    return out
+def assert_one_electron_bytes_match(molecule):
+    ints = compute_integrals(molecule, "sto-3g")
+    for got, want in zip((ints.overlap, ints.kinetic, ints.nuclear),
+                         one_electron_pair_by_pair(molecule)):
+        assert got.tobytes() == want.tobytes()
 
 
-def eri_quartet(bra, ket):
-    p = bra.p
-    q = ket.p
-    np_, nq = p.shape[0], q.shape[0]
-    pq = p[:, None] * q[None, :]
-    psum = p[:, None] + q[None, :]
-    alpha = (pq / psum).ravel()
-    PQ = (bra.P[:, None, :] - ket.P[None, :, :]).reshape(-1, 3)
-
-    Gx = signed_convolution(bra.Ex, ket.Ex)
-    Gy = signed_convolution(bra.Ey, ket.Ey)
-    Gz = signed_convolution(bra.Ez, ket.Ez)
-    smax_x = Gx.shape[2] - 1
-    smax_y = Gy.shape[2] - 1
-    smax_z = Gz.shape[2] - 1
-
-    R = _hermite_coulomb(smax_x, smax_y, smax_z, alpha, PQ)
-    R = R.reshape(smax_x + 1, smax_y + 1, smax_z + 1, np_, nq)
-
-    acc = np.zeros((np_, nq))
-    for s1 in range(smax_x + 1):
-        for s2 in range(smax_y + 1):
-            for s3 in range(smax_z + 1):
-                acc += Gx[:, :, s1] * Gy[:, :, s2] * Gz[:, :, s3] * R[s1, s2, s3]
-
-    pref = 2.0 * np.pi ** 2.5 / (pq * np.sqrt(psum))
-    weights = bra.coeff[:, None] * ket.coeff[None, :]
-    return float(np.sum(weights * pref * acc))
+@pytest.mark.parametrize("key", SHIPPED)
+def test_one_electron_matrices_are_bit_identical_to_pair_loop(key):
+    assert_one_electron_bytes_match(shipped_geometry(key))
 
 
-def eri_quartet_by_quartet(molecule):
-    funcs = load_basis(molecule, "sto-3g")
-    n = len(funcs)
-    pairs = {(i, j): _PairData(funcs[i], funcs[j])
-             for i in range(n) for j in range(i + 1)}
-    pair_list = list(pairs)
-    eri = np.zeros((n, n, n, n))
-    for index, (i, j) in enumerate(pair_list):
-        for (k, l) in pair_list[:index + 1]:
-            val = eri_quartet(pairs[(i, j)], pairs[(k, l)])
-            for (a, b) in ((i, j), (j, i)):
-                for (c, d) in ((k, l), (l, k)):
-                    eri[a, b, c, d] = val
-                    eri[c, d, a, b] = val
-    return eri
+@pytest.mark.parametrize("r", LIH_SCAN)
+def test_one_electron_matrices_are_bit_identical_on_the_lih_scan(r):
+    assert_one_electron_bytes_match(diatomic_geometry(("Li", "H"), r))
 
 
 @pytest.mark.parametrize("key", SHIPPED)
 def test_batched_eri_is_bit_identical_to_quartet_loop(key):
     molecule = shipped_geometry(key)
-    assert np.array_equal(compute_integrals(molecule, "sto-3g").eri,
-                          eri_quartet_by_quartet(molecule))
+    assert (compute_integrals(molecule, "sto-3g").eri.tobytes()
+            == eri_quartet_by_quartet(molecule).tobytes())
 
 
 _LIGHT = ["H", "He"]
@@ -216,8 +197,15 @@ def small_molecules(draw):
 @settings(deadline=None, max_examples=8)
 @given(small_molecules())
 def test_batched_eri_is_bit_identical_on_random_geometries(molecule):
-    assert np.array_equal(compute_integrals(molecule, "sto-3g").eri,
-                          eri_quartet_by_quartet(molecule))
+    assert (compute_integrals(molecule, "sto-3g").eri.tobytes()
+            == eri_quartet_by_quartet(molecule).tobytes())
+
+
+@settings(deadline=None, max_examples=20)
+@given(small_molecules())
+def test_one_electron_matrices_are_bit_identical_on_random_geometries(
+        molecule):
+    assert_one_electron_bytes_match(molecule)
 
 
 def test_batch_boundaries_do_not_change_the_eri(monkeypatch):
@@ -226,4 +214,40 @@ def test_batch_boundaries_do_not_change_the_eri(monkeypatch):
     molecule = shipped_geometry("h2o")
     want = compute_integrals(molecule, "sto-3g").eri
     monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", 200)
-    assert np.array_equal(compute_integrals(molecule, "sto-3g").eri, want)
+    assert compute_integrals(molecule, "sto-3g").eri.tobytes() == want.tobytes()
+
+
+def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
+    """One Hermite Coulomb call per ERI batch and one per pair class for the
+    nuclear attraction (CO2: 100 + 10; pair by pair and nucleus by nucleus
+    it was 460), and Hermite coefficients per basis-function pair (six:
+    three axes, and three for the kinetic term's raised ket power), not per
+    primitive pair."""
+    cap = 1 << 15
+    monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", cap)
+    calls = Counter()
+    for name in ("_hermite_coulomb", "hermite_coefficients"):
+        def counted(*args, _name=name, _original=getattr(integrals, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(integrals, name, counted)
+    molecule = shipped_geometry("co2")
+    compute_integrals(molecule, "sto-3g")
+
+    funcs = load_basis(molecule, "sto-3g")
+    members = defaultdict(list)    # pair class -> pair indices
+    pairs = [(fa, fb) for i, fa in enumerate(funcs) for fb in funcs[:i + 1]]
+    for index, (fa, fb) in enumerate(pairs):
+        key = (fa.alphas.size * fb.alphas.size,
+               *(la + lb for la, lb in zip(fa.powers, fb.powers)))
+        members[key].append(index)
+    batches = 0
+    for bra_key, bra in members.items():
+        for ket_key, ket in members.items():
+            quartets = sum(k <= b for b in bra for k in ket)
+            step = cap // (bra_key[0] * ket_key[0])
+            batches += -(-quartets // step)
+    assert calls["_hermite_coulomb"] == batches + len(members)
+
+    primitive_pairs = sum(fa.alphas.size * fb.alphas.size for fa, fb in pairs)
+    assert calls["hermite_coefficients"] == 6 * len(pairs) < primitive_pairs

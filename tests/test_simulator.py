@@ -64,14 +64,6 @@ def test_apply_pauli_matches_dense():
         assert np.allclose(sv.data, want, atol=1e-12)
 
 
-def test_apply_x_flips_one_bit():
-    sv = StateVector.computational_basis(3, 0b010)
-    sv.apply_x(2)
-    assert sv.data[0b110] == 1.0
-    with pytest.raises(ValueError):
-        sv.apply_x(3)
-
-
 def test_pauli_exponential_matches_expm():
     rng = np.random.default_rng(22)
     for _ in range(20):
