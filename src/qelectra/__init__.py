@@ -24,7 +24,7 @@ from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
 from .scf import ScfResult, run_rhf
 from .simulator import Circuit, StateVector
 from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
-                  build_uccsd, export_history, run_vqe)
+                  build_uccsd, run_vqe)
 
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
@@ -34,7 +34,7 @@ __all__ = [
     "__version__", "ansatz_circuit", "anticommutation_check",
     "assemble", "boys", "build_hamiltonian", "build_uccsd",
     "compute_integrals", "diatomic_geometry", "encode_occupation",
-    "exact_ground_energy", "export_history", "from_atom_list", "ladder_image",
+    "exact_ground_energy", "from_atom_list", "ladder_image",
     "load_basis", "load_xyz", "lowest_eigenvalues", "map_fermion",
     "mapping_from_name", "mo_spatial_integrals", "number_operator",
     "pauli_to_sparse", "read_fcidump", "run_rhf", "run_vqe", "sector_basis",

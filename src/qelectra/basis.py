@@ -137,10 +137,6 @@ class ContractedGaussian:
     alphas: np.ndarray               # primitive exponents
     coeffs: np.ndarray               # fully normalized contraction coefficients
 
-    @property
-    def angular_momentum(self) -> int:
-        return sum(self.powers)
-
     def self_overlap(self) -> float:
         return _contracted_self_overlap(self.alphas, self.coeffs, self.powers)
 

@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 1 input error, 2 at least one method failed to
 converge. All serialized output (json, csv, table) is byte-stable for an
-identical spec and seed; wall-clock timings are kept on the in-memory
-result objects only, never serialized.
+identical spec and seed.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
-import time
 import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,7 +59,6 @@ class MethodResult:
     converged: bool
     iterations: int = 0
     evaluations: int = 0
-    wall_time: float = 0.0  # in-memory only, never serialized
 
 
 @dataclass
@@ -127,7 +124,6 @@ def execute(spec: RunSpec,
     for method in _METHOD_ORDER:
         if method not in spec.methods:
             continue
-        t0 = time.perf_counter()
         if method == "hf":
             scf = system.scf
             row = MethodResult(method="hf", energy=float(scf.e_total),
@@ -153,11 +149,10 @@ def execute(spec: RunSpec,
             energy = exact_ground_energy(system.qubit_hamiltonian,
                                          basis=system.sector())
             row = MethodResult(method="fci", energy=energy, converged=True)
-        row.wall_time = time.perf_counter() - t0
         report.results.append(row)
 
     if spec.fcidump_path:
-        h_act, eri_act, core_act, n_act = system.active_integrals()
+        h_act, eri_act, core_act, n_act = system.active_integrals
         write_fcidump(spec.fcidump_path, h_act, eri_act, core_act, n_act)
     return report
 

@@ -37,7 +37,7 @@ correlation energy.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -379,7 +379,6 @@ class IntegralSet:
     eri: np.ndarray            # (ij|kl) chemists' notation, (n, n, n, n)
     basis_name: str
     n_basis: int
-    basis_functions: List[ContractedGaussian] = field(default_factory=list)
     nuclear_repulsion: float = 0.0
 
     @property
@@ -419,5 +418,4 @@ def compute_integrals(molecule: Molecule, basis_name: str = "sto-3g") -> Integra
     return IntegralSet(overlap=s[pair_of], kinetic=t[pair_of],
                        nuclear=v[pair_of], eri=eri,
                        basis_name=basis_name, n_basis=n,
-                       basis_functions=funcs,
                        nuclear_repulsion=nuclear_repulsion(molecule))

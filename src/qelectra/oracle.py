@@ -5,23 +5,21 @@ measured against. The matrix builder uses the same little-endian
 convention as the simulator (qubit k lives in bit k, so qubit n-1 is the
 leftmost Kronecker factor).
 
-Every matrix comes from `pauli_to_sparse`, which builds it in one pass
-over X-mask diagonals as a `SparseBlock` of numpy arrays, and every
-eigenvalue from `lowest_eigenvalues`: densely for small blocks, by
-Davidson's method for large ones. The module needs numpy alone.
-The one Hamiltonian form is the block on a sorted array of basis states,
-such as one (N, S_z) sector from `pauli.sector_basis`: FCI diagonalizes
-the determinants of the requested electron count and spin rather than
-the whole Fock space, and VQE takes <H> on the sector of its reference.
-The whole register is the default basis, kept for tests.
+The one input is a Hermitian `PauliSum` on a sorted array of basis
+states, such as one (N, S_z) sector from `pauli.sector_basis`: FCI
+diagonalizes the determinants of the requested electron count and spin
+rather than the whole Fock space, and VQE takes <H> on the sector of its
+reference. `pauli_to_sparse` builds the block on those states in one
+pass over X-mask diagonals as a `SparseBlock` of numpy arrays, and
+`lowest_eigenvalues` solves it: densely for small blocks, by Davidson's
+method for large ones. The module needs numpy alone.
 """
 
 import numpy as np
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
-from .pauli import PauliString, PauliSum, bit_parity
+from .pauli import PauliSum, bit_parity
 
-MAX_SPARSE_QUBITS = 14
 # a dense complex matrix of this dimension takes 64 MB
 _DENSE_DIRECT_DIM = 2048
 _RESIDUAL_TOL = 1e-9
@@ -78,18 +76,6 @@ class SparseBlock:
         return out
 
 
-def _hermitian_deviation(block: SparseBlock) -> float:
-    """Largest entry of |A - A^H|."""
-    dim = block.shape[0]
-    keys = np.concatenate([block.rows * dim + block.cols,
-                           block.cols * dim + block.rows])
-    _, slot = np.unique(keys, return_inverse=True)
-    diff = np.concatenate([block.values, -block.values.conj()])
-    deviation = (np.bincount(slot, diff.real)
-                 + 1j * np.bincount(slot, diff.imag))
-    return float(np.abs(deviation).max(initial=0.0))
-
-
 def _diagonal(x: int, terms: List[Tuple[int, complex]],
               states: np.ndarray) -> np.ndarray:
     """Entries (b ^ x, b) over the basis states b, summed in `terms` order."""
@@ -100,9 +86,8 @@ def _diagonal(x: int, terms: List[Tuple[int, complex]],
     return out
 
 
-def pauli_to_sparse(observable: Union[PauliString, PauliSum],
-                    basis: Optional[np.ndarray] = None) -> SparseBlock:
-    """Sparse matrix of a Pauli string or sum on the given basis states.
+def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
+    """Block of a Pauli sum on the given basis states.
 
     A term c * i^{n_y} X^x Z^z maps |b> to c i^{n_y} (-1)^{|z & b|} |b ^ x>,
     so the terms sharing an X-mask x fill one generalized diagonal: entry
@@ -112,23 +97,15 @@ def pauli_to_sparse(observable: Union[PauliString, PauliSum],
     counts them; distinct X-masks fill distinct entries, so the
     SparseBlock needs only a sort by (row, col).
 
-    `basis`, a sorted array of distinct basis states, restricts the matrix
-    to the block on those states (for example `pauli.sector_basis`): row
-    and column i stand for state basis[i], and the entries are the same
-    sums as in the full matrix. An operator that maps a basis state outside
-    the basis (an entry above 1e-10) raises ValueError. The block never
-    forms a vector over the whole register, so it has no qubit cap;
-    `basis=None`, the whole register, is capped at 14 qubits.
+    `basis` is a sorted array of distinct basis states, for example one
+    sector from `pauli.sector_basis`, or `np.arange(1 << n)` for the whole
+    register: row and column i stand for state basis[i], and the entries
+    are the same sums as in the matrix on the whole register. An operator
+    that maps a basis state outside the basis (an entry above 1e-10)
+    raises ValueError. The block never forms a vector over the whole
+    register, so it has no qubit cap.
     """
-    if isinstance(observable, PauliString):
-        observable = PauliSum.from_string(observable)
     n = observable.n_qubits
-    if basis is None:
-        if n > MAX_SPARSE_QUBITS:
-            raise ValueError(
-                f"{n} qubits exceeds the full-register matrix limit of "
-                f"{MAX_SPARSE_QUBITS}; pass a basis to build a block")
-        basis = np.arange(1 << n, dtype=np.int64)
     states = np.asarray(basis, dtype=np.int64)
     dim = states.size
     if states.ndim != 1 or dim == 0:
@@ -162,33 +139,7 @@ def pauli_to_sparse(observable: Union[PauliString, PauliSum],
                        np.concatenate(values)[order], dim)
 
 
-def _as_matrix(operator, basis: Optional[np.ndarray]
-               ) -> Union[np.ndarray, SparseBlock]:
-    if isinstance(operator, PauliString):
-        operator = PauliSum.from_string(operator)
-    if isinstance(operator, PauliSum):
-        if not operator.is_hermitian():
-            raise ValueError(
-                "eigenvalue routines need a Hermitian operator")
-        return pauli_to_sparse(operator, basis)
-    if basis is not None:
-        raise ValueError("a basis restricts Pauli operators only; slice "
-                         "the matrix instead")
-    if isinstance(operator, SparseBlock):
-        deviation = _hermitian_deviation(operator)
-    elif isinstance(operator, np.ndarray):
-        if operator.ndim != 2 or operator.shape[0] != operator.shape[1]:
-            raise ValueError("eigenvalue routines need a square matrix")
-        deviation = np.abs(operator - operator.conj().T).max(initial=0.0)
-    else:
-        raise TypeError(f"cannot diagonalize {type(operator).__name__}")
-    if deviation > 1e-12:
-        raise ValueError("eigenvalue routines need a Hermitian matrix")
-    return operator
-
-
-def _davidson(block: Union[np.ndarray, SparseBlock], k: int
-              ) -> Tuple[np.ndarray, np.ndarray]:
+def _davidson(block: SparseBlock, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Lowest k Ritz pairs of a Hermitian block by Davidson's method.
 
     Each step solves the block projected on an orthonormal subspace and
@@ -238,13 +189,12 @@ def _davidson(block: Union[np.ndarray, SparseBlock], k: int
     return theta[:k], vectors
 
 
-def lowest_eigenvalues(operator, k: int = 1,
-                       basis: Optional[np.ndarray] = None) -> np.ndarray:
-    """The k smallest eigenvalues of a Hermitian operator, ascending.
+def lowest_eigenvalues(operator: PauliSum, basis: np.ndarray,
+                       k: int = 1) -> np.ndarray:
+    """The k smallest eigenvalues of a Hermitian Pauli sum, ascending.
 
-    Accepts a PauliSum or PauliString, a dense array or a SparseBlock.
-    `basis` restricts a Pauli operator to the block on those basis states
-    (see `pauli_to_sparse`), for example one (N, S_z) sector from
+    The operator is solved on the block of the given basis states (see
+    `pauli_to_sparse`), for example one (N, S_z) sector from
     `pauli.sector_basis`. Dimensions up to 2048 are solved densely by
     `numpy.linalg.eigvalsh`. Larger ones go through a Davidson solve with
     the diagonal preconditioner, meant for diagonally dominant blocks
@@ -252,17 +202,18 @@ def lowest_eigenvalues(operator, k: int = 1,
     before the values are returned, and a RuntimeError reports a solve
     that did not converge.
     """
-    matrix = _as_matrix(operator, basis)
-    dim = matrix.shape[0]
+    if not operator.is_hermitian():
+        raise ValueError("eigenvalue routines need a Hermitian operator")
+    block = pauli_to_sparse(operator, basis)
+    dim = block.shape[0]
     if k < 1 or k > dim:
         raise ValueError(f"k must lie in 1..{dim}")
     # a subspace of up to 4k vectors gains nothing once it nears the space
     if dim <= _DENSE_DIRECT_DIM or 4 * k >= dim:
-        dense = matrix.toarray() if isinstance(matrix, SparseBlock) else matrix
-        return np.linalg.eigvalsh(dense)[:k]
-    vals, vecs = _davidson(matrix, k)
+        return np.linalg.eigvalsh(block.toarray())[:k]
+    vals, vecs = _davidson(block, k)
     for i in range(k):
-        residual = np.linalg.norm(matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+        residual = np.linalg.norm(block @ vecs[:, i] - vals[i] * vecs[:, i])
         if residual > _RESIDUAL_TOL:
             raise RuntimeError(
                 f"iterative eigensolve residual {residual:.3e} exceeds "
@@ -270,13 +221,10 @@ def lowest_eigenvalues(operator, k: int = 1,
     return vals
 
 
-def exact_ground_energy(hamiltonian,
-                        basis: Optional[np.ndarray] = None) -> float:
-    """Lowest eigenvalue of a Hermitian Pauli sum or matrix.
+def exact_ground_energy(hamiltonian: PauliSum, basis: np.ndarray) -> float:
+    """Lowest eigenvalue of a Hermitian Pauli sum on the given basis.
 
-    With `basis` (a sector from `pauli.sector_basis`) this is the FCI
-    energy of that electron count and spin; without it, the minimum over
-    the whole Fock space.
+    On a sector from `pauli.sector_basis` this is the FCI energy of that
+    electron count and spin.
     """
-    return float(lowest_eigenvalues(hamiltonian, k=1, basis=basis)[0])
-
+    return float(lowest_eigenvalues(hamiltonian, basis)[0])

@@ -118,9 +118,6 @@ class PauliString:
         n_y = (self.x & self.z).bit_count()
         return _POWER_PHASE[(self.phase_power - n_y) % 4]
 
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n_qubits != other.n_qubits:
             raise ValueError(

@@ -122,9 +122,10 @@ class AssembledSystem:
     basis_name: str
     integrals: IntegralSet
     scf: ScfResult
-    h_mo: np.ndarray
-    eri_mo: np.ndarray
-    active_space: Optional[ActiveSpaceSpec]
+    # the spatial integrals of the window `spin_orbitals` expands, for
+    # file export: (h, eri, core energy, electrons) of spatial_active_space
+    active_integrals: Tuple[np.ndarray, np.ndarray, float, int]
+    active_space: Optional[ActiveSpaceSpec]    # None: the full space
     spin_orbitals: SpinOrbitalIntegrals
     hamiltonian: FermionOperator
     mapping: MappingKind
@@ -146,16 +147,6 @@ class AssembledSystem:
         """
         half = self.spin_orbitals.n_electrons // 2
         return sector_basis(self.mapping, self.n_qubits, half, half)
-
-    def active_integrals(self):
-        """Spatial integrals of the active window, for file export."""
-        if self.active_space is None:
-            n_e = self.molecule.n_electrons
-            return self.h_mo, self.eri_mo, self.integrals.nuclear_repulsion, n_e
-        return spatial_active_space(self.h_mo, self.eri_mo,
-                                    self.integrals.nuclear_repulsion,
-                                    self.molecule.n_electrons,
-                                    self.active_space)
 
 
 _AUTO = "auto"
@@ -217,19 +208,16 @@ def assemble(molecule: Molecule, basis: str = "sto-3g",
     integrals = compute_integrals(molecule, basis)
     scf = run_rhf(integrals, molecule.n_electrons)
     h_mo, eri_mo = mo_spatial_integrals(integrals, scf.mo_coefficients)
-    if spec is None:
-        so = to_spin_orbitals(h_mo, eri_mo, integrals.nuclear_repulsion,
-                              molecule.n_electrons)
-    else:
-        h_act, eri_act, core_act, n_act = spatial_active_space(
-            h_mo, eri_mo, integrals.nuclear_repulsion,
-            molecule.n_electrons, spec)
-        so = to_spin_orbitals(h_act, eri_act, core_act, n_act)
+    # the full space is the window of all electrons in all orbitals
+    window = spatial_active_space(
+        h_mo, eri_mo, integrals.nuclear_repulsion, molecule.n_electrons,
+        spec or ActiveSpaceSpec(molecule.n_electrons, integrals.n_basis))
+    so = to_spin_orbitals(*window)
     hamiltonian = build_hamiltonian(so)
     qubit_hamiltonian = map_fermion(hamiltonian, mapping, so.n_orbitals)
     return AssembledSystem(molecule=molecule, basis_name=basis,
-                           integrals=integrals, scf=scf, h_mo=h_mo,
-                           eri_mo=eri_mo, active_space=spec,
+                           integrals=integrals, scf=scf,
+                           active_integrals=window, active_space=spec,
                            spin_orbitals=so, hamiltonian=hamiltonian,
                            mapping=mapping,
                            qubit_hamiltonian=qubit_hamiltonian)

@@ -34,10 +34,9 @@ is built once. A `PauliSum` does not record its mapping, so `run_vqe` and
 that produced the Hamiltonian.
 """
 
-import csv
 import numpy as np
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from . import oracle
 from .fermion import FermionOperator
@@ -66,7 +65,6 @@ class UccsdAnsatz:
     n_spin_orbitals: int
     n_electrons: int
     excitations: List[Excitation]
-    parameters: np.ndarray
 
     @property
     def n_parameters(self) -> int:
@@ -112,8 +110,7 @@ def build_uccsd(n_spin_orbitals: int, n_electrons: int) -> UccsdAnsatz:
         raise ValueError("degenerate ansatz: no spin-preserving excitations")
     return UccsdAnsatz(n_spin_orbitals=n_spin_orbitals,
                        n_electrons=n_electrons,
-                       excitations=excitations,
-                       parameters=np.zeros(len(excitations)))
+                       excitations=excitations)
 
 
 def excitation_generator(excitation: Excitation) -> FermionOperator:
@@ -344,7 +341,7 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
                 circuit.adjoint_gradient(theta, data, lam))
 
     if initial_parameters is None:
-        theta = ansatz.parameters.astype(float).copy()
+        theta = np.zeros(ansatz.n_parameters)
     else:
         theta = np.asarray(initial_parameters, dtype=float).copy()
         if theta.shape != (ansatz.n_parameters,):
@@ -462,17 +459,3 @@ def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,
     e_minus = evaluate(theta - c_k * delta)
     return (e_plus - e_minus) / (2.0 * c_k) * delta
 
-
-def export_history(result: VqeResult, destination: Union[str, IO]) -> None:
-    """Write the optimization trace as CSV (iteration,energy,evaluations)."""
-    own = isinstance(destination, str)
-    handle = open(destination, "w", newline="") if own else destination
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "energy", "evaluations"])
-        for i, (e, n) in enumerate(zip(result.energy_history,
-                                       result.evaluation_history)):
-            writer.writerow([i, repr(e), n])
-    finally:
-        if own:
-            handle.close()

@@ -57,7 +57,7 @@ def test_element_outside_table():
 def test_p_functions_on_carbon():
     ch4 = shipped_geometry("ch4")
     funcs = load_basis(ch4, "sto-3g")
-    p_funcs = [f for f in funcs if f.angular_momentum == 1]
+    p_funcs = [f for f in funcs if sum(f.powers) == 1]
     assert len(p_funcs) == 3
     assert sorted(f.powers for f in p_funcs) == [(0, 0, 1), (0, 1, 0),
                                                  (1, 0, 0)]

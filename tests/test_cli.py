@@ -182,6 +182,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 NO_SCIPY = """
 import contextlib, io, sys
+import numpy as np
 from qelectra import cli
 from qelectra.oracle import lowest_eigenvalues
 from qelectra.pauli import PauliString, PauliSum
@@ -192,7 +193,7 @@ spins = PauliSum(12)
 for q in range(12):
     spins.add_string(PauliString("I" * q + "Z" + "I" * (11 - q)), 1.0 + q)
     spins.add_string(PauliString("I" * q + "X" + "I" * (11 - q)), 0.3)
-lowest_eigenvalues(spins, k=2)
+lowest_eigenvalues(spins, np.arange(1 << 12), k=2)
 print(rc, *sorted(name for name in sys.modules
                   if name == "scipy" or name.startswith("scipy.")))
 """

@@ -58,7 +58,7 @@ def test_symmetric_slots_restored(tmp_path):
 
 def test_active_window_export(tmp_path):
     system = assemble(shipped_geometry("h2o"))
-    h_act, eri_act, core_act, n_act = system.active_integrals()
+    h_act, eri_act, core_act, n_act = system.active_integrals
     path = str(tmp_path / "h2o_active.fcidump")
     write_fcidump(path, h_act, eri_act, core_act, n_act)
     h2, g2, core2, norb, ne, _ = read_fcidump(path)

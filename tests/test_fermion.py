@@ -105,7 +105,8 @@ def test_hamiltonian_against_dense_ladder_construction():
     dense = dense_operator(ham, so.n_orbitals)
     # independently: same matrix out of the mapped Pauli form
     mapped = pauli_to_sparse(map_fermion(ham, MappingKind.JORDAN_WIGNER,
-                                         so.n_orbitals)).toarray()
+                                         so.n_orbitals),
+                             np.arange(1 << so.n_orbitals)).toarray()
     assert np.max(np.abs(dense - mapped)) < 1e-12
     # the reference determinant |0011> must give the SCF energy
     hf_index = 0b0011
@@ -196,11 +197,11 @@ def test_full_vs_active_ground_state_bound():
     so_full = full_spin_orbitals(ints, scf, 4)
     e_full = exact_ground_energy(
         map_fermion(build_hamiltonian(so_full), MappingKind.PARITY,
-                    so_full.n_orbitals))
+                    so_full.n_orbitals), np.arange(1 << so_full.n_orbitals))
     so_act = active_spin_orbitals(ints, scf, 4, ActiveSpaceSpec(2, 5))
     e_act = exact_ground_energy(
         map_fermion(build_hamiltonian(so_act), MappingKind.PARITY,
-                    so_act.n_orbitals))
+                    so_act.n_orbitals), np.arange(1 << so_act.n_orbitals))
     assert e_act >= e_full - 1e-9
     assert e_act == pytest.approx(-7.882176004920536, abs=1e-8)
     assert e_full == pytest.approx(-7.882403424257525, abs=1e-7)

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 function, class and public method it defines is referenced by name in
-`src/`, `tests/` or `perfbench/`.
+`src/`, `tests/` or `perfbench/`, and every dataclass field it declares is
+read as an attribute there.
 
 `__init__.py` is exempt: its imports are the package's re-exports, and a
 re-export is not a use. Dunder methods, and methods that override a base
@@ -120,3 +121,54 @@ def test_every_definition_is_referenced(module):
     path = PACKAGE / module
     others = [tree for other, tree in SEARCHED.items() if other != path]
     assert unreferenced(module, path.read_text(), others) == []
+
+
+# ---- every dataclass field is read -------------------------------------------
+
+def dataclass_fields(tree):
+    """Annotated fields of every class decorated with @dataclass, with or
+    without arguments, as (class name, field name)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in decorators):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                yield node.name, item.target.id
+
+
+def attributes_read(trees):
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(source, others):
+    """Dataclass fields in `source` that neither it nor any of the
+    `others` trees reads as an attribute; a write is not a read."""
+    tree = ast.parse(source)
+    read = attributes_read([tree, *others])
+    return [f"{owner}.{name}" for owner, name in dataclass_fields(tree)
+            if name not in read]
+
+
+def test_the_check_sees_an_unread_field():
+    source = ("from dataclasses import dataclass\n\n"
+              "@dataclass(frozen=True)\nclass Row:\n"
+              "    energy: float\n    wall_time: float = 0.0\n\n"
+              "class Plain:\n    note: str\n")
+    caller = ast.parse("row = Row(1.0)\nrow.wall_time = 2.0\n"
+                       "print(row.energy)\n")
+    assert unread_fields(source, [caller]) == ["Row.wall_time"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_field_is_read(module):
+    path = PACKAGE / module
+    others = [tree for other, tree in SEARCHED.items() if other != path]
+    assert unread_fields(path.read_text(), others) == []

@@ -12,7 +12,6 @@ from qelectra import cli
 from qelectra.fermion import FermionOperator, number_operator
 from qelectra import oracle
 from qelectra.oracle import (
-    MAX_SPARSE_QUBITS,
     exact_ground_energy,
     lowest_eigenvalues,
     pauli_to_sparse,
@@ -27,7 +26,8 @@ from test_pauli import dense_sum
 def test_single_letter_matrices():
     for word, want in (("X", [[0, 1], [1, 0]]), ("Y", [[0, -1j], [1j, 0]]),
                        ("Z", [[1, 0], [0, -1]]), ("I", np.eye(2))):
-        assert np.allclose(pauli_to_sparse(PauliString(word)).toarray(),
+        letter = PauliSum.from_string(PauliString(word))
+        assert np.allclose(pauli_to_sparse(letter, np.arange(2)).toarray(),
                            want)
 
 
@@ -42,7 +42,8 @@ def test_matrix_builders_match_local_kron():
             op.add_string(PauliString(word),
                           complex(*rng.standard_normal(2)))
         want = dense_sum(op)
-        assert np.allclose(pauli_to_sparse(op).toarray(), want, atol=1e-13)
+        assert np.allclose(pauli_to_sparse(op, np.arange(1 << n)).toarray(),
+                           want, atol=1e-13)
 
 
 # coefficient parts drawn partly from a few exact values, so that terms
@@ -73,7 +74,7 @@ def pauli_sums(draw):
 @settings(deadline=None)
 @given(pauli_sums())
 def test_sparse_build_matches_kron_reference(op):
-    matrix = pauli_to_sparse(op)
+    matrix = pauli_to_sparse(op, np.arange(1 << op.n_qubits))
     want = dense_sum(op)
     assert matrix.shape == want.shape
     assert np.array_equal(matrix.toarray(), want)
@@ -86,7 +87,7 @@ def test_sparse_build_matches_kron_reference(op):
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_empty_sum_gives_zero_matrix(n):
-    matrix = pauli_to_sparse(PauliSum(n))
+    matrix = pauli_to_sparse(PauliSum(n), np.arange(1 << n))
     assert matrix.shape == (1 << n, 1 << n)
     assert matrix.nnz == 0
     assert not matrix.toarray().any()
@@ -105,7 +106,7 @@ def test_sparse_build_matches_term_by_term_action(assembled):
         state = StateVector(n, psi)
         state.apply_pauli(string)
         want += coeff * state.data
-    got = pauli_to_sparse(hamiltonian) @ psi
+    got = pauli_to_sparse(hamiltonian, np.arange(1 << n)) @ psi
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
@@ -123,72 +124,55 @@ def test_block_matvec_is_bit_identical_to_csr(kind):
     assert np.array_equal(block @ psi, csr @ psi)
 
 
-def test_qubit_caps_enforced():
-    big = PauliSum.identity(MAX_SPARSE_QUBITS + 1)
-    with pytest.raises(ValueError, match="full-register matrix limit"):
-        pauli_to_sparse(big)
-    # a block never spans the register, so it has no qubit cap
-    block = pauli_to_sparse(PauliSum.identity(MAX_SPARSE_QUBITS + 6),
+def test_block_has_no_qubit_cap():
+    # a block never spans the register, so 25 qubits build at once
+    block = pauli_to_sparse(PauliSum.identity(25),
                             np.array([0, 5, 1 << 19]))
     assert np.array_equal(block.toarray(), np.eye(3))
 
 
-def test_lowest_eigenvalues_dense_path():
-    rng = np.random.default_rng(32)
-    raw = rng.standard_normal((40, 40))
-    sym = 0.5 * (raw + raw.T)
-    want = np.linalg.eigvalsh(sym)
-    got = lowest_eigenvalues(sym, k=5)
-    assert np.allclose(got, want[:5], atol=1e-12)
-    assert np.all(np.diff(got) >= 0)
+def test_full_spectrum_request_falls_back_to_dense(monkeypatch):
+    # a diagonal sum on 2,100 states, above the dense cutoff: with 4k >=
+    # dim a Davidson subspace would near the whole space, so the block is
+    # solved densely
+    fields = 1.0 + 0.37 * np.arange(12)
+    op = PauliSum(12)
+    for q, h in enumerate(fields):
+        op.add_string(PauliString("I" * q + "Z" + "I" * (11 - q)), h)
+    basis = np.arange(2100)
+    bits = (basis[:, None] >> np.arange(12)) & 1
+    diagonal = ((1.0 - 2.0 * bits) * fields).sum(axis=1)
 
+    def refuse(block, k):
+        raise AssertionError("the full-spectrum request reached Davidson")
 
-def test_lowest_eigenvalues_sparse_path():
-    # 1D Laplacian just below the dense cutoff, so this checks the dense
-    # branch against a spectrum known in closed form
-    n = 2000
-    lap = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
-           - np.diag(np.ones(n - 1), -1))
-    got = lowest_eigenvalues(lap, k=4)
-    want = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, 5) / (n + 1))
-    assert np.allclose(got, want, atol=1e-9)
-
-
-def test_full_spectrum_request_falls_back_to_dense():
-    values = np.arange(2000, dtype=float)
-    diag = np.diag(values)
-    got = lowest_eigenvalues(diag, k=2000)
-    assert np.allclose(got, values, atol=1e-10)
+    monkeypatch.setattr(oracle, "_davidson", refuse)
+    got = lowest_eigenvalues(op, basis, k=525)
+    assert np.allclose(got, np.sort(diagonal)[:525], rtol=0.0, atol=1e-10)
 
 
 def test_k_validation():
-    matrix = np.diag([1.0, 2.0])
+    op = PauliSum.from_string(PauliString("Z"))
     with pytest.raises(ValueError):
-        lowest_eigenvalues(matrix, k=0)
+        lowest_eigenvalues(op, np.arange(2), k=0)
     with pytest.raises(ValueError):
-        lowest_eigenvalues(matrix, k=3)
+        lowest_eigenvalues(op, np.arange(2), k=3)
 
 
 def test_non_hermitian_inputs_rejected():
-    with pytest.raises(ValueError, match="Hermitian"):
-        lowest_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     crooked = PauliSum(1)
     crooked.add_string(PauliString("X"), 0.5j)
     with pytest.raises(ValueError, match="Hermitian"):
-        lowest_eigenvalues(crooked)
+        lowest_eigenvalues(crooked, np.arange(2))
     # 1j * X has eigenvalues +-i; eigh would read one triangle and
     # report -1
     with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_energy(PauliSum.from_string(PauliString("X"), 1j))
-    # a bare string with an imaginary phase is not Hermitian either
+        exact_ground_energy(PauliSum.from_string(PauliString("X"), 1j),
+                            np.arange(2))
+    # an imaginary string phase is not Hermitian either
     with pytest.raises(ValueError, match="Hermitian"):
-        lowest_eigenvalues(PauliString("X", 1j))
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_energy(PauliString("XY", -1j))
-    with pytest.raises(ValueError, match="Hermitian"):
-        lowest_eigenvalues(pauli_to_sparse(PauliString("X", 1j)))
-    with pytest.raises(TypeError):
-        lowest_eigenvalues("not an operator")
+        exact_ground_energy(PauliSum.from_string(PauliString("XY", -1j)),
+                            np.arange(4))
 
 
 def independent_spins(n, fields, coupling):
@@ -209,22 +193,20 @@ def test_davidson_branch_matches_a_closed_form_spectrum():
     levels = np.sqrt(fields ** 2 + 0.36)
     # ground state, then the two cheapest single flips
     want = -levels.sum() + np.concatenate([[0.0], 2.0 * np.sort(levels)[:2]])
-    assert np.allclose(lowest_eigenvalues(op, k=3), want, rtol=0.0,
-                       atol=1e-9)
-    assert np.allclose(lowest_eigenvalues(pauli_to_sparse(op), k=3), want,
-                       rtol=0.0, atol=1e-9)
+    assert np.allclose(lowest_eigenvalues(op, np.arange(1 << 12), k=3),
+                       want, rtol=0.0, atol=1e-9)
 
 
 def test_davidson_that_does_not_converge_raises(monkeypatch):
     op = independent_spins(12, 1.0 + 0.37 * np.arange(12), 0.6)
     monkeypatch.setattr(oracle, "_DAVIDSON_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="residual"):
-        lowest_eigenvalues(op, k=3)
+        lowest_eigenvalues(op, np.arange(1 << 12), k=3)
 
 
 def test_ground_energy_of_assembled_hydrogen(assembled):
     system = assembled("h2")
-    energy = exact_ground_energy(system.qubit_hamiltonian)
+    energy = exact_ground_energy(system.qubit_hamiltonian, system.sector())
     assert energy == pytest.approx(-1.1373060359051401, abs=1e-9)
     assert energy < system.e_hf
 
@@ -234,10 +216,11 @@ def test_lowest_eigenvalues_of_a_pauli_sum_ascending_and_truncated():
     op.add_string(PauliString("ZI"), 0.5)
     op.add_string(PauliString("IZ"), 0.25)
     op.add_string(PauliString("XX"), 0.1)
-    full = lowest_eigenvalues(op, k=4)
+    register = np.arange(4)
+    full = lowest_eigenvalues(op, register, k=4)
     assert full.shape == (4,)
     assert np.all(np.diff(full) >= 0)
-    assert np.allclose(lowest_eigenvalues(op, k=2), full[:2])
+    assert np.allclose(lowest_eigenvalues(op, register, k=2), full[:2])
     assert np.allclose(full, np.linalg.eigvalsh(dense_sum(op)), atol=1e-12)
 
 
@@ -279,7 +262,8 @@ def test_sector_block_equals_the_slice_of_the_full_matrix(case):
     operator, basis = case
     block = pauli_to_sparse(operator, basis)
     assert block.shape == (basis.size, basis.size)
-    want = pauli_to_sparse(operator).toarray()[np.ix_(basis, basis)]
+    full = pauli_to_sparse(operator, np.arange(1 << operator.n_qubits))
+    want = full.toarray()[np.ix_(basis, basis)]
     assert np.array_equal(block.toarray(), want)
 
 
@@ -288,7 +272,8 @@ def test_lithium_hydride_sector_block_equals_the_slice(assembled):
     basis = system.sector()
     assert basis.size == 25
     block = pauli_to_sparse(system.qubit_hamiltonian, basis)
-    full = pauli_to_sparse(system.qubit_hamiltonian)
+    full = pauli_to_sparse(system.qubit_hamiltonian,
+                           np.arange(1 << system.n_qubits))
     assert np.array_equal(block.toarray(),
                           full.toarray()[np.ix_(basis, basis)])
 
@@ -312,8 +297,6 @@ def test_sector_basis_argument_validation():
                           ([], "nonempty")):
         with pytest.raises(ValueError, match=fragment):
             pauli_to_sparse(op, np.array(bad, dtype=np.int64))
-    with pytest.raises(ValueError, match="Pauli operators only"):
-        lowest_eigenvalues(np.eye(4), basis=np.arange(2))
 
 
 @pytest.mark.parametrize("kind", list(MappingKind))
@@ -328,11 +311,12 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
     # one beta mode of {1, 3}
     states = [sum(1 << q for q in encode_occupation(kind, [a, b], n))
               for a in (0, 2) for b in (1, 3)]
-    matrix = pauli_to_sparse(shifted).toarray()
+    register = np.arange(1 << n)
+    matrix = pauli_to_sparse(shifted, register).toarray()
     want = np.linalg.eigvalsh(matrix[np.ix_(states, states)])[0]
     got = exact_ground_energy(shifted, basis=system.sector())
     assert got == pytest.approx(want, abs=1e-12)
-    assert got > exact_ground_energy(shifted) + 1.0
+    assert got > exact_ground_energy(shifted, register) + 1.0
     report = cli.execute(
         cli.RunSpec(molecule=system.molecule, methods=("fci",),
                     mapping=kind),

@@ -6,7 +6,8 @@ import pytest
 
 import qelectra
 from qelectra.cli import RunSpec, execute
-from qelectra.fermion import ActiveSpaceSpec
+from qelectra.fermion import (ActiveSpaceSpec, mo_spatial_integrals,
+                              to_spin_orbitals)
 from qelectra.molecule import from_atom_list
 from qelectra import pipeline
 from qelectra.oracle import exact_ground_energy
@@ -41,8 +42,6 @@ def test_assembled_hydrogen_fields(assembled):
     assert system.e_hf == pytest.approx(-1.1169989968520082, abs=1e-10)
     assert len(system.qubit_hamiltonian) == 15
     assert system.qubit_hamiltonian.n_qubits == 4
-    assert system.h_mo.shape == (2, 2)
-    assert system.eri_mo.shape == (2, 2, 2, 2)
 
 
 def test_assembled_water_window(assembled):
@@ -126,7 +125,8 @@ def test_sector_and_fock_space_minima_agree(assembled, key):
     system = assembled(key)
     hamiltonian = system.qubit_hamiltonian
     assert exact_ground_energy(hamiltonian, basis=system.sector()) == \
-        pytest.approx(exact_ground_energy(hamiltonian), abs=1e-10)
+        pytest.approx(exact_ground_energy(
+            hamiltonian, np.arange(1 << system.n_qubits)), abs=1e-10)
 
 
 def test_registry_windows_resolve_for_all_shipped_molecules():
@@ -193,13 +193,48 @@ def test_diatomic_geometry_layout():
 
 def test_active_integrals_export(assembled):
     system = assembled("lih")
-    h, eri, core, n_e = system.active_integrals()
+    h, eri, core, n_e = system.active_integrals
     assert h.shape == (5, 5)
     assert eri.shape == (5, 5, 5, 5)
     assert n_e == 2
     assert core != pytest.approx(system.integrals.nuclear_repulsion)
 
     full = assemble(shipped_geometry("h2"), active=None)
-    h2_h, h2_eri, h2_core, h2_ne = full.active_integrals()
+    h2_h, h2_eri, h2_core, h2_ne = full.active_integrals
     assert h2_core == pytest.approx(full.integrals.nuclear_repulsion)
     assert h2_ne == 2
+
+
+@pytest.mark.parametrize("molecule", [
+    shipped_geometry("h2"), shipped_geometry("lih"),
+    diatomic_geometry(("Li", "H"), 3.0), shipped_geometry("h2o")],
+    ids=["h2", "lih", "lih-3.0", "h2o"])
+def test_full_space_window_expands_the_unfolded_integrals(molecule):
+    # the full space is the window of all electrons in all orbitals: its
+    # fold freezes nothing, so the spin-orbital integrals are the bytes of
+    # expanding the MO integrals directly
+    system = assemble(molecule, active=None)
+    assert system.active_space is None
+    ints = system.integrals
+    h_mo, eri_mo = mo_spatial_integrals(ints, system.scf.mo_coefficients)
+    want = to_spin_orbitals(h_mo, eri_mo, ints.nuclear_repulsion,
+                            molecule.n_electrons)
+    got = system.spin_orbitals
+    assert got.one_body.tobytes() == want.one_body.tobytes()
+    assert got.two_body.tobytes() == want.two_body.tobytes()
+    assert (got.core_energy, got.n_electrons) == (want.core_energy,
+                                                  want.n_electrons)
+
+
+def test_fcidump_export_reuses_the_folded_window(tmp_path, monkeypatch):
+    folds = []
+    fold = pipeline.spatial_active_space
+
+    def counting(*args):
+        folds.append(args[-1])
+        return fold(*args)
+
+    monkeypatch.setattr(pipeline, "spatial_active_space", counting)
+    execute(RunSpec(molecule=shipped_geometry("lih"),
+                    fcidump_path=str(tmp_path / "lih.fcidump")))
+    assert folds == [ActiveSpaceSpec(2, 5)]

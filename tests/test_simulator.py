@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra.oracle import MAX_SPARSE_QUBITS, pauli_to_sparse
+from qelectra.oracle import pauli_to_sparse
 from qelectra.pauli import PauliString, PauliSum
 from qelectra.simulator import MAX_QUBITS, Circuit, StateVector
 from qelectra.vqe import ansatz_circuit, build_uccsd
@@ -132,14 +132,12 @@ def test_matrix_expectation_matches_term_loop_on_lih(assembled):
         state.expectation(hamiltonian), abs=1e-12)
 
 
-def test_term_loop_serves_registers_above_the_sparse_cap():
-    n = MAX_SPARSE_QUBITS + 1
+def test_term_loop_serves_a_fifteen_qubit_register():
+    n = 15
     op = PauliSum(n)
     op.add_string(PauliString("Z" + "I" * (n - 1)), 0.75)
     op.add_string(PauliString("X" * n), -0.5)
     op.add_string(PauliString("I" * (n - 2) + "YY"), 0.25)
-    with pytest.raises(ValueError, match="limit"):
-        pauli_to_sparse(op)
     # |+>^n on every qubit but qubit 0, which is |1>: <Z_0> = -1,
     # <X...X> = 0 because of qubit 0, <Y_{n-2} Y_{n-1}> = 0
     plus = np.full(1 << (n - 1), (1.0 / np.sqrt(2.0)) ** (n - 1))
