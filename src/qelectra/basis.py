@@ -102,7 +102,8 @@ STO3G = {
     ],
 }
 
-BASIS_SETS = {"sto-3g": STO3G}
+# the one basis set; reports print this name
+BASIS_NAME = "sto-3g"
 
 
 def _double_factorial(n: int) -> int:
@@ -182,23 +183,19 @@ def _build_function(center, powers, prims) -> ContractedGaussian:
 _P_POWERS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-def load_basis(molecule: Molecule, name: str = "sto-3g") -> List[ContractedGaussian]:
-    """Expand a molecule into its ordered list of contracted basis functions.
+def load_basis(molecule: Molecule) -> List[ContractedGaussian]:
+    """Expand a molecule into its ordered list of contracted STO-3G functions.
 
     Ordering is deterministic: atoms in input order, shells in tabulated
     order, and p components always x, y, z.
     """
-    key = name.strip().lower()
-    if key not in BASIS_SETS:
-        raise ValueError(f"unknown basis set {name!r} (available: {sorted(BASIS_SETS)})")
-    table = BASIS_SETS[key]
     functions: List[ContractedGaussian] = []
     for atom in molecule.atoms:
-        if atom.symbol not in table:
+        if atom.symbol not in STO3G:
             raise ValueError(
-                f"no {name} data for element {atom.symbol}; "
-                f"tabulated elements: {sorted(table)}")
-        for kind, prims in table[atom.symbol]:
+                f"no {BASIS_NAME} data for element {atom.symbol}; "
+                f"tabulated elements: {sorted(STO3G)}")
+        for kind, prims in STO3G[atom.symbol]:
             if kind == _S:
                 functions.append(_build_function(
                     atom.position, (0, 0, 0),

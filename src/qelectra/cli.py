@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
+from .basis import BASIS_NAME
 from .fcidump import write_fcidump
 from .fermion import ActiveSpaceSpec
 from .molecule import Molecule
@@ -40,7 +41,6 @@ MAX_FCI_DETERMINANTS = 8192
 class RunSpec:
     """Everything one invocation needs, resolved and validated."""
     molecule: Molecule
-    basis: str = "sto-3g"
     methods: Tuple[str, ...] = ("hf",)
     mapping: MappingKind = MappingKind.PARITY
     active: Optional[ActiveSpaceSpec] = None    # None: the shipped window
@@ -65,7 +65,6 @@ class MethodResult:
 class ComparisonReport:
     molecule_name: str
     formula: str
-    basis: str
     mapping: str
     active_space: Optional[Tuple[int, int]]
     n_qubits: int
@@ -95,22 +94,20 @@ def execute(spec: RunSpec,
                          "expectations; use --optimizer spsa with --shots, "
                          "or --shots exact")
     if "fci" in spec.methods:
-        n_determinants = (system.sector().size if system is not None else
-                          sector_size(spec.molecule, spec.basis,
-                                      spec.active or "auto"))
+        n_determinants = (system.sector.size if system is not None else
+                          sector_size(spec.molecule, spec.active))
         if n_determinants > MAX_FCI_DETERMINANTS:
             raise ValueError(
                 f"fci needs at most {MAX_FCI_DETERMINANTS} determinants, "
                 f"got {n_determinants}; restrict the problem with "
                 "--active-space")
     if system is None:
-        system = assemble(spec.molecule, basis=spec.basis,
-                          active=spec.active or "auto", mapping=spec.mapping)
+        system = assemble(spec.molecule, active=spec.active,
+                          mapping=spec.mapping)
     active = system.active_space
     report = ComparisonReport(
         molecule_name=display_name(system.molecule),
         formula=canonical_formula(system.molecule),
-        basis=system.basis_name,
         mapping=system.mapping.value,
         active_space=(None if active is None
                       else (active.n_active_electrons,
@@ -133,10 +130,10 @@ def execute(spec: RunSpec,
         elif method == "vqe":
             so = system.spin_orbitals
             ansatz = build_uccsd(so.n_orbitals, so.n_electrons)
-            result = run_vqe(system.qubit_hamiltonian, ansatz,
+            result = run_vqe(system, ansatz,
                              OptimizerConfig(kind=spec.optimizer,
                                              seed=spec.seed),
-                             kind=system.mapping, shots=spec.shots)
+                             shots=spec.shots)
             row = MethodResult(method="vqe", energy=result.e_min,
                                converged=result.converged,
                                iterations=result.n_iterations,
@@ -146,8 +143,7 @@ def execute(spec: RunSpec,
                     f"vqe energies are sampled estimates at {spec.shots} "
                     "shots per term")
         else:
-            energy = exact_ground_energy(system.qubit_hamiltonian,
-                                         basis=system.sector())
+            energy = exact_ground_energy(system.block)
             row = MethodResult(method="fci", energy=energy, converged=True)
         report.results.append(row)
 
@@ -201,7 +197,7 @@ def report_to_json(report: ComparisonReport,
         "tool": {"name": "qelectra", "version": __version__},
         "molecule": report.molecule_name,
         "formula": report.formula,
-        "basis": report.basis,
+        "basis": BASIS_NAME,
         "mapping": report.mapping,
         "active_space": (None if report.active_space is None else
                          {"n_electrons": report.active_space[0],
@@ -248,7 +244,7 @@ def render_table(report: ComparisonReport,
     reference = reference_for(report.formula) if include_reference else None
     active = ("full space" if report.active_space is None
               else f"({report.active_space[0]}e, {report.active_space[1]}o)")
-    head = (f"molecule: {report.molecule_name}   basis: {report.basis}   "
+    head = (f"molecule: {report.molecule_name}   basis: {BASIS_NAME}   "
             f"mapping: {report.mapping}   active space: {active}   "
             f"qubits: {report.n_qubits}   seed: {report.seed}")
 
@@ -296,7 +292,7 @@ def scan_to_json(points: List[ScanPoint], spec: RunSpec,
         "schema_version": 1,
         "tool": {"name": "qelectra", "version": __version__},
         "molecule": display_name(spec.molecule),
-        "basis": spec.basis,
+        "basis": BASIS_NAME,
         "mapping": spec.mapping.value,
         "seed": spec.seed,
         "scan": {"start_bohr": start, "stop_bohr": stop, "steps": steps},
@@ -337,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--molecule", required=True,
                         help="path to an .xyz file (Angstrom), or a "
                              "shipped name: h2, lih, h2o, nh3, ch4, co2")
-    parser.add_argument("--basis", default="sto-3g",
-                        help="basis set name (default: sto-3g)")
+    parser.add_argument("--basis", default=BASIS_NAME, type=str.lower,
+                        choices=(BASIS_NAME,),
+                        help=f"basis set; {BASIS_NAME} is the one shipped")
     parser.add_argument("--method", default="hf",
                         help="comma-separated subset of hf,vqe,fci "
                              "(default: hf)")
@@ -433,7 +430,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         molecule = load_molecule_argument(args.molecule)
         spec = RunSpec(molecule=molecule,
-                       basis=args.basis,
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),
                        active=_parse_active(args.active_space),

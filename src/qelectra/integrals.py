@@ -377,7 +377,6 @@ class IntegralSet:
     kinetic: np.ndarray        # T, (n, n)
     nuclear: np.ndarray        # V, (n, n)
     eri: np.ndarray            # (ij|kl) chemists' notation, (n, n, n, n)
-    basis_name: str
     n_basis: int
     nuclear_repulsion: float = 0.0
 
@@ -386,13 +385,13 @@ class IntegralSet:
         return self.kinetic + self.nuclear
 
 
-def compute_integrals(molecule: Molecule, basis_name: str = "sto-3g") -> IntegralSet:
+def compute_integrals(molecule: Molecule) -> IntegralSet:
     """Compute S, T, V and the full ERI tensor for a molecule.
 
     Deterministic: the basis ordering is fixed by the input, every loop runs
     in a fixed order, and no threading is involved.
     """
-    funcs = load_basis(molecule, basis_name)
+    funcs = load_basis(molecule)
     n = len(funcs)
     if n > MAX_BASIS_FUNCTIONS:
         raise ValueError(
@@ -416,6 +415,5 @@ def compute_integrals(molecule: Molecule, basis_name: str = "sto-3g") -> Integra
     eri = table[pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
     return IntegralSet(overlap=s[pair_of], kinetic=t[pair_of],
-                       nuclear=v[pair_of], eri=eri,
-                       basis_name=basis_name, n_basis=n,
+                       nuclear=v[pair_of], eri=eri, n_basis=n,
                        nuclear_repulsion=nuclear_repulsion(molecule))

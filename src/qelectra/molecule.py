@@ -47,6 +47,9 @@ class Molecule:
 def make_atom(symbol: str, position_bohr) -> Atom:
     z = atomic_number(symbol)
     x, y, zc = (float(v) for v in position_bohr)
+    if not np.isfinite([x, y, zc]).all():
+        raise ValueError(
+            f"non-finite coordinate for {symbol}: {(x, y, zc)}")
     return Atom(symbol.strip().capitalize(), z, (x, y, zc))
 
 
@@ -72,6 +75,8 @@ def parse_xyz(text: str, charge: int = 0, name: str = "") -> Molecule:
         n_decl = int(lines[0].split()[0])
     except (IndexError, ValueError):
         raise ValueError("first XYZ line must be the atom count") from None
+    if n_decl < 1:
+        raise ValueError(f"XYZ atom count must be at least 1, got {n_decl}")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) < n_decl:
         raise ValueError(f"XYZ declares {n_decl} atoms but only {len(body)} coordinate lines follow")

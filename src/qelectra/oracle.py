@@ -5,14 +5,14 @@ measured against. The matrix builder uses the same little-endian
 convention as the simulator (qubit k lives in bit k, so qubit n-1 is the
 leftmost Kronecker factor).
 
-The one input is a Hermitian `PauliSum` on a sorted array of basis
-states, such as one (N, S_z) sector from `pauli.sector_basis`: FCI
-diagonalizes the determinants of the requested electron count and spin
-rather than the whole Fock space, and VQE takes <H> on the sector of its
-reference. `pauli_to_sparse` builds the block on those states in one
-pass over X-mask diagonals as a `SparseBlock` of numpy arrays, and
-`lowest_eigenvalues` solves it: densely for small blocks, by Davidson's
-method for large ones. The module needs numpy alone.
+`pauli_to_sparse` builds the block of a `PauliSum` on a sorted array of
+basis states, such as one (N, S_z) sector from `pauli.sector_basis`, in
+one pass over X-mask diagonals, as a `SparseBlock` of numpy arrays that
+records whether its Pauli sum was Hermitian. `lowest_eigenvalues` solves
+such a block: densely for small ones, by Davidson's method for large
+ones. `AssembledSystem.block` is the block of a system's qubit
+Hamiltonian on its sector: FCI diagonalizes it and exact VQE takes <H>
+on it. The module needs numpy alone.
 """
 
 import numpy as np
@@ -41,15 +41,17 @@ class SparseBlock:
     ascending, without duplicates. `block @ x`, for a vector x, sums the
     products of each row in column order, the order of a compressed
     sparse row (CSR) mat-vec, so its result does not depend on how the
-    entries were produced.
+    entries were produced. `hermitian` records whether the operator it
+    was built from is Hermitian, which the eigensolver requires.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray, dim: int):
+                 values: np.ndarray, dim: int, hermitian: bool):
         self.rows = rows
         self.cols = cols
         self.values = values
         self.shape = (dim, dim)
+        self.hermitian = hermitian
 
     @property
     def nnz(self) -> int:
@@ -103,7 +105,9 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     are the same sums as in the matrix on the whole register. An operator
     that maps a basis state outside the basis (an entry above 1e-10)
     raises ValueError. The block never forms a vector over the whole
-    register, so it has no qubit cap.
+    register, so it has no qubit cap. It records
+    `observable.is_hermitian()`, so a solve needs no pass over its
+    entries to refuse a non-Hermitian operator.
     """
     n = observable.n_qubits
     states = np.asarray(basis, dtype=np.int64)
@@ -114,12 +118,14 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
         raise ValueError(f"basis states must lie in 0..{(1 << n) - 1}")
     if np.any(np.diff(states) <= 0):
         raise ValueError("basis states must be sorted and distinct")
+    hermitian = observable.is_hermitian()
     masks: Dict[int, List[Tuple[int, complex]]] = {}
     for (x, z), coeff in observable.items():
         masks.setdefault(x, []).append((z, coeff))
     if not masks:
         empty = np.zeros(0, dtype=np.int64)
-        return SparseBlock(empty, empty, np.zeros(0, dtype=complex), dim)
+        return SparseBlock(empty, empty, np.zeros(0, dtype=complex), dim,
+                           hermitian)
     rows, cols, values = [], [], []
     for x, terms in masks.items():
         d_x = _diagonal(x, terms, states)
@@ -136,7 +142,7 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.argsort(rows * dim + cols)
     return SparseBlock(rows[order], cols[order],
-                       np.concatenate(values)[order], dim)
+                       np.concatenate(values)[order], dim, hermitian)
 
 
 def _davidson(block: SparseBlock, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,22 +195,20 @@ def _davidson(block: SparseBlock, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return theta[:k], vectors
 
 
-def lowest_eigenvalues(operator: PauliSum, basis: np.ndarray,
-                       k: int = 1) -> np.ndarray:
-    """The k smallest eigenvalues of a Hermitian Pauli sum, ascending.
+def lowest_eigenvalues(block: SparseBlock, k: int = 1) -> np.ndarray:
+    """The k smallest eigenvalues of a Hermitian block, ascending.
 
-    The operator is solved on the block of the given basis states (see
-    `pauli_to_sparse`), for example one (N, S_z) sector from
-    `pauli.sector_basis`. Dimensions up to 2048 are solved densely by
+    The block comes from `pauli_to_sparse`, for example on one (N, S_z)
+    sector from `pauli.sector_basis`; one built from a non-Hermitian Pauli
+    sum raises ValueError. Dimensions up to 2048 are solved densely by
     `numpy.linalg.eigvalsh`. Larger ones go through a Davidson solve with
     the diagonal preconditioner, meant for diagonally dominant blocks
     such as an FCI Hamiltonian; its eigenpair residuals are verified
     before the values are returned, and a RuntimeError reports a solve
     that did not converge.
     """
-    if not operator.is_hermitian():
+    if not block.hermitian:
         raise ValueError("eigenvalue routines need a Hermitian operator")
-    block = pauli_to_sparse(operator, basis)
     dim = block.shape[0]
     if k < 1 or k > dim:
         raise ValueError(f"k must lie in 1..{dim}")
@@ -221,10 +225,10 @@ def lowest_eigenvalues(operator: PauliSum, basis: np.ndarray,
     return vals
 
 
-def exact_ground_energy(hamiltonian: PauliSum, basis: np.ndarray) -> float:
-    """Lowest eigenvalue of a Hermitian Pauli sum on the given basis.
+def exact_ground_energy(block: SparseBlock) -> float:
+    """Lowest eigenvalue of a Hermitian block.
 
-    On a sector from `pauli.sector_basis` this is the FCI energy of that
-    electron count and spin.
+    On `AssembledSystem.block`, the qubit Hamiltonian on the system's
+    sector, this is the FCI energy of that electron count and spin.
     """
-    return float(lowest_eigenvalues(hamiltonian, basis)[0])
+    return float(lowest_eigenvalues(block)[0])

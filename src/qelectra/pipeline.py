@@ -9,12 +9,14 @@ representative while every system remains exactly diagonalizable.
 """
 
 import os
+from functools import cached_property
 from math import comb
 import numpy as np
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
+from . import oracle
 from .basis import load_basis
 from .molecule import Molecule, from_atom_list, load_xyz, parse_xyz
 from .integrals import compute_integrals, IntegralSet
@@ -27,11 +29,12 @@ from .simulator import MAX_QUBITS
 
 # Active windows keyed by canonical formula: (n_active_electrons,
 # n_active_spatial_orbitals). Three constraints shape these. The window
-# must keep each example inside the exact-diagonalization range (<= 12
-# qubits). Its boundaries should not split a degenerate shell (the e pair
-# of NH3, the t2 triples of CH4): a window cutting through a degenerate
-# shell selects an arbitrary rotation of that subspace, so its correlation
-# energy changes when the molecule is merely reoriented in the input file.
+# must keep each example at <= 12 qubits, where VQE's 2^n statevector
+# stays small (FCI is bounded by its sector size instead). Its boundaries
+# should not split a degenerate shell (the e pair of NH3, the t2 triples
+# of CH4): a window cutting through a degenerate shell selects an
+# arbitrary rotation of that subspace, so its correlation energy changes
+# when the molecule is merely reoriented in the input file.
 # And the retained correlation must stay within the ~50 mHa single-
 # reference regime these comparisons illustrate. CO2 cannot satisfy the
 # last two at once (every whole-shell window containing the pi* pair
@@ -117,9 +120,12 @@ def load_molecule_argument(argument: str) -> Molecule:
 
 @dataclass
 class AssembledSystem:
-    """Everything the methods need, computed once per geometry."""
+    """Everything the methods need, computed once per geometry.
+
+    The qubit Hamiltonian must be Hermitian; that is checked here, once,
+    also for a copy made with `dataclasses.replace`.
+    """
     molecule: Molecule
-    basis_name: str
     integrals: IntegralSet
     scf: ScfResult
     # the spatial integrals of the window `spin_orbitals` expands, for
@@ -131,6 +137,10 @@ class AssembledSystem:
     mapping: MappingKind
     qubit_hamiltonian: PauliSum
 
+    def __post_init__(self):
+        if not self.qubit_hamiltonian.is_hermitian():
+            raise ValueError("the qubit Hamiltonian is not Hermitian")
+
     @property
     def n_qubits(self) -> int:
         return self.spin_orbitals.n_orbitals
@@ -139,73 +149,65 @@ class AssembledSystem:
     def e_hf(self) -> float:
         return self.scf.e_total
 
+    @cached_property
     def sector(self) -> np.ndarray:
         """Encoded determinants of the closed-shell (N, S_z = 0) sector.
 
-        These are the basis states the FCI energy is taken over; RHF and
-        the active window already require an even electron count.
+        These are the basis states the FCI energy is taken over, and the
+        sector the UCCSD state stays in; RHF and the active window already
+        require an even electron count.
         """
         half = self.spin_orbitals.n_electrons // 2
         return sector_basis(self.mapping, self.n_qubits, half, half)
 
-
-_AUTO = "auto"
-
-
-def _resolve_active(molecule: Molecule,
-                    active: Union[str, None, ActiveSpaceSpec]
-                    ) -> Optional[ActiveSpaceSpec]:
-    if isinstance(active, str):
-        if active != _AUTO:
-            raise ValueError(f"unrecognized active-space setting {active!r}")
-        return default_active_space(molecule)
-    return active
+    @cached_property
+    def block(self) -> oracle.SparseBlock:
+        """The qubit Hamiltonian on `sector`, built once: FCI diagonalizes
+        it and exact VQE takes its expectation values on it."""
+        return oracle.pauli_to_sparse(self.qubit_hamiltonian, self.sector)
 
 
-def register_size(molecule: Molecule, basis: str = "sto-3g",
-                  active: Union[str, None, ActiveSpaceSpec] = _AUTO) -> int:
+def register_size(molecule: Molecule,
+                  active: Optional[ActiveSpaceSpec] = None) -> int:
     """Qubits `assemble` would map onto, from the basis size alone.
 
     No integral is computed, so an oversized problem can be refused at
     once. A window wider than the basis is left to spatial_active_space
     and its own message.
     """
-    spec = _resolve_active(molecule, active)
-    n_spatial = len(load_basis(molecule, basis))
+    spec = active or default_active_space(molecule)
+    n_spatial = len(load_basis(molecule))
     return 2 * min(spec.n_active_orbitals if spec else n_spatial, n_spatial)
 
 
-def sector_size(molecule: Molecule, basis: str = "sto-3g",
-                active: Union[str, None, ActiveSpaceSpec] = _AUTO) -> int:
+def sector_size(molecule: Molecule,
+                active: Optional[ActiveSpaceSpec] = None) -> int:
     """Determinants in the sector `AssembledSystem.sector` would hold.
 
     C(n_orb, n_e / 2) squared, from the basis size alone like
     `register_size`, so an oversized FCI run can be refused before any
     integral is computed.
     """
-    spec = _resolve_active(molecule, active)
+    spec = active or default_active_space(molecule)
     n_electrons = spec.n_active_electrons if spec else molecule.n_electrons
-    return comb(register_size(molecule, basis, spec) // 2,
-                n_electrons // 2) ** 2
+    return comb(register_size(molecule, spec) // 2, n_electrons // 2) ** 2
 
 
-def assemble(molecule: Molecule, basis: str = "sto-3g",
-             active: Union[str, None, ActiveSpaceSpec] = _AUTO,
+def assemble(molecule: Molecule, active: Optional[ActiveSpaceSpec] = None,
              mapping: MappingKind = MappingKind.PARITY) -> AssembledSystem:
     """Run the full chain up to the qubit Hamiltonian.
 
-    `active` accepts an ActiveSpaceSpec, None for the full orbital space,
-    or "auto" (default) to consult the shipped registry and fall back to
-    the full space.
+    `active` is the window to fold; None takes the shipped registry's
+    window, or the full orbital space for a molecule not in it.
     """
-    spec = _resolve_active(molecule, active)
-    n_qubits = register_size(molecule, basis, spec)
+    spec = active or default_active_space(molecule)
+    n_qubits = register_size(molecule, spec)
     if n_qubits > MAX_QUBITS:
         raise ValueError(
             f"{n_qubits} qubits exceeds the simulator cap of "
             f"{MAX_QUBITS}; restrict the problem with an active space "
             f"(for example --active-space 8,6)")
-    integrals = compute_integrals(molecule, basis)
+    integrals = compute_integrals(molecule)
     scf = run_rhf(integrals, molecule.n_electrons)
     h_mo, eri_mo = mo_spatial_integrals(integrals, scf.mo_coefficients)
     # the full space is the window of all electrons in all orbitals
@@ -215,8 +217,7 @@ def assemble(molecule: Molecule, basis: str = "sto-3g",
     so = to_spin_orbitals(*window)
     hamiltonian = build_hamiltonian(so)
     qubit_hamiltonian = map_fermion(hamiltonian, mapping, so.n_orbitals)
-    return AssembledSystem(molecule=molecule, basis_name=basis,
-                           integrals=integrals, scf=scf,
+    return AssembledSystem(molecule=molecule, integrals=integrals, scf=scf,
                            active_integrals=window, active_space=spec,
                            spin_orbitals=so, hamiltonian=hamiltonian,
                            mapping=mapping,

@@ -22,26 +22,24 @@ stops after SPSA_PATIENCE consecutive sub-tolerance energy changes. Both
 record the energy trajectory, one entry per accepted iterate.
 
 Every generator conserves the particle number and S_z, so the ansatz
-state stays in the (N, S_z) sector of its aufbau reference. An exact
-energy evaluation is one `Circuit.run`, a gather of the sector's
-amplitudes psi_S and psi_S^ H_SS psi_S with H_SS the sector block the
-FCI eigensolver diagonalizes; for a gradient, H psi is the block mat-vec
-inside the sector and zero outside it. The work that does not depend on
-the parameters is done once per `run_vqe`: `ansatz_circuit` compiles the
-circuit, which starts from the encoded aufbau determinant, and the block
-is built once. A `PauliSum` does not record its mapping, so `run_vqe` and
-`ansatz_circuit` take the mapping kind with no default: it must be the one
-that produced the Hamiltonian.
+state stays in the (N, S_z) sector of its aufbau reference. `run_vqe`
+takes the assembled system, which holds the qubit Hamiltonian, its
+mapping, that sector and the Hamiltonian's block on it (the block the FCI
+eigensolver diagonalizes). An exact energy evaluation is one
+`Circuit.run`, a gather of the sector's amplitudes psi_S and
+psi_S^ H_SS psi_S with H_SS that block; for a gradient, H psi is the
+block mat-vec inside the sector and zero outside it. `ansatz_circuit`
+compiles the circuit, which starts from the aufbau determinant encoded
+under the system's mapping, once per `run_vqe`.
 """
 
 import numpy as np
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from . import oracle
 from .fermion import FermionOperator
-from .pauli import (MappingKind, PauliString, PauliSum, encode_occupation,
-                    map_fermion, sector_basis)
+from .pauli import MappingKind, PauliString, encode_occupation, map_fermion
+from .pipeline import AssembledSystem
 from .simulator import Circuit
 
 
@@ -277,46 +275,41 @@ class VqeResult:
     n_iterations: int
 
 
-def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
-            config: OptimizerConfig, kind: MappingKind,
-            shots: Optional[int] = None,
+def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
+            config: OptimizerConfig, shots: Optional[int] = None,
             initial_parameters: Optional[Sequence[float]] = None
             ) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
-    `kind` is the mapping that produced `hamiltonian`; the ansatz circuit
-    and the sector are encoded under it. `shots = None` evaluates exact
-    expectations on the (N, S_z) sector of the ansatz's aufbau reference,
-    (n_e + 1) // 2 alpha and n_e // 2 beta electrons: the Hamiltonian
-    must map that sector into itself, as a number- and spin-conserving
-    molecular Hamiltonian does, and one that leaves it raises the
-    ValueError of `oracle.pauli_to_sparse`. An integer turns on simulated
-    projective measurement with that many shots per term, drawn from the
-    same seeded generator as the optimizer; only spsa accepts it. The SPSA gains, and the kind, budget and tolerance
-    that `config` leaves None, are derived here from the shot setting and
-    the ansatz size (`optimizer_kind`, `spsa_schedule`). Identical
-    (hamiltonian, ansatz, config, shots) reproduce the identical result.
+    The ansatz circuit is encoded under `system.mapping`, and the ansatz
+    must have the system's register and electron count. `shots = None`
+    evaluates exact expectations on `system.block`, the qubit Hamiltonian
+    on the system's closed-shell sector: a Hamiltonian that leaves that
+    sector raises the ValueError of `oracle.pauli_to_sparse`. An integer
+    turns on simulated projective measurement of `system.qubit_hamiltonian`
+    with that many shots per term, drawn from the same seeded generator as
+    the optimizer; only spsa accepts it. The SPSA gains, and the kind,
+    budget and tolerance that `config` leaves None, are derived here from
+    the shot setting and the ansatz size (`optimizer_kind`,
+    `spsa_schedule`). Identical (system, ansatz, config, shots) reproduce
+    the identical result.
     """
-    n = hamiltonian.n_qubits
-    if n != ansatz.n_spin_orbitals:
+    n, n_e = system.n_qubits, system.spin_orbitals.n_electrons
+    if (ansatz.n_spin_orbitals, ansatz.n_electrons) != (n, n_e):
         raise ValueError(
-            f"hamiltonian acts on {n} qubits but the ansatz register has "
-            f"{ansatz.n_spin_orbitals}")
-    if not hamiltonian.is_hermitian():
-        raise ValueError("VQE needs a Hermitian Hamiltonian")
+            f"the system has {n_e} electrons on {n} qubits but the ansatz "
+            f"has {ansatz.n_electrons} on {ansatz.n_spin_orbitals}")
     optimizer = optimizer_kind(config.kind, shots)
     if shots is not None and optimizer != "spsa":
         raise ValueError(
             f"the {optimizer} optimizer needs exact expectations; use "
             "spsa for shot-sampled energies")
     tol = config.tolerance or DEFAULT_TOLERANCE[optimizer]
-    circuit = ansatz_circuit(ansatz, kind=kind)
+    circuit = ansatz_circuit(ansatz, kind=system.mapping)
     rng = np.random.default_rng(config.seed)
     counter = {"n": 0}
     if shots is None:
-        n_e = ansatz.n_electrons
-        basis = sector_basis(kind, n, (n_e + 1) // 2, n_e // 2)
-        block = oracle.pauli_to_sparse(hamiltonian, basis)
+        basis, block = system.sector, system.block
 
     def evaluate(theta: np.ndarray) -> float:
         counter["n"] += 1
@@ -324,7 +317,8 @@ def run_vqe(hamiltonian: PauliSum, ansatz: UccsdAnsatz,
         if shots is None:
             psi = state.data[basis]
             return float(np.vdot(psi, block @ psi).real)
-        mean, _ = state.sampled_expectation(hamiltonian, shots, rng=rng)
+        mean, _ = state.sampled_expectation(system.qubit_hamiltonian, shots,
+                                            rng=rng)
         return mean
 
     def evaluate_with_gradient(theta: np.ndarray

@@ -153,7 +153,7 @@ def nuclear_pair(pair, coords, charges):
 
 def one_electron_pair_by_pair(molecule):
     """S, T and V, one basis-function pair at a time."""
-    funcs = load_basis(molecule, "sto-3g")
+    funcs = load_basis(molecule)
     n = len(funcs)
     coords = molecule.coordinates()
     charges = molecule.charges()
@@ -213,7 +213,7 @@ def eri_quartet(bra, ket):
 
 def eri_quartet_by_quartet(molecule):
     """Each canonical (bra|ket) on its own, mirrored into its eight images."""
-    funcs = load_basis(molecule, "sto-3g")
+    funcs = load_basis(molecule)
     n = len(funcs)
     pairs = {(i, j): pair_data(funcs[i], funcs[j])
              for i in range(n) for j in range(i + 1)}

@@ -79,12 +79,12 @@ class OneElectronQuadrature:
     notes: str = ""
 
 
-def quadrature_one_electron(molecule: Molecule, basis_name: str = "sto-3g",
+def quadrature_one_electron(molecule: Molecule,
                             grid: GridSpec = None) -> OneElectronQuadrature:
     """Numerically integrate S, T and V matrices on explicit grids."""
     if grid is None:
         grid = GridSpec()
-    funcs = load_basis(molecule, basis_name)
+    funcs = load_basis(molecule)
     n = len(funcs)
     coords = molecule.coordinates()
     charges = molecule.charges()

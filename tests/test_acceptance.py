@@ -90,12 +90,11 @@ def test_canonical_anticommutation_relations():
 def test_bfgs_reaches_exact_ground_energy(bench_hydrogen):
     t0 = time.perf_counter()
     system = bench_hydrogen
-    target = exact_ground_energy(system.qubit_hamiltonian, system.sector())
+    target = exact_ground_energy(system.block)
     assert target == pytest.approx(BENCH_GROUND, abs=1e-9)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(system.qubit_hamiltonian, ansatz,
-                     OptimizerConfig(kind="bfgs", max_iterations=200),
-                     kind=system.mapping)
+    result = run_vqe(system, ansatz,
+                     OptimizerConfig(kind="bfgs", max_iterations=200))
     elapsed = time.perf_counter() - t0
     gap = abs(result.e_min - target)
     ok = gap <= 1e-6 and result.converged and elapsed < 60.0
@@ -109,10 +108,8 @@ def test_seeded_spsa_is_accurate_and_reproducible(bench_hydrogen):
     system = bench_hydrogen
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     config = OptimizerConfig(kind="spsa", max_iterations=300, seed=0)
-    first = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                    kind=system.mapping)
-    second = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                     kind=system.mapping)
+    first = run_vqe(system, ansatz, config)
+    second = run_vqe(system, ansatz, config)
     elapsed = time.perf_counter() - t0
     gap = abs(first.e_min - BENCH_GROUND)
     identical = (first.e_min == second.e_min
@@ -200,8 +197,7 @@ def test_number_and_spin_conserved_along_trajectory(assembled):
     ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
     config = OptimizerConfig(kind="spsa", max_iterations=100,
                              tolerance=1e-30, seed=2)
-    result = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                     kind=system.mapping)
+    result = run_vqe(system, ansatz, config)
     assert result.n_iterations == 100
     circuit = ansatz_circuit(ansatz, kind=system.mapping)
     worst_n = 0.0

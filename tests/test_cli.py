@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qelectra.cli as cli
-from qelectra import pipeline, vqe
+from qelectra import oracle, pipeline, vqe
 from qelectra.fcidump import read_fcidump
 
 
@@ -141,9 +141,8 @@ def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
     system = assembled("lih")
     ansatz = vqe.build_uccsd(system.n_qubits,
                              system.spin_orbitals.n_electrons)
-    library = vqe.run_vqe(system.qubit_hamiltonian, ansatz,
-                          vqe.OptimizerConfig(kind="spsa", seed=0),
-                          kind=system.mapping)
+    library = vqe.run_vqe(system, ansatz,
+                          vqe.OptimizerConfig(kind="spsa", seed=0))
     runs = []
 
     def recording(*args, **kwargs):
@@ -184,7 +183,7 @@ NO_SCIPY = """
 import contextlib, io, sys
 import numpy as np
 from qelectra import cli
-from qelectra.oracle import lowest_eigenvalues
+from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
 from qelectra.pauli import PauliString, PauliSum
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["--molecule", "h2", "--method", "hf,vqe,fci"])
@@ -193,7 +192,7 @@ spins = PauliSum(12)
 for q in range(12):
     spins.add_string(PauliString("I" * q + "Z" + "I" * (11 - q)), 1.0 + q)
     spins.add_string(PauliString("I" * q + "X" + "I" * (11 - q)), 0.3)
-lowest_eigenvalues(spins, np.arange(1 << 12), k=2)
+lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)), k=2)
 print(rc, *sorted(name for name in sys.modules
                   if name == "scipy" or name.startswith("scipy.")))
 """
@@ -256,6 +255,51 @@ def test_fci_runs_on_a_sector_above_the_dense_cutoff(capsys):
     assert code == 0, err
     energy = json.loads(out)["methods"]["fci"]["energy_hartree"]
     assert energy == pytest.approx(-39.80526233501304, abs=1e-10)
+
+
+def test_unknown_basis_name(capsys):
+    # sto-3g is the one basis set; the flag stays for existing command lines
+    code, out, _ = run_cli(capsys, "--molecule", "h2", "--basis", "STO-3G",
+                           "--output", "json")
+    assert code == 0
+    assert json.loads(out)["basis"] == "sto-3g"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--molecule", "h2", "--basis", "cc-pvdz"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --basis: invalid choice: 'cc-pvdz'" in captured.err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("2\n\nH 0 0 nan\nH 0 0 0\n", "non-finite coordinate"),
+    ("2\n\nH 0 0 inf\nH 0 0 0\n", "non-finite coordinate"),
+    ("-1\n\nH 0 0 0\nH 0 0 0.74\nH 0 0 1.48\n", "at least 1"),
+])
+def test_bad_xyz_files_exit_one(capsys, tmp_path, text, fragment):
+    xyz = tmp_path / "bad.xyz"
+    xyz.write_text(text)
+    code, out, err = run_cli(capsys, "--molecule", str(xyz), "--method",
+                             "fci")
+    assert code == 1
+    assert out == ""
+    assert fragment in err
+
+
+def test_one_job_builds_one_sector_block(capsys, monkeypatch):
+    # VQE and FCI read the same block, held on the assembled system
+    built = []
+    build = oracle.pauli_to_sparse
+
+    def counting(observable, basis):
+        built.append(basis.size)
+        return build(observable, basis)
+
+    monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
+    code, _, _ = run_cli(capsys, "--molecule", "lih", "--method",
+                         "hf,vqe,fci", "--active-space", "2,4")
+    assert code == 0
+    assert built == [16]
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -10,7 +10,7 @@ from qelectra.scf import run_rhf
 
 def lih_mo_integrals():
     mol = shipped_geometry("lih")
-    ints = compute_integrals(mol, "sto-3g")
+    ints = compute_integrals(mol)
     scf = run_rhf(ints, 4)
     h, g = mo_spatial_integrals(ints, scf.mo_coefficients)
     return h, g, ints.nuclear_repulsion

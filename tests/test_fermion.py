@@ -86,7 +86,7 @@ def fold_spin_orbital_window(so, spec):
 
 def h2_spin_orbitals():
     mol = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, 1.388861))])
-    ints = compute_integrals(mol, "sto-3g")
+    ints = compute_integrals(mol)
     scf = run_rhf(ints, 2)
     return scf, full_spin_orbitals(ints, scf, 2)
 
@@ -139,7 +139,7 @@ def test_active_space_routes_agree():
                       ("h2o", ActiveSpaceSpec(8, 6)),
                       ("h2o", ActiveSpaceSpec(4, 3))]:
         mol = shipped_geometry(key)
-        ints = compute_integrals(mol, "sto-3g")
+        ints = compute_integrals(mol)
         scf = run_rhf(ints, mol.n_electrons)
         so_a = active_spin_orbitals(ints, scf, mol.n_electrons, spec)
         so_b = fold_spin_orbital_window(
@@ -152,7 +152,7 @@ def test_active_space_routes_agree():
 
 def test_active_space_preserves_total_hf_energy():
     mol = shipped_geometry("h2o")
-    ints = compute_integrals(mol, "sto-3g")
+    ints = compute_integrals(mol)
     scf = run_rhf(ints, 10)
     so_act = active_spin_orbitals(ints, scf, 10, ActiveSpaceSpec(8, 6))
     # the window's aufbau determinant, 8 electrons in 12 Jordan-Wigner modes
@@ -169,7 +169,7 @@ def test_active_space_validation():
             ("h2", ActiveSpaceSpec(2, 9), "exceeds 2 spatial orbitals"),
             ("h2o", ActiveSpaceSpec(6, 2), "more active electrons")]:
         mol = shipped_geometry(key)
-        ints = compute_integrals(mol, "sto-3g")
+        ints = compute_integrals(mol)
         scf = run_rhf(ints, mol.n_electrons)
         h_mo, eri_mo = mo_spatial_integrals(ints, scf.mo_coefficients)
         with pytest.raises(ValueError, match=message):
@@ -192,16 +192,16 @@ def test_number_and_sz_operators():
 def test_full_vs_active_ground_state_bound():
     # freezing can only raise the ground energy
     mol = shipped_geometry("lih")
-    ints = compute_integrals(mol, "sto-3g")
+    ints = compute_integrals(mol)
     scf = run_rhf(ints, 4)
     so_full = full_spin_orbitals(ints, scf, 4)
-    e_full = exact_ground_energy(
+    e_full = exact_ground_energy(pauli_to_sparse(
         map_fermion(build_hamiltonian(so_full), MappingKind.PARITY,
-                    so_full.n_orbitals), np.arange(1 << so_full.n_orbitals))
+                    so_full.n_orbitals), np.arange(1 << so_full.n_orbitals)))
     so_act = active_spin_orbitals(ints, scf, 4, ActiveSpaceSpec(2, 5))
-    e_act = exact_ground_energy(
+    e_act = exact_ground_energy(pauli_to_sparse(
         map_fermion(build_hamiltonian(so_act), MappingKind.PARITY,
-                    so_act.n_orbitals), np.arange(1 << so_act.n_orbitals))
+                    so_act.n_orbitals), np.arange(1 << so_act.n_orbitals)))
     assert e_act >= e_full - 1e-9
     assert e_act == pytest.approx(-7.882176004920536, abs=1e-8)
     assert e_full == pytest.approx(-7.882403424257525, abs=1e-7)

@@ -75,7 +75,7 @@ def test_boys_downward_recursion_consistency():
 
 def h2_integrals(r=1.388861):
     mol = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, r))])
-    return compute_integrals(mol, "sto-3g")
+    return compute_integrals(mol)
 
 
 def test_h2_golden_values():
@@ -90,7 +90,7 @@ def test_h2_golden_values():
 
 
 def test_one_electron_matrices_symmetric():
-    ints = compute_integrals(shipped_geometry("h2o"), "sto-3g")
+    ints = compute_integrals(shipped_geometry("h2o"))
     for m in (ints.overlap, ints.kinetic, ints.nuclear):
         assert np.allclose(m, m.T, atol=1e-12)
     assert np.allclose(np.diag(ints.overlap), 1.0, atol=1e-10)
@@ -98,13 +98,13 @@ def test_one_electron_matrices_symmetric():
 
 def test_overlap_positive_definite_for_shipped():
     for key in ["h2", "lih", "h2o", "nh3", "ch4", "co2"]:
-        ints = compute_integrals(shipped_geometry(key), "sto-3g")
+        ints = compute_integrals(shipped_geometry(key))
         evals = np.linalg.eigvalsh(ints.overlap)
         assert evals.min() > 1e-7
 
 
 def test_eri_eightfold_symmetry():
-    ints = compute_integrals(shipped_geometry("lih"), "sto-3g")
+    ints = compute_integrals(shipped_geometry("lih"))
     g = ints.eri
     rng = np.random.default_rng(4)
     n = ints.n_basis
@@ -118,8 +118,8 @@ def test_eri_eightfold_symmetry():
 
 def test_quadrature_matches_analytic_h2():
     mol = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, 1.388861))])
-    ints = compute_integrals(mol, "sto-3g")
-    quad = quadrature_one_electron(mol, "sto-3g")
+    ints = compute_integrals(mol)
+    quad = quadrature_one_electron(mol)
     assert not quad.accuracy_warning
     assert np.max(np.abs(quad.overlap - ints.overlap)) < 1e-4
     assert np.max(np.abs(quad.kinetic - ints.kinetic)) < 1e-4
@@ -128,8 +128,8 @@ def test_quadrature_matches_analytic_h2():
 
 def test_quadrature_flags_inadequate_grid():
     mol = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, 1.4))])
-    quad = quadrature_one_electron(mol, "sto-3g",
-                                   GridSpec(points_per_axis=8, padding=30.0))
+    quad = quadrature_one_electron(mol, GridSpec(points_per_axis=8,
+                                                 padding=30.0))
     assert quad.accuracy_warning
     assert "coarse" in quad.notes
 
@@ -144,7 +144,7 @@ def test_grid_spec_validation():
 # tobytes() rather than np.array_equal, which takes -0.0 for 0.0
 
 def assert_one_electron_bytes_match(molecule):
-    ints = compute_integrals(molecule, "sto-3g")
+    ints = compute_integrals(molecule)
     for got, want in zip((ints.overlap, ints.kinetic, ints.nuclear),
                          one_electron_pair_by_pair(molecule)):
         assert got.tobytes() == want.tobytes()
@@ -163,7 +163,7 @@ def test_one_electron_matrices_are_bit_identical_on_the_lih_scan(r):
 @pytest.mark.parametrize("key", SHIPPED)
 def test_batched_eri_is_bit_identical_to_quartet_loop(key):
     molecule = shipped_geometry(key)
-    assert (compute_integrals(molecule, "sto-3g").eri.tobytes()
+    assert (compute_integrals(molecule).eri.tobytes()
             == eri_quartet_by_quartet(molecule).tobytes())
 
 
@@ -197,7 +197,7 @@ def small_molecules(draw):
 @settings(deadline=None, max_examples=8)
 @given(small_molecules())
 def test_batched_eri_is_bit_identical_on_random_geometries(molecule):
-    assert (compute_integrals(molecule, "sto-3g").eri.tobytes()
+    assert (compute_integrals(molecule).eri.tobytes()
             == eri_quartet_by_quartet(molecule).tobytes())
 
 
@@ -212,9 +212,9 @@ def test_batch_boundaries_do_not_change_the_eri(monkeypatch):
     # H2O: 28 pairs, 81 primitive quartets per quartet; a cap of 200 runs
     # two quartets per call and leaves ragged last batches
     molecule = shipped_geometry("h2o")
-    want = compute_integrals(molecule, "sto-3g").eri
+    want = compute_integrals(molecule).eri
     monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", 200)
-    assert compute_integrals(molecule, "sto-3g").eri.tobytes() == want.tobytes()
+    assert compute_integrals(molecule).eri.tobytes() == want.tobytes()
 
 
 def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
@@ -232,9 +232,9 @@ def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
             return _original(*args)
         monkeypatch.setattr(integrals, name, counted)
     molecule = shipped_geometry("co2")
-    compute_integrals(molecule, "sto-3g")
+    compute_integrals(molecule)
 
-    funcs = load_basis(molecule, "sto-3g")
+    funcs = load_basis(molecule)
     members = defaultdict(list)    # pair class -> pair indices
     pairs = [(fa, fb) for i, fa in enumerate(funcs) for fb in funcs[:i + 1]]
     for index, (fa, fb) in enumerate(pairs):

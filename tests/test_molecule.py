@@ -26,6 +26,21 @@ def test_parse_xyz_rejects_wrong_count():
         parse_xyz(bad)
 
 
+def test_parse_xyz_rejects_a_count_below_one():
+    # a count of -1 once sliced off the last line and parsed two atoms
+    for count in ("-1", "0"):
+        with pytest.raises(ValueError, match="at least 1"):
+            parse_xyz(count + "\ncomment\nH 0 0 0\nH 0 0 1\nH 0 0 2\n")
+
+
+def test_non_finite_coordinates_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_xyz("2\ncomment\nH 0 0 nan\nH 0 0 0\n")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            from_atom_list([("H", (0, 0, 0)), ("H", (0, bad, 1.4))])
+
+
 def test_parse_xyz_rejects_unknown_element():
     bad = "1\ncomment\nXx 0 0 0\n"
     with pytest.raises(ValueError):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import qelectra
+from qelectra.basis import load_basis
 from qelectra.cli import RunSpec, execute
 from qelectra.fermion import (ActiveSpaceSpec, mo_spatial_integrals,
                               to_spin_orbitals)
 from qelectra.molecule import from_atom_list
 from qelectra import pipeline
-from qelectra.oracle import exact_ground_energy
+from qelectra.oracle import exact_ground_energy, pauli_to_sparse
 from qelectra.pauli import MappingKind
 from qelectra.pipeline import (
     DEFAULT_ACTIVE_SPACES,
@@ -34,7 +35,6 @@ def test_every_export_resolves():
 
 def test_assembled_hydrogen_fields(assembled):
     system = assembled("h2")
-    assert system.basis_name == "sto-3g"
     assert system.n_qubits == 4
     assert system.mapping == MappingKind.PARITY
     assert system.active_space == ActiveSpaceSpec(2, 2)
@@ -52,25 +52,27 @@ def test_assembled_water_window(assembled):
     assert system.e_hf == pytest.approx(-74.9629282714757, abs=1e-8)
 
 
+def full_space(molecule):
+    """The window of all electrons in all orbitals."""
+    return ActiveSpaceSpec(molecule.n_electrons, len(load_basis(molecule)))
+
+
 def test_full_space_equals_registry_window_for_hydrogen(assembled):
-    # the H2 window covers both orbitals, so dropping it changes nothing
+    # the H2 window covers both orbitals, so the full space is the same
     system = assembled("h2")
-    full = assemble(shipped_geometry("h2"), active=None)
-    assert full.active_space is None
+    full = assemble(shipped_geometry("h2"),
+                    active=full_space(shipped_geometry("h2")))
+    assert full.active_space == system.active_space
     assert full.spin_orbitals.n_orbitals == 4
     assert np.allclose(full.spin_orbitals.one_body, system.spin_orbitals.one_body)
     assert full.spin_orbitals.core_energy == pytest.approx(
         system.spin_orbitals.core_energy)
 
 
-def test_assemble_rejects_unknown_active_setting():
-    with pytest.raises(ValueError, match="active-space setting"):
-        assemble(shipped_geometry("h2"), active="everything")
-
-
 def test_qubit_cap_suggests_an_active_space():
+    co2 = shipped_geometry("co2")
     with pytest.raises(ValueError, match="--active-space"):
-        assemble(shipped_geometry("co2"), active=None)
+        assemble(co2, active=full_space(co2))
 
 
 def test_qubit_cap_is_checked_before_any_integral(monkeypatch):
@@ -79,7 +81,7 @@ def test_qubit_cap_is_checked_before_any_integral(monkeypatch):
 
     monkeypatch.setattr(pipeline, "compute_integrals", refuse)
     with pytest.raises(ValueError, match="30 qubits exceeds .*--active-space"):
-        assemble(shipped_geometry("co2"), active=None)
+        assemble(shipped_geometry("co2"), active=ActiveSpaceSpec(22, 15))
     with pytest.raises(ValueError, match="26 qubits exceeds"):
         assemble(shipped_geometry("co2"), active=ActiveSpaceSpec(8, 13))
 
@@ -115,7 +117,7 @@ def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
     assert report.result("hf").energy == pytest.approx(e_hf, abs=1e-6)
     assert report.result("fci").energy == pytest.approx(e_fci, abs=1e-6)
     # the CLI's FCI cap counts, before any integral, the sector solved here
-    assert pipeline.sector_size(system.molecule) == system.sector().size
+    assert pipeline.sector_size(system.molecule) == system.sector.size
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))
@@ -123,10 +125,10 @@ def test_sector_and_fock_space_minima_agree(assembled, key):
     # the whole-Fock-space minimum of every shipped window lies in its
     # closed-shell sector; FCI before the sector solve relied on this
     system = assembled(key)
-    hamiltonian = system.qubit_hamiltonian
-    assert exact_ground_energy(hamiltonian, basis=system.sector()) == \
-        pytest.approx(exact_ground_energy(
-            hamiltonian, np.arange(1 << system.n_qubits)), abs=1e-10)
+    register = np.arange(1 << system.n_qubits)
+    assert exact_ground_energy(system.block) == pytest.approx(
+        exact_ground_energy(pauli_to_sparse(system.qubit_hamiltonian,
+                                            register)), abs=1e-10)
 
 
 def test_registry_windows_resolve_for_all_shipped_molecules():
@@ -199,7 +201,8 @@ def test_active_integrals_export(assembled):
     assert n_e == 2
     assert core != pytest.approx(system.integrals.nuclear_repulsion)
 
-    full = assemble(shipped_geometry("h2"), active=None)
+    full = assemble(shipped_geometry("h2"),
+                    active=full_space(shipped_geometry("h2")))
     h2_h, h2_eri, h2_core, h2_ne = full.active_integrals
     assert h2_core == pytest.approx(full.integrals.nuclear_repulsion)
     assert h2_ne == 2
@@ -213,8 +216,7 @@ def test_full_space_window_expands_the_unfolded_integrals(molecule):
     # the full space is the window of all electrons in all orbitals: its
     # fold freezes nothing, so the spin-orbital integrals are the bytes of
     # expanding the MO integrals directly
-    system = assemble(molecule, active=None)
-    assert system.active_space is None
+    system = assemble(molecule, active=full_space(molecule))
     ints = system.integrals
     h_mo, eri_mo = mo_spatial_integrals(ints, system.scf.mo_coefficients)
     want = to_spin_orbitals(h_mo, eri_mo, ints.nuclear_repulsion,
@@ -238,3 +240,4 @@ def test_fcidump_export_reuses_the_folded_window(tmp_path, monkeypatch):
     execute(RunSpec(molecule=shipped_geometry("lih"),
                     fcidump_path=str(tmp_path / "lih.fcidump")))
     assert folds == [ActiveSpaceSpec(2, 5)]
+

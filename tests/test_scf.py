@@ -9,7 +9,7 @@ from qelectra.scf import density_matrix, run_rhf
 
 
 def solve(mol, n_electrons):
-    ints = compute_integrals(mol, "sto-3g")
+    ints = compute_integrals(mol)
     return ints, run_rhf(ints, n_electrons)
 
 
@@ -80,6 +80,6 @@ def test_density_matrix_helper():
 
 def test_odd_electron_count_rejected():
     mol = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, 1.4))])
-    ints = compute_integrals(mol, "sto-3g")
+    ints = compute_integrals(mol)
     with pytest.raises(ValueError):
         run_rhf(ints, 3)

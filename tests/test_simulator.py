@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra.oracle import pauli_to_sparse
 from qelectra.pauli import PauliString, PauliSum
 from qelectra.simulator import MAX_QUBITS, Circuit, StateVector
 from qelectra.vqe import ansatz_circuit, build_uccsd
@@ -125,8 +124,7 @@ def test_matrix_expectation_matches_term_loop_on_lih(assembled):
     theta = np.random.default_rng(28).normal(scale=0.2,
                                              size=ansatz.n_parameters)
     state = circuit.run(theta)
-    basis = system.sector()
-    block = pauli_to_sparse(hamiltonian, basis)
+    basis, block = system.sector, system.block
     psi = state.data[basis]
     assert np.vdot(psi, block @ psi).real == pytest.approx(
         state.expectation(hamiltonian), abs=1e-12)

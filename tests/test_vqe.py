@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelectra import oracle, simulator
-from qelectra.fermion import FermionOperator, number_operator
+from qelectra.fermion import FermionOperator
 from qelectra.oracle import exact_ground_energy
 from qelectra.pauli import (MappingKind, PauliString, PauliSum, map_fermion,
                             sector_basis)
@@ -30,6 +30,14 @@ from test_fermion import dense_operator
 
 ALL_KINDS = [MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
              MappingKind.BRAVYI_KITAEV]
+
+
+def remapped(system, kind):
+    """A copy of the system with its Hamiltonian mapped under `kind`."""
+    return dataclasses.replace(
+        system, mapping=kind,
+        qubit_hamiltonian=map_fermion(system.hamiltonian, kind,
+                                      system.n_qubits))
 
 
 def test_minimal_ansatz_has_three_excitations():
@@ -119,10 +127,10 @@ def test_ansatz_circuit_validation():
 @pytest.mark.parametrize("key", ["h2", "lih"])
 def test_adjoint_gradient_matches_central_differences(key, kind, assembled,
                                                       data):
-    system = assembled(key)
+    system = remapped(assembled(key), kind)
     n = system.n_qubits
-    hamiltonian = map_fermion(system.hamiltonian, kind, n)
-    matrix = oracle.pauli_to_sparse(hamiltonian, np.arange(1 << n))
+    matrix = oracle.pauli_to_sparse(system.qubit_hamiltonian,
+                                    np.arange(1 << n))
     ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
     m = ansatz.n_parameters
     theta = np.array(data.draw(st.lists(
@@ -141,7 +149,7 @@ def test_adjoint_gradient_matches_central_differences(key, kind, assembled,
     assert np.max(np.abs(gradient - central)) <= 1e-7
     # BFGS from the same point is deterministic to the last bit
     config = OptimizerConfig(kind="bfgs", max_iterations=10)
-    first, second = (run_vqe(hamiltonian, ansatz, config, kind=kind,
+    first, second = (run_vqe(system, ansatz, config,
                              initial_parameters=theta) for _ in range(2))
     assert first.energy_history == second.energy_history
     assert first.theta_star.tobytes() == second.theta_star.tobytes()
@@ -159,14 +167,10 @@ def test_adjoint_gradient_validation():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
-    system = assembled("lih")
-    hamiltonian = map_fermion(system.hamiltonian, kind, system.n_qubits)
+    system = remapped(assembled("lih"), kind)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(hamiltonian, ansatz, OptimizerConfig(kind="bfgs"),
-                     kind=kind)
-    half = system.spin_orbitals.n_electrons // 2
-    target = exact_ground_energy(
-        hamiltonian, basis=sector_basis(kind, system.n_qubits, half, half))
+    result = run_vqe(system, ansatz, OptimizerConfig(kind="bfgs"))
+    target = exact_ground_energy(system.block)
     assert result.converged
     assert result.n_iterations < 20
     assert result.e_min == pytest.approx(target, abs=1e-8)
@@ -178,7 +182,7 @@ def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
     assert result.e_min == min(result.energy_history)
     circuit = ansatz_circuit(ansatz, kind=kind)
     psi = circuit.run(result.theta_star).data
-    lam = oracle.pauli_to_sparse(hamiltonian,
+    lam = oracle.pauli_to_sparse(system.qubit_hamiltonian,
                                  np.arange(1 << system.n_qubits)) @ psi
     gradient = circuit.adjoint_gradient(result.theta_star, psi, lam)
     assert np.max(np.abs(gradient)) <= 1e-6
@@ -190,15 +194,13 @@ def test_bfgs_stops_when_no_descent_is_left(assembled):
     # (iterate 17, 18 evaluations) instead of in failing line searches
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(system.qubit_hamiltonian, ansatz,
-                     OptimizerConfig(kind="bfgs", tolerance=1e-12),
-                     kind=MappingKind.PARITY)
+    result = run_vqe(system, ansatz,
+                     OptimizerConfig(kind="bfgs", tolerance=1e-12))
     assert not result.converged
     assert result.n_iterations < 200
     assert result.n_evaluations <= 20
     assert result.e_min == pytest.approx(
-        exact_ground_energy(system.qubit_hamiltonian, basis=system.sector()),
-        abs=1e-10)
+        exact_ground_energy(system.block), abs=1e-10)
 
 
 @pytest.mark.parametrize("optimizer", ["bfgs"])
@@ -212,21 +214,17 @@ def test_gradient_optimizers_refuse_shots(optimizer, assembled,
 
     monkeypatch.setattr(simulator.Circuit, "run", refuse)
     with pytest.raises(ValueError, match="exact expectations"):
-        run_vqe(system.qubit_hamiltonian, ansatz,
-                OptimizerConfig(kind=optimizer), kind=MappingKind.PARITY,
-                shots=64)
+        run_vqe(system, ansatz, OptimizerConfig(kind=optimizer), shots=64)
 
 
 def test_spsa_reproduces_bitwise_and_lands_near_target(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     config = OptimizerConfig(kind="spsa", max_iterations=200, seed=11)
-    first = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                    kind=MappingKind.PARITY)
-    target = exact_ground_energy(system.qubit_hamiltonian, system.sector())
+    first = run_vqe(system, ansatz, config)
+    target = exact_ground_energy(system.block)
     assert abs(first.e_min - target) < 1e-3
-    second = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                     kind=MappingKind.PARITY)
+    second = run_vqe(system, ansatz, config)
     assert first.e_min == second.e_min
     assert first.energy_history == second.energy_history
     assert first.theta_star.tobytes() == second.theta_star.tobytes()
@@ -236,60 +234,58 @@ def test_shot_noise_runs_are_seeded(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     config = OptimizerConfig(kind="spsa", max_iterations=10, seed=5)
-    first = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                    kind=MappingKind.PARITY, shots=128)
-    second = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                     kind=MappingKind.PARITY, shots=128)
+    first = run_vqe(system, ansatz, config, shots=128)
+    second = run_vqe(system, ansatz, config, shots=128)
     assert first.energy_history == second.energy_history
-    exact = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                    kind=MappingKind.PARITY)
+    exact = run_vqe(system, ansatz, config)
     assert first.energy_history != exact.energy_history
 
 
 def test_initial_parameters_are_honored(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    warm = run_vqe(system.qubit_hamiltonian, ansatz,
-                   OptimizerConfig(kind="bfgs", max_iterations=60),
-                   kind=MappingKind.PARITY)
-    resumed = run_vqe(system.qubit_hamiltonian, ansatz,
+    warm = run_vqe(system, ansatz,
+                   OptimizerConfig(kind="bfgs", max_iterations=60))
+    resumed = run_vqe(system, ansatz,
                       OptimizerConfig(kind="bfgs", max_iterations=20),
-                      kind=MappingKind.PARITY,
                       initial_parameters=warm.theta_star)
     assert resumed.energy_history[0] == pytest.approx(warm.e_min, abs=1e-9)
     with pytest.raises(ValueError, match="length"):
-        run_vqe(system.qubit_hamiltonian, ansatz,
-                OptimizerConfig(kind="bfgs"), kind=MappingKind.PARITY,
+        run_vqe(system, ansatz, OptimizerConfig(kind="bfgs"),
                 initial_parameters=[0.0])
 
 
 def test_register_mismatch_rejected(assembled):
     system = assembled("h2")
-    ansatz = build_uccsd(6, 2)
     with pytest.raises(ValueError, match="qubits"):
-        run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig(),
-                kind=MappingKind.PARITY)
+        run_vqe(system, build_uccsd(6, 2), OptimizerConfig())
+    # the circuit's reference must lie in the system's sector
+    with pytest.raises(ValueError, match="electrons"):
+        run_vqe(system, UccsdAnsatz(4, 1, []), OptimizerConfig())
 
 
 def test_the_mapping_has_no_default(assembled):
     # a PauliSum does not record its mapping: a Jordan-Wigner default on
-    # the parity-mapped H2 Hamiltonian returned -0.5246 Ha, converged
+    # the parity-mapped H2 Hamiltonian returned -0.5246 Ha, converged. The
+    # mapping comes with the Hamiltonian on the system; only the circuit
+    # builder takes it as an argument
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     with pytest.raises(TypeError, match="kind"):
-        run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig())
+        run_vqe(system, ansatz, OptimizerConfig(),
+                kind=MappingKind.JORDAN_WIGNER)
     with pytest.raises(TypeError, match="kind"):
         ansatz_circuit(ansatz)
-    result = run_vqe(system.qubit_hamiltonian, ansatz, OptimizerConfig(),
-                     kind=system.mapping)
-    assert result.e_min == pytest.approx(
-        exact_ground_energy(system.qubit_hamiltonian, basis=system.sector()),
-        abs=1e-9)
+    for kind in ALL_KINDS:
+        result = run_vqe(remapped(system, kind), ansatz, OptimizerConfig())
+        assert result.e_min == pytest.approx(
+            exact_ground_energy(system.block), abs=1e-9)
 
 
 def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
                                                       monkeypatch):
-    system = assembled("h2")
+    # a copy carries no cached block
+    system = dataclasses.replace(assembled("h2"))
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     built = []
     build = oracle.pauli_to_sparse
@@ -300,8 +296,7 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
 
     monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
     config = OptimizerConfig(kind="spsa", max_iterations=5, seed=3)
-    result = run_vqe(system.qubit_hamiltonian, ansatz, config,
-                     kind=MappingKind.PARITY)
+    result = run_vqe(system, ansatz, config)
     assert len(built) == 1
     observable, basis = built[0]
     assert observable is system.qubit_hamiltonian
@@ -310,29 +305,18 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
                           sector_basis(MappingKind.PARITY, 4, 1, 1))
     assert basis.size == 4
     assert result.n_evaluations > 1
-    # sampled energies measure the Pauli terms; no matrix is built
-    run_vqe(system.qubit_hamiltonian, ansatz, config,
-            kind=MappingKind.PARITY, shots=64)
+    # a second run, and the FCI solve, reuse the system's block
+    run_vqe(system, ansatz, config)
+    exact_ground_energy(system.block)
     assert len(built) == 1
-
-
-def test_a_sixteen_qubit_register_runs_on_the_sector_block():
-    n = 16
-    ansatz = build_uccsd(n, 1)
-    counted = map_fermion(number_operator(n), MappingKind.JORDAN_WIGNER, n)
-    # the block on the 8 one-alpha determinants builds with no qubit cap
-    result = run_vqe(counted, ansatz,
-                     OptimizerConfig(kind="spsa", max_iterations=2, seed=1),
-                     kind=MappingKind.JORDAN_WIGNER)
-    # the ansatz conserves the particle number, so every energy is <N> = 1
-    assert result.n_evaluations == 7
-    assert result.energy_history == pytest.approx([1.0] * 3, abs=1e-12)
+    # sampled energies measure the Pauli terms; no matrix is built
+    run_vqe(dataclasses.replace(system), ansatz, config, shots=64)
+    assert len(built) == 1
 
 
 def test_non_hermitian_hamiltonian_rejected_before_any_evaluation(
         assembled, monkeypatch):
     system = assembled("h2")
-    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     skewed = (system.qubit_hamiltonian
               + PauliSum.from_string(PauliString("XYII"), 0.1j))
 
@@ -340,10 +324,9 @@ def test_non_hermitian_hamiltonian_rejected_before_any_evaluation(
         raise AssertionError("no circuit runs for a rejected Hamiltonian")
 
     monkeypatch.setattr(simulator.Circuit, "run", refuse)
-    for shots in (None, 64):
-        with pytest.raises(ValueError, match="Hermitian"):
-            run_vqe(skewed, ansatz, OptimizerConfig(seed=0),
-                    kind=MappingKind.PARITY, shots=shots)
+    # the system that run_vqe would take cannot be built
+    with pytest.raises(ValueError, match="Hermitian"):
+        dataclasses.replace(system, qubit_hamiltonian=skewed)
 
 
 def test_hamiltonian_leaving_the_reference_sector_is_refused(assembled):
@@ -352,9 +335,10 @@ def test_hamiltonian_leaving_the_reference_sector_is_refused(assembled):
     # a_0^ + a_0 is Hermitian but changes the particle number
     ladder = map_fermion(FermionOperator({((0, 1),): 0.1, ((0, 0),): 0.1}),
                          MappingKind.PARITY, system.n_qubits)
+    leaky = dataclasses.replace(
+        system, qubit_hamiltonian=system.qubit_hamiltonian + ladder)
     with pytest.raises(ValueError, match="outside the basis"):
-        run_vqe(system.qubit_hamiltonian + ladder, ansatz,
-                OptimizerConfig(seed=0), kind=MappingKind.PARITY)
+        run_vqe(leaky, ansatz, OptimizerConfig(seed=0))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -363,32 +347,30 @@ def test_sector_energy_matches_the_full_register_term_loop(key, kind,
                                                            assembled):
     # run_vqe's first energy is psi_S^ H_SS psi_S at the initial angles;
     # the term loop sums every Pauli term over all 2^n amplitudes
-    system = assembled(key)
+    system = remapped(assembled(key), kind)
     n = system.n_qubits
     n_e = system.spin_orbitals.n_electrons
-    hamiltonian = map_fermion(system.hamiltonian, kind, n)
     ansatz = build_uccsd(n, n_e)
     theta = np.random.default_rng(41).uniform(-1.0, 1.0,
                                               ansatz.n_parameters)
-    result = run_vqe(hamiltonian, ansatz,
+    result = run_vqe(system, ansatz,
                      OptimizerConfig(kind="spsa", max_iterations=1, seed=0),
-                     kind=kind, initial_parameters=theta)
+                     initial_parameters=theta)
     state = ansatz_circuit(ansatz, kind=kind).run(theta)
     assert result.energy_history[0] == pytest.approx(
-        state.expectation(hamiltonian), abs=1e-10)
+        state.expectation(system.qubit_hamiltonian), abs=1e-10)
     outside = np.delete(state.data,
                         sector_basis(kind, n, n_e // 2, n_e // 2))
     assert np.linalg.norm(outside) <= 1e-12
 
 
-def test_empty_ansatz_returns_reference_energy():
-    bare = UccsdAnsatz(n_spin_orbitals=2, n_electrons=1, excitations=[])
-    mapped = map_fermion(number_operator(2), MappingKind.JORDAN_WIGNER, 2)
-    result = run_vqe(mapped, bare, OptimizerConfig(),
-                     kind=MappingKind.JORDAN_WIGNER)
+def test_empty_ansatz_returns_reference_energy(assembled):
+    system = assembled("h2")
+    bare = UccsdAnsatz(n_spin_orbitals=4, n_electrons=2, excitations=[])
+    result = run_vqe(system, bare, OptimizerConfig())
     assert result.converged
     assert result.n_iterations == 0
-    assert result.e_min == pytest.approx(1.0)
+    assert result.e_min == pytest.approx(system.e_hf, abs=1e-9)
 
 
 def test_optimizer_config_validation():
