@@ -1,8 +1,9 @@
 """qelectra: minimal-basis electronic structure with a simulated quantum register.
 
 End-to-end workflow: Gaussian integrals -> restricted Hartree-Fock ->
-second-quantized Hamiltonian -> fermion-to-qubit mapping -> statevector
-VQE, with exact diagonalization as the cross-checking oracle.
+second-quantized Hamiltonian -> fermion-to-qubit mapping -> UCCSD VQE on
+the determinants of one sector, with exact diagonalization as the
+cross-checking oracle.
 """
 
 __version__ = "0.1.0"

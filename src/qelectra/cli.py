@@ -134,7 +134,7 @@ def execute(spec: RunSpec,
                              OptimizerConfig(kind=spec.optimizer,
                                              seed=spec.seed),
                              shots=spec.shots)
-            row = MethodResult(method="vqe", energy=result.e_min,
+            row = MethodResult(method="vqe", energy=result.energy,
                                converged=result.converged,
                                iterations=result.n_iterations,
                                evaluations=result.n_evaluations)
@@ -428,6 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError("--seed must be a non-negative integer")
         molecule = load_molecule_argument(args.molecule)
         spec = RunSpec(molecule=molecule,
                        methods=_parse_methods(args.method),

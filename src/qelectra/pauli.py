@@ -9,10 +9,11 @@ matrices), so a sum is Hermitian exactly when every coefficient is real.
 Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
 Richard & Love, arXiv:1208.5986): qubit q stores the parity of the modes in
-row q. Ladder images and encoded states both come from those rows, so
-`sector_basis` lists one (N, S_z) sector by forward enumeration and no
-inverse map is needed. A binary-code style transformation is out of scope
-and requesting one raises immediately.
+row q. Ladder images, encoded states and their decoding all come from
+those rows: `sector_basis` lists one (N, S_z) sector by forward
+enumeration, and `decode_states` reads occupations back by
+back-substitution. A binary-code style transformation is out of scope and
+requesting one raises immediately.
 
 In a letters string, character k acts on qubit k.
 """
@@ -384,6 +385,16 @@ def encode_occupation(kind: MappingKind, occupied: Iterable[int],
         occ |= 1 << m
     return [q for q, row in enumerate(_encoding(kind, n_modes))
             if (row & occ).bit_count() & 1]
+
+
+def decode_states(kind: MappingKind, n_modes: int,
+                  states: np.ndarray) -> np.ndarray:
+    """Occupied modes of each encoded basis state, as a bitmask with mode m
+    at bit m: the parity of the state's qubits that read mode m."""
+    occupations = np.zeros_like(states)
+    for m, mask in enumerate(_occupation_masks(_encoding(kind, n_modes))):
+        occupations |= bit_parity(states & mask).astype(np.int64) << m
+    return occupations
 
 
 def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,

@@ -29,8 +29,9 @@ from .simulator import MAX_QUBITS
 
 # Active windows keyed by canonical formula: (n_active_electrons,
 # n_active_spatial_orbitals). Three constraints shape these. The window
-# must keep each example at <= 12 qubits, where VQE's 2^n statevector
-# stays small (FCI is bounded by its sector size instead). Its boundaries
+# must keep each example at <= 12 qubits, where the 2^n register of a
+# shot-sampled VQE run stays small (exact VQE and FCI are bounded by the
+# sector size instead). Its boundaries
 # should not split a degenerate shell (the e pair of NH3, the t2 triples
 # of CH4): a window cutting through a degenerate shell selects an
 # arbitrary rotation of that subspace, so its correlation energy changes

@@ -1,4 +1,4 @@
-"""Dense statevector simulation of Pauli operators and circuits.
+"""Dense statevector simulation of Pauli operators, and sector circuits.
 
 Basis states use little-endian convention: computational index b has qubit
 k in bit k of b. The register is capped at 24 qubits, above which the
@@ -7,23 +7,21 @@ amplitude array alone would pass two gigabytes.
 Pauli application never builds a matrix. In the symplectic picture
 (X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so a string acts as one permutation
 of the amplitude array plus a sign mask, with bit-parity evaluated by
-folding.
+folding. A `StateVector` serves shot-sampled energies
+(`sampled_expectation`) and, through `expectation`, which sums a Pauli
+operator term by term over the whole register, the reference the sector
+route is checked against.
 
-A `Circuit` is an immutable program: a reference basis state and a tuple
-of Pauli rotations, compiled when it is built. Each rotation keeps the
-gather vector b ^ x (shared by the rotations with the same X-mask) and
-its gathered signs, so `Circuit.run` only gathers and multiplies, and its
-state is bit-identical to applying the rotations one by one to the
-reference. `Circuit.adjoint_gradient` walks the same compiled rotations
-backwards for the gradient of an expectation value.
-`StateVector.expectation` sums a Pauli operator term by term over the
-whole register; VQE takes its energies on the sector block instead
-(`oracle.pauli_to_sparse`), and this loop is the reference that route is
-checked against.
+A `Circuit` never holds the register. It is a real program over the
+amplitudes of one sector (for UCCSD, the determinants of one (N, S_z)
+sector): a reference basis state and, per parameter, the pairs of states
+it rotates into each other, with a sign per pair. `Circuit.run` only
+gathers, multiplies and scatters, and `Circuit.adjoint_gradient` walks the
+same rotations backwards for the gradient of an expectation value.
 """
 
 import numpy as np
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .pauli import PauliString, PauliSum, bit_parity
 
@@ -39,15 +37,6 @@ _H_GATE = np.array([[_SQ_HALF, _SQ_HALF], [_SQ_HALF, -_SQ_HALF]],
                    dtype=complex)
 # H S^dagger rotates the Y eigenbasis onto the computational basis
 _Y_BASIS_GATE = _H_GATE @ np.diag([1.0, -1.0j])
-
-
-def _string_sign(string: PauliString) -> int:
-    """+1 or -1: the phase of a Hermitian string relative to its letters."""
-    rel = (string.phase_power - (string.x & string.z).bit_count()) % 4
-    if rel not in (0, 2):
-        raise ValueError("exponential needs a Hermitian string "
-                         "(phase +1 or -1)")
-    return 1 - rel
 
 
 class StateVector:
@@ -85,17 +74,14 @@ class StateVector:
         return float(np.linalg.norm(self.data))
 
     # ---- Pauli action --------------------------------------------------------
-    def _string_image(self, string: PauliString) -> np.ndarray:
+    def apply_pauli(self, string: PauliString) -> None:
         if string.n_qubits != self.n_qubits:
             raise ValueError("register size mismatch")
         idx = np.arange(self.data.size, dtype=np.int64)
         signs = 1.0 - 2.0 * bit_parity(idx & string.z)
         out = np.empty_like(self.data)
         out[idx ^ string.x] = signs * self.data
-        return out * _POWER_PHASE[string.phase_power % 4]
-
-    def apply_pauli(self, string: PauliString) -> None:
-        self.data = self._string_image(string)
+        self.data = out * _POWER_PHASE[string.phase_power % 4]
 
     def apply_single_qubit(self, qubit: int, gate: np.ndarray) -> None:
         step = 1 << qubit
@@ -104,21 +90,6 @@ class StateVector:
         bot = work[:, 1, :].copy()
         work[:, 0, :] = gate[0, 0] * top + gate[0, 1] * bot
         work[:, 1, :] = gate[1, 0] * top + gate[1, 1] * bot
-
-    def apply_pauli_exponential(self, string: PauliString,
-                                angle: float) -> None:
-        """Apply exp(-i * angle / 2 * P) for an involutory Pauli string.
-
-        Requires the string phase to be +1 or -1 so that P is Hermitian;
-        a -1 phase is folded into the angle.
-        """
-        n_y = (string.x & string.z).bit_count()
-        angle = _string_sign(string) * angle
-        hermitian = PauliString.from_masks(self.n_qubits, string.x, string.z,
-                                           n_y)
-        half = 0.5 * angle
-        image = self._string_image(hermitian)
-        self.data = np.cos(half) * self.data - 1.0j * np.sin(half) * image
 
     # ---- expectation values -----------------------------------------------------
     def expectation(self, observable: Union[PauliString, PauliSum]) -> float:
@@ -190,56 +161,45 @@ class StateVector:
 
 # ---- circuits ------------------------------------------------------------------
 
-# One compiled rotation: gather vector b ^ x, gathered signs as int8, phase
-# of the Hermitian string, parameter index and the scale with the string's
-# sign folded in.
-_Step = Tuple[np.ndarray, np.ndarray, complex, int, float]
+# one parameter's rotations: source indices, target indices, sign per pair
+Rotations = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _turn(vec: np.ndarray, source: np.ndarray, target: np.ndarray,
+          cos: float, sin: np.ndarray) -> None:
+    """Rotate each pair (vec[s], vec[t]) in place by the angle whose cosine
+    is `cos` and whose sine, per pair, is `sin`."""
+    a, b = vec[source], vec[target]
+    vec[source] = cos * a - sin * b
+    vec[target] = cos * b + sin * a
 
 
 class Circuit:
-    """Pauli rotations on one computational basis state, compiled once.
+    """Real two-state rotations of a sector's amplitudes, compiled once.
 
-    `instructions` is a tuple of (string, parameter index, scale); rotation
-    k applies exp(-i * (scale * theta[index]) / 2 * string) to the state
-    the rotations before it left, starting from basis state `reference`.
-    The constructor checks the register, the parameter range and that
-    every string is Hermitian, then compiles: rotation k maps the state to
-    cos(h) psi - i sin(h) image with image[b] = phase * s[b ^ x] *
-    psi[b ^ x], s the Z-mask signs. The gather b ^ x (shared by the
-    rotations with the same X-mask) and the gathered signs depend only on
-    the string, so a run only gathers and multiplies.
+    Amplitude k stands for basis state k of a sector of `dim` states; a
+    run starts from basis state `reference`. `instructions[p]` holds the
+    rotations of parameter p, a (source, target, sign) triple of equal-
+    length arrays in which no index appears twice: it turns every pair
+    (s, t) = (source[j], target[j]) by theta[p],
+    psi[s] -> cos psi[s] - sign sin psi[t] and
+    psi[t] -> cos psi[t] + sign sin psi[s],
+    which is exp(theta[p] G) for the real antisymmetric G that takes s to
+    sign * t, and leaves every other amplitude alone. The parameters act
+    in order.
     """
 
-    def __init__(self, n_qubits: int, reference: int,
-                 instructions: Sequence[Tuple[PauliString, int, float]],
-                 n_parameters: int):
-        # validates the register size and the reference index
-        StateVector.computational_basis(n_qubits, reference)
-        self.n_qubits = n_qubits
+    def __init__(self, dim: int, reference: int,
+                 instructions: Sequence[Rotations]):
+        if not 0 <= reference < dim:
+            raise ValueError(f"reference {reference} outside 0..{dim - 1}")
+        self.dim = dim
         self.reference = reference
         self.instructions = tuple(instructions)
-        self.n_parameters = n_parameters
-        basis = np.arange(1 << n_qubits, dtype=np.int64)
-        gathers: Dict[int, np.ndarray] = {}
-        signs: Dict[Tuple[int, int], np.ndarray] = {}
-        steps: List[_Step] = []
-        for string, param_index, scale in self.instructions:
-            if string.n_qubits != n_qubits:
-                raise ValueError("register size mismatch")
-            if not 0 <= param_index < n_parameters:
-                raise ValueError(
-                    f"parameter index {param_index} outside 0.."
-                    f"{n_parameters - 1}")
-            sign = _string_sign(string)
-            x, z = string.x, string.z
-            if x not in gathers:
-                gathers[x] = basis ^ x
-            if (x, z) not in signs:
-                signs[(x, z)] = 1 - 2 * bit_parity(gathers[x] & z)
-            n_y = (x & z).bit_count()
-            steps.append((gathers[x], signs[(x, z)], _POWER_PHASE[n_y % 4],
-                          param_index, sign * scale))
-        self._steps = tuple(steps)
+
+    @property
+    def n_parameters(self) -> int:
+        return len(self.instructions)
 
     def _angles(self, parameters: Sequence[float]) -> np.ndarray:
         theta = np.asarray(parameters, dtype=float)
@@ -248,42 +208,37 @@ class Circuit:
                 f"expected {self.n_parameters} parameters, got {theta.shape}")
         return theta
 
-    def run(self, parameters: Sequence[float]) -> StateVector:
-        """The state the rotations at `parameters` make of the reference;
-        each does the floating-point operations of
-        `StateVector.apply_pauli_exponential`, in the same order."""
+    def run(self, parameters: Sequence[float]) -> np.ndarray:
+        """The sector amplitudes the rotations at `parameters` make of the
+        reference state."""
         theta = self._angles(parameters)
-        state = StateVector.computational_basis(self.n_qubits, self.reference)
-        data = state.data
-        for order, signs, phase, param_index, scale in self._steps:
-            half = 0.5 * (scale * theta[param_index])
-            image = (signs * data[order]) * phase
-            data = np.cos(half) * data - 1.0j * np.sin(half) * image
-        state.data = data
-        return state
+        psi = np.zeros(self.dim)
+        psi[self.reference] = 1.0
+        for (source, target, sign), angle in zip(self.instructions, theta):
+            _turn(psi, source, target, np.cos(angle), sign * np.sin(angle))
+        return psi
 
     def adjoint_gradient(self, parameters: Sequence[float], psi: np.ndarray,
                          lam: np.ndarray) -> np.ndarray:
         """Gradient of <psi|H|psi> over the parameters by one reverse sweep.
 
-        `psi` is the amplitude array `run(parameters)` returned and `lam` is
-        H psi on the same register. Walking the compiled rotations
-        backwards, each exp(-i h P) adds scale * Im<lam|P psi> to the
-        derivative of its parameter, then is undone on both vectors,
-        v -> cos(h) v + i sin(h) P v, so that lam stays H psi pulled back
-        through the suffix already walked (adjoint differentiation, Jones &
-        Gacon, arXiv:2009.02823).
+        `psi` is what `run(parameters)` returned and `lam` is H psi, both
+        real. Walking the parameters backwards, parameter p's derivative is
+        2 <lam|G_p psi> = 2 sum_j sign_j (lam[t_j] psi[s_j] -
+        lam[s_j] psi[t_j]); then its rotation is undone on both vectors, so
+        that lam stays H psi pulled back through the suffix already walked
+        (adjoint differentiation, Jones & Gacon, arXiv:2009.02823).
         """
         theta = self._angles(parameters)
-        dim = 1 << self.n_qubits
-        if psi.shape != (dim,) or lam.shape != (dim,):
-            raise ValueError(f"psi and lam must have shape ({dim},)")
+        if psi.shape != (self.dim,) or lam.shape != (self.dim,):
+            raise ValueError(f"psi and lam must have shape ({self.dim},)")
+        psi, lam = psi.copy(), lam.copy()
         gradient = np.zeros(self.n_parameters)
-        for order, signs, phase, param_index, scale in reversed(self._steps):
-            image = (signs * psi[order]) * phase
-            gradient[param_index] += scale * np.vdot(lam, image).imag
-            half = 0.5 * (scale * theta[param_index])
-            cos, isin = np.cos(half), 1.0j * np.sin(half)
-            psi = cos * psi + isin * image
-            lam = cos * lam + isin * ((signs * lam[order]) * phase)
+        for p in reversed(range(self.n_parameters)):
+            source, target, sign = self.instructions[p]
+            gradient[p] = 2.0 * (lam[target] @ (sign * psi[source])
+                                 - lam[source] @ (sign * psi[target]))
+            cos, sin = np.cos(theta[p]), -sign * np.sin(theta[p])
+            _turn(psi, source, target, cos, sin)
+            _turn(lam, source, target, cos, sin)
         return gradient

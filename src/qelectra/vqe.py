@@ -1,11 +1,15 @@
 """Unitary coupled-cluster ansatz and variational ground-state search.
 
 The ansatz enumerates spin-preserving single and double excitations out of
-the aufbau determinant, one real parameter per excitation. Each generator
-theta * (T - T^) is anti-Hermitian, so its qubit image has purely
-imaginary coefficients and exponentiates to a product of Pauli rotations.
-For these generators the mapped strings commute pairwise (asserted at
-build time), which makes the per-generator product exact.
+the aufbau determinant, one real parameter per excitation. Each
+excitation T conserves the particle number and S_z, and on a determinant
+it either vanishes or gives one other determinant with a sign. So
+exp(theta (T - T^)) is a real rotation by theta of each determinant pair
+(D, T D) and the identity elsewhere (Yordanov, Arvidsson-Shukur & Barnes,
+arXiv:2005.14475), and the ansatz state never leaves the (N, S_z) sector
+of its aufbau reference. `ansatz_circuit` compiles those pairs once per
+`run_vqe`, in the rows of `system.sector`, into a `simulator.Circuit`:
+real amplitudes over the sector's determinants, no qubit register.
 
 Two optimizers are provided, and this module owns every setting of both:
 `OptimizerConfig` names the kind, budget, tolerance and seed, and
@@ -21,26 +25,23 @@ gains and budget follow the parameter count (`spsa_schedule`), and it
 stops after SPSA_PATIENCE consecutive sub-tolerance energy changes. Both
 record the energy trajectory, one entry per accepted iterate.
 
-Every generator conserves the particle number and S_z, so the ansatz
-state stays in the (N, S_z) sector of its aufbau reference. `run_vqe`
-takes the assembled system, which holds the qubit Hamiltonian, its
-mapping, that sector and the Hamiltonian's block on it (the block the FCI
-eigensolver diagonalizes). An exact energy evaluation is one
-`Circuit.run`, a gather of the sector's amplitudes psi_S and
-psi_S^ H_SS psi_S with H_SS that block; for a gradient, H psi is the
-block mat-vec inside the sector and zero outside it. `ansatz_circuit`
-compiles the circuit, which starts from the aufbau determinant encoded
-under the system's mapping, once per `run_vqe`.
+`run_vqe` takes the assembled system, which holds the qubit Hamiltonian,
+its mapping, the sector and the Hamiltonian's block on it (the block the
+FCI eigensolver diagonalizes). An exact energy evaluation is one
+`Circuit.run` giving the sector amplitudes psi and psi^T H psi with H
+that block; a gradient adds one adjoint sweep with H psi. A shot-sampled
+evaluation scatters psi onto the 2^n register and measures the qubit
+Hamiltonian term by term there; the mapping shapes only the Hamiltonian,
+the block and these measurements, never the ansatz.
 """
 
 import numpy as np
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fermion import FermionOperator
-from .pauli import MappingKind, PauliString, encode_occupation, map_fermion
+from .pauli import bit_parity, decode_states
 from .pipeline import AssembledSystem
-from .simulator import Circuit
+from .simulator import Circuit, StateVector
 
 
 @dataclass(frozen=True)
@@ -111,65 +112,44 @@ def build_uccsd(n_spin_orbitals: int, n_electrons: int) -> UccsdAnsatz:
                        excitations=excitations)
 
 
-def excitation_generator(excitation: Excitation) -> FermionOperator:
-    """Anti-Hermitian generator T - T^ for one excitation."""
-    op = FermionOperator()
-    if excitation.order == 1:
-        (i,), (a,) = excitation.occupied, excitation.virtual
-        op.add_term(((a, 1), (i, 0)), 1.0)
-        op.add_term(((i, 1), (a, 0)), -1.0)
-    elif excitation.order == 2:
-        (i, j), (a, b) = excitation.occupied, excitation.virtual
-        op.add_term(((a, 1), (b, 1), (j, 0), (i, 0)), 1.0)
-        op.add_term(((i, 1), (j, 1), (b, 0), (a, 0)), -1.0)
-    else:
-        raise ValueError(f"unsupported excitation order {excitation.order}")
-    return op
+def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
+    """The ansatz as a program over the amplitudes of `system.sector`.
 
-
-def _generator_rotations(excitation: Excitation, kind: MappingKind,
-                         n_modes: int) -> List[Tuple[PauliString, float]]:
-    """Mapped generator as (Hermitian string, rotation scale) pairs.
-
-    The qubit image of theta*(T - T^) is i * theta * sum_k s_k sigma_k
-    with real s_k; exp of that equals a product of
-    exp(-i * (-2 s_k theta) / 2 * sigma_k) because the strings of one
-    generator commute pairwise. Both facts are checked here rather than
-    assumed.
+    The ansatz must have the system's register and electron count. The
+    sector's encoded states are decoded to occupations, and the run starts
+    from the aufbau determinant, the modes below n_electrons occupied.
+    Excitation k, T = a_a^ a_b^ a_j a_i (a single: a_a^ a_i), becomes the
+    rotations of parameter k: its sources are the determinants D with i
+    (and j) occupied and a (and b) empty, its targets T D up to the sign
+    T picks up there, the Jordan-Wigner sign (-1)^(occupied modes below
+    the mode) of each ladder operator in turn. Every mapping encodes these
+    same amplitudes, so the mapping enters only through the decoding.
     """
-    mapped = map_fermion(excitation_generator(excitation), kind, n_modes)
-    pairs: List[Tuple[PauliString, float]] = []
-    for string, coeff in mapped.strings():
-        if abs(coeff.real) > 1e-12:
-            raise RuntimeError(
-                "generator image has a real coefficient; the excitation "
-                "operator is not anti-Hermitian")
-        pairs.append((string, -2.0 * coeff.imag))
-    pairs.sort(key=lambda sc: sc[0].letters)
-    for idx, (s1, _) in enumerate(pairs):
-        for s2, _ in pairs[idx + 1:]:
-            if not s1.commutes_with(s2):
-                raise RuntimeError(
-                    "generator strings do not commute; per-generator "
-                    "exponential would not be exact")
-    return pairs
+    occupations = decode_states(system.mapping, ansatz.n_spin_orbitals,
+                                system.sector)
+    order = np.argsort(occupations)
+    ranked = occupations[order]
 
+    def locate(occ: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(ranked, occ), ranked.size - 1)
+        if np.any(ranked[pos] != occ):
+            raise ValueError("the ansatz leaves the system's sector")
+        return order[pos]
 
-def ansatz_circuit(ansatz: UccsdAnsatz, kind: MappingKind) -> Circuit:
-    """Parametrized state-preparation circuit for the ansatz.
-
-    The circuit starts from the aufbau determinant encoded under `kind`,
-    and every excitation contributes its Pauli rotations, parameter index
-    k for excitation k. The returned circuit is evaluated as
-    circuit.run(theta).
-    """
-    n = ansatz.n_spin_orbitals
-    reference = sum(1 << q for q in encode_occupation(
-        kind, range(ansatz.n_electrons), n))
-    rotations = [(string, p, scale)
-                 for p, exc in enumerate(ansatz.excitations)
-                 for string, scale in _generator_rotations(exc, kind, n)]
-    return Circuit(n, reference, rotations, ansatz.n_parameters)
+    instructions = []
+    for exc in ansatz.excitations:
+        holes = sum(1 << i for i in exc.occupied)
+        moved = holes | sum(1 << a for a in exc.virtual)
+        source = np.flatnonzero((occupations & moved) == holes)
+        occ = occupations[source]
+        parity = np.zeros(source.size, dtype=np.int8)
+        # T acts right to left: a_i, a_j, then a_b^, a_a^
+        for mode in exc.occupied + exc.virtual[::-1]:
+            parity ^= bit_parity(occ & ((1 << mode) - 1))
+            occ = occ ^ (1 << mode)
+        instructions.append((source, locate(occ), 1.0 - 2.0 * parity))
+    aufbau = np.array([(1 << ansatz.n_electrons) - 1])
+    return Circuit(occupations.size, int(locate(aufbau)[0]), instructions)
 
 
 # ---- optimization ----------------------------------------------------------
@@ -218,6 +198,8 @@ class OptimizerConfig:
             raise ValueError("max_iterations must be positive")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def optimizer_kind(kind: Optional[str], shots: Optional[int]) -> str:
@@ -265,7 +247,9 @@ def spsa_schedule(n_parameters: int,
 
 @dataclass
 class VqeResult:
-    e_min: float
+    # the lowest energy recorded for exact expectations; for sampled ones a
+    # fresh estimate at theta_star, which the noisy minimum would bias low
+    energy: float
     theta_star: np.ndarray
     energy_history: List[float]
     theta_history: List[np.ndarray]
@@ -281,14 +265,16 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
             ) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
-    The ansatz circuit is encoded under `system.mapping`, and the ansatz
-    must have the system's register and electron count. `shots = None`
-    evaluates exact expectations on `system.block`, the qubit Hamiltonian
-    on the system's closed-shell sector: a Hamiltonian that leaves that
-    sector raises the ValueError of `oracle.pauli_to_sparse`. An integer
-    turns on simulated projective measurement of `system.qubit_hamiltonian`
-    with that many shots per term, drawn from the same seeded generator as
-    the optimizer; only spsa accepts it. The SPSA gains, and the kind,
+    The ansatz must have the system's register and electron count; its
+    state is held as amplitudes over `system.sector` (`ansatz_circuit`).
+    `shots = None` evaluates exact expectations on `system.block`, the
+    qubit Hamiltonian on that sector: a Hamiltonian that leaves the sector
+    raises the ValueError of `oracle.pauli_to_sparse`. An integer turns on
+    simulated projective measurement of `system.qubit_hamiltonian` on the
+    amplitudes scattered onto the register, with that many shots per term
+    drawn from the same seeded generator as the optimizer; only spsa
+    accepts it, and the reported energy is then one more estimate at
+    theta_star. The SPSA gains, and the kind,
     budget and tolerance that `config` leaves None, are derived here from
     the shot setting and the ansatz size (`optimizer_kind`,
     `spsa_schedule`). Identical (system, ansatz, config, shots) reproduce
@@ -305,34 +291,32 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
             f"the {optimizer} optimizer needs exact expectations; use "
             "spsa for shot-sampled energies")
     tol = config.tolerance or DEFAULT_TOLERANCE[optimizer]
-    circuit = ansatz_circuit(ansatz, kind=system.mapping)
-    rng = np.random.default_rng(config.seed)
+    circuit = ansatz_circuit(ansatz, system)
+    # only spsa draws: its perturbations, and the shots of a sampled run
+    rng = np.random.default_rng(config.seed) if optimizer == "spsa" else None
     counter = {"n": 0}
     if shots is None:
-        basis, block = system.sector, system.block
+        block = system.block
 
     def evaluate(theta: np.ndarray) -> float:
         counter["n"] += 1
-        state = circuit.run(theta)
+        psi = circuit.run(theta)
         if shots is None:
-            psi = state.data[basis]
-            return float(np.vdot(psi, block @ psi).real)
-        mean, _ = state.sampled_expectation(system.qubit_hamiltonian, shots,
-                                            rng=rng)
+            return float(psi @ (block @ psi).real)
+        data = np.zeros(1 << n, dtype=complex)
+        data[system.sector] = psi
+        mean, _ = StateVector(n, data).sampled_expectation(
+            system.qubit_hamiltonian, shots, rng=rng)
         return mean
 
     def evaluate_with_gradient(theta: np.ndarray
                                ) -> Tuple[float, np.ndarray]:
-        """Exact energy and gradient: one run and one adjoint sweep, with
-        H psi zero outside the sector and the block mat-vec inside it."""
+        """Exact energy and gradient: one run, one block mat-vec and one
+        adjoint sweep."""
         counter["n"] += 1
-        data = circuit.run(theta).data
-        psi = data[basis]
-        h_psi = block @ psi
-        lam = np.zeros_like(data)
-        lam[basis] = h_psi
-        return (float(np.vdot(psi, h_psi).real),
-                circuit.adjoint_gradient(theta, data, lam))
+        psi = circuit.run(theta)
+        h_psi = (block @ psi).real
+        return float(psi @ h_psi), circuit.adjoint_gradient(theta, psi, h_psi)
 
     if initial_parameters is None:
         theta = np.zeros(ansatz.n_parameters)
@@ -358,8 +342,10 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
 
     def result(converged: bool, iterations: int) -> VqeResult:
         best = int(np.argmin(energy_history))
-        return VqeResult(e_min=float(energy_history[best]),
-                         theta_star=theta_history[best],
+        theta_star = theta_history[best]
+        energy = (energy_history[best] if shots is None
+                  else evaluate(theta_star))
+        return VqeResult(energy=float(energy), theta_star=theta_star,
                          energy_history=energy_history,
                          theta_history=theta_history,
                          evaluation_history=eval_history,

@@ -237,6 +237,22 @@ def test_input_errors_exit_one(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("method,seed", [("vqe", "-1"), ("hf", "-3")])
+def test_negative_seed_is_refused_before_the_chain_runs(capsys, monkeypatch,
+                                                       method, seed):
+    # vqe used to fail after SCF with numpy's message, naming no flag, and
+    # hf used to exit 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for a negative seed")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--method", method,
+                             "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert "error: --seed must be a non-negative integer" in err
+
+
 def test_fci_cap_is_checked_before_the_chain_runs(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("integrals computed for an FCI run over the cap")

@@ -1,4 +1,6 @@
-"""Statevector simulator checked against dense matrix algebra."""
+"""Statevector simulator and sector circuits checked against dense matrix
+algebra, and the Pauli-rotation oracle of `pauli_oracle` checked the same
+way."""
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from scipy.linalg import expm
 from qelectra.pauli import PauliString, PauliSum
 from qelectra.simulator import MAX_QUBITS, Circuit, StateVector
 from qelectra.vqe import ansatz_circuit, build_uccsd
+from pauli_oracle import (PauliCircuit, apply_pauli_exponential,
+                          register_state)
 from test_pauli import dense, dense_sum
 
 
@@ -72,21 +76,21 @@ def test_pauli_exponential_matches_expm():
         angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
         sv = random_state(n, rng)
         want = expm(-0.5j * angle * dense(word, phase)) @ sv.data
-        sv.apply_pauli_exponential(PauliString(word, phase=phase), angle)
+        apply_pauli_exponential(sv, PauliString(word, phase=phase), angle)
         assert np.allclose(sv.data, want, atol=1e-12)
 
 
 def test_pauli_exponential_rejects_imaginary_phase():
     sv = StateVector(1)
     with pytest.raises(ValueError, match="Hermitian"):
-        sv.apply_pauli_exponential(PauliString("X", phase=1j), 0.3)
+        apply_pauli_exponential(sv, PauliString("X", phase=1j), 0.3)
 
 
 def test_pauli_exponential_at_zero_angle_is_identity():
     rng = np.random.default_rng(23)
     sv = random_state(3, rng)
     before = sv.data.copy()
-    sv.apply_pauli_exponential(PauliString("XYZ"), 0.0)
+    apply_pauli_exponential(sv, PauliString("XYZ"), 0.0)
     assert np.allclose(sv.data, before, atol=1e-15)
 
 
@@ -114,20 +118,18 @@ def test_expectation_flags_imaginary_result():
 
 
 def test_matrix_expectation_matches_term_loop_on_lih(assembled):
-    # the sector block on the gathered sector amplitudes, as run_vqe
-    # evaluates it, against the term loop over all 2^n amplitudes
+    # the sector block on the sector amplitudes, as run_vqe evaluates it,
+    # against the term loop over all 2^n amplitudes
     system = assembled("lih")
-    hamiltonian = system.qubit_hamiltonian
     so = system.spin_orbitals
     ansatz = build_uccsd(so.n_orbitals, so.n_electrons)
-    circuit = ansatz_circuit(ansatz, kind=system.mapping)
+    circuit = ansatz_circuit(ansatz, system)
     theta = np.random.default_rng(28).normal(scale=0.2,
                                              size=ansatz.n_parameters)
-    state = circuit.run(theta)
-    basis, block = system.sector, system.block
-    psi = state.data[basis]
-    assert np.vdot(psi, block @ psi).real == pytest.approx(
-        state.expectation(hamiltonian), abs=1e-12)
+    psi = circuit.run(theta)
+    state = register_state(system, psi)
+    assert psi @ (system.block @ psi).real == pytest.approx(
+        state.expectation(system.qubit_hamiltonian), abs=1e-12)
 
 
 def test_term_loop_serves_a_fifteen_qubit_register():
@@ -221,7 +223,7 @@ def test_single_shot_has_zero_variance_estimate():
 
 def test_circuit_runs_flips_then_exponentials():
     # the reference 0b01 is qubit 0 flipped; the rotation follows it
-    circ = Circuit(2, 0b01, [(PauliString("YI"), 0, 1.0)], 1)
+    circ = PauliCircuit(2, 0b01, [(PauliString("YI"), 0, 1.0)], 1)
     assert circ.instructions == ((PauliString("YI"), 0, 1.0),)
     theta = 0.7
     out = circ.run([theta])
@@ -231,13 +233,13 @@ def test_circuit_runs_flips_then_exponentials():
 
 
 def test_circuit_zero_angles_reproduce_reference():
-    circ = Circuit(3, 0b101, [(PauliString("XYZ"), 0, 2.0)], 1)
+    circ = PauliCircuit(3, 0b101, [(PauliString("XYZ"), 0, 2.0)], 1)
     out = circ.run([0.0])
     assert np.allclose(out.data, StateVector.computational_basis(3, 0b101).data)
 
 
 def test_circuit_scale_multiplies_parameter():
-    circ = Circuit(1, 0, [(PauliString("X"), 0, -3.0)], 1)
+    circ = PauliCircuit(1, 0, [(PauliString("X"), 0, -3.0)], 1)
     out = circ.run([0.5])
     want = expm(-0.5j * (-1.5) * dense("X")) @ StateVector(1).data
     assert np.allclose(out.data, want, atol=1e-12)
@@ -245,28 +247,28 @@ def test_circuit_scale_multiplies_parameter():
 
 def test_circuit_validation():
     with pytest.raises(ValueError, match="mismatch"):
-        Circuit(2, 0, [(PauliString("X"), 0, 1.0)], 1)
+        PauliCircuit(2, 0, [(PauliString("X"), 0, 1.0)], 1)
     for index in (-1, 1):
         with pytest.raises(ValueError, match="parameter index"):
-            Circuit(2, 0, [(PauliString("XX"), index, 1.0)], 1)
+            PauliCircuit(2, 0, [(PauliString("XX"), index, 1.0)], 1)
     with pytest.raises(ValueError, match="Hermitian"):
-        Circuit(1, 0, [(PauliString("X", phase=1j), 0, 1.0)], 1)
+        PauliCircuit(1, 0, [(PauliString("X", phase=1j), 0, 1.0)], 1)
     with pytest.raises(ValueError, match="out of range"):
-        Circuit(2, 4, [], 0)
+        PauliCircuit(2, 4, [], 0)
     with pytest.raises(ValueError, match="register size"):
-        Circuit(MAX_QUBITS + 1, 0, [], 0)
-    circ = Circuit(2, 0, [(PauliString("XX"), 0, 1.0)], 1)
+        PauliCircuit(MAX_QUBITS + 1, 0, [], 0)
+    circ = PauliCircuit(2, 0, [(PauliString("XX"), 0, 1.0)], 1)
     with pytest.raises(ValueError, match="parameters"):
         circ.run([0.1, 0.2])
 
 
 def run_one_by_one(circuit, theta):
-    """Reference for Circuit.run: the reference basis state, then each
-    rotation applied by StateVector."""
+    """Reference for PauliCircuit.run: the reference basis state, then
+    each rotation applied by `apply_pauli_exponential`."""
     state = StateVector.computational_basis(circuit.n_qubits,
                                             circuit.reference)
     for string, param_index, scale in circuit.instructions:
-        state.apply_pauli_exponential(string, scale * theta[param_index])
+        apply_pauli_exponential(state, string, scale * theta[param_index])
     return state
 
 
@@ -291,7 +293,7 @@ def circuits(draw):
                                         (x & z).bit_count() + flip)
         rotations.append((string, draw(st.integers(0, n_params - 1)),
                           draw(st.floats(-3.0, 3.0))))
-    circuit = Circuit(n, draw(masks), rotations, n_params)
+    circuit = PauliCircuit(n, draw(masks), rotations, n_params)
     theta = np.array(draw(st.lists(_ANGLES, min_size=n_params,
                                    max_size=n_params)))
     return circuit, theta
@@ -305,3 +307,75 @@ def test_compiled_run_is_bit_identical_to_instruction_by_instruction(case):
     assert np.array_equal(circuit.run(theta).data, want)
     # a second run gathers from the same compiled vectors
     assert np.array_equal(circuit.run(theta).data, want)
+
+
+def generator_matrix(dim, rotations):
+    """Dense real antisymmetric G with G e_s = sign e_t for every pair."""
+    source, target, sign = rotations
+    g = np.zeros((dim, dim))
+    g[target, source] = sign
+    g[source, target] = -sign
+    return g
+
+
+@st.composite
+def sector_circuits(draw):
+    """Random sector programs on 2-8 states: per parameter, disjoint
+    (source, target) pairs with random signs."""
+    dim = draw(st.integers(2, 8))
+    instructions = []
+    for _ in range(draw(st.integers(0, 4))):
+        states = draw(st.permutations(range(dim)))
+        n_pairs = draw(st.integers(0, dim // 2))
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]),
+                              min_size=n_pairs, max_size=n_pairs))
+        instructions.append((np.array(states[:n_pairs], dtype=np.int64),
+                             np.array(states[n_pairs:2 * n_pairs],
+                                      dtype=np.int64),
+                             np.array(signs)))
+    circuit = Circuit(dim, draw(st.integers(0, dim - 1)), instructions)
+    theta = np.array(draw(st.lists(_ANGLES, min_size=circuit.n_parameters,
+                                   max_size=circuit.n_parameters)))
+    return circuit, theta
+
+
+@settings(deadline=None)
+@given(sector_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_sector_circuit_matches_expm_and_differentiates(case, seed):
+    circuit, theta = case
+    dim = circuit.dim
+    want = np.eye(dim)[circuit.reference]
+    for rotations, angle in zip(circuit.instructions, theta):
+        want = expm(angle * generator_matrix(dim, rotations)) @ want
+    psi = circuit.run(theta)
+    assert psi.dtype == np.float64
+    assert np.allclose(psi, want, atol=1e-12)
+    h = np.random.default_rng(seed).standard_normal((dim, dim))
+    h = h + h.T
+
+    def energy(t):
+        state = circuit.run(t)
+        return state @ h @ state
+
+    step = 1e-6
+    central = np.array([(energy(theta + step * e) - energy(theta - step * e))
+                        / (2.0 * step) for e in np.eye(theta.size)])
+    gradient = circuit.adjoint_gradient(theta, psi, h @ psi)
+    assert np.allclose(gradient, central, atol=1e-6)
+    # the sweep leaves its inputs alone
+    assert np.array_equal(psi, circuit.run(theta))
+
+
+def test_sector_circuit_validation():
+    pairs = (np.array([0]), np.array([2]), np.array([1.0]))
+    with pytest.raises(ValueError, match="reference"):
+        Circuit(3, 3, [pairs])
+    circuit = Circuit(3, 0, [pairs])
+    assert circuit.n_parameters == 1
+    with pytest.raises(ValueError, match="parameters"):
+        circuit.run([0.1, 0.2])
+    psi = circuit.run([0.3])
+    with pytest.raises(ValueError, match="shape"):
+        circuit.adjoint_gradient([0.3], psi[:2], psi)
+    # with no instructions the run is the reference state
+    assert np.array_equal(Circuit(3, 1, []).run([]), [0.0, 1.0, 0.0])
