@@ -17,9 +17,9 @@ from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
 from .integrals import IntegralSet, boys, compute_integrals
 from .molecule import Atom, Molecule, from_atom_list, load_xyz
 from .oracle import exact_ground_energy, lowest_eigenvalues, pauli_to_sparse
-from .pauli import (MappingKind, PauliString, PauliSum, anticommutation_check,
-                    encode_occupation, ladder_image, map_fermion,
-                    mapping_from_name, sector_basis)
+from .pauli import (MappingKind, PauliSum, anticommutation_check,
+                    ladder_image, map_fermion, mapping_from_name,
+                    sector_basis)
 from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
 from .scf import ScfResult, run_rhf
@@ -30,11 +30,11 @@ from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
     "ContractedGaussian", "FermionOperator", "IntegralSet", "MappingKind",
-    "Molecule", "OptimizerConfig", "PauliString", "PauliSum", "ScfResult",
+    "Molecule", "OptimizerConfig", "PauliSum", "ScfResult",
     "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz", "VqeResult",
     "__version__", "ansatz_circuit", "anticommutation_check",
     "assemble", "boys", "build_hamiltonian", "build_uccsd",
-    "compute_integrals", "diatomic_geometry", "encode_occupation",
+    "compute_integrals", "diatomic_geometry",
     "exact_ground_energy", "from_atom_list", "ladder_image",
     "load_basis", "load_xyz", "lowest_eigenvalues", "map_fermion",
     "mapping_from_name", "mo_spatial_integrals", "number_operator",

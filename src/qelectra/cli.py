@@ -32,8 +32,9 @@ EXIT_NOT_CONVERGED = 2
 
 _METHOD_ORDER = ("hf", "vqe", "fci")
 
-# FCI sector size the CLI accepts: CH4 (8e, 8o) has 4,900 determinants
-# and a 1.6 M-entry block; the full CH4 space has 15,876
+# sector size the CLI accepts for fci and exact vqe, the runs that build
+# the sector block: CH4 (8e, 8o) has 4,900 determinants and a 1.6 M-entry
+# block; the full CH4 space has 15,876
 MAX_FCI_DETERMINANTS = 8192
 
 
@@ -93,14 +94,17 @@ def execute(spec: RunSpec,
         raise ValueError(f"--optimizer {spec.optimizer} needs exact "
                          "expectations; use --optimizer spsa with --shots, "
                          "or --shots exact")
-    if "fci" in spec.methods:
+    # and so is a sector block over the cap: fci and exact vqe build it
+    block_user = ("fci" if "fci" in spec.methods else "exact vqe"
+                  if "vqe" in spec.methods and spec.shots is None else None)
+    if block_user is not None:
         n_determinants = (system.sector.size if system is not None else
                           sector_size(spec.molecule, spec.active))
         if n_determinants > MAX_FCI_DETERMINANTS:
             raise ValueError(
-                f"fci needs at most {MAX_FCI_DETERMINANTS} determinants, "
-                f"got {n_determinants}; restrict the problem with "
-                "--active-space")
+                f"{block_user} needs at most {MAX_FCI_DETERMINANTS} "
+                f"determinants, got {n_determinants}; restrict the problem "
+                "with --active-space")
     if system is None:
         system = assemble(spec.molecule, active=spec.active,
                           mapping=spec.mapping)

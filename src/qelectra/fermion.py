@@ -54,9 +54,6 @@ class FermionOperator:
         else:
             self.terms[key] = coeff
 
-    def constant(self) -> complex:
-        return self.terms.get((), 0.0)
-
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -18,7 +18,7 @@ on it. The module needs numpy alone.
 import numpy as np
 from typing import Dict, List, Tuple
 
-from .pauli import PauliSum, bit_parity
+from .pauli import I_POWERS, PauliSum, bit_parity
 
 # a dense complex matrix of this dimension takes 64 MB
 _DENSE_DIRECT_DIM = 2048
@@ -29,9 +29,6 @@ _LEAK_TOL = 1e-10
 _DAVIDSON_ITERATIONS = 200
 _DAVIDSON_TOL = 1e-10
 _DAVIDSON_SPACE = 32
-
-# i^{n_y}: the letters-operator of a term is i^{n_y} X^x Z^z
-_I_POWER = (1.0, 1.0j, -1.0, -1.0j)
 
 
 class SparseBlock:
@@ -84,7 +81,7 @@ def _diagonal(x: int, terms: List[Tuple[int, complex]],
     out = np.zeros(states.size, dtype=complex)
     for z, coeff in terms:
         signs = 1.0 - 2.0 * bit_parity(states & z)
-        out += (coeff * _I_POWER[(x & z).bit_count() % 4]) * signs
+        out += (coeff * I_POWERS[(x & z).bit_count() % 4]) * signs
     return out
 
 

@@ -1,10 +1,12 @@
-"""Pauli-string algebra and fermion-to-qubit mappings.
+"""Pauli sums and fermion-to-qubit mappings.
 
-Strings are stored in symplectic form: a pair of bitmasks (x, z) plus a
-power of i, encoding i^p * X^x * Z^z with qubit k at bit k. Y on a qubit is
-i * X Z on that qubit. A PauliSum keys its terms by (x, z) and keeps the
-coefficient of the Hermitian letters-operator (the one with literal Y
-matrices), so a sum is Hermitian exactly when every coefficient is real.
+A `PauliSum` is the one qubit-operator form: it keys each Pauli string by
+its symplectic masks (x, z), qubit k at bit k, and keeps the coefficient of
+the Hermitian letters-operator (the one with literal Y matrices), which is
+i^{|x & z|} X^x Z^z because Y = i X Z on one qubit. A sum is Hermitian
+exactly when every coefficient is real, and a single string is a one-term
+sum. Products follow (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^{|z1 & x2|} X^x Z^z
+with x = x1 ^ x2, z = z1 ^ z2; `I_POWERS` is the one table of the phases.
 
 Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
@@ -31,10 +33,9 @@ DEFAULT_PRUNE_THRESHOLD = 1e-12
 # largest imaginary coefficient a Hermitian sum may carry
 HERMITIAN_TOL = 1e-10
 
-_LETTER_FOR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_PHASE_POWER = {1: 0, 1j: 1, -1: 2, -1j: 3}
-_POWER_PHASE = (1, 1j, -1, -1j)
+# I_POWERS[p] is i**p
+I_POWERS = (1, 1j, -1, -1j)
 
 
 def bit_parity(values: np.ndarray) -> np.ndarray:
@@ -72,89 +73,12 @@ def mapping_from_name(name: str) -> MappingKind:
     return aliases[key]
 
 
-class PauliString:
-    """Tensor product of single-qubit Paulis with a unit phase.
-
-    `phase` is restricted to {1, i, -1, -i}; `letters` is a string over
-    IXYZ with position k acting on qubit k.
-    """
-
-    __slots__ = ("n_qubits", "x", "z", "phase_power")
-
-    def __init__(self, letters: str = "", phase: complex = 1):
-        if phase not in _PHASE_POWER:
-            raise ValueError(f"phase must be a fourth root of unity, got {phase!r}")
-        x = z = 0
-        n_y = 0
-        for k, ch in enumerate(letters):
-            try:
-                bx, bz = _BITS_FOR[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r}") from None
-            x |= bx << k
-            z |= bz << k
-            n_y += bx & bz
-        self.n_qubits = len(letters)
-        self.x = x
-        self.z = z
-        self.phase_power = (_PHASE_POWER[phase] + n_y) % 4
-
-    @classmethod
-    def from_masks(cls, n_qubits: int, x: int, z: int,
-                   phase_power: int) -> "PauliString":
-        obj = cls.__new__(cls)
-        obj.n_qubits = n_qubits
-        obj.x = x
-        obj.z = z
-        obj.phase_power = phase_power % 4
-        return obj
-
-    @property
-    def letters(self) -> str:
-        return "".join(_LETTER_FOR[((self.x >> k) & 1, (self.z >> k) & 1)]
-                       for k in range(self.n_qubits))
-
-    @property
-    def phase(self) -> complex:
-        n_y = (self.x & self.z).bit_count()
-        return _POWER_PHASE[(self.phase_power - n_y) % 4]
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError(
-                f"length mismatch: {self.n_qubits} vs {other.n_qubits} qubits")
-        power = (self.phase_power + other.phase_power
-                 + 2 * (self.z & other.x).bit_count())
-        return PauliString.from_masks(self.n_qubits, self.x ^ other.x,
-                                      self.z ^ other.z, power)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("length mismatch")
-        anti = ((self.x & other.z).bit_count()
-                + (self.z & other.x).bit_count()) % 2
-        return anti == 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PauliString)
-                and self.n_qubits == other.n_qubits
-                and self.x == other.x and self.z == other.z
-                and self.phase_power == other.phase_power)
-
-    def __hash__(self):
-        return hash((self.n_qubits, self.x, self.z, self.phase_power))
-
-    def __repr__(self):
-        ph = {1: "+", 1j: "+i", -1: "-", -1j: "-i"}[self.phase]
-        return f"PauliString({ph}{self.letters or 'I'})"
-
-
 class PauliSum:
     """Complex linear combination of Pauli strings on a fixed register.
 
-    Internally keyed by (x, z); the stored coefficient multiplies the
-    Hermitian letters-operator, so `is_hermitian` is a real-coefficient
-    check.
+    Keyed by the (x, z) masks of each string; the stored coefficient
+    multiplies the Hermitian letters-operator, so `is_hermitian` is a
+    real-coefficient check.
     """
 
     def __init__(self, n_qubits: int,
@@ -164,22 +88,27 @@ class PauliSum:
 
     # ---- construction ----------------------------------------------------
     @classmethod
-    def from_string(cls, string: PauliString, coeff: complex = 1.0) -> "PauliSum":
-        out = cls(string.n_qubits)
-        out.add_string(string, coeff)
-        return out
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {(0, 0): coeff})
 
-    def add_string(self, string: PauliString, coeff: complex = 1.0) -> None:
-        if string.n_qubits != self.n_qubits:
+    def _key(self, letters: str) -> Tuple[int, int]:
+        """(x, z) masks of a letters string on this register."""
+        if len(letters) != self.n_qubits:
             raise ValueError("register size mismatch")
-        n_y = (string.x & string.z).bit_count()
-        c = coeff * _POWER_PHASE[(string.phase_power - n_y) % 4]
-        key = (string.x, string.z)
-        self._data[key] = self._data.get(key, 0.0) + c
+        x = z = 0
+        for k, ch in enumerate(letters):
+            try:
+                bx, bz = _BITS_FOR[ch]
+            except KeyError:
+                raise ValueError(f"invalid Pauli letter {ch!r}") from None
+            x |= bx << k
+            z |= bz << k
+        return x, z
+
+    def add_term(self, letters: str, coeff: complex = 1.0) -> None:
+        """Add `coeff` times the letters-operator."""
+        key = self._key(letters)
+        self._data[key] = self._data.get(key, 0.0) + coeff
 
     # ---- inspection --------------------------------------------------------
     def __len__(self) -> int:
@@ -189,18 +118,7 @@ class PauliSum:
         return self._data.items()
 
     def coefficient(self, letters: str) -> complex:
-        s = PauliString(letters)
-        if s.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        return self._data.get((s.x, s.z), 0.0)
-
-    def strings(self) -> List[Tuple[PauliString, complex]]:
-        """Terms as Hermitian letter strings with their coefficients."""
-        out = []
-        for (x, z), c in self._data.items():
-            n_y = (x & z).bit_count()
-            out.append((PauliString.from_masks(self.n_qubits, x, z, n_y), c))
-        return out
+        return self._data.get(self._key(letters), 0.0)
 
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) <= HERMITIAN_TOL for c in self._data.values())
@@ -236,7 +154,7 @@ class PauliSum:
                 y3 = (x3 & z3).bit_count()
                 power = (y1 + y2 - y3 + 2 * (z1 & x2).bit_count()) % 4
                 key = (x3, z3)
-                data[key] = data.get(key, 0.0) + c1 * c2 * _POWER_PHASE[power]
+                data[key] = data.get(key, 0.0) + c1 * c2 * I_POWERS[power]
         return PauliSum(self.n_qubits, data)
 
     __rmul__ = __mul__
@@ -311,13 +229,10 @@ def _ladder_image(kind: MappingKind, index: int, dagger: bool,
     parity = 0
     for mask in occ[:index]:
         parity ^= mask
-    out = PauliSum(n_modes)
-    # coefficient of i^{y} X^x Z^z with y Ys, i.e. of the letters-operator
-    for z, coeff in ((parity, 0.5),
-                     (parity ^ occ[index], -0.5j if dagger else 0.5j)):
-        out.add_string(PauliString.from_masks(n_modes, flip, z,
-                                              (flip & z).bit_count()), coeff)
-    return out
+    # complex() keeps the real part +0.0, where the literal -0.5j has -0.0
+    y_like = complex(0.0, -0.5 if dagger else 0.5)
+    return PauliSum(n_modes, {(flip, parity): 0.5,
+                              (flip, parity ^ occ[index]): y_like})
 
 
 _IMAGE_CACHE: Dict[Tuple[MappingKind, int, int, bool], PauliSum] = {}
@@ -369,22 +284,6 @@ def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
             d3 = raise_[i] * raise_[j] + raise_[j] * raise_[i]
             worst = max(worst, d3.simplify(0.0).norm_l1())
     return worst
-
-
-def encode_occupation(kind: MappingKind, occupied: Iterable[int],
-                      n_modes: int) -> List[int]:
-    """Qubits set to 1 in the encoded basis state of a given determinant.
-
-    Qubit q is set when its encoding row holds an odd number of occupied
-    modes.
-    """
-    occ = 0
-    for m in occupied:
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode {m} outside register")
-        occ |= 1 << m
-    return [q for q, row in enumerate(_encoding(kind, n_modes))
-            if (row & occ).bit_count() & 1]
 
 
 def decode_states(kind: MappingKind, n_modes: int,

@@ -186,8 +186,8 @@ def sector_size(molecule: Molecule,
     """Determinants in the sector `AssembledSystem.sector` would hold.
 
     C(n_orb, n_e / 2) squared, from the basis size alone like
-    `register_size`, so an oversized FCI run can be refused before any
-    integral is computed.
+    `register_size`, so an FCI or exact VQE run whose sector block would
+    be too large can be refused before any integral is computed.
     """
     spec = active or default_active_space(molecule)
     n_electrons = spec.n_active_electrons if spec else molecule.n_electrons

@@ -5,11 +5,12 @@ k in bit k of b. The register is capped at 24 qubits, above which the
 amplitude array alone would pass two gigabytes.
 
 Pauli application never builds a matrix. In the symplectic picture
-(X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so a string acts as one permutation
-of the amplitude array plus a sign mask, with bit-parity evaluated by
-folding. A `StateVector` serves shot-sampled energies
-(`sampled_expectation`) and, through `expectation`, which sums a Pauli
-operator term by term over the whole register, the reference the sector
+(X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so the string with masks (x, z)
+acts as one permutation of the amplitude array plus a sign mask, with
+bit-parity evaluated by folding, times the phase i^{|x & z|} of its
+letters-operator. A `StateVector` serves shot-sampled energies
+(`sampled_expectation`) and, through `expectation`, which sums a
+`PauliSum` term by term over the whole register, the reference the sector
 route is checked against.
 
 A `Circuit` never holds the register. It is a real program over the
@@ -21,16 +22,14 @@ same rotations backwards for the gradient of an expectation value.
 """
 
 import numpy as np
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
-from .pauli import PauliString, PauliSum, bit_parity
+from .pauli import I_POWERS, PauliSum, bit_parity
 
 MAX_QUBITS = 24
 # largest imaginary part, relative to max(1, |real part|), that an
 # expectation value may carry before the observable counts as not Hermitian
 IMAG_TOL = 1e-10
-
-_POWER_PHASE = (1.0, 1.0j, -1.0, -1.0j)
 
 _SQ_HALF = 1.0 / np.sqrt(2.0)
 _H_GATE = np.array([[_SQ_HALF, _SQ_HALF], [_SQ_HALF, -_SQ_HALF]],
@@ -58,15 +57,6 @@ class StateVector:
                 raise ValueError(f"amplitude array must have shape ({dim},)")
             self.data = arr.copy()
 
-    @classmethod
-    def computational_basis(cls, n_qubits: int, index: int) -> "StateVector":
-        sv = cls(n_qubits)
-        if not 0 <= index < (1 << n_qubits):
-            raise ValueError("basis index out of range")
-        sv.data[0] = 0.0
-        sv.data[index] = 1.0
-        return sv
-
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.data)
 
@@ -74,14 +64,15 @@ class StateVector:
         return float(np.linalg.norm(self.data))
 
     # ---- Pauli action --------------------------------------------------------
-    def apply_pauli(self, string: PauliString) -> None:
-        if string.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
+    def apply_pauli(self, x: int, z: int) -> None:
+        """Apply the letters-operator with masks (x, z)."""
+        if (x | z) >> self.n_qubits:
+            raise ValueError("Pauli masks reach outside the register")
         idx = np.arange(self.data.size, dtype=np.int64)
-        signs = 1.0 - 2.0 * bit_parity(idx & string.z)
+        signs = 1.0 - 2.0 * bit_parity(idx & z)
         out = np.empty_like(self.data)
-        out[idx ^ string.x] = signs * self.data
-        self.data = out * _POWER_PHASE[string.phase_power % 4]
+        out[idx ^ x] = signs * self.data
+        self.data = out * I_POWERS[(x & z).bit_count() % 4]
 
     def apply_single_qubit(self, qubit: int, gate: np.ndarray) -> None:
         step = 1 << qubit
@@ -92,11 +83,9 @@ class StateVector:
         work[:, 1, :] = gate[1, 0] * top + gate[1, 1] * bot
 
     # ---- expectation values -----------------------------------------------------
-    def expectation(self, observable: Union[PauliString, PauliSum]) -> float:
-        """Exact <psi|O|psi> of a Pauli string or sum, summed term by term;
-        raises if a nominally real value comes out complex."""
-        if isinstance(observable, PauliString):
-            observable = PauliSum.from_string(observable)
+    def expectation(self, observable: PauliSum) -> float:
+        """Exact <psi|O|psi> of a Pauli sum, summed term by term; raises if a
+        nominally real value comes out complex."""
         if observable.n_qubits != self.n_qubits:
             raise ValueError("register size mismatch")
         idx = np.arange(self.data.size, dtype=np.int64)
@@ -106,7 +95,7 @@ class StateVector:
             n_y = (x & z).bit_count()
             signs = 1.0 - 2.0 * bit_parity(idx & z)
             overlap = np.dot(conj[idx ^ x], signs * self.data)
-            total += coeff * _POWER_PHASE[n_y % 4] * overlap
+            total += coeff * I_POWERS[n_y % 4] * overlap
         if abs(total.imag) > IMAG_TOL * max(1.0, abs(total.real)):
             raise ValueError(
                 f"expectation has imaginary part {total.imag:.3e}; "

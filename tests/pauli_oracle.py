@@ -9,44 +9,66 @@ the strings of one generator commute pairwise), and the rotations act on
 the complex amplitudes of the whole 2^n register. It shares no code with
 the sector route beyond the mapping itself.
 
-`PauliCircuit` compiles the rotations once: each keeps the gather vector
-b ^ x (shared by the rotations with the same X-mask) and its gathered
-signs, so `run` only gathers and multiplies and is bit-identical to
-applying the rotations one by one with `apply_pauli_exponential`.
-`adjoint_gradient` walks them backwards (Jones & Gacon, arXiv:2009.02823).
+A Pauli string is a pair of masks (x, z) standing for its Hermitian
+letters-operator, as in a `PauliSum` key. `PauliCircuit` compiles the
+rotations once: each keeps the gather vector b ^ x (shared by the
+rotations with the same X-mask) and its gathered signs, so `run` only
+gathers and multiplies and is bit-identical to applying the rotations one
+by one with `apply_pauli_exponential`. `adjoint_gradient` walks them
+backwards (Jones & Gacon, arXiv:2009.02823).
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from qelectra.fermion import FermionOperator
-from qelectra.pauli import (MappingKind, PauliString, bit_parity,
-                            encode_occupation, map_fermion)
+from qelectra.pauli import (I_POWERS, MappingKind, _encoding, bit_parity,
+                            map_fermion)
 from qelectra.simulator import StateVector
 from qelectra.vqe import Excitation, UccsdAnsatz
 
-_POWER_PHASE = (1.0, 1.0j, -1.0, -1.0j)
+Masks = Tuple[int, int]
 
 
-def string_sign(string: PauliString) -> int:
-    """+1 or -1: the phase of a Hermitian string relative to its letters."""
-    rel = (string.phase_power - (string.x & string.z).bit_count()) % 4
-    if rel not in (0, 2):
-        raise ValueError("exponential needs a Hermitian string "
-                         "(phase +1 or -1)")
-    return 1 - rel
+def encode_occupation(kind: MappingKind, occupied: Iterable[int],
+                      n_modes: int) -> List[int]:
+    """Qubits set to 1 in the encoded basis state of a given determinant.
+
+    Qubit q is set when its encoding row holds an odd number of occupied
+    modes.
+    """
+    occ = 0
+    for m in occupied:
+        if not 0 <= m < n_modes:
+            raise ValueError(f"mode {m} outside register")
+        occ |= 1 << m
+    return [q for q, row in enumerate(_encoding(kind, n_modes))
+            if (row & occ).bit_count() & 1]
 
 
-def apply_pauli_exponential(state: StateVector, string: PauliString,
+def basis_state(n_qubits: int, index: int) -> StateVector:
+    """Computational basis state `index` of an n-qubit register."""
+    state = StateVector(n_qubits)
+    if not 0 <= index < state.data.size:
+        raise ValueError("basis index out of range")
+    state.data[0] = 0.0
+    state.data[index] = 1.0
+    return state
+
+
+def letters(n_qubits: int, x: int, z: int) -> str:
+    """The letters of masks (x, z), character k for qubit k."""
+    return "".join("IXZY"[(x >> k) & 1 | ((z >> k) & 1) << 1]
+                   for k in range(n_qubits))
+
+
+def apply_pauli_exponential(state: StateVector, x: int, z: int,
                             angle: float) -> None:
-    """Apply exp(-i * angle / 2 * P) to `state` for an involutory Pauli
-    string P with phase +1 or -1 (a -1 phase is folded into the angle)."""
-    angle = string_sign(string) * angle
-    hermitian = PauliString.from_masks(state.n_qubits, string.x, string.z,
-                                       (string.x & string.z).bit_count())
+    """Apply exp(-i * angle / 2 * P) to `state` for the letters-operator P
+    of masks (x, z)."""
     image = state.copy()
-    image.apply_pauli(hermitian)
+    image.apply_pauli(x, z)
     half = 0.5 * angle
     state.data = np.cos(half) * state.data - 1.0j * np.sin(half) * image.data
 
@@ -68,8 +90,9 @@ def excitation_generator(excitation: Excitation) -> FermionOperator:
 
 
 def generator_rotations(excitation: Excitation, kind: MappingKind,
-                        n_modes: int) -> List[Tuple[PauliString, float]]:
-    """Mapped generator as (Hermitian string, rotation scale) pairs.
+                        n_modes: int) -> List[Tuple[Masks, float]]:
+    """Mapped generator as (string masks, rotation scale) pairs, sorted by
+    the strings' letters.
 
     The qubit image of theta*(T - T^) is i * theta * sum_k s_k sigma_k
     with real s_k; exp of that equals a product of
@@ -78,17 +101,17 @@ def generator_rotations(excitation: Excitation, kind: MappingKind,
     assumed.
     """
     mapped = map_fermion(excitation_generator(excitation), kind, n_modes)
-    pairs: List[Tuple[PauliString, float]] = []
-    for string, coeff in mapped.strings():
+    pairs: List[Tuple[Masks, float]] = []
+    for masks, coeff in mapped.items():
         if abs(coeff.real) > 1e-12:
             raise RuntimeError(
                 "generator image has a real coefficient; the excitation "
                 "operator is not anti-Hermitian")
-        pairs.append((string, -2.0 * coeff.imag))
-    pairs.sort(key=lambda sc: sc[0].letters)
-    for idx, (s1, _) in enumerate(pairs):
-        for s2, _ in pairs[idx + 1:]:
-            if not s1.commutes_with(s2):
+        pairs.append((masks, -2.0 * coeff.imag))
+    pairs.sort(key=lambda pair: letters(n_modes, *pair[0]))
+    for idx, ((x1, z1), _) in enumerate(pairs):
+        for (x2, z2), _ in pairs[idx + 1:]:
+            if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2:
                 raise RuntimeError(
                     "generator strings do not commute; per-generator "
                     "exponential would not be exact")
@@ -96,26 +119,26 @@ def generator_rotations(excitation: Excitation, kind: MappingKind,
 
 
 # One compiled rotation: gather vector b ^ x, gathered signs as int8, phase
-# of the Hermitian string, parameter index and the scale with the string's
-# sign folded in.
+# of the letters-operator, parameter index and scale.
 _Step = Tuple[np.ndarray, np.ndarray, complex, int, float]
 
 
 class PauliCircuit:
     """Pauli rotations on one computational basis state, compiled once.
 
-    `instructions` is a tuple of (string, parameter index, scale); rotation
-    k applies exp(-i * (scale * theta[index]) / 2 * string) to the state
-    the rotations before it left, starting from basis state `reference`.
+    `instructions` is a tuple of ((x, z), parameter index, scale);
+    rotation k applies exp(-i * (scale * theta[index]) / 2 * P), P the
+    letters-operator of masks (x, z), to the state the rotations before it
+    left, starting from basis state `reference`.
     Rotation k maps the state to cos(h) psi - i sin(h) image with
     image[b] = phase * s[b ^ x] * psi[b ^ x], s the Z-mask signs.
     """
 
     def __init__(self, n_qubits: int, reference: int,
-                 instructions: Sequence[Tuple[PauliString, int, float]],
+                 instructions: Sequence[Tuple[Masks, int, float]],
                  n_parameters: int):
         # validates the register size and the reference index
-        StateVector.computational_basis(n_qubits, reference)
+        basis_state(n_qubits, reference)
         self.n_qubits = n_qubits
         self.reference = reference
         self.instructions = tuple(instructions)
@@ -124,22 +147,20 @@ class PauliCircuit:
         gathers: Dict[int, np.ndarray] = {}
         signs: Dict[Tuple[int, int], np.ndarray] = {}
         steps: List[_Step] = []
-        for string, param_index, scale in self.instructions:
-            if string.n_qubits != n_qubits:
-                raise ValueError("register size mismatch")
+        for (x, z), param_index, scale in self.instructions:
+            if (x | z) >> n_qubits:
+                raise ValueError("Pauli masks reach outside the register")
             if not 0 <= param_index < n_parameters:
                 raise ValueError(
                     f"parameter index {param_index} outside 0.."
                     f"{n_parameters - 1}")
-            sign = string_sign(string)
-            x, z = string.x, string.z
             if x not in gathers:
                 gathers[x] = basis ^ x
             if (x, z) not in signs:
                 signs[(x, z)] = 1 - 2 * bit_parity(gathers[x] & z)
             n_y = (x & z).bit_count()
-            steps.append((gathers[x], signs[(x, z)], _POWER_PHASE[n_y % 4],
-                          param_index, sign * scale))
+            steps.append((gathers[x], signs[(x, z)], I_POWERS[n_y % 4],
+                          param_index, scale))
         self._steps = tuple(steps)
 
     def _angles(self, parameters: Sequence[float]) -> np.ndarray:
@@ -154,7 +175,7 @@ class PauliCircuit:
         each does the floating-point operations of
         `apply_pauli_exponential`, in the same order."""
         theta = self._angles(parameters)
-        state = StateVector.computational_basis(self.n_qubits, self.reference)
+        state = basis_state(self.n_qubits, self.reference)
         data = state.data
         for order, signs, phase, param_index, scale in self._steps:
             half = 0.5 * (scale * theta[param_index])
@@ -193,9 +214,9 @@ def pauli_circuit(ansatz: UccsdAnsatz, kind: MappingKind) -> PauliCircuit:
     n = ansatz.n_spin_orbitals
     reference = sum(1 << q for q in encode_occupation(
         kind, range(ansatz.n_electrons), n))
-    rotations = [(string, p, scale)
+    rotations = [(masks, p, scale)
                  for p, exc in enumerate(ansatz.excitations)
-                 for string, scale in generator_rotations(exc, kind, n)]
+                 for masks, scale in generator_rotations(exc, kind, n)]
     return PauliCircuit(n, reference, rotations, ansatz.n_parameters)
 
 

@@ -22,7 +22,6 @@ from qelectra.oracle import (
 )
 from qelectra.pauli import (
     MappingKind,
-    PauliString,
     PauliSum,
     anticommutation_check,
     map_fermion,
@@ -227,7 +226,7 @@ def test_sampled_expectation_tracks_exact_statistics():
         op = PauliSum(n)
         for _ in range(int(rng.integers(3, 7))):
             word = "".join(rng.choice(letters, size=n))
-            op.add_string(PauliString(word), float(rng.standard_normal()))
+            op.add_term(word, float(rng.standard_normal()))
         amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         state = StateVector(n, amp / np.linalg.norm(amp))
         exact = state.expectation(op)

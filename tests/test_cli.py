@@ -184,14 +184,14 @@ import contextlib, io, sys
 import numpy as np
 from qelectra import cli
 from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
-from qelectra.pauli import PauliString, PauliSum
+from qelectra.pauli import PauliSum
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["--molecule", "h2", "--method", "hf,vqe,fci"])
 # 12 qubits, 4,096 dimensions: above the dense cutoff
 spins = PauliSum(12)
 for q in range(12):
-    spins.add_string(PauliString("I" * q + "Z" + "I" * (11 - q)), 1.0 + q)
-    spins.add_string(PauliString("I" * q + "X" + "I" * (11 - q)), 0.3)
+    spins.add_term("I" * q + "Z" + "I" * (11 - q), 1.0 + q)
+    spins.add_term("I" * q + "X" + "I" * (11 - q), 0.3)
 lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)), k=2)
 print(rc, *sorted(name for name in sys.modules
                   if name == "scipy" or name.startswith("scipy.")))
@@ -262,6 +262,23 @@ def test_fci_cap_is_checked_before_the_chain_runs(capsys, monkeypatch):
                            "--active-space", "10,9")
     assert code == 1
     assert "fci needs at most 8192 determinants, got 15876" in err
+
+
+def test_exact_vqe_cap_is_checked_before_the_chain_runs(capsys,
+                                                        monkeypatch):
+    # exact vqe takes its energies on the same sector block as fci
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    code, _, err = run_cli(capsys, "--molecule", "ch4", "--method", "vqe",
+                           "--active-space", "10,9")
+    assert code == 1
+    assert "exact vqe needs at most 8192 determinants, got 15876" in err
+    # a shot run builds no block, so the cap lets it through
+    with pytest.raises(AssertionError, match="integrals computed"):
+        cli.main(["--molecule", "ch4", "--method", "vqe", "--active-space",
+                  "10,9", "--shots", "64"])
 
 
 def test_fci_runs_on_a_sector_above_the_dense_cutoff(capsys):

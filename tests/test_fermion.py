@@ -94,7 +94,7 @@ def h2_spin_orbitals():
 def test_h2_term_count():
     _, so = h2_spin_orbitals()
     ham = build_hamiltonian(so)
-    assert ham.constant() == so.core_energy
+    assert ham.terms[()] == so.core_energy
     assert len(map_fermion(ham, MappingKind.JORDAN_WIGNER,
                            so.n_orbitals)) == 15
 
@@ -156,7 +156,9 @@ def test_active_space_preserves_total_hf_energy():
     scf = run_rhf(ints, 10)
     so_act = active_spin_orbitals(ints, scf, 10, ActiveSpaceSpec(8, 6))
     # the window's aufbau determinant, 8 electrons in 12 Jordan-Wigner modes
-    reference = StateVector.computational_basis(12, 0xFF)
+    data = np.zeros(1 << 12)
+    data[0xFF] = 1.0
+    reference = StateVector(12, data)
     hamiltonian = map_fermion(build_hamiltonian(so_act),
                               MappingKind.JORDAN_WIGNER, 12)
     assert reference.expectation(hamiltonian) == pytest.approx(

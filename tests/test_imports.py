@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 function, class and public method it defines is referenced by name in
-`src/`, `tests/` or `perfbench/`, and every dataclass field it declares is
-read as an attribute there.
+`src/` or `perfbench/` (or, for the few listed in `TEST_ONLY` with their
+reasons, in `tests/` alone), and every dataclass field it declares is read
+as an attribute in one of the three.
 
 `__init__.py` is exempt: its imports are the package's re-exports, and a
 re-export is not a use. Dunder methods, and methods that override a base
@@ -121,6 +122,54 @@ def test_every_definition_is_referenced(module):
     path = PACKAGE / module
     others = [tree for other, tree in SEARCHED.items() if other != path]
     assert unreferenced(module, path.read_text(), others) == []
+
+
+# ---- no definition serves the tests alone ------------------------------------
+
+TESTS = ROOT / "tests"
+
+# definitions that only `tests/` refers to, by module, each with the reason
+# it stays in the package
+TEST_ONLY = {
+    "basis.py": {
+        "self_overlap": "checks each contraction's normalization"},
+    "fcidump.py": {
+        "read_fcidump": "checks that a written FCIDUMP reads back"},
+    "fermion.py": {
+        "number_operator": "checks the particle number of mapped sectors",
+        "sz_operator": "checks the S_z of mapped sectors"},
+    "pauli.py": {
+        "anticommutation_check": "checks the mapped ladder operators",
+        "coefficient": "reads a term by its letters, as add_term writes it"},
+    "simulator.py": {
+        "apply_pauli": "applies one term apart from pauli_to_sparse",
+        "expectation": "perfbench/tracing.py patches it by its name"},
+}
+
+
+def serving_tests_alone(module, source, trees):
+    """Definitions in `source` that only trees under `tests/` refer to;
+    `trees` maps the paths of the other files to their syntax trees."""
+    outside = [tree for path, tree in trees.items()
+               if TESTS not in path.parents]
+    return unreferenced(module, source, outside)
+
+
+def test_the_check_sees_a_definition_only_tests_use():
+    source = "def run():\n    return 1\n\ndef probe():\n    return 2\n"
+    trees = {PACKAGE / "caller.py": ast.parse("run()\n"),
+             TESTS / "test_thing.py": ast.parse("run()\nprobe()\n")}
+    assert serving_tests_alone("none.py", source, trees) == ["probe"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_listed_definitions_serve_the_tests_alone(module):
+    path = PACKAGE / module
+    others = {other: tree for other, tree in SEARCHED.items() if other != path}
+    # equality: a listed name that the package now uses, or that is gone,
+    # leaves the list too
+    assert set(serving_tests_alone(module, path.read_text(), others)) == set(
+        TEST_ONLY.get(module, ()))
 
 
 # ---- every dataclass field is read -------------------------------------------

@@ -16,18 +16,17 @@ from qelectra.oracle import (
     lowest_eigenvalues,
     pauli_to_sparse,
 )
-from qelectra.pauli import (MappingKind, PauliString, PauliSum,
-                            encode_occupation, map_fermion, sector_basis)
+from qelectra.pauli import MappingKind, PauliSum, map_fermion, sector_basis
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
-from test_pauli import dense_sum
+from pauli_oracle import encode_occupation
+from test_pauli import dense_sum, pauli_sums, term
 
 
 def test_single_letter_matrices():
     for word, want in (("X", [[0, 1], [1, 0]]), ("Y", [[0, -1j], [1j, 0]]),
                        ("Z", [[1, 0], [0, -1]]), ("I", np.eye(2))):
-        letter = PauliSum.from_string(PauliString(word))
-        assert np.allclose(pauli_to_sparse(letter, np.arange(2)).toarray(),
+        assert np.allclose(pauli_to_sparse(term(word), np.arange(2)).toarray(),
                            want)
 
 
@@ -39,36 +38,10 @@ def test_matrix_builders_match_local_kron():
         op = PauliSum(n)
         for _ in range(3):
             word = "".join(rng.choice(letters, size=n))
-            op.add_string(PauliString(word),
-                          complex(*rng.standard_normal(2)))
+            op.add_term(word, complex(*rng.standard_normal(2)))
         want = dense_sum(op)
         assert np.allclose(pauli_to_sparse(op, np.arange(1 << n)).toarray(),
                            want, atol=1e-13)
-
-
-# coefficient parts drawn partly from a few exact values, so that terms
-# sharing an X-mask often cancel exactly on some matrix entries
-_PARTS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
-                   st.floats(-2.0, 2.0, allow_nan=False))
-
-
-@st.composite
-def pauli_sums(draw):
-    """Random sums on 1-6 qubits: complex coefficients, string phases
-    +-1 and +-i, repeated strings, exactly cancelling pairs, and (with
-    an empty term list) the empty sum."""
-    n = draw(st.integers(1, 6))
-    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
-    terms = draw(st.lists(st.tuples(
-        words, st.sampled_from([1, -1, 1j, -1j]),
-        st.builds(complex, _PARTS, _PARTS), st.booleans()), max_size=12))
-    op = PauliSum(n)
-    for word, phase, coeff, cancel in terms:
-        string = PauliString(word, phase)
-        op.add_string(string, coeff)
-        if cancel:
-            op.add_string(string, -coeff)
-    return op
 
 
 @settings(deadline=None)
@@ -102,9 +75,9 @@ def test_sparse_build_matches_term_by_term_action(assembled):
     psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     psi /= np.linalg.norm(psi)
     want = np.zeros_like(psi)
-    for string, coeff in hamiltonian.strings():
+    for (x, z), coeff in hamiltonian.items():
         state = StateVector(n, psi)
-        state.apply_pauli(string)
+        state.apply_pauli(x, z)
         want += coeff * state.data
     got = pauli_to_sparse(hamiltonian, np.arange(1 << n)) @ psi
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
@@ -138,7 +111,7 @@ def test_full_spectrum_request_falls_back_to_dense(monkeypatch):
     fields = 1.0 + 0.37 * np.arange(12)
     op = PauliSum(12)
     for q, h in enumerate(fields):
-        op.add_string(PauliString("I" * q + "Z" + "I" * (11 - q)), h)
+        op.add_term("I" * q + "Z" + "I" * (11 - q), h)
     basis = np.arange(2100)
     bits = (basis[:, None] >> np.arange(12)) & 1
     diagonal = ((1.0 - 2.0 * bits) * fields).sum(axis=1)
@@ -152,8 +125,7 @@ def test_full_spectrum_request_falls_back_to_dense(monkeypatch):
 
 
 def test_k_validation():
-    block = pauli_to_sparse(PauliSum.from_string(PauliString("Z")),
-                            np.arange(2))
+    block = pauli_to_sparse(term("Z"), np.arange(2))
     with pytest.raises(ValueError):
         lowest_eigenvalues(block, k=0)
     with pytest.raises(ValueError):
@@ -162,7 +134,7 @@ def test_k_validation():
 
 def test_non_hermitian_inputs_rejected():
     crooked = PauliSum(1)
-    crooked.add_string(PauliString("X"), 0.5j)
+    crooked.add_term("X", 0.5j)
     block = pauli_to_sparse(crooked, np.arange(2))
     assert not block.hermitian
     with pytest.raises(ValueError, match="Hermitian"):
@@ -170,12 +142,10 @@ def test_non_hermitian_inputs_rejected():
     # 1j * X has eigenvalues +-i; eigh would read one triangle and
     # report -1
     with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_energy(pauli_to_sparse(
-            PauliSum.from_string(PauliString("X"), 1j), np.arange(2)))
-    # an imaginary string phase is not Hermitian either
+        exact_ground_energy(pauli_to_sparse(term("X", 1j), np.arange(2)))
+    # nor is -i XY, whose coefficient is imaginary
     with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_energy(pauli_to_sparse(
-            PauliSum.from_string(PauliString("XY", -1j)), np.arange(4)))
+        exact_ground_energy(pauli_to_sparse(term("XY", -1j), np.arange(4)))
 
 
 def independent_spins(n, fields, coupling):
@@ -184,8 +154,7 @@ def independent_spins(n, fields, coupling):
     op = PauliSum(n)
     for q, h in enumerate(fields):
         for letter, coeff in (("Z", h), ("X", coupling)):
-            op.add_string(PauliString("I" * q + letter + "I" * (n - 1 - q)),
-                          coeff)
+            op.add_term("I" * q + letter + "I" * (n - 1 - q), coeff)
     return op
 
 
@@ -217,9 +186,9 @@ def test_ground_energy_of_assembled_hydrogen(assembled):
 
 def test_lowest_eigenvalues_of_a_pauli_sum_ascending_and_truncated():
     op = PauliSum(2)
-    op.add_string(PauliString("ZI"), 0.5)
-    op.add_string(PauliString("IZ"), 0.25)
-    op.add_string(PauliString("XX"), 0.1)
+    op.add_term("ZI", 0.5)
+    op.add_term("IZ", 0.25)
+    op.add_term("XX", 0.1)
     block = pauli_to_sparse(op, np.arange(4))
     full = lowest_eigenvalues(block, k=4)
     assert full.shape == (4,)

@@ -11,15 +11,15 @@ from qelectra.fermion import number_operator, sz_operator
 from qelectra.oracle import pauli_to_sparse
 from qelectra.pauli import (
     MappingKind,
-    PauliString,
     PauliSum,
     anticommutation_check,
-    encode_occupation,
+    decode_states,
     ladder_image,
     map_fermion,
     mapping_from_name,
     sector_basis,
 )
+from pauli_oracle import encode_occupation, letters
 from test_fermion import dense_annihilator
 
 I2 = np.eye(2, dtype=complex)
@@ -29,88 +29,88 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SINGLE = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
-def dense(letters, phase=1.0):
+def dense(word):
     """Matrix of a Pauli word with qubit 0 on the least significant bit."""
     out = np.eye(1, dtype=complex)
-    for k in range(len(letters) - 1, -1, -1):
-        out = np.kron(out, SINGLE[letters[k]])
-    return phase * out
+    for k in range(len(word) - 1, -1, -1):
+        out = np.kron(out, SINGLE[word[k]])
+    return out
 
 
 def dense_sum(op):
     total = np.zeros((1 << op.n_qubits,) * 2, dtype=complex)
-    for string, coeff in op.strings():
-        total += coeff * dense(string.letters, string.phase)
+    for (x, z), coeff in op.items():
+        total += coeff * dense(letters(op.n_qubits, x, z))
     return total
 
 
-# ---- PauliString -----------------------------------------------------------
+def term(word, coeff=1.0):
+    """The one-term sum coeff * word."""
+    op = PauliSum(len(word))
+    op.add_term(word, coeff)
+    return op
+
+
+# coefficient parts drawn partly from a few exact values, so that terms
+# sharing an X-mask often cancel exactly on some matrix entries
+_PARTS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def pauli_sums(draw, n=None):
+    """Random sums on `n` qubits (default 1-6): complex coefficients,
+    repeated strings, exactly cancelling pairs, and (with an empty term
+    list) the empty sum."""
+    if n is None:
+        n = draw(st.integers(1, 6))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(
+        words, st.builds(complex, _PARTS, _PARTS), st.booleans()),
+        max_size=12))
+    op = PauliSum(n)
+    for word, coeff, cancel in terms:
+        op.add_term(word, coeff)
+        if cancel:
+            op.add_term(word, -coeff)
+    return op
+
+
+# ---- one term ----------------------------------------------------------------
 
 
 def test_string_letters_round_trip():
-    s = PauliString("IXYZ")
-    assert s.letters == "IXYZ"
-    assert s.phase == 1
-    assert s.n_qubits == 4
+    op = term("IXYZ", 0.5)
+    # X and Y set the x bit, Y and Z the z bit, character k on bit k
+    assert list(op.items()) == [((0b0110, 0b1100), 0.5)]
+    assert letters(4, 0b0110, 0b1100) == "IXYZ"
+    assert op.coefficient("IXYZ") == 0.5
+    assert op.n_qubits == 4
 
 
 def test_string_rejects_bad_input():
-    with pytest.raises(ValueError):
-        PauliString("XQ")
-    with pytest.raises(ValueError):
-        PauliString("X", phase=0.5)
+    with pytest.raises(ValueError, match="invalid Pauli letter"):
+        term("XQ")
+    with pytest.raises(ValueError, match="mismatch"):
+        PauliSum(2).add_term("X")
+    with pytest.raises(ValueError, match="mismatch"):
+        term("XX").coefficient("X")
 
 
 def test_string_single_qubit_products():
-    xy = PauliString("X") * PauliString("Y")
-    assert xy.letters == "Z"
-    assert xy.phase == 1j
-    yx = PauliString("Y") * PauliString("X")
-    assert yx.phase == -1j
-    xx = PauliString("X") * PauliString("X")
-    assert xx.letters == "I"
-    assert xx.phase == 1
-
-
-def test_string_product_matches_dense():
-    rng = np.random.default_rng(11)
-    letters = np.array(list("IXYZ"))
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        a = "".join(rng.choice(letters, size=n))
-        b = "".join(rng.choice(letters, size=n))
-        sa, sb = PauliString(a), PauliString(b)
-        prod = sa * sb
-        want = dense(a) @ dense(b)
-        got = dense(prod.letters, prod.phase)
-        assert np.allclose(got, want, atol=1e-14)
-
-
-def test_string_product_is_associative():
-    rng = np.random.default_rng(12)
-    letters = np.array(list("IXYZ"))
-    for _ in range(20):
-        a, b, c = ("".join(rng.choice(letters, size=4)) for _ in range(3))
-        sa, sb, sc = PauliString(a), PauliString(b), PauliString(c)
-        assert (sa * sb) * sc == sa * (sb * sc)
-
-
-def test_commutation_matches_dense():
-    rng = np.random.default_rng(13)
-    letters = np.array(list("IXYZ"))
-    for _ in range(40):
-        a = "".join(rng.choice(letters, size=3))
-        b = "".join(rng.choice(letters, size=3))
-        comm = dense(a) @ dense(b) - dense(b) @ dense(a)
-        assert PauliString(a).commutes_with(PauliString(b)) == np.allclose(
-            comm, 0.0, atol=1e-14)
+    xy = term("X") * term("Y")
+    assert list(xy.items()) == [((0, 1), 1j)]
+    yx = term("Y") * term("X")
+    assert yx.coefficient("Z") == -1j
+    xx = term("X") * term("X")
+    assert list(xx.items()) == [((0, 0), 1)]
 
 
 def test_string_length_mismatch_raises():
     with pytest.raises(ValueError):
-        PauliString("XX") * PauliString("X")
+        term("XX") * term("X")
     with pytest.raises(ValueError):
-        PauliString("XX").commutes_with(PauliString("X"))
+        term("XX") + term("X")
 
 
 # ---- PauliSum ---------------------------------------------------------------
@@ -118,48 +118,47 @@ def test_string_length_mismatch_raises():
 
 def test_sum_collects_repeated_terms():
     op = PauliSum(2)
-    op.add_string(PauliString("XZ"), 0.25)
-    op.add_string(PauliString("XZ"), 0.75)
-    op.add_string(PauliString("IZ"), -1.0)
+    op.add_term("XZ", 0.25)
+    op.add_term("XZ", 0.75)
+    op.add_term("IZ", -1.0)
     assert len(op) == 2
     assert op.coefficient("XZ") == pytest.approx(1.0)
     assert op.coefficient("IZ") == pytest.approx(-1.0)
     assert op.coefficient("ZZ") == 0.0
 
 
-def test_sum_tracks_string_phase():
-    # -iY contributes -i times the Hermitian Y coefficient
-    op = PauliSum.from_string(PauliString("Y", phase=-1j), 2.0)
-    assert op.coefficient("Y") == pytest.approx(-2j)
+@st.composite
+def products(draw):
+    """Two sums on one register, and three unit single terms on it."""
+    a = draw(pauli_sums())
+    n = a.n_qubits
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    return (a, draw(pauli_sums(n)),
+            [term(draw(words)) for _ in range(3)])
 
 
-def test_sum_product_matches_dense():
-    rng = np.random.default_rng(14)
-    letters = np.array(list("IXYZ"))
-
-    def random_sum(n, terms):
-        op = PauliSum(n)
-        for _ in range(terms):
-            word = "".join(rng.choice(letters, size=n))
-            op.add_string(PauliString(word), complex(*rng.standard_normal(2)))
-        return op
-
-    for _ in range(10):
-        a = random_sum(3, 4)
-        b = random_sum(3, 4)
-        assert np.allclose(dense_sum(a * b), dense_sum(a) @ dense_sum(b),
-                           atol=1e-12)
-        assert np.allclose(dense_sum(a + b), dense_sum(a) + dense_sum(b),
-                           atol=1e-12)
-        assert np.allclose(dense_sum(a - b), dense_sum(a) - dense_sum(b),
-                           atol=1e-12)
-        assert np.allclose(dense_sum(2.5 * a), 2.5 * dense_sum(a), atol=1e-12)
+@settings(deadline=None)
+@given(products())
+def test_sum_product_matches_dense(case):
+    # PauliSum.__mul__ is the product law map_fermion multiplies ladder
+    # images with
+    a, b, (u, v, w) = case
+    assert np.allclose(dense_sum(a * b), dense_sum(a) @ dense_sum(b),
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(dense_sum(a + b), dense_sum(a) + dense_sum(b),
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(dense_sum(a - b), dense_sum(a) - dense_sum(b),
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(dense_sum(2.5 * a), 2.5 * dense_sum(a), rtol=0.0,
+                       atol=1e-12)
+    # unit coefficients times powers of i stay exact
+    assert dict(((u * v) * w).items()) == dict((u * (v * w)).items())
 
 
 def test_simplify_drops_small_terms():
     op = PauliSum(1)
-    op.add_string(PauliString("X"), 1.0)
-    op.add_string(PauliString("Z"), 1e-14)
+    op.add_term("X", 1.0)
+    op.add_term("Z", 1e-14)
     kept = op.simplify()
     assert len(kept) == 1
     assert kept.coefficient("X") == pytest.approx(1.0)
@@ -168,9 +167,9 @@ def test_simplify_drops_small_terms():
 
 def test_is_hermitian_checks_imaginary_parts():
     op = PauliSum(1)
-    op.add_string(PauliString("X"), 1.0)
+    op.add_term("X", 1.0)
     assert op.is_hermitian()
-    op.add_string(PauliString("Z"), 0.5j)
+    op.add_term("Z", 0.5j)
     assert not op.is_hermitian()
 
 
@@ -396,6 +395,33 @@ def test_sector_basis_validation():
         sector_basis(MappingKind.PARITY, 4, 3, 0)
     with pytest.raises(ValueError, match="do not fit"):
         sector_basis(MappingKind.PARITY, 4, 1, -1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 24), data=st.data())
+def test_decoding_inverts_the_encoding(kind, n, data):
+    occupations = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                     min_size=1, max_size=8))
+    states = np.array([encoded(kind, occ, n) for occ in occupations],
+                      dtype=np.int64)
+    assert decode_states(kind, n, states).tolist() == occupations
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), n_spatial=st.integers(1, 8),
+       data=st.data())
+def test_a_sector_decodes_to_its_determinants(kind, n_spatial, data):
+    n_alpha = data.draw(st.integers(0, n_spatial))
+    n_beta = data.draw(st.integers(0, n_spatial))
+    n = 2 * n_spatial
+    occupations = decode_states(kind, n, sector_basis(kind, n, n_alpha,
+                                                      n_beta)).tolist()
+    assert len(set(occupations)) == len(occupations) == (
+        comb(n_spatial, n_alpha) * comb(n_spatial, n_beta))
+    even = sum(1 << m for m in range(0, n, 2))
+    for occ in occupations:
+        assert (occ & even).bit_count() == n_alpha
+        assert (occ & ~even).bit_count() == n_beta
 
 
 def test_encode_occupation_values_and_validation():

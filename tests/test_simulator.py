@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra.pauli import PauliString, PauliSum
+from qelectra.pauli import PauliSum
 from qelectra.simulator import MAX_QUBITS, Circuit, StateVector
 from qelectra.vqe import ansatz_circuit, build_uccsd
-from pauli_oracle import (PauliCircuit, apply_pauli_exponential,
+from pauli_oracle import (PauliCircuit, apply_pauli_exponential, basis_state,
                           register_state)
-from test_pauli import dense, dense_sum
+from test_pauli import dense, dense_sum, term
 
 
 def random_state(n_qubits, rng):
@@ -26,6 +26,12 @@ def random_state(n_qubits, rng):
 def random_word(n, rng):
     return "".join(np.random.default_rng(rng.integers(1 << 30)).choice(
         np.array(list("IXYZ")), size=n))
+
+
+def masks(word):
+    """(x, z) masks of a Pauli word."""
+    (key, _), = term(word).items()
+    return key
 
 
 def test_default_state_is_all_zeros():
@@ -43,12 +49,10 @@ def test_state_validation():
         StateVector(MAX_QUBITS + 1)
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
-    with pytest.raises(ValueError):
-        StateVector.computational_basis(2, 4)
 
 
 def test_copy_is_independent():
-    sv = StateVector.computational_basis(2, 3)
+    sv = StateVector(2, [0.0, 0.0, 0.0, 1.0])
     other = sv.copy()
     other.data[3] = 0.0
     assert sv.data[3] == 1.0
@@ -59,12 +63,12 @@ def test_apply_pauli_matches_dense():
     for _ in range(30):
         n = int(rng.integers(1, 5))
         word = random_word(n, rng)
-        phase = (1, 1j, -1, -1j)[int(rng.integers(4))]
-        string = PauliString(word, phase=phase)
         sv = random_state(n, rng)
-        want = dense(word, phase) @ sv.data
-        sv.apply_pauli(string)
+        want = dense(word) @ sv.data
+        sv.apply_pauli(*masks(word))
         assert np.allclose(sv.data, want, atol=1e-12)
+    with pytest.raises(ValueError, match="outside the register"):
+        StateVector(2).apply_pauli(0b100, 0)
 
 
 def test_pauli_exponential_matches_expm():
@@ -72,25 +76,18 @@ def test_pauli_exponential_matches_expm():
     for _ in range(20):
         n = int(rng.integers(1, 4))
         word = random_word(n, rng)
-        phase = (1, -1)[int(rng.integers(2))]
         angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
         sv = random_state(n, rng)
-        want = expm(-0.5j * angle * dense(word, phase)) @ sv.data
-        apply_pauli_exponential(sv, PauliString(word, phase=phase), angle)
+        want = expm(-0.5j * angle * dense(word)) @ sv.data
+        apply_pauli_exponential(sv, *masks(word), angle)
         assert np.allclose(sv.data, want, atol=1e-12)
-
-
-def test_pauli_exponential_rejects_imaginary_phase():
-    sv = StateVector(1)
-    with pytest.raises(ValueError, match="Hermitian"):
-        apply_pauli_exponential(sv, PauliString("X", phase=1j), 0.3)
 
 
 def test_pauli_exponential_at_zero_angle_is_identity():
     rng = np.random.default_rng(23)
     sv = random_state(3, rng)
     before = sv.data.copy()
-    apply_pauli_exponential(sv, PauliString("XYZ"), 0.0)
+    apply_pauli_exponential(sv, *masks("XYZ"), 0.0)
     assert np.allclose(sv.data, before, atol=1e-15)
 
 
@@ -100,8 +97,7 @@ def test_expectation_matches_dense():
         n = int(rng.integers(1, 4))
         op = PauliSum(n)
         for _ in range(4):
-            op.add_string(PauliString(random_word(n, rng)),
-                          float(rng.standard_normal()))
+            op.add_term(random_word(n, rng), float(rng.standard_normal()))
         sv = random_state(n, rng)
         want = float(np.real(np.conj(sv.data) @ dense_sum(op) @ sv.data))
         assert sv.expectation(op) == pytest.approx(want, abs=1e-12)
@@ -110,7 +106,7 @@ def test_expectation_matches_dense():
 def test_expectation_flags_imaginary_result():
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
     skewed = PauliSum(1)
-    skewed.add_string(PauliString("X"), 1.0j)
+    skewed.add_term("X", 1.0j)
     with pytest.raises(ValueError, match="imaginary"):
         plus.expectation(skewed)
     with pytest.raises(ValueError, match="mismatch"):
@@ -135,9 +131,9 @@ def test_matrix_expectation_matches_term_loop_on_lih(assembled):
 def test_term_loop_serves_a_fifteen_qubit_register():
     n = 15
     op = PauliSum(n)
-    op.add_string(PauliString("Z" + "I" * (n - 1)), 0.75)
-    op.add_string(PauliString("X" * n), -0.5)
-    op.add_string(PauliString("I" * (n - 2) + "YY"), 0.25)
+    op.add_term("Z" + "I" * (n - 1), 0.75)
+    op.add_term("X" * n, -0.5)
+    op.add_term("I" * (n - 2) + "YY", 0.25)
     # |+>^n on every qubit but qubit 0, which is |1>: <Z_0> = -1,
     # <X...X> = 0 because of qubit 0, <Y_{n-2} Y_{n-1}> = 0
     plus = np.full(1 << (n - 1), (1.0 / np.sqrt(2.0)) ** (n - 1))
@@ -158,10 +154,10 @@ def test_probabilities_normalized():
 def test_sampled_expectation_tracks_exact_value():
     rng = np.random.default_rng(26)
     op = PauliSum(2)
-    op.add_string(PauliString("II"), 0.5)
-    op.add_string(PauliString("ZZ"), -0.8)
-    op.add_string(PauliString("XI"), 0.3)
-    op.add_string(PauliString("YY"), 0.4)
+    op.add_term("II", 0.5)
+    op.add_term("ZZ", -0.8)
+    op.add_term("XI", 0.3)
+    op.add_term("YY", 0.4)
     sv = random_state(2, rng)
     exact = sv.expectation(op)
     est, err = sv.sampled_expectation(op, 8192, np.random.default_rng(7))
@@ -172,8 +168,8 @@ def test_sampled_expectation_tracks_exact_value():
 def test_sampled_expectation_is_deterministic_per_seed():
     rng = np.random.default_rng(27)
     op = PauliSum(2)
-    op.add_string(PauliString("XZ"), 1.0)
-    op.add_string(PauliString("ZI"), -0.5)
+    op.add_term("XZ", 1.0)
+    op.add_term("ZI", -0.5)
     sv = random_state(2, rng)
     first = sv.sampled_expectation(op, 500, np.random.default_rng(42))
     second = sv.sampled_expectation(op, 500, np.random.default_rng(42))
@@ -193,7 +189,7 @@ def test_sampled_expectation_identity_is_exact():
 def test_sampling_measures_y_in_its_eigenbasis():
     # +1 eigenstate of Y gives a deterministic outcome after rotation
     sv = StateVector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
-    op = PauliSum.from_string(PauliString("Y"))
+    op = term("Y")
     est, err = sv.sampled_expectation(op, 64, np.random.default_rng(0))
     assert est == pytest.approx(1.0)
     assert err == pytest.approx(0.0, abs=1e-12)
@@ -201,63 +197,61 @@ def test_sampling_measures_y_in_its_eigenbasis():
 
 def test_sampled_expectation_validation():
     sv = StateVector(1)
-    op = PauliSum.from_string(PauliString("Z"))
+    op = term("Z")
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         sv.sampled_expectation(op, 0, rng)
     with pytest.raises(ValueError):
         sv.sampled_expectation(PauliSum.identity(2), 10, rng)
     crooked = PauliSum(1)
-    crooked.add_string(PauliString("Z"), 1j)
+    crooked.add_term("Z", 1j)
     with pytest.raises(ValueError, match="Hermitian"):
         sv.sampled_expectation(crooked, 10, rng)
 
 
 def test_single_shot_has_zero_variance_estimate():
     sv = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    est, err = sv.sampled_expectation(PauliSum.from_string(PauliString("Z")),
-                                      1, np.random.default_rng(3))
+    est, err = sv.sampled_expectation(term("Z"), 1,
+                                      np.random.default_rng(3))
     assert est in (-1.0, 1.0)
     assert err == 0.0
 
 
 def test_circuit_runs_flips_then_exponentials():
     # the reference 0b01 is qubit 0 flipped; the rotation follows it
-    circ = PauliCircuit(2, 0b01, [(PauliString("YI"), 0, 1.0)], 1)
-    assert circ.instructions == ((PauliString("YI"), 0, 1.0),)
+    circ = PauliCircuit(2, 0b01, [(masks("YI"), 0, 1.0)], 1)
+    assert circ.instructions == (((0b01, 0b01), 0, 1.0),)
     theta = 0.7
     out = circ.run([theta])
-    start = StateVector.computational_basis(2, 0b01)
+    start = basis_state(2, 0b01)
     want = expm(-0.5j * theta * dense("YI")) @ start.data
     assert np.allclose(out.data, want, atol=1e-12)
 
 
 def test_circuit_zero_angles_reproduce_reference():
-    circ = PauliCircuit(3, 0b101, [(PauliString("XYZ"), 0, 2.0)], 1)
+    circ = PauliCircuit(3, 0b101, [(masks("XYZ"), 0, 2.0)], 1)
     out = circ.run([0.0])
-    assert np.allclose(out.data, StateVector.computational_basis(3, 0b101).data)
+    assert np.allclose(out.data, basis_state(3, 0b101).data)
 
 
 def test_circuit_scale_multiplies_parameter():
-    circ = PauliCircuit(1, 0, [(PauliString("X"), 0, -3.0)], 1)
+    circ = PauliCircuit(1, 0, [(masks("X"), 0, -3.0)], 1)
     out = circ.run([0.5])
     want = expm(-0.5j * (-1.5) * dense("X")) @ StateVector(1).data
     assert np.allclose(out.data, want, atol=1e-12)
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError, match="mismatch"):
-        PauliCircuit(2, 0, [(PauliString("X"), 0, 1.0)], 1)
+    with pytest.raises(ValueError, match="outside the register"):
+        PauliCircuit(2, 0, [(masks("IIX"), 0, 1.0)], 1)
     for index in (-1, 1):
         with pytest.raises(ValueError, match="parameter index"):
-            PauliCircuit(2, 0, [(PauliString("XX"), index, 1.0)], 1)
-    with pytest.raises(ValueError, match="Hermitian"):
-        PauliCircuit(1, 0, [(PauliString("X", phase=1j), 0, 1.0)], 1)
+            PauliCircuit(2, 0, [(masks("XX"), index, 1.0)], 1)
     with pytest.raises(ValueError, match="out of range"):
         PauliCircuit(2, 4, [], 0)
     with pytest.raises(ValueError, match="register size"):
         PauliCircuit(MAX_QUBITS + 1, 0, [], 0)
-    circ = PauliCircuit(2, 0, [(PauliString("XX"), 0, 1.0)], 1)
+    circ = PauliCircuit(2, 0, [(masks("XX"), 0, 1.0)], 1)
     with pytest.raises(ValueError, match="parameters"):
         circ.run([0.1, 0.2])
 
@@ -265,10 +259,9 @@ def test_circuit_validation():
 def run_one_by_one(circuit, theta):
     """Reference for PauliCircuit.run: the reference basis state, then
     each rotation applied by `apply_pauli_exponential`."""
-    state = StateVector.computational_basis(circuit.n_qubits,
-                                            circuit.reference)
-    for string, param_index, scale in circuit.instructions:
-        apply_pauli_exponential(state, string, scale * theta[param_index])
+    state = basis_state(circuit.n_qubits, circuit.reference)
+    for (x, z), param_index, scale in circuit.instructions:
+        apply_pauli_exponential(state, x, z, scale * theta[param_index])
     return state
 
 
@@ -278,22 +271,19 @@ _ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 @st.composite
 def circuits(draw):
     """Random circuits on 1-6 qubits: a reference basis state, then
-    Hermitian exponentials with phase +1 or -1, drawn from a small pool of
-    X-masks so that rotations share gathers, with arbitrary scales and
-    shared parameters."""
+    exponentials of Pauli strings drawn from a small pool of X-masks so
+    that rotations share gathers, with arbitrary scales and shared
+    parameters."""
     n = draw(st.integers(1, 6))
-    masks = st.integers(0, (1 << n) - 1)
-    pool = draw(st.lists(masks, min_size=1, max_size=3))
+    register_masks = st.integers(0, (1 << n) - 1)
+    pool = draw(st.lists(register_masks, min_size=1, max_size=3))
     n_params = draw(st.integers(1, 4))
     rotations = []
     for _ in range(draw(st.integers(0, 12))):
-        x, z = draw(st.sampled_from(pool)), draw(masks)
-        flip = draw(st.sampled_from([0, 2]))
-        string = PauliString.from_masks(n, x, z,
-                                        (x & z).bit_count() + flip)
-        rotations.append((string, draw(st.integers(0, n_params - 1)),
+        x, z = draw(st.sampled_from(pool)), draw(register_masks)
+        rotations.append(((x, z), draw(st.integers(0, n_params - 1)),
                           draw(st.floats(-3.0, 3.0))))
-    circuit = PauliCircuit(n, draw(masks), rotations, n_params)
+    circuit = PauliCircuit(n, draw(register_masks), rotations, n_params)
     theta = np.array(draw(st.lists(_ANGLES, min_size=n_params,
                                    max_size=n_params)))
     return circuit, theta

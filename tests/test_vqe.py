@@ -12,8 +12,7 @@ from scipy.linalg import expm
 from qelectra import oracle, simulator
 from qelectra.fermion import FermionOperator
 from qelectra.oracle import exact_ground_energy
-from qelectra.pauli import (MappingKind, PauliString, PauliSum, map_fermion,
-                            sector_basis)
+from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.vqe import (
     DEFAULT_ITERATIONS,
     DEFAULT_TOLERANCE,
@@ -29,6 +28,7 @@ from qelectra.vqe import (
 )
 from pauli_oracle import excitation_generator, pauli_circuit, register_state
 from test_fermion import dense_operator
+from test_pauli import term
 
 ALL_KINDS = [MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
              MappingKind.BRAVYI_KITAEV]
@@ -319,8 +319,7 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
 def test_non_hermitian_hamiltonian_rejected_before_any_evaluation(
         assembled, monkeypatch):
     system = assembled("h2")
-    skewed = (system.qubit_hamiltonian
-              + PauliSum.from_string(PauliString("XYII"), 0.1j))
+    skewed = system.qubit_hamiltonian + term("XYII", 0.1j)
 
     def refuse(self, parameters):
         raise AssertionError("no circuit runs for a rejected Hamiltonian")
