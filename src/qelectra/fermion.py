@@ -11,6 +11,7 @@ Conventions, fixed package-wide:
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Tuple
 
 import numpy as np
@@ -139,32 +140,26 @@ def spatial_active_space(h_mo: np.ndarray, eri_mo: np.ndarray,
 def build_hamiltonian(so: SpinOrbitalIntegrals) -> FermionOperator:
     """Assemble the second-quantized Hamiltonian from spin-orbital integrals.
 
-    Every index tuple with a coefficient above TERM_THRESHOLD is emitted;
-    terms that vanish identically (repeated creation or annihilation index)
-    are skipped.
+    Every index tuple with a coefficient above TERM_THRESHOLD is emitted,
+    the one-body terms by (p, q) and then the two-body terms by
+    (p, q, r, s), each ascending; terms that vanish identically (repeated
+    creation or annihilation index) are skipped.
     """
     op = FermionOperator()
     if abs(so.core_energy) > 0.0:
         op.add_term((), complex(so.core_energy))
-    n = so.n_orbitals
     h = so.one_body
-    g = so.two_body
-    for p in range(n):
-        for q in range(n):
-            c = complex(h[p, q])
-            if abs(c) > TERM_THRESHOLD:
-                op.add_term(((p, 1), (q, 0)), c)
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            for r in range(n):
-                for s in range(n):
-                    if r == s:
-                        continue
-                    c = 0.5 * complex(g[p, q, r, s])
-                    if abs(c) > TERM_THRESHOLD:
-                        op.add_term(((p, 1), (q, 1), (s, 0), (r, 0)), c)
+    half_g = 0.5 * so.two_body
+    distinct = ~np.eye(so.n_orbitals, dtype=bool)
+    # np.nonzero lists indices in C order, the order of loops over p, q, ...
+    p, q = np.nonzero(abs(h) > TERM_THRESHOLD)
+    keys = zip(zip(p.tolist(), repeat(1)), zip(q.tolist(), repeat(0)))
+    op.terms.update(zip(keys, map(complex, h[p, q].tolist())))
+    p, q, r, s = np.nonzero((abs(half_g) > TERM_THRESHOLD)
+                            & distinct[:, :, None, None] & distinct)
+    keys = zip(zip(p.tolist(), repeat(1)), zip(q.tolist(), repeat(1)),
+               zip(s.tolist(), repeat(0)), zip(r.tolist(), repeat(0)))
+    op.terms.update(zip(keys, map(complex, half_g[p, q, r, s].tolist())))
     return op
 
 

@@ -12,7 +12,8 @@ Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
 Richard & Love, arXiv:1208.5986): qubit q stores the parity of the modes in
 row q. Ladder images, encoded states and their decoding all come from
-those rows: `sector_basis` lists one (N, S_z) sector by forward
+those rows: `map_fermion` multiplies ladder images as bit operations on
+their masks, `sector_basis` lists one (N, S_z) sector by forward
 enumeration, and `decode_states` reads occupations back by
 back-substitution. A binary-code style transformation is out of scope and
 requesting one raises immediately.
@@ -21,12 +22,13 @@ In a letters string, character k acts on qubit k.
 """
 
 import itertools
+import operator
 from enum import Enum
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .fermion import FermionOperator
+from .fermion import FermionOperator, TermKey
 
 # terms at or below this magnitude are dropped from a mapped operator
 DEFAULT_PRUNE_THRESHOLD = 1e-12
@@ -213,8 +215,23 @@ def _occupation_masks(rows: List[int]) -> List[int]:
     return occ
 
 
-def _ladder_image(kind: MappingKind, index: int, dagger: bool,
-                  n_modes: int) -> PauliSum:
+def _mode_masks(kind: MappingKind,
+                n_modes: int) -> Tuple[List[int], List[int], List[int]]:
+    """Qubit masks per mode: (flip, below, occ).
+
+    A ladder operator on mode i flips the qubits `flip[i]`; its Z-mask is
+    `below[i]`, the parity of the modes below i (X-like), or
+    `below[i] ^ occ[i]`, the parity up to and including i (Y-like).
+    """
+    rows = _encoding(kind, n_modes)
+    occ = _occupation_masks(rows)
+    below = list(itertools.accumulate(occ, operator.xor, initial=0))
+    return ([_flip_mask(rows, m) for m in range(n_modes)], below[:n_modes],
+            occ)
+
+
+def ladder_image(kind: MappingKind, index: int, dagger: bool,
+                 n_modes: int) -> PauliSum:
     """Qubit image of a single creation or annihilation operator.
 
     Both branches are (X-like - i Y-like)/2 for a_i^ and the conjugate for
@@ -223,45 +240,183 @@ def _ladder_image(kind: MappingKind, index: int, dagger: bool,
     """
     if not 0 <= index < n_modes:
         raise ValueError(f"mode index {index} outside register of {n_modes}")
-    rows = _encoding(kind, n_modes)
-    flip = _flip_mask(rows, index)
-    occ = _occupation_masks(rows)
-    parity = 0
-    for mask in occ[:index]:
-        parity ^= mask
+    flip, below, occ = (masks[index] for masks in _mode_masks(kind, n_modes))
     # complex() keeps the real part +0.0, where the literal -0.5j has -0.0
     y_like = complex(0.0, -0.5 if dagger else 0.5)
-    return PauliSum(n_modes, {(flip, parity): 0.5,
-                              (flip, parity ^ occ[index]): y_like})
+    return PauliSum(n_modes, {(flip, below): 0.5,
+                              (flip, below ^ occ): y_like})
 
 
-_IMAGE_CACHE: Dict[Tuple[MappingKind, int, int, bool], PauliSum] = {}
+# widest register `map_fermion` takes: it packs each string's masks into
+# one int64, x << n_modes | z
+MAX_MAPPED_MODES = 31
+# choices (terms times 2^length) mapped per array pass, which bounds the
+# pass's temporaries
+MAP_CHUNK_ENTRIES = 8192
+# real and imaginary parts of I_POWERS
+_I_REAL = np.real(I_POWERS)
+_I_IMAG = np.imag(I_POWERS)
 
 
-def ladder_image(kind: MappingKind, index: int, dagger: bool,
-                 n_modes: int) -> PauliSum:
-    key = (kind, n_modes, index, bool(dagger))
-    if key not in _IMAGE_CACHE:
-        _IMAGE_CACHE[key] = _ladder_image(kind, index, dagger, n_modes)
-    return _IMAGE_CACHE[key]
+def _term_images(masks: np.ndarray, keys: List[TermKey], n_modes: int):
+    """Qubit images of equal-length fermion terms, without coefficients.
+
+    A term's image is the product of its k factors' ladder images, so it
+    sums one string per choice of each factor's X-like string (weight
+    1/2) or Y-like string (weight i/2 for a_i, -i/2 for a_i^). Strings
+    multiply as (x_1, z_1) ... (x_k, z_k) = i^e (x, z), with x and z the
+    XOR of the factors' masks and e = sum_j |x_j & z_j| - |x & z|
+    + 2 sum_{i<j} |z_i & x_j| (mod 4). Choice c takes the Y-like string of
+    factor j when bit k - 1 - j of c is set, so choices run in the order
+    in which the factor-by-factor product first meets each string.
+    Choices that meet one string within a term (a repeated mode) are
+    summed into the first of them.
+
+    Returns, term-major, each first choice's packed string
+    x << n_modes | z, its term, and the real and imaginary parts of its
+    weight in units of 2^-k: exact integers.
+    """
+    n_terms, k = len(keys), len(keys[0])
+    try:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(keys)),
+            dtype=np.int64, count=2 * k * n_terms).reshape(n_terms, k, 2)
+    except OverflowError:
+        raise ValueError(f"mode index outside register of {n_modes}") from None
+    modes = flat[:, :, 0]
+    outside = (modes < 0) | (modes >= n_modes)
+    if outside.any():
+        raise ValueError(f"mode index {modes[outside][0]} outside register "
+                         f"of {n_modes}")
+    flips, below, occ = masks[:, modes]
+    x = np.bitwise_xor.reduce(flips, axis=1)
+    # X-masks of the factors after each one: the cross terms of e need
+    # only the parity of |z_i & x_j| summed over j > i
+    later = np.bitwise_xor.accumulate(flips[:, ::-1], axis=1)[:, ::-1] ^ flips
+    x_like, y_like = (np.bitwise_count(flips & z_j)
+                      + 2 * np.bitwise_count(z_j & later)
+                      for z_j in (below, below ^ occ))
+    y_like = (y_like - x_like + 1 + 2 * (flat[:, :, 1] != 0)) & 3
+    # a choice's first equal choice has each factor's bit moved to the
+    # last factor on the same mode
+    last = np.tile(np.arange(k), (n_terms, 1))
+    for j in range(k):
+        for i in range(j + 1, k):
+            last[modes[:, i] == modes[:, j], j] = i
+    moved = 1 << (k - 1 - last)
+
+    z = np.empty((n_terms, 1 << k), dtype=np.int64)
+    phase = np.empty_like(z)
+    first = np.empty_like(z)
+    z[:, 0] = np.bitwise_xor.reduce(below, axis=1)
+    phase[:, 0] = x_like.sum(axis=1) & 3
+    first[:, 0] = 0
+    for j in range(k):
+        # the choices below m are built; factor k - 1 - j adds bit m
+        m = 1 << j
+        f = k - 1 - j
+        np.bitwise_xor(z[:, :m], occ[:, f, None], out=z[:, m:2 * m])
+        np.add(phase[:, :m], y_like[:, f, None], out=phase[:, m:2 * m])
+        np.bitwise_xor(first[:, :m], moved[:, f, None], out=first[:, m:2 * m])
+    phase -= np.bitwise_count(x[:, None] & z)
+    phase &= 3
+    real, imag = _I_REAL[phase], _I_IMAG[phase]
+    owner = np.broadcast_to(np.arange(n_terms)[:, None], z.shape)
+    keep = first == np.arange(1 << k)
+    if not keep.all():
+        target = (owner << k | first).ravel()
+        real = np.bincount(target, real.ravel(), target.size).reshape(z.shape)
+        imag = np.bincount(target, imag.ravel(), target.size).reshape(z.shape)
+    z |= x[:, None] << n_modes
+    return z[keep], owner[keep], real[keep], imag[keep]
+
+
+class _StringTotals:
+    """Coefficient totals of packed strings, in the order first met.
+
+    `add` adds each entry to its string's total in entry order, starting
+    from 0.0, as a dict of running sums would.
+    """
+
+    def __init__(self):
+        self.ascending = np.zeros(0, dtype=np.int64)  # strings met
+        self.slots = np.zeros(0, dtype=np.int64)      # their totals' slots
+        self.real = np.zeros(0)
+        self.imag = np.zeros(0)
+
+    def add(self, packed: np.ndarray, real: np.ndarray,
+            imag: np.ndarray) -> None:
+        unique, first, inverse = np.unique(packed, return_index=True,
+                                           return_inverse=True)
+        at = np.searchsorted(self.ascending, unique)
+        met = at < self.ascending.size
+        met[met] = self.ascending[at[met]] == unique[met]
+        slot = np.empty(unique.size, dtype=np.int64)
+        slot[met] = self.slots[at[met]]
+        fresh = np.flatnonzero(~met)
+        slot[fresh[np.argsort(first[fresh])]] = np.arange(
+            self.real.size, self.real.size + fresh.size)
+        self.ascending = np.insert(self.ascending, at[fresh], unique[fresh])
+        self.slots = np.insert(self.slots, at[fresh], slot[fresh])
+        self.real = np.concatenate([self.real, np.zeros(fresh.size)])
+        self.imag = np.concatenate([self.imag, np.zeros(fresh.size)])
+        np.add.at(self.real, slot[inverse], real)
+        np.add.at(self.imag, slot[inverse], imag)
+
+    def strings(self) -> np.ndarray:
+        """The packed strings, in slot order."""
+        strings = np.empty_like(self.ascending)
+        strings[self.slots] = self.ascending
+        return strings
 
 
 def map_fermion(op: FermionOperator, kind: MappingKind,
                 n_modes: int) -> PauliSum:
     """Map a fermionic operator to a qubit operator on n_modes qubits,
-    dropping terms at or below DEFAULT_PRUNE_THRESHOLD."""
-    data: Dict[Tuple[int, int], complex] = {}
-    for key, coeff in op.terms.items():
-        if not key:
-            data[(0, 0)] = data.get((0, 0), 0.0) + coeff
-            continue
-        prod = None
-        for index, dagger in key:
-            img = ladder_image(kind, index, dagger, n_modes)
-            prod = img if prod is None else prod * img
-        for k, c in prod.items():
-            data[k] = data.get(k, 0.0) + c * coeff
-    return PauliSum(n_modes, data).simplify()
+    dropping terms at or below DEFAULT_PRUNE_THRESHOLD.
+
+    Bit for bit the sum, in term order, of each coefficient times the
+    product of its term's `ladder_image`s under `PauliSum.__mul__`: a
+    term's image is exact in units of 2^-k, it is multiplied by the
+    coefficient as Python multiplies complex numbers, and each string
+    adds its terms from 0.0 in term order. Strings keep the order in
+    which the terms first meet them. Runs of equal-length terms are
+    mapped in array passes of at most MAP_CHUNK_ENTRIES choices.
+    """
+    if n_modes > MAX_MAPPED_MODES:
+        raise ValueError(f"cannot map {n_modes} modes: the array pass holds "
+                         f"at most {MAX_MAPPED_MODES}")
+    masks = np.array(_mode_masks(kind, n_modes), dtype=np.int64)
+    keys = list(op.terms)
+    if not set(map(len, itertools.chain.from_iterable(keys))) <= {2}:
+        raise ValueError("a fermion term must be a tuple of (mode, dagger) "
+                         "pairs")
+    coeffs = np.fromiter(map(complex, op.terms.values()), dtype=complex,
+                         count=len(keys))
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    totals = _StringTotals()
+    runs = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
+    for start, stop in zip(runs, runs[1:] + [len(keys)]):
+        k = int(lengths[start])
+        step = max(1, MAP_CHUNK_ENTRIES >> k)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            packed, owner, a, b = _term_images(masks, keys[lo:hi], n_modes)
+            a = a * 0.5 ** k
+            b = b * 0.5 ** k
+            c_real = coeffs.real[lo:hi][owner]
+            c_imag = coeffs.imag[lo:hi][owner]
+            # Python's complex product, part by part
+            totals.add(packed, a * c_real - b * c_imag,
+                       a * c_imag + b * c_real)
+    strings, real, imag = totals.strings(), totals.real, totals.imag
+    # |c| <= sqrt(2) max(|Re c|, |Im c|): what this drops, simplify would
+    kept = np.maximum(abs(real), abs(imag)) > 0.5 * DEFAULT_PRUNE_THRESHOLD
+    strings, real, imag = strings[kept], real[kept], imag[kept]
+    pairs = zip((strings >> n_modes).tolist(),
+                (strings & ((1 << n_modes) - 1)).tolist())
+    return PauliSum(n_modes, dict(zip(pairs, map(
+        complex, real.tolist(), imag.tolist())))).simplify()
 
 
 def anticommutation_check(kind: MappingKind, n_modes: int) -> float:

@@ -290,6 +290,19 @@ def test_fci_runs_on_a_sector_above_the_dense_cutoff(capsys):
     assert energy == pytest.approx(-39.80526233501304, abs=1e-10)
 
 
+def test_vqe_reaches_fci_on_a_wide_window(capsys):
+    # NH3 (10e, 8o): 16 qubits, 3,136 determinants, and 11,257 fermion
+    # terms through the mapping
+    code, out, err = run_cli(capsys, "--molecule", "nh3", "--method",
+                             "hf,vqe,fci", "--active-space", "10,8",
+                             "--output", "json")
+    assert code == 0, err
+    methods = json.loads(out)["methods"]
+    assert methods["vqe"]["converged"] is True
+    gap = methods["vqe"]["energy_hartree"] - methods["fci"]["energy_hartree"]
+    assert 0.0 < gap < 0.2e-3
+
+
 def test_unknown_basis_name(capsys):
     # sto-3g is the one basis set; the flag stays for existing command lines
     code, out, _ = run_cli(capsys, "--molecule", "h2", "--basis", "STO-3G",

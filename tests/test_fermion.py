@@ -1,19 +1,23 @@
 """Second-quantization layer: Hamiltonian assembly (checked against dense
 ladder matrices built from scratch) and active windows."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qelectra.fermion import (ActiveSpaceSpec, FermionOperator,
-                              SpinOrbitalIntegrals, build_hamiltonian,
-                              mo_spatial_integrals, number_operator,
-                              spatial_active_space, sz_operator,
-                              to_spin_orbitals)
+from qelectra.fermion import (TERM_THRESHOLD, ActiveSpaceSpec,
+                              FermionOperator, SpinOrbitalIntegrals,
+                              build_hamiltonian, mo_spatial_integrals,
+                              number_operator, spatial_active_space,
+                              sz_operator, to_spin_orbitals)
 from qelectra.integrals import compute_integrals
 from qelectra.molecule import from_atom_list
 from qelectra.oracle import exact_ground_energy, pauli_to_sparse
 from qelectra.pauli import MappingKind, map_fermion
-from qelectra.pipeline import shipped_geometry
+from qelectra.pipeline import SHIPPED_MOLECULES, assemble, shipped_geometry
 from qelectra.scf import run_rhf
 from qelectra.simulator import StateVector
 
@@ -39,6 +43,41 @@ def dense_operator(op: FermionOperator, n_modes):
             m = m @ (ladders[mode].T if dagger else ladders[mode])
         total += coeff * m
     return total
+
+
+def bitwise(items):
+    """(key, real part, imaginary part) per item, in order, the parts as
+    their IEEE bytes: unlike ==, this tells -0.0 from 0.0."""
+    return [(key, struct.pack("<d", complex(c).real),
+             struct.pack("<d", complex(c).imag)) for key, c in items]
+
+
+def build_hamiltonian_by_loops(so):
+    """The Hamiltonian index tuple by index tuple, in nested loops: the
+    loop `build_hamiltonian` replaces with array passes."""
+    op = FermionOperator()
+    if abs(so.core_energy) > 0.0:
+        op.add_term((), complex(so.core_energy))
+    n = so.n_orbitals
+    h = so.one_body
+    g = so.two_body
+    for p in range(n):
+        for q in range(n):
+            c = complex(h[p, q])
+            if abs(c) > TERM_THRESHOLD:
+                op.add_term(((p, 1), (q, 0)), c)
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            for r in range(n):
+                for s in range(n):
+                    if r == s:
+                        continue
+                    c = 0.5 * complex(g[p, q, r, s])
+                    if abs(c) > TERM_THRESHOLD:
+                        op.add_term(((p, 1), (q, 1), (s, 0), (r, 0)), c)
+    return op
 
 
 def full_spin_orbitals(ints, scf, n_electrons):
@@ -207,3 +246,53 @@ def test_full_vs_active_ground_state_bound():
     assert e_act >= e_full - 1e-9
     assert e_act == pytest.approx(-7.882176004920536, abs=1e-8)
     assert e_full == pytest.approx(-7.882403424257525, abs=1e-7)
+
+
+@pytest.mark.parametrize("molecule", SHIPPED_MOLECULES)
+def test_build_hamiltonian_matches_the_loops(molecule, assembled):
+    system = assembled(molecule)
+    want = build_hamiltonian_by_loops(system.spin_orbitals)
+    assert bitwise(system.hamiltonian.terms.items()) == bitwise(
+        want.terms.items())
+
+
+def test_build_hamiltonian_matches_the_loops_on_a_wide_window():
+    so = assemble(shipped_geometry("ch4"), ActiveSpaceSpec(8, 8)).spin_orbitals
+    got = build_hamiltonian(so)
+    assert len(got) == 12889
+    assert bitwise(got.terms.items()) == bitwise(
+        build_hamiltonian_by_loops(so).terms.items())
+
+
+# the coefficient of a one-body term is h, of a two-body term g / 2: each
+# is drawn exactly at TERM_THRESHOLD and one float above it
+_EDGES = [TERM_THRESHOLD, np.nextafter(TERM_THRESHOLD, 1.0),
+          2 * TERM_THRESHOLD, np.nextafter(2 * TERM_THRESHOLD, 1.0)]
+_INTEGRALS = st.one_of(st.sampled_from([0.0] + _EDGES + [-v for v in _EDGES]),
+                       st.floats(-2.0, 2.0))
+
+
+@st.composite
+def symmetric_integrals(draw):
+    """Spin-orbital integrals of random spatial ones on 1-3 orbitals, with
+    h symmetric and (pq|rs) 8-fold symmetric."""
+    n = draw(st.integers(1, 3))
+    pairs = [(p, q) for p in range(n) for q in range(p + 1)]
+    h = np.zeros((n, n))
+    eri = np.zeros((n, n, n, n))
+    for p, q in pairs:
+        h[p, q] = h[q, p] = draw(_INTEGRALS)
+    for a, (p, q) in enumerate(pairs):
+        for r, s in pairs[:a + 1]:
+            value = draw(_INTEGRALS)
+            for i, j, k, l in ((p, q, r, s), (q, p, r, s), (p, q, s, r),
+                               (q, p, s, r)):
+                eri[i, j, k, l] = eri[k, l, i, j] = value
+    return to_spin_orbitals(h, eri, draw(_INTEGRALS), n)
+
+
+@settings(deadline=None)
+@given(symmetric_integrals())
+def test_build_hamiltonian_matches_the_loops_on_random_integrals(so):
+    assert bitwise(build_hamiltonian(so).terms.items()) == bitwise(
+        build_hamiltonian_by_loops(so).terms.items())

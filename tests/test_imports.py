@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 function, class and public method it defines is referenced by name in
 `src/` or `perfbench/` (or, for the few listed in `TEST_ONLY` with their
-reasons, in `tests/` alone), and every dataclass field it declares is read
-as an attribute in one of the three.
+reasons, only in `tests/` and by other listed definitions), and every
+dataclass field it declares is read as an attribute in one of the three.
 
 `__init__.py` is exempt: its imports are the package's re-exports, and a
 re-export is not a use. Dunder methods, and methods that override a base
@@ -68,14 +68,14 @@ def definitions(tree):
                     yield item.name, item, node.name
 
 
-def referenced_names(tree, skip=None):
+def referenced_names(tree, skip=()):
     """Names read or attributes accessed anywhere in the tree outside the
-    `skip` node."""
+    `skip` nodes."""
     names = set()
     todo = [tree]
     while todo:
         node = todo.pop()
-        if node is skip:
+        if any(node is skipped for skipped in skip):
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -92,16 +92,20 @@ def overrides(module, class_name, name):
     return any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
-def unreferenced(module, source, others):
+def unreferenced(module, source, others, listed=()):
     """Definitions in `source` that neither it, outside their own
-    definition, nor any of the `others` trees refers to by name."""
+    definition and the `listed` ones, nor any of the `others` trees
+    refers to by name."""
     tree = ast.parse(source)
     used_elsewhere = set().union(*(referenced_names(t) for t in others))
+    found = list(definitions(tree))
+    skipped = [node for name, node, _ in found if name in listed]
     missing = []
-    for name, node, owner in definitions(tree):
+    for name, node, owner in found:
         if name.startswith("__") and name.endswith("__"):
             continue
-        if name in used_elsewhere or name in referenced_names(tree, node):
+        if name in used_elsewhere or name in referenced_names(
+                tree, [node, *skipped]):
             continue
         if owner is not None and overrides(module, owner, name):
             continue
@@ -140,19 +144,24 @@ TEST_ONLY = {
         "sz_operator": "checks the S_z of mapped sectors"},
     "pauli.py": {
         "anticommutation_check": "checks the mapped ladder operators",
-        "coefficient": "reads a term by its letters, as add_term writes it"},
+        "coefficient": "reads a term by its letters, as add_term writes it",
+        "identity": "the identity that tests and anticommutation_check use",
+        "ladder_image": "the mapping's oracle: map_fermion must equal the "
+                        "products of ladder images bit for bit",
+        "norm_l1": "measures anticommutation_check's residual"},
     "simulator.py": {
         "apply_pauli": "applies one term apart from pauli_to_sparse",
         "expectation": "perfbench/tracing.py patches it by its name"},
 }
 
 
-def serving_tests_alone(module, source, trees):
-    """Definitions in `source` that only trees under `tests/` refer to;
-    `trees` maps the paths of the other files to their syntax trees."""
+def serving_tests_alone(module, source, trees, listed=()):
+    """Definitions in `source` that only trees under `tests/` refer to, or
+    the `listed` definitions, which serve the tests alone; `trees` maps
+    the paths of the other files to their syntax trees."""
     outside = [tree for path, tree in trees.items()
                if TESTS not in path.parents]
-    return unreferenced(module, source, outside)
+    return unreferenced(module, source, outside, listed)
 
 
 def test_the_check_sees_a_definition_only_tests_use():
@@ -162,14 +171,25 @@ def test_the_check_sees_a_definition_only_tests_use():
     assert serving_tests_alone("none.py", source, trees) == ["probe"]
 
 
+def test_the_check_sees_a_definition_only_listed_ones_use():
+    source = ("def run():\n    return 1\n\ndef helper():\n    return 2\n\n"
+              "def probe():\n    return helper()\n")
+    trees = {PACKAGE / "caller.py": ast.parse("run()\n"),
+             TESTS / "test_thing.py": ast.parse("probe()\n")}
+    assert serving_tests_alone("none.py", source, trees) == ["probe"]
+    assert serving_tests_alone("none.py", source, trees, ["probe"]) == [
+        "helper", "probe"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_only_the_listed_definitions_serve_the_tests_alone(module):
     path = PACKAGE / module
     others = {other: tree for other, tree in SEARCHED.items() if other != path}
     # equality: a listed name that the package now uses, or that is gone,
     # leaves the list too
-    assert set(serving_tests_alone(module, path.read_text(), others)) == set(
-        TEST_ONLY.get(module, ()))
+    listed = TEST_ONLY.get(module, {})
+    assert set(serving_tests_alone(module, path.read_text(), others,
+                                   listed)) == set(listed)
 
 
 # ---- every dataclass field is read -------------------------------------------

@@ -1,5 +1,6 @@
 """Pauli algebra, GF(2) encodings and fermion-to-qubit mappings."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelectra.fermion import number_operator, sz_operator
+from qelectra.fermion import FermionOperator, number_operator, sz_operator
 from qelectra.oracle import pauli_to_sparse
 from qelectra.pauli import (
+    MAX_MAPPED_MODES,
     MappingKind,
     PauliSum,
     anticommutation_check,
@@ -19,8 +21,9 @@ from qelectra.pauli import (
     mapping_from_name,
     sector_basis,
 )
+from qelectra.pipeline import SHIPPED_MOLECULES
 from pauli_oracle import encode_occupation, letters
-from test_fermion import dense_annihilator
+from test_fermion import bitwise, dense_annihilator
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -347,24 +350,97 @@ def test_mapped_hamiltonian_is_hermitian_and_isospectral(kind, assembled):
     assert np.allclose(vals, ref, atol=1e-10)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("molecule", ["lih", "h2o"])
-def test_map_fermion_matches_term_by_term_sums(kind, molecule, assembled):
-    system = assembled(molecule)
-    n = system.n_qubits
-    total = PauliSum(n)
-    for key, coeff in system.hamiltonian.terms.items():
+def map_by_ladder_products(op, kind, n_modes):
+    """The mapping term by term: each coefficient times the product of its
+    term's ladder images, added to a dict of running sums in term order.
+    This is the loop `map_fermion` replaces with array passes."""
+    images = {}
+    data = {}
+    for key, coeff in op.terms.items():
         if not key:
-            total = total + PauliSum.identity(n, coeff)
+            data[(0, 0)] = data.get((0, 0), 0.0) + coeff
             continue
         prod = None
         for index, dagger in key:
-            img = ladder_image(kind, index, dagger, n)
+            if (index, dagger) not in images:
+                images[index, dagger] = ladder_image(kind, index, dagger,
+                                                     n_modes)
+            img = images[index, dagger]
             prod = img if prod is None else prod * img
-        total = total + prod * coeff
-    want = total.simplify()
+        for k, c in prod.items():
+            data[k] = data.get(k, 0.0) + c * coeff
+    return PauliSum(n_modes, data).simplify()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("molecule", SHIPPED_MOLECULES)
+def test_map_fermion_matches_term_by_term_sums(kind, molecule, assembled):
+    system = assembled(molecule)
+    n = system.n_qubits
+    want = map_by_ladder_products(system.hamiltonian, kind, n)
     got = map_fermion(system.hamiltonian, kind, n)
-    assert list(got.items()) == list(want.items())
+    assert bitwise(got.items()) == bitwise(want.items())
+
+
+@st.composite
+def fermion_operators(draw):
+    """Random operators on 1-8 modes: terms of 0-4 ladder operators with
+    repeated modes and both flags, real and complex coefficients, and
+    (with an empty term list) the empty operator."""
+    n = draw(st.integers(1, 8))
+    ladder = st.tuples(st.integers(0, n - 1), st.sampled_from([0, 1]))
+    coeff = st.one_of(_PARTS, st.builds(complex, _PARTS, _PARTS))
+    op = FermionOperator()
+    for key, c in draw(st.lists(st.tuples(
+            st.lists(ladder, max_size=4).map(tuple), coeff), max_size=12)):
+        op.add_term(key, c)
+    return op, n
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=fermion_operators(), kind=st.sampled_from(ALL_KINDS))
+def test_map_fermion_matches_ladder_products_bit_for_bit(case, kind):
+    op, n = case
+    want = map_by_ladder_products(op, kind, n)
+    assert bitwise(map_fermion(op, kind, n).items()) == bitwise(want.items())
+
+
+def test_map_fermion_refuses_a_mode_outside_the_register():
+    for key in [((0, 1), (4, 0)), ((-1, 1), (0, 0)), ((0, 1), (2**64, 0))]:
+        with pytest.raises(ValueError, match="outside register of 4"):
+            map_fermion(FermionOperator({key: 1.0}), MappingKind.PARITY, 4)
+
+
+def test_map_fermion_refuses_a_factor_that_is_not_a_pair():
+    # the second term would otherwise be read from the first one's spill
+    op = FermionOperator({((0, 1, 1),): 1.0, ((1, 0),): 1.0})
+    with pytest.raises(ValueError, match="pairs"):
+        map_fermion(op, MappingKind.PARITY, 4)
+
+
+def test_map_fermion_refuses_a_register_wider_than_its_masks():
+    widest = MAX_MAPPED_MODES
+    op = number_operator(widest)
+    op.add_term(((0, 1), (widest - 1, 1), (widest - 2, 0), (1, 0)), 0.25j)
+    for kind in ALL_KINDS:
+        assert bitwise(map_fermion(op, kind, widest).items()) == bitwise(
+            map_by_ladder_products(op, kind, widest).items())
+    with pytest.raises(ValueError, match=f"at most {widest}"):
+        map_fermion(number_operator(widest + 1), MappingKind.PARITY,
+                    widest + 1)
+
+
+def test_mapping_ch4_peaks_below_two_megabytes(assembled):
+    # the array pass works in chunks of MAP_CHUNK_ENTRIES choices; larger
+    # passes raise the peak (4.6 MB at 32,768 choices on this operator)
+    hamiltonian = assembled("ch4").hamiltonian
+    tracemalloc.start()
+    try:
+        map_fermion(hamiltonian, MappingKind.PARITY, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_mapping_from_name_aliases():
