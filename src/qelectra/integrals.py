@@ -31,13 +31,27 @@ holds because:
   term is below half an ulp of the sum and every later term is smaller, so
   the additions it skips changed nothing, and an element's value does not
   depend on the others in its batch.
-The rule matters because a split degenerate shell (the shipped CO2 window)
+
+The ERIs also evaluate each Boys value once per (Boys order, bra shell
+pair, ket shell pair) and gather it into every batch that needs it. A
+shell is a function's center and exponents, which an sp shell's 2s and 2p
+share, so every function pair of one shell pair has bitwise-equal p and P
+per primitive pair, and every quartet of one shell-pair quartet has the
+same Boys arguments x = alpha |PQ|^2. The Boys order, the total angular
+momentum of the quartet, is fixed per class pair, and an element's value
+does not depend on its batch, so the shared values are the bits each
+batch would compute. Values of different orders are not shared: F_0 from
+a recursion started at m_max = 2 can differ in the last bit from F_0 at
+m_max = 0.
+
+Bit identity matters because a split degenerate shell (the shipped CO2 window)
 turns a 1e-16 change in the integrals into a milli-Hartree change in the
 correlation energy.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby, product
 from typing import List
 
 import numpy as np
@@ -153,17 +167,24 @@ def hermite_coefficients(i: int, j: int, a, b, ab: float) -> np.ndarray:
     return E[i, j, : i + j + 1]
 
 
-def _hermite_coulomb(tmax: int, umax: int, vmax: int, p, PC) -> np.ndarray:
+def _boys_argument(p, PC) -> np.ndarray:
+    """x = p |PC|^2 per row, the argument of the Boys function in R_{tuv}."""
+    return p * np.einsum("ki,ki->k", PC, PC)
+
+
+def _hermite_coulomb(tmax: int, umax: int, vmax: int, p, PC,
+                     F=None) -> np.ndarray:
     """Hermite Coulomb tensor R_{tuv}(p, PC), vectorized over a leading axis.
 
-    `p` has shape (k,), `PC` shape (k, 3). Returns (tmax+1, umax+1, vmax+1, k).
+    `p` has shape (k,), `PC` shape (k, 3). `F`, if given, holds
+    boys(tmax + umax + vmax, _boys_argument(p, PC)) and is overwritten;
+    otherwise it is evaluated here. Returns (tmax+1, umax+1, vmax+1, k).
     """
     p = np.asarray(p, dtype=float)
     PC = np.asarray(PC, dtype=float)
     k = p.shape[0]
     n_tot = tmax + umax + vmax
-    r2 = np.einsum("ki,ki->k", PC, PC)
-    base = boys(n_tot, p * r2)                   # (n_tot+1, k)
+    base = boys(n_tot, _boys_argument(p, PC)) if F is None else F
     minus_2p = -2.0 * p
     scale = np.ones_like(p)
     for n in range(n_tot + 1):
@@ -283,6 +304,9 @@ class _PairClass:
                        for axis in ("Ex", "Ey", "Ez"))         # (n, K, t)
         self.overlap = np.stack([pair.overlap for pair in pairs])  # (n, K)
         self.kinetic = np.stack([pair.kinetic for pair in pairs])  # (n, K)
+        # total angular momentum la + lb: (bra|ket) needs Boys orders up to
+        # bra.order + ket.order
+        self.order = sum(E.shape[2] - 1 for E in self.E)
 
 
 def _pair_classes(pairs: List[_PairData]):
@@ -311,8 +335,9 @@ def _nuclear_attraction(cls: _PairClass, coords: np.ndarray,
     acc = np.zeros(shape)
     for t in range(tmax + 1):
         for u in range(umax + 1):
+            ExEy = Ex[..., t] * Ey[..., u]
             for v in range(vmax + 1):
-                acc += Ex[..., t] * Ey[..., u] * Ez[..., v] * R[t, u, v]
+                acc += ExEy * Ez[..., v] * R[t, u, v]
     # np.sum over each (pair, nucleus) row of primitive pairs, then the
     # nuclei added in input order
     per_nucleus = np.sum(cls.coeff[:, None] * (2.0 * np.pi / cls.p[:, None])
@@ -320,9 +345,37 @@ def _nuclear_attraction(cls: _PairClass, coords: np.ndarray,
     return _sequential_sum(-charges * per_nucleus)
 
 
-def _eri_batch(bra: _PairClass, ket: _PairClass,
-               rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(bra[rows[q]] | ket[cols[q]]) for every quartet q of one class pair."""
+class _SharedBoys:
+    """Boys values of one order, evaluated once per shell-pair quartet.
+
+    A quartet's key names its (bra shell pair, ket shell pair). Quartets of
+    one key share their row of Boys arguments bit for bit, so a row is
+    evaluated the first time its key is met and gathered after that.
+    """
+
+    def __init__(self, n_tot: int, per_quartet: int, n_keys: int):
+        self.n_tot = n_tot
+        self.slot = np.full(n_keys, -1)     # key -> row of `values`
+        self.values = np.empty((n_tot + 1, 0, per_quartet))
+
+    def __call__(self, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """boys(n_tot, x) for one batch; `x` holds one row of primitive
+        quartets per quartet, and `keys` each quartet's key."""
+        x = x.reshape(keys.size, -1)
+        missing = np.flatnonzero(self.slot[keys] < 0)
+        if missing.size:
+            new, first = np.unique(keys[missing], return_index=True)
+            self.slot[new] = self.values.shape[1] + np.arange(new.size)
+            fresh = boys(self.n_tot, x[missing[first]])
+            self.values = np.concatenate((self.values, fresh), axis=1)
+        return self.values[:, self.slot[keys]].reshape(self.n_tot + 1, -1)
+
+
+def _eri_batch(bra: _PairClass, ket: _PairClass, rows: np.ndarray,
+               cols: np.ndarray, keys: np.ndarray,
+               shared: _SharedBoys) -> np.ndarray:
+    """(bra[rows[q]] | ket[cols[q]]) for every quartet q of one class pair,
+    with the Boys values of quartet q gathered by its key, keys[q]."""
     p = bra.p[rows]
     q = ket.p[cols]
     m, kb = p.shape
@@ -330,40 +383,59 @@ def _eri_batch(bra: _PairClass, ket: _PairClass,
     pq = p[:, :, None] * q[:, None, :]
     psum = p[:, :, None] + q[:, None, :]
     alpha = (pq / psum).ravel()
+    # the prefactor first, so that pq and psum are freed before the batch's
+    # largest arrays are built
+    pref = 2.0 * np.pi ** 2.5 / (pq * np.sqrt(psum))
+    del pq, psum
     PQ = (bra.P[rows][:, :, None, :] - ket.P[cols][:, None, :, :]).reshape(-1, 3)
 
     Gx, Gy, Gz = (_signed_convolution(Eb[rows], Ek[cols])
                   for Eb, Ek in zip(bra.E, ket.E))
     sx, sy, sz = Gx.shape[0], Gy.shape[0], Gz.shape[0]
-    R = _hermite_coulomb(sx - 1, sy - 1, sz - 1, alpha, PQ)
+    F = shared(keys, _boys_argument(alpha, PQ))
+    R = _hermite_coulomb(sx - 1, sy - 1, sz - 1, alpha, PQ, F)
     R = R.reshape(sx, sy, sz, m, kb, kk)
 
     acc = np.zeros((m, kb, kk))
     for s1 in range(sx):
         for s2 in range(sy):
+            GxGy = Gx[s1] * Gy[s2]
             for s3 in range(sz):
-                acc += Gx[s1] * Gy[s2] * Gz[s3] * R[s1, s2, s3]
+                acc += GxGy * Gz[s3] * R[s1, s2, s3]
 
-    pref = 2.0 * np.pi ** 2.5 / (pq * np.sqrt(psum))
     weights = bra.coeff[rows][:, :, None] * ket.coeff[cols][:, None, :]
     return np.sum((weights * pref * acc).reshape(m, kb * kk), axis=1)
 
 
-def _eri_table(classes, n_pairs: int) -> np.ndarray:
+def _eri_table(classes, shell_pair: np.ndarray) -> np.ndarray:
     """(bra|ket) for every two pairs, as a symmetric (pairs x pairs) table.
 
     Each canonical quartet (ket index <= bra index) is computed once, in
-    one batch per (bra class, ket class), and mirrored.
+    one batch per (bra class, ket class), and mirrored. `shell_pair` holds
+    each pair's shell pair index, from 0. Class pairs run grouped by Boys
+    order and primitive count, and each group shares its Boys values per
+    shell-pair quartet through a _SharedBoys that lives for the group only
+    (a table for the whole call would hold every order's values at once).
     """
+    n_pairs = shell_pair.size
+    n_shell_pairs = int(shell_pair.max()) + 1
     table = np.zeros((n_pairs, n_pairs))
-    for bra_index, bra in classes:
-        for ket_index, ket in classes:
+
+    def group(class_pair):
+        (_, bra), (_, ket) = class_pair
+        return bra.order + ket.order, bra.p.shape[1] * ket.p.shape[1]
+
+    class_pairs = sorted(product(classes, repeat=2), key=group)
+    for (n_tot, per_quartet), members in groupby(class_pairs, key=group):
+        shared = _SharedBoys(n_tot, per_quartet, n_shell_pairs ** 2)
+        step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // per_quartet)
+        for (bra_index, bra), (ket_index, ket) in members:
             rows, cols = np.nonzero(ket_index[None, :] <= bra_index[:, None])
-            per_quartet = bra.p.shape[1] * ket.p.shape[1]
-            step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // per_quartet)
             for lo in range(0, rows.size, step):
                 r, c = rows[lo:lo + step], cols[lo:lo + step]
-                vals = _eri_batch(bra, ket, r, c)
+                keys = (shell_pair[bra_index[r]] * n_shell_pairs
+                        + shell_pair[ket_index[c]])
+                vals = _eri_batch(bra, ket, r, c, keys, shared)
                 table[bra_index[r], ket_index[c]] = vals
                 table[ket_index[c], bra_index[r]] = vals
     return table
@@ -411,7 +483,14 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
         t[index] = _sequential_sum(cls.kinetic)
         v[index] = _nuclear_attraction(cls, coords, charges)
 
-    table = _eri_table(classes, len(pairs))
+    # a shell is a function's (center, exponents): an sp shell's 2s and 2p
+    # share it, and with it every primitive pair's p and P
+    shells = {}
+    shell = np.array([shells.setdefault(
+        (f.center.tobytes(), f.alphas.tobytes()), len(shells)) for f in funcs])
+    _, shell_pair = np.unique(shell[rows] * len(shells) + shell[cols],
+                              return_inverse=True)
+    table = _eri_table(classes, shell_pair)
     eri = table[pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
     return IntegralSet(overlap=s[pair_of], kinetic=t[pair_of],

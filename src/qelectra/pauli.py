@@ -41,15 +41,12 @@ I_POWERS = (1, 1j, -1, -1j)
 
 
 def bit_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry (values must be < 2**63).
+    """Parity of the set bits of each entry (values in [0, 2**63)).
 
     With values = b & z this is the exponent of the sign (-1)^{|z & b|}
     that Z^z puts on basis state b.
     """
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(np.int8)
+    return (np.bitwise_count(values) & 1).astype(np.int8)
 
 
 class MappingKind(Enum):

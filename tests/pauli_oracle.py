@@ -16,6 +16,9 @@ rotations with the same X-mask) and its gathered signs, so `run` only
 gathers and multiplies and is bit-identical to applying the rotations one
 by one with `apply_pauli_exponential`. `adjoint_gradient` walks them
 backwards (Jones & Gacon, arXiv:2009.02823).
+
+`bit_parity_by_folds` is the shift-and-xor parity `pauli.bit_parity` is
+checked against.
 """
 
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -29,6 +32,15 @@ from qelectra.simulator import StateVector
 from qelectra.vqe import Excitation, UccsdAnsatz
 
 Masks = Tuple[int, int]
+
+
+def bit_parity_by_folds(values: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry in [0, 2**63), by folding the
+    64 bits onto the lowest one: the oracle of `pauli.bit_parity`."""
+    v = values.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return (v & 1).astype(np.int8)
 
 
 def encode_occupation(kind: MappingKind, occupied: Iterable[int],

@@ -3,6 +3,7 @@ oracle, matrix symmetries, agreement with brute-force quadrature, and the
 batched integrals against pair-by-pair and quartet-by-quartet oracles, byte
 for byte."""
 
+import tracemalloc
 from collections import Counter, defaultdict
 
 import mpmath
@@ -167,6 +168,13 @@ def test_batched_eri_is_bit_identical_to_quartet_loop(key):
             == eri_quartet_by_quartet(molecule).tobytes())
 
 
+@pytest.mark.parametrize("r", LIH_SCAN)
+def test_batched_eri_is_bit_identical_on_the_lih_scan(r):
+    molecule = diatomic_geometry(("Li", "H"), r)
+    assert (compute_integrals(molecule).eri.tobytes()
+            == eri_quartet_by_quartet(molecule).tobytes())
+
+
 _LIGHT = ["H", "He"]
 _HEAVY = ["Li", "Be", "B", "C", "N", "O", "F"]
 _COORD = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -251,3 +259,48 @@ def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
 
     primitive_pairs = sum(fa.alphas.size * fb.alphas.size for fa, fb in pairs)
     assert calls["hermite_coefficients"] == 6 * len(pairs) < primitive_pairs
+
+
+def test_co2_boys_values_are_evaluated_once_per_order_and_shell_pair_quartet(
+        monkeypatch):
+    """The ERIs evaluate F_m(x) once per (Boys order, bra shell pair, ket
+    shell pair), a shell being a function's center and exponents: an sp
+    shell's 2s and 2p share them, and so share every Boys argument. On CO2
+    that is 759 keys of 81 primitive quartets, where every quartet on its
+    own evaluated 7,260 x 81; the series took 507,716 elements then."""
+    elements = Counter()
+    for name in ("boys", "_boys_series"):
+        def counted(m_max, x, _name=name, _original=getattr(integrals, name)):
+            elements[_name] += np.size(x)
+            return _original(m_max, x)
+        monkeypatch.setattr(integrals, name, counted)
+    molecule = shipped_geometry("co2")
+    compute_integrals(molecule)
+
+    funcs = load_basis(molecule)
+    assert {f.alphas.size for f in funcs} == {3}
+    shell = [(f.center.tobytes(), f.alphas.tobytes()) for f in funcs]
+    pairs = [(i, j) for i in range(len(funcs)) for j in range(i + 1)]
+    keys = {(sum(sum(funcs[f].powers) for f in bra + ket),
+             *(shell[f] for f in bra + ket))
+            for index, bra in enumerate(pairs) for ket in pairs[:index + 1]}
+    assert len(keys) == 759
+    # the nuclear attraction: one element per nucleus and primitive pair
+    nuclear = len(molecule.atoms) * 9 * len(pairs)
+    assert elements["boys"] == 81 * len(keys) + nuclear
+    # the rest lie at x >= 35, on the asymptotic form
+    assert elements["_boys_series"] == 49_338
+
+
+def test_co2_integrals_peak_below_four_megabytes():
+    # 3.8 MB with every batch evaluating its own Boys values; 3.7 MB with
+    # them shared per Boys order and the ERI prefactor built before the
+    # batch's largest arrays (4.05 MB with it built after them)
+    molecule = shipped_geometry("co2")
+    tracemalloc.start()
+    try:
+        compute_integrals(molecule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

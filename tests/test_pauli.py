@@ -15,6 +15,7 @@ from qelectra.pauli import (
     MappingKind,
     PauliSum,
     anticommutation_check,
+    bit_parity,
     decode_states,
     ladder_image,
     map_fermion,
@@ -22,7 +23,7 @@ from qelectra.pauli import (
     sector_basis,
 )
 from qelectra.pipeline import SHIPPED_MOLECULES
-from pauli_oracle import encode_occupation, letters
+from pauli_oracle import bit_parity_by_folds, encode_occupation, letters
 from test_fermion import bitwise, dense_annihilator
 
 I2 = np.eye(2, dtype=complex)
@@ -453,6 +454,17 @@ def test_mapping_from_name_aliases():
         mapping_from_name("binary_code")
     with pytest.raises(ValueError, match="unknown mapping"):
         mapping_from_name("steane")
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.sampled_from([0, 1, 2 ** 62, 2 ** 63 - 1]),
+                          st.integers(0, 2 ** 63 - 1)), max_size=64))
+def test_bit_parity_matches_the_bit_folds(values):
+    values = np.array(values + [0, 2 ** 63 - 1], dtype=np.int64)
+    got = bit_parity(values)
+    assert got.dtype == np.int8
+    assert got.tobytes() == bit_parity_by_folds(values).tobytes()
+    assert got.tolist() == [bin(v).count("1") % 2 for v in values.tolist()]
 
 
 # ---- (N, S_z) sectors ---------------------------------------------------------
