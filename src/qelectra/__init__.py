@@ -9,16 +9,14 @@ cross-checking oracle.
 __version__ = "0.1.0"
 
 from .basis import ContractedGaussian, load_basis
-from .fcidump import read_fcidump, write_fcidump
+from .fcidump import write_fcidump
 from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
                       build_hamiltonian, mo_spatial_integrals,
-                      number_operator, spatial_active_space, sz_operator,
-                      to_spin_orbitals)
+                      spatial_active_space, to_spin_orbitals)
 from .integrals import IntegralSet, boys, compute_integrals
 from .molecule import Atom, Molecule, from_atom_list, load_xyz
 from .oracle import exact_ground_energy, lowest_eigenvalues, pauli_to_sparse
-from .pauli import (MappingKind, PauliSum, anticommutation_check,
-                    ladder_image, map_fermion, mapping_from_name,
+from .pauli import (MappingKind, PauliSum, map_fermion, mapping_from_name,
                     sector_basis)
 from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
@@ -32,13 +30,11 @@ __all__ = [
     "ContractedGaussian", "FermionOperator", "IntegralSet", "MappingKind",
     "Molecule", "OptimizerConfig", "PauliSum", "ScfResult",
     "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz", "VqeResult",
-    "__version__", "ansatz_circuit", "anticommutation_check",
-    "assemble", "boys", "build_hamiltonian", "build_uccsd",
-    "compute_integrals", "diatomic_geometry",
-    "exact_ground_energy", "from_atom_list", "ladder_image",
+    "__version__", "ansatz_circuit", "assemble", "boys",
+    "build_hamiltonian", "build_uccsd", "compute_integrals",
+    "diatomic_geometry", "exact_ground_energy", "from_atom_list",
     "load_basis", "load_xyz", "lowest_eigenvalues", "map_fermion",
-    "mapping_from_name", "mo_spatial_integrals", "number_operator",
-    "pauli_to_sparse", "read_fcidump", "run_rhf", "run_vqe", "sector_basis",
-    "shipped_geometry", "spatial_active_space", "sz_operator",
-    "to_spin_orbitals", "write_fcidump",
+    "mapping_from_name", "mo_spatial_integrals", "pauli_to_sparse",
+    "run_rhf", "run_vqe", "sector_basis", "shipped_geometry",
+    "spatial_active_space", "to_spin_orbitals", "write_fcidump",
 ]

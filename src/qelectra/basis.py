@@ -138,9 +138,6 @@ class ContractedGaussian:
     alphas: np.ndarray               # primitive exponents
     coeffs: np.ndarray               # fully normalized contraction coefficients
 
-    def self_overlap(self) -> float:
-        return _contracted_self_overlap(self.alphas, self.coeffs, self.powers)
-
     def __call__(self, x, y, z):
         """Evaluate the function on arrays of coordinates (Bohr)."""
         dx = x - self.center[0]

@@ -75,12 +75,6 @@ class ComparisonReport:
     results: List[MethodResult] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
-    def result(self, method: str) -> Optional[MethodResult]:
-        for row in self.results:
-            if row.method == method:
-                return row
-        return None
-
     @property
     def all_converged(self) -> bool:
         return all(row.converged for row in self.results)
@@ -174,6 +168,8 @@ def scan(spec: RunSpec, start: float, stop: float,
                          f"{spec.molecule.n_atoms} atoms")
     if steps < 1:
         raise ValueError("scan needs at least one step")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"--scan bounds must be finite; got {start}, {stop}")
     if start <= 0 or stop <= 0:
         raise ValueError("bond lengths must be positive")
     symbols = (spec.molecule.atoms[0].symbol, spec.molecule.atoms[1].symbol)

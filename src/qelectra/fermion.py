@@ -161,22 +161,3 @@ def build_hamiltonian(so: SpinOrbitalIntegrals) -> FermionOperator:
                zip(s.tolist(), repeat(0)), zip(r.tolist(), repeat(0)))
     op.terms.update(zip(keys, map(complex, half_g[p, q, r, s].tolist())))
     return op
-
-
-def number_operator(n_modes: int) -> FermionOperator:
-    """Total particle number, sum of a_p^ a_p over all modes."""
-    op = FermionOperator()
-    for p in range(n_modes):
-        op.add_term(((p, 1), (p, 0)), 1.0)
-    return op
-
-
-def sz_operator(n_modes: int) -> FermionOperator:
-    """Spin projection S_z for the interleaved even-alpha, odd-beta layout."""
-    if n_modes % 2 != 0:
-        raise ValueError("spin layout needs an even number of modes")
-    op = FermionOperator()
-    for p in range(0, n_modes, 2):
-        op.add_term(((p, 1), (p, 0)), 0.5)
-        op.add_term(((p + 1, 1), (p + 1, 0)), -0.5)
-    return op

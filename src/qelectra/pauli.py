@@ -4,21 +4,24 @@ A `PauliSum` is the one qubit-operator form: it keys each Pauli string by
 its symplectic masks (x, z), qubit k at bit k, and keeps the coefficient of
 the Hermitian letters-operator (the one with literal Y matrices), which is
 i^{|x & z|} X^x Z^z because Y = i X Z on one qubit. A sum is Hermitian
-exactly when every coefficient is real, and a single string is a one-term
-sum. Products follow (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^{|z1 & x2|} X^x Z^z
-with x = x1 ^ x2, z = z1 ^ z2; `I_POWERS` is the one table of the phases.
+exactly when every coefficient is real. Strings multiply as
+(X^x1 Z^z1)(X^x2 Z^z2) = (-1)^{|z1 & x2|} X^x Z^z with x = x1 ^ x2,
+z = z1 ^ z2; `I_POWERS` is the one table of the phases.
 
 Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
 Richard & Love, arXiv:1208.5986): qubit q stores the parity of the modes in
 row q. Ladder images, encoded states and their decoding all come from
-those rows: `map_fermion` multiplies ladder images as bit operations on
-their masks, `sector_basis` lists one (N, S_z) sector by forward
-enumeration, and `decode_states` reads occupations back by
-back-substitution. A binary-code style transformation is out of scope and
+those rows. The image of a_j^ is (X-like - i Y-like)/2 and that of a_j its
+conjugate: both strings flip the qubits whose row holds mode j, and their
+Z-masks read the parity of the modes below j (X-like) or up to and
+including j (Y-like). `map_fermion` multiplies these images as bit
+operations on their masks, `sector_basis` lists one (N, S_z) sector by
+forward enumeration, and `decode_states` reads occupations back by
+back-substitution. `tests/pauli_oracle.py` keeps the images and their
+product as whole sums, the oracle `map_fermion` is checked against bit
+for bit. A binary-code style transformation is out of scope and
 requesting one raises immediately.
-
-In a letters string, character k acts on qubit k.
 """
 
 import itertools
@@ -35,7 +38,6 @@ DEFAULT_PRUNE_THRESHOLD = 1e-12
 # largest imaginary coefficient a Hermitian sum may carry
 HERMITIAN_TOL = 1e-10
 
-_BITS_FOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 # I_POWERS[p] is i**p
 I_POWERS = (1, 1j, -1, -1j)
 
@@ -85,87 +87,23 @@ class PauliSum:
         self.n_qubits = n_qubits
         self._data: Dict[Tuple[int, int], complex] = dict(data) if data else {}
 
-    # ---- construction ----------------------------------------------------
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): coeff})
-
-    def _key(self, letters: str) -> Tuple[int, int]:
-        """(x, z) masks of a letters string on this register."""
-        if len(letters) != self.n_qubits:
-            raise ValueError("register size mismatch")
-        x = z = 0
-        for k, ch in enumerate(letters):
-            try:
-                bx, bz = _BITS_FOR[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r}") from None
-            x |= bx << k
-            z |= bz << k
-        return x, z
-
-    def add_term(self, letters: str, coeff: complex = 1.0) -> None:
-        """Add `coeff` times the letters-operator."""
-        key = self._key(letters)
-        self._data[key] = self._data.get(key, 0.0) + coeff
-
-    # ---- inspection --------------------------------------------------------
     def __len__(self) -> int:
         return len(self._data)
 
     def items(self) -> Iterable[Tuple[Tuple[int, int], complex]]:
         return self._data.items()
 
-    def coefficient(self, letters: str) -> complex:
-        return self._data.get(self._key(letters), 0.0)
-
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) <= HERMITIAN_TOL for c in self._data.values())
 
-    def norm_l1(self) -> float:
-        return sum(abs(c) for c in self._data.values())
-
-    # ---- algebra -----------------------------------------------------------
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("register size mismatch")
-        data = dict(self._data)
-        for k, c in other._data.items():
-            data[k] = data.get(k, 0.0) + c
-        return PauliSum(self.n_qubits, data)
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return PauliSum(self.n_qubits,
-                            {k: c * other for k, c in self._data.items()})
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("register size mismatch")
-        data: Dict[Tuple[int, int], complex] = {}
-        for (x1, z1), c1 in self._data.items():
-            y1 = (x1 & z1).bit_count()
-            for (x2, z2), c2 in other._data.items():
-                y2 = (x2 & z2).bit_count()
-                x3 = x1 ^ x2
-                z3 = z1 ^ z2
-                y3 = (x3 & z3).bit_count()
-                power = (y1 + y2 - y3 + 2 * (z1 & x2).bit_count()) % 4
-                key = (x3, z3)
-                data[key] = data.get(key, 0.0) + c1 * c2 * I_POWERS[power]
-        return PauliSum(self.n_qubits, data)
-
-    __rmul__ = __mul__
-
-    def simplify(self, threshold: float = DEFAULT_PRUNE_THRESHOLD) -> "PauliSum":
-        """Drop terms with |coefficient| <= threshold."""
+    def simplify(self) -> "PauliSum":
+        """Drop terms with |coefficient| <= DEFAULT_PRUNE_THRESHOLD."""
         return PauliSum(self.n_qubits,
                         {k: c for k, c in self._data.items()
-                         if abs(c) > threshold})
+                         if abs(c) > DEFAULT_PRUNE_THRESHOLD})
 
 
-# ---- GF(2) encodings and ladder-operator images ------------------------------
+# ---- GF(2) encodings and ladder-operator masks -------------------------------
 
 def _encoding(kind: MappingKind, n_modes: int) -> List[int]:
     """Row masks of a mapping's encoding matrix over GF(2).
@@ -225,23 +163,6 @@ def _mode_masks(kind: MappingKind,
     below = list(itertools.accumulate(occ, operator.xor, initial=0))
     return ([_flip_mask(rows, m) for m in range(n_modes)], below[:n_modes],
             occ)
-
-
-def ladder_image(kind: MappingKind, index: int, dagger: bool,
-                 n_modes: int) -> PauliSum:
-    """Qubit image of a single creation or annihilation operator.
-
-    Both branches are (X-like - i Y-like)/2 for a_i^ and the conjugate for
-    a_i. X flips the qubits that store mode i; Z reads the parity of the
-    modes below i (X-like) or up to and including i (Y-like).
-    """
-    if not 0 <= index < n_modes:
-        raise ValueError(f"mode index {index} outside register of {n_modes}")
-    flip, below, occ = (masks[index] for masks in _mode_masks(kind, n_modes))
-    # complex() keeps the real part +0.0, where the literal -0.5j has -0.0
-    y_like = complex(0.0, -0.5 if dagger else 0.5)
-    return PauliSum(n_modes, {(flip, below): 0.5,
-                              (flip, below ^ occ): y_like})
 
 
 # widest register `map_fermion` takes: it packs each string's masks into
@@ -373,7 +294,8 @@ def map_fermion(op: FermionOperator, kind: MappingKind,
     dropping terms at or below DEFAULT_PRUNE_THRESHOLD.
 
     Bit for bit the sum, in term order, of each coefficient times the
-    product of its term's `ladder_image`s under `PauliSum.__mul__`: a
+    product of its term's ladder images, multiplied string by string by
+    the product law above (the oracle in `tests/pauli_oracle.py`): a
     term's image is exact in units of 2^-k, it is multiplied by the
     coefficient as Python multiplies complex numbers, and each string
     adds its terms from 0.0 in term order. Strings keep the order in
@@ -414,28 +336,6 @@ def map_fermion(op: FermionOperator, kind: MappingKind,
                 (strings & ((1 << n_modes) - 1)).tolist())
     return PauliSum(n_modes, dict(zip(pairs, map(
         complex, real.tolist(), imag.tolist())))).simplify()
-
-
-def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
-    """Largest violation of the canonical anticommutation relations.
-
-    Checks {a_i, a_j^} = delta_ij, {a_i, a_j} = 0 and {a_i^, a_j^} = 0 for
-    all pairs, measured as the l1 norm of the residual operator.
-    """
-    worst = 0.0
-    lower = [ladder_image(kind, i, False, n_modes) for i in range(n_modes)]
-    raise_ = [ladder_image(kind, i, True, n_modes) for i in range(n_modes)]
-    for i in range(n_modes):
-        for j in range(n_modes):
-            d1 = lower[i] * raise_[j] + raise_[j] * lower[i]
-            if i == j:
-                d1 = d1 - PauliSum.identity(n_modes)
-            worst = max(worst, d1.simplify(0.0).norm_l1())
-            d2 = lower[i] * lower[j] + lower[j] * lower[i]
-            worst = max(worst, d2.simplify(0.0).norm_l1())
-            d3 = raise_[i] * raise_[j] + raise_[j] * raise_[i]
-            worst = max(worst, d3.simplify(0.0).norm_l1())
-    return worst
 
 
 def decode_states(kind: MappingKind, n_modes: int,

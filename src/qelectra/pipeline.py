@@ -146,10 +146,6 @@ class AssembledSystem:
     def n_qubits(self) -> int:
         return self.spin_orbitals.n_orbitals
 
-    @property
-    def e_hf(self) -> float:
-        return self.scf.e_total
-
     @cached_property
     def sector(self) -> np.ndarray:
         """Encoded determinants of the closed-shell (N, S_z = 0) sector.

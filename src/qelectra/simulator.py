@@ -4,14 +4,15 @@ Basis states use little-endian convention: computational index b has qubit
 k in bit k of b. The register is capped at 24 qubits, above which the
 amplitude array alone would pass two gigabytes.
 
-Pauli application never builds a matrix. In the symplectic picture
+No Pauli string becomes a matrix. In the symplectic picture
 (X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so the string with masks (x, z)
-acts as one permutation of the amplitude array plus a sign mask, with
-bit-parity evaluated by folding, times the phase i^{|x & z|} of its
-letters-operator. A `StateVector` serves shot-sampled energies
-(`sampled_expectation`) and, through `expectation`, which sums a
-`PauliSum` term by term over the whole register, the reference the sector
-route is checked against.
+acts as one permutation of the amplitude array plus a sign per basis
+state, times the phase i^{|x & z|} of its letters-operator;
+`expectation` sums <psi|P|psi> that way, term by term over the whole
+register, and is the reference the sector route is checked against. A
+`StateVector` also serves shot-sampled energies (`sampled_expectation`).
+The action of one string on a state is kept in `tests/pauli_oracle.py`,
+where the Pauli-rotation circuit applies it.
 
 A `Circuit` never holds the register. It is a real program over the
 amplitudes of one sector (for UCCSD, the determinants of one (N, S_z)
@@ -59,20 +60,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.data)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    # ---- Pauli action --------------------------------------------------------
-    def apply_pauli(self, x: int, z: int) -> None:
-        """Apply the letters-operator with masks (x, z)."""
-        if (x | z) >> self.n_qubits:
-            raise ValueError("Pauli masks reach outside the register")
-        idx = np.arange(self.data.size, dtype=np.int64)
-        signs = 1.0 - 2.0 * bit_parity(idx & z)
-        out = np.empty_like(self.data)
-        out[idx ^ x] = signs * self.data
-        self.data = out * I_POWERS[(x & z).bit_count() % 4]
 
     def apply_single_qubit(self, qubit: int, gate: np.ndarray) -> None:
         step = 1 << qubit

@@ -1,4 +1,16 @@
-"""Independent oracle for the UCCSD state: Pauli rotations on the register.
+"""Pauli strings by letters, their algebra, and the Pauli-rotation oracle
+of the UCCSD state.
+
+The package reads a Pauli string only as its masks (x, z), standing for
+its Hermitian letters-operator, character k of the letters on qubit k;
+`letters` and `masks` convert between the two, and `pauli_sum` writes a
+`PauliSum` by letters. `add` and `product` combine two sums string by
+string, and `ladder_image` is the qubit image of one ladder operator as a
+two-string sum: the term-by-term products of ladder images are the
+oracle `map_fermion` must match bit for bit, and `anticommutation_check`
+measures the canonical relations on them. `number_operator` and
+`sz_operator` are the symmetry operators the mapped sectors are checked
+with.
 
 The package runs each excitation exp(theta (T - T^)) as real rotations of
 the determinant pairs it couples, inside one (N, S_z) sector. This module
@@ -9,13 +21,13 @@ the strings of one generator commute pairwise), and the rotations act on
 the complex amplitudes of the whole 2^n register. It shares no code with
 the sector route beyond the mapping itself.
 
-A Pauli string is a pair of masks (x, z) standing for its Hermitian
-letters-operator, as in a `PauliSum` key. `PauliCircuit` compiles the
-rotations once: each keeps the gather vector b ^ x (shared by the
-rotations with the same X-mask) and its gathered signs, so `run` only
-gathers and multiplies and is bit-identical to applying the rotations one
-by one with `apply_pauli_exponential`. `adjoint_gradient` walks them
-backwards (Jones & Gacon, arXiv:2009.02823).
+`pauli_action` is the action of one string on the register, a gather
+vector b ^ x, its gathered signs and the letters phase; `apply_pauli`
+applies it. `PauliCircuit` compiles the rotations once into those
+actions, so `run` only gathers and multiplies and is bit-identical to
+applying the rotations one by one with `apply_pauli_exponential`.
+`adjoint_gradient` walks them backwards (Jones & Gacon,
+arXiv:2009.02823).
 
 `bit_parity_by_folds` is the shift-and-xor parity `pauli.bit_parity` is
 checked against.
@@ -26,8 +38,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from qelectra.fermion import FermionOperator
-from qelectra.pauli import (I_POWERS, MappingKind, _encoding, bit_parity,
-                            map_fermion)
+from qelectra.pauli import (I_POWERS, MappingKind, PauliSum, _encoding,
+                            _mode_masks, bit_parity, map_fermion)
 from qelectra.simulator import StateVector
 from qelectra.vqe import Excitation, UccsdAnsatz
 
@@ -69,20 +81,159 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     return state
 
 
+# ---- Pauli strings by letters, and their algebra ----------------------------
+
+_LETTERS = "IXZY"   # index x_k | z_k << 1
+
+
 def letters(n_qubits: int, x: int, z: int) -> str:
     """The letters of masks (x, z), character k for qubit k."""
-    return "".join("IXZY"[(x >> k) & 1 | ((z >> k) & 1) << 1]
+    return "".join(_LETTERS[(x >> k) & 1 | ((z >> k) & 1) << 1]
                    for k in range(n_qubits))
+
+
+def masks(word: str) -> Masks:
+    """The masks (x, z) of a letters string: the inverse of `letters`."""
+    x = z = 0
+    for k, ch in enumerate(word):
+        if ch not in _LETTERS:
+            raise ValueError(f"invalid Pauli letter {ch!r}")
+        code = _LETTERS.index(ch)
+        x |= (code & 1) << k
+        z |= (code >> 1) << k
+    return x, z
+
+
+def pauli_sum(n_qubits: int,
+              terms: Iterable[Tuple[str, complex]] = ()) -> PauliSum:
+    """The sum of coeff times the letters-operator of each (letters, coeff)
+    pair, added in order to a running total per string."""
+    data: Dict[Masks, complex] = {}
+    for word, coeff in terms:
+        if len(word) != n_qubits:
+            raise ValueError("register size mismatch")
+        key = masks(word)
+        data[key] = data.get(key, 0.0) + coeff
+    return PauliSum(n_qubits, data)
+
+
+def add(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:
+    """a + scale * b: each string of b adds scale times its coefficient to
+    its total in a, in b's order."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("register size mismatch")
+    data = dict(a.items())
+    for key, c in b.items():
+        data[key] = data.get(key, 0.0) + scale * c
+    return PauliSum(a.n_qubits, data)
+
+
+def product(a: PauliSum, b: PauliSum) -> PauliSum:
+    """The operator product a b, string by string in the order of a's
+    strings, then b's: X^x Z^z carries the letters phase i^{|x & z|}, and
+    (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^{|z1 & x2|} X^(x1 ^ x2) Z^(z1 ^ z2)."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("register size mismatch")
+    data: Dict[Masks, complex] = {}
+    for (x1, z1), c1 in a.items():
+        y1 = (x1 & z1).bit_count()
+        for (x2, z2), c2 in b.items():
+            y2 = (x2 & z2).bit_count()
+            x3 = x1 ^ x2
+            z3 = z1 ^ z2
+            y3 = (x3 & z3).bit_count()
+            power = (y1 + y2 - y3 + 2 * (z1 & x2).bit_count()) % 4
+            key = (x3, z3)
+            data[key] = data.get(key, 0.0) + c1 * c2 * I_POWERS[power]
+    return PauliSum(a.n_qubits, data)
+
+
+def ladder_image(kind: MappingKind, index: int, dagger: bool,
+                 n_modes: int) -> PauliSum:
+    """Qubit image of a single creation or annihilation operator.
+
+    Both branches are (X-like - i Y-like)/2 for a_i^ and the conjugate for
+    a_i. X flips the qubits that store mode i; Z reads the parity of the
+    modes below i (X-like) or up to and including i (Y-like).
+    """
+    if not 0 <= index < n_modes:
+        raise ValueError(f"mode index {index} outside register of {n_modes}")
+    flip, below, occ = (per_mode[index]
+                        for per_mode in _mode_masks(kind, n_modes))
+    # complex() keeps the real part +0.0, where the literal -0.5j has -0.0
+    y_like = complex(0.0, -0.5 if dagger else 0.5)
+    return PauliSum(n_modes, {(flip, below): 0.5,
+                              (flip, below ^ occ): y_like})
+
+
+def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
+    """Largest violation of the canonical anticommutation relations.
+
+    Checks {a_i, a_j^} = delta_ij, {a_i, a_j} = 0 and {a_i^, a_j^} = 0 for
+    all pairs, measured as the l1 norm of the residual operator.
+    """
+    def anticommutator(a, b):
+        return add(product(a, b), product(b, a))
+
+    lower = [ladder_image(kind, i, False, n_modes) for i in range(n_modes)]
+    raise_ = [ladder_image(kind, i, True, n_modes) for i in range(n_modes)]
+    identity = PauliSum(n_modes, {(0, 0): 1.0})
+    worst = 0.0
+    for i in range(n_modes):
+        for j in range(n_modes):
+            residuals = [anticommutator(lower[i], raise_[j]),
+                         anticommutator(lower[i], lower[j]),
+                         anticommutator(raise_[i], raise_[j])]
+            if i == j:
+                residuals[0] = add(residuals[0], identity, -1.0)
+            worst = max(worst, *(sum(abs(c) for _, c in residual.items())
+                                 for residual in residuals))
+    return worst
+
+
+def number_operator(n_modes: int) -> FermionOperator:
+    """Total particle number, sum of a_p^ a_p over all modes."""
+    return FermionOperator({((p, 1), (p, 0)): 1.0 for p in range(n_modes)})
+
+
+def sz_operator(n_modes: int) -> FermionOperator:
+    """Spin projection S_z for the interleaved even-alpha, odd-beta layout."""
+    if n_modes % 2 != 0:
+        raise ValueError("spin layout needs an even number of modes")
+    return FermionOperator({((p, 1), (p, 0)): 0.5 - p % 2
+                            for p in range(n_modes)})
+
+
+# ---- Pauli strings on the register ------------------------------------------
+
+def pauli_action(n_qubits: int, x: int, z: int
+                 ) -> Tuple[np.ndarray, np.ndarray, complex]:
+    """The letters-operator P of masks (x, z) on an n-qubit register, as
+    (order, signs, phase) with (P psi)[b] = phase * signs[b] * psi[order[b]].
+
+    (X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so order[b] = b ^ x,
+    signs[b] = (-1)^{|z & (b ^ x)|} as int8 and phase = i^{|x & z|}.
+    """
+    if (x | z) >> n_qubits:
+        raise ValueError("Pauli masks reach outside the register")
+    order = np.arange(1 << n_qubits, dtype=np.int64) ^ x
+    return (order, 1 - 2 * bit_parity(order & z),
+            I_POWERS[(x & z).bit_count() % 4])
+
+
+def apply_pauli(state: StateVector, x: int, z: int) -> np.ndarray:
+    """The amplitudes of P psi for the letters-operator P of masks (x, z)."""
+    order, signs, phase = pauli_action(state.n_qubits, x, z)
+    return (signs * state.data[order]) * phase
 
 
 def apply_pauli_exponential(state: StateVector, x: int, z: int,
                             angle: float) -> None:
     """Apply exp(-i * angle / 2 * P) to `state` for the letters-operator P
     of masks (x, z)."""
-    image = state.copy()
-    image.apply_pauli(x, z)
+    image = apply_pauli(state, x, z)
     half = 0.5 * angle
-    state.data = np.cos(half) * state.data - 1.0j * np.sin(half) * image.data
+    state.data = np.cos(half) * state.data - 1.0j * np.sin(half) * image
 
 
 def excitation_generator(excitation: Excitation) -> FermionOperator:
@@ -130,8 +281,8 @@ def generator_rotations(excitation: Excitation, kind: MappingKind,
     return pairs
 
 
-# One compiled rotation: gather vector b ^ x, gathered signs as int8, phase
-# of the letters-operator, parameter index and scale.
+# One compiled rotation: the `pauli_action` of its string, parameter index
+# and scale.
 _Step = Tuple[np.ndarray, np.ndarray, complex, int, float]
 
 
@@ -155,24 +306,16 @@ class PauliCircuit:
         self.reference = reference
         self.instructions = tuple(instructions)
         self.n_parameters = n_parameters
-        basis = np.arange(1 << n_qubits, dtype=np.int64)
-        gathers: Dict[int, np.ndarray] = {}
-        signs: Dict[Tuple[int, int], np.ndarray] = {}
+        actions: Dict[Masks, Tuple[np.ndarray, np.ndarray, complex]] = {}
         steps: List[_Step] = []
-        for (x, z), param_index, scale in self.instructions:
-            if (x | z) >> n_qubits:
-                raise ValueError("Pauli masks reach outside the register")
+        for string, param_index, scale in self.instructions:
+            if string not in actions:
+                actions[string] = pauli_action(n_qubits, *string)
             if not 0 <= param_index < n_parameters:
                 raise ValueError(
                     f"parameter index {param_index} outside 0.."
                     f"{n_parameters - 1}")
-            if x not in gathers:
-                gathers[x] = basis ^ x
-            if (x, z) not in signs:
-                signs[(x, z)] = 1 - 2 * bit_parity(gathers[x] & z)
-            n_y = (x & z).bit_count()
-            steps.append((gathers[x], signs[(x, z)], I_POWERS[n_y % 4],
-                          param_index, scale))
+            steps.append((*actions[string], param_index, scale))
         self._steps = tuple(steps)
 
     def _angles(self, parameters: Sequence[float]) -> np.ndarray:

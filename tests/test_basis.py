@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qelectra import basis
 from qelectra.basis import load_basis, primitive_norm
 from qelectra.molecule import from_atom_list
 from qelectra.pipeline import shipped_geometry
@@ -26,7 +27,8 @@ def test_function_counts(key, n_funcs):
 def test_contracted_functions_are_normalized():
     funcs = load_basis(shipped_geometry("h2o"))
     for f in funcs:
-        assert f.self_overlap() == pytest.approx(1.0, abs=1e-12)
+        assert basis._contracted_self_overlap(
+            f.alphas, f.coeffs, f.powers) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_primitive_norm_matches_quadrature():

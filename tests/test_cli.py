@@ -10,7 +10,13 @@ import pytest
 
 import qelectra.cli as cli
 from qelectra import oracle, pipeline, vqe
-from qelectra.fcidump import read_fcidump
+from fcidump_oracle import read_fcidump
+
+
+def method_row(report, method):
+    """The one row of `method` in a comparison report."""
+    (row,) = [row for row in report.results if row.method == method]
+    return row
 
 
 def run_cli(capsys, *argv):
@@ -131,7 +137,7 @@ def test_run_spec_with_shots_defaults_to_spsa():
         molecule=cli.load_molecule_argument("h2"), methods=("vqe",),
         shots=64))
     assert report.optimizer == "spsa"
-    assert report.result("vqe").evaluations > 1
+    assert method_row(report, "vqe").evaluations > 1
 
 
 def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
@@ -187,11 +193,11 @@ from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
 from qelectra.pauli import PauliSum
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["--molecule", "h2", "--method", "hf,vqe,fci"])
-# 12 qubits, 4,096 dimensions: above the dense cutoff
-spins = PauliSum(12)
-for q in range(12):
-    spins.add_term("I" * q + "Z" + "I" * (11 - q), 1.0 + q)
-    spins.add_term("I" * q + "X" + "I" * (11 - q), 0.3)
+# 12 qubits, 4,096 dimensions: above the dense cutoff; Z_q and X_q keyed
+# by their masks (x, z)
+spins = PauliSum(12, {key: coeff for q in range(12)
+                      for key, coeff in (((0, 1 << q), 1.0 + q),
+                                         ((1 << q, 0), 0.3))})
 lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)), k=2)
 print(rc, *sorted(name for name in sys.modules
                   if name == "scipy" or name.startswith("scipy.")))
@@ -235,6 +241,19 @@ def test_input_errors_exit_one(capsys, argv, fragment):
     assert code == 1
     assert "error:" in err
     assert fragment in err
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf"])
+def test_non_finite_scan_bounds_exit_one(capsys, recwarn, bound):
+    # refused before the grid is spaced: numpy warns on an infinite span,
+    # and a nan bond length would only fail later, at the geometry
+    code, out, err = run_cli(capsys, "--molecule", "h2",
+                             "--scan", f"{bound},2.0,2")
+    assert code == 1
+    assert out == ""
+    assert "error: --scan bounds must be finite" in err
+    assert "Warning" not in err
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize("method,seed", [("vqe", "-1"), ("hf", "-3")])

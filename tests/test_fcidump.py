@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qelectra.fcidump import read_fcidump, write_fcidump
+from qelectra.fcidump import write_fcidump
 from qelectra.integrals import compute_integrals
 from qelectra.fermion import mo_spatial_integrals
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.scf import run_rhf
+from fcidump_oracle import read_fcidump
 
 
 def lih_mo_integrals():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from qelectra.fermion import (TERM_THRESHOLD, ActiveSpaceSpec,
                               FermionOperator, SpinOrbitalIntegrals,
                               build_hamiltonian, mo_spatial_integrals,
-                              number_operator, spatial_active_space,
-                              sz_operator, to_spin_orbitals)
+                              spatial_active_space, to_spin_orbitals)
 from qelectra.integrals import compute_integrals
 from qelectra.molecule import from_atom_list
 from qelectra.oracle import exact_ground_energy, pauli_to_sparse
@@ -20,6 +19,7 @@ from qelectra.pauli import MappingKind, map_fermion
 from qelectra.pipeline import SHIPPED_MOLECULES, assemble, shipped_geometry
 from qelectra.scf import run_rhf
 from qelectra.simulator import StateVector
+from pauli_oracle import number_operator, sz_operator
 
 
 def dense_annihilator(mode, n_modes):

@@ -4,6 +4,13 @@ function, class and public method it defines is referenced by name in
 reasons, only in `tests/` and by other listed definitions), and every
 dataclass field it declares is read as an attribute in one of the three.
 
+A function or class is referenced by any name or attribute that matches
+it. A method is referenced only by an attribute `obj.name` whose root
+object is not an imported module: a local variable `result` or a call
+`np.linalg.norm` does not use a method `result` or `norm`. The match is
+by name alone, so a method still passes when a same-named method of
+another class is used.
+
 `__init__.py` is exempt: its imports are the package's re-exports, and a
 re-export is not a use. Dunder methods, and methods that override a base
 class's, are called by the language or the base class.
@@ -11,9 +18,12 @@ class's, are called by the language or the base class.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+import qelectra
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qelectra"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
@@ -68,10 +78,37 @@ def definitions(tree):
                     yield item.name, item, node.name
 
 
+def is_module(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:     # a parent that is not a package
+        return False
+
+
+def imported_modules(tree):
+    """Names the tree's imports bind to modules: each `import a.b` binds
+    `a`, and `from p import m` binds `m` when p.m is a module (a relative
+    import is from the package)."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parent = ".".join(filter(None, [
+                "qelectra" if node.level else None, node.module]))
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if is_module(f"{parent}.{alias.name}"))
+    return modules
+
+
 def referenced_names(tree, skip=()):
-    """Names read or attributes accessed anywhere in the tree outside the
-    `skip` nodes."""
-    names = set()
+    """Names read and attributes accessed anywhere in the tree outside the
+    `skip` nodes, as (names, methods): `names` holds every name and
+    attribute, `methods` only the attributes whose root object is not an
+    imported module."""
+    modules = imported_modules(tree)
+    names, methods = set(), set()
     todo = [tree]
     while todo:
         node = todo.pop()
@@ -81,12 +118,20 @@ def referenced_names(tree, skip=()):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                methods.add(node.attr)
         todo.extend(ast.iter_child_nodes(node))
-    return names
+    return names, methods
 
 
 def overrides(module, class_name, name):
-    """Whether the method overrides one of a base class, which calls it."""
+    """Whether the method overrides one of a base class, which calls it;
+    a class outside the package's modules overrides nothing."""
+    if module not in MODULES:
+        return False
     cls = getattr(importlib.import_module(f"qelectra.{module[:-3]}"),
                   class_name)
     return any(hasattr(base, name) for base in cls.__mro__[1:])
@@ -95,17 +140,22 @@ def overrides(module, class_name, name):
 def unreferenced(module, source, others, listed=()):
     """Definitions in `source` that neither it, outside their own
     definition and the `listed` ones, nor any of the `others` trees
-    refers to by name."""
+    refers to: by any name for a function or class, by an attribute of
+    an object that is not an imported module for a method."""
     tree = ast.parse(source)
-    used_elsewhere = set().union(*(referenced_names(t) for t in others))
+    elsewhere = [referenced_names(t) for t in others]
+    names_elsewhere = set().union(*(names for names, _ in elsewhere))
+    methods_elsewhere = set().union(*(methods for _, methods in elsewhere))
     found = list(definitions(tree))
     skipped = [node for name, node, _ in found if name in listed]
     missing = []
     for name, node, owner in found:
         if name.startswith("__") and name.endswith("__"):
             continue
-        if name in used_elsewhere or name in referenced_names(
-                tree, [node, *skipped]):
+        names, methods = referenced_names(tree, [node, *skipped])
+        if owner is None and name in names_elsewhere | names:
+            continue
+        if owner is not None and name in methods_elsewhere | methods:
             continue
         if owner is not None and overrides(module, owner, name):
             continue
@@ -119,6 +169,21 @@ def test_the_check_sees_an_unreferenced_definition():
               "class Thing:\n    def method(self):\n        return used()\n")
     caller = ast.parse("Thing().method()\n")
     assert unreferenced("none.py", source, [caller]) == ["unused"]
+
+
+def test_the_check_sees_a_method_hidden_by_a_name_or_a_module_attribute():
+    source = ("class Vector:\n    def norm(self):\n        return 1.0\n\n"
+              "    def result(self):\n        return 2.0\n\n"
+              "    def scan(self):\n        return 3.0\n\n"
+              "    def size(self):\n        return 4.0\n")
+    caller = ast.parse("import numpy as np\nfrom qelectra import cli\n\n"
+                       "result = np.linalg.norm([3.0, 4.0])\n"
+                       "print(cli.scan, Vector().size)\n")
+    assert unreferenced("none.py", source, [caller]) == [
+        "norm", "result", "scan"]
+    # a function is still used by its name, or as a module's attribute
+    assert unreferenced("none.py", "def norm():\n    return 1.0\n",
+                        [caller]) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -135,22 +200,7 @@ TESTS = ROOT / "tests"
 # definitions that only `tests/` refers to, by module, each with the reason
 # it stays in the package
 TEST_ONLY = {
-    "basis.py": {
-        "self_overlap": "checks each contraction's normalization"},
-    "fcidump.py": {
-        "read_fcidump": "checks that a written FCIDUMP reads back"},
-    "fermion.py": {
-        "number_operator": "checks the particle number of mapped sectors",
-        "sz_operator": "checks the S_z of mapped sectors"},
-    "pauli.py": {
-        "anticommutation_check": "checks the mapped ladder operators",
-        "coefficient": "reads a term by its letters, as add_term writes it",
-        "identity": "the identity that tests and anticommutation_check use",
-        "ladder_image": "the mapping's oracle: map_fermion must equal the "
-                        "products of ladder images bit for bit",
-        "norm_l1": "measures anticommutation_check's residual"},
     "simulator.py": {
-        "apply_pauli": "applies one term apart from pauli_to_sparse",
         "expectation": "perfbench/tracing.py patches it by its name"},
 }
 
@@ -179,6 +229,11 @@ def test_the_check_sees_a_definition_only_listed_ones_use():
     assert serving_tests_alone("none.py", source, trees) == ["probe"]
     assert serving_tests_alone("none.py", source, trees, ["probe"]) == [
         "helper", "probe"]
+
+
+def test_no_export_serves_the_tests_alone():
+    listed = set().union(*TEST_ONLY.values())
+    assert listed.isdisjoint(qelectra.__all__)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelectra import cli
-from qelectra.fermion import FermionOperator, number_operator
+from qelectra.fermion import FermionOperator
 from qelectra import oracle
 from qelectra.oracle import (
     exact_ground_energy,
@@ -19,7 +19,9 @@ from qelectra.oracle import (
 from qelectra.pauli import MappingKind, PauliSum, map_fermion, sector_basis
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
-from pauli_oracle import encode_occupation
+from pauli_oracle import (add, apply_pauli, encode_occupation,
+                          number_operator, pauli_sum)
+from test_cli import method_row
 from test_pauli import dense_sum, pauli_sums, term
 
 
@@ -35,10 +37,9 @@ def test_matrix_builders_match_local_kron():
     letters = np.array(list("IXYZ"))
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        op = PauliSum(n)
-        for _ in range(3):
-            word = "".join(rng.choice(letters, size=n))
-            op.add_term(word, complex(*rng.standard_normal(2)))
+        op = pauli_sum(n, [("".join(rng.choice(letters, size=n)),
+                            complex(*rng.standard_normal(2)))
+                           for _ in range(3)])
         want = dense_sum(op)
         assert np.allclose(pauli_to_sparse(op, np.arange(1 << n)).toarray(),
                            want, atol=1e-13)
@@ -67,18 +68,17 @@ def test_empty_sum_gives_zero_matrix(n):
 
 
 def test_sparse_build_matches_term_by_term_action(assembled):
-    # LiH: 10 qubits, 276 terms; StateVector.apply_pauli is an independent
-    # implementation of each term's action
+    # LiH: 10 qubits, 276 terms; the oracle's apply_pauli is an
+    # independent implementation of each term's action
     hamiltonian = assembled("lih").qubit_hamiltonian
     n = hamiltonian.n_qubits
     rng = np.random.default_rng(33)
     psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     psi /= np.linalg.norm(psi)
     want = np.zeros_like(psi)
+    state = StateVector(n, psi)
     for (x, z), coeff in hamiltonian.items():
-        state = StateVector(n, psi)
-        state.apply_pauli(x, z)
-        want += coeff * state.data
+        want += coeff * apply_pauli(state, x, z)
     got = pauli_to_sparse(hamiltonian, np.arange(1 << n)) @ psi
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -99,7 +99,7 @@ def test_block_matvec_is_bit_identical_to_csr(kind):
 
 def test_block_has_no_qubit_cap():
     # a block never spans the register, so 25 qubits build at once
-    block = pauli_to_sparse(PauliSum.identity(25),
+    block = pauli_to_sparse(PauliSum(25, {(0, 0): 1.0}),
                             np.array([0, 5, 1 << 19]))
     assert np.array_equal(block.toarray(), np.eye(3))
 
@@ -109,9 +109,8 @@ def test_full_spectrum_request_falls_back_to_dense(monkeypatch):
     # dim a Davidson subspace would near the whole space, so the block is
     # solved densely
     fields = 1.0 + 0.37 * np.arange(12)
-    op = PauliSum(12)
-    for q, h in enumerate(fields):
-        op.add_term("I" * q + "Z" + "I" * (11 - q), h)
+    op = pauli_sum(12, [("I" * q + "Z" + "I" * (11 - q), h)
+                        for q, h in enumerate(fields)])
     basis = np.arange(2100)
     bits = (basis[:, None] >> np.arange(12)) & 1
     diagonal = ((1.0 - 2.0 * bits) * fields).sum(axis=1)
@@ -133,9 +132,7 @@ def test_k_validation():
 
 
 def test_non_hermitian_inputs_rejected():
-    crooked = PauliSum(1)
-    crooked.add_term("X", 0.5j)
-    block = pauli_to_sparse(crooked, np.arange(2))
+    block = pauli_to_sparse(term("X", 0.5j), np.arange(2))
     assert not block.hermitian
     with pytest.raises(ValueError, match="Hermitian"):
         lowest_eigenvalues(block)
@@ -151,11 +148,9 @@ def test_non_hermitian_inputs_rejected():
 def independent_spins(n, fields, coupling):
     """H = sum_i (h_i Z_i + g X_i): each qubit contributes +-sqrt(h_i^2 +
     g^2), so the spectrum is known in closed form."""
-    op = PauliSum(n)
-    for q, h in enumerate(fields):
-        for letter, coeff in (("Z", h), ("X", coupling)):
-            op.add_term("I" * q + letter + "I" * (n - 1 - q), coeff)
-    return op
+    return pauli_sum(n, [("I" * q + letter + "I" * (n - 1 - q), coeff)
+                         for q, h in enumerate(fields)
+                         for letter, coeff in (("Z", h), ("X", coupling))])
 
 
 def test_davidson_branch_matches_a_closed_form_spectrum():
@@ -181,14 +176,11 @@ def test_ground_energy_of_assembled_hydrogen(assembled):
     system = assembled("h2")
     energy = exact_ground_energy(system.block)
     assert energy == pytest.approx(-1.1373060359051401, abs=1e-9)
-    assert energy < system.e_hf
+    assert energy < system.scf.e_total
 
 
 def test_lowest_eigenvalues_of_a_pauli_sum_ascending_and_truncated():
-    op = PauliSum(2)
-    op.add_term("ZI", 0.5)
-    op.add_term("IZ", 0.25)
-    op.add_term("XX", 0.1)
+    op = pauli_sum(2, [("ZI", 0.5), ("IZ", 0.25), ("XX", 0.1)])
     block = pauli_to_sparse(op, np.arange(4))
     full = lowest_eigenvalues(block, k=4)
     assert full.shape == (4,)
@@ -262,7 +254,7 @@ def test_sector_block_refuses_an_operator_that_leaves_it(kind):
 
 
 def test_sector_basis_argument_validation():
-    op = PauliSum.identity(2)
+    op = PauliSum(2, {(0, 0): 1.0})
     for bad, fragment in (([2, 1], "sorted"), ([1, 1], "sorted"),
                           ([0, 4], "0..3"), ([-1, 0], "0..3"),
                           ([], "nonempty")):
@@ -276,8 +268,8 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
     # modes, so only a solve inside the (2, 0) sector gives the FCI energy
     system = assemble(shipped_geometry("h2"), mapping=kind)
     n = system.n_qubits
-    shifted = (system.qubit_hamiltonian
-               - map_fermion(number_operator(n), kind, n) * 5.0)
+    shifted = add(system.qubit_hamiltonian,
+                  map_fermion(number_operator(n), kind, n), -5.0)
     # the (2, 0) block built independently: one alpha mode of {0, 2},
     # one beta mode of {1, 3}
     states = [sum(1 << q for q in encode_occupation(kind, [a, b], n))
@@ -291,5 +283,6 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
         cli.RunSpec(molecule=system.molecule, methods=("fci",),
                     mapping=kind),
         system=dataclasses.replace(system, qubit_hamiltonian=shifted))
-    assert report.result("fci").energy == pytest.approx(want, abs=1e-12)
+    assert method_row(report, "fci").energy == pytest.approx(want,
+                                                             abs=1e-12)
 

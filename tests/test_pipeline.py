@@ -24,6 +24,7 @@ from qelectra.pipeline import (
     load_molecule_argument,
     shipped_geometry,
 )
+from test_cli import method_row
 
 
 def test_every_export_resolves():
@@ -39,7 +40,7 @@ def test_assembled_hydrogen_fields(assembled):
     assert system.mapping == MappingKind.PARITY
     assert system.active_space == ActiveSpaceSpec(2, 2)
     assert system.spin_orbitals.n_electrons == 2
-    assert system.e_hf == pytest.approx(-1.1169989968520082, abs=1e-10)
+    assert system.scf.e_total == pytest.approx(-1.1169989968520082, abs=1e-10)
     assert len(system.qubit_hamiltonian) == 15
     assert system.qubit_hamiltonian.n_qubits == 4
 
@@ -49,7 +50,7 @@ def test_assembled_water_window(assembled):
     assert system.active_space == ActiveSpaceSpec(8, 6)
     assert system.n_qubits == 12
     assert system.spin_orbitals.n_electrons == 8
-    assert system.e_hf == pytest.approx(-74.9629282714757, abs=1e-8)
+    assert system.scf.e_total == pytest.approx(-74.9629282714757, abs=1e-8)
 
 
 def full_space(molecule):
@@ -114,8 +115,8 @@ def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
     system = assembled(key)
     report = execute(RunSpec(molecule=system.molecule,
                              methods=("hf", "fci")), system=system)
-    assert report.result("hf").energy == pytest.approx(e_hf, abs=1e-6)
-    assert report.result("fci").energy == pytest.approx(e_fci, abs=1e-6)
+    assert method_row(report, "hf").energy == pytest.approx(e_hf, abs=1e-6)
+    assert method_row(report, "fci").energy == pytest.approx(e_fci, abs=1e-6)
     # the CLI's FCI cap counts, before any integral, the sector solved here
     assert pipeline.sector_size(system.molecule) == system.sector.size
 
