@@ -23,7 +23,7 @@ from qelectra.pauli import (
     sector_basis,
 )
 from qelectra.pipeline import SHIPPED_MOLECULES
-from pauli_oracle import (anticommutation_check, bit_parity_by_folds,
+from pauli_oracle import (add, anticommutation_check, bit_parity_by_folds,
                           encode_occupation, ladder_image, letters, masks,
                           number_operator, pauli_sum, product, sz_operator)
 from test_fermion import bitwise, dense_annihilator
@@ -134,6 +134,8 @@ def test_string_product_is_associative():
 def test_string_length_mismatch_raises():
     with pytest.raises(ValueError, match="mismatch"):
         product(term("XX"), term("X"))
+    with pytest.raises(ValueError, match="mismatch"):
+        add(term("XX"), term("X"))
 
 
 # ---- PauliSum ---------------------------------------------------------------
@@ -159,6 +161,10 @@ def test_sum_product_matches_dense(case):
     a, b = case
     assert np.allclose(dense_sum(product(a, b)), dense_sum(a) @ dense_sum(b),
                        rtol=0.0, atol=1e-12)
+    assert np.allclose(dense_sum(add(a, b)), dense_sum(a) + dense_sum(b),
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(dense_sum(add(a, b, -2.5)),
+                       dense_sum(a) - 2.5 * dense_sum(b), rtol=0.0, atol=1e-12)
 
 
 def test_simplify_drops_small_terms():
