@@ -170,6 +170,9 @@ def scan(spec: RunSpec, start: float, stop: float,
         raise ValueError("scan needs at least one step")
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ValueError(f"--scan bounds must be finite; got {start}, {stop}")
+    if start == stop and steps > 1:
+        raise ValueError(f"--scan START equals STOP ({start}): {steps} steps "
+                         "would repeat one geometry; use STEPS 1")
     if start <= 0 or stop <= 0:
         raise ValueError("bond lengths must be positive")
     symbols = (spec.molecule.atoms[0].symbol, spec.molecule.atoms[1].symbol)

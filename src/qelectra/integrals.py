@@ -5,53 +5,48 @@ kinetic, nuclear attraction and electron repulsion. The Boys function is
 evaluated by a downward-recursion series below x = 35 and the asymptotic
 closed form above, accurate to about 1e-13 across the switch.
 
-Basis-function pairs are grouped into angular classes, keyed by primitive
-count and per-axis Hermite lengths. Each pair's Hermite coefficients come
-from one call per axis over all its primitive pairs. S and T are summed per
-class; V takes one Hermite Coulomb call per class over all its pairs,
-nuclei and primitive pairs. Electron repulsion integrals are returned as a
-dense (n, n, n, n) array in chemists' notation (ij|kl); only canonical
-index quartets are computed and the eight symmetry images are filled from
-each one. Every quartet of one (bra class, ket class) is evaluated in one
-Hermite Coulomb call over all its primitive quartets, up to a fixed number
-per call.
+Every basis-function pair is one row of flat tables: p, P, contraction
+weights, and per-axis Hermite coefficients E zero-padded to the longest
+axis, beside the pair's per-axis Hermite lengths. Rows are filled per power
+class (primitive counts and powers of both functions), one Hermite call per
+axis and kinetic shift, with S and T. V takes one Hermite Coulomb call per
+angular class (primitive pairs, Hermite lengths) and one Boys call per
+Boys order. The ERIs, a dense (n, n, n, n) array in chemists' notation
+(ij|kl), are computed once per canonical quartet and batched by what the
+arithmetic depends on: Boys order, primitive counts and box (sx, sy, sz),
+the per-axis bra plus ket Hermite length less one. A batch holds at most
+_PRIMITIVE_QUARTETS_PER_CALL Hermite Coulomb elements (primitive quartets
+times box volume); its convolutions use the Hermite columns up to the
+batch's longest bra and ket lengths, its Coulomb tensor the box.
 
-Batching follows one rule: S, T, V and the ERI tensor are bit-identical to
-evaluating one primitive pair, pair, nucleus or quartet at a time. This
-holds because:
-- every primitive pair or quartet goes through the same elementwise
-  operations in the same order (Hermite products in a fixed t/u/v order,
-  and (pi/p)^1.5 as a scalar power, since numpy's array power can round
-  differently);
+S, T, V and the ERIs are bit-identical to evaluating one primitive pair,
+pair, nucleus or quartet at a time, because:
+- each primitive pair or quartet sees the same elementwise operations in
+  the same order (Hermite products in t/u/v order; (pi/p)^1.5 as a scalar
+  power, as numpy's array power can round differently);
 - no reduction is regrouped: S, T and the sum over nuclei add one term at
-  a time from 0.0 as the loops did, and V and the ERIs take np.sum over
-  each row of primitives, as the loops' np.sum did;
-- the Boys series stops summing an element once its term is at most 1e-17
-  of its sum, not when the slowest element of the batch converges. Such a
-  term is below half an ulp of the sum and every later term is smaller, so
-  the additions it skips changed nothing, and an element's value does not
-  depend on the others in its batch.
+  a time from 0.0; V and the ERIs take np.sum over each primitive row;
+- zero-padded Hermite columns add only exact zeros to the convolutions'
+  sums, which start at +0.0 and so never hold -0.0: adding a zero changes
+  no bit, and the real terms keep their relative order;
+- the Boys series stops an element once its term is at most 1e-17 of its
+  sum, below half an ulp, and every later term is smaller: an element's
+  value does not depend on the others in its batch;
+- the ERIs evaluate each Boys value once per (Boys order, bra shell pair,
+  ket shell pair). A shell, a function's center and exponents (an sp
+  shell's 2s and 2p share one), fixes p and P per primitive pair, so all
+  quartets of one shell-pair quartet have bitwise-equal Boys arguments.
+  Orders are not shared: F_0 from a recursion started at m_max = 2 can
+  differ in the last bit from F_0 at m_max = 0.
 
-The ERIs also evaluate each Boys value once per (Boys order, bra shell
-pair, ket shell pair) and gather it into every batch that needs it. A
-shell is a function's center and exponents, which an sp shell's 2s and 2p
-share, so every function pair of one shell pair has bitwise-equal p and P
-per primitive pair, and every quartet of one shell-pair quartet has the
-same Boys arguments x = alpha |PQ|^2. The Boys order, the total angular
-momentum of the quartet, is fixed per class pair, and an element's value
-does not depend on its batch, so the shared values are the bits each
-batch would compute. Values of different orders are not shared: F_0 from
-a recursion started at m_max = 2 can differ in the last bit from F_0 at
-m_max = 0.
-
-Bit identity matters because a split degenerate shell (the shipped CO2 window)
-turns a 1e-16 change in the integrals into a milli-Hartree change in the
-correlation energy.
+Bit identity matters because a split degenerate shell (the shipped CO2
+window) turns a 1e-16 change in the integrals into a milli-Hartree change
+in the correlation energy.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from typing import List
 
 import numpy as np
@@ -66,8 +61,9 @@ _BOYS_SWITCH = 35.0
 # freed buffers under 1 KB for reuse, one set per size: compacting further
 # left about 0.15 MB of such buffers held after CO2's integrals.
 _BOYS_MIN_COMPACTION = 1024
-# Primitive quartets per Hermite Coulomb call: caps the working memory of
-# one batch (compute_integrals on CO2 peaks at about 4 MB).
+# Hermite Coulomb tensor elements (primitive quartets times box volume) per
+# ERI call: caps the working memory of one batch (compute_integrals on CO2
+# peaks at about 3 MB).
 _PRIMITIVE_QUARTETS_PER_CALL = 1 << 15
 
 
@@ -137,7 +133,8 @@ def hermite_coefficients(i: int, j: int, a, b, ab: float) -> np.ndarray:
 
     `a` and `b` are the exponents, scalars or arrays of one shape (one entry
     per primitive pair); the result has shape (i + j + 1,) + that shape.
-    `ab` is (A - B) along the axis. Includes the pair prefactor
+    `ab` is (A - B) along the axis, a scalar or an array that broadcasts
+    against `a` (an (n, 1) column for n pairs). Includes the pair prefactor
     exp(-mu * ab^2), so E[0] for i = j = 0 is the full 1D overlap kernel.
     """
     p = a + b
@@ -220,53 +217,6 @@ def _hermite_coulomb(tmax: int, umax: int, vmax: int, p, PC,
     return out
 
 
-class _PairData:
-    """Primitive-pair quantities for one basis-function pair.
-
-    Primitive pairs run along the leading axis of every array, bra primitive
-    major. `overlap` and `kinetic` are the pair's S and T terms per primitive
-    pair, in the operation order of the one-primitive-pair formulas.
-    """
-
-    __slots__ = ("p", "P", "coeff", "Ex", "Ey", "Ez", "overlap", "kinetic")
-
-    def __init__(self, fa: ContractedGaussian, fb: ContractedGaussian):
-        A, B = fa.center, fb.center
-        na, nb = fa.alphas.size, fb.alphas.size
-        a1, c1 = np.repeat(fa.alphas, nb), np.repeat(fa.coeffs, nb)
-        a2, c2 = np.tile(fb.alphas, na), np.tile(fb.coeffs, na)
-        self.p = a1 + a2
-        self.coeff = c1 * c2
-        self.P = (a1[:, None] * A + a2[:, None] * B) / self.p[:, None]
-        ab = A - B
-        # per-axis Hermite coefficient arrays, shape (n_pairs, t_range);
-        # copied, so that they do not hold the whole recursion table
-        self.Ex, self.Ey, self.Ez = (
-            hermite_coefficients(i, j, a1, a2, d).T.copy()
-            for i, j, d in zip(fa.powers, fb.powers, ab))
-
-        # (pi / p)^1.5 as one scalar power per element: numpy's array power
-        # can round differently in the last bit
-        gaussian = np.array([(np.pi / p) ** 1.5 for p in self.p])
-        self.overlap = (self.coeff * self.Ex[:, 0] * self.Ey[:, 0]
-                        * self.Ez[:, 0] * gaussian)
-
-        # kinetic: the ket's 1D second derivative, as 1D overlaps (s) with
-        # the ket power moved by -2, 0 and +2, giving 1D kinetic terms (t)
-        root = np.sqrt(np.pi / self.p)
-        s = [E[:, 0] * root for E in (self.Ex, self.Ey, self.Ez)]
-        t = []
-        for axis, (i, j, d) in enumerate(zip(fa.powers, fb.powers, ab)):
-            hi = hermite_coefficients(i, j + 2, a1, a2, d)[0] * root
-            val = -2.0 * a2 * (2 * j + 1) * s[axis] + 4.0 * a2 * a2 * hi
-            if j >= 2:
-                lo = hermite_coefficients(i, j - 2, a1, a2, d)[0] * root
-                val += j * (j - 1) * lo
-            t.append(-0.5 * val)
-        self.kinetic = self.coeff * (t[0] * s[1] * s[2] + s[0] * t[1] * s[2]
-                                     + s[0] * s[1] * t[2])
-
-
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis one term at a time, starting from 0.0.
 
@@ -293,56 +243,118 @@ def _signed_convolution(Ea: np.ndarray, Eb: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PairClass:
-    """The pairs of one angular class, stacked along a leading axis."""
-
-    def __init__(self, pairs: List[_PairData]):
-        self.p = np.stack([pair.p for pair in pairs])          # (n, K)
-        self.P = np.stack([pair.P for pair in pairs])          # (n, K, 3)
-        self.coeff = np.stack([pair.coeff for pair in pairs])  # (n, K)
-        self.E = tuple(np.stack([getattr(pair, axis) for pair in pairs])
-                       for axis in ("Ex", "Ey", "Ez"))         # (n, K, t)
-        self.overlap = np.stack([pair.overlap for pair in pairs])  # (n, K)
-        self.kinetic = np.stack([pair.kinetic for pair in pairs])  # (n, K)
-        # total angular momentum la + lb: (bra|ket) needs Boys orders up to
-        # bra.order + ket.order
-        self.order = sum(E.shape[2] - 1 for E in self.E)
+def _hermite_sum(Gx: np.ndarray, Gy: np.ndarray, Gz: np.ndarray,
+                 R: np.ndarray) -> np.ndarray:
+    """sum over the box of R of Gx[t] Gy[u] Gz[v] R[t, u, v], one term at a
+    time in t/u/v order."""
+    acc = np.zeros(R.shape[3:])
+    for t in range(R.shape[0]):
+        for u in range(R.shape[1]):
+            GxGy = Gx[t] * Gy[u]
+            for v in range(R.shape[2]):
+                acc += GxGy * Gz[v] * R[t, u, v]
+    return acc
 
 
-def _pair_classes(pairs: List[_PairData]):
-    """Group pairs by angular class: primitive count and per-axis Hermite
-    lengths. Returns (pair indices, _PairClass) per class."""
-    members = defaultdict(list)
-    for index, pair in enumerate(pairs):
-        key = (pair.p.size, pair.Ex.shape[1], pair.Ey.shape[1],
-               pair.Ez.shape[1])
-        members[key].append(index)
-    return [(np.array(idx), _PairClass([pairs[i] for i in idx]))
-            for idx in members.values()]
+class _PairTables:
+    """Primitive-pair quantities of the function pairs (rows[r], cols[r]),
+    one row r per pair. Primitive pairs run along axis 1, bra primitive
+    major, padded to the widest pair (`K` holds each pair's count); the
+    Hermite coefficients `E` along axis 2, zero-padded (`length` holds each
+    pair's per-axis lengths). `overlap` and `kinetic` hold S and T."""
+
+    def __init__(self, funcs: List[ContractedGaussian], rows: np.ndarray,
+                 cols: np.ndarray):
+        n_prim = np.array([f.alphas.size for f in funcs])
+        powers = np.array([f.powers for f in funcs])
+        self.K = n_prim[rows] * n_prim[cols]
+        self.length = powers[rows] + powers[cols] + 1
+        shape = (rows.size, self.K.max())
+        self.p, self.coeff = np.ones(shape), np.zeros(shape)
+        self.P = np.zeros(shape + (3,))
+        self.E = tuple(np.zeros(shape + (self.length.max(),)) for _ in "xyz")
+        self.overlap, self.kinetic = np.empty(rows.size), np.empty(rows.size)
+
+        classes = defaultdict(list)     # power class -> pair indices
+        for index, (i, j) in enumerate(zip(rows, cols)):
+            classes[n_prim[i], n_prim[j], *powers[i], *powers[j]].append(index)
+        for index in map(np.array, classes.values()):
+            bra = [funcs[i] for i in rows[index]]
+            ket = [funcs[j] for j in cols[index]]
+            na, nb = bra[0].alphas.size, ket[0].alphas.size
+            a1 = np.repeat([f.alphas for f in bra], nb, axis=1)
+            c1 = np.repeat([f.coeffs for f in bra], nb, axis=1)
+            a2 = np.tile([f.alphas for f in ket], (1, na))
+            c2 = np.tile([f.coeffs for f in ket], (1, na))
+            A, B = (np.array([f.center for f in side])[:, None]
+                    for side in (bra, ket))
+            k, p, coeff = na * nb, a1 + a2, c1 * c2
+            self.p[index, :k], self.coeff[index, :k] = p, coeff
+            self.P[index, :k] = (a1[..., None] * A
+                                 + a2[..., None] * B) / p[..., None]
+            # per axis: the powers, and A - B as an (n, 1) column
+            axes = list(zip(bra[0].powers, ket[0].powers,
+                            np.moveaxis(A - B, -1, 0)))
+            E = [hermite_coefficients(i, j, a1, a2, d) for i, j, d in axes]
+            for table, e in zip(self.E, E):
+                table[index, :k, :e.shape[0]] = np.moveaxis(e, 0, -1)
+
+            # (pi / p)^1.5 as one scalar power per element: numpy's array
+            # power can round differently in the last bit
+            gaussian = np.array([[(np.pi / x) ** 1.5 for x in r] for r in p])
+            self.overlap[index] = _sequential_sum(
+                coeff * E[0][0] * E[1][0] * E[2][0] * gaussian)
+
+            # kinetic: the ket's 1D second derivative, as 1D overlaps (s) with
+            # the ket power moved by -2, 0 and +2, giving 1D kinetic terms (t)
+            root = np.sqrt(np.pi / p)
+            s = [e[0] * root for e in E]
+            t = []
+            for axis, (i, j, d) in enumerate(axes):
+                hi = hermite_coefficients(i, j + 2, a1, a2, d)[0] * root
+                val = -2.0 * a2 * (2 * j + 1) * s[axis] + 4.0 * a2 * a2 * hi
+                if j >= 2:
+                    lo = hermite_coefficients(i, j - 2, a1, a2, d)[0] * root
+                    val += j * (j - 1) * lo
+                t.append(-0.5 * val)
+            self.kinetic[index] = _sequential_sum(
+                coeff * (t[0] * s[1] * s[2] + s[0] * t[1] * s[2]
+                         + s[0] * s[1] * t[2]))
 
 
-def _nuclear_attraction(cls: _PairClass, coords: np.ndarray,
+def _nuclear_attraction(tables: _PairTables, coords: np.ndarray,
                         charges: np.ndarray) -> np.ndarray:
-    """V for every pair of one class, from one Hermite Coulomb call over
-    all its pairs, nuclei and primitive pairs."""
-    PC = cls.P[:, None] - coords[None, :, None]       # (n, nuclei, K, 3)
-    shape = PC.shape[:3]
-    tmax, umax, vmax = (E.shape[2] - 1 for E in cls.E)
-    p = np.broadcast_to(cls.p[:, None], shape).ravel()
-    R = _hermite_coulomb(tmax, umax, vmax, p, PC.reshape(-1, 3))
-    R = R.reshape(R.shape[:3] + shape)
-    Ex, Ey, Ez = (E[:, None] for E in cls.E)          # (n, 1, K, t)
-    acc = np.zeros(shape)
-    for t in range(tmax + 1):
-        for u in range(umax + 1):
-            ExEy = Ex[..., t] * Ey[..., u]
-            for v in range(vmax + 1):
-                acc += ExEy * Ez[..., v] * R[t, u, v]
-    # np.sum over each (pair, nucleus) row of primitive pairs, then the
-    # nuclei added in input order
-    per_nucleus = np.sum(cls.coeff[:, None] * (2.0 * np.pi / cls.p[:, None])
-                         * acc, axis=-1)
-    return _sequential_sum(-charges * per_nucleus)
+    """V for every pair: one Hermite Coulomb call per angular class over
+    all its pairs, nuclei and primitive pairs, and one Boys call per Boys
+    order over all classes of that order."""
+    # angular classes (Boys order, K, lengths), sorted by Boys order
+    key = np.column_stack((tables.length.sum(axis=1) - 3, tables.K,
+                           tables.length))
+    classes, of_pair = np.unique(key, axis=0, return_inverse=True)
+    v = np.empty(tables.K.size)
+    for order, members in groupby(enumerate(classes.tolist()),
+                                  key=lambda item: item[1][0]):
+        work = []
+        for c, (_, k, *lengths) in members:
+            index = np.flatnonzero(of_pair.ravel() == c)
+            PC = tables.P[index, None, :k] - coords[None, :, None]
+            p = np.broadcast_to(tables.p[index, None, :k], PC.shape[:3])
+            work.append((index, k, lengths, p.ravel(), PC.reshape(-1, 3)))
+        F = boys(order, np.concatenate(
+            [_boys_argument(p, PC) for *_, p, PC in work]))
+        start = 0
+        for index, k, (tx, ty, tz), p, PC in work:
+            F_class, start = F[:, start:start + p.size], start + p.size
+            R = _hermite_coulomb(tx - 1, ty - 1, tz - 1, p, PC, F_class)
+            R = R.reshape(tx, ty, tz, index.size, coords.shape[0], k)
+            acc = _hermite_sum(*(np.moveaxis(E[index, None, :k], -1, 0)
+                                 for E in tables.E), R)   # E: (t, n, 1, K)
+            # np.sum over each (pair, nucleus) row of primitive pairs, then
+            # the nuclei added in input order
+            coeff, p = (T[index, None, :k] for T in (tables.coeff, tables.p))
+            per_nucleus = np.sum(coeff * (2.0 * np.pi / p) * acc, axis=-1)
+            v[index] = _sequential_sum(-charges * per_nucleus)
+    return v
 
 
 class _SharedBoys:
@@ -371,73 +383,68 @@ class _SharedBoys:
         return self.values[:, self.slot[keys]].reshape(self.n_tot + 1, -1)
 
 
-def _eri_batch(bra: _PairClass, ket: _PairClass, rows: np.ndarray,
-               cols: np.ndarray, keys: np.ndarray,
-               shared: _SharedBoys) -> np.ndarray:
-    """(bra[rows[q]] | ket[cols[q]]) for every quartet q of one class pair,
-    with the Boys values of quartet q gathered by its key, keys[q]."""
-    p = bra.p[rows]
-    q = ket.p[cols]
-    m, kb = p.shape
-    kk = q.shape[1]
+def _eri_batch(tables: _PairTables, bra: np.ndarray, ket: np.ndarray,
+               box, keys: np.ndarray, shared: _SharedBoys) -> np.ndarray:
+    """(bra[q] | ket[q]) for every quartet q of one batch: one primitive
+    pair count on each side and one box of Hermite lengths, with the Boys
+    values of quartet q gathered by its key, keys[q]."""
+    kb, kk = tables.K[bra[0]], tables.K[ket[0]]
+    p, q = tables.p[bra, :kb], tables.p[ket, :kk]
     pq = p[:, :, None] * q[:, None, :]
     psum = p[:, :, None] + q[:, None, :]
     alpha = (pq / psum).ravel()
-    # the prefactor first, so that pq and psum are freed before the batch's
-    # largest arrays are built
+    # the prefactor first, so that pq and psum die before the largest arrays
     pref = 2.0 * np.pi ** 2.5 / (pq * np.sqrt(psum))
     del pq, psum
-    PQ = (bra.P[rows][:, :, None, :] - ket.P[cols][:, None, :, :]).reshape(-1, 3)
+    PQ = (tables.P[bra, :kb][:, :, None]
+          - tables.P[ket, :kk][:, None]).reshape(-1, 3)
 
-    Gx, Gy, Gz = (_signed_convolution(Eb[rows], Ek[cols])
-                  for Eb, Ek in zip(bra.E, ket.E))
-    sx, sy, sz = Gx.shape[0], Gy.shape[0], Gz.shape[0]
+    # up to the batch's longest Hermite lengths; padding adds exact zeros
+    bra_len, ket_len = (tables.length[side].max(axis=0) for side in (bra, ket))
+    Gx, Gy, Gz = (
+        _signed_convolution(E[bra, :kb, :lb], E[ket, :kk, :lk])[:s]
+        for E, lb, lk, s in zip(tables.E, bra_len, ket_len, box))
     F = shared(keys, _boys_argument(alpha, PQ))
-    R = _hermite_coulomb(sx - 1, sy - 1, sz - 1, alpha, PQ, F)
-    R = R.reshape(sx, sy, sz, m, kb, kk)
-
-    acc = np.zeros((m, kb, kk))
-    for s1 in range(sx):
-        for s2 in range(sy):
-            GxGy = Gx[s1] * Gy[s2]
-            for s3 in range(sz):
-                acc += GxGy * Gz[s3] * R[s1, s2, s3]
-
-    weights = bra.coeff[rows][:, :, None] * ket.coeff[cols][:, None, :]
-    return np.sum((weights * pref * acc).reshape(m, kb * kk), axis=1)
+    R = _hermite_coulomb(*(s - 1 for s in box), alpha, PQ, F)
+    del alpha, PQ, F
+    acc = _hermite_sum(Gx, Gy, Gz, R.reshape(*box, bra.size, kb, kk))
+    weights = (tables.coeff[bra, :kb][:, :, None]
+               * tables.coeff[ket, :kk][:, None, :])
+    return np.sum((weights * pref * acc).reshape(bra.size, -1), axis=1)
 
 
-def _eri_table(classes, shell_pair: np.ndarray) -> np.ndarray:
+def _eri_table(tables: _PairTables, shell_pair: np.ndarray) -> np.ndarray:
     """(bra|ket) for every two pairs, as a symmetric (pairs x pairs) table.
 
-    Each canonical quartet (ket index <= bra index) is computed once, in
-    one batch per (bra class, ket class), and mirrored. `shell_pair` holds
-    each pair's shell pair index, from 0. Class pairs run grouped by Boys
-    order and primitive count, and each group shares its Boys values per
-    shell-pair quartet through a _SharedBoys that lives for the group only
-    (a table for the whole call would hold every order's values at once).
+    `shell_pair` holds each pair's shell pair index, from 0. Each (Boys
+    order, primitive quartets) run shares its Boys values through one
+    _SharedBoys (one for the whole call would hold every order at once).
     """
     n_pairs = shell_pair.size
     n_shell_pairs = int(shell_pair.max()) + 1
+    # canonical quartets, bra >= ket, sorted by Boys order, primitive
+    # quartets, bra primitive pairs, box and bra Hermite lengths
+    bra, ket = np.tril_indices(n_pairs)
+    box = tables.length[bra] + tables.length[ket] - 1
+    key = np.column_stack((box.sum(axis=1) - 3, tables.K[bra] * tables.K[ket],
+                           tables.K[bra], box, tables.length[bra]))
+    sort = np.lexsort(key.T[::-1])
+    bra, ket, key = bra[sort], ket[sort], key[sort, :6]
+    bounds = [0, *(np.flatnonzero(np.any(key[1:] != key[:-1], axis=1)) + 1),
+              bra.size]
+    groups = [(lo, hi, key[lo].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    del box, key, sort     # 0.5 MB of sort keys on CO2
+
     table = np.zeros((n_pairs, n_pairs))
-
-    def group(class_pair):
-        (_, bra), (_, ket) = class_pair
-        return bra.order + ket.order, bra.p.shape[1] * ket.p.shape[1]
-
-    class_pairs = sorted(product(classes, repeat=2), key=group)
-    for (n_tot, per_quartet), members in groupby(class_pairs, key=group):
-        shared = _SharedBoys(n_tot, per_quartet, n_shell_pairs ** 2)
-        step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // per_quartet)
-        for (bra_index, bra), (ket_index, ket) in members:
-            rows, cols = np.nonzero(ket_index[None, :] <= bra_index[:, None])
-            for lo in range(0, rows.size, step):
-                r, c = rows[lo:lo + step], cols[lo:lo + step]
-                keys = (shell_pair[bra_index[r]] * n_shell_pairs
-                        + shell_pair[ket_index[c]])
-                vals = _eri_batch(bra, ket, r, c, keys, shared)
-                table[bra_index[r], ket_index[c]] = vals
-                table[ket_index[c], bra_index[r]] = vals
+    for (n_tot, count), run in groupby(groups, key=lambda g: tuple(g[2][:2])):
+        shared = _SharedBoys(n_tot, count, n_shell_pairs ** 2)
+        for lo, hi, (*_, sx, sy, sz) in run:
+            step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // (count * sx * sy * sz))
+            for start in range(lo, hi, step):
+                b, k = bra[start:hi][:step], ket[start:hi][:step]
+                keys = shell_pair[b] * n_shell_pairs + shell_pair[k]
+                vals = _eri_batch(tables, b, k, (sx, sy, sz), keys, shared)
+                table[b, k] = table[k, b] = vals
     return table
 
 
@@ -470,18 +477,10 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
             f"{n} basis functions exceeds the dense-ERI cap of {MAX_BASIS_FUNCTIONS}")
 
     rows, cols = np.tril_indices(n)
-    pairs = [_PairData(funcs[i], funcs[j]) for i, j in zip(rows, cols)]
+    tables = _PairTables(funcs, rows, cols)
     pair_of = np.empty((n, n), dtype=np.intp)
     pair_of[rows, cols] = pair_of[cols, rows] = np.arange(rows.size)
-
-    classes = _pair_classes(pairs)
-    coords = molecule.coordinates()
-    charges = molecule.charges()
-    s, t, v = (np.empty(len(pairs)) for _ in range(3))
-    for index, cls in classes:
-        s[index] = _sequential_sum(cls.overlap)
-        t[index] = _sequential_sum(cls.kinetic)
-        v[index] = _nuclear_attraction(cls, coords, charges)
+    v = _nuclear_attraction(tables, molecule.coordinates(), molecule.charges())
 
     # a shell is a function's (center, exponents): an sp shell's 2s and 2p
     # share it, and with it every primitive pair's p and P
@@ -490,9 +489,10 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
         (f.center.tobytes(), f.alphas.tobytes()), len(shells)) for f in funcs])
     _, shell_pair = np.unique(shell[rows] * len(shells) + shell[cols],
                               return_inverse=True)
-    table = _eri_table(classes, shell_pair)
+    table = _eri_table(tables, shell_pair)
     eri = table[pair_of[:, :, None, None], pair_of[None, None, :, :]]
 
-    return IntegralSet(overlap=s[pair_of], kinetic=t[pair_of],
+    return IntegralSet(overlap=tables.overlap[pair_of],
+                       kinetic=tables.kinetic[pair_of],
                        nuclear=v[pair_of], eri=eri, n_basis=n,
                        nuclear_repulsion=nuclear_repulsion(molecule))

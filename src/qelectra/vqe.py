@@ -54,10 +54,6 @@ class Excitation:
     occupied: Tuple[int, ...]
     virtual: Tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.occupied)
-
 
 @dataclass
 class UccsdAnsatz:

@@ -239,16 +239,17 @@ def apply_pauli_exponential(state: StateVector, x: int, z: int,
 def excitation_generator(excitation: Excitation) -> FermionOperator:
     """Anti-Hermitian generator T - T^ for one excitation."""
     op = FermionOperator()
-    if excitation.order == 1:
+    order = len(excitation.occupied)
+    if order == 1:
         (i,), (a,) = excitation.occupied, excitation.virtual
         op.add_term(((a, 1), (i, 0)), 1.0)
         op.add_term(((i, 1), (a, 0)), -1.0)
-    elif excitation.order == 2:
+    elif order == 2:
         (i, j), (a, b) = excitation.occupied, excitation.virtual
         op.add_term(((a, 1), (b, 1), (j, 0), (i, 0)), 1.0)
         op.add_term(((i, 1), (j, 1), (b, 0), (a, 0)), -1.0)
     else:
-        raise ValueError(f"unsupported excitation order {excitation.order}")
+        raise ValueError(f"unsupported excitation order {order}")
     return op
 
 

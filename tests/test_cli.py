@@ -256,6 +256,14 @@ def test_non_finite_scan_bounds_exit_one(capsys, recwarn, bound):
     assert len(recwarn) == 0
 
 
+def test_degenerate_scan_grid_exit_one(capsys):
+    # one geometry computed three times would print three identical rows
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--scan", "1.0,1.0,3")
+    assert code == 1
+    assert out == ""
+    assert "error: --scan START equals STOP" in err
+
+
 @pytest.mark.parametrize("method,seed", [("vqe", "-1"), ("hf", "-3")])
 def test_negative_seed_is_refused_before_the_chain_runs(capsys, monkeypatch,
                                                        method, seed):

@@ -217,20 +217,42 @@ def test_one_electron_matrices_are_bit_identical_on_random_geometries(
 
 
 def test_batch_boundaries_do_not_change_the_eri(monkeypatch):
-    # H2O: 28 pairs, 81 primitive quartets per quartet; a cap of 200 runs
-    # two quartets per call and leaves ragged last batches
+    # H2O: 28 pairs, 81 primitive quartets per quartet; a cap of 200 Hermite
+    # Coulomb elements runs two quartets per call in the (ss|ss) box and one
+    # in every larger box, and leaves ragged last batches
     molecule = shipped_geometry("h2o")
     want = compute_integrals(molecule).eri
     monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", 200)
     assert compute_integrals(molecule).eri.tobytes() == want.tobytes()
 
 
-def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
-    """One Hermite Coulomb call per ERI batch and one per pair class for the
-    nuclear attraction (CO2: 100 + 10; pair by pair and nucleus by nucleus
-    it was 460), and Hermite coefficients per basis-function pair (six:
-    three axes, and three for the kinetic term's raised ket power), not per
-    primitive pair."""
+def box_groups(funcs):
+    """The canonical quartets per (primitive quartets, box), the box being
+    the quartet's per-axis Hermite lengths: how many of them fall in each
+    bra class (primitive pairs, per-axis Hermite lengths), in the order the
+    engine runs them. Within a group the bra class fixes the ket class, so
+    each entry is the run of one class pair."""
+    classes = [(fa.alphas.size * fb.alphas.size,
+                *(la + lb + 1 for la, lb in zip(fa.powers, fb.powers)))
+               for i, fa in enumerate(funcs) for fb in funcs[:i + 1]]
+    groups = defaultdict(Counter)
+    for index, bra in enumerate(classes):
+        for ket in classes[:index + 1]:
+            box = tuple(b + k - 1 for b, k in zip(bra[1:], ket[1:]))
+            groups[bra[0] * ket[0], box][bra] += 1
+    return {key: [runs[c] for c in sorted(runs)]
+            for key, runs in groups.items()}
+
+
+def batch_step(cap, per_quartet, box):
+    return max(1, cap // (per_quartet * int(np.prod(box))))
+
+
+def assert_call_counts(molecule, monkeypatch):
+    """One Hermite Coulomb call per ERI batch and one per angular class
+    (primitive pairs, per-axis Hermite lengths) for the nuclear attraction,
+    and six Hermite coefficient calls per power class (three axes, and three
+    for the kinetic term's raised ket power). Returns the three counts."""
     cap = 1 << 15
     monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", cap)
     calls = Counter()
@@ -239,26 +261,61 @@ def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(integrals, name, counted)
-    molecule = shipped_geometry("co2")
     compute_integrals(molecule)
 
     funcs = load_basis(molecule)
-    members = defaultdict(list)    # pair class -> pair indices
     pairs = [(fa, fb) for i, fa in enumerate(funcs) for fb in funcs[:i + 1]]
-    for index, (fa, fb) in enumerate(pairs):
-        key = (fa.alphas.size * fb.alphas.size,
-               *(la + lb for la, lb in zip(fa.powers, fb.powers)))
-        members[key].append(index)
-    batches = 0
-    for bra_key, bra in members.items():
-        for ket_key, ket in members.items():
-            quartets = sum(k <= b for b in bra for k in ket)
-            step = cap // (bra_key[0] * ket_key[0])
-            batches += -(-quartets // step)
-    assert calls["_hermite_coulomb"] == batches + len(members)
+    batches = sum(-(-sum(runs) // batch_step(cap, count, box))
+                  for (count, box), runs in box_groups(funcs).items())
+    angular = {(fa.alphas.size * fb.alphas.size,
+                *(la + lb for la, lb in zip(fa.powers, fb.powers)))
+               for fa, fb in pairs}
+    assert calls["_hermite_coulomb"] == batches + len(angular)
+    power = {(fa.alphas.size, fb.alphas.size, fa.powers, fb.powers)
+             for fa, fb in pairs}
+    assert calls["hermite_coefficients"] == 6 * len(power) < 6 * len(pairs)
+    return batches, len(angular), len(power)
 
-    primitive_pairs = sum(fa.alphas.size * fb.alphas.size for fa, fb in pairs)
-    assert calls["hermite_coefficients"] == 6 * len(pairs) < primitive_pairs
+
+def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
+    """CO2: 116 ERI batches, 10 angular classes and 16 power classes, so
+    96 Hermite coefficient calls where six per pair would be 720."""
+    assert assert_call_counts(shipped_geometry("co2"), monkeypatch) == (
+        116, 10, 16)
+
+
+def test_lih_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
+    """LiH: one ERI batch per box (35), 10 angular classes and 13 power
+    classes, so 78 Hermite coefficient calls where six per pair would be
+    126."""
+    assert assert_call_counts(shipped_geometry("lih"), monkeypatch) == (
+        35, 10, 13)
+
+
+@pytest.mark.parametrize("key, cap", [("co2", 81 * 57), ("lih", 81 * 8)])
+def test_ragged_batches_across_class_pairs_do_not_change_the_eri(
+        key, cap, monkeypatch):
+    """A cap that cuts every box group with a class pair of two or more
+    quartets inside such a run, so that batches start and end
+    mid-class-pair, and that leaves batches spanning class pairs of
+    different Hermite lengths, whose shorter columns the batch zero-pads
+    (in all 35 box groups of CO2 and 12 of LiH)."""
+    molecule = (shipped_geometry(key) if key == "co2"
+                else diatomic_geometry(("Li", "H"), LIH_SCAN[2]))
+    spans = 0
+    for (count, box), runs in box_groups(load_basis(molecule)).items():
+        step = batch_step(cap, count, box)
+        cuts = set(range(step, sum(runs), step))
+        edges = set(np.cumsum(runs)[:-1].tolist())
+        assert cuts - edges or max(runs) == 1
+        spans += bool(edges - cuts)
+    assert spans >= 10
+    want = compute_integrals(molecule).eri
+    monkeypatch.setattr(integrals, "_PRIMITIVE_QUARTETS_PER_CALL", cap)
+    got = compute_integrals(molecule).eri
+    assert got.tobytes() == want.tobytes()
+    if key == "lih":
+        assert got.tobytes() == eri_quartet_by_quartet(molecule).tobytes()
 
 
 def test_co2_boys_values_are_evaluated_once_per_order_and_shell_pair_quartet(

@@ -46,7 +46,7 @@ def remapped(system, kind):
 def test_minimal_ansatz_has_three_excitations():
     ansatz = build_uccsd(4, 2)
     assert ansatz.n_parameters == 3
-    orders = [exc.order for exc in ansatz.excitations]
+    orders = [len(exc.occupied) for exc in ansatz.excitations]
     assert orders == [1, 1, 2]
     assert ansatz.excitations[0] == Excitation((0,), (2,))
     assert ansatz.excitations[1] == Excitation((1,), (3,))
@@ -55,8 +55,8 @@ def test_minimal_ansatz_has_three_excitations():
 
 def test_excitations_preserve_spin_and_ordering():
     ansatz = build_uccsd(10, 2)
-    singles = [e for e in ansatz.excitations if e.order == 1]
-    doubles = [e for e in ansatz.excitations if e.order == 2]
+    singles = [e for e in ansatz.excitations if len(e.occupied) == 1]
+    doubles = [e for e in ansatz.excitations if len(e.occupied) == 2]
     # 2 occupied x 4 same-spin virtuals, then 4 alpha x 4 beta pair targets
     assert len(singles) == 8
     assert len(doubles) == 16
