@@ -22,14 +22,14 @@ from .pipeline import (AssembledSystem, assemble, diatomic_geometry,
                        shipped_geometry)
 from .scf import ScfResult, run_rhf
 from .simulator import Circuit, StateVector
-from .vqe import (OptimizerConfig, UccsdAnsatz, VqeResult, ansatz_circuit,
-                  build_uccsd, run_vqe)
+from .vqe import (UccsdAnsatz, VqeResult, ansatz_circuit, build_uccsd,
+                  run_vqe)
 
 __all__ = [
     "ActiveSpaceSpec", "AssembledSystem", "Atom", "Circuit",
     "ContractedGaussian", "FermionOperator", "IntegralSet", "MappingKind",
-    "Molecule", "OptimizerConfig", "PauliSum", "ScfResult",
-    "SpinOrbitalIntegrals", "StateVector", "UccsdAnsatz", "VqeResult",
+    "Molecule", "PauliSum", "ScfResult", "SpinOrbitalIntegrals",
+    "StateVector", "UccsdAnsatz", "VqeResult",
     "__version__", "ansatz_circuit", "assemble", "boys",
     "build_hamiltonian", "build_uccsd", "compute_integrals",
     "diatomic_geometry", "exact_ground_energy", "from_atom_list",

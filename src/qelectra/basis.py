@@ -138,19 +138,6 @@ class ContractedGaussian:
     alphas: np.ndarray               # primitive exponents
     coeffs: np.ndarray               # fully normalized contraction coefficients
 
-    def __call__(self, x, y, z):
-        """Evaluate the function on arrays of coordinates (Bohr)."""
-        dx = x - self.center[0]
-        dy = y - self.center[1]
-        dz = z - self.center[2]
-        r2 = dx * dx + dy * dy + dz * dz
-        l, m, n = self.powers
-        poly = (dx ** l) * (dy ** m) * (dz ** n)
-        val = 0.0
-        for a, c in zip(self.alphas, self.coeffs):
-            val = val + c * np.exp(-a * r2) * poly
-        return val
-
 
 def _contracted_self_overlap(alphas, coeffs, powers) -> float:
     l, m, n = powers

@@ -20,11 +20,10 @@ from .fermion import ActiveSpaceSpec
 from .molecule import Molecule
 from .oracle import exact_ground_energy
 from .pauli import MappingKind, mapping_from_name
-from .pipeline import (AssembledSystem, assemble, canonical_formula,
-                       diatomic_geometry, display_name,
-                       load_molecule_argument, sector_size)
+from .pipeline import (assemble, canonical_formula, diatomic_geometry,
+                       display_name, load_molecule_argument, sector_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
-from .vqe import OptimizerConfig, build_uccsd, optimizer_kind, run_vqe
+from .vqe import build_uccsd, optimizer_kind, run_vqe
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -72,16 +71,15 @@ class ComparisonReport:
     seed: int
     shots: Optional[int]
     optimizer: Optional[str]
-    results: List[MethodResult] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    results: List[MethodResult] = field(default_factory=list, init=False)
+    notes: List[str] = field(default_factory=list, init=False)
 
     @property
     def all_converged(self) -> bool:
         return all(row.converged for row in self.results)
 
 
-def execute(spec: RunSpec,
-            system: Optional[AssembledSystem] = None) -> ComparisonReport:
+def execute(spec: RunSpec) -> ComparisonReport:
     """Run the requested methods on one geometry."""
     # refused before any integral: bfgs differentiates exact expectations
     if spec.shots is not None and spec.optimizer not in (None, "spsa"):
@@ -92,16 +90,14 @@ def execute(spec: RunSpec,
     block_user = ("fci" if "fci" in spec.methods else "exact vqe"
                   if "vqe" in spec.methods and spec.shots is None else None)
     if block_user is not None:
-        n_determinants = (system.sector.size if system is not None else
-                          sector_size(spec.molecule, spec.active))
+        n_determinants = sector_size(spec.molecule, spec.active)
         if n_determinants > MAX_FCI_DETERMINANTS:
             raise ValueError(
                 f"{block_user} needs at most {MAX_FCI_DETERMINANTS} "
                 f"determinants, got {n_determinants}; restrict the problem "
                 "with --active-space")
-    if system is None:
-        system = assemble(spec.molecule, active=spec.active,
-                          mapping=spec.mapping)
+    system = assemble(spec.molecule, active=spec.active,
+                      mapping=spec.mapping)
     active = system.active_space
     report = ComparisonReport(
         molecule_name=display_name(system.molecule),
@@ -128,10 +124,8 @@ def execute(spec: RunSpec,
         elif method == "vqe":
             so = system.spin_orbitals
             ansatz = build_uccsd(so.n_orbitals, so.n_electrons)
-            result = run_vqe(system, ansatz,
-                             OptimizerConfig(kind=spec.optimizer,
-                                             seed=spec.seed),
-                             shots=spec.shots)
+            result = run_vqe(system, ansatz, optimizer=spec.optimizer,
+                             seed=spec.seed, shots=spec.shots)
             row = MethodResult(method="vqe", energy=result.energy,
                                converged=result.converged,
                                iterations=result.n_iterations,

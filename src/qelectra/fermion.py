@@ -46,8 +46,8 @@ class FermionOperator:
     coefficient; the empty tuple is the identity (constant) term.
     """
 
-    def __init__(self, terms: Dict[TermKey, complex] = None):
-        self.terms: Dict[TermKey, complex] = dict(terms) if terms else {}
+    def __init__(self):
+        self.terms: Dict[TermKey, complex] = {}
 
     def add_term(self, key: TermKey, coeff: complex) -> None:
         if key in self.terms:

@@ -170,27 +170,26 @@ def _boys_argument(p, PC) -> np.ndarray:
 
 
 def _hermite_coulomb(tmax: int, umax: int, vmax: int, p, PC,
-                     F=None) -> np.ndarray:
+                     F) -> np.ndarray:
     """Hermite Coulomb tensor R_{tuv}(p, PC), vectorized over a leading axis.
 
-    `p` has shape (k,), `PC` shape (k, 3). `F`, if given, holds
-    boys(tmax + umax + vmax, _boys_argument(p, PC)) and is overwritten;
-    otherwise it is evaluated here. Returns (tmax+1, umax+1, vmax+1, k).
+    `p` has shape (k,), `PC` shape (k, 3). `F` holds
+    boys(tmax + umax + vmax, _boys_argument(p, PC)) and is overwritten.
+    Returns (tmax+1, umax+1, vmax+1, k).
     """
     p = np.asarray(p, dtype=float)
     PC = np.asarray(PC, dtype=float)
     k = p.shape[0]
     n_tot = tmax + umax + vmax
-    base = boys(n_tot, _boys_argument(p, PC)) if F is None else F
     minus_2p = -2.0 * p
     scale = np.ones_like(p)
     for n in range(n_tot + 1):
-        base[n] *= scale                         # (-2p)^n F_n
+        F[n] *= scale                            # (-2p)^n F_n
         scale = scale * minus_2p
     # R[n][t,u,v] built downward in n
-    R_prev = {(0, 0, 0): base[n_tot]}
+    R_prev = {(0, 0, 0): F[n_tot]}
     for n in range(n_tot - 1, -1, -1):
-        R_cur = {(0, 0, 0): base[n]}
+        R_cur = {(0, 0, 0): F[n]}
         limit = n_tot - n
         for t in range(min(tmax, limit) + 1):
             for u in range(min(umax, limit - t) + 1):

@@ -4,6 +4,7 @@ All internal coordinates are in Bohr; XYZ files are read as Angstrom and
 converted on input. Energies elsewhere in the package are in Hartree.
 """
 
+import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -61,12 +62,12 @@ def from_atom_list(spec, charge: int = 0, name: str = "") -> Molecule:
     return mol
 
 
-def parse_xyz(text: str, charge: int = 0, name: str = "") -> Molecule:
+def parse_xyz(text: str, name: str = "") -> Molecule:
     """Parse standard XYZ text (coordinates in Angstrom).
 
     Line 1 is the atom count, line 2 a free-form comment, then one
-    `symbol x y z` line per atom. The charge is not part of the format and
-    defaults to 0 unless the caller overrides it.
+    `symbol x y z` line per atom. The charge is not part of the format:
+    the molecule is neutral.
     """
     lines = [ln for ln in text.splitlines()]
     if not lines:
@@ -92,18 +93,16 @@ def parse_xyz(text: str, charge: int = 0, name: str = "") -> Molecule:
             raise ValueError(f"non-numeric coordinate in line: {ln!r}") from None
         pos_bohr = tuple(v * BOHR_PER_ANGSTROM for v in pos_ang)
         atoms.append(make_atom(sym, pos_bohr))
-    mol = Molecule(atoms=atoms, charge=charge, name=name)
+    mol = Molecule(atoms=atoms, name=name)
     _validate(mol)
     return mol
 
 
-def load_xyz(path, charge: int = 0) -> Molecule:
+def load_xyz(path) -> Molecule:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return parse_xyz(text, charge=charge, name=stem)
+    return parse_xyz(text, name=stem)
 
 
 def nuclear_repulsion(molecule: Molecule) -> float:

@@ -24,8 +24,8 @@ from .pauli import I_POWERS, PauliSum, bit_parity
 _DENSE_DIRECT_DIM = 2048
 _RESIDUAL_TOL = 1e-9
 _LEAK_TOL = 1e-10
-# Davidson: Rayleigh-Ritz steps, residual norm at which a pair stops
-# being expanded, and the smallest subspace before a thick restart
+# Davidson: Rayleigh-Ritz steps, residual norm at which the pair counts
+# as converged, and the subspace size that triggers a thick restart
 _DAVIDSON_ITERATIONS = 200
 _DAVIDSON_TOL = 1e-10
 _DAVIDSON_SPACE = 32
@@ -142,24 +142,23 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
                        np.concatenate(values)[order], dim, hermitian)
 
 
-def _davidson(block: SparseBlock, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Lowest k Ritz pairs of a Hermitian block by Davidson's method.
+def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
+    """Lowest Ritz pair of a Hermitian block by Davidson's method.
 
-    Each step solves the block projected on an orthonormal subspace and
-    widens the subspace by the diagonal-preconditioned residual
-    (theta - D)^{-1} r of every pair not yet converged (E. R. Davidson,
+    Each step solves the block projected on an orthonormal subspace and,
+    until the pair converges, widens the subspace by the
+    diagonal-preconditioned residual (theta - D)^{-1} r (E. R. Davidson,
     J. Comput. Phys. 17, 87 (1975)). The start is the unit vectors on the
-    2k lowest diagonal entries, so a run is deterministic; a subspace
-    that outgrows its limit restarts from its lowest half of Ritz
+    two lowest diagonal entries, so a run is deterministic; a subspace of
+    _DAVIDSON_SPACE vectors restarts from its lowest half of Ritz
     vectors. The preconditioner suits diagonally dominant blocks, such as
     a Hamiltonian on determinants; on others convergence may be slow.
-    After _DAVIDSON_ITERATIONS steps the last Ritz pairs are returned
-    whether converged or not: the caller checks the residuals.
+    After _DAVIDSON_ITERATIONS steps the last Ritz pair is returned
+    whether converged or not: the caller checks the residual.
     """
     dim = block.shape[0]
     diag = block.diagonal().real
-    limit = max(_DAVIDSON_SPACE, 4 * k)
-    start = np.argsort(diag, kind="stable")[:2 * k]
+    start = np.argsort(diag, kind="stable")[:2]
     space = np.zeros((dim, start.size), dtype=complex)
     space[start, np.arange(start.size)] = 1.0
     images = np.column_stack([block @ v for v in space.T])
@@ -167,59 +166,57 @@ def _davidson(block: SparseBlock, k: int) -> Tuple[np.ndarray, np.ndarray]:
         projected = space.conj().T @ images
         theta, coeffs = np.linalg.eigh(0.5 * (projected
                                               + projected.conj().T))
-        vectors = space @ coeffs[:, :k]
-        residuals = images @ coeffs[:, :k] - vectors * theta[:k]
-        open_pairs = np.flatnonzero(
-            np.linalg.norm(residuals, axis=0) > _DAVIDSON_TOL)
-        if open_pairs.size == 0:
+        # the lowest pair, kept as one-column matrices
+        vector = space @ coeffs[:, :1]
+        residual = images @ coeffs[:, :1] - vector * theta[:1]
+        if np.linalg.norm(residual, axis=0)[0] <= _DAVIDSON_TOL:
             break
-        if space.shape[1] + open_pairs.size > limit:
-            keep = limit // 2
+        if space.shape[1] >= _DAVIDSON_SPACE:
+            keep = _DAVIDSON_SPACE // 2
             space, images = space @ coeffs[:, :keep], images @ coeffs[:, :keep]
-        for i in open_pairs:
-            gap = theta[i] - diag
-            # finite where a Ritz value meets a diagonal entry
-            gap[np.abs(gap) < 1e-8] = 1e-8
-            t = residuals[:, i] / gap
-            for _ in range(2):
-                t -= space @ (space.conj().T @ t)
-            norm = np.linalg.norm(t)
-            if norm < 1e-12:    # already in the subspace
-                continue
-            t /= norm
-            space = np.column_stack([space, t])
-            images = np.column_stack([images, block @ t])
-    return theta[:k], vectors
+        gap = theta[0] - diag
+        # finite where the Ritz value meets a diagonal entry
+        gap[np.abs(gap) < 1e-8] = 1e-8
+        t = residual[:, 0] / gap
+        for _ in range(2):
+            t -= space @ (space.conj().T @ t)
+        norm = np.linalg.norm(t)
+        if norm < 1e-12:    # already in the subspace
+            continue
+        t /= norm
+        space = np.column_stack([space, t])
+        images = np.column_stack([images, block @ t])
+    return theta[0], vector[:, 0]
 
 
-def lowest_eigenvalues(block: SparseBlock, k: int = 1) -> np.ndarray:
-    """The k smallest eigenvalues of a Hermitian block, ascending.
+def lowest_eigenvalues(block: SparseBlock) -> float:
+    """The lowest eigenvalue of a Hermitian block.
 
     The block comes from `pauli_to_sparse`, for example on one (N, S_z)
     sector from `pauli.sector_basis`; one built from a non-Hermitian Pauli
     sum raises ValueError. Dimensions up to 2048 are solved densely by
     `numpy.linalg.eigvalsh`. Larger ones go through a Davidson solve with
     the diagonal preconditioner, meant for diagonally dominant blocks
-    such as an FCI Hamiltonian; its eigenpair residuals are verified
-    before the values are returned, and a RuntimeError reports a solve
-    that did not converge.
+    such as an FCI Hamiltonian; its residual is verified before the value
+    is returned, and a RuntimeError reports a solve that did not
+    converge. Small blocks stay dense because a converged Davidson
+    residual does not prove the ground state: when the start vectors span
+    an invariant subspace that misses it, the solve converges to a higher
+    eigenvalue. X_0 - X_0 Z_1 on 12 qubits is such a block: its diagonal
+    is zero, the start is states 0 and 1, which it maps to zero, and
+    Davidson returns 0.0 against the true -2.0.
     """
     if not block.hermitian:
         raise ValueError("eigenvalue routines need a Hermitian operator")
-    dim = block.shape[0]
-    if k < 1 or k > dim:
-        raise ValueError(f"k must lie in 1..{dim}")
-    # a subspace of up to 4k vectors gains nothing once it nears the space
-    if dim <= _DENSE_DIRECT_DIM or 4 * k >= dim:
-        return np.linalg.eigvalsh(block.toarray())[:k]
-    vals, vecs = _davidson(block, k)
-    for i in range(k):
-        residual = np.linalg.norm(block @ vecs[:, i] - vals[i] * vecs[:, i])
-        if residual > _RESIDUAL_TOL:
-            raise RuntimeError(
-                f"iterative eigensolve residual {residual:.3e} exceeds "
-                f"{_RESIDUAL_TOL:.0e}")
-    return vals
+    if block.shape[0] <= _DENSE_DIRECT_DIM:
+        return float(np.linalg.eigvalsh(block.toarray())[0])
+    value, vector = _davidson(block)
+    residual = np.linalg.norm(block @ vector - value * vector)
+    if residual > _RESIDUAL_TOL:
+        raise RuntimeError(
+            f"iterative eigensolve residual {residual:.3e} exceeds "
+            f"{_RESIDUAL_TOL:.0e}")
+    return float(value)
 
 
 def exact_ground_energy(block: SparseBlock) -> float:
@@ -228,4 +225,4 @@ def exact_ground_energy(block: SparseBlock) -> float:
     On `AssembledSystem.block`, the qubit Hamiltonian on the system's
     sector, this is the FCI energy of that electron count and spin.
     """
-    return float(lowest_eigenvalues(block)[0])
+    return lowest_eigenvalues(block)

@@ -23,7 +23,7 @@ same rotations backwards for the gradient of an expectation value.
 """
 
 import numpy as np
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .pauli import I_POWERS, PauliSum, bit_parity
 
@@ -42,21 +42,17 @@ _Y_BASIS_GATE = _H_GATE @ np.diag([1.0, -1.0j])
 class StateVector:
     """Normalized complex amplitude vector over a little-endian register."""
 
-    def __init__(self, n_qubits: int, data: Optional[np.ndarray] = None):
+    def __init__(self, n_qubits: int, data: np.ndarray):
         if n_qubits < 1 or n_qubits > MAX_QUBITS:
             raise ValueError(
                 f"register size {n_qubits} outside supported range "
                 f"1..{MAX_QUBITS}")
         self.n_qubits = n_qubits
         dim = 1 << n_qubits
-        if data is None:
-            self.data = np.zeros(dim, dtype=complex)
-            self.data[0] = 1.0
-        else:
-            arr = np.asarray(data, dtype=complex)
-            if arr.shape != (dim,):
-                raise ValueError(f"amplitude array must have shape ({dim},)")
-            self.data = arr.copy()
+        arr = np.asarray(data, dtype=complex)
+        if arr.shape != (dim,):
+            raise ValueError(f"amplitude array must have shape ({dim},)")
+        self.data = arr.copy()
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.data)

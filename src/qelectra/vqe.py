@@ -12,9 +12,9 @@ of its aufbau reference. `ansatz_circuit` compiles those pairs once per
 real amplitudes over the sector's determinants, no qubit register.
 
 Two optimizers are provided, and this module owns every setting of both:
-`OptimizerConfig` names the kind, budget, tolerance and seed, and
-`run_vqe` derives whatever is left open from the shot setting and the
-ansatz size. BFGS with an Armijo line search, the default for exact
+a caller names at most the kind and the seed, and `run_vqe` derives the
+rest from the shot setting and the ansatz size, with the budgets in
+DEFAULT_ITERATIONS and the tolerances in DEFAULT_TOLERANCE. BFGS with an Armijo line search, the default for exact
 expectations, takes exact gradients: one circuit run forward and one
 adjoint sweep back (`Circuit.adjoint_gradient`) give the energy and all
 its parameter derivatives. It stops when the largest derivative is below
@@ -37,7 +37,7 @@ the block and these measurements, never the ansatz.
 
 import numpy as np
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .pauli import bit_parity, decode_states
 from .pipeline import AssembledSystem
@@ -167,35 +167,12 @@ SPSA_GAMMA = 0.101
 SPSA_PATIENCE = 5
 # ansatz size up to which the base SPSA budget applies unscaled
 SPSA_BUDGET_PARAMETERS = 48
-# base iteration budget per optimizer kind when max_iterations is None
+# iteration budget per optimizer kind: for spsa the base that
+# `spsa_schedule` scales
 DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
 # convergence tolerance per optimizer kind: a gradient bound for bfgs, an
 # energy change for spsa
 DEFAULT_TOLERANCE = {"spsa": 1e-5, "bfgs": 1e-6}
-
-
-@dataclass
-class OptimizerConfig:
-    """What a caller chooses for the variational minimizer ("bfgs" or
-    "spsa"); `run_vqe` derives the rest. None takes the default: `kind` by
-    the shot setting (`optimizer_kind`), `max_iterations` from
-    DEFAULT_ITERATIONS (for spsa the base that `spsa_schedule` scales) and
-    `tolerance` from DEFAULT_TOLERANCE.
-    """
-    kind: Optional[str] = None
-    max_iterations: Optional[int] = None
-    tolerance: Optional[float] = None
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind is not None and self.kind not in DEFAULT_TOLERANCE:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def optimizer_kind(kind: Optional[str], shots: Optional[int]) -> str:
@@ -216,8 +193,7 @@ class SpsaSchedule:
     big_a: float
 
 
-def spsa_schedule(n_parameters: int,
-                  max_iterations: Optional[int] = None) -> SpsaSchedule:
+def spsa_schedule(n_parameters: int) -> SpsaSchedule:
     """SPSA settings for an ansatz of m = `n_parameters` parameters.
 
     Perturbation sizes shrink with m: at a flat c = 0.1 a ~100-parameter
@@ -227,13 +203,13 @@ def spsa_schedule(n_parameters: int,
     radius roughly constant, and a = 2c.
 
     The iteration budget grows with m, because the variance of the
-    two-point gradient estimate does: the base budget (`max_iterations`,
-    or DEFAULT_ITERATIONS["spsa"]) up to SPSA_BUDGET_PARAMETERS parameters,
+    two-point gradient estimate does: the base budget
+    DEFAULT_ITERATIONS["spsa"] up to SPSA_BUDGET_PARAMETERS parameters,
     base * m / SPSA_BUDGET_PARAMETERS (rounded up) beyond. The gains do not
     grow with it: the stability constant A stays at 10% of the base, so a
     larger budget only lets the same trajectory run longer.
     """
-    base = max_iterations or DEFAULT_ITERATIONS["spsa"]
+    base = DEFAULT_ITERATIONS["spsa"]
     m = max(1, n_parameters)
     c = min(0.1, 0.25 / np.sqrt(m))
     return SpsaSchedule(
@@ -256,9 +232,8 @@ class VqeResult:
 
 
 def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
-            config: OptimizerConfig, shots: Optional[int] = None,
-            initial_parameters: Optional[Sequence[float]] = None
-            ) -> VqeResult:
+            optimizer: Optional[str] = None, seed: Optional[int] = None,
+            shots: Optional[int] = None) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
     The ansatz must have the system's register and electron count; its
@@ -270,26 +245,31 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     amplitudes scattered onto the register, with that many shots per term
     drawn from the same seeded generator as the optimizer; only spsa
     accepts it, and the reported energy is then one more estimate at
-    theta_star. The SPSA gains, and the kind,
-    budget and tolerance that `config` leaves None, are derived here from
-    the shot setting and the ansatz size (`optimizer_kind`,
-    `spsa_schedule`). Identical (system, ansatz, config, shots) reproduce
-    the identical result.
+    theta_star. `optimizer` is "bfgs" or "spsa", or None to choose by the
+    shot setting (`optimizer_kind`); `seed` seeds the spsa perturbations.
+    The budget, the tolerance and the SPSA gains are derived here from
+    the optimizer and the ansatz size (`spsa_schedule`). The run starts
+    from the reference state, all parameters zero. Identical (system,
+    ansatz, optimizer, seed, shots) reproduce the identical result.
     """
+    if optimizer is not None and optimizer not in DEFAULT_TOLERANCE:
+        raise ValueError(f"unknown optimizer kind {optimizer!r}")
+    if seed is not None and seed < 0:
+        raise ValueError("seed must be non-negative")
     n, n_e = system.n_qubits, system.spin_orbitals.n_electrons
     if (ansatz.n_spin_orbitals, ansatz.n_electrons) != (n, n_e):
         raise ValueError(
             f"the system has {n_e} electrons on {n} qubits but the ansatz "
             f"has {ansatz.n_electrons} on {ansatz.n_spin_orbitals}")
-    optimizer = optimizer_kind(config.kind, shots)
-    if shots is not None and optimizer != "spsa":
+    kind = optimizer_kind(optimizer, shots)
+    if shots is not None and kind != "spsa":
         raise ValueError(
-            f"the {optimizer} optimizer needs exact expectations; use "
+            f"the {kind} optimizer needs exact expectations; use "
             "spsa for shot-sampled energies")
-    tol = config.tolerance or DEFAULT_TOLERANCE[optimizer]
+    tol = DEFAULT_TOLERANCE[kind]
     circuit = ansatz_circuit(ansatz, system)
     # only spsa draws: its perturbations, and the shots of a sampled run
-    rng = np.random.default_rng(config.seed) if optimizer == "spsa" else None
+    rng = np.random.default_rng(seed) if kind == "spsa" else None
     counter = {"n": 0}
     if shots is None:
         block = system.block
@@ -314,12 +294,7 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
         h_psi = (block @ psi).real
         return float(psi @ h_psi), circuit.adjoint_gradient(theta, psi, h_psi)
 
-    if initial_parameters is None:
-        theta = np.zeros(ansatz.n_parameters)
-    else:
-        theta = np.asarray(initial_parameters, dtype=float).copy()
-        if theta.shape != (ansatz.n_parameters,):
-            raise ValueError("initial parameter vector has the wrong length")
+    theta = np.zeros(ansatz.n_parameters)
 
     energy_history: List[float] = []
     theta_history: List[np.ndarray] = []
@@ -330,7 +305,7 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
         theta_history.append(th.copy())
         eval_history.append(counter["n"])
 
-    if optimizer == "spsa":
+    if kind == "spsa":
         e_current = evaluate(theta)
     else:
         e_current, gradient = evaluate_with_gradient(theta)
@@ -351,12 +326,12 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
 
     if ansatz.n_parameters == 0:
         return result(True, 0)
-    if optimizer == "bfgs":
+    if kind == "bfgs":
         return result(*_bfgs(
             evaluate_with_gradient, theta, e_current, gradient, tol,
-            config.max_iterations or DEFAULT_ITERATIONS["bfgs"], record))
+            DEFAULT_ITERATIONS["bfgs"], record))
 
-    schedule = spsa_schedule(ansatz.n_parameters, config.max_iterations)
+    schedule = spsa_schedule(ansatz.n_parameters)
     streak = 0
     converged = False
     iterations_done = 0

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from qelectra.basis import load_basis
-from qelectra.integrals import _hermite_coulomb, hermite_coefficients
+from qelectra.integrals import (_boys_argument, _hermite_coulomb, boys,
+                                hermite_coefficients)
 
 BOYS_SWITCH = 35.0
 
@@ -141,7 +142,8 @@ def nuclear_pair(pair, coords, charges):
     total = 0.0
     for C, Z in zip(coords, charges):
         PC = pair.P - C[None, :]
-        R = _hermite_coulomb(tmax, umax, vmax, pair.p, PC)
+        F = boys(tmax + umax + vmax, _boys_argument(pair.p, PC))
+        R = _hermite_coulomb(tmax, umax, vmax, pair.p, PC, F)
         acc = np.zeros_like(pair.p)
         for t in range(tmax + 1):
             for u in range(umax + 1):
@@ -197,7 +199,8 @@ def eri_quartet(bra, ket):
     smax_y = Gy.shape[2] - 1
     smax_z = Gz.shape[2] - 1
 
-    R = _hermite_coulomb(smax_x, smax_y, smax_z, alpha, PQ)
+    F = boys(smax_x + smax_y + smax_z, _boys_argument(alpha, PQ))
+    R = _hermite_coulomb(smax_x, smax_y, smax_z, alpha, PQ, F)
     R = R.reshape(smax_x + 1, smax_y + 1, smax_z + 1, np_, nq)
 
     acc = np.zeros((np_, nq))

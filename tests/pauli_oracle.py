@@ -73,12 +73,11 @@ def encode_occupation(kind: MappingKind, occupied: Iterable[int],
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
     """Computational basis state `index` of an n-qubit register."""
-    state = StateVector(n_qubits)
-    if not 0 <= index < state.data.size:
+    data = np.zeros(1 << n_qubits)
+    if not 0 <= index < data.size:
         raise ValueError("basis index out of range")
-    state.data[0] = 0.0
-    state.data[index] = 1.0
-    return state
+    data[index] = 1.0
+    return StateVector(n_qubits, data)
 
 
 # ---- Pauli strings by letters, and their algebra ----------------------------
@@ -191,17 +190,24 @@ def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
     return worst
 
 
+def fermion_operator(terms) -> FermionOperator:
+    """A FermionOperator holding the given {term key: coefficient} map."""
+    op = FermionOperator()
+    op.terms.update(terms)
+    return op
+
+
 def number_operator(n_modes: int) -> FermionOperator:
     """Total particle number, sum of a_p^ a_p over all modes."""
-    return FermionOperator({((p, 1), (p, 0)): 1.0 for p in range(n_modes)})
+    return fermion_operator({((p, 1), (p, 0)): 1.0 for p in range(n_modes)})
 
 
 def sz_operator(n_modes: int) -> FermionOperator:
     """Spin projection S_z for the interleaved even-alpha, odd-beta layout."""
     if n_modes % 2 != 0:
         raise ValueError("spin layout needs an even number of modes")
-    return FermionOperator({((p, 1), (p, 0)): 0.5 - p % 2
-                            for p in range(n_modes)})
+    return fermion_operator({((p, 1), (p, 0)): 0.5 - p % 2
+                             for p in range(n_modes)})
 
 
 # ---- Pauli strings on the register ------------------------------------------

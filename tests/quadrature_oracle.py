@@ -7,8 +7,9 @@ absolute for the bundled light-element systems; a warning flag is set when
 the requested grid cannot plausibly reach that.
 
 Overlap and kinetic integrands are smooth, so a uniform midpoint product
-grid over a padded bounding box suffices; the kinetic integrand uses the
-closed-form Laplacian of each contracted Gaussian (`laplacian`). The
+grid over a padded bounding box suffices; each contracted Gaussian is
+evaluated on the grid (`value`), and the kinetic integrand uses its
+closed-form Laplacian (`laplacian`). The
 nuclear-attraction integrand has an integrable 1/|r - C| singularity at
 each nucleus, so that term is integrated on a spherical product grid
 (Gauss-Legendre radial and polar, uniform azimuthal) centered on the
@@ -28,6 +29,20 @@ def _safe_pow(base, exponent: int):
     if exponent == 0:
         return np.ones_like(base) if isinstance(base, np.ndarray) else 1.0
     return base ** exponent
+
+
+def value(func: ContractedGaussian, x, y, z):
+    """A contracted Gaussian on arrays of coordinates (Bohr)."""
+    dx = x - func.center[0]
+    dy = y - func.center[1]
+    dz = z - func.center[2]
+    r2 = dx * dx + dy * dy + dz * dz
+    l, m, n = func.powers
+    poly = (dx ** l) * (dy ** m) * (dz ** n)
+    val = 0.0
+    for a, c in zip(func.alphas, func.coeffs):
+        val = val + c * np.exp(-a * r2) * poly
+    return val
 
 
 def laplacian(func: ContractedGaussian, x, y, z):
@@ -109,7 +124,7 @@ def quadrature_one_electron(molecule: Molecule,
     for start in range(0, npts, slab):
         xs = axes[0][start:start + slab]
         X, Y, Z = np.meshgrid(xs, axes[1], axes[2], indexing="ij")
-        values = [f(X, Y, Z) for f in funcs]
+        values = [value(f, X, Y, Z) for f in funcs]
         laplacians = [laplacian(f, X, Y, Z) for f in funcs]
         for i in range(n):
             for j in range(n):
@@ -146,7 +161,7 @@ def quadrature_one_electron(molecule: Molecule,
         gz = C[2] + R3 * U3
         # weight r (not r^2): the leftover after cancelling 1/|r - C|
         w3 = (rw * r)[:, None, None] * u_w[None, :, None] * phi_w
-        fvals = [f(gx, gy, gz) for f in funcs]
+        fvals = [value(f, gx, gy, gz) for f in funcs]
         for i in range(n):
             for j in range(i + 1):
                 contrib = -Zq * float(np.sum(w3 * fvals[i] * fvals[j]))

@@ -26,8 +26,9 @@ from pauli_oracle import (anticommutation_check, number_operator,
                           sz_operator)
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector
-from qelectra.vqe import (DEFAULT_ITERATIONS, OptimizerConfig, ansatz_circuit,
-                          build_uccsd, run_vqe)
+from qelectra import vqe
+from qelectra.vqe import (DEFAULT_ITERATIONS, ansatz_circuit, build_uccsd,
+                          run_vqe)
 from test_cli import method_row
 
 ALL_KINDS = (MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
@@ -90,8 +91,8 @@ def test_bfgs_reaches_exact_ground_energy(bench_hydrogen):
     target = exact_ground_energy(system.block)
     assert target == pytest.approx(BENCH_GROUND, abs=1e-9)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(system, ansatz,
-                     OptimizerConfig(kind="bfgs", max_iterations=200))
+    # the default budget of 200 iterations
+    result = run_vqe(system, ansatz, "bfgs")
     elapsed = time.perf_counter() - t0
     gap = abs(result.energy - target)
     ok = gap <= 1e-6 and result.converged and elapsed < 60.0
@@ -104,9 +105,9 @@ def test_seeded_spsa_is_accurate_and_reproducible(bench_hydrogen):
     t0 = time.perf_counter()
     system = bench_hydrogen
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    config = OptimizerConfig(kind="spsa", max_iterations=300, seed=0)
-    first = run_vqe(system, ansatz, config)
-    second = run_vqe(system, ansatz, config)
+    # the default budget of 300 iterations for 3 parameters
+    first = run_vqe(system, ansatz, "spsa", 0)
+    second = run_vqe(system, ansatz, "spsa", 0)
     elapsed = time.perf_counter() - t0
     gap = abs(first.energy - BENCH_GROUND)
     identical = (first.energy == second.energy
@@ -124,9 +125,9 @@ def test_variational_ordering_on_every_shipped_molecule(assembled):
     margins = []
     ok = True
     for key in SHIPPED_MOLECULES:
-        system = assembled(key)
-        spec = RunSpec(molecule=system.molecule, methods=("hf", "vqe", "fci"))
-        report = execute(spec, system=system)
+        spec = RunSpec(molecule=assembled(key).molecule,
+                       methods=("hf", "vqe", "fci"))
+        report = execute(spec)
         e_hf = method_row(report, "hf").energy
         vqe = method_row(report, "vqe")
         e_vqe = vqe.energy
@@ -186,7 +187,7 @@ def test_quadrature_oracle_confirms_analytic_integrals():
                    f"for H2 and HeH+ in {elapsed:.1f} s (limit 30 s)")
 
 
-def test_number_and_spin_conserved_along_trajectory(assembled):
+def test_number_and_spin_conserved_along_trajectory(assembled, monkeypatch):
     # the sector amplitudes conserve both by construction, so the check
     # runs the trajectory through the Pauli rotations on the register
     system = assembled("h2")
@@ -194,9 +195,9 @@ def test_number_and_spin_conserved_along_trajectory(assembled):
     number = map_fermion(number_operator(n), system.mapping, n)
     spin_z = map_fermion(sz_operator(n), system.mapping, n)
     ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
-    config = OptimizerConfig(kind="spsa", max_iterations=100,
-                             tolerance=1e-30, seed=2)
-    result = run_vqe(system, ansatz, config)
+    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 100)
+    monkeypatch.setitem(vqe.DEFAULT_TOLERANCE, "spsa", 1e-30)
+    result = run_vqe(system, ansatz, "spsa", 2)
     assert result.n_iterations == 100
     circuit = pauli_circuit(ansatz, system.mapping)
     worst_n = 0.0

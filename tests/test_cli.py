@@ -147,8 +147,7 @@ def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
     system = assembled("lih")
     ansatz = vqe.build_uccsd(system.n_qubits,
                              system.spin_orbitals.n_electrons)
-    library = vqe.run_vqe(system, ansatz,
-                          vqe.OptimizerConfig(kind="spsa", seed=0))
+    library = vqe.run_vqe(system, ansatz, "spsa", 0)
     runs = []
 
     def recording(*args, **kwargs):
@@ -198,7 +197,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 spins = PauliSum(12, {key: coeff for q in range(12)
                       for key, coeff in (((0, 1 << q), 1.0 + q),
                                          ((1 << q, 0), 0.3))})
-lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)), k=2)
+lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)))
 print(rc, *sorted(name for name in sys.modules
                   if name == "scipy" or name.startswith("scipy.")))
 """

@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, every
 function, class and public method it defines is referenced by name in
 `src/` or `perfbench/` (or, for the few listed in `TEST_ONLY` with their
-reasons, only in `tests/` and by other listed definitions), and every
-dataclass field it declares is read as an attribute in one of the three.
+reasons, only in `tests/` and by other listed definitions), every
+dataclass field it declares is read as an attribute in one of the three,
+and every parameter or field with a default is passed by some call in
+`src/` or `perfbench/`.
 
 A function or class is referenced by any name or attribute that matches
 it. A method is referenced only by an attribute `obj.name` whose root
@@ -251,7 +253,7 @@ def test_only_the_listed_definitions_serve_the_tests_alone(module):
 
 def dataclass_fields(tree):
     """Annotated fields of every class decorated with @dataclass, with or
-    without arguments, as (class name, field name)."""
+    without arguments, in order, as (class name, annotated assignment)."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -263,7 +265,7 @@ def dataclass_fields(tree):
         for item in node.body:
             if (isinstance(item, ast.AnnAssign)
                     and isinstance(item.target, ast.Name)):
-                yield node.name, item.target.id
+                yield node.name, item
 
 
 def attributes_read(trees):
@@ -277,8 +279,9 @@ def unread_fields(source, others):
     `others` trees reads as an attribute; a write is not a read."""
     tree = ast.parse(source)
     read = attributes_read([tree, *others])
-    return [f"{owner}.{name}" for owner, name in dataclass_fields(tree)
-            if name not in read]
+    return [f"{owner}.{item.target.id}"
+            for owner, item in dataclass_fields(tree)
+            if item.target.id not in read]
 
 
 def test_the_check_sees_an_unread_field():
@@ -296,3 +299,133 @@ def test_every_dataclass_field_is_read(module):
     path = PACKAGE / module
     others = [tree for other, tree in SEARCHED.items() if other != path]
     assert unread_fields(path.read_text(), others) == []
+
+
+# ---- every default is passed by the package ----------------------------------
+
+# parameters and fields with a default that no call in `src/` or
+# `perfbench/` passes, by module, each with the reason it stays
+UNPASSED = {}
+
+
+def is_init_false(value):
+    """Whether a field's default is `field(..., init=False, ...)`."""
+    return (isinstance(value, ast.Call)
+            and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in value.keywords))
+
+
+def defaulted(tree):
+    """Parameters and dataclass fields with a default, as (name a call
+    uses, position of its argument in that call or None for a keyword-only
+    one, parameter name). A class's `__init__` and a dataclass's fields
+    are called by the class name, and a method's `self` takes no
+    argument; fields declared init=False take none either. Other dunder
+    methods are called by the language."""
+    positions = {}
+    for owner, item in dataclass_fields(tree):
+        if is_init_false(item.value):
+            continue
+        positions[owner] = positions.get(owner, -1) + 1
+        if item.value is not None:
+            yield owner, positions[owner], item.target.id
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods.update((item, node.name) for item in node.body
+                           if isinstance(item, ast.FunctionDef))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield from parameters(node, methods.get(node))
+
+
+def parameters(function, owner):
+    """The defaulted parameters of a function, or of a method of the class
+    named `owner`, as `defaulted` lists them."""
+    name = function.name
+    if owner is not None and name == "__init__":
+        name = owner
+    elif name.startswith("__") and name.endswith("__"):
+        return
+    # a method's first parameter is bound by the call, not passed
+    bound = owner is not None
+    positional = function.args.posonlyargs + function.args.args
+    first = len(positional) - len(function.args.defaults)
+    for index in range(first, len(positional)):
+        yield name, index - bound, positional[index].arg
+    for arg, default in zip(function.args.kwonlyargs,
+                            function.args.kw_defaults):
+        if default is not None:
+            yield name, None, arg.arg
+
+
+def passed_arguments(trees):
+    """For each called name, the (positional count, keywords) of its
+    calls. A `*args` may fill every position, so it counts as infinitely
+    many; a `**kwargs` may pass any keyword, and shows as None."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            count = (float("inf") if any(isinstance(arg, ast.Starred)
+                                         for arg in node.args)
+                     else len(node.args))
+            passed.setdefault(name, []).append(
+                (count, {kw.arg for kw in node.keywords}))
+    return passed
+
+
+def unpassed_defaults(source, trees):
+    """Parameters and fields with a default in `source` that no call in
+    the trees outside `tests/` passes, by keyword or by position, as
+    "name.parameter"; `trees` maps the paths of the files to their syntax
+    trees."""
+    passed = passed_arguments(tree for path, tree in trees.items()
+                              if TESTS not in path.parents)
+    missing = []
+    for name, position, parameter in defaulted(ast.parse(source)):
+        if not any(parameter in keywords or None in keywords
+                   or (position is not None and position < count)
+                   for count, keywords in passed.get(name, [])):
+            missing.append(f"{name}.{parameter}")
+    return missing
+
+
+def test_the_check_sees_a_default_only_tests_pass():
+    source = ("from dataclasses import dataclass, field\n\n"
+              "def solve(block, k=1, tol=1e-9, *, dense=False):\n"
+              "    return block\n\n"
+              "@dataclass\nclass Report:\n    name: str\n    seed: int = 0\n"
+              "    notes: list = field(default_factory=list)\n"
+              "    rows: list = field(default_factory=list, init=False)\n\n"
+              "class Solver:\n    def __init__(self, size=4):\n"
+              "        self.size = size\n\n"
+              "    def run(self, steps=10):\n        return steps\n")
+    trees = {PACKAGE / "caller.py": ast.parse(
+                 "solve(b, 2)\nReport('x', 3)\nSolver(8).run()\n"),
+             TESTS / "test_thing.py": ast.parse(
+                 "solve(b, tol=0.1, dense=True)\n"
+                 "Report('x', notes=[])\nSolver().run(5)\n")}
+    assert sorted(unpassed_defaults(source, trees)) == [
+        "Report.notes", "run.steps", "solve.dense", "solve.tol"]
+    # a package call that passes them by position, by keyword or by a
+    # starred argument clears them
+    trees[PACKAGE / "more.py"] = ast.parse(
+        "solve(b, 2, 1e-6, dense=True)\nReport('x', 3, [])\n"
+        "Solver(8).run(*steps)\n")
+    assert unpassed_defaults(source, trees) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_default_is_passed_by_the_package(module):
+    path = PACKAGE / module
+    # equality: a listed parameter that the package now passes, or that is
+    # gone, leaves the list too
+    listed = UNPASSED.get(module, {})
+    assert set(unpassed_defaults(path.read_text(), SEARCHED)) == set(listed)

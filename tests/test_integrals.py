@@ -349,10 +349,10 @@ def test_co2_boys_values_are_evaluated_once_per_order_and_shell_pair_quartet(
     assert elements["_boys_series"] == 49_338
 
 
-def test_co2_integrals_peak_below_four_megabytes():
-    # 3.8 MB with every batch evaluating its own Boys values; 3.7 MB with
-    # them shared per Boys order and the ERI prefactor built before the
-    # batch's largest arrays (4.05 MB with it built after them)
+def test_co2_integrals_peak_below_3_3_megabytes():
+    # 2,974,446 B with the ERIs batched by Boys order and Hermite box over
+    # flat pair tables, the same on repeated runs; the bound leaves about
+    # 10% for allocator and numpy version drift
     molecule = shipped_geometry("co2")
     tracemalloc.start()
     try:
@@ -360,4 +360,4 @@ def test_co2_integrals_peak_below_four_megabytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000
+    assert peak < 3_300_000

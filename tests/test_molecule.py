@@ -52,6 +52,8 @@ def test_load_xyz(tmp_path):
     path.write_text(H2_XYZ)
     mol = load_xyz(str(path))
     assert mol.n_electrons == 2
+    # XYZ carries no charge; the name is the file's stem
+    assert (mol.charge, mol.name) == (0, "h2")
 
 
 def test_overlapping_atoms_rejected():

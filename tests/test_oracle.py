@@ -20,7 +20,7 @@ from qelectra.pauli import MappingKind, PauliSum, map_fermion, sector_basis
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
 from pauli_oracle import (add, apply_pauli, encode_occupation,
-                          number_operator, pauli_sum)
+                          fermion_operator, number_operator, pauli_sum)
 from test_cli import method_row
 from test_pauli import dense_sum, pauli_sums, term
 
@@ -104,31 +104,19 @@ def test_block_has_no_qubit_cap():
     assert np.array_equal(block.toarray(), np.eye(3))
 
 
-def test_full_spectrum_request_falls_back_to_dense(monkeypatch):
-    # a diagonal sum on 2,100 states, above the dense cutoff: with 4k >=
-    # dim a Davidson subspace would near the whole space, so the block is
-    # solved densely
-    fields = 1.0 + 0.37 * np.arange(12)
-    op = pauli_sum(12, [("I" * q + "Z" + "I" * (11 - q), h)
-                        for q, h in enumerate(fields)])
-    basis = np.arange(2100)
-    bits = (basis[:, None] >> np.arange(12)) & 1
-    diagonal = ((1.0 - 2.0 * bits) * fields).sum(axis=1)
+def test_small_blocks_stay_dense_where_davidson_misses_the_ground_state(
+        monkeypatch):
+    # X_0 - X_0 Z_1 has a zero diagonal, so Davidson starts on states 0
+    # and 1; it maps both to zero, and on 4,096 states the solve converges
+    # to 0.0. On 2,048 states the block is solved densely and gives -2.0
+    op = PauliSum(12, {(1, 0): 1.0, (1, 2): -1.0})
 
-    def refuse(block, k):
-        raise AssertionError("the full-spectrum request reached Davidson")
+    def refuse(block):
+        raise AssertionError("a block of 2,048 states reached Davidson")
 
     monkeypatch.setattr(oracle, "_davidson", refuse)
-    got = lowest_eigenvalues(pauli_to_sparse(op, basis), k=525)
-    assert np.allclose(got, np.sort(diagonal)[:525], rtol=0.0, atol=1e-10)
-
-
-def test_k_validation():
-    block = pauli_to_sparse(term("Z"), np.arange(2))
-    with pytest.raises(ValueError):
-        lowest_eigenvalues(block, k=0)
-    with pytest.raises(ValueError):
-        lowest_eigenvalues(block, k=3)
+    assert lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << 11))) \
+        == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_non_hermitian_inputs_rejected():
@@ -157,19 +145,36 @@ def test_davidson_branch_matches_a_closed_form_spectrum():
     # 12 qubits, 4,096 dimensions: above the dense cutoff
     fields = 1.0 + 0.37 * np.arange(12)
     op = independent_spins(12, fields, 0.6)
-    levels = np.sqrt(fields ** 2 + 0.36)
-    # ground state, then the two cheapest single flips
-    want = -levels.sum() + np.concatenate([[0.0], 2.0 * np.sort(levels)[:2]])
+    want = -np.sqrt(fields ** 2 + 0.36).sum()
     block = pauli_to_sparse(op, np.arange(1 << 12))
-    assert np.allclose(lowest_eigenvalues(block, k=3), want, rtol=0.0,
-                       atol=1e-9)
+    assert lowest_eigenvalues(block) == pytest.approx(want, abs=1e-9)
+
+
+def test_davidson_thick_restart_keeps_the_ground_state(monkeypatch):
+    # a subspace of at most 4 vectors restarts from its lowest 2 Ritz
+    # vectors many times before the solve converges
+    fields = 1.0 + 0.37 * np.arange(12)
+    op = independent_spins(12, fields, 0.6)
+    widths = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix):
+        widths.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(oracle, "_DAVIDSON_SPACE", 4)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    got = lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << 12)))
+    assert got == pytest.approx(-np.sqrt(fields ** 2 + 0.36).sum(), abs=1e-9)
+    assert max(widths) == 4
+    assert widths.count(3) > 1
 
 
 def test_davidson_that_does_not_converge_raises(monkeypatch):
     op = independent_spins(12, 1.0 + 0.37 * np.arange(12), 0.6)
     monkeypatch.setattr(oracle, "_DAVIDSON_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="residual"):
-        lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << 12)), k=3)
+        lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << 12)))
 
 
 def test_ground_energy_of_assembled_hydrogen(assembled):
@@ -180,13 +185,12 @@ def test_ground_energy_of_assembled_hydrogen(assembled):
 
 
 def test_lowest_eigenvalues_of_a_pauli_sum_ascending_and_truncated():
+    # the first of the ascending spectrum, as a float
     op = pauli_sum(2, [("ZI", 0.5), ("IZ", 0.25), ("XX", 0.1)])
-    block = pauli_to_sparse(op, np.arange(4))
-    full = lowest_eigenvalues(block, k=4)
-    assert full.shape == (4,)
-    assert np.all(np.diff(full) >= 0)
-    assert np.allclose(lowest_eigenvalues(block, k=2), full[:2])
-    assert np.allclose(full, np.linalg.eigvalsh(dense_sum(op)), atol=1e-12)
+    lowest = lowest_eigenvalues(pauli_to_sparse(op, np.arange(4)))
+    assert isinstance(lowest, float)
+    assert lowest == pytest.approx(np.linalg.eigvalsh(dense_sum(op))[0],
+                                   abs=1e-12)
 
 
 # ---- sector blocks -------------------------------------------------------------
@@ -246,7 +250,7 @@ def test_lithium_hydride_sector_block_equals_the_slice(assembled):
 @pytest.mark.parametrize("kind", list(MappingKind))
 def test_sector_block_refuses_an_operator_that_leaves_it(kind):
     # a_0^ + a_0 changes the particle number of every state it touches
-    ladder = map_fermion(FermionOperator({((0, 1),): 1.0, ((0, 0),): 1.0}),
+    ladder = map_fermion(fermion_operator({((0, 1),): 1.0, ((0, 0),): 1.0}),
                          kind, 4)
     basis = sector_basis(kind, 4, 1, 1)
     with pytest.raises(ValueError, match="outside the basis"):
@@ -263,7 +267,8 @@ def test_sector_basis_argument_validation():
 
 
 @pytest.mark.parametrize("kind", list(MappingKind))
-def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
+def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(
+        kind, monkeypatch):
     # H2 - mu N with mu = 5 Ha: the Fock-space minimum fills all four
     # modes, so only a solve inside the (2, 0) sector gives the FCI energy
     system = assemble(shipped_geometry("h2"), mapping=kind)
@@ -279,10 +284,13 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(kind):
     got = exact_ground_energy(pauli_to_sparse(shifted, system.sector))
     assert got == pytest.approx(want, abs=1e-12)
     assert got > exact_ground_energy(full) + 1.0
+    # the CLI's FCI route, on the shifted system
+    monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs:
+                        dataclasses.replace(system,
+                                            qubit_hamiltonian=shifted))
     report = cli.execute(
         cli.RunSpec(molecule=system.molecule, methods=("fci",),
-                    mapping=kind),
-        system=dataclasses.replace(system, qubit_hamiltonian=shifted))
+                    mapping=kind))
     assert method_row(report, "fci").energy == pytest.approx(want,
                                                              abs=1e-12)
 

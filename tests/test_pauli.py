@@ -24,8 +24,9 @@ from qelectra.pauli import (
 )
 from qelectra.pipeline import SHIPPED_MOLECULES
 from pauli_oracle import (add, anticommutation_check, bit_parity_by_folds,
-                          encode_occupation, ladder_image, letters, masks,
-                          number_operator, pauli_sum, product, sz_operator)
+                          encode_occupation, fermion_operator, ladder_image,
+                          letters, masks, number_operator, pauli_sum,
+                          product, sz_operator)
 from test_fermion import bitwise, dense_annihilator
 
 I2 = np.eye(2, dtype=complex)
@@ -387,12 +388,12 @@ def test_map_fermion_matches_ladder_products_bit_for_bit(case, kind):
 def test_map_fermion_refuses_a_mode_outside_the_register():
     for key in [((0, 1), (4, 0)), ((-1, 1), (0, 0)), ((0, 1), (2**64, 0))]:
         with pytest.raises(ValueError, match="outside register of 4"):
-            map_fermion(FermionOperator({key: 1.0}), MappingKind.PARITY, 4)
+            map_fermion(fermion_operator({key: 1.0}), MappingKind.PARITY, 4)
 
 
 def test_map_fermion_refuses_a_factor_that_is_not_a_pair():
     # the second term would otherwise be read from the first one's spill
-    op = FermionOperator({((0, 1, 1),): 1.0, ((1, 0),): 1.0})
+    op = fermion_operator({((0, 1, 1),): 1.0, ((1, 0),): 1.0})
     with pytest.raises(ValueError, match="pairs"):
         map_fermion(op, MappingKind.PARITY, 4)
 

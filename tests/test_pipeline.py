@@ -114,7 +114,7 @@ def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
     e_hf, e_fci = PINNED_ENERGIES[key]
     system = assembled(key)
     report = execute(RunSpec(molecule=system.molecule,
-                             methods=("hf", "fci")), system=system)
+                             methods=("hf", "fci")))
     assert method_row(report, "hf").energy == pytest.approx(e_hf, abs=1e-6)
     assert method_row(report, "fci").energy == pytest.approx(e_fci, abs=1e-6)
     # the CLI's FCI cap counts, before any integral, the sector solved here

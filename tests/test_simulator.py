@@ -27,9 +27,13 @@ def random_word(n, rng):
         np.array(list("IXYZ")), size=n))
 
 
-def test_default_state_is_all_zeros():
-    sv = StateVector(3)
+def test_state_holds_a_complex_copy_of_its_data():
+    data = np.zeros(8)
+    data[0] = 1.0
+    sv = StateVector(3, data)
+    data[0] = 0.0
     assert sv.data.shape == (8,)
+    assert sv.data.dtype == complex
     assert sv.data[0] == 1.0
     assert np.linalg.norm(sv.data) == pytest.approx(1.0)
     assert np.all(sv.data[1:] == 0.0)
@@ -37,9 +41,9 @@ def test_default_state_is_all_zeros():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        StateVector(0)
+        StateVector(0, np.ones(1))
     with pytest.raises(ValueError):
-        StateVector(MAX_QUBITS + 1)
+        StateVector(MAX_QUBITS + 1, np.ones(1))
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
 
@@ -60,7 +64,7 @@ def test_apply_pauli_matches_dense():
         want = dense(word) @ sv.data
         assert np.allclose(apply_pauli(sv, *masks(word)), want, atol=1e-12)
     with pytest.raises(ValueError, match="outside the register"):
-        apply_pauli(StateVector(2), 0b100, 0)
+        apply_pauli(basis_state(2, 0), 0b100, 0)
 
 
 def test_pauli_exponential_matches_expm():
@@ -160,7 +164,7 @@ def test_sampled_expectation_is_deterministic_per_seed():
 
 
 def test_sampled_expectation_identity_is_exact():
-    sv = StateVector(2)
+    sv = basis_state(2, 0)
     est, err = sv.sampled_expectation(term("II", 1.25), 10,
                                       np.random.default_rng(0))
     assert est == pytest.approx(1.25)
@@ -177,7 +181,7 @@ def test_sampling_measures_y_in_its_eigenbasis():
 
 
 def test_sampled_expectation_validation():
-    sv = StateVector(1)
+    sv = basis_state(1, 0)
     op = term("Z")
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -216,7 +220,7 @@ def test_circuit_zero_angles_reproduce_reference():
 def test_circuit_scale_multiplies_parameter():
     circ = PauliCircuit(1, 0, [(masks("X"), 0, -3.0)], 1)
     out = circ.run([0.5])
-    want = expm(-0.5j * (-1.5) * dense("X")) @ StateVector(1).data
+    want = expm(-0.5j * (-1.5) * dense("X")) @ basis_state(1, 0).data
     assert np.allclose(out.data, want, atol=1e-12)
 
 

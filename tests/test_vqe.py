@@ -1,6 +1,7 @@
 """Coupled-cluster ansatz construction and the variational optimizers."""
 
 import dataclasses
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,15 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra import oracle, simulator
-from qelectra.fermion import FermionOperator
+from qelectra import oracle, simulator, vqe
 from qelectra.oracle import exact_ground_energy
 from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.vqe import (
     DEFAULT_ITERATIONS,
     DEFAULT_TOLERANCE,
     Excitation,
-    OptimizerConfig,
     UccsdAnsatz,
     ansatz_circuit,
     build_uccsd,
@@ -26,8 +25,8 @@ from qelectra.vqe import (
     spsa_gradient_estimate,
     spsa_schedule,
 )
-from pauli_oracle import (add, excitation_generator, pauli_circuit,
-                          register_state)
+from pauli_oracle import (add, excitation_generator, fermion_operator,
+                          pauli_circuit, register_state)
 from test_fermion import dense_operator
 from test_pauli import term
 
@@ -152,12 +151,6 @@ def test_adjoint_gradient_matches_central_differences(key, kind, assembled,
     central = np.array([(energy(theta + h * e) - energy(theta - h * e))
                         / (2.0 * h) for e in np.eye(m)])
     assert np.max(np.abs(gradient - central)) <= 1e-7
-    # BFGS from the same point is deterministic to the last bit
-    config = OptimizerConfig(kind="bfgs", max_iterations=10)
-    first, second = (run_vqe(system, ansatz, config,
-                             initial_parameters=theta) for _ in range(2))
-    assert first.energy_history == second.energy_history
-    assert first.theta_star.tobytes() == second.theta_star.tobytes()
 
 
 def test_adjoint_gradient_validation(assembled):
@@ -173,7 +166,7 @@ def test_adjoint_gradient_validation(assembled):
 def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
     system = remapped(assembled("lih"), kind)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(system, ansatz, OptimizerConfig(kind="bfgs"))
+    result = run_vqe(system, ansatz, "bfgs")
     target = exact_ground_energy(system.block)
     assert result.converged
     assert result.n_iterations < 20
@@ -189,16 +182,20 @@ def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
     gradient = circuit.adjoint_gradient(result.theta_star, psi,
                                         (system.block @ psi).real)
     assert np.max(np.abs(gradient)) <= 1e-6
+    # BFGS is deterministic to the last bit
+    again = run_vqe(system, ansatz, "bfgs")
+    assert again.energy_history == result.energy_history
+    assert again.theta_star.tobytes() == result.theta_star.tobytes()
 
 
-def test_bfgs_stops_when_no_descent_is_left(assembled):
+def test_bfgs_stops_when_no_descent_is_left(assembled, monkeypatch):
     # a gradient bound below what double precision resolves: the run ends
     # at the first step that moves the energy only at rounding level
     # (iterate 17, 18 evaluations) instead of in failing line searches
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(system, ansatz,
-                     OptimizerConfig(kind="bfgs", tolerance=1e-12))
+    monkeypatch.setitem(vqe.DEFAULT_TOLERANCE, "bfgs", 1e-12)
+    result = run_vqe(system, ansatz, "bfgs")
     assert not result.converged
     assert result.n_iterations < 200
     assert result.n_evaluations <= 20
@@ -217,54 +214,41 @@ def test_gradient_optimizers_refuse_shots(optimizer, assembled,
 
     monkeypatch.setattr(simulator.Circuit, "run", refuse)
     with pytest.raises(ValueError, match="exact expectations"):
-        run_vqe(system, ansatz, OptimizerConfig(kind=optimizer), shots=64)
+        run_vqe(system, ansatz, optimizer, shots=64)
 
 
-def test_spsa_reproduces_bitwise_and_lands_near_target(assembled):
+def test_spsa_reproduces_bitwise_and_lands_near_target(assembled,
+                                                       monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    config = OptimizerConfig(kind="spsa", max_iterations=200, seed=11)
-    first = run_vqe(system, ansatz, config)
+    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 200)
+    first = run_vqe(system, ansatz, "spsa", 11)
     target = exact_ground_energy(system.block)
     assert abs(first.energy - target) < 1e-3
-    second = run_vqe(system, ansatz, config)
+    second = run_vqe(system, ansatz, "spsa", 11)
     assert first.energy == second.energy
     assert first.energy_history == second.energy_history
     assert first.theta_star.tobytes() == second.theta_star.tobytes()
 
 
-def test_shot_noise_runs_are_seeded(assembled):
+def test_shot_noise_runs_are_seeded(assembled, monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    config = OptimizerConfig(kind="spsa", max_iterations=10, seed=5)
-    first = run_vqe(system, ansatz, config, shots=128)
-    second = run_vqe(system, ansatz, config, shots=128)
+    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 10)
+    first = run_vqe(system, ansatz, "spsa", 5, shots=128)
+    second = run_vqe(system, ansatz, "spsa", 5, shots=128)
     assert first.energy_history == second.energy_history
-    exact = run_vqe(system, ansatz, config)
+    exact = run_vqe(system, ansatz, "spsa", 5)
     assert first.energy_history != exact.energy_history
-
-
-def test_initial_parameters_are_honored(assembled):
-    system = assembled("h2")
-    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    warm = run_vqe(system, ansatz,
-                   OptimizerConfig(kind="bfgs", max_iterations=60))
-    resumed = run_vqe(system, ansatz,
-                      OptimizerConfig(kind="bfgs", max_iterations=20),
-                      initial_parameters=warm.theta_star)
-    assert resumed.energy_history[0] == pytest.approx(warm.energy, abs=1e-9)
-    with pytest.raises(ValueError, match="length"):
-        run_vqe(system, ansatz, OptimizerConfig(kind="bfgs"),
-                initial_parameters=[0.0])
 
 
 def test_register_mismatch_rejected(assembled):
     system = assembled("h2")
     with pytest.raises(ValueError, match="qubits"):
-        run_vqe(system, build_uccsd(6, 2), OptimizerConfig())
+        run_vqe(system, build_uccsd(6, 2))
     # the circuit's reference must lie in the system's sector
     with pytest.raises(ValueError, match="electrons"):
-        run_vqe(system, UccsdAnsatz(4, 1, []), OptimizerConfig())
+        run_vqe(system, UccsdAnsatz(4, 1, []))
 
 
 def test_the_mapping_has_no_default(assembled):
@@ -275,12 +259,11 @@ def test_the_mapping_has_no_default(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     with pytest.raises(TypeError, match="kind"):
-        run_vqe(system, ansatz, OptimizerConfig(),
-                kind=MappingKind.JORDAN_WIGNER)
+        run_vqe(system, ansatz, kind=MappingKind.JORDAN_WIGNER)
     with pytest.raises(TypeError, match="system"):
         ansatz_circuit(ansatz)
     for kind in ALL_KINDS:
-        result = run_vqe(remapped(system, kind), ansatz, OptimizerConfig())
+        result = run_vqe(remapped(system, kind), ansatz)
         assert result.energy == pytest.approx(
             exact_ground_energy(system.block), abs=1e-9)
 
@@ -298,8 +281,8 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
         return build(observable, basis)
 
     monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
-    config = OptimizerConfig(kind="spsa", max_iterations=5, seed=3)
-    result = run_vqe(system, ansatz, config)
+    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 5)
+    result = run_vqe(system, ansatz, "spsa", 3)
     assert len(built) == 1
     observable, basis = built[0]
     assert observable is system.qubit_hamiltonian
@@ -309,11 +292,11 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
     assert basis.size == 4
     assert result.n_evaluations > 1
     # a second run, and the FCI solve, reuse the system's block
-    run_vqe(system, ansatz, config)
+    run_vqe(system, ansatz, "spsa", 3)
     exact_ground_energy(system.block)
     assert len(built) == 1
     # sampled energies measure the Pauli terms; no matrix is built
-    run_vqe(dataclasses.replace(system), ansatz, config, shots=64)
+    run_vqe(dataclasses.replace(system), ansatz, "spsa", 3, shots=64)
     assert len(built) == 1
 
 
@@ -335,31 +318,30 @@ def test_hamiltonian_leaving_the_reference_sector_is_refused(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     # a_0^ + a_0 is Hermitian but changes the particle number
-    ladder = map_fermion(FermionOperator({((0, 1),): 0.1, ((0, 0),): 0.1}),
+    ladder = map_fermion(fermion_operator({((0, 1),): 0.1, ((0, 0),): 0.1}),
                          MappingKind.PARITY, system.n_qubits)
     leaky = dataclasses.replace(
         system, qubit_hamiltonian=add(system.qubit_hamiltonian, ladder))
     with pytest.raises(ValueError, match="outside the basis"):
-        run_vqe(leaky, ansatz, OptimizerConfig(seed=0))
+        run_vqe(leaky, ansatz, seed=0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("key", ["lih", "h2o"])
 def test_sector_energy_matches_the_full_register_term_loop(key, kind,
                                                            assembled):
-    # run_vqe's first energy is psi_S^ H_SS psi_S at the initial angles;
-    # the term loop sums every Pauli term over all 2^n amplitudes
+    # an exact energy is psi_S^ H_SS psi_S, with psi_S the circuit's
+    # sector amplitudes and H_SS the system's block; the term loop sums
+    # every Pauli term over all 2^n amplitudes
     system = remapped(assembled(key), kind)
     n = system.n_qubits
     n_e = system.spin_orbitals.n_electrons
     ansatz = build_uccsd(n, n_e)
     theta = np.random.default_rng(41).uniform(-1.0, 1.0,
                                               ansatz.n_parameters)
-    result = run_vqe(system, ansatz,
-                     OptimizerConfig(kind="spsa", max_iterations=1, seed=0),
-                     initial_parameters=theta)
+    psi = ansatz_circuit(ansatz, system).run(theta)
     state = pauli_circuit(ansatz, kind).run(theta)
-    assert result.energy_history[0] == pytest.approx(
+    assert psi @ (system.block @ psi).real == pytest.approx(
         state.expectation(system.qubit_hamiltonian), abs=1e-10)
     outside = np.delete(state.data,
                         sector_basis(kind, n, n_e // 2, n_e // 2))
@@ -369,34 +351,39 @@ def test_sector_energy_matches_the_full_register_term_loop(key, kind,
 def test_empty_ansatz_returns_reference_energy(assembled):
     system = assembled("h2")
     bare = UccsdAnsatz(n_spin_orbitals=4, n_electrons=2, excitations=[])
-    result = run_vqe(system, bare, OptimizerConfig())
+    result = run_vqe(system, bare)
     assert result.converged
     assert result.n_iterations == 0
     assert result.energy == pytest.approx(system.scf.e_total, abs=1e-9)
 
 
-def test_optimizer_config_validation():
+def test_optimizer_config_validation(assembled, monkeypatch):
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    assert run_vqe(system, ansatz, seed=0).converged
+
+    def refuse(self, parameters):
+        raise AssertionError("no circuit runs for refused settings")
+
+    monkeypatch.setattr(simulator.Circuit, "run", refuse)
     for kind in ("adam", "gd"):
         with pytest.raises(ValueError, match="kind"):
-            OptimizerConfig(kind=kind)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
+            run_vqe(system, ansatz, kind)
     with pytest.raises(ValueError, match="seed"):
-        OptimizerConfig(seed=-1)
-    assert OptimizerConfig(seed=0).seed == 0
-    # the gains are derived by run_vqe, not set
-    with pytest.raises(TypeError):
-        OptimizerConfig(a=0.2)
+        run_vqe(system, ansatz, seed=-1)
+    # the budget, the tolerance and the gains are derived by run_vqe, not
+    # set
+    for name in ("max_iterations", "tolerance", "a"):
+        with pytest.raises(TypeError):
+            run_vqe(system, ansatz, **{name: 0.2})
 
 
 def test_optimizer_config_defaults():
-    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == [
-        "kind", "max_iterations", "tolerance", "seed"]
-    config = OptimizerConfig()
-    assert (config.kind, config.max_iterations, config.tolerance,
-            config.seed) == (None, None, None, None)
+    parameters = inspect.signature(run_vqe).parameters
+    assert list(parameters) == ["system", "ansatz", "optimizer", "seed",
+                                "shots"]
+    assert [parameters[name].default
+            for name in ("optimizer", "seed", "shots")] == [None] * 3
     assert optimizer_kind(None, None) == "bfgs"
     assert optimizer_kind(None, 64) == "spsa"
     assert optimizer_kind("spsa", None) == "spsa"
@@ -404,7 +391,8 @@ def test_optimizer_config_defaults():
     assert DEFAULT_ITERATIONS == {"spsa": 300, "bfgs": 200}
 
 
-def test_spsa_budget_grows_with_parameter_count_but_gains_do_not():
+def test_spsa_budget_grows_with_parameter_count_but_gains_do_not(
+        monkeypatch):
     for m, budget in ((3, 300), (24, 300), (92, 575), (117, 732)):
         schedule = spsa_schedule(m)
         c = min(0.1, 0.25 / np.sqrt(m))
@@ -412,9 +400,11 @@ def test_spsa_budget_grows_with_parameter_count_but_gains_do_not():
         assert schedule.big_a == 0.1 * 300
         assert schedule.c == c
         assert schedule.a == 2.0 * c
-    # an explicit budget is the base the schedule scales
-    assert spsa_schedule(117, 100) == dataclasses.replace(
-        spsa_schedule(117), iterations=244, big_a=0.1 * 100)
+    # the base budget is the one the schedule scales
+    default = spsa_schedule(117)
+    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 100)
+    assert spsa_schedule(117) == dataclasses.replace(
+        default, iterations=244, big_a=0.1 * 100)
 
 
 def test_spsa_gradient_is_exact_for_one_parameter_quadratic():
@@ -504,10 +494,9 @@ def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
     for name in ("zeros", "empty", "ones", "full", "arange", "eye",
                  "zeros_like", "empty_like", "bincount"):
         monkeypatch.setattr(np, name, bounded(getattr(np, name)))
+    monkeypatch.setattr(vqe, "DEFAULT_ITERATIONS", {"spsa": 3, "bfgs": 3})
     for optimizer in ("bfgs", "spsa"):
-        result = run_vqe(system, ansatz,
-                         OptimizerConfig(kind=optimizer, max_iterations=3,
-                                         seed=0))
+        result = run_vqe(system, ansatz, optimizer, 0)
         assert result.n_evaluations > 1
 
 
@@ -526,7 +515,7 @@ def test_sampled_runs_report_a_fresh_estimate_at_theta_star(assembled,
 
     monkeypatch.setattr(simulator.StateVector, "sampled_expectation",
                         recording)
-    result = run_vqe(system, ansatz, OptimizerConfig(seed=0), shots=4096)
+    result = run_vqe(system, ansatz, seed=0, shots=4096)
     assert len(draws) == result.n_evaluations
     assert result.n_evaluations == result.evaluation_history[-1] + 1
     state, (mean, error) = draws[-1]
@@ -543,8 +532,7 @@ def test_sampling_the_sector_state_matches_the_register_state(assembled,
     # what it draws on the Pauli rotations' full register state
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    config = OptimizerConfig(seed=4)
-    sector_run = run_vqe(system, ansatz, config, shots=64)
+    sector_run = run_vqe(system, ansatz, seed=4, shots=64)
 
     pauli = pauli_circuit(ansatz, system.mapping)
     angles = []
@@ -561,7 +549,7 @@ def test_sampling_the_sector_state_matches_the_register_state(assembled,
     monkeypatch.setattr(simulator.Circuit, "run", recording)
     monkeypatch.setattr(simulator.StateVector, "sampled_expectation",
                         on_register)
-    register_run = run_vqe(system, ansatz, config, shots=64)
+    register_run = run_vqe(system, ansatz, seed=4, shots=64)
     assert len(angles) == sector_run.n_evaluations
     assert register_run.energy_history == sector_run.energy_history
     assert register_run.energy == sector_run.energy
