@@ -26,9 +26,8 @@ from pauli_oracle import (anticommutation_check, number_operator,
                           sz_operator)
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector
-from qelectra import vqe
-from qelectra.vqe import (DEFAULT_ITERATIONS, ansatz_circuit, build_uccsd,
-                          run_vqe)
+from qelectra.vqe import (DEFAULT_ITERATIONS, DEFAULT_TOLERANCE,
+                          ansatz_circuit, build_uccsd, run_vqe)
 from test_cli import method_row
 
 ALL_KINDS = (MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
@@ -195,8 +194,8 @@ def test_number_and_spin_conserved_along_trajectory(assembled, monkeypatch):
     number = map_fermion(number_operator(n), system.mapping, n)
     spin_z = map_fermion(sz_operator(n), system.mapping, n)
     ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 100)
-    monkeypatch.setitem(vqe.DEFAULT_TOLERANCE, "spsa", 1e-30)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 100)
+    monkeypatch.setitem(DEFAULT_TOLERANCE, "spsa", 1e-30)
     result = run_vqe(system, ansatz, "spsa", 2)
     assert result.n_iterations == 100
     circuit = pauli_circuit(ansatz, system.mapping)

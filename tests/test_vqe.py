@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra import oracle, simulator, vqe
+from qelectra import oracle, simulator
 from qelectra.oracle import exact_ground_energy
 from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.vqe import (
@@ -194,7 +194,7 @@ def test_bfgs_stops_when_no_descent_is_left(assembled, monkeypatch):
     # (iterate 17, 18 evaluations) instead of in failing line searches
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(vqe.DEFAULT_TOLERANCE, "bfgs", 1e-12)
+    monkeypatch.setitem(DEFAULT_TOLERANCE, "bfgs", 1e-12)
     result = run_vqe(system, ansatz, "bfgs")
     assert not result.converged
     assert result.n_iterations < 200
@@ -221,7 +221,7 @@ def test_spsa_reproduces_bitwise_and_lands_near_target(assembled,
                                                        monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 200)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 200)
     first = run_vqe(system, ansatz, "spsa", 11)
     target = exact_ground_energy(system.block)
     assert abs(first.energy - target) < 1e-3
@@ -234,7 +234,7 @@ def test_spsa_reproduces_bitwise_and_lands_near_target(assembled,
 def test_shot_noise_runs_are_seeded(assembled, monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 10)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 10)
     first = run_vqe(system, ansatz, "spsa", 5, shots=128)
     second = run_vqe(system, ansatz, "spsa", 5, shots=128)
     assert first.energy_history == second.energy_history
@@ -281,7 +281,7 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
         return build(observable, basis)
 
     monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
-    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 5)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 5)
     result = run_vqe(system, ansatz, "spsa", 3)
     assert len(built) == 1
     observable, basis = built[0]
@@ -402,7 +402,7 @@ def test_spsa_budget_grows_with_parameter_count_but_gains_do_not(
         assert schedule.a == 2.0 * c
     # the base budget is the one the schedule scales
     default = spsa_schedule(117)
-    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "spsa", 100)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 100)
     assert spsa_schedule(117) == dataclasses.replace(
         default, iterations=244, big_a=0.1 * 100)
 
@@ -494,8 +494,8 @@ def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
     for name in ("zeros", "empty", "ones", "full", "arange", "eye",
                  "zeros_like", "empty_like", "bincount"):
         monkeypatch.setattr(np, name, bounded(getattr(np, name)))
-    monkeypatch.setattr(vqe, "DEFAULT_ITERATIONS", {"spsa": 3, "bfgs": 3})
     for optimizer in ("bfgs", "spsa"):
+        monkeypatch.setitem(DEFAULT_ITERATIONS, optimizer, 3)
         result = run_vqe(system, ansatz, optimizer, 0)
         assert result.n_evaluations > 1
 
