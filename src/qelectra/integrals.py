@@ -29,9 +29,10 @@ pair, nucleus or quartet at a time, because:
 - zero-padded Hermite columns add only exact zeros to the convolutions'
   sums, which start at +0.0 and so never hold -0.0: adding a zero changes
   no bit, and the real terms keep their relative order;
-- the Boys series stops an element once its term is at most 1e-17 of its
-  sum, below half an ulp, and every later term is smaller: an element's
-  value does not depend on the others in its batch;
+- the Boys series sums until every element's term is at most 1e-17 of
+  its sum. Such a term is below half an ulp and every later term is
+  smaller, so an element that converged first keeps its bits while the
+  rest sum on: its value does not depend on the others in its batch;
 - the ERIs evaluate each Boys value once per (Boys order, bra shell pair,
   ket shell pair). A shell, a function's center and exponents (an sp
   shell's 2s and 2p share one), fixes p and P per primitive pair, so all
@@ -56,11 +57,6 @@ from .molecule import Molecule, nuclear_repulsion
 
 MAX_BASIS_FUNCTIONS = 32
 _BOYS_SWITCH = 35.0
-# The Boys series compacts its working set only while it holds more than
-# this many elements. Its masks take a byte per element, and numpy keeps
-# freed buffers under 1 KB for reuse, one set per size: compacting further
-# left about 0.15 MB of such buffers held after CO2's integrals.
-_BOYS_MIN_COMPACTION = 1024
 # Hermite Coulomb tensor elements (primitive quartets times box volume) per
 # ERI call: caps the working memory of one batch (compute_integrals on CO2
 # peaks at about 3 MB).
@@ -87,30 +83,18 @@ def _boys_series(m_max: int, x: np.ndarray) -> np.ndarray:
     # highest order, then recurred downward (stable direction).
     two_x = 2.0 * x
     acc = np.full_like(x, 1.0 / (2 * m_max + 1))
-    # Every fourth term, once at least half of the working set has a term
-    # at most 1e-17 of its sum, those elements leave it. Such a term is
-    # below half an ulp of the sum, and it lies past the largest term (up
-    # to there each term is at least 1/(k+1) of the sum), so the terms only
-    # shrink after it and summing on would change no bit. Leaving only in
-    # halves keeps the copies few: a copy at every check grew the peak
-    # memory of CO2's integrals by 0.4 MB.
-    live = np.arange(x.size)
-    term, part, ratio = acc.copy(), acc.copy(), two_x
+    # Every fourth term the sum stops once every element has a term at most
+    # 1e-17 of its sum. Such a term is below half an ulp of the sum, and it
+    # lies past the largest term (up to there each term is at least
+    # 1/(k+1) of the sum), so the terms only shrink after it and the
+    # elements that converged earlier keep every bit while the rest sum on.
+    term = acc.copy()
     for k in range(1, 302):
-        term *= ratio
+        term *= two_x
         term /= 2 * m_max + 2 * k + 1
-        part += term
-        if k % 4 == 0:
-            done = term <= 1e-17 * part
-            converged = np.count_nonzero(done)
-            if converged == live.size:
-                break
-            if 2 * converged >= live.size > _BOYS_MIN_COMPACTION:
-                acc[live[done]] = part[done]
-                keep = ~done
-                live, term = live[keep], term[keep]
-                part, ratio = part[keep], ratio[keep]
-    acc[live] = part
+        acc += term
+        if k % 4 == 0 and np.all(term <= 1e-17 * acc):
+            break
     ex = np.exp(-x)
     out = np.empty((m_max + 1,) + x.shape, dtype=float)
     out[m_max] = ex * acc

@@ -153,8 +153,9 @@ def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
     _DAVIDSON_SPACE vectors restarts from its lowest half of Ritz
     vectors. The preconditioner suits diagonally dominant blocks, such as
     a Hamiltonian on determinants; on others convergence may be slow.
-    After _DAVIDSON_ITERATIONS steps the last Ritz pair is returned
-    whether converged or not: the caller checks the residual.
+    After _DAVIDSON_ITERATIONS steps, or once a correction lies in the
+    subspace (every later step would repeat it), the last Ritz pair is
+    returned whether converged or not: the caller checks the residual.
     """
     dim = block.shape[0]
     diag = block.diagonal().real
@@ -181,8 +182,8 @@ def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
         for _ in range(2):
             t -= space @ (space.conj().T @ t)
         norm = np.linalg.norm(t)
-        if norm < 1e-12:    # already in the subspace
-            continue
+        if norm < 1e-12:    # already in the subspace: no step can widen it
+            break
         t /= norm
         space = np.column_stack([space, t])
         images = np.column_stack([images, block @ t])

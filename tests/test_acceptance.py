@@ -3,9 +3,9 @@
 Each test prints exactly one PASS/FAIL line (visible with -s or in the
 captured output of a failure) and enforces its own wall-clock budget
 where one applies. Golden numbers are pinned from independent solves:
-the exact ground energy at the 1.388861 Bohr hydrogen geometry was
-cross-checked between the dense and the Lanczos eigensolver paths before
-being frozen here.
+the exact ground energy at the 1.388861 Bohr hydrogen geometry is what
+both eigensolver paths, dense `eigvalsh` and Davidson, give on its sector
+block, to the last bit.
 """
 
 import time

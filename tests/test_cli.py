@@ -347,6 +347,16 @@ def test_unknown_basis_name(capsys):
     ("2\n\nH 0 0 nan\nH 0 0 0\n", "non-finite coordinate"),
     ("2\n\nH 0 0 inf\nH 0 0 0\n", "non-finite coordinate"),
     ("-1\n\nH 0 0 0\nH 0 0 0.74\nH 0 0 1.48\n", "at least 1"),
+    ("", "error: empty XYZ input"),
+    ("two\n\nH 0 0 0\nH 0 0 0.74\n",
+     "error: first XYZ line must be the atom count"),
+    ("2\n\nH 0 0\nH 0 0 0.74\n",
+     "error: malformed XYZ coordinate line: 'H 0 0'"),
+    ("2\n\nH 0 0 x\nH 0 0 0.74\n",
+     "error: non-numeric coordinate in line: 'H 0 0 x'"),
+    # 1e-7 Angstrom apart: distinct nuclei, but their 1s functions coincide
+    ("2\n\nH 0 0 0\nH 0 0 1e-7\n",
+     "error: overlap matrix is numerically singular"),
 ])
 def test_bad_xyz_files_exit_one(capsys, tmp_path, text, fragment):
     xyz = tmp_path / "bad.xyz"
@@ -356,6 +366,25 @@ def test_bad_xyz_files_exit_one(capsys, tmp_path, text, fragment):
     assert code == 1
     assert out == ""
     assert fragment in err
+
+
+def test_molecule_over_the_basis_cap_exits_one(capsys, tmp_path):
+    # a small window does not lift the cap: the full basis holds the ERIs
+    xyz = tmp_path / "c7.xyz"
+    xyz.write_text("7\n\n" + "".join(f"C {1.5 * i} 0 0\n" for i in range(7)))
+    code, out, err = run_cli(capsys, "--molecule", str(xyz),
+                             "--active-space", "2,2")
+    assert code == 1
+    assert out == ""
+    assert "error: 35 basis functions exceeds the dense-ERI cap of 32" in err
+
+
+def test_shot_run_table_ends_with_the_sampling_note(capsys):
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
+                             "--shots", "64")
+    assert code in (0, 2), err
+    assert out.splitlines()[-1] == ("note: vqe energies are sampled "
+                                    "estimates at 64 shots per term")
 
 
 def test_one_job_builds_one_sector_block(capsys, monkeypatch):

@@ -3,8 +3,9 @@ function, class and public method it defines is referenced by name in
 `src/` or `perfbench/` (or, for the few listed in `TEST_ONLY` with their
 reasons, only in `tests/` and by other listed definitions), every
 dataclass field it declares is read as an attribute in one of the three,
-and every parameter or field with a default is passed by some call in
-`src/` or `perfbench/`.
+every parameter or field with a default is passed by some call in `src/`
+or `perfbench/`, and every module-level constant is read there, outside
+its own assignment.
 
 A function or class is referenced by any name or attribute that matches
 it. A method is referenced only by an attribute `obj.name` whose root
@@ -429,3 +430,69 @@ def test_every_default_is_passed_by_the_package(module):
     # gone, leaves the list too
     listed = UNPASSED.get(module, {})
     assert set(unpassed_defaults(path.read_text(), SEARCHED)) == set(listed)
+
+
+# ---- every module-level constant is read -------------------------------------
+
+def module_constants(tree):
+    """Names the module's top-level assignments bind, with the assignment
+    that binds each."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node
+
+
+def loaded_names(trees, skip=None):
+    """Names and attributes loaded anywhere in the trees outside the
+    `skip` node; a store is not a load."""
+    loaded = set()
+    for tree in trees:
+        todo = [tree]
+        while todo:
+            node = todo.pop()
+            if node is skip:
+                continue
+            loaded_here = isinstance(getattr(node, "ctx", None), ast.Load)
+            if loaded_here and isinstance(node, ast.Name):
+                loaded.add(node.id)
+            elif loaded_here and isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            todo.extend(ast.iter_child_nodes(node))
+    return loaded
+
+
+def unread_constants(source, trees):
+    """Module-level constants in `source` that neither it, outside their
+    own assignment, nor any tree outside `tests/` loads as a name or an
+    attribute, matched by name alone; `trees` maps the paths of the other
+    files to their syntax trees."""
+    tree = ast.parse(source)
+    read = loaded_names(tree for path, tree in trees.items()
+                        if TESTS not in path.parents)
+    return [name for name, node in module_constants(tree)
+            if name not in read and name not in loaded_names([tree], node)]
+
+
+def test_the_check_sees_a_constant_only_tests_read():
+    source = ("LIMIT = 4\n_SCALE, _SHIFT = 2.0, 1.0\n"
+              "RATIO: float = _SCALE / LIMIT\nPROBE = 1\nSPARE = 2\n\n"
+              "def run():\n    return _SHIFT\n")
+    trees = {PACKAGE / "caller.py": ast.parse(
+                 "from thing import RATIO\nimport thing\n\n"
+                 "print(RATIO)\nthing.SPARE = 3\n"),
+             TESTS / "test_thing.py": ast.parse(
+                 "import thing\n\nprint(thing.PROBE, thing.SPARE)\n")}
+    # a store elsewhere is no read
+    assert unread_constants(source, trees) == ["PROBE", "SPARE"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_constant_is_read(module):
+    path = PACKAGE / module
+    others = {other: tree for other, tree in SEARCHED.items() if other != path}
+    assert unread_constants(path.read_text(), others) == []

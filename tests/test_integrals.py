@@ -54,8 +54,8 @@ _BOYS_X = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(34.9, 35.1),
 @given(st.integers(0, 8), st.lists(_BOYS_X, min_size=1, max_size=64),
        st.booleans())
 def test_boys_is_bit_identical_to_the_all_elements_series(m_max, xs, large):
-    # a large batch repeats the values up to a size at which the series
-    # compacts its working set
+    # a large batch repeats the values, so each element keeps summing
+    # until the slowest of 2,048 converges
     x = np.resize(xs, 2048 if large else len(xs))
     table = boys(m_max, x)
     assert table.tobytes() == boys_all_elements(m_max, x).tobytes()

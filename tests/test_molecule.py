@@ -72,6 +72,14 @@ def test_charge_changes_electron_count():
     assert heh.n_electrons == 2
 
 
+def test_empty_and_overcharged_molecules_rejected():
+    with pytest.raises(ValueError, match="^molecule has no atoms$"):
+        from_atom_list([])
+    with pytest.raises(ValueError,
+                       match="^charge 2 leaves a negative electron count$"):
+        from_atom_list([("H", (0, 0, 0))], charge=2)
+
+
 def test_canonical_formula_ordering():
     # carbon first, hydrogen second, then alphabetical
     ch4 = shipped_geometry("ch4")

@@ -170,6 +170,28 @@ def test_davidson_thick_restart_keeps_the_ground_state(monkeypatch):
     assert widths.count(3) > 1
 
 
+@pytest.mark.parametrize("key, value", [("h2", -1.1373060359051401),
+                                        ("lih", -7.882176004920569)])
+def test_davidson_stops_once_the_subspace_stops_growing(assembled, key,
+                                                        value, monkeypatch):
+    # with no residual small enough, the subspace stops growing at 3 (H2)
+    # and 10 (LiH) vectors; every later step would repeat the last one,
+    # and the value is the one those repeats would return
+    block = assembled(key).block
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(oracle, "_DAVIDSON_TOL", 0.0)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    got, _ = oracle._davidson(block)
+    assert len(calls) <= block.shape[0] + 1
+    assert got == value
+
+
 def test_davidson_that_does_not_converge_raises(monkeypatch):
     op = independent_spins(12, 1.0 + 0.37 * np.arange(12), 0.6)
     monkeypatch.setattr(oracle, "_DAVIDSON_ITERATIONS", 1)

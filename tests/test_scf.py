@@ -83,3 +83,13 @@ def test_odd_electron_count_rejected():
     ints = compute_integrals(mol)
     with pytest.raises(ValueError):
         run_rhf(ints, 3)
+
+
+def test_empty_and_overfilled_electron_counts_rejected():
+    ints = compute_integrals(from_atom_list([("H", (0, 0, 0))]))
+    with pytest.raises(ValueError, match="^need at least two electrons$"):
+        run_rhf(ints, 0)
+    # one H atom has one 1s function: room for two electrons
+    with pytest.raises(ValueError,
+                       match="^4 electrons do not fit in 1 spatial orbitals$"):
+        run_rhf(ints, 4)

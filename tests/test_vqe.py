@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra import oracle, simulator
+from qelectra import oracle, simulator, vqe
 from qelectra.oracle import exact_ground_energy
 from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.vqe import (
@@ -201,6 +201,24 @@ def test_bfgs_stops_when_no_descent_is_left(assembled, monkeypatch):
     assert result.n_evaluations <= 20
     assert result.energy == pytest.approx(
         exact_ground_energy(system.block), abs=1e-10)
+
+
+def test_bfgs_line_search_that_finds_no_descent_gives_up():
+    # a flat energy with a nonzero gradient: no step meets the Armijo
+    # condition, so the first line search halves below MIN_STEP and the
+    # run ends unconverged with nothing recorded
+    evaluations, recorded = [], []
+
+    def flat(theta):
+        evaluations.append(theta)
+        return 1.0, np.array([1.0, -2.0])
+
+    outcome = vqe._bfgs(flat, np.zeros(2), 1.0, np.array([1.0, -2.0]),
+                        1e-6, 50, lambda e, th: recorded.append(e))
+    assert outcome == (False, 0)
+    assert recorded == []
+    # full step, then halves down to the last one above MIN_STEP
+    assert len(evaluations) == int(np.log2(1.0 / vqe.MIN_STEP)) + 1
 
 
 @pytest.mark.parametrize("optimizer", ["bfgs"])
