@@ -14,6 +14,9 @@ from .elements import atomic_number
 
 # CODATA 2018 Bohr radius, Angstrom per Bohr.
 BOHR_PER_ANGSTROM = 1.0 / 0.529177210903
+# Nuclei nearer than this are refused before any integral: it is far below
+# any bond (H2's is 1.4 Bohr), and nearer, basis functions become dependent.
+MIN_SEPARATION_BOHR = 0.1
 
 
 @dataclass(frozen=True)
@@ -128,5 +131,9 @@ def _validate(mol: Molecule) -> None:
     coords = mol.coordinates()
     for i in range(mol.n_atoms):
         for j in range(i + 1, mol.n_atoms):
-            if np.linalg.norm(coords[i] - coords[j]) < 1e-10:
-                raise ValueError(f"coincident nuclei: atoms {i} and {j}")
+            r = np.linalg.norm(coords[i] - coords[j])
+            if r < MIN_SEPARATION_BOHR:
+                raise ValueError(
+                    f"nuclei {i} ({mol.atoms[i].symbol}) and {j} "
+                    f"({mol.atoms[j].symbol}) are {r:.4g} Bohr apart, "
+                    f"closer than the {MIN_SEPARATION_BOHR} Bohr minimum")

@@ -9,10 +9,9 @@ leftmost Kronecker factor).
 basis states, such as one (N, S_z) sector from `pauli.sector_basis`, in
 one pass over X-mask diagonals, as a `SparseBlock` of numpy arrays that
 records whether its Pauli sum was Hermitian. `lowest_eigenvalues` solves
-such a block: densely for small ones, by Davidson's method for large
-ones. `AssembledSystem.block` is the block of a system's qubit
-Hamiltonian on its sector: FCI diagonalizes it and exact VQE takes <H>
-on it. The module needs numpy alone.
+such a block by Davidson's method. `AssembledSystem.block` is the block
+of a system's qubit Hamiltonian on its sector: FCI diagonalizes it and
+exact VQE takes <H> on it. The module needs numpy alone.
 """
 
 import numpy as np
@@ -20,13 +19,11 @@ from typing import Dict, List, Tuple
 
 from .pauli import I_POWERS, PauliSum, bit_parity
 
-# a dense complex matrix of this dimension takes 64 MB
-_DENSE_DIRECT_DIM = 2048
 _RESIDUAL_TOL = 1e-9
 _LEAK_TOL = 1e-10
 # Davidson: Rayleigh-Ritz steps, residual norm at which the pair counts
 # as converged, and the subspace size that triggers a thick restart
-_DAVIDSON_ITERATIONS = 200
+_DAVIDSON_ITERATIONS = 500
 _DAVIDSON_TOL = 1e-10
 _DAVIDSON_SPACE = 32
 
@@ -53,11 +50,6 @@ class SparseBlock:
     @property
     def nnz(self) -> int:
         return self.values.size
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
-        out[self.rows, self.cols] = self.values
-        return out
 
     def diagonal(self) -> np.ndarray:
         on = self.rows == self.cols
@@ -148,21 +140,27 @@ def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
     Each step solves the block projected on an orthonormal subspace and,
     until the pair converges, widens the subspace by the
     diagonal-preconditioned residual (theta - D)^{-1} r (E. R. Davidson,
-    J. Comput. Phys. 17, 87 (1975)). The start is the unit vectors on the
-    two lowest diagonal entries, so a run is deterministic; a subspace of
-    _DAVIDSON_SPACE vectors restarts from its lowest half of Ritz
-    vectors. The preconditioner suits diagonally dominant blocks, such as
-    a Hamiltonian on determinants; on others convergence may be slow.
-    After _DAVIDSON_ITERATIONS steps, or once a correction lies in the
-    subspace (every later step would repeat it), the last Ritz pair is
-    returned whether converged or not: the caller checks the residual.
+    J. Comput. Phys. 17, 87 (1975)), or by r itself where that correction
+    lies in the subspace: Rayleigh-Ritz leaves r orthogonal to the
+    subspace, so the subspace stops growing only once r is rounding. The
+    start is the unit vector on the lowest diagonal entry plus 0.1 times
+    a fixed aperiodic sequence: deterministic, and not confined, as unit
+    vectors can be, to an invariant subspace that misses the ground
+    state. A subspace of _DAVIDSON_SPACE vectors restarts from its lowest
+    half of Ritz vectors. The preconditioner suits diagonally dominant
+    blocks, such as a Hamiltonian on determinants; on others convergence
+    is slower. After _DAVIDSON_ITERATIONS steps, or once the subspace
+    stops growing, the last Ritz pair is returned whether converged or
+    not: the caller checks the residual.
     """
     dim = block.shape[0]
     diag = block.diagonal().real
-    start = np.argsort(diag, kind="stable")[:2]
-    space = np.zeros((dim, start.size), dtype=complex)
-    space[start, np.arange(start.size)] = 1.0
-    images = np.column_stack([block @ v for v in space.T])
+    # golden-ratio sequence: every entry differs, none repeats periodically
+    tilt = np.arange(dim) * 0.6180339887498949 % 1.0 - 0.5
+    start = 0.1 * tilt / np.linalg.norm(tilt)
+    start[np.argmin(diag)] += 1.0
+    space = (start / np.linalg.norm(start)).astype(complex)[:, None]
+    images = (block @ space[:, 0])[:, None]
     for _ in range(_DAVIDSON_ITERATIONS):
         projected = space.conj().T @ images
         theta, coeffs = np.linalg.eigh(0.5 * (projected
@@ -178,11 +176,13 @@ def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
         gap = theta[0] - diag
         # finite where the Ritz value meets a diagonal entry
         gap[np.abs(gap) < 1e-8] = 1e-8
-        t = residual[:, 0] / gap
-        for _ in range(2):
-            t -= space @ (space.conj().T @ t)
-        norm = np.linalg.norm(t)
-        if norm < 1e-12:    # already in the subspace: no step can widen it
+        for t in (residual[:, 0] / gap, residual[:, 0]):
+            for _ in range(2):
+                t = t - space @ (space.conj().T @ t)
+            norm = np.linalg.norm(t)
+            if norm >= 1e-12:
+                break
+        else:    # r is at rounding level: no step can widen the subspace
             break
         t /= norm
         space = np.column_stack([space, t])
@@ -195,22 +195,14 @@ def lowest_eigenvalues(block: SparseBlock) -> float:
 
     The block comes from `pauli_to_sparse`, for example on one (N, S_z)
     sector from `pauli.sector_basis`; one built from a non-Hermitian Pauli
-    sum raises ValueError. Dimensions up to 2048 are solved densely by
-    `numpy.linalg.eigvalsh`. Larger ones go through a Davidson solve with
-    the diagonal preconditioner, meant for diagonally dominant blocks
-    such as an FCI Hamiltonian; its residual is verified before the value
-    is returned, and a RuntimeError reports a solve that did not
-    converge. Small blocks stay dense because a converged Davidson
-    residual does not prove the ground state: when the start vectors span
-    an invariant subspace that misses it, the solve converges to a higher
-    eigenvalue. X_0 - X_0 Z_1 on 12 qubits is such a block: its diagonal
-    is zero, the start is states 0 and 1, which it maps to zero, and
-    Davidson returns 0.0 against the true -2.0.
+    sum raises ValueError. Every block, of any dimension, goes through a
+    Davidson solve with the diagonal preconditioner, meant for diagonally
+    dominant blocks such as an FCI Hamiltonian; its residual is verified
+    before the value is returned, and a RuntimeError reports a solve that
+    did not converge.
     """
     if not block.hermitian:
         raise ValueError("eigenvalue routines need a Hermitian operator")
-    if block.shape[0] <= _DENSE_DIRECT_DIM:
-        return float(np.linalg.eigvalsh(block.toarray())[0])
     value, vector = _davidson(block)
     residual = np.linalg.norm(block @ vector - value * vector)
     if residual > _RESIDUAL_TOL:

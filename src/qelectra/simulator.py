@@ -89,7 +89,7 @@ class StateVector:
         return np.abs(self.data) ** 2
 
     def sampled_expectation(self, observable: PauliSum, shots: int,
-                            rng: np.random.Generator
+                            rng: "np.random.Generator"
                             ) -> Tuple[float, float]:
         """Estimate <O> by simulated projective measurement.
 

@@ -401,7 +401,7 @@ def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
 
 
 def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,
-                           rng: np.random.Generator) -> np.ndarray:
+                           rng: "np.random.Generator") -> np.ndarray:
     """One simultaneous-perturbation gradient estimate: a Rademacher
     direction from `rng`, then two evaluations c_k either side."""
     m = theta.size

@@ -4,13 +4,14 @@ of the UCCSD state.
 The package reads a Pauli string only as its masks (x, z), standing for
 its Hermitian letters-operator, character k of the letters on qubit k;
 `letters` and `masks` convert between the two, and `pauli_sum` writes a
-`PauliSum` by letters. `add` and `product` combine two sums string by
-string, and `ladder_image` is the qubit image of one ladder operator as a
-two-string sum: the term-by-term products of ladder images are the
-oracle `map_fermion` must match bit for bit, and `anticommutation_check`
-measures the canonical relations on them. `number_operator` and
-`sz_operator` are the symmetry operators the mapped sectors are checked
-with.
+`PauliSum` by letters; `block_matrix` is the dense matrix of a block
+`oracle.pauli_to_sparse` built. `add` and `product` combine two sums
+string by string, and `ladder_image` is the qubit image of one ladder
+operator as a two-string sum: the term-by-term products of ladder images
+are the oracle `map_fermion` must match bit for bit, and
+`anticommutation_check` measures the canonical relations on them.
+`number_operator` and `sz_operator` are the symmetry operators the
+mapped sectors are checked with.
 
 The package runs each excitation exp(theta (T - T^)) as real rotations of
 the determinant pairs it couples, inside one (N, S_z) sector. This module
@@ -38,6 +39,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from qelectra.fermion import FermionOperator
+from qelectra.oracle import SparseBlock
 from qelectra.pauli import (I_POWERS, MappingKind, PauliSum, _encoding,
                             _mode_masks, bit_parity, map_fermion)
 from qelectra.simulator import StateVector
@@ -114,6 +116,13 @@ def pauli_sum(n_qubits: int,
         key = masks(word)
         data[key] = data.get(key, 0.0) + coeff
     return PauliSum(n_qubits, data)
+
+
+def block_matrix(block: SparseBlock) -> np.ndarray:
+    """The dense complex matrix of a block, zero off its stored entries."""
+    out = np.zeros(block.shape, dtype=complex)
+    out[block.rows, block.cols] = block.values
+    return out
 
 
 def add(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:

@@ -4,8 +4,8 @@ Each test prints exactly one PASS/FAIL line (visible with -s or in the
 captured output of a failure) and enforces its own wall-clock budget
 where one applies. Golden numbers are pinned from independent solves:
 the exact ground energy at the 1.388861 Bohr hydrogen geometry is what
-both eigensolver paths, dense `eigvalsh` and Davidson, give on its sector
-block, to the last bit.
+dense `eigvalsh` gives on its sector block, which the package's Davidson
+solve meets within 2 ulps.
 """
 
 import time
@@ -21,9 +21,9 @@ from qelectra.oracle import (
 )
 from qelectra.pauli import MappingKind, map_fermion
 from qelectra.pipeline import SHIPPED_MOLECULES, assemble, diatomic_geometry
-from pauli_oracle import (anticommutation_check, number_operator,
-                          pauli_circuit, pauli_sum, register_state,
-                          sz_operator)
+from pauli_oracle import (anticommutation_check, block_matrix,
+                          number_operator, pauli_circuit, pauli_sum,
+                          register_state, sz_operator)
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector
 from qelectra.vqe import (DEFAULT_ITERATIONS, DEFAULT_TOLERANCE,
@@ -60,7 +60,7 @@ def test_three_mappings_are_isospectral(assembled):
         for kind in ALL_KINDS:
             mapped = map_fermion(system.hamiltonian, kind, system.n_qubits)
             spectra.append(np.sort(np.linalg.eigvalsh(
-                pauli_to_sparse(mapped, register).toarray())))
+                block_matrix(pauli_to_sparse(mapped, register)))))
         for other in spectra[1:]:
             worst = max(worst, float(np.max(np.abs(spectra[0] - other))))
     elapsed = time.perf_counter() - t0

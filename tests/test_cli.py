@@ -192,20 +192,21 @@ from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
 from qelectra.pauli import PauliSum
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["--molecule", "h2", "--method", "hf,vqe,fci"])
-# 12 qubits, 4,096 dimensions: above the dense cutoff; Z_q and X_q keyed
-# by their masks (x, z)
+# 12 qubits, 4,096 dimensions; Z_q and X_q keyed by their masks (x, z)
 spins = PauliSum(12, {key: coeff for q in range(12)
                       for key, coeff in (((0, 1 << q), 1.0 + q),
                                          ((1 << q, 0), 0.3))})
 lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)))
 print(rc, *sorted(name for name in sys.modules
-                  if name == "scipy" or name.startswith("scipy.")))
+                  if name.split(".")[0] == "scipy"
+                  or name.split(".")[:2] == ["numpy", "random"]))
 """
 
 
 def test_the_run_path_never_imports_scipy():
     # importing scipy.sparse.linalg takes about 0.3 s and 30 MB of
-    # resident memory, more than a short run's own work
+    # resident memory, more than a short run's own work; numpy.random,
+    # which only shot and SPSA runs read, about 14 ms and several MB
     env = dict(os.environ, PYTHONPATH="src")
     done = subprocess.run([sys.executable, "-c", NO_SCIPY],
                           cwd=ROOT, env=env, capture_output=True, text=True,
@@ -354,9 +355,11 @@ def test_unknown_basis_name(capsys):
      "error: malformed XYZ coordinate line: 'H 0 0'"),
     ("2\n\nH 0 0 x\nH 0 0 0.74\n",
      "error: non-numeric coordinate in line: 'H 0 0 x'"),
-    # 1e-7 Angstrom apart: distinct nuclei, but their 1s functions coincide
+    # 1e-7 Angstrom apart: refused before any integral, since their 1s
+    # functions would coincide
     ("2\n\nH 0 0 0\nH 0 0 1e-7\n",
-     "error: overlap matrix is numerically singular"),
+     "error: nuclei 0 (H) and 1 (H) are 1.89e-07 Bohr apart, closer than "
+     "the 0.1 Bohr minimum"),
 ])
 def test_bad_xyz_files_exit_one(capsys, tmp_path, text, fragment):
     xyz = tmp_path / "bad.xyz"
@@ -366,6 +369,23 @@ def test_bad_xyz_files_exit_one(capsys, tmp_path, text, fragment):
     assert code == 1
     assert out == ""
     assert fragment in err
+
+
+def test_near_coincident_nuclei_are_refused_before_any_integral(
+        capsys, tmp_path, monkeypatch):
+    # He-He 1e-3 Angstrom apart gets through SCF, and its nearly dependent
+    # basis then makes the qubit Hamiltonian non-Hermitian
+    def refuse(molecule):
+        raise AssertionError("integrals computed")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    xyz = tmp_path / "he2.xyz"
+    xyz.write_text("2\n\nHe 0 0 0\nHe 0 0 1e-3\n")
+    code, out, err = run_cli(capsys, "--molecule", str(xyz), "--method",
+                             "fci")
+    assert (code, out) == (1, "")
+    assert ("error: nuclei 0 (He) and 1 (He) are 0.00189 Bohr apart, closer "
+            "than the 0.1 Bohr minimum") in err
 
 
 def test_molecule_over_the_basis_cap_exits_one(capsys, tmp_path):

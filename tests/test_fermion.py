@@ -19,7 +19,7 @@ from qelectra.pauli import MappingKind, map_fermion
 from qelectra.pipeline import SHIPPED_MOLECULES, assemble, shipped_geometry
 from qelectra.scf import run_rhf
 from qelectra.simulator import StateVector
-from pauli_oracle import number_operator, sz_operator
+from pauli_oracle import block_matrix, number_operator, sz_operator
 
 
 def dense_annihilator(mode, n_modes):
@@ -143,9 +143,9 @@ def test_hamiltonian_against_dense_ladder_construction():
     ham = build_hamiltonian(so)
     dense = dense_operator(ham, so.n_orbitals)
     # independently: same matrix out of the mapped Pauli form
-    mapped = pauli_to_sparse(map_fermion(ham, MappingKind.JORDAN_WIGNER,
-                                         so.n_orbitals),
-                             np.arange(1 << so.n_orbitals)).toarray()
+    mapped = block_matrix(pauli_to_sparse(
+        map_fermion(ham, MappingKind.JORDAN_WIGNER, so.n_orbitals),
+        np.arange(1 << so.n_orbitals)))
     assert np.max(np.abs(dense - mapped)) < 1e-12
     # the reference determinant |0011> must give the SCF energy
     hf_index = 0b0011

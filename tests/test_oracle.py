@@ -19,7 +19,7 @@ from qelectra.oracle import (
 from qelectra.pauli import MappingKind, PauliSum, map_fermion, sector_basis
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
-from pauli_oracle import (add, apply_pauli, encode_occupation,
+from pauli_oracle import (add, apply_pauli, block_matrix, encode_occupation,
                           fermion_operator, number_operator, pauli_sum)
 from test_cli import method_row
 from test_pauli import dense_sum, pauli_sums, term
@@ -28,8 +28,8 @@ from test_pauli import dense_sum, pauli_sums, term
 def test_single_letter_matrices():
     for word, want in (("X", [[0, 1], [1, 0]]), ("Y", [[0, -1j], [1j, 0]]),
                        ("Z", [[1, 0], [0, -1]]), ("I", np.eye(2))):
-        assert np.allclose(pauli_to_sparse(term(word), np.arange(2)).toarray(),
-                           want)
+        block = pauli_to_sparse(term(word), np.arange(2))
+        assert np.allclose(block_matrix(block), want)
 
 
 def test_matrix_builders_match_local_kron():
@@ -41,8 +41,8 @@ def test_matrix_builders_match_local_kron():
                             complex(*rng.standard_normal(2)))
                            for _ in range(3)])
         want = dense_sum(op)
-        assert np.allclose(pauli_to_sparse(op, np.arange(1 << n)).toarray(),
-                           want, atol=1e-13)
+        block = pauli_to_sparse(op, np.arange(1 << n))
+        assert np.allclose(block_matrix(block), want, atol=1e-13)
 
 
 @settings(deadline=None)
@@ -51,7 +51,7 @@ def test_sparse_build_matches_kron_reference(op):
     matrix = pauli_to_sparse(op, np.arange(1 << op.n_qubits))
     want = dense_sum(op)
     assert matrix.shape == want.shape
-    assert np.array_equal(matrix.toarray(), want)
+    assert np.array_equal(block_matrix(matrix), want)
     # no stored zeros: oracle.nnz counts nonzero entries
     assert matrix.nnz == np.count_nonzero(want)
     # (row, col) pairs strictly ascending: sorted, no duplicates
@@ -64,7 +64,7 @@ def test_empty_sum_gives_zero_matrix(n):
     matrix = pauli_to_sparse(PauliSum(n), np.arange(1 << n))
     assert matrix.shape == (1 << n, 1 << n)
     assert matrix.nnz == 0
-    assert not matrix.toarray().any()
+    assert not block_matrix(matrix).any()
 
 
 def test_sparse_build_matches_term_by_term_action(assembled):
@@ -101,22 +101,52 @@ def test_block_has_no_qubit_cap():
     # a block never spans the register, so 25 qubits build at once
     block = pauli_to_sparse(PauliSum(25, {(0, 0): 1.0}),
                             np.array([0, 5, 1 << 19]))
-    assert np.array_equal(block.toarray(), np.eye(3))
+    assert np.array_equal(block_matrix(block), np.eye(3))
 
 
-def test_small_blocks_stay_dense_where_davidson_misses_the_ground_state(
-        monkeypatch):
-    # X_0 - X_0 Z_1 has a zero diagonal, so Davidson starts on states 0
-    # and 1; it maps both to zero, and on 4,096 states the solve converges
-    # to 0.0. On 2,048 states the block is solved densely and gives -2.0
+@pytest.mark.parametrize("n", [11, 12])
+def test_zero_diagonal_block_reaches_the_ground_state(n):
+    # X_0 - X_0 Z_1 has a zero diagonal and maps states 0 and 1 to zero,
+    # so a start on their unit vectors converges to 0.0, not -2.0
     op = PauliSum(12, {(1, 0): 1.0, (1, 2): -1.0})
-
-    def refuse(block):
-        raise AssertionError("a block of 2,048 states reached Davidson")
-
-    monkeypatch.setattr(oracle, "_davidson", refuse)
-    assert lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << 11))) \
+    assert lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << n))) \
         == pytest.approx(-2.0, abs=1e-12)
+
+
+@st.composite
+def hermitian_sums(draw):
+    """Real-coefficient, so Hermitian, Pauli sums on 1-8 qubits. Some
+    have no diagonal (every X-mask nonzero), some one string, and some
+    leave the top qubit idle, so that every level is exactly
+    degenerate. A nonzero coefficient is at least 1e-6: the solve
+    resolves levels only to its 1e-10 residual, and a smaller term could
+    split the ground level by about that much."""
+    n = draw(st.integers(1, 8))
+    acted = draw(st.integers(max(1, n - 1), n))
+    no_diagonal = draw(st.booleans())
+    mask = st.integers(0, (1 << acted) - 1)
+    x_mask = st.integers(1, (1 << acted) - 1) if no_diagonal else mask
+    coeff = st.one_of(st.just(0.0), st.floats(1e-6, 2.0),
+                      st.floats(-2.0, -1e-6))
+    terms = draw(st.lists(st.tuples(x_mask, mask, coeff),
+                          min_size=1, max_size=12))
+    return PauliSum(n, {(x, z): c for x, z, c in terms})
+
+
+@settings(deadline=None)
+@given(hermitian_sums())
+def test_lowest_eigenvalue_of_random_hermitian_sums(op):
+    got = lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << op.n_qubits)))
+    assert got == pytest.approx(np.linalg.eigvalsh(dense_sum(op))[0],
+                                abs=1e-10)
+
+
+def test_one_state_block_and_empty_sum():
+    # Z_0 + 0.5 I on state 1 alone is the 1 x 1 block [-0.5]
+    op = pauli_sum(2, [("ZI", 1.0), ("II", 0.5)])
+    assert lowest_eigenvalues(pauli_to_sparse(op, np.array([1]))) == -0.5
+    assert lowest_eigenvalues(pauli_to_sparse(PauliSum(3),
+                                              np.arange(8))) == 0.0
 
 
 def test_non_hermitian_inputs_rejected():
@@ -142,7 +172,7 @@ def independent_spins(n, fields, coupling):
 
 
 def test_davidson_branch_matches_a_closed_form_spectrum():
-    # 12 qubits, 4,096 dimensions: above the dense cutoff
+    # 12 qubits, 4,096 dimensions
     fields = 1.0 + 0.37 * np.arange(12)
     op = independent_spins(12, fields, 0.6)
     want = -np.sqrt(fields ** 2 + 0.36).sum()
@@ -170,13 +200,13 @@ def test_davidson_thick_restart_keeps_the_ground_state(monkeypatch):
     assert widths.count(3) > 1
 
 
-@pytest.mark.parametrize("key, value", [("h2", -1.1373060359051401),
-                                        ("lih", -7.882176004920569)])
+@pytest.mark.parametrize("key, value", [("h2", -1.1373060359051403),
+                                        ("lih", -7.882176004920572)])
 def test_davidson_stops_once_the_subspace_stops_growing(assembled, key,
                                                         value, monkeypatch):
-    # with no residual small enough, the subspace stops growing at 3 (H2)
-    # and 10 (LiH) vectors; every later step would repeat the last one,
-    # and the value is the one those repeats would return
+    # with no residual small enough, the subspace stops growing at 4 (H2,
+    # the whole block) and 18 (LiH) vectors, once neither the correction
+    # nor the residual, now at rounding level, can widen it
     block = assembled(key).block
     calls = []
     eigh = np.linalg.eigh
@@ -254,8 +284,8 @@ def test_sector_block_equals_the_slice_of_the_full_matrix(case):
     block = pauli_to_sparse(operator, basis)
     assert block.shape == (basis.size, basis.size)
     full = pauli_to_sparse(operator, np.arange(1 << operator.n_qubits))
-    want = full.toarray()[np.ix_(basis, basis)]
-    assert np.array_equal(block.toarray(), want)
+    want = block_matrix(full)[np.ix_(basis, basis)]
+    assert np.array_equal(block_matrix(block), want)
 
 
 def test_lithium_hydride_sector_block_equals_the_slice(assembled):
@@ -265,8 +295,8 @@ def test_lithium_hydride_sector_block_equals_the_slice(assembled):
     block = pauli_to_sparse(system.qubit_hamiltonian, basis)
     full = pauli_to_sparse(system.qubit_hamiltonian,
                            np.arange(1 << system.n_qubits))
-    assert np.array_equal(block.toarray(),
-                          full.toarray()[np.ix_(basis, basis)])
+    assert np.array_equal(block_matrix(block),
+                          block_matrix(full)[np.ix_(basis, basis)])
 
 
 @pytest.mark.parametrize("kind", list(MappingKind))
@@ -302,7 +332,7 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(
     states = [sum(1 << q for q in encode_occupation(kind, [a, b], n))
               for a in (0, 2) for b in (1, 3)]
     full = pauli_to_sparse(shifted, np.arange(1 << n))
-    want = np.linalg.eigvalsh(full.toarray()[np.ix_(states, states)])[0]
+    want = np.linalg.eigvalsh(block_matrix(full)[np.ix_(states, states)])[0]
     got = exact_ground_energy(pauli_to_sparse(shifted, system.sector))
     assert got == pytest.approx(want, abs=1e-12)
     assert got > exact_ground_energy(full) + 1.0
