@@ -21,8 +21,9 @@ from .molecule import Molecule
 from .oracle import exact_ground_energy
 from .pauli import MappingKind, mapping_from_name
 from .pipeline import (assemble, canonical_formula, diatomic_geometry,
-                       display_name, load_molecule_argument, sector_size)
+                       display_name, load_molecule_argument, window_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
+from .simulator import MAX_QUBITS
 from .vqe import build_uccsd, optimizer_kind, run_vqe
 
 EXIT_OK = 0
@@ -86,16 +87,21 @@ def execute(spec: RunSpec) -> ComparisonReport:
         raise ValueError(f"--optimizer {spec.optimizer} needs exact "
                          "expectations; use --optimizer spsa with --shots, "
                          "or --shots exact")
-    # and so is a sector block over the cap: fci and exact vqe build it
+    # and so is a problem over a cap: fci and exact vqe build the sector
+    # block, and a shot-sampled vqe the 2^n register
+    n_qubits, n_determinants = window_size(spec.molecule, spec.active)
     block_user = ("fci" if "fci" in spec.methods else "exact vqe"
                   if "vqe" in spec.methods and spec.shots is None else None)
-    if block_user is not None:
-        n_determinants = sector_size(spec.molecule, spec.active)
-        if n_determinants > MAX_FCI_DETERMINANTS:
-            raise ValueError(
-                f"{block_user} needs at most {MAX_FCI_DETERMINANTS} "
-                f"determinants, got {n_determinants}; restrict the problem "
-                "with --active-space")
+    if block_user is not None and n_determinants > MAX_FCI_DETERMINANTS:
+        raise ValueError(
+            f"{block_user} needs at most {MAX_FCI_DETERMINANTS} "
+            f"determinants, got {n_determinants}; restrict the problem "
+            "with --active-space")
+    if ("vqe" in spec.methods and spec.shots is not None
+            and n_qubits > MAX_QUBITS):
+        raise ValueError(
+            f"shot-sampled vqe needs at most {MAX_QUBITS} qubits, got "
+            f"{n_qubits}; restrict the problem with --active-space")
     system = assemble(spec.molecule, active=spec.active,
                       mapping=spec.mapping)
     active = system.active_space

@@ -134,7 +134,7 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
                        np.concatenate(values)[order], dim, hermitian)
 
 
-def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
+def _davidson(block: SparseBlock, scale: float) -> Tuple[float, np.ndarray]:
     """Lowest Ritz pair of a Hermitian block by Davidson's method.
 
     Each step solves the block projected on an orthonormal subspace and,
@@ -151,7 +151,8 @@ def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
     blocks, such as a Hamiltonian on determinants; on others convergence
     is slower. After _DAVIDSON_ITERATIONS steps, or once the subspace
     stops growing, the last Ritz pair is returned whether converged or
-    not: the caller checks the residual.
+    not: the caller checks the residual. The tolerance and the floors
+    are in units of `scale`.
     """
     dim = block.shape[0]
     diag = block.diagonal().real
@@ -168,19 +169,19 @@ def _davidson(block: SparseBlock) -> Tuple[float, np.ndarray]:
         # the lowest pair, kept as one-column matrices
         vector = space @ coeffs[:, :1]
         residual = images @ coeffs[:, :1] - vector * theta[:1]
-        if np.linalg.norm(residual, axis=0)[0] <= _DAVIDSON_TOL:
+        if np.linalg.norm(residual, axis=0)[0] <= _DAVIDSON_TOL * scale:
             break
         if space.shape[1] >= _DAVIDSON_SPACE:
             keep = _DAVIDSON_SPACE // 2
             space, images = space @ coeffs[:, :keep], images @ coeffs[:, :keep]
         gap = theta[0] - diag
         # finite where the Ritz value meets a diagonal entry
-        gap[np.abs(gap) < 1e-8] = 1e-8
+        gap[np.abs(gap) < 1e-8 * scale] = 1e-8 * scale
         for t in (residual[:, 0] / gap, residual[:, 0]):
             for _ in range(2):
                 t = t - space @ (space.conj().T @ t)
             norm = np.linalg.norm(t)
-            if norm >= 1e-12:
+            if norm >= 1e-12 * scale:
                 break
         else:    # r is at rounding level: no step can widen the subspace
             break
@@ -199,16 +200,19 @@ def lowest_eigenvalues(block: SparseBlock) -> float:
     Davidson solve with the diagonal preconditioner, meant for diagonally
     dominant blocks such as an FCI Hamiltonian; its residual is verified
     before the value is returned, and a RuntimeError reports a solve that
-    did not converge.
+    did not converge. Both residual tolerances are in units of
+    min(1, max |entry|): absolute on a molecular block, whose largest
+    entry is above 1 Ha, and relative on a block of smaller entries.
     """
     if not block.hermitian:
         raise ValueError("eigenvalue routines need a Hermitian operator")
-    value, vector = _davidson(block)
+    scale = min(1.0, float(np.abs(block.values).max(initial=0.0)))
+    value, vector = _davidson(block, scale)
     residual = np.linalg.norm(block @ vector - value * vector)
-    if residual > _RESIDUAL_TOL:
+    if residual > _RESIDUAL_TOL * scale:
         raise RuntimeError(
             f"iterative eigensolve residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_TOL:.0e}")
+            f"{_RESIDUAL_TOL * scale:.0e}")
     return float(value)
 
 

@@ -1,8 +1,9 @@
 """Assembly line from a molecular geometry to a qubit Hamiltonian.
 
-One call wires the whole chain together: basis lookup, integral
-evaluation, restricted Hartree-Fock, the optional active-space window,
-second quantization and the fermion-to-qubit mapping. The module also
+`assemble` runs what every method reads: basis lookup, integrals,
+restricted Hartree-Fock and the optional active-space window. The
+system it returns builds the rest (second quantization, the qubit
+mapping, the sector and its block) on first use. The module also
 carries the registry of shipped example molecules with their default
 active spaces, chosen so the minimal-basis method comparison stays
 representative while every system remains exactly diagonalizable.
@@ -25,14 +26,13 @@ from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
                       build_hamiltonian, mo_spatial_integrals,
                       spatial_active_space, to_spin_orbitals)
 from .pauli import MappingKind, PauliSum, map_fermion, sector_basis
-from .simulator import MAX_QUBITS
 
 # Active windows keyed by canonical formula: (n_active_electrons,
 # n_active_spatial_orbitals). Three constraints shape these. The window
 # must keep each example at <= 12 qubits, where the 2^n register of a
-# shot-sampled VQE run stays small (exact VQE and FCI are bounded by the
-# sector size instead). Its boundaries
-# should not split a degenerate shell (the e pair of NH3, the t2 triples
+# shot-sampled VQE run stays small (HF makes no register, and exact VQE
+# and FCI are bounded by the sector size instead). Its boundaries should
+# not split a degenerate shell (the e pair of NH3, the t2 triples
 # of CH4): a window cutting through a degenerate shell selects an
 # arbitrary rotation of that subspace, so its correlation energy changes
 # when the molecule is merely reoriented in the input file.
@@ -121,10 +121,11 @@ def load_molecule_argument(argument: str) -> Molecule:
 
 @dataclass
 class AssembledSystem:
-    """Everything the methods need, computed once per geometry.
+    """Everything the methods need for one geometry, each part built once.
 
-    The qubit Hamiltonian must be Hermitian; that is checked here, once,
-    also for a copy made with `dataclasses.replace`.
+    `assemble` fills the fields. The properties are built on first use
+    and kept, so `hf` builds no Hamiltonian and a shot-sampled VQE no
+    block; a copy made with `dataclasses.replace` builds its own.
     """
     molecule: Molecule
     integrals: IntegralSet
@@ -133,18 +134,23 @@ class AssembledSystem:
     # file export: (h, eri, core energy, electrons) of spatial_active_space
     active_integrals: Tuple[np.ndarray, np.ndarray, float, int]
     active_space: Optional[ActiveSpaceSpec]    # None: the full space
-    spin_orbitals: SpinOrbitalIntegrals
-    hamiltonian: FermionOperator
     mapping: MappingKind
-    qubit_hamiltonian: PauliSum
-
-    def __post_init__(self):
-        if not self.qubit_hamiltonian.is_hermitian():
-            raise ValueError("the qubit Hamiltonian is not Hermitian")
 
     @property
     def n_qubits(self) -> int:
-        return self.spin_orbitals.n_orbitals
+        return 2 * self.active_integrals[0].shape[0]
+
+    @cached_property
+    def spin_orbitals(self) -> SpinOrbitalIntegrals:
+        return to_spin_orbitals(*self.active_integrals)
+
+    @cached_property
+    def hamiltonian(self) -> FermionOperator:
+        return build_hamiltonian(self.spin_orbitals)
+
+    @cached_property
+    def qubit_hamiltonian(self) -> PauliSum:
+        return map_fermion(self.hamiltonian, self.mapping, self.n_qubits)
 
     @cached_property
     def sector(self) -> np.ndarray:
@@ -164,46 +170,31 @@ class AssembledSystem:
         return oracle.pauli_to_sparse(self.qubit_hamiltonian, self.sector)
 
 
-def register_size(molecule: Molecule,
-                  active: Optional[ActiveSpaceSpec] = None) -> int:
-    """Qubits `assemble` would map onto, from the basis size alone.
+def window_size(molecule: Molecule,
+                active: Optional[ActiveSpaceSpec] = None) -> Tuple[int, int]:
+    """Qubits and sector determinants of the window `assemble` would fold.
 
-    No integral is computed, so an oversized problem can be refused at
-    once. A window wider than the basis is left to spatial_active_space
-    and its own message.
+    Counted from the basis size alone, so an oversized register or sector
+    can be refused before any integral. A window that does not fit beside
+    its frozen orbitals counts the orbitals left, so spatial_active_space
+    reports it with its own message.
     """
-    spec = active or default_active_space(molecule)
     n_spatial = len(load_basis(molecule))
-    return 2 * min(spec.n_active_orbitals if spec else n_spatial, n_spatial)
-
-
-def sector_size(molecule: Molecule,
-                active: Optional[ActiveSpaceSpec] = None) -> int:
-    """Determinants in the sector `AssembledSystem.sector` would hold.
-
-    C(n_orb, n_e / 2) squared, from the basis size alone like
-    `register_size`, so an FCI or exact VQE run whose sector block would
-    be too large can be refused before any integral is computed.
-    """
-    spec = active or default_active_space(molecule)
-    n_electrons = spec.n_active_electrons if spec else molecule.n_electrons
-    return comb(register_size(molecule, spec) // 2, n_electrons // 2) ** 2
+    spec = (active or default_active_space(molecule)
+            or ActiveSpaceSpec(molecule.n_electrons, n_spatial))
+    n_frozen = max(0, molecule.n_electrons - spec.n_active_electrons) // 2
+    n_orbitals = max(0, min(spec.n_active_orbitals, n_spatial - n_frozen))
+    return 2 * n_orbitals, comb(n_orbitals, spec.n_active_electrons // 2) ** 2
 
 
 def assemble(molecule: Molecule, active: Optional[ActiveSpaceSpec] = None,
              mapping: MappingKind = MappingKind.PARITY) -> AssembledSystem:
-    """Run the full chain up to the qubit Hamiltonian.
+    """Run the chain up to the active window; the system builds the rest.
 
     `active` is the window to fold; None takes the shipped registry's
     window, or the full orbital space for a molecule not in it.
     """
     spec = active or default_active_space(molecule)
-    n_qubits = register_size(molecule, spec)
-    if n_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"{n_qubits} qubits exceeds the simulator cap of "
-            f"{MAX_QUBITS}; restrict the problem with an active space "
-            f"(for example --active-space 8,6)")
     integrals = compute_integrals(molecule)
     scf = run_rhf(integrals, molecule.n_electrons)
     h_mo, eri_mo = mo_spatial_integrals(integrals, scf.mo_coefficients)
@@ -211,14 +202,9 @@ def assemble(molecule: Molecule, active: Optional[ActiveSpaceSpec] = None,
     window = spatial_active_space(
         h_mo, eri_mo, integrals.nuclear_repulsion, molecule.n_electrons,
         spec or ActiveSpaceSpec(molecule.n_electrons, integrals.n_basis))
-    so = to_spin_orbitals(*window)
-    hamiltonian = build_hamiltonian(so)
-    qubit_hamiltonian = map_fermion(hamiltonian, mapping, so.n_orbitals)
     return AssembledSystem(molecule=molecule, integrals=integrals, scf=scf,
                            active_integrals=window, active_space=spec,
-                           spin_orbitals=so, hamiltonian=hamiltonian,
-                           mapping=mapping,
-                           qubit_hamiltonian=qubit_hamiltonian)
+                           mapping=mapping)
 
 
 def diatomic_geometry(symbols: Tuple[str, str], bond_length: float,

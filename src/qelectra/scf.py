@@ -33,7 +33,6 @@ class ScfResult:
     n_iterations: int
     history: List[Tuple[float, float]] = field(default_factory=list)  # (e_total, rms dP)
     n_occupied: int = 0
-    n_basis: int = 0
 
 
 def density_matrix(mo_coefficients: np.ndarray, n_occupied: int) -> np.ndarray:
@@ -138,7 +137,6 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
         n_iterations=iteration,
         history=history,
         n_occupied=n_occ,
-        n_basis=n,
     )
 
 

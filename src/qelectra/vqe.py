@@ -25,14 +25,14 @@ gains and budget follow the parameter count (`spsa_schedule`), and it
 stops after SPSA_PATIENCE consecutive sub-tolerance energy changes. Both
 record the energy trajectory, one entry per accepted iterate.
 
-`run_vqe` takes the assembled system, which holds the qubit Hamiltonian,
-its mapping, the sector and the Hamiltonian's block on it (the block the
-FCI eigensolver diagonalizes). An exact energy evaluation is one
-`Circuit.run` giving the sector amplitudes psi and psi^T H psi with H
-that block; a gradient adds one adjoint sweep with H psi. A shot-sampled
-evaluation scatters psi onto the 2^n register and measures the qubit
-Hamiltonian term by term there; the mapping shapes only the Hamiltonian,
-the block and these measurements, never the ansatz.
+`run_vqe` takes the assembled system, which builds on first use the
+qubit Hamiltonian in its mapping, the sector and the Hamiltonian's block
+on it (the block the FCI eigensolver diagonalizes). An exact energy
+evaluation is one `Circuit.run` giving the sector amplitudes psi and
+psi^T H psi with H that block; a gradient adds one adjoint sweep with
+H psi. A shot-sampled evaluation scatters psi onto the 2^n register and
+measures the qubit Hamiltonian term by term there; the mapping shapes
+only the Hamiltonian, the block and these measurements, never the ansatz.
 """
 
 import numpy as np
@@ -240,7 +240,8 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     state is held as amplitudes over `system.sector` (`ansatz_circuit`).
     `shots = None` evaluates exact expectations on `system.block`, the
     qubit Hamiltonian on that sector: a Hamiltonian that leaves the sector
-    raises the ValueError of `oracle.pauli_to_sparse`. An integer turns on
+    raises the ValueError of `oracle.pauli_to_sparse`, and one that is not
+    Hermitian a ValueError before the first evaluation. An integer turns on
     simulated projective measurement of `system.qubit_hamiltonian` on the
     amplitudes scattered onto the register, with that many shots per term
     drawn from the same seeded generator as the optimizer; only spsa
@@ -273,6 +274,8 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     counter = {"n": 0}
     if shots is None:
         block = system.block
+        if not block.hermitian:
+            raise ValueError("the qubit Hamiltonian is not Hermitian")
 
     def evaluate(theta: np.ndarray) -> float:
         counter["n"] += 1

@@ -291,6 +291,79 @@ def test_fci_cap_is_checked_before_the_chain_runs(capsys, monkeypatch):
     assert "fci needs at most 8192 determinants, got 15876" in err
 
 
+ETHYLENE = """6
+ethylene
+C 0.0 0.0 0.6695
+C 0.0 0.0 -0.6695
+H 0.0 0.9289 1.2321
+H 0.0 -0.9289 1.2321
+H 0.0 0.9289 -1.2321
+H 0.0 -0.9289 -1.2321
+"""
+
+
+@pytest.fixture
+def wide_systems(tmp_path):
+    """Command lines of 28 and 30 qubits: ethylene in its full space (no
+    shipped window), and CO2 with every electron in all 15 orbitals."""
+    xyz = tmp_path / "c2h4.xyz"
+    xyz.write_text(ETHYLENE)
+    return {28: ["--molecule", str(xyz)],
+            30: ["--molecule", "co2", "--active-space", "22,15"]}
+
+
+@pytest.mark.parametrize("n_qubits", [28, 30])
+def test_hf_builds_no_hamiltonian_and_has_no_qubit_cap(capsys, monkeypatch,
+                                                       wide_systems,
+                                                       n_qubits):
+    # hf reads the SCF alone: it needs no operator and makes no register
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hamiltonian built for an hf run")
+
+    monkeypatch.setattr(pipeline, "build_hamiltonian", refuse)
+    monkeypatch.setattr(pipeline, "map_fermion", refuse)
+    code, out, err = run_cli(capsys, *wide_systems[n_qubits], "--method",
+                             "hf", "--output", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["n_qubits"] == n_qubits
+    assert doc["methods"]["hf"]["converged"] is True
+    if n_qubits == 30:
+        # the CO2 HF energy of its default window: HF reads no window
+        assert doc["methods"]["hf"]["energy_hartree"] == pytest.approx(
+            -185.0652201647274, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_qubits", [28, 30])
+def test_shot_vqe_qubit_cap_is_checked_before_the_chain_runs(
+        capsys, monkeypatch, wide_systems, n_qubits):
+    # a shot-sampled vqe scatters its amplitudes onto the 2^n register
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for an oversized register")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    code, out, err = run_cli(capsys, *wide_systems[n_qubits], "--method",
+                             "vqe", "--shots", "64")
+    assert code == 1
+    assert out == ""
+    assert (f"shot-sampled vqe needs at most 24 qubits, got {n_qubits}; "
+            "restrict the problem with --active-space") in err
+
+
+@pytest.mark.parametrize("method", ["fci", "vqe"])
+def test_window_that_does_not_fit_keeps_its_own_message(capsys, method):
+    # 7 frozen and 13 active orbitals exceed CO2's 15. The caps count the
+    # 8 orbitals left, not the 13 asked (26 qubits, 511,225 determinants),
+    # so the fold reports the window
+    code, out, err = run_cli(capsys, "--molecule", "co2", "--active-space",
+                             "8,13", "--method", method, "--shots",
+                             "64" if method == "vqe" else "exact")
+    assert code == 1
+    assert out == ""
+    assert ("active window (7 frozen + 13 active) exceeds 15 spatial "
+            "orbitals") in err
+
+
 def test_exact_vqe_cap_is_checked_before_the_chain_runs(capsys,
                                                         monkeypatch):
     # exact vqe takes its energies on the same sector block as fci
@@ -308,7 +381,7 @@ def test_exact_vqe_cap_is_checked_before_the_chain_runs(capsys,
                   "10,9", "--shots", "64"])
 
 
-def test_fci_runs_on_a_sector_above_the_dense_cutoff(capsys):
+def test_fci_runs_on_a_sector_of_4900_determinants(capsys):
     # CH4 (8e, 8o): 16 qubits and 4,900 determinants, solved by Davidson
     code, out, err = run_cli(capsys, "--molecule", "ch4", "--method", "fci",
                              "--active-space", "8,8", "--output", "json")

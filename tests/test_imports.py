@@ -12,7 +12,10 @@ it. A method is referenced only by an attribute `obj.name` whose root
 object is not an imported module: a local variable `result` or a call
 `np.linalg.norm` does not use a method `result` or `norm`. The match is
 by name alone, so a method still passes when a same-named method of
-another class is used.
+another class is used, and a field when a same-named field is read. So
+every field, method or property name that more than one class in `src/`
+declares is listed in `SHARED_NAMES` with the readers of each
+declaration, and a newly shared name fails until it is listed.
 
 `__init__.py` is exempt: its imports are the package's re-exports, and a
 re-export is not a use. Dunder methods, and methods that override a base
@@ -300,6 +303,81 @@ def test_every_dataclass_field_is_read(module):
     path = PACKAGE / module
     others = [tree for other, tree in SEARCHED.items() if other != path]
     assert unread_fields(path.read_text(), others) == []
+
+
+# ---- every shared name has a reader per class --------------------------------
+
+# field, method and property names declared by more than one class in
+# `src/`, each with the package code that reads every declaration: a
+# reader of one class's name also passes the other's in the checks above
+SHARED_NAMES = {
+    "active_space": "AssembledSystem: cli.execute; ComparisonReport: "
+                    "the three report renderers",
+    "converged": "MethodResult: the renderers; ScanPoint: cli.main and "
+                 "scan_to_json; ScfResult and VqeResult: cli.execute",
+    "energy": "MethodResult: the renderers; VqeResult: cli.execute",
+    "iterations": "MethodResult: the renderers; SpsaSchedule: vqe.run_vqe",
+    "mapping": "AssembledSystem: its qubit_hamiltonian and sector, "
+               "vqe.ansatz_circuit; RunSpec: cli.execute; ComparisonReport: "
+               "the renderers",
+    "molecule": "AssembledSystem and RunSpec: cli.execute",
+    "n_electrons": "Molecule: pipeline.assemble; SpinOrbitalIntegrals: "
+                   "AssembledSystem.sector; UccsdAnsatz: vqe.run_vqe",
+    "n_iterations": "ScfResult and VqeResult: cli.execute",
+    "n_parameters": "Circuit: Circuit.run; UccsdAnsatz: vqe.run_vqe",
+    "n_qubits": "AssembledSystem: cli.execute, vqe.run_vqe; "
+                "ComparisonReport: the renderers",
+    "optimizer": "RunSpec: cli.execute; ComparisonReport: the renderers",
+    "seed": "RunSpec: cli.execute; ComparisonReport: the renderers",
+    "shots": "RunSpec: cli.execute; ComparisonReport: the renderers",
+}
+
+
+def declared_names(trees):
+    """For each field, method or property name that a class declares in
+    its body (dunder methods aside), the classes that declare it."""
+    owners = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                elif (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    name = item.name
+                else:
+                    continue
+                owners.setdefault(name, set()).add(f"{module}.{node.name}")
+    return owners
+
+
+def shared_names(trees):
+    return sorted(name for name, owners in declared_names(trees).items()
+                  if len(owners) > 1)
+
+
+def test_the_check_sees_a_shared_name():
+    first = ast.parse("class Row:\n    energy: float\n    order: int\n\n"
+                      "    def run(self):\n        return 1\n\n"
+                      "    def __len__(self):\n        return 1\n")
+    second = ast.parse("class Step:\n    @property\n"
+                       "    def order(self):\n        return 2\n\n"
+                       "    def __len__(self):\n        return 2\n\n"
+                       "class Plan:\n    run: bool\n")
+    assert shared_names({"a": first, "b": second}) == ["order", "run"]
+
+
+def test_every_shared_name_is_reviewed():
+    # equality: a name that a second class starts to declare fails until
+    # each declaration's reader is checked and listed; a name no longer
+    # shared leaves the list
+    trees = {path.stem: tree for path, tree in SEARCHED.items()
+             if path.parent == PACKAGE}
+    assert shared_names(trees) == sorted(SHARED_NAMES)
 
 
 # ---- every default is passed by the package ----------------------------------

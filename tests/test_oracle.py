@@ -217,7 +217,8 @@ def test_davidson_stops_once_the_subspace_stops_growing(assembled, key,
 
     monkeypatch.setattr(oracle, "_DAVIDSON_TOL", 0.0)
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    got, _ = oracle._davidson(block)
+    # the largest entry of a molecular block is above 1 Ha: scale 1
+    got, _ = oracle._davidson(block, 1.0)
     assert len(calls) <= block.shape[0] + 1
     assert got == value
 
@@ -227,6 +228,14 @@ def test_davidson_that_does_not_converge_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_DAVIDSON_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="residual"):
         lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << 12)))
+
+
+def test_davidson_resolves_a_block_of_small_entries():
+    # 1e-10 X: the start's residual, about 1e-10, would pass a tolerance
+    # that ignored the block's size, and the solve would return the
+    # Rayleigh quotient of the start instead of -1e-10
+    block = pauli_to_sparse(PauliSum(1, {(1, 0): 1e-10}), np.arange(2))
+    assert lowest_eigenvalues(block) == pytest.approx(-1e-10, rel=1e-9)
 
 
 def test_ground_energy_of_assembled_hydrogen(assembled):
@@ -337,9 +346,10 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(
     assert got == pytest.approx(want, abs=1e-12)
     assert got > exact_ground_energy(full) + 1.0
     # the CLI's FCI route, on the shifted system
-    monkeypatch.setattr(cli, "assemble", lambda *args, **kwargs:
-                        dataclasses.replace(system,
-                                            qubit_hamiltonian=shifted))
+    shifted_system = dataclasses.replace(system)
+    shifted_system.qubit_hamiltonian = shifted
+    monkeypatch.setattr(cli, "assemble",
+                        lambda *args, **kwargs: shifted_system)
     report = cli.execute(
         cli.RunSpec(molecule=system.molecule, methods=("fci",),
                     mapping=kind))

@@ -70,26 +70,8 @@ def test_full_space_equals_registry_window_for_hydrogen(assembled):
         system.spin_orbitals.core_energy)
 
 
-def test_qubit_cap_suggests_an_active_space():
-    co2 = shipped_geometry("co2")
-    with pytest.raises(ValueError, match="--active-space"):
-        assemble(co2, active=full_space(co2))
-
-
-def test_qubit_cap_is_checked_before_any_integral(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrals computed for an oversized register")
-
-    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
-    with pytest.raises(ValueError, match="30 qubits exceeds .*--active-space"):
-        assemble(shipped_geometry("co2"), active=ActiveSpaceSpec(22, 15))
-    with pytest.raises(ValueError, match="26 qubits exceeds"):
-        assemble(shipped_geometry("co2"), active=ActiveSpaceSpec(8, 13))
-
-
 def test_window_wider_than_the_basis_keeps_its_own_message():
-    # 2 x 20 orbitals is over the cap, but the window does not fit H2's
-    # two orbitals, and that is the error to report
+    # the window does not fit H2's two orbitals, and the fold says so
     with pytest.raises(ValueError, match="exceeds 2 spatial orbitals"):
         assemble(shipped_geometry("h2"), active=ActiveSpaceSpec(2, 20))
 
@@ -117,8 +99,10 @@ def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
                              methods=("hf", "fci")))
     assert method_row(report, "hf").energy == pytest.approx(e_hf, abs=1e-6)
     assert method_row(report, "fci").energy == pytest.approx(e_fci, abs=1e-6)
-    # the CLI's FCI cap counts, before any integral, the sector solved here
-    assert pipeline.sector_size(system.molecule) == system.sector.size
+    # the CLI's caps count, before any integral, the register and the
+    # sector built here
+    assert pipeline.window_size(system.molecule) == (system.n_qubits,
+                                                     system.sector.size)
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))
