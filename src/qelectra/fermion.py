@@ -94,17 +94,9 @@ def to_spin_orbitals(h_mo: np.ndarray, eri_mo: np.ndarray, core_energy: float,
                                 n_electrons=n_electrons)
 
 
-def spatial_active_space(h_mo: np.ndarray, eri_mo: np.ndarray,
-                         core_energy: float, n_electrons: int,
-                         spec: ActiveSpaceSpec):
-    """Frozen-core reduction on spatial MO integrals (chemists' notation).
-
-    Returns (h_active, eri_active, core_active, n_active_electrons) with
-    the closed-shell frozen orbitals folded in: the constant picks up
-    2 h_ii + sum_ij [2(ii|jj) - (ij|ji)], the window one-body picks up
-    sum_i [2(pq|ii) - (pi|iq)].
-    """
-    n_spatial = h_mo.shape[0]
+def frozen_orbitals(n_electrons: int, n_spatial: int,
+                    spec: ActiveSpaceSpec) -> int:
+    """Orbitals frozen below the window; ValueError if it does not fit."""
     n_frozen2 = n_electrons - spec.n_active_electrons
     if n_frozen2 < 0 or n_frozen2 % 2 != 0:
         raise ValueError(
@@ -117,7 +109,20 @@ def spatial_active_space(h_mo: np.ndarray, eri_mo: np.ndarray,
             f"active) exceeds {n_spatial} spatial orbitals")
     if spec.n_active_electrons > 2 * spec.n_active_orbitals:
         raise ValueError("more active electrons than active spin orbitals")
+    return n_frozen
 
+
+def spatial_active_space(h_mo: np.ndarray, eri_mo: np.ndarray,
+                         core_energy: float, n_electrons: int,
+                         spec: ActiveSpaceSpec):
+    """Frozen-core reduction on spatial MO integrals (chemists' notation).
+
+    Returns (h_active, eri_active, core_active, n_active_electrons) with
+    the closed-shell frozen orbitals folded in: the constant picks up
+    2 h_ii + sum_ij [2(ii|jj) - (ij|ji)], the window one-body picks up
+    sum_i [2(pq|ii) - (pi|iq)].
+    """
+    n_frozen = frozen_orbitals(n_electrons, h_mo.shape[0], spec)
     frozen = list(range(n_frozen))
     active = list(range(n_frozen, n_frozen + spec.n_active_orbitals))
 

@@ -7,17 +7,17 @@ leftmost Kronecker factor).
 
 `pauli_to_sparse` builds the block of a `PauliSum` on a sorted array of
 basis states, such as one (N, S_z) sector from `pauli.sector_basis`, in
-one pass over X-mask diagonals, as a `SparseBlock` of numpy arrays that
-records whether its Pauli sum was Hermitian. `lowest_eigenvalues` solves
-such a block by Davidson's method. `AssembledSystem.block` is the block
-of a system's qubit Hamiltonian on its sector: FCI diagonalizes it and
-exact VQE takes <H> on it. The module needs numpy alone.
+one pass over X-mask diagonals, as a real `SparseBlock`, and refuses a
+sum whose block is not real symmetric. `lowest_eigenvalues` solves such
+a block by Davidson's method. `AssembledSystem.block` is the block of a
+system's qubit Hamiltonian on its sector: FCI diagonalizes it and exact
+VQE takes <H> on it. The module needs numpy alone.
 """
 
 import numpy as np
 from typing import Dict, List, Tuple
 
-from .pauli import I_POWERS, PauliSum, bit_parity
+from .pauli import PauliSum, bit_parity
 
 _RESIDUAL_TOL = 1e-9
 _LEAK_TOL = 1e-10
@@ -29,23 +29,21 @@ _DAVIDSON_SPACE = 32
 
 
 class SparseBlock:
-    """A square complex matrix held as its nonzero entries.
+    """A square real symmetric matrix held as its nonzero entries.
 
-    `rows`, `cols` and `values` list the entries sorted by (row, col)
-    ascending, without duplicates. `block @ x`, for a vector x, sums the
-    products of each row in column order, the order of a compressed
-    sparse row (CSR) mat-vec, so its result does not depend on how the
-    entries were produced. `hermitian` records whether the operator it
-    was built from is Hermitian, which the eigensolver requires.
+    `rows`, `cols` and `values` (float64) list the entries sorted by
+    (row, col) ascending, without duplicates. `block @ x`, for a real
+    vector x, sums the products of each row in column order, the order of
+    a compressed sparse row (CSR) mat-vec, so its result does not depend
+    on how the entries were produced.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 values: np.ndarray, dim: int, hermitian: bool):
+                 values: np.ndarray, dim: int):
         self.rows = rows
         self.cols = cols
         self.values = values
         self.shape = (dim, dim)
-        self.hermitian = hermitian
 
     @property
     def nnz(self) -> int:
@@ -53,32 +51,29 @@ class SparseBlock:
 
     def diagonal(self) -> np.ndarray:
         on = self.rows == self.cols
-        out = np.zeros(self.shape[0], dtype=complex)
+        out = np.zeros(self.shape[0])
         out[self.rows[on]] = self.values[on]
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         # bincount adds the weights of each row in entry order
-        products = self.values * x[self.cols]
-        dim = self.shape[0]
-        out = np.empty(dim, dtype=complex)
-        out.real = np.bincount(self.rows, products.real, minlength=dim)
-        out.imag = np.bincount(self.rows, products.imag, minlength=dim)
-        return out
+        return np.bincount(self.rows, self.values * x[self.cols],
+                           minlength=self.shape[0])
 
 
-def _diagonal(x: int, terms: List[Tuple[int, complex]],
+def _diagonal(x: int, terms: List[Tuple[int, float]],
               states: np.ndarray) -> np.ndarray:
     """Entries (b ^ x, b) over the basis states b, summed in `terms` order."""
-    out = np.zeros(states.size, dtype=complex)
+    out = np.zeros(states.size)
     for z, coeff in terms:
         signs = 1.0 - 2.0 * bit_parity(states & z)
-        out += (coeff * I_POWERS[(x & z).bit_count() % 4]) * signs
+        # i^{n_y} = (-1)^{n_y / 2} for an even Y count n_y
+        out += (coeff * (1 - ((x & z).bit_count() & 2))) * signs
     return out
 
 
 def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
-    """Block of a Pauli sum on the given basis states.
+    """Block of a real symmetric Pauli sum on the given basis states.
 
     A term c * i^{n_y} X^x Z^z maps |b> to c i^{n_y} (-1)^{|z & b|} |b ^ x>,
     so the terms sharing an X-mask x fill one generalized diagonal: entry
@@ -86,7 +81,10 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     is summed in `items()` order, so every entry is the same floating-point
     sum as a term-by-term build. Only nonzero entries are stored, so `nnz`
     counts them; distinct X-masks fill distinct entries, so the
-    SparseBlock needs only a sort by (row, col).
+    SparseBlock needs only a sort by (row, col). The entries are float64:
+    a sum with an imaginary coefficient (`observable.is_hermitian()`), or
+    with an odd Y count n_y in a string, raises ValueError before any is
+    built.
 
     `basis` is a sorted array of distinct basis states, for example one
     sector from `pauli.sector_basis`, or `np.arange(1 << n)` for the whole
@@ -94,9 +92,7 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     are the same sums as in the matrix on the whole register. An operator
     that maps a basis state outside the basis (an entry above 1e-10)
     raises ValueError. The block never forms a vector over the whole
-    register, so it has no qubit cap. It records
-    `observable.is_hermitian()`, so a solve needs no pass over its
-    entries to refuse a non-Hermitian operator.
+    register, so it has no qubit cap.
     """
     n = observable.n_qubits
     states = np.asarray(basis, dtype=np.int64)
@@ -107,14 +103,18 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
         raise ValueError(f"basis states must lie in 0..{(1 << n) - 1}")
     if np.any(np.diff(states) <= 0):
         raise ValueError("basis states must be sorted and distinct")
-    hermitian = observable.is_hermitian()
-    masks: Dict[int, List[Tuple[int, complex]]] = {}
+    if not observable.is_hermitian() or any(
+            (x & z).bit_count() % 2 for (x, z), _ in observable.items()):
+        raise ValueError(
+            "the block needs a real symmetric operator: a Hermitian sum "
+            "(real coefficients) with an even number of Y letters in "
+            "every string")
+    masks: Dict[int, List[Tuple[int, float]]] = {}
     for (x, z), coeff in observable.items():
-        masks.setdefault(x, []).append((z, coeff))
+        masks.setdefault(x, []).append((z, coeff.real))
     if not masks:
         empty = np.zeros(0, dtype=np.int64)
-        return SparseBlock(empty, empty, np.zeros(0, dtype=complex), dim,
-                           hermitian)
+        return SparseBlock(empty, empty, np.zeros(0), dim)
     rows, cols, values = [], [], []
     for x, terms in masks.items():
         d_x = _diagonal(x, terms, states)
@@ -131,11 +131,11 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.argsort(rows * dim + cols)
     return SparseBlock(rows[order], cols[order],
-                       np.concatenate(values)[order], dim, hermitian)
+                       np.concatenate(values)[order], dim)
 
 
 def _davidson(block: SparseBlock, scale: float) -> Tuple[float, np.ndarray]:
-    """Lowest Ritz pair of a Hermitian block by Davidson's method.
+    """Lowest Ritz pair of a real symmetric block by Davidson's method.
 
     Each step solves the block projected on an orthonormal subspace and,
     until the pair converges, widens the subspace by the
@@ -155,17 +155,16 @@ def _davidson(block: SparseBlock, scale: float) -> Tuple[float, np.ndarray]:
     are in units of `scale`.
     """
     dim = block.shape[0]
-    diag = block.diagonal().real
+    diag = block.diagonal()
     # golden-ratio sequence: every entry differs, none repeats periodically
     tilt = np.arange(dim) * 0.6180339887498949 % 1.0 - 0.5
     start = 0.1 * tilt / np.linalg.norm(tilt)
     start[np.argmin(diag)] += 1.0
-    space = (start / np.linalg.norm(start)).astype(complex)[:, None]
+    space = (start / np.linalg.norm(start))[:, None]
     images = (block @ space[:, 0])[:, None]
     for _ in range(_DAVIDSON_ITERATIONS):
-        projected = space.conj().T @ images
-        theta, coeffs = np.linalg.eigh(0.5 * (projected
-                                              + projected.conj().T))
+        projected = space.T @ images
+        theta, coeffs = np.linalg.eigh(0.5 * (projected + projected.T))
         # the lowest pair, kept as one-column matrices
         vector = space @ coeffs[:, :1]
         residual = images @ coeffs[:, :1] - vector * theta[:1]
@@ -179,7 +178,7 @@ def _davidson(block: SparseBlock, scale: float) -> Tuple[float, np.ndarray]:
         gap[np.abs(gap) < 1e-8 * scale] = 1e-8 * scale
         for t in (residual[:, 0] / gap, residual[:, 0]):
             for _ in range(2):
-                t = t - space @ (space.conj().T @ t)
+                t = t - space @ (space.T @ t)
             norm = np.linalg.norm(t)
             if norm >= 1e-12 * scale:
                 break
@@ -192,20 +191,17 @@ def _davidson(block: SparseBlock, scale: float) -> Tuple[float, np.ndarray]:
 
 
 def lowest_eigenvalues(block: SparseBlock) -> float:
-    """The lowest eigenvalue of a Hermitian block.
+    """The lowest eigenvalue of a real symmetric block.
 
     The block comes from `pauli_to_sparse`, for example on one (N, S_z)
-    sector from `pauli.sector_basis`; one built from a non-Hermitian Pauli
-    sum raises ValueError. Every block, of any dimension, goes through a
-    Davidson solve with the diagonal preconditioner, meant for diagonally
-    dominant blocks such as an FCI Hamiltonian; its residual is verified
-    before the value is returned, and a RuntimeError reports a solve that
-    did not converge. Both residual tolerances are in units of
+    sector from `pauli.sector_basis`. Every block, of any dimension, goes
+    through a Davidson solve with the diagonal preconditioner, meant for
+    diagonally dominant blocks such as an FCI Hamiltonian; its residual is
+    verified before the value is returned, and a RuntimeError reports a
+    solve that did not converge. Both residual tolerances are in units of
     min(1, max |entry|): absolute on a molecular block, whose largest
     entry is above 1 Ha, and relative on a block of smaller entries.
     """
-    if not block.hermitian:
-        raise ValueError("eigenvalue routines need a Hermitian operator")
     scale = min(1.0, float(np.abs(block.values).max(initial=0.0)))
     value, vector = _davidson(block, scale)
     residual = np.linalg.norm(block @ vector - value * vector)
@@ -217,7 +213,7 @@ def lowest_eigenvalues(block: SparseBlock) -> float:
 
 
 def exact_ground_energy(block: SparseBlock) -> float:
-    """Lowest eigenvalue of a Hermitian block.
+    """Lowest eigenvalue of a real symmetric block.
 
     On `AssembledSystem.block`, the qubit Hamiltonian on the system's
     sector, this is the FCI energy of that electron count and spin.

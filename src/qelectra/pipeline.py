@@ -23,7 +23,7 @@ from .molecule import Molecule, from_atom_list, load_xyz, parse_xyz
 from .integrals import compute_integrals, IntegralSet
 from .scf import ScfResult, run_rhf
 from .fermion import (ActiveSpaceSpec, FermionOperator, SpinOrbitalIntegrals,
-                      build_hamiltonian, mo_spatial_integrals,
+                      build_hamiltonian, frozen_orbitals, mo_spatial_integrals,
                       spatial_active_space, to_spin_orbitals)
 from .pauli import MappingKind, PauliSum, map_fermion, sector_basis
 
@@ -174,16 +174,15 @@ def window_size(molecule: Molecule,
                 active: Optional[ActiveSpaceSpec] = None) -> Tuple[int, int]:
     """Qubits and sector determinants of the window `assemble` would fold.
 
-    Counted from the basis size alone, so an oversized register or sector
-    can be refused before any integral. A window that does not fit beside
-    its frozen orbitals counts the orbitals left, so spatial_active_space
-    reports it with its own message.
+    Counted from the basis size alone, so an oversized register or sector,
+    or a window that does not fit (the ValueError of
+    `fermion.frozen_orbitals`), is refused before any integral.
     """
     n_spatial = len(load_basis(molecule))
     spec = (active or default_active_space(molecule)
             or ActiveSpaceSpec(molecule.n_electrons, n_spatial))
-    n_frozen = max(0, molecule.n_electrons - spec.n_active_electrons) // 2
-    n_orbitals = max(0, min(spec.n_active_orbitals, n_spatial - n_frozen))
+    frozen_orbitals(molecule.n_electrons, n_spatial, spec)
+    n_orbitals = spec.n_active_orbitals
     return 2 * n_orbitals, comb(n_orbitals, spec.n_active_electrons // 2) ** 2
 
 

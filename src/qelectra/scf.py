@@ -91,7 +91,6 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
     error_list: List[np.ndarray] = []
     converged = False
     iteration = 0
-    F = h.copy()
 
     for iteration in range(1, MAX_ITERATIONS + 1):
         F = _fock(h, eri, P)

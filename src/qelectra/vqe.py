@@ -239,9 +239,9 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     The ansatz must have the system's register and electron count; its
     state is held as amplitudes over `system.sector` (`ansatz_circuit`).
     `shots = None` evaluates exact expectations on `system.block`, the
-    qubit Hamiltonian on that sector: a Hamiltonian that leaves the sector
-    raises the ValueError of `oracle.pauli_to_sparse`, and one that is not
-    Hermitian a ValueError before the first evaluation. An integer turns on
+    qubit Hamiltonian on that sector: one that leaves the sector, or whose
+    block is not real symmetric, raises the ValueError of
+    `oracle.pauli_to_sparse` before the first evaluation. An integer turns on
     simulated projective measurement of `system.qubit_hamiltonian` on the
     amplitudes scattered onto the register, with that many shots per term
     drawn from the same seeded generator as the optimizer; only spsa
@@ -272,16 +272,14 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     # only spsa draws: its perturbations, and the shots of a sampled run
     rng = np.random.default_rng(seed) if kind == "spsa" else None
     counter = {"n": 0}
-    if shots is None:
-        block = system.block
-        if not block.hermitian:
-            raise ValueError("the qubit Hamiltonian is not Hermitian")
+    # built, or refused, before the first evaluation
+    block = system.block if shots is None else None
 
     def evaluate(theta: np.ndarray) -> float:
         counter["n"] += 1
         psi = circuit.run(theta)
         if shots is None:
-            return float(psi @ (block @ psi).real)
+            return float(psi @ (block @ psi))
         data = np.zeros(1 << n, dtype=complex)
         data[system.sector] = psi
         mean, _ = StateVector(n, data).sampled_expectation(
@@ -294,7 +292,7 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
         adjoint sweep."""
         counter["n"] += 1
         psi = circuit.run(theta)
-        h_psi = (block @ psi).real
+        h_psi = block @ psi
         return float(psi @ h_psi), circuit.adjoint_gradient(theta, psi, h_psi)
 
     theta = np.zeros(ansatz.n_parameters)

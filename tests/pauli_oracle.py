@@ -119,8 +119,8 @@ def pauli_sum(n_qubits: int,
 
 
 def block_matrix(block: SparseBlock) -> np.ndarray:
-    """The dense complex matrix of a block, zero off its stored entries."""
-    out = np.zeros(block.shape, dtype=complex)
+    """The dense real matrix of a block, zero off its stored entries."""
+    out = np.zeros(block.shape)
     out[block.rows, block.cols] = block.values
     return out
 

@@ -352,9 +352,9 @@ def test_shot_vqe_qubit_cap_is_checked_before_the_chain_runs(
 
 @pytest.mark.parametrize("method", ["fci", "vqe"])
 def test_window_that_does_not_fit_keeps_its_own_message(capsys, method):
-    # 7 frozen and 13 active orbitals exceed CO2's 15. The caps count the
-    # 8 orbitals left, not the 13 asked (26 qubits, 511,225 determinants),
-    # so the fold reports the window
+    # 7 frozen and 13 active orbitals exceed CO2's 15: the window check
+    # runs before the caps, which would count 26 qubits and 511,225
+    # determinants
     code, out, err = run_cli(capsys, "--molecule", "co2", "--active-space",
                              "8,13", "--method", method, "--shots",
                              "64" if method == "vqe" else "exact")
@@ -362,6 +362,26 @@ def test_window_that_does_not_fit_keeps_its_own_message(capsys, method):
     assert out == ""
     assert ("active window (7 frozen + 13 active) exceeds 15 spatial "
             "orbitals") in err
+
+
+@pytest.mark.parametrize("molecule, window, message", [
+    ("co2", "8,13", "active window (7 frozen + 13 active) exceeds 15 "
+                    "spatial orbitals"),
+    ("h2o", "3,2", "cannot freeze 10 -> 3 electrons: need an even, "
+                   "nonnegative difference"),
+    ("co2", "20,9", "more active electrons than active spin orbitals")])
+def test_window_that_does_not_fit_is_refused_before_any_integral(
+        capsys, monkeypatch, molecule, window, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for a window that "
+                             "does not fit")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    code, out, err = run_cli(capsys, "--molecule", molecule,
+                             "--active-space", window, "--method", "hf")
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_exact_vqe_cap_is_checked_before_the_chain_runs(capsys,

@@ -7,9 +7,11 @@ every parameter or field with a default is passed by some call in `src/`
 or `perfbench/`, and every module-level constant is read there, outside
 its own assignment.
 
-A function or class is referenced by any name or attribute that matches
-it. A method is referenced only by an attribute `obj.name` whose root
-object is not an imported module: a local variable `result` or a call
+A top-level function, class or constant is referenced only by its bare
+name, an import of that name, or an attribute whose root object is an
+imported module (`oracle.pauli_to_sparse`): an attribute `obj.name` of
+any other object does not use it. A method is referenced only by such an
+attribute `obj.name`: a local variable `result` or a call
 `np.linalg.norm` does not use a method `result` or `norm`. The match is
 by name alone, so a method still passes when a same-named method of
 another class is used, and a field when a same-named field is read. So
@@ -108,11 +110,19 @@ def imported_modules(tree):
     return modules
 
 
+def module_rooted(node, modules):
+    """Whether an attribute's root object is one of the `modules` names."""
+    root = node.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return isinstance(root, ast.Name) and root.id in modules
+
+
 def referenced_names(tree, skip=()):
     """Names read and attributes accessed anywhere in the tree outside the
-    `skip` nodes, as (names, methods): `names` holds every name and
-    attribute, `methods` only the attributes whose root object is not an
-    imported module."""
+    `skip` nodes, as (names, methods): `names` holds every bare name, every
+    name an import binds from a module and every attribute whose root
+    object is an imported module, `methods` the other attributes."""
     modules = imported_modules(tree)
     names, methods = set(), set()
     todo = [tree]
@@ -122,13 +132,11 @@ def referenced_names(tree, skip=()):
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-            root = node.value
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if not (isinstance(root, ast.Name) and root.id in modules):
-                methods.add(node.attr)
+            (names if module_rooted(node, modules) else methods).add(
+                node.attr)
         todo.extend(ast.iter_child_nodes(node))
     return names, methods
 
@@ -146,8 +154,9 @@ def overrides(module, class_name, name):
 def unreferenced(module, source, others, listed=()):
     """Definitions in `source` that neither it, outside their own
     definition and the `listed` ones, nor any of the `others` trees
-    refers to: by any name for a function or class, by an attribute of
-    an object that is not an imported module for a method."""
+    refers to: by a bare name, an import or an attribute of an imported
+    module for a function or class, by an attribute of an object that is
+    not an imported module for a method."""
     tree = ast.parse(source)
     elsewhere = [referenced_names(t) for t in others]
     names_elsewhere = set().union(*(names for names, _ in elsewhere))
@@ -190,6 +199,20 @@ def test_the_check_sees_a_method_hidden_by_a_name_or_a_module_attribute():
     # a function is still used by its name, or as a module's attribute
     assert unreferenced("none.py", "def norm():\n    return 1.0\n",
                         [caller]) == []
+
+
+def test_the_check_sees_a_function_hidden_by_an_attribute():
+    # `row.scan` is an attribute of a variable, not of a module, so it
+    # does not use the function `scan`
+    source = "def scan():\n    return 1\n\ndef render():\n    return 2\n"
+    caller = ast.parse("from qelectra import cli\n\n"
+                       "row = cli.render()\nprint(row.scan)\n")
+    assert unreferenced("none.py", source, [caller]) == ["scan"]
+    # a bare name, an import or a module's attribute uses it
+    for use in ("print(scan)\n", "from qelectra.cli import scan\n",
+                "import qelectra.cli\nqelectra.cli.scan()\n"):
+        assert unreferenced("none.py", source, [caller, ast.parse(use)]) \
+            == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -526,10 +549,12 @@ def module_constants(tree):
 
 
 def loaded_names(trees, skip=None):
-    """Names and attributes loaded anywhere in the trees outside the
-    `skip` node; a store is not a load."""
+    """Bare names loaded, names imported from a module, and attributes of
+    an imported module loaded, anywhere in the trees outside the `skip`
+    node; a store is not a load."""
     loaded = set()
     for tree in trees:
+        modules = imported_modules(tree)
         todo = [tree]
         while todo:
             node = todo.pop()
@@ -538,7 +563,10 @@ def loaded_names(trees, skip=None):
             loaded_here = isinstance(getattr(node, "ctx", None), ast.Load)
             if loaded_here and isinstance(node, ast.Name):
                 loaded.add(node.id)
-            elif loaded_here and isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+            elif (loaded_here and isinstance(node, ast.Attribute)
+                    and module_rooted(node, modules)):
                 loaded.add(node.attr)
             todo.extend(ast.iter_child_nodes(node))
     return loaded
@@ -546,9 +574,9 @@ def loaded_names(trees, skip=None):
 
 def unread_constants(source, trees):
     """Module-level constants in `source` that neither it, outside their
-    own assignment, nor any tree outside `tests/` loads as a name or an
-    attribute, matched by name alone; `trees` maps the paths of the other
-    files to their syntax trees."""
+    own assignment, nor any tree outside `tests/` loads as a bare name, an
+    import or an attribute of an imported module, matched by name alone;
+    `trees` maps the paths of the other files to their syntax trees."""
     tree = ast.parse(source)
     read = loaded_names(tree for path, tree in trees.items()
                         if TESTS not in path.parents)
@@ -567,6 +595,16 @@ def test_the_check_sees_a_constant_only_tests_read():
                  "import thing\n\nprint(thing.PROBE, thing.SPARE)\n")}
     # a store elsewhere is no read
     assert unread_constants(source, trees) == ["PROBE", "SPARE"]
+
+
+def test_the_check_sees_a_constant_hidden_by_an_attribute():
+    source = "LIMIT = 4\nSCALE = 2.0\n"
+    trees = {PACKAGE / "caller.py": ast.parse(
+                 "import thing\n\nprint(thing.LIMIT, config.SCALE)\n")}
+    # `config` is not an imported module
+    assert unread_constants(source, trees) == ["SCALE"]
+    trees[PACKAGE / "more.py"] = ast.parse("from thing import SCALE\n")
+    assert unread_constants(source, trees) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

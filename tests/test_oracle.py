@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelectra import cli
-from qelectra.fermion import FermionOperator
+from qelectra.fermion import ActiveSpaceSpec, FermionOperator
 from qelectra import oracle
 from qelectra.oracle import (
     exact_ground_energy,
@@ -26,19 +26,31 @@ from test_pauli import dense_sum, pauli_sums, term
 
 
 def test_single_letter_matrices():
-    for word, want in (("X", [[0, 1], [1, 0]]), ("Y", [[0, -1j], [1j, 0]]),
-                       ("Z", [[1, 0], [0, -1]]), ("I", np.eye(2))):
+    for word, want in (("X", [[0, 1], [1, 0]]), ("Z", [[1, 0], [0, -1]]),
+                       ("I", np.eye(2))):
         block = pauli_to_sparse(term(word), np.arange(2))
         assert np.allclose(block_matrix(block), want)
+    # Y alone is imaginary, but Y Y is real: i^2 X X Z Z
+    with pytest.raises(ValueError, match="even number of Y"):
+        pauli_to_sparse(term("Y"), np.arange(2))
+    block = pauli_to_sparse(term("YY"), np.arange(4))
+    assert np.allclose(block_matrix(block), [[0, 0, 0, -1], [0, 0, 1, 0],
+                                             [0, 1, 0, 0], [-1, 0, 0, 0]])
+
+
+def even_y_word(rng, n):
+    """A random n-letter Pauli word with an even number of Y letters."""
+    while True:
+        word = "".join(rng.choice(list("IXYZ"), size=n))
+        if word.count("Y") % 2 == 0:
+            return word
 
 
 def test_matrix_builders_match_local_kron():
     rng = np.random.default_rng(31)
-    letters = np.array(list("IXYZ"))
     for _ in range(10):
         n = int(rng.integers(1, 5))
-        op = pauli_sum(n, [("".join(rng.choice(letters, size=n)),
-                            complex(*rng.standard_normal(2)))
+        op = pauli_sum(n, [(even_y_word(rng, n), rng.standard_normal())
                            for _ in range(3)])
         want = dense_sum(op)
         block = pauli_to_sparse(op, np.arange(1 << n))
@@ -46,7 +58,7 @@ def test_matrix_builders_match_local_kron():
 
 
 @settings(deadline=None)
-@given(pauli_sums())
+@given(pauli_sums(real=True))
 def test_sparse_build_matches_kron_reference(op):
     matrix = pauli_to_sparse(op, np.arange(1 << op.n_qubits))
     want = dense_sum(op)
@@ -73,9 +85,9 @@ def test_sparse_build_matches_term_by_term_action(assembled):
     hamiltonian = assembled("lih").qubit_hamiltonian
     n = hamiltonian.n_qubits
     rng = np.random.default_rng(33)
-    psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    psi = rng.standard_normal(1 << n)
     psi /= np.linalg.norm(psi)
-    want = np.zeros_like(psi)
+    want = np.zeros(1 << n, dtype=complex)
     state = StateVector(n, psi)
     for (x, z), coeff in hamiltonian.items():
         want += coeff * apply_pauli(state, x, z)
@@ -91,9 +103,8 @@ def test_block_matvec_is_bit_identical_to_csr(kind):
     block = system.block
     csr = sp.csr_matrix((block.values, (block.rows, block.cols)),
                         shape=block.shape)
-    rng = np.random.default_rng(34)
-    psi = rng.standard_normal(block.shape[0]) \
-        + 1j * rng.standard_normal(block.shape[0])
+    psi = np.random.default_rng(34).standard_normal(block.shape[0])
+    assert block.values.dtype == np.float64
     assert np.array_equal(block @ psi, csr @ psi)
 
 
@@ -115,12 +126,13 @@ def test_zero_diagonal_block_reaches_the_ground_state(n):
 
 @st.composite
 def hermitian_sums(draw):
-    """Real-coefficient, so Hermitian, Pauli sums on 1-8 qubits. Some
-    have no diagonal (every X-mask nonzero), some one string, and some
-    leave the top qubit idle, so that every level is exactly
-    degenerate. A nonzero coefficient is at least 1e-6: the solve
-    resolves levels only to its 1e-10 residual, and a smaller term could
-    split the ground level by about that much."""
+    """Real symmetric Pauli sums on 1-8 qubits: real coefficients, and
+    an even Y count |x & z| in every string (a z with an odd one flips
+    its bit at the lowest bit of x). Some have no diagonal (every X-mask
+    nonzero), some one string, and some leave the top qubit idle, so
+    that every level is exactly degenerate. A nonzero coefficient is at
+    least 1e-6: the solve resolves levels only to its 1e-10 residual, and
+    a smaller term could split the ground level by about that much."""
     n = draw(st.integers(1, 8))
     acted = draw(st.integers(max(1, n - 1), n))
     no_diagonal = draw(st.booleans())
@@ -130,7 +142,8 @@ def hermitian_sums(draw):
                       st.floats(-2.0, -1e-6))
     terms = draw(st.lists(st.tuples(x_mask, mask, coeff),
                           min_size=1, max_size=12))
-    return PauliSum(n, {(x, z): c for x, z, c in terms})
+    return PauliSum(n, {(x, z ^ (x & -x) * ((x & z).bit_count() % 2)): c
+                        for x, z, c in terms})
 
 
 @settings(deadline=None)
@@ -149,18 +162,34 @@ def test_one_state_block_and_empty_sum():
                                               np.arange(8))) == 0.0
 
 
-def test_non_hermitian_inputs_rejected():
-    block = pauli_to_sparse(term("X", 0.5j), np.arange(2))
-    assert not block.hermitian
-    with pytest.raises(ValueError, match="Hermitian"):
-        lowest_eigenvalues(block)
-    # 1j * X has eigenvalues +-i; eigh would read one triangle and
-    # report -1
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_energy(pauli_to_sparse(term("X", 1j), np.arange(2)))
-    # nor is -i XY, whose coefficient is imaginary
-    with pytest.raises(ValueError, match="Hermitian"):
-        exact_ground_energy(pauli_to_sparse(term("XY", -1j), np.arange(4)))
+def test_non_hermitian_inputs_rejected(monkeypatch):
+    # refused before any diagonal is summed
+    def refuse(*args):
+        raise AssertionError("the block was built")
+
+    monkeypatch.setattr(oracle, "_diagonal", refuse)
+    # 1j * X has eigenvalues +-i, and -i XY an imaginary coefficient
+    for op in (term("X", 0.5j), term("X", 1j), term("XY", -1j)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            pauli_to_sparse(op, np.arange(1 << op.n_qubits))
+    # Hermitian, but an odd Y count makes the matrix imaginary there
+    for op in (term("Y"), term("XY"),
+               pauli_sum(2, [("ZZ", 1.0), ("YI", 0.5)])):
+        with pytest.raises(ValueError, match="even number of Y"):
+            pauli_to_sparse(op, np.arange(1 << op.n_qubits))
+
+
+@pytest.mark.parametrize("kind", list(MappingKind))
+@pytest.mark.parametrize("key, window", [
+    ("h2", None), ("lih", None), ("h2o", None), ("nh3", None), ("ch4", None),
+    ("co2", None), ("ch4", ActiveSpaceSpec(8, 8))])
+def test_mapped_hamiltonians_build_a_real_block(key, window, kind):
+    # every shipped window and CH4 (8e, 8o): real coefficients on strings
+    # of an even Y count, so a float64 block
+    system = assemble(shipped_geometry(key), active=window, mapping=kind)
+    block = system.block
+    assert block.values.dtype == np.float64
+    assert block.shape[0] == system.sector.size
 
 
 def independent_spins(n, fields, coupling):
@@ -268,20 +297,24 @@ def fixed_number_basis(kind, n_modes, n_electrons):
 
 @st.composite
 def number_conserving(draw):
-    """A mapping, a particle number and a random operator on 2-8 modes
-    built from one- and two-body terms that conserve the particle number
-    but not necessarily S_z."""
+    """A mapping, a particle number and a random Hermitian operator on
+    2-8 modes built from one- and two-body terms with real coefficients
+    that conserve the particle number but not necessarily S_z."""
     kind = draw(st.sampled_from(list(MappingKind)))
     n_modes = 2 * draw(st.integers(1, 4))
     n_electrons = draw(st.integers(0, n_modes))
     mode = st.integers(0, n_modes - 1)
     coeff = st.floats(-1.0, 1.0, allow_nan=False)
     op = FermionOperator()
+    # each term T enters as T + T^, so the operator's block is real
+    # symmetric
     for p, q, c in draw(st.lists(st.tuples(mode, mode, coeff), max_size=4)):
         op.add_term(((p, 1), (q, 0)), c)
+        op.add_term(((q, 1), (p, 0)), c)
     for p, q, r, s, c in draw(st.lists(
             st.tuples(mode, mode, mode, mode, coeff), max_size=4)):
         op.add_term(((p, 1), (q, 1), (r, 0), (s, 0)), c)
+        op.add_term(((s, 1), (r, 1), (q, 0), (p, 0)), c)
     mapped = map_fermion(op, kind, n_modes)
     return mapped, fixed_number_basis(kind, n_modes, n_electrons)
 

@@ -63,16 +63,22 @@ _PARTS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]),
 
 
 @st.composite
-def pauli_sums(draw, n=None):
+def pauli_sums(draw, n=None, real=False):
     """Random sums on `n` qubits (default 1-6): complex coefficients,
     repeated strings, exactly cancelling pairs, and (with an empty term
-    list) the empty sum."""
+    list) the empty sum. With `real`, the coefficients are real and every
+    string holds an even number of Y letters: the sum's matrix is real
+    symmetric."""
     if n is None:
         n = draw(st.integers(1, 6))
     words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
-    terms = draw(st.lists(st.tuples(
-        words, st.builds(complex, _PARTS, _PARTS), st.booleans()),
-        max_size=12))
+    coeffs = st.builds(complex, _PARTS, _PARTS)
+    if real:
+        # an odd Y count loses its first Y to an X
+        words = words.map(lambda w: w.replace("Y", "X", w.count("Y") % 2))
+        coeffs = _PARTS
+    terms = draw(st.lists(st.tuples(words, coeffs, st.booleans()),
+                          max_size=12))
     return pauli_sum(n, itertools.chain.from_iterable(
         [(word, coeff), (word, -coeff)] if cancel else [(word, coeff)]
         for word, coeff, cancel in terms))

@@ -473,13 +473,16 @@ def test_sector_route_matches_the_pauli_oracle(key, kind, assembled):
                                               ansatz.n_parameters)
     circuit = ansatz_circuit(ansatz, system)
     psi = circuit.run(theta)
-    h_psi = (system.block @ psi).real
+    h_psi = system.block @ psi
     gradient = circuit.adjoint_gradient(theta, psi, h_psi)
 
     pauli = pauli_circuit(ansatz, kind)
     data = pauli.run(theta).data
     lam = np.zeros_like(data)
-    lam[system.sector] = system.block @ data[system.sector]
+    # the real block on the real and imaginary parts apart
+    gathered = data[system.sector]
+    lam[system.sector] = (system.block @ gathered.real
+                          + 1j * (system.block @ gathered.imag))
     want_energy = np.vdot(data, lam).real
     want_gradient = pauli.adjoint_gradient(theta, data, lam)
     assert abs(psi @ h_psi - want_energy) <= 1e-12
