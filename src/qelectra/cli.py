@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .basis import BASIS_NAME
+from .basis import BASIS_NAME, load_basis
 from .fcidump import write_fcidump
 from .fermion import ActiveSpaceSpec
+from .integrals import IntegralSet, compute_integrals_batch
 from .molecule import Molecule
 from .oracle import exact_ground_energy
 from .pauli import MappingKind, mapping_from_name
@@ -36,6 +37,13 @@ _METHOD_ORDER = ("hf", "vqe", "fci")
 # the sector block: CH4 (8e, 8o) has 4,900 determinants and a 1.6 M-entry
 # block; the full CH4 space has 15,876
 MAX_FCI_DETERMINANTS = 8192
+
+# bytes a bond scan's batched integral pass may hold for its points,
+# counted at 4 KiB per basis-function pair of a point: beyond the
+# batches' own capped working set, the traced peak of a pass grows by
+# 1.9-3.8 KB per pair and point on H2, LiH and N2. That is 18 N2 points
+# (a 6.4 MB tracemalloc peak), 48 LiH and 341 H2 per pass.
+SCAN_PASS_BYTES = 4 << 20
 
 
 @dataclass
@@ -80,15 +88,19 @@ class ComparisonReport:
         return all(row.converged for row in self.results)
 
 
-def execute(spec: RunSpec) -> ComparisonReport:
-    """Run the requested methods on one geometry."""
-    # refused before any integral: bfgs differentiates exact expectations
+def _refuse(spec: RunSpec) -> None:
+    """The checks made before any integral; each raises a ValueError.
+
+    They read the spec and the basis size alone, so one call covers every
+    point of a bond scan.
+    """
+    # bfgs differentiates exact expectations
     if spec.shots is not None and spec.optimizer not in (None, "spsa"):
         raise ValueError(f"--optimizer {spec.optimizer} needs exact "
                          "expectations; use --optimizer spsa with --shots, "
                          "or --shots exact")
-    # and so is a problem over a cap: fci and exact vqe build the sector
-    # block, and a shot-sampled vqe the 2^n register
+    # a problem over a cap: fci and exact vqe build the sector block, and a
+    # shot-sampled vqe the 2^n register
     n_qubits, n_determinants = window_size(spec.molecule, spec.active)
     block_user = ("fci" if "fci" in spec.methods else "exact vqe"
                   if "vqe" in spec.methods and spec.shots is None else None)
@@ -102,8 +114,20 @@ def execute(spec: RunSpec) -> ComparisonReport:
         raise ValueError(
             f"shot-sampled vqe needs at most {MAX_QUBITS} qubits, got "
             f"{n_qubits}; restrict the problem with --active-space")
+
+
+def execute(spec: RunSpec,
+            integrals: Optional[IntegralSet] = None) -> ComparisonReport:
+    """Run the requested methods on one geometry.
+
+    A bond scan passes the point's `integrals`, computed for its grid
+    after it made `_refuse`'s checks; None makes the checks and then
+    computes the integrals.
+    """
+    if integrals is None:
+        _refuse(spec)
     system = assemble(spec.molecule, active=spec.active,
-                      mapping=spec.mapping)
+                      mapping=spec.mapping, integrals=integrals)
     active = system.active_space
     report = ComparisonReport(
         molecule_name=display_name(system.molecule),
@@ -162,7 +186,12 @@ class ScanPoint:
 
 def scan(spec: RunSpec, start: float, stop: float,
          steps: int) -> List[ScanPoint]:
-    """Method energies along a diatomic bond-length grid (Bohr)."""
+    """Method energies along a diatomic bond-length grid (Bohr).
+
+    The grid's integrals come in passes of as many points as
+    SCAN_PASS_BYTES holds, one batched call per pass; each point's methods
+    then run from its own integrals, one point after another.
+    """
     if spec.molecule.n_atoms != 2:
         raise ValueError("--scan supports diatomic molecules only; got "
                          f"{spec.molecule.n_atoms} atoms")
@@ -178,17 +207,33 @@ def scan(spec: RunSpec, start: float, stop: float,
     symbols = (spec.molecule.atoms[0].symbol, spec.molecule.atoms[1].symbol)
     charge = spec.molecule.charge
     name = display_name(spec.molecule)
+    radii = np.linspace(start, stop, steps).tolist()
+    grid = [diatomic_geometry(symbols, r, charge=charge, name=name)
+            for r in radii]
+    # every point has the same atoms, hence the same checks' outcome
+    _refuse(dataclasses.replace(spec, molecule=grid[0]))
+    size = max(1, SCAN_PASS_BYTES // _point_bytes(grid[0]))
     points = []
-    for r in np.linspace(start, stop, steps).tolist():
-        geometry = diatomic_geometry(symbols, r, charge=charge, name=name)
-        report = execute(dataclasses.replace(spec, molecule=geometry,
-                                             fcidump_path=None))
-        points.append(ScanPoint(r_bohr=r,
-                                energies={row.method: float(row.energy)
-                                          for row in report.results},
-                                converged=report.all_converged))
+    for first in range(0, len(grid), size):
+        chunk = grid[first:first + size]
+        for r, geometry, integrals in zip(radii[first:], chunk,
+                                          compute_integrals_batch(chunk)):
+            report = execute(dataclasses.replace(spec, molecule=geometry,
+                                                 fcidump_path=None),
+                             integrals)
+            points.append(ScanPoint(r_bohr=r,
+                                    energies={row.method: float(row.energy)
+                                              for row in report.results},
+                                    converged=report.all_converged))
     points.sort(key=lambda p: p.r_bohr)
     return points
+
+
+def _point_bytes(molecule: Molecule) -> int:
+    """What a batched integral pass counts for one scan point: 4 KiB per
+    basis-function pair."""
+    n = len(load_basis(molecule))
+    return 4096 * (n * (n + 1) // 2)
 
 
 # ---- rendering ---------------------------------------------------------------

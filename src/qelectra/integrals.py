@@ -19,6 +19,12 @@ _PRIMITIVE_QUARTETS_PER_CALL Hermite Coulomb elements (primitive quartets
 times box volume); its convolutions use the Hermite columns up to the
 batch's longest bra and ket lengths, its Coulomb tensor the box.
 
+Geometries of one basis layout (the same elements in the same order, as
+along a bond scan) go through one set of these tables, classes, Boys calls
+and batches: each geometry's pairs are rows of the same tables, attracted
+only by their own geometry's nuclei, and quartets are formed only within
+one geometry.
+
 S, T, V and the ERIs are bit-identical to evaluating one primitive pair,
 pair, nucleus or quartet at a time, because:
 - each primitive pair or quartet sees the same elementwise operations in
@@ -38,7 +44,12 @@ pair, nucleus or quartet at a time, because:
   shell's 2s and 2p share one), fixes p and P per primitive pair, so all
   quartets of one shell-pair quartet have bitwise-equal Boys arguments.
   Orders are not shared: F_0 from a recursion started at m_max = 2 can
-  differ in the last bit from F_0 at m_max = 0.
+  differ in the last bit from F_0 at m_max = 0;
+- geometries batched together change no bit: no quartet mixes two of
+  them, and Boys rows are shared only between bitwise-equal arguments. An
+  atom at the same place in two geometries (the fixed Li of a LiH scan)
+  has the same shells in both, so its shell-pair quartets share their
+  rows across the points.
 
 Bit identity matters because a split degenerate shell (the shipped CO2
 window) turns a 1e-16 change in the integrals into a milli-Hartree change
@@ -48,7 +59,7 @@ in the correlation energy.
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -305,11 +316,12 @@ class _PairTables:
                          + s[0] * s[1] * t[2]))
 
 
-def _nuclear_attraction(tables: _PairTables, coords: np.ndarray,
+def _nuclear_attraction(tables: _PairTables, nuclei: np.ndarray,
                         charges: np.ndarray) -> np.ndarray:
-    """V for every pair: one Hermite Coulomb call per angular class over
-    all its pairs, nuclei and primitive pairs, and one Boys call per Boys
-    order over all classes of that order."""
+    """V for every pair, attracted by its own geometry's nuclei (nuclei[r]
+    for row r): one Hermite Coulomb call per angular class over all its
+    pairs, nuclei and primitive pairs, and one Boys call per Boys order
+    over all classes of that order."""
     # angular classes (Boys order, K, lengths), sorted by Boys order
     key = np.column_stack((tables.length.sum(axis=1) - 3, tables.K,
                            tables.length))
@@ -320,7 +332,7 @@ def _nuclear_attraction(tables: _PairTables, coords: np.ndarray,
         work = []
         for c, (_, k, *lengths) in members:
             index = np.flatnonzero(of_pair.ravel() == c)
-            PC = tables.P[index, None, :k] - coords[None, :, None]
+            PC = tables.P[index, None, :k] - nuclei[index, :, None]
             p = np.broadcast_to(tables.p[index, None, :k], PC.shape[:3])
             work.append((index, k, lengths, p.ravel(), PC.reshape(-1, 3)))
         F = boys(order, np.concatenate(
@@ -329,7 +341,7 @@ def _nuclear_attraction(tables: _PairTables, coords: np.ndarray,
         for index, k, (tx, ty, tz), p, PC in work:
             F_class, start = F[:, start:start + p.size], start + p.size
             R = _hermite_coulomb(tx - 1, ty - 1, tz - 1, p, PC, F_class)
-            R = R.reshape(tx, ty, tz, index.size, coords.shape[0], k)
+            R = R.reshape(tx, ty, tz, index.size, charges.size, k)
             acc = _hermite_sum(*(np.moveaxis(E[index, None, :k], -1, 0)
                                  for E in tables.E), R)   # E: (t, n, 1, K)
             # np.sum over each (pair, nucleus) row of primitive pairs, then
@@ -396,18 +408,21 @@ def _eri_batch(tables: _PairTables, bra: np.ndarray, ket: np.ndarray,
     return np.sum((weights * pref * acc).reshape(bra.size, -1), axis=1)
 
 
-def _eri_table(tables: _PairTables, shell_pair: np.ndarray) -> np.ndarray:
-    """(bra|ket) for every two pairs, as a symmetric (pairs x pairs) table.
+def _eri_table(tables: _PairTables, shell_pair: np.ndarray,
+               n_pairs: int) -> np.ndarray:
+    """(bra|ket) for every two pairs of one geometry, as a (rows x n_pairs)
+    table: the rows hold the geometries one after another, n_pairs each,
+    and row r its pair against every pair of its own geometry.
 
-    `shell_pair` holds each pair's shell pair index, from 0. Each (Boys
-    order, primitive quartets) run shares its Boys values through one
-    _SharedBoys (one for the whole call would hold every order at once).
+    `shell_pair` holds each row's shell pair number. Each (Boys order,
+    primitive quartets) run shares its Boys values through one _SharedBoys
+    (one for the whole call would hold every order at once).
     """
-    n_pairs = shell_pair.size
-    n_shell_pairs = int(shell_pair.max()) + 1
-    # canonical quartets, bra >= ket, sorted by Boys order, primitive
-    # quartets, bra primitive pairs, box and bra Hermite lengths
+    # canonical quartets of each geometry, bra >= ket, sorted by Boys order,
+    # primitive quartets, bra primitive pairs, box and bra Hermite lengths
     bra, ket = np.tril_indices(n_pairs)
+    offset = np.arange(0, tables.K.size, n_pairs)[:, None]
+    bra, ket = (bra + offset).ravel(), (ket + offset).ravel()
     box = tables.length[bra] + tables.length[ket] - 1
     key = np.column_stack((box.sum(axis=1) - 3, tables.K[bra] * tables.K[ket],
                            tables.K[bra], box, tables.length[bra]))
@@ -417,17 +432,26 @@ def _eri_table(tables: _PairTables, shell_pair: np.ndarray) -> np.ndarray:
               bra.size]
     groups = [(lo, hi, key[lo].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     del box, key, sort     # 0.5 MB of sort keys on CO2
+    span = shell_pair.max() + 1
 
-    table = np.zeros((n_pairs, n_pairs))
+    table = np.zeros((tables.K.size, n_pairs))
     for (n_tot, count), run in groupby(groups, key=lambda g: tuple(g[2][:2])):
-        shared = _SharedBoys(n_tot, count, n_shell_pairs ** 2)
+        run = list(run)
+        first, last = run[0][0], run[-1][1]
+        # the run's keys numbered from 0, so that its slot table grows with
+        # the distinct keys, not with the square of the shell pairs
+        distinct, keys = np.unique(shell_pair[bra[first:last]] * span
+                                   + shell_pair[ket[first:last]],
+                                   return_inverse=True)
+        shared = _SharedBoys(n_tot, count, distinct.size)
         for lo, hi, (*_, sx, sy, sz) in run:
             step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // (count * sx * sy * sz))
             for start in range(lo, hi, step):
-                b, k = bra[start:hi][:step], ket[start:hi][:step]
-                keys = shell_pair[b] * n_shell_pairs + shell_pair[k]
-                vals = _eri_batch(tables, b, k, (sx, sy, sz), keys, shared)
-                table[b, k] = table[k, b] = vals
+                stop = min(start + step, hi)
+                b, k = bra[start:stop], ket[start:stop]
+                vals = _eri_batch(tables, b, k, (sx, sy, sz),
+                                  keys[start - first:stop - first], shared)
+                table[b, k % n_pairs] = table[k, b % n_pairs] = vals
     return table
 
 
@@ -453,29 +477,54 @@ def compute_integrals(molecule: Molecule) -> IntegralSet:
     Deterministic: the basis ordering is fixed by the input, every loop runs
     in a fixed order, and no threading is involved.
     """
-    funcs = load_basis(molecule)
-    n = len(funcs)
+    return compute_integrals_batch([molecule])[0]
+
+
+def compute_integrals_batch(molecules: Sequence[Molecule]
+                            ) -> List[IntegralSet]:
+    """compute_integrals of each geometry, through one set of batches.
+
+    The geometries must share one basis layout: the same elements in the
+    same order. Each result is bit-identical to compute_integrals of its
+    geometry alone.
+    """
+    layout = [atom.symbol for atom in molecules[0].atoms]
+    if any([atom.symbol for atom in m.atoms] != layout for m in molecules):
+        raise ValueError("batched integrals need geometries of one basis "
+                         "layout: the same elements in the same order")
+    funcs = [f for molecule in molecules for f in load_basis(molecule)]
+    n = len(funcs) // len(molecules)
     if n > MAX_BASIS_FUNCTIONS:
         raise ValueError(
             f"{n} basis functions exceeds the dense-ERI cap of {MAX_BASIS_FUNCTIONS}")
 
-    rows, cols = np.tril_indices(n)
+    # one row per pair of each geometry, n_pairs rows per geometry
+    i, j = np.tril_indices(n)
+    n_pairs = i.size
+    offset = n * np.arange(len(molecules))[:, None]
+    rows, cols = (i + offset).ravel(), (j + offset).ravel()
     tables = _PairTables(funcs, rows, cols)
     pair_of = np.empty((n, n), dtype=np.intp)
-    pair_of[rows, cols] = pair_of[cols, rows] = np.arange(rows.size)
-    v = _nuclear_attraction(tables, molecule.coordinates(), molecule.charges())
+    pair_of[i, j] = pair_of[j, i] = np.arange(n_pairs)
+    v = _nuclear_attraction(
+        tables, np.repeat([m.coordinates() for m in molecules], n_pairs,
+                          axis=0), molecules[0].charges())
 
     # a shell is a function's (center, exponents): an sp shell's 2s and 2p
-    # share it, and with it every primitive pair's p and P
+    # share it, and with it every primitive pair's p and P; so does an atom
+    # that sits at the same place in two geometries
     shells = {}
     shell = np.array([shells.setdefault(
         (f.center.tobytes(), f.alphas.tobytes()), len(shells)) for f in funcs])
-    _, shell_pair = np.unique(shell[rows] * len(shells) + shell[cols],
-                              return_inverse=True)
-    table = _eri_table(tables, shell_pair)
-    eri = table[pair_of[:, :, None, None], pair_of[None, None, :, :]]
+    table = _eri_table(tables, shell[rows] * len(shells) + shell[cols],
+                       n_pairs)
 
-    return IntegralSet(overlap=tables.overlap[pair_of],
-                       kinetic=tables.kinetic[pair_of],
-                       nuclear=v[pair_of], eri=eri, n_basis=n,
-                       nuclear_repulsion=nuclear_repulsion(molecule))
+    out = []
+    for g, molecule in enumerate(molecules):
+        at = g * n_pairs + pair_of
+        eri = table[at[:, :, None, None], pair_of[None, None, :, :]]
+        out.append(IntegralSet(
+            overlap=tables.overlap[at], kinetic=tables.kinetic[at],
+            nuclear=v[at], eri=eri, n_basis=n,
+            nuclear_repulsion=nuclear_repulsion(molecule)))
+    return out

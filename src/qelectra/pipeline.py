@@ -170,40 +170,52 @@ class AssembledSystem:
         return oracle.pauli_to_sparse(self.qubit_hamiltonian, self.sector)
 
 
+def _fitted_window(molecule: Molecule,
+                   spec: Optional[ActiveSpaceSpec]) -> ActiveSpaceSpec:
+    """The window `spec` names, or for None the full space (all electrons
+    in all orbitals); the ValueError of `fermion.frozen_orbitals` if it
+    does not fit the basis. Counted from the basis size alone."""
+    n_spatial = len(load_basis(molecule))
+    window = spec or ActiveSpaceSpec(molecule.n_electrons, n_spatial)
+    frozen_orbitals(molecule.n_electrons, n_spatial, window)
+    return window
+
+
 def window_size(molecule: Molecule,
                 active: Optional[ActiveSpaceSpec] = None) -> Tuple[int, int]:
     """Qubits and sector determinants of the window `assemble` would fold.
 
     Counted from the basis size alone, so an oversized register or sector,
-    or a window that does not fit (the ValueError of
-    `fermion.frozen_orbitals`), is refused before any integral.
+    or a window that does not fit, is refused before any integral.
     """
-    n_spatial = len(load_basis(molecule))
-    spec = (active or default_active_space(molecule)
-            or ActiveSpaceSpec(molecule.n_electrons, n_spatial))
-    frozen_orbitals(molecule.n_electrons, n_spatial, spec)
+    spec = _fitted_window(molecule, active or default_active_space(molecule))
     n_orbitals = spec.n_active_orbitals
     return 2 * n_orbitals, comb(n_orbitals, spec.n_active_electrons // 2) ** 2
 
 
 def assemble(molecule: Molecule, active: Optional[ActiveSpaceSpec] = None,
-             mapping: MappingKind = MappingKind.PARITY) -> AssembledSystem:
+             mapping: MappingKind = MappingKind.PARITY,
+             integrals: Optional[IntegralSet] = None) -> AssembledSystem:
     """Run the chain up to the active window; the system builds the rest.
 
     `active` is the window to fold; None takes the shipped registry's
-    window, or the full orbital space for a molecule not in it.
+    window, or the full orbital space for a molecule not in it. A window
+    that does not fit is refused before any integral. `integrals` are the
+    molecule's own when the caller has them (a bond scan computes a pass
+    of its grid at once); None computes them here.
     """
     spec = active or default_active_space(molecule)
-    integrals = compute_integrals(molecule)
+    window = _fitted_window(molecule, spec)
+    if integrals is None:
+        integrals = compute_integrals(molecule)
     scf = run_rhf(integrals, molecule.n_electrons)
     h_mo, eri_mo = mo_spatial_integrals(integrals, scf.mo_coefficients)
-    # the full space is the window of all electrons in all orbitals
-    window = spatial_active_space(
+    active_integrals = spatial_active_space(
         h_mo, eri_mo, integrals.nuclear_repulsion, molecule.n_electrons,
-        spec or ActiveSpaceSpec(molecule.n_electrons, integrals.n_basis))
+        window)
     return AssembledSystem(molecule=molecule, integrals=integrals, scf=scf,
-                           active_integrals=window, active_space=spec,
-                           mapping=mapping)
+                           active_integrals=active_integrals,
+                           active_space=spec, mapping=mapping)
 
 
 def diatomic_geometry(symbols: Tuple[str, str], bond_length: float,

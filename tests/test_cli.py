@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qelectra.cli as cli
@@ -199,14 +200,17 @@ spins = PauliSum(12, {key: coeff for q in range(12)
 lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)))
 print(rc, *sorted(name for name in sys.modules
                   if name.split(".")[0] == "scipy"
-                  or name.split(".")[:2] == ["numpy", "random"]))
+                  or name.split(".")[:2] in (["numpy", "random"],
+                                             ["numpy", "ma"])))
 """
 
 
 def test_the_run_path_never_imports_scipy():
     # importing scipy.sparse.linalg takes about 0.3 s and 30 MB of
     # resident memory, more than a short run's own work; numpy.random,
-    # which only shot and SPSA runs read, about 14 ms and several MB
+    # which only shot and SPSA runs read, about 14 ms and several MB;
+    # and numpy.ma, about 0.7 MB, which np.unique imports when it is asked
+    # for the unique values alone
     env = dict(os.environ, PYTHONPATH="src")
     done = subprocess.run([sys.executable, "-c", NO_SCIPY],
                           cwd=ROOT, env=env, capture_output=True, text=True,
@@ -595,6 +599,67 @@ def test_scan_table_columns(capsys):
     assert "hf (Ha)" in header
     assert "1.300000" in out
     assert "1.500000" in out
+
+
+# N2 in its full space: 14 electrons in 10 orbitals, 14,400 determinants
+NITROGEN = "2\nN2\nN 0.0 0.0 0.0\nN 0.0 0.0 1.1\n"
+
+
+@pytest.mark.parametrize("argv, qubit_cap, message", [
+    (["--molecule", "h2", "--method", "vqe", "--optimizer", "bfgs",
+      "--shots", "100"], None,
+     "--optimizer bfgs needs exact expectations"),
+    (["--molecule", "lih", "--active-space", "4,9"], None,
+     "active window (0 frozen + 9 active) exceeds 6 spatial orbitals"),
+    (["--method", "hf,fci"], None,
+     "fci needs at most 8192 determinants, got 14400"),
+    # no diatomic of H-Ne passes 20 qubits, so the cap is lowered to LiH's
+    # shipped window of 10
+    (["--molecule", "lih", "--method", "vqe", "--shots", "64"], 8,
+     "shot-sampled vqe needs at most 8 qubits, got 10"),
+])
+def test_scan_refusals_come_before_any_integral(capsys, monkeypatch,
+                                                tmp_path, argv, qubit_cap,
+                                                message):
+    # the checks run once for the grid, and print what a single run prints
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for a refused scan")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    monkeypatch.setattr(cli, "compute_integrals_batch", refuse)
+    if qubit_cap is not None:
+        monkeypatch.setattr(cli, "MAX_QUBITS", qubit_cap)
+    if "--molecule" not in argv:
+        xyz = tmp_path / "n2.xyz"
+        xyz.write_text(NITROGEN)
+        argv = ["--molecule", str(xyz)] + argv
+    single = run_cli(capsys, *argv)
+    assert single[:2] == (1, "")
+    assert single[2].startswith(f"error: {message}")
+    assert run_cli(capsys, *argv, "--scan", "2.0,3.0,3") == single
+
+
+def test_scan_passes_stay_under_the_byte_budget(capsys, monkeypatch):
+    # 60 LiH points in passes of at most 48: a pass's size, and with it the
+    # scan's peak memory, does not grow with STEPS
+    passes = []
+
+    def recorded(molecules, _original=cli.compute_integrals_batch):
+        passes.append([m.atoms[1].position[2] for m in molecules])
+        return _original(molecules)
+
+    monkeypatch.setattr(cli, "compute_integrals_batch", recorded)
+    code, out, _ = run_cli(capsys, "--molecule", "lih", "--scan",
+                           "2.0,5.0,60", "--output", "csv")
+    assert code == 0
+    point_bytes = cli._point_bytes(cli.load_molecule_argument("lih"))
+    assert [len(p) for p in passes] == [48, 12]
+    assert all(len(p) * point_bytes <= cli.SCAN_PASS_BYTES for p in passes)
+    # every point once, in grid order
+    grid = np.linspace(2.0, 5.0, 60).tolist()
+    assert [r for p in passes for r in p] == grid
+    assert [float(line.split(",")[0])
+            for line in out.splitlines()[1:]] == grid
 
 
 def test_fcidump_export(capsys, tmp_path):

@@ -3,6 +3,7 @@ oracle, matrix symmetries, agreement with brute-force quadrature, and the
 batched integrals against pair-by-pair and quartet-by-quartet oracles, byte
 for byte."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter, defaultdict
 
@@ -16,7 +17,9 @@ from integral_oracle import (boys_all_elements, eri_quartet_by_quartet,
                              one_electron_pair_by_pair)
 from qelectra import integrals
 from qelectra.basis import load_basis
-from qelectra.integrals import boys, compute_integrals
+from qelectra.elements import SYMBOLS
+from qelectra.integrals import (boys, compute_integrals,
+                                compute_integrals_batch)
 from qelectra.molecule import from_atom_list
 from qelectra.pipeline import diatomic_geometry, shipped_geometry
 from quadrature_oracle import GridSpec, quadrature_one_electron
@@ -361,3 +364,46 @@ def test_co2_integrals_peak_below_3_3_megabytes():
     finally:
         tracemalloc.stop()
     assert peak < 3_300_000
+
+
+# ---- several geometries of one layout through one set of batches ----------
+
+def assert_batch_matches_one_at_a_time(molecules):
+    """Every IntegralSet field of the batch, byte for byte, against
+    compute_integrals of each geometry alone."""
+    batch = compute_integrals_batch(molecules)
+    assert len(batch) == len(molecules)
+    for got, molecule in zip(batch, molecules):
+        want = compute_integrals(molecule)
+        for field in dataclasses.fields(want):
+            assert (np.asarray(getattr(got, field.name)).tobytes()
+                    == np.asarray(getattr(want, field.name)).tobytes()), \
+                field.name
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.tuples(*[st.sampled_from(SYMBOLS[:10])] * 2),
+       st.lists(st.floats(0.5, 6.0), min_size=1, max_size=9, unique=True))
+def test_batched_geometries_are_bit_identical_to_one_at_a_time(symbols,
+                                                               radii):
+    # the first atom sits at the origin in every geometry, so its shells
+    # share Boys rows across the batch
+    assert_batch_matches_one_at_a_time(
+        [diatomic_geometry(symbols, r) for r in radii])
+
+
+@pytest.mark.parametrize("symbols, grid", [
+    (("Li", "H"), LIH_SCAN),     # the benchmark's scan
+    (("H", "H"), [1.2, 1.6]),    # the benchmark's H2 probe
+])
+def test_batched_benchmark_grids_are_bit_identical(symbols, grid):
+    assert_batch_matches_one_at_a_time(
+        [diatomic_geometry(symbols, r) for r in grid])
+
+
+@pytest.mark.parametrize("second", [("H", "H"), ("H", "Li")])
+def test_a_batch_of_mixed_layouts_is_refused(second):
+    # another element list, or the same elements in another order
+    with pytest.raises(ValueError, match="one basis layout"):
+        compute_integrals_batch([diatomic_geometry(("Li", "H"), 3.0),
+                                 diatomic_geometry(second, 1.4)])

@@ -76,6 +76,35 @@ def test_window_wider_than_the_basis_keeps_its_own_message():
         assemble(shipped_geometry("h2"), active=ActiveSpaceSpec(2, 20))
 
 
+def test_assemble_refuses_a_window_that_does_not_fit_before_any_integral(
+        monkeypatch):
+    # 7 frozen and 13 active orbitals exceed CO2's 15
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for a window that "
+                             "does not fit")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    with pytest.raises(ValueError, match=r"\(7 frozen \+ 13 active\) "
+                                         "exceeds 15 spatial orbitals"):
+        assemble(shipped_geometry("co2"), active=ActiveSpaceSpec(8, 13))
+
+
+def test_assemble_takes_integrals_computed_by_the_caller(assembled,
+                                                          monkeypatch):
+    # a bond scan hands each point the integrals of its batched pass
+    molecule = shipped_geometry("lih")
+    integrals = pipeline.compute_integrals(molecule)
+    want = assembled("lih").scf.e_total
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed twice")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    system = assemble(molecule, integrals=integrals)
+    assert system.integrals is integrals
+    assert system.scf.e_total == want
+
+
 # HF and FCI energies of the shipped molecules in their default windows,
 # the same pins the benchmark gates on. The CO2 window splits a degenerate
 # pi shell, so its FCI energy moves by milli-Hartree under a 1e-16 change
