@@ -42,7 +42,7 @@ MAX_FCI_DETERMINANTS = 8192
 # counted at 4 KiB per basis-function pair of a point: beyond the
 # batches' own capped working set, the traced peak of a pass grows by
 # 1.9-3.8 KB per pair and point on H2, LiH and N2. That is 18 N2 points
-# (a 6.4 MB tracemalloc peak), 48 LiH and 341 H2 per pass.
+# (a 6.6 MB tracemalloc peak), 48 LiH and 341 H2 per pass.
 SCAN_PASS_BYTES = 4 << 20
 
 
@@ -120,12 +120,11 @@ def execute(spec: RunSpec,
             integrals: Optional[IntegralSet] = None) -> ComparisonReport:
     """Run the requested methods on one geometry.
 
-    A bond scan passes the point's `integrals`, computed for its grid
-    after it made `_refuse`'s checks; None makes the checks and then
-    computes the integrals.
+    `_refuse`'s checks come first. A bond scan passes the point's
+    `integrals`, computed in a batched pass of its grid; None computes
+    them here.
     """
-    if integrals is None:
-        _refuse(spec)
+    _refuse(spec)
     system = assemble(spec.molecule, active=spec.active,
                       mapping=spec.mapping, integrals=integrals)
     active = system.active_space
@@ -208,14 +207,15 @@ def scan(spec: RunSpec, start: float, stop: float,
     charge = spec.molecule.charge
     name = display_name(spec.molecule)
     radii = np.linspace(start, stop, steps).tolist()
-    grid = [diatomic_geometry(symbols, r, charge=charge, name=name)
-            for r in radii]
-    # every point has the same atoms, hence the same checks' outcome
-    _refuse(dataclasses.replace(spec, molecule=grid[0]))
-    size = max(1, SCAN_PASS_BYTES // _point_bytes(grid[0]))
+    probe = diatomic_geometry(symbols, radii[0], charge=charge, name=name)
+    # every point has the same atoms, hence the same checks' outcome: a
+    # refused scan fails before its first pass
+    _refuse(dataclasses.replace(spec, molecule=probe))
+    size = max(1, SCAN_PASS_BYTES // _point_bytes(probe))
     points = []
-    for first in range(0, len(grid), size):
-        chunk = grid[first:first + size]
+    for first in range(0, len(radii), size):
+        chunk = [diatomic_geometry(symbols, r, charge=charge, name=name)
+                 for r in radii[first:first + size]]
         for r, geometry, integrals in zip(radii[first:], chunk,
                                           compute_integrals_batch(chunk)):
             report = execute(dataclasses.replace(spec, molecule=geometry,

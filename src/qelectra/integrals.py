@@ -432,25 +432,21 @@ def _eri_table(tables: _PairTables, shell_pair: np.ndarray,
               bra.size]
     groups = [(lo, hi, key[lo].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     del box, key, sort     # 0.5 MB of sort keys on CO2
-    span = shell_pair.max() + 1
+    # each quartet's (bra shell pair, ket shell pair) numbered from 0, so
+    # that a slot table grows with the distinct keys, not with the square
+    # of the shell pairs of every geometry
+    distinct, keys = np.unique(shell_pair[bra] * (shell_pair.max() + 1)
+                               + shell_pair[ket], return_inverse=True)
 
     table = np.zeros((tables.K.size, n_pairs))
     for (n_tot, count), run in groupby(groups, key=lambda g: tuple(g[2][:2])):
-        run = list(run)
-        first, last = run[0][0], run[-1][1]
-        # the run's keys numbered from 0, so that its slot table grows with
-        # the distinct keys, not with the square of the shell pairs
-        distinct, keys = np.unique(shell_pair[bra[first:last]] * span
-                                   + shell_pair[ket[first:last]],
-                                   return_inverse=True)
         shared = _SharedBoys(n_tot, count, distinct.size)
         for lo, hi, (*_, sx, sy, sz) in run:
             step = max(1, _PRIMITIVE_QUARTETS_PER_CALL // (count * sx * sy * sz))
             for start in range(lo, hi, step):
-                stop = min(start + step, hi)
-                b, k = bra[start:stop], ket[start:stop]
+                b, k = bra[start:hi][:step], ket[start:hi][:step]
                 vals = _eri_batch(tables, b, k, (sx, sy, sz),
-                                  keys[start - first:stop - first], shared)
+                                  keys[start:hi][:step], shared)
                 table[b, k % n_pairs] = table[k, b % n_pairs] = vals
     return table
 

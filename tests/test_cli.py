@@ -641,19 +641,29 @@ def test_scan_refusals_come_before_any_integral(capsys, monkeypatch,
 
 def test_scan_passes_stay_under_the_byte_budget(capsys, monkeypatch):
     # 60 LiH points in passes of at most 48: a pass's size, and with it the
-    # scan's peak memory, does not grow with STEPS
-    passes = []
+    # integral memory of a pass, does not grow with STEPS
+    passes, built = [], []
 
     def recorded(molecules, _original=cli.compute_integrals_batch):
         passes.append([m.atoms[1].position[2] for m in molecules])
+        built.append(geometries[0])
         return _original(molecules)
 
+    def counted(*args, _original=cli.diatomic_geometry, **kwargs):
+        geometries[0] += 1
+        return _original(*args, **kwargs)
+
+    geometries = [0]
     monkeypatch.setattr(cli, "compute_integrals_batch", recorded)
+    monkeypatch.setattr(cli, "diatomic_geometry", counted)
     code, out, _ = run_cli(capsys, "--molecule", "lih", "--scan",
                            "2.0,5.0,60", "--output", "csv")
     assert code == 0
     point_bytes = cli._point_bytes(cli.load_molecule_argument("lih"))
     assert [len(p) for p in passes] == [48, 12]
+    # each pass builds its own points' geometries, after the one the
+    # checks read
+    assert built == [1 + 48, 1 + 48 + 12]
     assert all(len(p) * point_bytes <= cli.SCAN_PASS_BYTES for p in passes)
     # every point once, in grid order
     grid = np.linspace(2.0, 5.0, 60).tolist()
