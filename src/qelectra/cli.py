@@ -10,7 +10,7 @@ import dataclasses
 import json
 import sys
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -48,7 +48,8 @@ SCAN_PASS_BYTES = 4 << 20
 
 @dataclass
 class RunSpec:
-    """Everything one invocation needs, resolved and validated."""
+    """A run's settings, resolved and validated; the defaults mirror the
+    CLI's."""
     molecule: Molecule
     methods: Tuple[str, ...] = ("hf",)
     mapping: MappingKind = MappingKind.PARITY
@@ -56,9 +57,7 @@ class RunSpec:
     optimizer: Optional[str] = None             # None: by the shot setting
     shots: Optional[int] = None
     seed: int = 0
-    output: str = "table"
     fcidump_path: Optional[str] = None
-    reference_table: bool = False
 
 
 @dataclass
@@ -72,16 +71,11 @@ class MethodResult:
 
 @dataclass
 class ComparisonReport:
+    """What a run found; the settings it ran with stay in its spec."""
     molecule_name: str
-    formula: str
-    mapping: str
-    active_space: Optional[Tuple[int, int]]
+    active_space: Optional[ActiveSpaceSpec]     # the folded window
     n_qubits: int
-    seed: int
-    shots: Optional[int]
-    optimizer: Optional[str]
-    results: List[MethodResult] = field(default_factory=list, init=False)
-    notes: List[str] = field(default_factory=list, init=False)
+    results: List[MethodResult]
 
     @property
     def all_converged(self) -> bool:
@@ -127,20 +121,7 @@ def execute(spec: RunSpec,
     _refuse(spec)
     system = assemble(spec.molecule, active=spec.active,
                       mapping=spec.mapping, integrals=integrals)
-    active = system.active_space
-    report = ComparisonReport(
-        molecule_name=display_name(system.molecule),
-        formula=canonical_formula(system.molecule),
-        mapping=system.mapping.value,
-        active_space=(None if active is None
-                      else (active.n_active_electrons,
-                            active.n_active_orbitals)),
-        n_qubits=system.n_qubits,
-        seed=spec.seed,
-        shots=spec.shots,
-        optimizer=(optimizer_kind(spec.optimizer, spec.shots)
-                   if "vqe" in spec.methods else None))
-
+    results = []
     for method in _METHOD_ORDER:
         if method not in spec.methods:
             continue
@@ -159,38 +140,33 @@ def execute(spec: RunSpec,
                                converged=result.converged,
                                iterations=result.n_iterations,
                                evaluations=result.n_evaluations)
-            if spec.shots is not None:
-                report.notes.append(
-                    f"vqe energies are sampled estimates at {spec.shots} "
-                    "shots per term")
         else:
             energy = exact_ground_energy(system.block)
             row = MethodResult(method="fci", energy=energy, converged=True)
-        report.results.append(row)
+        results.append(row)
 
     if spec.fcidump_path:
         h_act, eri_act, core_act, n_act = system.active_integrals
         write_fcidump(spec.fcidump_path, h_act, eri_act, core_act, n_act)
-    return report
+    return ComparisonReport(molecule_name=display_name(system.molecule),
+                            active_space=system.active_space,
+                            n_qubits=system.n_qubits, results=results)
 
 
 # ---- bond scans -------------------------------------------------------------
 
-@dataclass
-class ScanPoint:
-    r_bohr: float
-    energies: Dict[str, float]
-    converged: bool
-
-
 def scan(spec: RunSpec, start: float, stop: float,
-         steps: int) -> List[ScanPoint]:
-    """Method energies along a diatomic bond-length grid (Bohr).
+         steps: int) -> List[Tuple[float, ComparisonReport]]:
+    """Method reports along a diatomic bond-length grid (Bohr), as
+    (r, report) pairs in ascending r.
 
     The grid's integrals come in passes of as many points as
     SCAN_PASS_BYTES holds, one batched call per pass; each point's methods
     then run from its own integrals, one point after another.
     """
+    if spec.fcidump_path:
+        raise ValueError("--fcidump is a single-run feature; drop --scan "
+                         "or --fcidump")
     if spec.molecule.n_atoms != 2:
         raise ValueError("--scan supports diatomic molecules only; got "
                          f"{spec.molecule.n_atoms} atoms")
@@ -218,14 +194,10 @@ def scan(spec: RunSpec, start: float, stop: float,
                  for r in radii[first:first + size]]
         for r, geometry, integrals in zip(radii[first:], chunk,
                                           compute_integrals_batch(chunk)):
-            report = execute(dataclasses.replace(spec, molecule=geometry,
-                                                 fcidump_path=None),
-                             integrals)
-            points.append(ScanPoint(r_bohr=r,
-                                    energies={row.method: float(row.energy)
-                                              for row in report.results},
-                                    converged=report.all_converged))
-    points.sort(key=lambda p: p.r_bohr)
+            points.append((r, execute(dataclasses.replace(spec,
+                                                          molecule=geometry),
+                                      integrals)))
+    points.sort(key=lambda point: point[0])
     return points
 
 
@@ -238,22 +210,31 @@ def _point_bytes(molecule: Molecule) -> int:
 
 # ---- rendering ---------------------------------------------------------------
 
-def report_to_json(report: ComparisonReport,
-                   include_reference: bool = False) -> str:
+def _notes(spec: RunSpec) -> List[str]:
+    if "vqe" in spec.methods and spec.shots is not None:
+        return [f"vqe energies are sampled estimates at {spec.shots} shots "
+                "per term"]
+    return []
+
+
+def report_to_json(spec: RunSpec, report: ComparisonReport,
+                   include_reference: bool) -> str:
+    active = report.active_space
     doc = {
         "schema_version": 1,
         "tool": {"name": "qelectra", "version": __version__},
         "molecule": report.molecule_name,
-        "formula": report.formula,
+        "formula": canonical_formula(spec.molecule),
         "basis": BASIS_NAME,
-        "mapping": report.mapping,
-        "active_space": (None if report.active_space is None else
-                         {"n_electrons": report.active_space[0],
-                          "n_orbitals": report.active_space[1]}),
+        "mapping": spec.mapping.value,
+        "active_space": (None if active is None else
+                         {"n_electrons": active.n_active_electrons,
+                          "n_orbitals": active.n_active_orbitals}),
         "n_qubits": report.n_qubits,
-        "seed": report.seed,
-        "shots": report.shots,
-        "optimizer": report.optimizer,
+        "seed": spec.seed,
+        "shots": spec.shots,
+        "optimizer": (optimizer_kind(spec.optimizer, spec.shots)
+                      if "vqe" in spec.methods else None),
         "methods": {
             row.method: {
                 "energy_hartree": row.energy,
@@ -262,12 +243,11 @@ def report_to_json(report: ComparisonReport,
                 "evaluations": row.evaluations,
             } for row in report.results
         },
-        "notes": list(report.notes),
+        "notes": _notes(spec),
     }
     if include_reference:
-        ref = reference_for(report.formula)
-        doc["reference"] = ref
-        doc["notes"] = doc["notes"] + [REFERENCE_FOOTNOTE]
+        doc["reference"] = reference_for(doc["formula"])
+        doc["notes"].append(REFERENCE_FOOTNOTE)
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -287,14 +267,16 @@ def _aligned(columns: List[str], rows: List[List[str]]) -> List[str]:
             for cells in [columns, ["-" * w for w in widths]] + rows]
 
 
-def render_table(report: ComparisonReport,
-                 include_reference: bool = False) -> str:
-    reference = reference_for(report.formula) if include_reference else None
-    active = ("full space" if report.active_space is None
-              else f"({report.active_space[0]}e, {report.active_space[1]}o)")
+def render_table(spec: RunSpec, report: ComparisonReport,
+                 include_reference: bool) -> str:
+    formula = canonical_formula(spec.molecule)
+    reference = reference_for(formula) if include_reference else None
+    window = report.active_space
+    active = ("full space" if window is None else
+              f"({window.n_active_electrons}e, {window.n_active_orbitals}o)")
     head = (f"molecule: {report.molecule_name}   basis: {BASIS_NAME}   "
-            f"mapping: {report.mapping}   active space: {active}   "
-            f"qubits: {report.n_qubits}   seed: {report.seed}")
+            f"mapping: {spec.mapping.value}   active space: {active}   "
+            f"qubits: {report.n_qubits}   seed: {spec.seed}")
 
     columns = ["method", "energy (Ha)", "converged", "iterations",
                "evaluations"]
@@ -313,28 +295,30 @@ def render_table(report: ComparisonReport,
         rows.append(["dft", "-", "-", "-", "-", f"{reference['dft']:.10f}"])
 
     lines = [head, ""] + _aligned(columns, rows)
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in _notes(spec)]
     if reference is not None:
         lines.append(f"note: {REFERENCE_FOOTNOTE}")
     elif include_reference:
-        lines.append("note: no published reference values for "
-                     f"{report.formula}")
+        lines.append(f"note: no published reference values for {formula}")
     return "\n".join(lines)
 
 
-def scan_to_csv(points: List[ScanPoint],
-                methods: Sequence[str]) -> str:
+def _energies(report: ComparisonReport) -> Dict[str, float]:
+    """A scan point's energies by method."""
+    return {row.method: float(row.energy) for row in report.results}
+
+
+def scan_to_csv(spec: RunSpec,
+                points: List[Tuple[float, ComparisonReport]]) -> str:
     lines = ["r_bohr,method,energy"]
-    for point in points:
-        for method in methods:
-            if method in point.energies:
-                lines.append(f"{point.r_bohr!r},{method},"
-                             f"{point.energies[method]!r}")
+    for r, report in points:
+        energies = _energies(report)
+        lines += [f"{r!r},{method},{energies[method]!r}"
+                  for method in spec.methods if method in energies]
     return "\n".join(lines)
 
 
-def scan_to_json(points: List[ScanPoint], spec: RunSpec,
+def scan_to_json(spec: RunSpec, points: List[Tuple[float, ComparisonReport]],
                  start: float, stop: float, steps: int) -> str:
     doc = {
         "schema_version": 1,
@@ -344,21 +328,21 @@ def scan_to_json(points: List[ScanPoint], spec: RunSpec,
         "mapping": spec.mapping.value,
         "seed": spec.seed,
         "scan": {"start_bohr": start, "stop_bohr": stop, "steps": steps},
-        "points": [{"r_bohr": p.r_bohr, "converged": p.converged,
-                    "methods": p.energies} for p in points],
+        "points": [{"r_bohr": r, "converged": report.all_converged,
+                    "methods": _energies(report)} for r, report in points],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def scan_to_table(points: List[ScanPoint], methods: Sequence[str]) -> str:
-    columns = ["r (Bohr)"] + [f"{m} (Ha)" for m in methods]
+def scan_to_table(spec: RunSpec,
+                  points: List[Tuple[float, ComparisonReport]]) -> str:
+    columns = ["r (Bohr)"] + [f"{m} (Ha)" for m in spec.methods]
     rows = []
-    for point in points:
-        cells = [f"{point.r_bohr:.6f}"]
-        for method in methods:
-            value = point.energies.get(method)
-            cells.append("-" if value is None else f"{value:.10f}")
-        rows.append(cells)
+    for r, report in points:
+        energies = _energies(report)
+        rows.append([f"{r:.6f}"] + [
+            "-" if m not in energies else f"{energies[m]:.10f}"
+            for m in spec.methods])
     return "\n".join(_aligned(columns, rows))
 
 
@@ -473,53 +457,39 @@ def _parse_scan(raw: str) -> Tuple[float, float, int]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise ValueError("--seed must be a non-negative integer")
-        molecule = load_molecule_argument(args.molecule)
-        spec = RunSpec(molecule=molecule,
+        spec = RunSpec(molecule=load_molecule_argument(args.molecule),
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),
                        active=_parse_active(args.active_space),
                        optimizer=args.optimizer,
                        shots=_parse_shots(args.shots),
                        seed=args.seed,
-                       output=args.output,
-                       fcidump_path=args.fcidump,
-                       reference_table=args.reference_table)
-        scan_range = _parse_scan(args.scan) if args.scan else None
-    except (ValueError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    try:
-        if scan_range is not None:
-            if spec.fcidump_path:
-                raise ValueError("--fcidump is a single-run feature; drop "
-                                 "--scan or --fcidump")
+                       fcidump_path=args.fcidump)
+        if args.scan:
+            scan_range = _parse_scan(args.scan)
             points = scan(spec, *scan_range)
-            if spec.output == "csv":
-                text = scan_to_csv(points, spec.methods)
-            elif spec.output == "json":
-                text = scan_to_json(points, spec, *scan_range)
+            if args.output == "csv":
+                text = scan_to_csv(spec, points)
+            elif args.output == "json":
+                text = scan_to_json(spec, points, *scan_range)
             else:
-                text = scan_to_table(points, spec.methods)
-            converged = all(p.converged for p in points)
+                text = scan_to_table(spec, points)
+            converged = all(report.all_converged for _, report in points)
         else:
             report = execute(spec)
-            if spec.output == "csv":
-                if spec.reference_table:
+            if args.output == "csv":
+                if args.reference_table:
                     print("note: --reference-table applies to table and "
                           "json output; ignored for csv", file=sys.stderr)
                 text = report_to_csv(report)
-            elif spec.output == "json":
-                text = report_to_json(report,
-                                      include_reference=spec.reference_table)
+            elif args.output == "json":
+                text = report_to_json(spec, report, args.reference_table)
             else:
-                text = render_table(report,
-                                    include_reference=spec.reference_table)
+                text = render_table(spec, report, args.reference_table)
             converged = report.all_converged
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,8 @@ from pauli_oracle import (anticommutation_check, block_matrix,
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector
 from qelectra.vqe import (DEFAULT_ITERATIONS, DEFAULT_TOLERANCE,
-                          ansatz_circuit, build_uccsd, run_vqe)
+                          ansatz_circuit, build_uccsd, optimizer_kind,
+                          run_vqe)
 from test_cli import method_row
 
 ALL_KINDS = (MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
@@ -137,7 +138,8 @@ def test_variational_ordering_on_every_shipped_molecule(assembled):
               and e_vqe >= e_fci - 1e-9
               and e_hf >= e_fci - 1e-9
               and vqe.converged)
-        budget = DEFAULT_ITERATIONS[report.optimizer]
+        budget = DEFAULT_ITERATIONS[optimizer_kind(spec.optimizer,
+                                                   spec.shots)]
         margins.append(f"{key} {e_hf - e_vqe:.4f} Ha (gap to fci "
                        f"{1000.0 * (e_vqe - e_fci):.3g} mHa, "
                        f"converged={vqe.converged} at "

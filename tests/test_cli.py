@@ -134,10 +134,10 @@ def test_default_optimizer_follows_the_shot_setting(capsys, shots,
 def test_run_spec_with_shots_defaults_to_spsa():
     # the default optimizer follows the shot setting in the library too,
     # not only behind the --optimizer flag
-    report = cli.execute(cli.RunSpec(
-        molecule=cli.load_molecule_argument("h2"), methods=("vqe",),
-        shots=64))
-    assert report.optimizer == "spsa"
+    spec = cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
+                       methods=("vqe",), shots=64)
+    report = cli.execute(spec)
+    assert vqe.optimizer_kind(spec.optimizer, spec.shots) == "spsa"
     assert method_row(report, "vqe").evaluations > 1
 
 

@@ -336,13 +336,12 @@ def test_every_dataclass_field_is_read(module):
 SHARED_NAMES = {
     "active_space": "AssembledSystem: cli.execute; ComparisonReport: "
                     "the three report renderers",
-    "converged": "MethodResult: the renderers; ScanPoint: cli.main and "
-                 "scan_to_json; ScfResult and VqeResult: cli.execute",
+    "converged": "MethodResult: the renderers; ScfResult and VqeResult: "
+                 "cli.execute",
     "energy": "MethodResult: the renderers; VqeResult: cli.execute",
     "iterations": "MethodResult: the renderers; SpsaSchedule: vqe.run_vqe",
     "mapping": "AssembledSystem: its qubit_hamiltonian and sector, "
-               "vqe.ansatz_circuit; RunSpec: cli.execute; ComparisonReport: "
-               "the renderers",
+               "vqe.ansatz_circuit; RunSpec: cli.execute and the renderers",
     "molecule": "AssembledSystem and RunSpec: cli.execute",
     "n_electrons": "Molecule: pipeline.assemble; SpinOrbitalIntegrals: "
                    "AssembledSystem.sector; UccsdAnsatz: vqe.run_vqe",
@@ -350,9 +349,6 @@ SHARED_NAMES = {
     "n_parameters": "Circuit: Circuit.run; UccsdAnsatz: vqe.run_vqe",
     "n_qubits": "AssembledSystem: cli.execute, vqe.run_vqe; "
                 "ComparisonReport: the renderers",
-    "optimizer": "RunSpec: cli.execute; ComparisonReport: the renderers",
-    "seed": "RunSpec: cli.execute; ComparisonReport: the renderers",
-    "shots": "RunSpec: cli.execute; ComparisonReport: the renderers",
 }
 
 
