@@ -1,5 +1,9 @@
 """Command-line front end: single-point method comparisons and bond scans.
 
+A run's settings live in its `RunSpec` and what it found in the
+`ComparisonReport` that `execute` returns; a bond scan is the list of
+(r, report) pairs of its points. The renderers read both.
+
 Exit codes: 0 success, 1 input error, 2 at least one method failed to
 converge. All serialized output (json, csv, table) is byte-stable for an
 identical spec and seed.
@@ -20,7 +24,7 @@ from .fermion import ActiveSpaceSpec
 from .integrals import IntegralSet, compute_integrals_batch
 from .molecule import Molecule
 from .oracle import exact_ground_energy
-from .pauli import MappingKind, mapping_from_name
+from .pauli import MAX_MAPPED_MODES, MappingKind, mapping_from_name
 from .pipeline import (assemble, canonical_formula, diatomic_geometry,
                        display_name, load_molecule_argument, window_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
@@ -93,21 +97,22 @@ def _refuse(spec: RunSpec) -> None:
         raise ValueError(f"--optimizer {spec.optimizer} needs exact "
                          "expectations; use --optimizer spsa with --shots, "
                          "or --shots exact")
-    # a problem over a cap: fci and exact vqe build the sector block, and a
-    # shot-sampled vqe the 2^n register
+    # a problem over a cap: fci and exact vqe build the sector block and
+    # map the Hamiltonian, and a shot-sampled vqe builds the 2^n register
     n_qubits, n_determinants = window_size(spec.molecule, spec.active)
-    block_user = ("fci" if "fci" in spec.methods else "exact vqe"
-                  if "vqe" in spec.methods and spec.shots is None else None)
-    if block_user is not None and n_determinants > MAX_FCI_DETERMINANTS:
-        raise ValueError(
-            f"{block_user} needs at most {MAX_FCI_DETERMINANTS} "
-            f"determinants, got {n_determinants}; restrict the problem "
-            "with --active-space")
-    if ("vqe" in spec.methods and spec.shots is not None
-            and n_qubits > MAX_QUBITS):
-        raise ValueError(
-            f"shot-sampled vqe needs at most {MAX_QUBITS} qubits, got "
-            f"{n_qubits}; restrict the problem with --active-space")
+    exact = ("fci" if "fci" in spec.methods else "exact vqe"
+             if "vqe" in spec.methods and spec.shots is None else None)
+    caps = []
+    if exact is not None:
+        caps += [(exact, n_determinants, MAX_FCI_DETERMINANTS, "determinants"),
+                 (exact, n_qubits, MAX_MAPPED_MODES, "qubits")]
+    if "vqe" in spec.methods and spec.shots is not None:
+        caps.append(("shot-sampled vqe", n_qubits, MAX_QUBITS, "qubits"))
+    for user, count, cap, unit in caps:
+        if count > cap:
+            raise ValueError(f"{user} needs at most {cap} {unit}, got "
+                             f"{count}; restrict the problem with "
+                             "--active-space")
 
 
 def execute(spec: RunSpec,
@@ -405,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_methods(raw: str) -> Tuple[str, ...]:
-    methods = tuple(m.strip().lower() for m in raw.split(",") if m.strip())
+    """The requested methods, each once, in the order a run takes them."""
+    methods = [m.strip().lower() for m in raw.split(",") if m.strip()]
     if not methods:
         raise ValueError("--method needs at least one of hf,vqe,fci")
     for m in methods:
@@ -415,7 +421,7 @@ def _parse_methods(raw: str) -> Tuple[str, ...]:
                 "display-only via --reference-table (see README)")
         if m not in _METHOD_ORDER:
             raise ValueError(f"unknown method {m!r}; choose from hf,vqe,fci")
-    return methods
+    return tuple(m for m in _METHOD_ORDER if m in methods)
 
 
 def _parse_active(raw: Optional[str]) -> Optional[ActiveSpaceSpec]:
@@ -472,6 +478,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.scan:
             scan_range = _parse_scan(args.scan)
             points = scan(spec, *scan_range)
+            if args.reference_table:
+                print("note: --reference-table applies to single runs; "
+                      "ignored for --scan", file=sys.stderr)
             if args.output == "csv":
                 text = scan_to_csv(spec, points)
             elif args.output == "json":

@@ -11,6 +11,7 @@ import pytest
 
 import qelectra.cli as cli
 from qelectra import oracle, pipeline, vqe
+from qelectra.reference import REFERENCE_FOOTNOTE
 from fcidump_oracle import read_fcidump
 
 
@@ -86,6 +87,85 @@ def test_csv_rows(capsys):
     assert lines[2].endswith(",0,0,true")
 
 
+
+# the layout of each output form, cell by cell; table cells are padded to
+# the widest in their column, trailing spaces included
+H2_TABLE = [
+    "molecule: H2   basis: sto-3g   mapping: parity   active space: "
+    "(2e, 2o)   qubits: 4   seed: 0",
+    "",
+    "method  energy (Ha)    converged  iterations  evaluations",
+    "------  -------------  ---------  ----------  -----------",
+    "hf      -1.1169989969  yes        2           2          ",
+    "fci     -1.1373060359  yes        0           0          ",
+]
+H2_SCAN_TABLE = [
+    "r (Bohr)  hf (Ha)        fci (Ha)     ",
+    "--------  -------------  -------------",
+    "1.200000  -1.1103338825  -1.1266988215",
+    "1.600000  -1.1031409708  -1.1288156440",
+]
+LIH_REFERENCE_TABLE = [
+    "molecule: LiH   basis: sto-3g   mapping: parity   active space: "
+    "(2e, 5o)   qubits: 10   seed: 0",
+    "",
+    "method  energy (Ha)    converged  iterations  evaluations  "
+    "published reference (Ha)",
+    "------  -------------  ---------  ----------  -----------  "
+    "------------------------",
+    "hf      -7.8620269733  yes        8           8            "
+    "-7.9817676644           ",
+    "dft     -              -          -           -            "
+    "-8.0681922929           ",
+    f"note: {REFERENCE_FOOTNOTE}",
+]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["--molecule", "h2", "--method", "hf,fci"], H2_TABLE),
+    (["--molecule", "h2", "--method", "hf,fci", "--scan", "1.2,1.6,2"],
+     H2_SCAN_TABLE),
+    (["--molecule", "lih", "--reference-table"], LIH_REFERENCE_TABLE)])
+def test_table_layouts(capsys, argv, lines):
+    assert run_cli(capsys, *argv) == (0, "\n".join(lines) + "\n", "")
+
+
+def test_scan_csv_layout(capsys):
+    # csv prints each energy's repr, whose last digits follow the linear
+    # algebra underneath; the layout is pinned, the energies to 1e-9 Ha
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--method",
+                             "hf,fci", "--scan", "1.2,1.6,2", "--output",
+                             "csv")
+    assert (code, err) == (0, "")
+    header, *rows = out.split("\n")
+    assert header == "r_bohr,method,energy"
+    assert rows[-1] == ""
+    cells = [row.split(",") for row in rows[:-1]]
+    assert [cell[:2] for cell in cells] == [
+        ["1.2", "hf"], ["1.2", "fci"], ["1.6", "hf"], ["1.6", "fci"]]
+    assert [float(cell[2]) for cell in cells] == pytest.approx(
+        [-1.1103338824934266, -1.126698821527972, -1.103140970810633,
+         -1.1288156440268167], abs=1e-9)
+
+
+def test_json_key_sets(capsys):
+    _, out, _ = run_cli(capsys, "--molecule", "h2", "--method", "hf,fci",
+                        "--output", "json")
+    doc = json.loads(out)
+    assert sorted(doc) == [
+        "active_space", "basis", "formula", "mapping", "methods", "molecule",
+        "n_qubits", "notes", "optimizer", "schema_version", "seed", "shots",
+        "tool"]
+    assert sorted(doc["methods"]["hf"]) == [
+        "converged", "energy_hartree", "evaluations", "iterations"]
+    _, out, _ = run_cli(capsys, "--molecule", "h2", "--method", "hf,fci",
+                        "--scan", "1.2,1.6,2", "--output", "json")
+    doc = json.loads(out)
+    assert sorted(doc) == ["basis", "mapping", "molecule", "points", "scan",
+                           "schema_version", "seed", "tool"]
+    assert sorted(doc["points"][0]) == ["converged", "methods", "r_bohr"]
+    assert sorted(doc["points"][0]["methods"]) == ["fci", "hf"]
+
 def test_json_output_is_byte_stable(capsys):
     args = ("--molecule", "h2", "--method", "hf,vqe,fci",
             "--output", "json", "--seed", "3")
@@ -140,6 +220,20 @@ def test_run_spec_with_shots_defaults_to_spsa():
     assert vqe.optimizer_kind(spec.optimizer, spec.shots) == "spsa"
     assert method_row(report, "vqe").evaluations > 1
 
+
+
+def test_run_spec_defaults_are_the_cli_defaults(capsys, monkeypatch):
+    # a library RunSpec holding the molecule alone runs what the CLI runs
+    # for --molecule alone
+    specs = []
+
+    def recording(spec, _original=cli.execute):
+        specs.append(spec)
+        return _original(spec)
+
+    monkeypatch.setattr(cli, "execute", recording)
+    assert run_cli(capsys, "--molecule", "h2")[0] == 0
+    assert specs == [cli.RunSpec(molecule=cli.load_molecule_argument("h2"))]
 
 def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
                                                  monkeypatch):
@@ -405,6 +499,30 @@ def test_exact_vqe_cap_is_checked_before_the_chain_runs(capsys,
                   "10,9", "--shots", "64"])
 
 
+
+# six lithium atoms 2.7 Angstrom apart: (2e, 16o) is 32 modes and 256
+# determinants, under the determinant cap and over what the mapping packs
+LITHIUM_CHAIN = "6\nLi6\n" + "".join(f"Li 0.0 0.0 {2.7 * k:.1f}\n"
+                                       for k in range(6))
+
+
+@pytest.mark.parametrize("method", ["fci", "vqe"])
+def test_mapped_mode_cap_is_checked_before_the_chain_runs(
+        capsys, monkeypatch, tmp_path, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed for a window over the "
+                             "mapping's width")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    xyz = tmp_path / "li6.xyz"
+    xyz.write_text(LITHIUM_CHAIN)
+    code, out, err = run_cli(capsys, "--molecule", str(xyz), "--method",
+                             method, "--active-space", "2,16")
+    assert (code, out) == (1, "")
+    user = "fci" if method == "fci" else "exact vqe"
+    assert err == (f"error: {user} needs at most 31 qubits, got 32; "
+                   "restrict the problem with --active-space\n")
+
 def test_fci_runs_on_a_sector_of_4900_determinants(capsys):
     # CH4 (8e, 8o): 16 qubits and 4,900 determinants, solved by Davidson
     code, out, err = run_cli(capsys, "--molecule", "ch4", "--method", "fci",
@@ -600,6 +718,27 @@ def test_scan_table_columns(capsys):
     assert "1.300000" in out
     assert "1.500000" in out
 
+
+
+def test_methods_are_listed_once_in_run_order(capsys):
+    assert cli._parse_methods("fci, VQE,hf,fci,HF") == ("hf", "vqe", "fci")
+    argv = ["--molecule", "h2", "--scan", "1.2,1.6,2"]
+    _, table, _ = run_cli(capsys, *argv, "--method", "fci,hf,HF")
+    assert table.splitlines()[0].split() == ["r", "(Bohr)", "hf", "(Ha)",
+                                             "fci", "(Ha)"]
+    _, csv, _ = run_cli(capsys, *argv, "--method", "hf,HF,fci", "--output",
+                        "csv")
+    assert [line.split(",")[1] for line in csv.splitlines()[1:]] == [
+        "hf", "fci", "hf", "fci"]
+
+
+def test_reference_table_is_noted_on_a_scan(capsys):
+    argv = ["--molecule", "lih", "--scan", "2.5,3.5,2"]
+    plain = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--reference-table")
+    assert (code, out) == plain[:2]
+    assert err == ("note: --reference-table applies to single runs; "
+                   "ignored for --scan\n")
 
 # N2 in its full space: 14 electrons in 10 orbitals, 14,400 determinants
 NITROGEN = "2\nN2\nN 0.0 0.0 0.0\nN 0.0 0.0 1.1\n"
