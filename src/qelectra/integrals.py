@@ -460,7 +460,7 @@ class IntegralSet:
     nuclear: np.ndarray        # V, (n, n)
     eri: np.ndarray            # (ij|kl) chemists' notation, (n, n, n, n)
     n_basis: int
-    nuclear_repulsion: float = 0.0
+    nuclear_repulsion: float
 
     @property
     def core_hamiltonian(self) -> np.ndarray:

@@ -29,8 +29,8 @@ class Atom:
 @dataclass
 class Molecule:
     atoms: List[Atom]
+    name: str
     charge: int = 0
-    name: str = ""
 
     @property
     def n_atoms(self) -> int:
@@ -60,7 +60,7 @@ def make_atom(symbol: str, position_bohr) -> Atom:
 def from_atom_list(spec, charge: int = 0, name: str = "") -> Molecule:
     """Build a molecule from [(symbol, (x, y, z) in Bohr), ...]."""
     atoms = [make_atom(sym, pos) for sym, pos in spec]
-    mol = Molecule(atoms=atoms, charge=charge, name=name)
+    mol = Molecule(atoms=atoms, name=name, charge=charge)
     _validate(mol)
     return mol
 

@@ -6,7 +6,7 @@ Convergence requires both the energy change (ENERGY_TOL) and the rms
 density change (DENSITY_TOL) to pass within MAX_ITERATIONS iterations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -30,9 +30,12 @@ class ScfResult:
     density: np.ndarray
     fock: np.ndarray
     converged: bool
-    n_iterations: int
-    history: List[Tuple[float, float]] = field(default_factory=list)  # (e_total, rms dP)
-    n_occupied: int = 0
+    history: List[Tuple[float, float]]  # (e_total, rms dP), one per iteration
+    n_occupied: int
+
+    @property
+    def n_iterations(self) -> int:
+        return len(self.history)
 
 
 def density_matrix(mo_coefficients: np.ndarray, n_occupied: int) -> np.ndarray:
@@ -90,7 +93,6 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
     fock_list: List[np.ndarray] = []
     error_list: List[np.ndarray] = []
     converged = False
-    iteration = 0
 
     for iteration in range(1, MAX_ITERATIONS + 1):
         F = _fock(h, eri, P)
@@ -133,7 +135,6 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
         density=P,
         fock=F,
         converged=converged,
-        n_iterations=iteration,
         history=history,
         n_occupied=n_occ,
     )

@@ -12,18 +12,22 @@ of its aufbau reference. `ansatz_circuit` compiles those pairs once per
 real amplitudes over the sector's determinants, no qubit register.
 
 Two optimizers are provided, and this module owns every setting of both:
-a caller names at most the kind and the seed, and `run_vqe` derives the
-rest from the shot setting and the ansatz size, with the budgets in
-DEFAULT_ITERATIONS and the tolerances in DEFAULT_TOLERANCE. BFGS with an Armijo line search, the default for exact
+a caller names at most the kind and the seed. `run_vqe` hands one
+objective, `energy(theta, gradient=False)`, and one trajectory recorder
+to `_bfgs` or `_spsa`; each evaluates its start, takes its budget from
+DEFAULT_ITERATIONS, its tolerance from DEFAULT_TOLERANCE and its own stop
+rule, and returns only whether it converged. Iteration counts are read
+off the trajectory, one entry per accepted iterate after the start.
+`_bfgs`, with an Armijo line search and the default for exact
 expectations, takes exact gradients: one circuit run forward and one
 adjoint sweep back (`Circuit.adjoint_gradient`) give the energy and all
-its parameter derivatives. It stops when the largest derivative is below
-its tolerance, or once an accepted step changes the energy only at the
-level of rounding. Simultaneous-perturbation stochastic approximation
-needs only energies and is the one optimizer for shot-sampled runs; its
-gains and budget follow the parameter count (`spsa_schedule`), and it
-stops after SPSA_PATIENCE consecutive sub-tolerance energy changes. Both
-record the energy trajectory, one entry per accepted iterate.
+its parameter derivatives. It stops on its gradient bound, at a step
+that moves the energy only at rounding level, at a line search with no
+descent, or at its budget. `_spsa` (simultaneous-perturbation stochastic
+approximation) needs only energies and is the one optimizer for
+shot-sampled runs; its gains and budget follow the parameter count
+(`spsa_schedule`), and it stops after SPSA_PATIENCE consecutive
+sub-tolerance energy changes or at its budget.
 
 `run_vqe` takes the assembled system, which builds on first use the
 qubit Hamiltonian in its mapping, the sector and the Hamiltonian's block
@@ -228,11 +232,15 @@ class VqeResult:
     evaluation_history: List[int]
     n_evaluations: int
     converged: bool
-    n_iterations: int
+
+    @property
+    def n_iterations(self) -> int:
+        """Accepted iterates after the start."""
+        return len(self.energy_history) - 1
 
 
 def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
-            optimizer: Optional[str] = None, seed: Optional[int] = None,
+            optimizer: Optional[str] = None, seed: int = 0,
             shots: Optional[int] = None) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
@@ -248,14 +256,14 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     accepts it, and the reported energy is then one more estimate at
     theta_star. `optimizer` is "bfgs" or "spsa", or None to choose by the
     shot setting (`optimizer_kind`); `seed` seeds the spsa perturbations.
-    The budget, the tolerance and the SPSA gains are derived here from
-    the optimizer and the ansatz size (`spsa_schedule`). The run starts
-    from the reference state, all parameters zero. Identical (system,
-    ansatz, optimizer, seed, shots) reproduce the identical result.
+    Each optimizer (`_bfgs`, `_spsa`) derives its budget, tolerance and
+    gains from its kind and the ansatz size. The run starts from the
+    reference state, all parameters zero. Identical (system, ansatz,
+    optimizer, seed, shots) reproduce the identical result.
     """
     if optimizer is not None and optimizer not in DEFAULT_TOLERANCE:
         raise ValueError(f"unknown optimizer kind {optimizer!r}")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise ValueError("seed must be non-negative")
     n, n_e = system.n_qubits, system.spin_orbitals.n_electrons
     if (ansatz.n_spin_orbitals, ansatz.n_electrons) != (n, n_e):
@@ -267,123 +275,88 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
         raise ValueError(
             f"the {kind} optimizer needs exact expectations; use "
             "spsa for shot-sampled energies")
-    tol = DEFAULT_TOLERANCE[kind]
     circuit = ansatz_circuit(ansatz, system)
     # only spsa draws: its perturbations, and the shots of a sampled run
     rng = np.random.default_rng(seed) if kind == "spsa" else None
-    counter = {"n": 0}
     # built, or refused, before the first evaluation
     block = system.block if shots is None else None
+    n_evaluations = 0
 
-    def evaluate(theta: np.ndarray) -> float:
-        counter["n"] += 1
+    def energy(theta: np.ndarray, gradient: bool = False):
+        # with `gradient` (exact runs only): (energy, its gradient)
+        nonlocal n_evaluations
+        n_evaluations += 1
         psi = circuit.run(theta)
         if shots is None:
-            return float(psi @ (block @ psi))
+            h_psi = block @ psi
+            e = float(psi @ h_psi)
+            return ((e, circuit.adjoint_gradient(theta, psi, h_psi))
+                    if gradient else e)
         data = np.zeros(1 << n, dtype=complex)
         data[system.sector] = psi
-        mean, _ = StateVector(n, data).sampled_expectation(
-            system.qubit_hamiltonian, shots, rng=rng)
-        return mean
-
-    def evaluate_with_gradient(theta: np.ndarray
-                               ) -> Tuple[float, np.ndarray]:
-        """Exact energy and gradient: one run, one block mat-vec and one
-        adjoint sweep."""
-        counter["n"] += 1
-        psi = circuit.run(theta)
-        h_psi = block @ psi
-        return float(psi @ h_psi), circuit.adjoint_gradient(theta, psi, h_psi)
-
-    theta = np.zeros(ansatz.n_parameters)
+        return StateVector(n, data).sampled_expectation(
+            system.qubit_hamiltonian, shots, rng=rng)[0]
 
     energy_history: List[float] = []
     theta_history: List[np.ndarray] = []
-    eval_history: List[int] = []
+    evaluation_history: List[int] = []
 
-    def record(e: float, th: np.ndarray) -> None:
+    def record(e: float, theta: np.ndarray) -> None:
         energy_history.append(float(e))
-        theta_history.append(th.copy())
-        eval_history.append(counter["n"])
+        theta_history.append(theta.copy())
+        evaluation_history.append(n_evaluations)
 
-    if kind == "spsa":
-        e_current = evaluate(theta)
-    else:
-        e_current, gradient = evaluate_with_gradient(theta)
-    record(e_current, theta)
-
-    def result(converged: bool, iterations: int) -> VqeResult:
-        best = int(np.argmin(energy_history))
-        theta_star = theta_history[best]
-        energy = (energy_history[best] if shots is None
-                  else evaluate(theta_star))
-        return VqeResult(energy=float(energy), theta_star=theta_star,
-                         energy_history=energy_history,
-                         theta_history=theta_history,
-                         evaluation_history=eval_history,
-                         n_evaluations=counter["n"],
-                         converged=converged,
-                         n_iterations=iterations)
-
+    theta = np.zeros(ansatz.n_parameters)
     if ansatz.n_parameters == 0:
-        return result(True, 0)
-    if kind == "bfgs":
-        return result(*_bfgs(
-            evaluate_with_gradient, theta, e_current, gradient, tol,
-            DEFAULT_ITERATIONS["bfgs"], record))
-
-    schedule = spsa_schedule(ansatz.n_parameters)
-    streak = 0
-    converged = False
-    iterations_done = 0
-    for k in range(schedule.iterations):
-        a_k = schedule.a / (k + 1 + schedule.big_a) ** SPSA_ALPHA
-        c_k = schedule.c / (k + 1) ** SPSA_GAMMA
-        gradient = spsa_gradient_estimate(evaluate, theta, c_k, rng)
-        theta = theta - a_k * gradient
-        e_new = evaluate(theta)
-        record(e_new, theta)
-        iterations_done = k + 1
-        if abs(e_new - e_current) <= tol:
-            streak += 1
-            if streak >= SPSA_PATIENCE:
-                converged = True
-                e_current = e_new
-                break
-        else:
-            streak = 0
-        e_current = e_new
-    return result(converged, iterations_done)
+        record(energy(theta), theta)
+        converged = True
+    elif kind == "bfgs":
+        converged = _bfgs(energy, theta, record)
+    else:
+        converged = _spsa(energy, theta, record, rng)
+    best = int(np.argmin(energy_history))
+    theta_star = theta_history[best]
+    e_star = energy_history[best] if shots is None else energy(theta_star)
+    return VqeResult(energy=float(e_star), theta_star=theta_star,
+                     energy_history=energy_history,
+                     theta_history=theta_history,
+                     evaluation_history=evaluation_history,
+                     n_evaluations=n_evaluations, converged=converged)
 
 
-def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
-          gradient: np.ndarray, tol: float, max_iterations: int,
-          record) -> Tuple[bool, int]:
-    """BFGS from (theta, energy, gradient); returns (converged, iterations).
+def _bfgs(energy, theta: np.ndarray, record) -> bool:
+    """BFGS from theta with exact gradients; returns whether it converged.
 
-    The inverse Hessian starts as the identity and is scaled by s.y / y.y
+    `energy(theta, gradient=True)` gives the energy and its gradient, and
+    `record(energy, theta)` takes the start and each accepted iterate. The
+    inverse Hessian starts as the identity and is scaled by s.y / y.y
     before its first update; a step with s.y <= 0 leaves it unchanged, so
     it stays positive definite. Each iteration backtracks by halves from
-    the full quasi-Newton step until the Armijo condition holds and records
-    the accepted iterate. Converged means max |gradient| <= tolerance. An
-    accepted step with |dE| <= ROUNDING_LEVEL * |E| ends the run there,
-    converged only if that iterate meets the gradient bound.
+    the full quasi-Newton step until the Armijo condition holds. Converged
+    means max |gradient| <= DEFAULT_TOLERANCE["bfgs"]. A line search whose
+    step falls below MIN_STEP ends the run unconverged; an accepted step
+    with |dE| <= ROUNDING_LEVEL * |E| ends it there, converged only if that
+    iterate meets the gradient bound; so does the end of the budget,
+    DEFAULT_ITERATIONS["bfgs"] iterations.
     """
+    tol = DEFAULT_TOLERANCE["bfgs"]
+    e, gradient = energy(theta, gradient=True)
+    record(e, theta)
     inverse = np.eye(theta.size)
-    for k in range(max_iterations):
+    for k in range(DEFAULT_ITERATIONS["bfgs"]):
         if np.max(np.abs(gradient)) <= tol:
-            return True, k
+            return True
         direction = -(inverse @ gradient)
         slope = float(gradient @ direction)
         step = 1.0
         while True:
             trial = theta + step * direction
-            e_trial, g_trial = evaluate_with_gradient(trial)
-            if e_trial <= energy + ARMIJO_C1 * step * slope:
+            e_trial, g_trial = energy(trial, gradient=True)
+            if e_trial <= e + ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
             if step < MIN_STEP:
-                return False, k
+                return False
         s, y = trial - theta, g_trial - gradient
         sy = float(s @ y)
         if sy > 0.0:
@@ -393,21 +366,43 @@ def _bfgs(evaluate_with_gradient, theta: np.ndarray, energy: float,
             hy = inverse @ y
             inverse += ((rho * rho * float(y @ hy) + rho) * np.outer(s, s)
                         - rho * (np.outer(hy, s) + np.outer(s, hy)))
-        stalled = abs(e_trial - energy) <= ROUNDING_LEVEL * abs(e_trial)
-        theta, energy, gradient = trial, e_trial, g_trial
-        record(energy, theta)
+        stalled = abs(e_trial - e) <= ROUNDING_LEVEL * abs(e_trial)
+        theta, e, gradient = trial, e_trial, g_trial
+        record(e, theta)
         if stalled:
-            return bool(np.max(np.abs(gradient)) <= tol), k + 1
-    return bool(np.max(np.abs(gradient)) <= tol), max_iterations
+            break
+    return bool(np.max(np.abs(gradient)) <= tol)
+
+
+def _spsa(energy, theta: np.ndarray, record, rng: "np.random.Generator"
+          ) -> bool:
+    """SPSA from theta on the gains and budget of `spsa_schedule`; returns
+    whether it converged: SPSA_PATIENCE consecutive iterates that each move
+    the energy by at most DEFAULT_TOLERANCE["spsa"]. `record(energy,
+    theta)` takes the start and every iterate."""
+    schedule = spsa_schedule(theta.size)
+    tol = DEFAULT_TOLERANCE["spsa"]
+    e = energy(theta)
+    record(e, theta)
+    streak = 0
+    for k in range(schedule.iterations):
+        a_k = schedule.a / (k + 1 + schedule.big_a) ** SPSA_ALPHA
+        c_k = schedule.c / (k + 1) ** SPSA_GAMMA
+        theta = theta - a_k * spsa_gradient_estimate(energy, theta, c_k, rng)
+        e_new = energy(theta)
+        record(e_new, theta)
+        streak = streak + 1 if abs(e_new - e) <= tol else 0
+        if streak >= SPSA_PATIENCE:
+            return True
+        e = e_new
+    return False
 
 
 def spsa_gradient_estimate(evaluate, theta: np.ndarray, c_k: float,
                            rng: "np.random.Generator") -> np.ndarray:
     """One simultaneous-perturbation gradient estimate: a Rademacher
     direction from `rng`, then two evaluations c_k either side."""
-    m = theta.size
-    delta = rng.integers(0, 2, size=m) * 2 - 1
+    delta = rng.integers(0, 2, size=theta.size) * 2 - 1
     e_plus = evaluate(theta + c_k * delta)
     e_minus = evaluate(theta - c_k * delta)
     return (e_plus - e_minus) / (2.0 * c_k) * delta
-

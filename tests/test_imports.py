@@ -4,8 +4,9 @@ function, class and public method it defines is referenced by name in
 reasons, only in `tests/` and by other listed definitions), every
 dataclass field it declares is read as an attribute in one of the three,
 every parameter or field with a default is passed by some call in `src/`
-or `perfbench/`, and every module-level constant is read there, outside
-its own assignment.
+or `perfbench/` and left out by some call in any of the three, and every
+module-level constant is read in `src/` or `perfbench/`, outside its own
+assignment.
 
 A top-level function, class or constant is referenced only by its bare
 name, an import of that name, or an attribute whose root object is an
@@ -339,13 +340,14 @@ SHARED_NAMES = {
     "converged": "MethodResult: the renderers; ScfResult and VqeResult: "
                  "cli.execute",
     "energy": "MethodResult: the renderers; VqeResult: cli.execute",
-    "iterations": "MethodResult: the renderers; SpsaSchedule: vqe.run_vqe",
+    "iterations": "MethodResult: the renderers; SpsaSchedule: vqe._spsa",
     "mapping": "AssembledSystem: its qubit_hamiltonian and sector, "
                "vqe.ansatz_circuit; RunSpec: cli.execute and the renderers",
     "molecule": "AssembledSystem and RunSpec: cli.execute",
     "n_electrons": "Molecule: pipeline.assemble; SpinOrbitalIntegrals: "
                    "AssembledSystem.sector; UccsdAnsatz: vqe.run_vqe",
-    "n_iterations": "ScfResult and VqeResult: cli.execute",
+    "n_iterations": "ScfResult and VqeResult, each a property read off "
+                    "its trajectory: cli.execute",
     "n_parameters": "Circuit: Circuit.run; UccsdAnsatz: vqe.run_vqe",
     "n_qubits": "AssembledSystem: cli.execute, vqe.run_vqe; "
                 "ComparisonReport: the renderers",
@@ -527,6 +529,56 @@ def test_every_default_is_passed_by_the_package(module):
     # gone, leaves the list too
     listed = UNPASSED.get(module, {})
     assert set(unpassed_defaults(path.read_text(), SEARCHED)) == set(listed)
+
+
+# ---- every default is omitted by some call -----------------------------------
+
+def unomitted_defaults(source, trees):
+    """Parameters and fields with a default in `source` that every call in
+    the trees passes, by keyword or by position, so that no call uses the
+    default, as "name.parameter"; a `**kwargs` may pass any keyword, and a
+    `*args` may fill every position. A parameter nothing calls has no call
+    to omit it either. `trees` maps the paths of the files to their syntax
+    trees."""
+    passed = passed_arguments(trees.values())
+    return [f"{name}.{parameter}"
+            for name, position, parameter in defaulted(ast.parse(source))
+            if not any(parameter not in keywords and None not in keywords
+                       and (position is None or position >= count)
+                       for count, keywords in passed.get(name, []))]
+
+
+def test_the_check_sees_a_default_every_call_passes():
+    source = ("from dataclasses import dataclass, field\n\n"
+              "def solve(block, k=1, tol=1e-9, *, dense=False):\n"
+              "    return block\n\n"
+              "@dataclass\nclass Report:\n    name: str\n    seed: int = 0\n"
+              "    notes: list = field(default_factory=list)\n"
+              "    rows: list = field(default_factory=list, init=False)\n\n"
+              "class Solver:\n    def __init__(self, size=4):\n"
+              "        self.size = size\n\n"
+              "    def run(self, steps=10):\n        return steps\n")
+    trees = {PACKAGE / "caller.py": ast.parse(
+                 "solve(b, 2, dense=True)\nReport('x', 3, [])\n"
+                 "Solver(8).run(*steps)\n"),
+             TESTS / "test_thing.py": ast.parse(
+                 "solve(b, 5, tol=0.1, dense=True)\nReport('x', notes=[])\n"
+                 "Solver(**options).run(5)\n")}
+    # a test call that omits a parameter clears it too
+    assert sorted(unomitted_defaults(source, trees)) == [
+        "Report.notes", "Solver.size", "run.steps", "solve.dense",
+        "solve.k"]
+    trees[PACKAGE / "more.py"] = ast.parse(
+        "solve(b)\nReport('x')\nSolver().run()\n")
+    assert unomitted_defaults(source, trees) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_default_is_omitted_by_some_call(module):
+    # a default that every call overrides is a required parameter in
+    # disguise
+    path = PACKAGE / module
+    assert unomitted_defaults(path.read_text(), SEARCHED) == []
 
 
 # ---- every module-level constant is read -------------------------------------

@@ -55,6 +55,13 @@ def test_history_records_monotone_convergence_tail():
     assert abs(energies[-1] - energies[-2]) < 1e-8
 
 
+@pytest.mark.parametrize("key", ["h2", "lih", "h2o", "nh3", "ch4", "co2"])
+def test_one_history_entry_per_iteration(key, assembled):
+    scf = assembled(key).scf
+    assert scf.converged
+    assert scf.n_iterations == len(scf.history)
+
+
 def test_max_iterations_reports_nonconvergence(monkeypatch):
     monkeypatch.setattr(scf_module, "MAX_ITERATIONS", 1)
     mol = shipped_geometry("h2o")

@@ -16,6 +16,8 @@ from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.vqe import (
     DEFAULT_ITERATIONS,
     DEFAULT_TOLERANCE,
+    ROUNDING_LEVEL,
+    SPSA_PATIENCE,
     Excitation,
     UccsdAnsatz,
     ansatz_circuit,
@@ -203,19 +205,94 @@ def test_bfgs_stops_when_no_descent_is_left(assembled, monkeypatch):
 def test_bfgs_line_search_that_finds_no_descent_gives_up():
     # a flat energy with a nonzero gradient: no step meets the Armijo
     # condition, so the first line search halves below MIN_STEP and the
-    # run ends unconverged with nothing recorded
+    # run ends unconverged with nothing recorded beyond the start
     evaluations, recorded = [], []
 
-    def flat(theta):
+    def flat(theta, gradient=False):
         evaluations.append(theta)
         return 1.0, np.array([1.0, -2.0])
 
-    outcome = vqe._bfgs(flat, np.zeros(2), 1.0, np.array([1.0, -2.0]),
-                        1e-6, 50, lambda e, th: recorded.append(e))
-    assert outcome == (False, 0)
-    assert recorded == []
-    # full step, then halves down to the last one above MIN_STEP
-    assert len(evaluations) == int(np.log2(1.0 / vqe.MIN_STEP)) + 1
+    outcome = vqe._bfgs(flat, np.zeros(2), lambda e, th: recorded.append(e))
+    assert outcome is False
+    assert recorded == [1.0]
+    # the start, the full step, then halves down to the last one above
+    # MIN_STEP
+    assert len(evaluations) == int(np.log2(1.0 / vqe.MIN_STEP)) + 2
+
+
+def assert_trajectory(result, sampled=False):
+    """What every stop keeps: one record per accepted iterate after the
+    start, and evaluation counts that never decrease and end at the run's
+    count, before the fresh estimate of a sampled run."""
+    assert (result.n_iterations == len(result.energy_history) - 1
+            == len(result.theta_history) - 1)
+    assert len(result.evaluation_history) == len(result.energy_history)
+    assert np.all(np.diff(result.evaluation_history) >= 0)
+    assert result.evaluation_history[-1] == result.n_evaluations - int(sampled)
+
+
+@pytest.mark.parametrize("stop", ["gradient", "rounding", "budget"])
+def test_every_bfgs_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
+    system = assembled("lih")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    if stop == "rounding":
+        monkeypatch.setitem(DEFAULT_TOLERANCE, "bfgs", 1e-12)
+    if stop == "budget":
+        monkeypatch.setitem(DEFAULT_ITERATIONS, "bfgs", 3)
+    result = run_vqe(system, ansatz, "bfgs")
+    assert_trajectory(result)
+    # the verdict is the gradient bound at the last accepted iterate
+    theta = result.theta_history[-1]
+    circuit = ansatz_circuit(ansatz, system)
+    psi = circuit.run(theta)
+    gradient = circuit.adjoint_gradient(theta, psi, system.block @ psi)
+    assert result.converged == (
+        np.max(np.abs(gradient)) <= DEFAULT_TOLERANCE["bfgs"])
+    energies = result.energy_history
+    if stop == "budget":
+        assert result.n_iterations == 3
+        assert not result.converged
+        return
+    assert result.n_iterations < DEFAULT_ITERATIONS["bfgs"]
+    stalled = abs(energies[-1] - energies[-2]) <= (ROUNDING_LEVEL
+                                                    * abs(energies[-1]))
+    assert result.converged == (stop == "gradient")
+    assert stalled == (stop == "rounding")
+
+
+@pytest.mark.parametrize("stop", ["patience", "budget"])
+def test_every_spsa_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
+    system = assembled("h2")
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    if stop == "budget":
+        monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 10)
+    result = run_vqe(system, ansatz, "spsa", 2)
+    assert_trajectory(result)
+    budget = spsa_schedule(ansatz.n_parameters).iterations
+    changes = np.abs(np.diff(result.energy_history))
+    quiet = changes[-SPSA_PATIENCE:] <= DEFAULT_TOLERANCE["spsa"]
+    if stop == "budget":
+        assert result.n_iterations == budget == 10
+        assert not result.converged
+    else:
+        # seed 2 converges at iteration 46 of 300
+        assert SPSA_PATIENCE <= result.n_iterations < budget
+        assert result.converged
+        assert np.all(quiet)
+
+
+def test_the_bare_ansatz_and_a_shot_run_keep_the_trajectory(assembled,
+                                                            monkeypatch):
+    system = assembled("h2")
+    bare = run_vqe(system, UccsdAnsatz(4, 2, []))
+    assert_trajectory(bare)
+    assert (bare.converged, bare.n_iterations, bare.n_evaluations) == (
+        True, 0, 1)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 20)
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    sampled = run_vqe(system, ansatz, seed=3, shots=64)
+    assert_trajectory(sampled, sampled=True)
+    assert sampled.n_iterations == 20
 
 
 @pytest.mark.parametrize("optimizer", ["bfgs"])
@@ -400,7 +477,7 @@ def test_optimizer_config_defaults():
     assert list(parameters) == ["system", "ansatz", "optimizer", "seed",
                                 "shots"]
     assert [parameters[name].default
-            for name in ("optimizer", "seed", "shots")] == [None] * 3
+            for name in ("optimizer", "seed", "shots")] == [None, 0, None]
     assert optimizer_kind(None, None) == "bfgs"
     assert optimizer_kind(None, 64) == "spsa"
     assert optimizer_kind("spsa", None) == "spsa"
