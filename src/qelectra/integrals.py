@@ -12,9 +12,10 @@ class (primitive counts and powers of both functions), one Hermite call per
 axis and kinetic shift, with S and T. V takes one Hermite Coulomb call per
 angular class (primitive pairs, Hermite lengths) and one Boys call per
 Boys order. The ERIs, a dense (n, n, n, n) array in chemists' notation
-(ij|kl), are computed once per canonical quartet and batched by what the
-arithmetic depends on: Boys order, primitive counts and box (sx, sy, sz),
-the per-axis bra plus ket Hermite length less one. A batch holds at most
+(ij|kl), are computed once per canonical quartet that no coordinate plane
+makes zero (below) and batched by what the arithmetic depends on: Boys
+order, primitive counts and box (sx, sy, sz), the per-axis bra plus ket
+Hermite length less one. A batch holds at most
 _PRIMITIVE_QUARTETS_PER_CALL Hermite Coulomb elements (primitive quartets
 times box volume); its convolutions use the Hermite columns up to the
 batch's longest bra and ket lengths, its Coulomb tensor the box.
@@ -49,7 +50,17 @@ pair, nucleus or quartet at a time, because:
   them, and Boys rows are shared only between bitwise-equal arguments. An
   atom at the same place in two geometries (the fixed Li of a LiH scan)
   has the same shells in both, so its shell-pair quartets share their
-  rows across the points.
+  rows across the points;
+- the ERIs skip each quartet whose total Cartesian power is odd along an
+  axis on which every nucleus of its geometry sits at 0.0, and leave its
+  +0.0. That is the computed value: there A - B, P, Q and P - Q are zero
+  along the axis, so every term of its Hermite sum has an exact-zero
+  factor (a pair's Hermite coefficient of the wrong parity, or R at odd
+  t), the sum stays at its +0.0 start, and every STO-3G function has a
+  positive contraction coefficient, so one primitive quartet has a
+  positive weight and the contracted sum is +0.0. A shared coordinate
+  c != 0 gives no such zeros: P = (a c + b c) / p need not be c bit for
+  bit.
 
 Bit identity matters because a split degenerate shell (the shipped CO2
 window) turns a 1e-16 change in the integrals into a milli-Hartree change
@@ -70,7 +81,7 @@ MAX_BASIS_FUNCTIONS = 32
 _BOYS_SWITCH = 35.0
 # Hermite Coulomb tensor elements (primitive quartets times box volume) per
 # ERI call: caps the working memory of one batch (compute_integrals on CO2
-# peaks at about 3 MB).
+# peaks at about 2.85 MB).
 _PRIMITIVE_QUARTETS_PER_CALL = 1 << 15
 
 
@@ -409,21 +420,27 @@ def _eri_batch(tables: _PairTables, bra: np.ndarray, ket: np.ndarray,
 
 
 def _eri_table(tables: _PairTables, shell_pair: np.ndarray,
-               n_pairs: int) -> np.ndarray:
+               n_pairs: int, plane: np.ndarray) -> np.ndarray:
     """(bra|ket) for every two pairs of one geometry, as a (rows x n_pairs)
     table: the rows hold the geometries one after another, n_pairs each,
     and row r its pair against every pair of its own geometry.
 
-    `shell_pair` holds each row's shell pair number. Each (Boys order,
-    primitive quartets) run shares its Boys values through one _SharedBoys
-    (one for the whole call would hold every order at once).
+    `shell_pair` holds each row's shell pair number, and `plane` one row of
+    flags per geometry: the axes on which its every nucleus sits at 0.0.
+    Each (Boys order, primitive quartets) run shares its Boys values
+    through one _SharedBoys (one for the whole call would hold every order
+    at once).
     """
     # canonical quartets of each geometry, bra >= ket, sorted by Boys order,
     # primitive quartets, bra primitive pairs, box and bra Hermite lengths
     bra, ket = np.tril_indices(n_pairs)
     offset = np.arange(0, tables.K.size, n_pairs)[:, None]
-    bra, ket = (bra + offset).ravel(), (ket + offset).ravel()
+    bra, ket = bra + offset, ket + offset       # (geometries, quartets)
     box = tables.length[bra] + tables.length[ket] - 1
+    # an odd total power (box - 1) along a plane axis: exactly +0.0, as
+    # the table holds already
+    keep = ~np.any(plane[:, None] & (box % 2 == 0), axis=2)
+    bra, ket, box = bra[keep], ket[keep], box[keep]
     key = np.column_stack((box.sum(axis=1) - 3, tables.K[bra] * tables.K[ket],
                            tables.K[bra], box, tables.length[bra]))
     sort = np.lexsort(key.T[::-1])
@@ -512,8 +529,10 @@ def compute_integrals_batch(molecules: Sequence[Molecule]
     shells = {}
     shell = np.array([shells.setdefault(
         (f.center.tobytes(), f.alphas.tobytes()), len(shells)) for f in funcs])
+    plane = np.array([np.all(m.coordinates() == 0.0, axis=0)
+                      for m in molecules])
     table = _eri_table(tables, shell[rows] * len(shells) + shell[cols],
-                       n_pairs)
+                       n_pairs, plane)
 
     out = []
     for g, molecule in enumerate(molecules):

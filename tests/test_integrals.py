@@ -212,6 +212,37 @@ def test_batched_eri_is_bit_identical_on_random_geometries(molecule):
             == eri_quartet_by_quartet(molecule).tobytes())
 
 
+@settings(deadline=None, max_examples=8)
+@given(small_molecules(), st.data())
+def test_eri_odd_on_a_coordinate_plane_is_the_computed_plus_zero(molecule,
+                                                                 data):
+    """Every atom moved onto one or two coordinate planes, each coordinate
+    set to 0.0 or -0.0: the engine skips the quartets whose total power is
+    odd along such an axis, and the quartet loop computes +0.0 for each."""
+    coords = molecule.coordinates()
+    for axis in data.draw(st.sets(st.integers(0, 2), min_size=1,
+                                  max_size=2)):
+        coords[:, axis] = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0]), min_size=len(coords),
+            max_size=len(coords)))
+    gaps = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
+    np.fill_diagonal(gaps, np.inf)
+    assume(gaps.min() >= 0.5)
+    planar = from_atom_list(
+        [(atom.symbol, tuple(c)) for atom, c in zip(molecule.atoms, coords)],
+        charge=molecule.charge)
+    funcs = load_basis(planar)
+    plane = plane_axes(funcs)
+    odd = [q for q in np.ndindex(*[len(funcs)] * 4)
+           if odd_on_a_plane_axis(plane, [funcs[f] for f in q])]
+    assume(odd)     # some p function has an odd power on a plane axis
+    want = eri_quartet_by_quartet(planar)
+    assert compute_integrals(planar).eri.tobytes() == want.tobytes()
+    zeros = want[tuple(np.transpose(odd))]
+    assert not zeros.any()
+    assert not np.signbit(zeros).any()
+
+
 @settings(deadline=None, max_examples=20)
 @given(small_molecules())
 def test_one_electron_matrices_are_bit_identical_on_random_geometries(
@@ -229,18 +260,36 @@ def test_batch_boundaries_do_not_change_the_eri(monkeypatch):
     assert compute_integrals(molecule).eri.tobytes() == want.tobytes()
 
 
+def plane_axes(funcs):
+    """The axes on which every function's center, and so every nucleus,
+    sits at 0.0 (every element carries basis functions)."""
+    return np.all([f.center == 0.0 for f in funcs], axis=0)
+
+
+def odd_on_a_plane_axis(plane, quartet):
+    """Whether the quartet's total Cartesian power is odd along a plane
+    axis, which makes its integral exactly zero."""
+    return any(flag and sum(f.powers[axis] for f in quartet) % 2
+               for axis, flag in enumerate(plane))
+
+
 def box_groups(funcs):
-    """The canonical quartets per (primitive quartets, box), the box being
-    the quartet's per-axis Hermite lengths: how many of them fall in each
-    bra class (primitive pairs, per-axis Hermite lengths), in the order the
-    engine runs them. Within a group the bra class fixes the ket class, so
-    each entry is the run of one class pair."""
+    """The canonical quartets the engine computes per (primitive quartets,
+    box), the box being the quartet's per-axis Hermite lengths: how many of
+    them fall in each bra class (primitive pairs, per-axis Hermite
+    lengths), in the order the engine runs them. Within a group the bra
+    class fixes the ket class, so each entry is the run of one class pair.
+    Quartets odd on a plane axis are left out, as the engine skips them."""
+    plane = plane_axes(funcs)
+    pairs = [(fa, fb) for i, fa in enumerate(funcs) for fb in funcs[:i + 1]]
     classes = [(fa.alphas.size * fb.alphas.size,
                 *(la + lb + 1 for la, lb in zip(fa.powers, fb.powers)))
-               for i, fa in enumerate(funcs) for fb in funcs[:i + 1]]
+               for fa, fb in pairs]
     groups = defaultdict(Counter)
     for index, bra in enumerate(classes):
-        for ket in classes[:index + 1]:
+        for ket, ket_pair in zip(classes[:index + 1], pairs):
+            if odd_on_a_plane_axis(plane, pairs[index] + ket_pair):
+                continue
             box = tuple(b + k - 1 for b, k in zip(bra[1:], ket[1:]))
             groups[bra[0] * ket[0], box][bra] += 1
     return {key: [runs[c] for c in sorted(runs)]
@@ -281,18 +330,27 @@ def assert_call_counts(molecule, monkeypatch):
 
 
 def test_co2_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
-    """CO2: 116 ERI batches, 10 angular classes and 16 power classes, so
-    96 Hermite coefficient calls where six per pair would be 720."""
+    """CO2: 33 ERI batches over the quartets not odd along x or y, 10
+    angular classes and 16 power classes, so 96 Hermite coefficient calls
+    where six per pair would be 720."""
     assert assert_call_counts(shipped_geometry("co2"), monkeypatch) == (
-        116, 10, 16)
+        33, 10, 16)
 
 
 def test_lih_calls_scale_with_batches_and_pairs_not_primitives(monkeypatch):
-    """LiH: one ERI batch per box (35), 10 angular classes and 13 power
-    classes, so 78 Hermite coefficient calls where six per pair would be
-    126."""
+    """LiH: one ERI batch per box of the quartets not odd along x or y
+    (14), 10 angular classes and 13 power classes, so 78 Hermite
+    coefficient calls where six per pair would be 126."""
     assert assert_call_counts(shipped_geometry("lih"), monkeypatch) == (
-        35, 10, 13)
+        14, 10, 13)
+
+
+def test_ch4_calls_are_those_of_a_molecule_without_a_plane(monkeypatch):
+    """CH4 has no coordinate plane free of nuclei, so it skips no quartet:
+    one ERI batch per box (35), 10 angular classes and 13 power classes."""
+    molecule = shipped_geometry("ch4")
+    assert not plane_axes(load_basis(molecule)).any()
+    assert assert_call_counts(molecule, monkeypatch) == (35, 10, 13)
 
 
 @pytest.mark.parametrize("key, cap", [("co2", 81 * 57), ("lih", 81 * 8)])
@@ -302,9 +360,12 @@ def test_ragged_batches_across_class_pairs_do_not_change_the_eri(
     quartets inside such a run, so that batches start and end
     mid-class-pair, and that leaves batches spanning class pairs of
     different Hermite lengths, whose shorter columns the batch zero-pads
-    (in all 35 box groups of CO2 and 12 of LiH)."""
+    (in 10 of the 14 box groups CO2 computes, and 12 of LiH's 35). LiH is
+    the 3.0 Bohr scan point moved off the coordinate planes, so that it
+    skips no quartet and keeps every box group."""
     molecule = (shipped_geometry(key) if key == "co2"
-                else diatomic_geometry(("Li", "H"), LIH_SCAN[2]))
+                else from_atom_list([("Li", (0.3, 0.4, 0.0)),
+                                     ("H", (0.3, 0.4, LIH_SCAN[2]))]))
     spans = 0
     for (count, box), runs in box_groups(load_basis(molecule)).items():
         step = batch_step(cap, count, box)
@@ -325,9 +386,11 @@ def test_co2_boys_values_are_evaluated_once_per_order_and_shell_pair_quartet(
         monkeypatch):
     """The ERIs evaluate F_m(x) once per (Boys order, bra shell pair, ket
     shell pair), a shell being a function's center and exponents: an sp
-    shell's 2s and 2p share them, and so share every Boys argument. On CO2
-    that is 759 keys of 81 primitive quartets, where every quartet on its
-    own evaluated 7,260 x 81; the series took 507,716 elements then."""
+    shell's 2s and 2p share them, and so share every Boys argument. CO2
+    computes 2,454 of its 7,260 canonical quartets (the rest are odd along
+    x or y, on which every nucleus sits at 0.0), in 749 keys of 81
+    primitive quartets; every quartet on its own evaluated 7,260 x 81, and
+    the series took 507,716 elements then."""
     elements = Counter()
     for name in ("boys", "_boys_series"):
         def counted(m_max, x, _name=name, _original=getattr(integrals, name)):
@@ -341,21 +404,24 @@ def test_co2_boys_values_are_evaluated_once_per_order_and_shell_pair_quartet(
     assert {f.alphas.size for f in funcs} == {3}
     shell = [(f.center.tobytes(), f.alphas.tobytes()) for f in funcs]
     pairs = [(i, j) for i in range(len(funcs)) for j in range(i + 1)]
+    plane = plane_axes(funcs)
     keys = {(sum(sum(funcs[f].powers) for f in bra + ket),
              *(shell[f] for f in bra + ket))
-            for index, bra in enumerate(pairs) for ket in pairs[:index + 1]}
-    assert len(keys) == 759
+            for index, bra in enumerate(pairs) for ket in pairs[:index + 1]
+            if not odd_on_a_plane_axis(plane, [funcs[f] for f in bra + ket])}
+    assert len(keys) == 749
     # the nuclear attraction: one element per nucleus and primitive pair
     nuclear = len(molecule.atoms) * 9 * len(pairs)
     assert elements["boys"] == 81 * len(keys) + nuclear
     # the rest lie at x >= 35, on the asymptotic form
-    assert elements["_boys_series"] == 49_338
+    assert elements["_boys_series"] == 48_770
 
 
 def test_co2_integrals_peak_below_3_3_megabytes():
-    # 2,974,446 B with the ERIs batched by Boys order and Hermite box over
-    # flat pair tables, the same on repeated runs; the bound leaves about
-    # 10% for allocator and numpy version drift
+    # 2,853,386 B with the ERIs batched by Boys order and Hermite box over
+    # flat pair tables and the quartets odd on a coordinate plane skipped,
+    # the same on repeated runs; the bound leaves about 15% for allocator
+    # and numpy version drift
     molecule = shipped_geometry("co2")
     tracemalloc.start()
     try:
@@ -399,6 +465,14 @@ def test_batched_geometries_are_bit_identical_to_one_at_a_time(symbols,
 def test_batched_benchmark_grids_are_bit_identical(symbols, grid):
     assert_batch_matches_one_at_a_time(
         [diatomic_geometry(symbols, r) for r in grid])
+
+
+def test_a_batch_mixing_coordinate_planes_is_bit_identical():
+    # LiH with H at (0, 0, 3), (0.4, 0, 3) and (0.4, 0.2, 3) Bohr: the x and
+    # y planes, the y plane alone and no plane, in one batch
+    assert_batch_matches_one_at_a_time(
+        [from_atom_list([("Li", (0.0, 0.0, 0.0)), ("H", h)])
+         for h in [(0.0, 0.0, 3.0), (0.4, 0.0, 3.0), (0.4, 0.2, 3.0)]])
 
 
 @pytest.mark.parametrize("second", [("H", "H"), ("H", "Li")])
