@@ -28,7 +28,6 @@ from .pauli import MAX_MAPPED_MODES, MappingKind, mapping_from_name
 from .pipeline import (assemble, canonical_formula, diatomic_geometry,
                        display_name, load_molecule_argument, window_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
-from .simulator import MAX_QUBITS
 from .vqe import build_uccsd, optimizer_kind, run_vqe
 
 EXIT_OK = 0
@@ -37,9 +36,9 @@ EXIT_NOT_CONVERGED = 2
 
 _METHOD_ORDER = ("hf", "vqe", "fci")
 
-# sector size the CLI accepts for fci and exact vqe, the runs that build
-# the sector block: CH4 (8e, 8o) has 4,900 determinants and a 1.6 M-entry
-# block; the full CH4 space has 15,876
+# sector size the CLI accepts for fci and vqe, the runs that work on the
+# sector: CH4 (8e, 8o) has 4,900 determinants and a 1.6 M-entry block;
+# the full CH4 space has 15,876
 MAX_FCI_DETERMINANTS = 8192
 
 # bytes a bond scan's batched integral pass may hold for its points,
@@ -97,18 +96,14 @@ def _refuse(spec: RunSpec) -> None:
         raise ValueError(f"--optimizer {spec.optimizer} needs exact "
                          "expectations; use --optimizer spsa with --shots, "
                          "or --shots exact")
-    # a problem over a cap: fci and exact vqe build the sector block and
-    # map the Hamiltonian, and a shot-sampled vqe builds the 2^n register
+    # a window that does not fit, for any method; a problem over a cap,
+    # for every method but hf: fci and vqe map the Hamiltonian and work on
+    # the amplitudes of the sector
     n_qubits, n_determinants = window_size(spec.molecule, spec.active)
-    exact = ("fci" if "fci" in spec.methods else "exact vqe"
-             if "vqe" in spec.methods and spec.shots is None else None)
-    caps = []
-    if exact is not None:
-        caps += [(exact, n_determinants, MAX_FCI_DETERMINANTS, "determinants"),
-                 (exact, n_qubits, MAX_MAPPED_MODES, "qubits")]
-    if "vqe" in spec.methods and spec.shots is not None:
-        caps.append(("shot-sampled vqe", n_qubits, MAX_QUBITS, "qubits"))
-    for user, count, cap, unit in caps:
+    user = next((m for m in ("fci", "vqe") if m in spec.methods), None)
+    caps = ((n_determinants, MAX_FCI_DETERMINANTS, "determinants"),
+            (n_qubits, MAX_MAPPED_MODES, "qubits")) if user else ()
+    for count, cap, unit in caps:
         if count > cap:
             raise ValueError(f"{user} needs at most {cap} {unit}, got "
                              f"{count}; restrict the problem with "

@@ -8,7 +8,9 @@ leftmost Kronecker factor).
 `pauli_to_sparse` builds the block of a `PauliSum` on a sorted array of
 basis states, such as one (N, S_z) sector from `pauli.sector_basis`, in
 one pass over X-mask diagonals, as a real `SparseBlock`, and refuses a
-sum whose block is not real symmetric. `lowest_eigenvalues` solves such
+sum whose block is not real symmetric; `basis_states` checks such an
+array, for it and for `simulator.sampled_expectation`, which reads a
+state on the same basis. `lowest_eigenvalues` solves such
 a block by Davidson's method. `AssembledSystem.block` is the block of a
 system's qubit Hamiltonian on its sector: FCI diagonalizes it and exact
 VQE takes <H> on it. The module needs numpy alone.
@@ -72,6 +74,19 @@ def _diagonal(x: int, terms: List[Tuple[int, float]],
     return out
 
 
+def basis_states(basis: np.ndarray, n_qubits: int) -> np.ndarray:
+    """`basis` as int64 states, checked to be a nonempty, sorted array of
+    distinct states of an n-qubit register; raises ValueError otherwise."""
+    states = np.asarray(basis, dtype=np.int64)
+    if states.ndim != 1 or states.size == 0:
+        raise ValueError("basis must be a nonempty 1-D array of states")
+    if states[0] < 0 or states[-1] >= 1 << n_qubits:
+        raise ValueError(f"basis states must lie in 0..{(1 << n_qubits) - 1}")
+    if np.any(np.diff(states) <= 0):
+        raise ValueError("basis states must be sorted and distinct")
+    return states
+
+
 def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     """Block of a real symmetric Pauli sum on the given basis states.
 
@@ -94,15 +109,8 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     raises ValueError. The block never forms a vector over the whole
     register, so it has no qubit cap.
     """
-    n = observable.n_qubits
-    states = np.asarray(basis, dtype=np.int64)
+    states = basis_states(basis, observable.n_qubits)
     dim = states.size
-    if states.ndim != 1 or dim == 0:
-        raise ValueError("basis must be a nonempty 1-D array of states")
-    if states[0] < 0 or states[-1] >= 1 << n:
-        raise ValueError(f"basis states must lie in 0..{(1 << n) - 1}")
-    if np.any(np.diff(states) <= 0):
-        raise ValueError("basis states must be sorted and distinct")
     if not observable.is_hermitian() or any(
             (x & z).bit_count() % 2 for (x, z), _ in observable.items()):
         raise ValueError(

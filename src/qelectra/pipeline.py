@@ -29,9 +29,10 @@ from .pauli import MappingKind, PauliSum, map_fermion, sector_basis
 
 # Active windows keyed by canonical formula: (n_active_electrons,
 # n_active_spatial_orbitals). Three constraints shape these. The window
-# must keep each example at <= 12 qubits, where the 2^n register of a
-# shot-sampled VQE run stays small (HF makes no register, and exact VQE
-# and FCI are bounded by the sector size instead). Its boundaries should
+# must keep each example at <= 12 qubits, where a VQE run stays quick:
+# its cost grows with the sector's determinants and, for a shot run, the
+# mapped terms it measures (FCI and VQE obey the CLI's sector cap, and HF
+# maps no Hamiltonian). Its boundaries should
 # not split a degenerate shell (the e pair of NH3, the t2 triples
 # of CH4): a window cutting through a degenerate shell selects an
 # arbitrary rotation of that subspace, so its correlation energy changes

@@ -1,19 +1,17 @@
-"""Dense statevector simulation of Pauli operators, and sector circuits.
+"""Pauli expectations, shot-sampled energies, and sector circuits.
 
 Basis states use little-endian convention: computational index b has qubit
-k in bit k of b. The register is capped at 24 qubits: 2^24 complex128
-amplitudes are 256 MiB, and measuring one term holds about 3.5 times as
-much again beside them, so a shot-sampled energy peaks near 1.1 GiB.
-
-No Pauli string becomes a matrix. In the symplectic picture
+k in bit k of b. In the symplectic picture
 (X^x Z^z)|b> = (-1)^{|z & b|} |b ^ x>, so the string with masks (x, z)
-acts as one permutation of the amplitude array plus a sign per basis
-state, times the phase i^{|x & z|} of its letters-operator;
-`expectation` sums <psi|P|psi> that way, term by term over the whole
-register, and is the reference the sector route is checked against. A
-`StateVector` also serves shot-sampled energies (`sampled_expectation`).
-The action of one string on a state is kept in `tests/pauli_oracle.py`,
-where the Pauli-rotation circuit applies it.
+acts as one permutation of the amplitudes plus a sign per basis state,
+times the phase i^{|x & z|} of its letters-operator; no Pauli string
+becomes a matrix. `sampled_expectation` measures that way on amplitudes
+over a sorted array of basis states, such as one sector, and holds
+nothing of the register's size. `StateVector.expectation` sums
+<psi|P|psi> over a whole register of at most 24 qubits, the reference the
+sector route is checked against. The action of one string on a state is
+kept in `tests/pauli_oracle.py`, where the Pauli-rotation circuit applies
+it.
 
 A `Circuit` never holds the register. It is a real program over the
 amplitudes of one sector (for UCCSD, the determinants of one (N, S_z)
@@ -26,18 +24,13 @@ same rotations backwards for the gradient of an expectation value.
 import numpy as np
 from typing import Sequence, Tuple
 
+from .oracle import basis_states
 from .pauli import I_POWERS, PauliSum, bit_parity
 
 MAX_QUBITS = 24
 # largest imaginary part, relative to max(1, |real part|), that an
 # expectation value may carry before the observable counts as not Hermitian
 IMAG_TOL = 1e-10
-
-_SQ_HALF = 1.0 / np.sqrt(2.0)
-_H_GATE = np.array([[_SQ_HALF, _SQ_HALF], [_SQ_HALF, -_SQ_HALF]],
-                   dtype=complex)
-# H S^dagger rotates the Y eigenbasis onto the computational basis
-_Y_BASIS_GATE = _H_GATE @ np.diag([1.0, -1.0j])
 
 
 class StateVector:
@@ -55,18 +48,6 @@ class StateVector:
             raise ValueError(f"amplitude array must have shape ({dim},)")
         self.data = arr.copy()
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.data)
-
-    def apply_single_qubit(self, qubit: int, gate: np.ndarray) -> None:
-        step = 1 << qubit
-        work = self.data.reshape(-1, 2, step)
-        top = work[:, 0, :].copy()
-        bot = work[:, 1, :].copy()
-        work[:, 0, :] = gate[0, 0] * top + gate[0, 1] * bot
-        work[:, 1, :] = gate[1, 0] * top + gate[1, 1] * bot
-
-    # ---- expectation values -----------------------------------------------------
     def expectation(self, observable: PauliSum) -> float:
         """Exact <psi|O|psi> of a Pauli sum, summed term by term; raises if a
         nominally real value comes out complex."""
@@ -86,50 +67,56 @@ class StateVector:
                 "observable is not Hermitian on this state")
         return float(total.real)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.data) ** 2
 
-    def sampled_expectation(self, observable: PauliSum, shots: int,
-                            rng: "np.random.Generator"
-                            ) -> Tuple[float, float]:
-        """Estimate <O> by simulated projective measurement.
+def sampled_expectation(amplitudes: np.ndarray, basis: np.ndarray,
+                        observable: PauliSum, shots: int,
+                        rng: "np.random.Generator") -> Tuple[float, float]:
+    """Estimate <O> by simulated projective measurement, `shots` per term.
 
-        Each non-identity term is measured in its own rotated basis with
-        `shots` repetitions drawn from `rng`; identity terms enter
-        exactly. Returns the estimate and its standard error (square root
-        of the summed per-term variances of the mean).
-        """
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        if observable.n_qubits != self.n_qubits:
-            raise ValueError("register size mismatch")
-        if not observable.is_hermitian():
-            raise ValueError("sampling needs a Hermitian observable")
-        mean_total = 0.0
-        var_total = 0.0
-        for (x, z), coeff in observable.items():
-            c = coeff.real
-            if x == 0 and z == 0:
-                mean_total += c
-                continue
-            rotated = self.copy()
-            for k in range(self.n_qubits):
-                xb = (x >> k) & 1
-                zb = (z >> k) & 1
-                if xb and zb:
-                    rotated.apply_single_qubit(k, _Y_BASIS_GATE)
-                elif xb:
-                    rotated.apply_single_qubit(k, _H_GATE)
-            support = x | z
-            probs = rotated.probabilities()
-            probs = probs / probs.sum()
-            outcomes = rng.choice(probs.size, size=shots, p=probs)
-            values = 1.0 - 2.0 * bit_parity(outcomes & support)
-            term_mean = float(values.mean())
-            term_var = float(values.var(ddof=1)) if shots > 1 else 0.0
-            mean_total += c * term_mean
-            var_total += c * c * term_var / shots
-        return mean_total, float(np.sqrt(var_total))
+    The state is the normalized `amplitudes` over the `basis` states
+    (`oracle.basis_states`), zero elsewhere. Measuring a non-identity term
+    P gives +1 with probability (1 + <P>) / 2, so one `rng.binomial` draw
+    gives each term's +1 count k of s = `shots`, in `items()` order.
+    <P> = Re(i^{n_y} sum_b conj(psi[b ^ x]) (-1)^{|z & b|} psi[b]) sums
+    over the basis states b with b ^ x in the basis, grouped by X-mask.
+    The term's mean is m = (2k - s) / s and the sample variance of its
+    outcomes s (1 - m^2) / (s - 1); identity terms enter exactly. Returns
+    the estimate and its standard error, the square root of the summed
+    per-term variances of the mean.
+    """
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    if not observable.is_hermitian():
+        raise ValueError("sampling needs a Hermitian observable")
+    states = basis_states(basis, observable.n_qubits)
+    psi = np.asarray(amplitudes)
+    if psi.shape != states.shape:
+        raise ValueError("need one amplitude per basis state")
+    constant, coeffs, masks = 0.0, [], {}
+    for (x, z), coeff in observable.items():
+        if x | z:
+            masks.setdefault(x, []).append((len(coeffs), z))
+            coeffs.append(coeff.real)
+        else:
+            constant += coeff.real
+    expected = [0.0] * len(coeffs)
+    for x, terms in masks.items():
+        targets = states ^ x
+        at = np.minimum(np.searchsorted(states, targets), states.size - 1)
+        inside = states[at] == targets
+        kets = states[inside]
+        products = np.conj(psi[at[inside]]) * psi[inside]
+        for k, z in terms:
+            signs = 1.0 - 2.0 * bit_parity(kets & z)
+            expected[k] = (I_POWERS[(x & z).bit_count() % 4]
+                           * np.dot(signs, products)).real
+    p_plus = np.clip(0.5 * (1.0 + np.array(expected)), 0.0, 1.0)
+    means = (2 * rng.binomial(shots, p_plus) - shots) / shots
+    # at one shot m = +-1, so the variance is 0
+    variances = shots * (1.0 - means ** 2) / max(shots - 1, 1)
+    c = np.array(coeffs)
+    return (constant + float(np.sum(c * means)),
+            float(np.sqrt(np.sum(c * c * variances) / shots)))
 
 
 # ---- circuits ------------------------------------------------------------------

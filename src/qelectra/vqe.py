@@ -34,9 +34,11 @@ qubit Hamiltonian in its mapping, the sector and the Hamiltonian's block
 on it (the block the FCI eigensolver diagonalizes). An exact energy
 evaluation is one `Circuit.run` giving the sector amplitudes psi and
 psi^T H psi with H that block; a gradient adds one adjoint sweep with
-H psi. A shot-sampled evaluation scatters psi onto the 2^n register and
-measures the qubit Hamiltonian term by term there; the mapping shapes
-only the Hamiltonian, the block and these measurements, never the ansatz.
+H psi. A shot-sampled evaluation measures the qubit Hamiltonian term by
+term on the same amplitudes (`simulator.sampled_expectation` over
+`system.sector`), so no run holds an array over the 2^n register. The
+mapping shapes only the Hamiltonian, the block and these measurements,
+never the ansatz.
 """
 
 import numpy as np
@@ -45,7 +47,7 @@ from typing import List, Optional, Tuple
 
 from .pauli import bit_parity, decode_states
 from .pipeline import AssembledSystem
-from .simulator import Circuit, StateVector
+from .simulator import Circuit, sampled_expectation
 
 
 @dataclass(frozen=True)
@@ -251,15 +253,16 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     block is not real symmetric, raises the ValueError of
     `oracle.pauli_to_sparse` before the first evaluation. An integer turns on
     simulated projective measurement of `system.qubit_hamiltonian` on the
-    amplitudes scattered onto the register, with that many shots per term
-    drawn from the same seeded generator as the optimizer; only spsa
-    accepts it, and the reported energy is then one more estimate at
-    theta_star. `optimizer` is "bfgs" or "spsa", or None to choose by the
-    shot setting (`optimizer_kind`); `seed` seeds the spsa perturbations.
-    Each optimizer (`_bfgs`, `_spsa`) derives its budget, tolerance and
-    gains from its kind and the ansatz size. The run starts from the
-    reference state, all parameters zero. Identical (system, ansatz,
-    optimizer, seed, shots) reproduce the identical result.
+    same sector amplitudes (`simulator.sampled_expectation`), with that
+    many shots per term drawn from the same seeded generator as the
+    optimizer; only spsa accepts it, and the reported energy is then one
+    more estimate at theta_star. No run, exact or sampled, holds an array
+    over the 2^n register. `optimizer` is "bfgs" or "spsa", or None to
+    choose by the shot setting (`optimizer_kind`); `seed` seeds the spsa
+    perturbations. Each optimizer (`_bfgs`, `_spsa`) derives its budget,
+    tolerance and gains from its kind and the ansatz size. The run starts
+    from the reference state, all parameters zero. Identical (system,
+    ansatz, optimizer, seed, shots) reproduce the identical result.
     """
     if optimizer is not None and optimizer not in DEFAULT_TOLERANCE:
         raise ValueError(f"unknown optimizer kind {optimizer!r}")
@@ -292,10 +295,8 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
             e = float(psi @ h_psi)
             return ((e, circuit.adjoint_gradient(theta, psi, h_psi))
                     if gradient else e)
-        data = np.zeros(1 << n, dtype=complex)
-        data[system.sector] = psi
-        return StateVector(n, data).sampled_expectation(
-            system.qubit_hamiltonian, shots, rng=rng)[0]
+        return sampled_expectation(psi, system.sector,
+                                   system.qubit_hamiltonian, shots, rng)[0]
 
     energy_history: List[float] = []
     theta_history: List[np.ndarray] = []

@@ -30,6 +30,12 @@ applying the rotations one by one with `apply_pauli_exponential`.
 `adjoint_gradient` walks them backwards (Jones & Gacon,
 arXiv:2009.02823).
 
+`rotated_plus_probability` is the probability of +1 when one string is
+measured on a register state the way a device measures it: each qubit
+rotated onto its letter's eigenbasis, then the parity of the outcome on
+the string's support. `simulator.sampled_expectation` is checked against
+it.
+
 `bit_parity_by_folds` is the shift-and-xor parity `pauli.bit_parity` is
 checked against.
 """
@@ -249,6 +255,31 @@ def apply_pauli_exponential(state: StateVector, x: int, z: int,
     image = apply_pauli(state, x, z)
     half = 0.5 * angle
     state.data = np.cos(half) * state.data - 1.0j * np.sin(half) * image
+
+
+_SQ_HALF = 1.0 / np.sqrt(2.0)
+_H_GATE = np.array([[_SQ_HALF, _SQ_HALF], [_SQ_HALF, -_SQ_HALF]],
+                   dtype=complex)
+# H S^dagger rotates the Y eigenbasis onto the computational basis
+_Y_BASIS_GATE = _H_GATE @ np.diag([1.0, -1.0j])
+
+
+def rotated_plus_probability(state: StateVector, x: int, z: int) -> float:
+    """Probability of +1 when the letters-operator of masks (x, z) is
+    measured on `state`: H rotates each X qubit, H S^dagger each Y qubit,
+    and the outcomes of even parity on the support x | z count as +1."""
+    data = state.data.copy()
+    for k in range(state.n_qubits):
+        if not (x >> k) & 1:
+            continue
+        gate = _Y_BASIS_GATE if (z >> k) & 1 else _H_GATE
+        work = data.reshape(-1, 2, 1 << k)
+        top, bot = work[:, 0, :].copy(), work[:, 1, :].copy()
+        work[:, 0, :] = gate[0, 0] * top + gate[0, 1] * bot
+        work[:, 1, :] = gate[1, 0] * top + gate[1, 1] * bot
+    probs = np.abs(data) ** 2
+    even = bit_parity(np.arange(data.size) & (x | z)) == 0
+    return float(probs[even].sum() / probs.sum())
 
 
 def excitation_generator(excitation: Excitation) -> FermionOperator:

@@ -25,7 +25,7 @@ from pauli_oracle import (anticommutation_check, block_matrix,
                           number_operator, pauli_circuit, pauli_sum,
                           register_state, sz_operator)
 from quadrature_oracle import quadrature_one_electron
-from qelectra.simulator import StateVector
+from qelectra.simulator import StateVector, sampled_expectation
 from qelectra.vqe import (DEFAULT_ITERATIONS, DEFAULT_TOLERANCE,
                           ansatz_circuit, build_uccsd, optimizer_kind,
                           run_vqe)
@@ -228,8 +228,9 @@ def test_sampled_expectation_tracks_exact_statistics():
         amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         state = StateVector(n, amp / np.linalg.norm(amp))
         exact = state.expectation(op)
-        est, err = state.sampled_expectation(
-            op, shots, np.random.default_rng(int(rng.integers(1 << 31))))
+        est, err = sampled_expectation(
+            state.data, np.arange(1 << n), op, shots,
+            np.random.default_rng(int(rng.integers(1 << 31))))
         allowed = max(5.0 * err, 1e-12)
         if abs(est - exact) > allowed:
             failures += 1

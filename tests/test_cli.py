@@ -435,16 +435,19 @@ def test_hf_builds_no_hamiltonian_and_has_no_qubit_cap(capsys, monkeypatch,
 @pytest.mark.parametrize("n_qubits", [28, 30])
 def test_shot_vqe_qubit_cap_is_checked_before_the_chain_runs(
         capsys, monkeypatch, wide_systems, n_qubits):
-    # a shot-sampled vqe scatters its amplitudes onto the 2^n register
+    # a shot-sampled vqe works on the sector's amplitudes, as an exact one
+    # does, so the same determinant cap refuses it
     def refuse(*args, **kwargs):
-        raise AssertionError("integrals computed for an oversized register")
+        raise AssertionError("integrals computed for an oversized sector")
 
     monkeypatch.setattr(pipeline, "compute_integrals", refuse)
     code, out, err = run_cli(capsys, *wide_systems[n_qubits], "--method",
                              "vqe", "--shots", "64")
     assert code == 1
     assert out == ""
-    assert (f"shot-sampled vqe needs at most 24 qubits, got {n_qubits}; "
+    # (8 of 14) and (11 of 15) orbitals per spin, squared
+    determinants = {28: 9018009, 30: 1863225}[n_qubits]
+    assert (f"vqe needs at most 8192 determinants, got {determinants}; "
             "restrict the problem with --active-space") in err
 
 
@@ -484,19 +487,18 @@ def test_window_that_does_not_fit_is_refused_before_any_integral(
 
 def test_exact_vqe_cap_is_checked_before_the_chain_runs(capsys,
                                                         monkeypatch):
-    # exact vqe takes its energies on the same sector block as fci
+    # exact vqe takes its energies on the same sector block as fci, and a
+    # shot run measures on the same sector amplitudes
     def refuse(*args, **kwargs):
         raise AssertionError("integrals computed")
 
     monkeypatch.setattr(pipeline, "compute_integrals", refuse)
-    code, _, err = run_cli(capsys, "--molecule", "ch4", "--method", "vqe",
-                           "--active-space", "10,9")
-    assert code == 1
-    assert "exact vqe needs at most 8192 determinants, got 15876" in err
-    # a shot run builds no block, so the cap lets it through
-    with pytest.raises(AssertionError, match="integrals computed"):
-        cli.main(["--molecule", "ch4", "--method", "vqe", "--active-space",
-                  "10,9", "--shots", "64"])
+    for shots in ("exact", "64"):
+        code, _, err = run_cli(capsys, "--molecule", "ch4", "--method",
+                               "vqe", "--active-space", "10,9", "--shots",
+                               shots)
+        assert code == 1
+        assert "vqe needs at most 8192 determinants, got 15876" in err
 
 
 
@@ -519,8 +521,7 @@ def test_mapped_mode_cap_is_checked_before_the_chain_runs(
     code, out, err = run_cli(capsys, "--molecule", str(xyz), "--method",
                              method, "--active-space", "2,16")
     assert (code, out) == (1, "")
-    user = "fci" if method == "fci" else "exact vqe"
-    assert err == (f"error: {user} needs at most 31 qubits, got 32; "
+    assert err == (f"error: {method} needs at most 31 qubits, got 32; "
                    "restrict the problem with --active-space\n")
 
 def test_fci_runs_on_a_sector_of_4900_determinants(capsys):
@@ -744,30 +745,25 @@ def test_reference_table_is_noted_on_a_scan(capsys):
 NITROGEN = "2\nN2\nN 0.0 0.0 0.0\nN 0.0 0.0 1.1\n"
 
 
-@pytest.mark.parametrize("argv, qubit_cap, message", [
+@pytest.mark.parametrize("argv, message", [
     (["--molecule", "h2", "--method", "vqe", "--optimizer", "bfgs",
-      "--shots", "100"], None,
+      "--shots", "100"],
      "--optimizer bfgs needs exact expectations"),
-    (["--molecule", "lih", "--active-space", "4,9"], None,
+    (["--molecule", "lih", "--active-space", "4,9"],
      "active window (0 frozen + 9 active) exceeds 6 spatial orbitals"),
-    (["--method", "hf,fci"], None,
+    (["--method", "hf,fci"],
      "fci needs at most 8192 determinants, got 14400"),
-    # no diatomic of H-Ne passes 20 qubits, so the cap is lowered to LiH's
-    # shipped window of 10
-    (["--molecule", "lih", "--method", "vqe", "--shots", "64"], 8,
-     "shot-sampled vqe needs at most 8 qubits, got 10"),
+    (["--method", "vqe", "--shots", "64"],
+     "vqe needs at most 8192 determinants, got 14400"),
 ])
 def test_scan_refusals_come_before_any_integral(capsys, monkeypatch,
-                                                tmp_path, argv, qubit_cap,
-                                                message):
+                                                tmp_path, argv, message):
     # the checks run once for the grid, and print what a single run prints
     def refuse(*args, **kwargs):
         raise AssertionError("integrals computed for a refused scan")
 
     monkeypatch.setattr(pipeline, "compute_integrals", refuse)
     monkeypatch.setattr(cli, "compute_integrals_batch", refuse)
-    if qubit_cap is not None:
-        monkeypatch.setattr(cli, "MAX_QUBITS", qubit_cap)
     if "--molecule" not in argv:
         xyz = tmp_path / "n2.xyz"
         xyz.write_text(NITROGEN)

@@ -1,6 +1,8 @@
-"""Statevector simulator and sector circuits checked against dense matrix
-algebra, and the Pauli-rotation oracle of `pauli_oracle` checked the same
-way."""
+"""Statevector simulator, shot sampler and sector circuits checked against
+dense matrix algebra, and the Pauli-rotation oracle of `pauli_oracle`
+checked the same way."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qelectra.simulator import MAX_QUBITS, Circuit, StateVector
+from qelectra.pauli import MappingKind
+from qelectra.simulator import (MAX_QUBITS, Circuit, StateVector,
+                                sampled_expectation)
 from qelectra.vqe import ansatz_circuit, build_uccsd
+from conftest import SHIPPED
 from pauli_oracle import (PauliCircuit, apply_pauli, apply_pauli_exponential,
-                          basis_state, masks, pauli_sum, register_state)
+                          basis_state, masks, pauli_circuit, pauli_sum,
+                          register_state, rotated_plus_probability)
 from test_pauli import dense, dense_sum, term
 
 
@@ -46,13 +52,6 @@ def test_state_validation():
         StateVector(MAX_QUBITS + 1, np.ones(1))
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3))
-
-
-def test_copy_is_independent():
-    sv = StateVector(2, [0.0, 0.0, 0.0, 1.0])
-    other = sv.copy()
-    other.data[3] = 0.0
-    assert sv.data[3] == 1.0
 
 
 def test_apply_pauli_matches_dense():
@@ -134,12 +133,10 @@ def test_term_loop_serves_a_fifteen_qubit_register():
     assert state.expectation(op) == pytest.approx(-0.75, abs=1e-12)
 
 
-def test_probabilities_normalized():
-    rng = np.random.default_rng(25)
-    sv = random_state(4, rng)
-    p = sv.probabilities()
-    assert np.all(p >= 0.0)
-    assert p.sum() == pytest.approx(1.0)
+def sample(state, *args):
+    """`sampled_expectation` of a register state, its basis every state."""
+    return sampled_expectation(state.data, np.arange(1 << state.n_qubits),
+                               *args)
 
 
 def test_sampled_expectation_tracks_exact_value():
@@ -147,7 +144,7 @@ def test_sampled_expectation_tracks_exact_value():
     op = pauli_sum(2, [("II", 0.5), ("ZZ", -0.8), ("XI", 0.3), ("YY", 0.4)])
     sv = random_state(2, rng)
     exact = sv.expectation(op)
-    est, err = sv.sampled_expectation(op, 8192, np.random.default_rng(7))
+    est, err = sample(sv, op, 8192, np.random.default_rng(7))
     assert err > 0.0
     assert abs(est - exact) <= 5.0 * err
 
@@ -156,17 +153,16 @@ def test_sampled_expectation_is_deterministic_per_seed():
     rng = np.random.default_rng(27)
     op = pauli_sum(2, [("XZ", 1.0), ("ZI", -0.5)])
     sv = random_state(2, rng)
-    first = sv.sampled_expectation(op, 500, np.random.default_rng(42))
-    second = sv.sampled_expectation(op, 500, np.random.default_rng(42))
+    first = sample(sv, op, 500, np.random.default_rng(42))
+    second = sample(sv, op, 500, np.random.default_rng(42))
     assert first == second
-    other = sv.sampled_expectation(op, 500, np.random.default_rng(43))
+    other = sample(sv, op, 500, np.random.default_rng(43))
     assert first != other
 
 
 def test_sampled_expectation_identity_is_exact():
     sv = basis_state(2, 0)
-    est, err = sv.sampled_expectation(term("II", 1.25), 10,
-                                      np.random.default_rng(0))
+    est, err = sample(sv, term("II", 1.25), 10, np.random.default_rng(0))
     assert est == pytest.approx(1.25)
     assert err == 0.0
 
@@ -175,7 +171,7 @@ def test_sampling_measures_y_in_its_eigenbasis():
     # +1 eigenstate of Y gives a deterministic outcome after rotation
     sv = StateVector(1, np.array([1.0, 1.0j]) / np.sqrt(2.0))
     op = term("Y")
-    est, err = sv.sampled_expectation(op, 64, np.random.default_rng(0))
+    est, err = sample(sv, op, 64, np.random.default_rng(0))
     assert est == pytest.approx(1.0)
     assert err == pytest.approx(0.0, abs=1e-12)
 
@@ -184,18 +180,52 @@ def test_sampled_expectation_validation():
     sv = basis_state(1, 0)
     op = term("Z")
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sv.sampled_expectation(op, 0, rng)
-    with pytest.raises(ValueError):
-        sv.sampled_expectation(term("II"), 10, rng)
+    with pytest.raises(ValueError, match="positive"):
+        sample(sv, op, 0, rng)
+    # a basis wider than the observable's register
+    with pytest.raises(ValueError, match="lie in 0..1"):
+        sample(basis_state(2, 0), op, 10, rng)
+    with pytest.raises(ValueError, match="one amplitude per basis state"):
+        sampled_expectation(sv.data, np.arange(1), op, 10, rng)
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        sampled_expectation(sv.data, np.array([1, 0]), op, 10, rng)
     with pytest.raises(ValueError, match="Hermitian"):
-        sv.sampled_expectation(term("Z", 1j), 10, rng)
+        sample(sv, term("Z", 1j), 10, rng)
+
+
+class ProbabilityRecorder:
+    """A generator stand-in for `sampled_expectation`: it keeps the +1
+    probabilities it is asked to draw from and draws no +1 outcome."""
+
+    def binomial(self, shots, p):
+        self.p = p
+        return np.zeros_like(p, dtype=int)
+
+
+@pytest.mark.parametrize("kind", list(MappingKind))
+@pytest.mark.parametrize("key", SHIPPED)
+def test_sector_and_register_measure_every_term_alike(key, kind, assembled):
+    # each non-identity term's (1 + <P>) / 2 on the sector amplitudes is the
+    # +1 probability of the Pauli rotations' register state, rotated onto
+    # the term's eigenbasis as a device would measure it
+    system = dataclasses.replace(assembled(key), mapping=kind)
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    theta = np.random.default_rng(44).uniform(-1.0, 1.0,
+                                              ansatz.n_parameters)
+    psi = ansatz_circuit(ansatz, system).run(theta)
+    state = pauli_circuit(ansatz, kind).run(theta)
+    observable = system.qubit_hamiltonian
+    recorder = ProbabilityRecorder()
+    sampled_expectation(psi, system.sector, observable, 1, recorder)
+    want = [rotated_plus_probability(state, x, z)
+            for (x, z), _ in observable.items() if x | z]
+    assert recorder.p.shape == (len(want),)
+    assert np.max(np.abs(recorder.p - want)) <= 1e-12
 
 
 def test_single_shot_has_zero_variance_estimate():
     sv = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    est, err = sv.sampled_expectation(term("Z"), 1,
-                                      np.random.default_rng(3))
+    est, err = sample(sv, term("Z"), 1, np.random.default_rng(3))
     assert est in (-1.0, 1.0)
     assert err == 0.0
 

@@ -27,8 +27,10 @@ from qelectra.vqe import (
     spsa_gradient_estimate,
     spsa_schedule,
 )
+from conftest import SHIPPED
 from pauli_oracle import (add, excitation_generator, fermion_operator,
-                          pauli_circuit, register_state)
+                          pauli_circuit, register_state,
+                          rotated_plus_probability)
 from test_fermion import dense_operator
 from test_pauli import term
 
@@ -566,18 +568,11 @@ def test_sector_route_matches_the_pauli_oracle(key, kind, assembled):
     assert np.max(np.abs(gradient - want_gradient)) <= 1e-12
 
 
-@pytest.mark.parametrize("key", ["h2", "lih", "h2o", "nh3", "ch4", "co2"])
-def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
-    # exact VQE lives on the sector: no StateVector and no numpy array
-    # with a dimension of 2^n or more is made while it runs
-    system = assembled(key)
-    dim = 1 << system.n_qubits
-    # the block is built here, before the checks go in
-    assert system.block.shape[0] < dim
-    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-
+def refuse_registers(monkeypatch, dim):
+    """Fail on a StateVector, or on a numpy array with a dimension of `dim`
+    or more, made after this call."""
     def refuse(self, *args, **kwargs):
-        raise AssertionError("exact VQE built a StateVector")
+        raise AssertionError("a VQE run built a StateVector")
 
     def bounded(make):
         def checked(*args, **kwargs):
@@ -591,63 +586,98 @@ def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
     for name in ("zeros", "empty", "ones", "full", "arange", "eye",
                  "zeros_like", "empty_like", "bincount"):
         monkeypatch.setattr(np, name, bounded(getattr(np, name)))
+
+
+@pytest.mark.parametrize("key", SHIPPED)
+def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
+    # exact VQE lives on the sector: no StateVector and no numpy array
+    # with a dimension of 2^n or more is made while it runs
+    system = assembled(key)
+    dim = 1 << system.n_qubits
+    # the block is built here, before the checks go in
+    assert system.block.shape[0] < dim
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    refuse_registers(monkeypatch, dim)
     for optimizer in ("bfgs", "spsa"):
         monkeypatch.setitem(DEFAULT_ITERATIONS, optimizer, 3)
         result = run_vqe(system, ansatz, optimizer, 0)
         assert result.n_evaluations > 1
 
 
+@pytest.mark.parametrize("key", SHIPPED)
+def test_shot_runs_hold_no_register(key, assembled, monkeypatch):
+    # a shot-sampled run measures on the same sector amplitudes, under the
+    # same checks
+    system = assembled(key)
+    dim = 1 << system.n_qubits
+    # the sector and the qubit Hamiltonian are built before the checks
+    assert system.sector.size < dim
+    assert system.qubit_hamiltonian.n_qubits == system.n_qubits
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    refuse_registers(monkeypatch, dim)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 3)
+    result = run_vqe(system, ansatz, "spsa", 0, shots=64)
+    assert result.n_evaluations > 1
+
+
 def test_sampled_runs_report_a_fresh_estimate_at_theta_star(assembled,
                                                             monkeypatch):
-    # the lowest of ~900 noisy energies sat 5.7 mHa (3.1 standard errors)
-    # below FCI here; one more draw at theta_star is unbiased
+    # the lowest of ~900 noisy energies sits 6.9 mHa (about 3.7 standard
+    # errors) below FCI here; one more draw at theta_star is unbiased
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     draws = []
-    sample = simulator.StateVector.sampled_expectation
+    sample = vqe.sampled_expectation
 
-    def recording(self, *args, **kwargs):
-        draws.append((self.data.copy(), sample(self, *args, **kwargs)))
+    def recording(amplitudes, *args):
+        draws.append((amplitudes.copy(), sample(amplitudes, *args)))
         return draws[-1][1]
 
-    monkeypatch.setattr(simulator.StateVector, "sampled_expectation",
-                        recording)
+    monkeypatch.setattr(vqe, "sampled_expectation", recording)
     result = run_vqe(system, ansatz, seed=0, shots=4096)
     assert len(draws) == result.n_evaluations
     assert result.n_evaluations == result.evaluation_history[-1] + 1
-    state, (mean, error) = draws[-1]
+    amplitudes, (mean, error) = draws[-1]
     assert result.energy == mean
     psi = ansatz_circuit(ansatz, system).run(result.theta_star)
-    assert np.array_equal(state[system.sector], psi)
+    assert np.array_equal(amplitudes, psi)
     assert min(result.energy_history) < result.energy
     assert result.energy >= exact_ground_energy(system.block) - 2.0 * error
 
 
 def test_sampling_the_sector_state_matches_the_register_state(assembled,
                                                               monkeypatch):
-    # a seeded shot run on the scattered sector amplitudes draws exactly
-    # what it draws on the Pauli rotations' full register state
+    # along a seeded shot run, every term is drawn with the +1 probability
+    # that the Pauli rotations' register state gives it at the same angles
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    sector_run = run_vqe(system, ansatz, seed=4, shots=64)
-
     pauli = pauli_circuit(ansatz, system.mapping)
-    angles = []
+    terms = [(x, z) for (x, z), _ in system.qubit_hamiltonian.items()
+             if x | z]
+    angles, worst = [], []
     run = simulator.Circuit.run
-    sample = simulator.StateVector.sampled_expectation
+    sample = vqe.sampled_expectation
 
     def recording(self, theta):
         angles.append(np.array(theta))
         return run(self, theta)
 
-    def on_register(self, *args, **kwargs):
-        return sample(pauli.run(angles[-1]), *args, **kwargs)
+    class Checked:
+        # draws from the run's generator, after comparing what it draws from
+        def __init__(self, rng):
+            self.rng = rng
+
+        def binomial(self, shots, p):
+            state = pauli.run(angles[-1])
+            worst.append(max(abs(p[k] - rotated_plus_probability(state, *t))
+                             for k, t in enumerate(terms)))
+            return self.rng.binomial(shots, p)
+
+    def checked(amplitudes, basis, observable, shots, rng):
+        return sample(amplitudes, basis, observable, shots, Checked(rng))
 
     monkeypatch.setattr(simulator.Circuit, "run", recording)
-    monkeypatch.setattr(simulator.StateVector, "sampled_expectation",
-                        on_register)
-    register_run = run_vqe(system, ansatz, seed=4, shots=64)
-    assert len(angles) == sector_run.n_evaluations
-    assert register_run.energy_history == sector_run.energy_history
-    assert register_run.energy == sector_run.energy
-
+    monkeypatch.setattr(vqe, "sampled_expectation", checked)
+    result = run_vqe(system, ansatz, seed=4, shots=64)
+    assert len(worst) == len(angles) == result.n_evaluations
+    assert max(worst) <= 1e-12
