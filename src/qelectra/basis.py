@@ -11,6 +11,7 @@ order. Basis functions are emitted atom by atom in input order, so the layout
 of every matrix downstream is deterministic.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -153,25 +154,47 @@ def _contracted_self_overlap(alphas, coeffs, powers) -> float:
     return s
 
 
-def _build_function(center, powers, prims) -> ContractedGaussian:
+def _normalized(powers, prims) -> Tuple[np.ndarray, np.ndarray]:
+    """Exponents and fully normalized coefficients of one contraction,
+    as read-only arrays."""
     alphas = np.array([p[0] for p in prims], dtype=float)
     raw = np.array([p[1] for p in prims], dtype=float)
     coeffs = raw * np.array([primitive_norm(a, powers) for a in alphas])
     # renormalize the contraction so the self-overlap is 1 to machine precision
     s = _contracted_self_overlap(alphas, coeffs, powers)
     coeffs = coeffs / np.sqrt(s)
-    return ContractedGaussian(center=np.asarray(center, dtype=float), powers=powers,
-                              alphas=alphas, coeffs=coeffs)
+    alphas.setflags(write=False)
+    coeffs.setflags(write=False)
+    return alphas, coeffs
 
 
 _P_POWERS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _element_functions(symbol: str):
+    """(powers, alphas, coeffs) of each contracted function of an
+    element's tabulated shells, in order, normalized once per process."""
+    functions = []
+    for kind, prims in STO3G[symbol]:
+        if kind not in (_S, _SP):
+            raise ValueError(f"unsupported shell kind {kind!r}")
+        shells = [((0, 0, 0), [p[:2] for p in prims])]
+        if kind == _SP:
+            shells += [(powers, [(a, cp) for (a, _cs, cp) in prims])
+                       for powers in _P_POWERS]
+        functions += [(powers, *_normalized(powers, shell))
+                      for powers, shell in shells]
+    return tuple(functions)
 
 
 def load_basis(molecule: Molecule) -> List[ContractedGaussian]:
     """Expand a molecule into its ordered list of contracted STO-3G functions.
 
     Ordering is deterministic: atoms in input order, shells in tabulated
-    order, and p components always x, y, z.
+    order, and p components always x, y, z. Each call builds new
+    functions; they share their elements' read-only exponent and
+    coefficient arrays.
     """
     functions: List[ContractedGaussian] = []
     for atom in molecule.atoms:
@@ -179,19 +202,8 @@ def load_basis(molecule: Molecule) -> List[ContractedGaussian]:
             raise ValueError(
                 f"no {BASIS_NAME} data for element {atom.symbol}; "
                 f"tabulated elements: {sorted(STO3G)}")
-        for kind, prims in STO3G[atom.symbol]:
-            if kind == _S:
-                functions.append(_build_function(
-                    atom.position, (0, 0, 0),
-                    [(a, cs) for (a, cs) in prims]))
-            elif kind == _SP:
-                functions.append(_build_function(
-                    atom.position, (0, 0, 0),
-                    [(a, cs) for (a, cs, _cp) in prims]))
-                for powers in _P_POWERS:
-                    functions.append(_build_function(
-                        atom.position, powers,
-                        [(a, cp) for (a, _cs, cp) in prims]))
-            else:
-                raise ValueError(f"unsupported shell kind {kind!r}")
+        functions += [ContractedGaussian(
+            center=np.asarray(atom.position, dtype=float), powers=powers,
+            alphas=alphas, coeffs=coeffs)
+            for powers, alphas, coeffs in _element_functions(atom.symbol)]
     return functions

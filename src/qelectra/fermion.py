@@ -6,13 +6,15 @@ Conventions, fixed package-wide:
   - the two-body tensor is stored in physicists' notation <pq|rs>, and the
     Hamiltonian is  H = E_core + sum_pq h_pq a_p^ a_q
                       + 1/2 sum_pqrs <pq|rs> a_p^ a_q^ a_s a_r;
-  - FermionOperator terms are tuples of (orbital index, dagger flag), kept
-    exactly as constructed; the qubit mappings take them in that order.
+  - a FermionOperator term is a product of ladder operators, each an
+    (orbital index, dagger flag) pair, kept exactly as constructed; the
+    qubit mappings take the terms in that order.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -42,21 +44,58 @@ class ActiveSpaceSpec:
 class FermionOperator:
     """Linear combination of products of fermionic ladder operators.
 
-    Terms map an ordered tuple of (index, dagger) pairs to a complex
-    coefficient; the empty tuple is the identity (constant) term.
+    The terms are held in order as `runs` of equal-length terms, each
+    (modes, daggers, coeffs): in a run of k-factor terms, row t of the
+    (terms, k) arrays `modes` (int64) and `daggers` (bool) lists term t's
+    factors left to right, and `coeffs[t]` (complex) is its coefficient.
+    A run of length 0 holds identity (constant) terms. No term appears
+    twice.
     """
 
-    def __init__(self):
-        self.terms: Dict[TermKey, complex] = {}
-
-    def add_term(self, key: TermKey, coeff: complex) -> None:
-        if key in self.terms:
-            self.terms[key] += coeff
-        else:
-            self.terms[key] = coeff
+    def __init__(self, runs: Sequence[Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]]):
+        self.runs = tuple(runs)
+        for modes, daggers, coeffs in self.runs:
+            if (modes.ndim != 2 or daggers.shape != modes.shape
+                    or coeffs.shape != modes.shape[:1]):
+                raise ValueError(
+                    "a run needs modes and dagger flags of one (terms, "
+                    "length) shape and one coefficient per term")
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return sum(coeffs.size for _, _, coeffs in self.runs)
+
+    @property
+    def terms(self) -> Mapping[TermKey, complex]:
+        """The terms as a read-only {key: coefficient} map (`_Terms`)."""
+        return _Terms(self)
+
+
+class _Terms(Mapping):
+    """A FermionOperator's terms as a read-only map
+    {((mode, dagger), ...): coefficient}, in order, each dagger flag 1 or
+    0. Its length is the operator's; the keys are built on first lookup."""
+
+    def __init__(self, op: FermionOperator):
+        self._op = op
+
+    def __len__(self) -> int:
+        return len(self._op)
+
+    @cached_property
+    def _map(self) -> Dict[TermKey, complex]:
+        out: Dict[TermKey, complex] = {}
+        for modes, daggers, coeffs in self._op.runs:
+            keys = (tuple(zip(m, d)) for m, d in zip(
+                modes.tolist(), daggers.astype(np.int64).tolist()))
+            out.update(zip(keys, coeffs.tolist()))
+        return out
+
+    def __getitem__(self, key: TermKey) -> complex:
+        return self._map[key]
+
+    def __iter__(self):
+        return iter(self._map)
 
 
 def mo_spatial_integrals(integrals: IntegralSet, mo_coefficients: np.ndarray):
@@ -148,21 +187,26 @@ def build_hamiltonian(so: SpinOrbitalIntegrals) -> FermionOperator:
     Every index tuple with a coefficient above TERM_THRESHOLD is emitted,
     the one-body terms by (p, q) and then the two-body terms by
     (p, q, r, s), each ascending; terms that vanish identically (repeated
-    creation or annihilation index) are skipped.
+    creation or annihilation index) are skipped. Each kind is one run
+    filled from the index arrays of one np.nonzero pass, after a run of
+    the constant term when it is nonzero.
     """
-    op = FermionOperator()
+    runs = []
     if abs(so.core_energy) > 0.0:
-        op.add_term((), complex(so.core_energy))
+        runs.append((np.zeros((1, 0), dtype=np.int64),
+                     np.zeros((1, 0), dtype=bool),
+                     np.array([so.core_energy], dtype=complex)))
     h = so.one_body
     half_g = 0.5 * so.two_body
     distinct = ~np.eye(so.n_orbitals, dtype=bool)
     # np.nonzero lists indices in C order, the order of loops over p, q, ...
     p, q = np.nonzero(abs(h) > TERM_THRESHOLD)
-    keys = zip(zip(p.tolist(), repeat(1)), zip(q.tolist(), repeat(0)))
-    op.terms.update(zip(keys, map(complex, h[p, q].tolist())))
+    runs.append((np.stack([p, q], axis=1),
+                 np.broadcast_to([True, False], (p.size, 2)),
+                 h[p, q].astype(complex)))
     p, q, r, s = np.nonzero((abs(half_g) > TERM_THRESHOLD)
                             & distinct[:, :, None, None] & distinct)
-    keys = zip(zip(p.tolist(), repeat(1)), zip(q.tolist(), repeat(1)),
-               zip(s.tolist(), repeat(0)), zip(r.tolist(), repeat(0)))
-    op.terms.update(zip(keys, map(complex, half_g[p, q, r, s].tolist())))
-    return op
+    runs.append((np.stack([p, q, s, r], axis=1),
+                 np.broadcast_to([True, True, False, False], (p.size, 4)),
+                 half_g[p, q, r, s].astype(complex)))
+    return FermionOperator(runs)

@@ -6,9 +6,11 @@ convention as the simulator (qubit k lives in bit k, so qubit n-1 is the
 leftmost Kronecker factor).
 
 `pauli_to_sparse` builds the block of a `PauliSum` on a sorted array of
-basis states, such as one (N, S_z) sector from `pauli.sector_basis`, in
-one pass over X-mask diagonals, as a real `SparseBlock`, and refuses a
-sum whose block is not real symmetric; `basis_states` checks such an
+basis states, such as one (N, S_z) sector from `pauli.sector_basis`, from
+the sum's arrays: its terms sorted by X-mask, in passes of whole X-mask
+diagonals, each pass one bounded table of signed coefficients. It
+returns a real `SparseBlock`, and refuses a sum whose block is not real
+symmetric; `basis_states` checks such an
 array, for it and for `simulator.sampled_expectation`, which reads a
 state on the same basis. `lowest_eigenvalues` solves such
 a block by Davidson's method. `AssembledSystem.block` is the block of a
@@ -16,13 +18,18 @@ system's qubit Hamiltonian on its sector: FCI diagonalizes it and exact
 VQE takes <H> on it. The module needs numpy alone.
 """
 
+import bisect
+
 import numpy as np
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .pauli import PauliSum, bit_parity
 
 _RESIDUAL_TOL = 1e-9
 _LEAK_TOL = 1e-10
+# sign-table entries (terms times basis states) per pass of
+# `pauli_to_sparse`, which bound the pass's temporaries
+_PASS_ENTRIES = 1 << 15
 # Davidson: Rayleigh-Ritz steps, residual norm at which the pair counts
 # as converged, and the subspace size that triggers a thick restart
 _DAVIDSON_ITERATIONS = 500
@@ -63,15 +70,31 @@ class SparseBlock:
                            minlength=self.shape[0])
 
 
-def _diagonal(x: int, terms: List[Tuple[int, float]],
-              states: np.ndarray) -> np.ndarray:
-    """Entries (b ^ x, b) over the basis states b, summed in `terms` order."""
-    out = np.zeros(states.size)
-    for z, coeff in terms:
-        signs = 1.0 - 2.0 * bit_parity(states & z)
-        # i^{n_y} = (-1)^{n_y / 2} for an even Y count n_y
-        out += (coeff * (1 - ((x & z).bit_count() & 2))) * signs
-    return out
+def _diagonals(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
+               sizes: np.ndarray, states: np.ndarray):
+    """Nonzero entries (rows, cols, values) of the X-mask groups of one
+    pass of `pauli_to_sparse`.
+
+    Group g has X-mask x[g] and the next sizes[g] terms of `z` and
+    `coeffs`, each coefficient already times i^{n_y}. Entry (b ^ x, b)
+    adds the group's terms, each signed by (-1)^{|z & b|}, in order from
+    0.0; raises ValueError if a nonzero entry falls outside the basis.
+    """
+    dim = states.size
+    signed = np.where(bit_parity(z[:, None] & states), -coeffs[:, None],
+                      coeffs[:, None])
+    # bincount adds the terms of each (group, state) entry in order
+    group = np.repeat(np.arange(x.size), sizes)
+    sums = np.bincount((group[:, None] * dim + np.arange(dim)).ravel(),
+                       signed.ravel(), x.size * dim)
+    nonzero = np.flatnonzero(sums)
+    cols = nonzero % dim
+    targets = states[cols] ^ x[nonzero // dim]
+    at = np.minimum(np.searchsorted(states, targets), dim - 1)
+    inside = states[at] == targets
+    if np.any(np.abs(sums[nonzero[~inside]]) > _LEAK_TOL):
+        raise ValueError("the operator maps basis states outside the basis")
+    return at[inside], cols[inside], sums[nonzero[inside]]
 
 
 def basis_states(basis: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -92,8 +115,12 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
 
     A term c * i^{n_y} X^x Z^z maps |b> to c i^{n_y} (-1)^{|z & b|} |b ^ x>,
     so the terms sharing an X-mask x fill one generalized diagonal: entry
-    (b ^ x, b) is d_x[b] = sum over z of c i^{n_y} (-1)^{|z & b|}. Each d_x
-    is summed in `items()` order, so every entry is the same floating-point
+    (b ^ x, b) is d_x[b] = sum over z of c i^{n_y} (-1)^{|z & b|}. The
+    terms are stable-sorted by X-mask and built in passes of whole X-mask
+    groups, each of at most about _PASS_ENTRIES terms times basis states
+    (a larger group makes a pass alone): a pass tabulates each term's
+    signed coefficient on every basis state and adds each group's rows in
+    `items()` order from 0.0, so every entry is the same floating-point
     sum as a term-by-term build. Only nonzero entries are stored, so `nnz`
     counts them; distinct X-masks fill distinct entries, so the
     SparseBlock needs only a sort by (row, col). The entries are float64:
@@ -111,35 +138,37 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     """
     states = basis_states(basis, observable.n_qubits)
     dim = states.size
-    if not observable.is_hermitian() or any(
-            (x & z).bit_count() % 2 for (x, z), _ in observable.items()):
+    # cast first: 1 - (n_y & 2) would wrap in bitwise_count's uint8
+    n_y = np.bitwise_count(observable.x & observable.z).astype(np.int64)
+    if not observable.is_hermitian() or np.any(n_y & 1):
         raise ValueError(
             "the block needs a real symmetric operator: a Hermitian sum "
             "(real coefficients) with an even number of Y letters in "
             "every string")
-    masks: Dict[int, List[Tuple[int, float]]] = {}
-    for (x, z), coeff in observable.items():
-        masks.setdefault(x, []).append((z, coeff.real))
-    if not masks:
+    if not len(observable):
         empty = np.zeros(0, dtype=np.int64)
         return SparseBlock(empty, empty, np.zeros(0), dim)
-    rows, cols, values = [], [], []
-    for x, terms in masks.items():
-        d_x = _diagonal(x, terms, states)
-        nonzero = np.flatnonzero(d_x)
-        targets = states[nonzero] ^ x
-        at = np.minimum(np.searchsorted(states, targets), dim - 1)
-        inside = states[at] == targets
-        if np.any(np.abs(d_x[nonzero[~inside]]) > _LEAK_TOL):
-            raise ValueError(
-                "the operator maps basis states outside the basis")
-        rows.append(at[inside])
-        cols.append(nonzero[inside])
-        values.append(d_x[nonzero[inside]])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(observable.x, kind="stable")
+    x, z = observable.x[order], observable.z[order]
+    # i^{n_y} = (-1)^{n_y / 2} for an even Y count n_y
+    coeffs = (observable.coeffs.real * (1 - (n_y & 2)))[order]
+    # each X-mask group's first term, then the end of the last group
+    starts = np.flatnonzero(np.diff(x, prepend=-1)).tolist() + [x.size]
+    # the first group of each pass: whole groups up to about
+    # _PASS_ENTRIES entries, and at least one group
+    span = max(1, _PASS_ENTRIES // dim)
+    passes = [0]
+    while passes[-1] < len(starts) - 1:
+        first = passes[-1]
+        passes.append(max(first + 1, bisect.bisect_right(
+            starts, starts[first] + span) - 1))
+    rows, cols, values = map(np.concatenate, zip(*[
+        _diagonals(x[starts[a:b]], z[starts[a]:starts[b]],
+                   coeffs[starts[a]:starts[b]], np.diff(starts[a:b + 1]),
+                   states)
+        for a, b in zip(passes, passes[1:])]))
     order = np.argsort(rows * dim + cols)
-    return SparseBlock(rows[order], cols[order],
-                       np.concatenate(values)[order], dim)
+    return SparseBlock(rows[order], cols[order], values[order], dim)
 
 
 def _davidson(block: SparseBlock, scale: float) -> Tuple[float, np.ndarray]:

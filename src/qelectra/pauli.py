@@ -1,12 +1,12 @@
 """Pauli sums and fermion-to-qubit mappings.
 
-A `PauliSum` is the one qubit-operator form: it keys each Pauli string by
-its symplectic masks (x, z), qubit k at bit k, and keeps the coefficient of
-the Hermitian letters-operator (the one with literal Y matrices), which is
-i^{|x & z|} X^x Z^z because Y = i X Z on one qubit. A sum is Hermitian
-exactly when every coefficient is real. Strings multiply as
-(X^x1 Z^z1)(X^x2 Z^z2) = (-1)^{|z1 & x2|} X^x Z^z with x = x1 ^ x2,
-z = z1 ^ z2; `I_POWERS` is the one table of the phases.
+A `PauliSum` is the one qubit-operator form: three arrays holding each
+Pauli string's symplectic masks (x, z), qubit k at bit k, and the
+coefficient of its Hermitian letters-operator (the one with literal Y
+matrices), which is i^{|x & z|} X^x Z^z because Y = i X Z on one qubit.
+A sum is Hermitian exactly when every coefficient is real. Strings
+multiply as (X^x1 Z^z1)(X^x2 Z^z2) = (-1)^{|z1 & x2|} X^x Z^z with
+x = x1 ^ x2, z = z1 ^ z2; `I_POWERS` is the one table of the phases.
 
 Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
@@ -16,22 +16,23 @@ those rows. The image of a_j^ is (X-like - i Y-like)/2 and that of a_j its
 conjugate: both strings flip the qubits whose row holds mode j, and their
 Z-masks read the parity of the modes below j (X-like) or up to and
 including j (Y-like). `map_fermion` multiplies these images as bit
-operations on their masks, `sector_basis` lists one (N, S_z) sector by
-forward enumeration, and `decode_states` reads occupations back by
-back-substitution. `tests/pauli_oracle.py` keeps the images and their
-product as whole sums, the oracle `map_fermion` is checked against bit
-for bit. A binary-code style transformation is out of scope and
-requesting one raises immediately.
+operations on their masks, reading a `FermionOperator`'s runs of
+equal-length terms and returning the strings' arrays; `sector_basis`
+lists one (N, S_z) sector by forward enumeration, and `decode_states`
+reads occupations back by back-substitution. `tests/pauli_oracle.py`
+keeps the images and their product as whole sums, the oracle
+`map_fermion` is checked against bit for bit. A binary-code style
+transformation is out of scope and requesting one raises immediately.
 """
 
 import itertools
 import operator
 from enum import Enum
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .fermion import FermionOperator, TermKey
+from .fermion import FermionOperator
 
 # terms at or below this magnitude are dropped from a mapped operator
 DEFAULT_PRUNE_THRESHOLD = 1e-12
@@ -75,32 +76,42 @@ def mapping_from_name(name: str) -> MappingKind:
 
 
 class PauliSum:
-    """Complex linear combination of Pauli strings on a fixed register.
+    """Complex linear combination of distinct Pauli strings on a fixed
+    register.
 
-    Keyed by the (x, z) masks of each string; the stored coefficient
-    multiplies the Hermitian letters-operator, so `is_hermitian` is a
-    real-coefficient check.
+    Held as three arrays of one length, in the order the strings were
+    given: string j has the masks (x[j], z[j]) (int64) and the coefficient
+    coeffs[j] (complex128). The coefficient multiplies the Hermitian
+    letters-operator, so `is_hermitian` is a real-coefficient check.
     """
 
-    def __init__(self, n_qubits: int,
-                 data: Dict[Tuple[int, int], complex] = None):
+    def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray,
+                 coeffs: np.ndarray):
         self.n_qubits = n_qubits
-        self._data: Dict[Tuple[int, int], complex] = dict(data) if data else {}
+        self.x = np.asarray(x, dtype=np.int64)
+        self.z = np.asarray(z, dtype=np.int64)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        if not (self.coeffs.ndim == 1
+                and self.x.shape == self.z.shape == self.coeffs.shape):
+            raise ValueError("need one x-mask, one z-mask and one "
+                             "coefficient per string")
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self.coeffs.size
 
     def items(self) -> Iterable[Tuple[Tuple[int, int], complex]]:
-        return self._data.items()
+        """((x, z), coefficient) per string, in order."""
+        return zip(zip(self.x.tolist(), self.z.tolist()),
+                   self.coeffs.tolist())
 
     def is_hermitian(self) -> bool:
-        return all(abs(c.imag) <= HERMITIAN_TOL for c in self._data.values())
+        return bool(np.all(np.abs(self.coeffs.imag) <= HERMITIAN_TOL))
 
     def simplify(self) -> "PauliSum":
         """Drop terms with |coefficient| <= DEFAULT_PRUNE_THRESHOLD."""
-        return PauliSum(self.n_qubits,
-                        {k: c for k, c in self._data.items()
-                         if abs(c) > DEFAULT_PRUNE_THRESHOLD})
+        kept = np.abs(self.coeffs) > DEFAULT_PRUNE_THRESHOLD
+        return PauliSum(self.n_qubits, self.x[kept], self.z[kept],
+                        self.coeffs[kept])
 
 
 # ---- GF(2) encodings and ladder-operator masks -------------------------------
@@ -176,10 +187,12 @@ _I_REAL = np.real(I_POWERS)
 _I_IMAG = np.imag(I_POWERS)
 
 
-def _term_images(masks: np.ndarray, keys: List[TermKey], n_modes: int):
+def _term_images(masks: np.ndarray, modes: np.ndarray, daggers: np.ndarray,
+                 n_modes: int):
     """Qubit images of equal-length fermion terms, without coefficients.
 
-    A term's image is the product of its k factors' ladder images, so it
+    Row t of `modes` and `daggers` lists the factors of term t. A term's
+    image is the product of its k factors' ladder images, so it
     sums one string per choice of each factor's X-like string (weight
     1/2) or Y-like string (weight i/2 for a_i, -i/2 for a_i^). Strings
     multiply as (x_1, z_1) ... (x_k, z_k) = i^e (x, z), with x and z the
@@ -194,18 +207,7 @@ def _term_images(masks: np.ndarray, keys: List[TermKey], n_modes: int):
     x << n_modes | z, its term, and the real and imaginary parts of its
     weight in units of 2^-k: exact integers.
     """
-    n_terms, k = len(keys), len(keys[0])
-    try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(keys)),
-            dtype=np.int64, count=2 * k * n_terms).reshape(n_terms, k, 2)
-    except OverflowError:
-        raise ValueError(f"mode index outside register of {n_modes}") from None
-    modes = flat[:, :, 0]
-    outside = (modes < 0) | (modes >= n_modes)
-    if outside.any():
-        raise ValueError(f"mode index {modes[outside][0]} outside register "
-                         f"of {n_modes}")
+    n_terms, k = modes.shape
     flips, below, occ = masks[:, modes]
     x = np.bitwise_xor.reduce(flips, axis=1)
     # X-masks of the factors after each one: the cross terms of e need
@@ -214,7 +216,7 @@ def _term_images(masks: np.ndarray, keys: List[TermKey], n_modes: int):
     x_like, y_like = (np.bitwise_count(flips & z_j)
                       + 2 * np.bitwise_count(z_j & later)
                       for z_j in (below, below ^ occ))
-    y_like = (y_like - x_like + 1 + 2 * (flat[:, :, 1] != 0)) & 3
+    y_like = (y_like - x_like + 1 + 2 * daggers) & 3
     # a choice's first equal choice has each factor's bit moved to the
     # last factor on the same mode
     last = np.tile(np.arange(k), (n_terms, 1))
@@ -299,43 +301,39 @@ def map_fermion(op: FermionOperator, kind: MappingKind,
     term's image is exact in units of 2^-k, it is multiplied by the
     coefficient as Python multiplies complex numbers, and each string
     adds its terms from 0.0 in term order. Strings keep the order in
-    which the terms first meet them. Runs of equal-length terms are
-    mapped in array passes of at most MAP_CHUNK_ENTRIES choices.
+    which the terms first meet them. The operator's runs are mapped in
+    array passes of at most MAP_CHUNK_ENTRIES choices each.
     """
     if n_modes > MAX_MAPPED_MODES:
         raise ValueError(f"cannot map {n_modes} modes: the array pass holds "
                          f"at most {MAX_MAPPED_MODES}")
     masks = np.array(_mode_masks(kind, n_modes), dtype=np.int64)
-    keys = list(op.terms)
-    if not set(map(len, itertools.chain.from_iterable(keys))) <= {2}:
-        raise ValueError("a fermion term must be a tuple of (mode, dagger) "
-                         "pairs")
-    coeffs = np.fromiter(map(complex, op.terms.values()), dtype=complex,
-                         count=len(keys))
-    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
     totals = _StringTotals()
-    runs = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
-    for start, stop in zip(runs, runs[1:] + [len(keys)]):
-        k = int(lengths[start])
+    for modes, daggers, coeffs in op.runs:
+        outside = (modes < 0) | (modes >= n_modes)
+        if outside.any():
+            raise ValueError(f"mode index {modes[outside][0]} outside "
+                             f"register of {n_modes}")
+        k = modes.shape[1]
         step = max(1, MAP_CHUNK_ENTRIES >> k)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            packed, owner, a, b = _term_images(masks, keys[lo:hi], n_modes)
+        for lo in range(0, coeffs.size, step):
+            packed, owner, a, b = _term_images(
+                masks, modes[lo:lo + step], daggers[lo:lo + step], n_modes)
             a = a * 0.5 ** k
             b = b * 0.5 ** k
-            c_real = coeffs.real[lo:hi][owner]
-            c_imag = coeffs.imag[lo:hi][owner]
+            c_real = coeffs.real[lo:lo + step][owner]
+            c_imag = coeffs.imag[lo:lo + step][owner]
             # Python's complex product, part by part
             totals.add(packed, a * c_real - b * c_imag,
                        a * c_imag + b * c_real)
     strings, real, imag = totals.strings(), totals.real, totals.imag
     # |c| <= sqrt(2) max(|Re c|, |Im c|): what this drops, simplify would
     kept = np.maximum(abs(real), abs(imag)) > 0.5 * DEFAULT_PRUNE_THRESHOLD
-    strings, real, imag = strings[kept], real[kept], imag[kept]
-    pairs = zip((strings >> n_modes).tolist(),
-                (strings & ((1 << n_modes) - 1)).tolist())
-    return PauliSum(n_modes, dict(zip(pairs, map(
-        complex, real.tolist(), imag.tolist())))).simplify()
+    strings = strings[kept]
+    coeffs = np.empty(strings.size, dtype=complex)
+    coeffs.real, coeffs.imag = real[kept], imag[kept]
+    return PauliSum(n_modes, strings >> n_modes,
+                    strings & ((1 << n_modes) - 1), coeffs).simplify()
 
 
 def decode_states(kind: MappingKind, n_modes: int,

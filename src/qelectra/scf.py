@@ -92,6 +92,8 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
     history: List[Tuple[float, float]] = []
     fock_list: List[np.ndarray] = []
     error_list: List[np.ndarray] = []
+    # overlaps[i, j] = sum(e_i * e_j) of the kept error vectors
+    overlaps = np.zeros((0, 0))
     converged = False
 
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -101,11 +103,16 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
         err = A.T @ (F @ P @ S - S @ P @ F) @ A
         fock_list.append(F.copy())
         error_list.append(err)
+        # only the new error vector's row of overlaps is new; B is symmetric
+        overlaps = np.pad(overlaps, ((0, 1), (0, 1)))
+        overlaps[-1] = overlaps[:, -1] = [float(np.sum(err * e))
+                                          for e in error_list]
         if len(fock_list) > DIIS_DEPTH:
             fock_list.pop(0)
             error_list.pop(0)
+            overlaps = overlaps[1:, 1:]
         if len(fock_list) >= 2:
-            F_use = _diis_extrapolate(fock_list, error_list)
+            F_use = _diis_extrapolate(fock_list, overlaps)
             if F_use is not None:
                 F = F_use
 
@@ -140,15 +147,15 @@ def run_rhf(integrals: IntegralSet, n_electrons: int) -> ScfResult:
     )
 
 
-def _diis_extrapolate(fock_list, error_list):
+def _diis_extrapolate(fock_list, overlaps):
+    """Pulay's DIIS Fock matrix from the kept Fock matrices and their
+    error vectors' overlap matrix; None if the system is singular."""
     m = len(fock_list)
     B = np.empty((m + 1, m + 1))
     B[-1, :] = -1.0
     B[:, -1] = -1.0
     B[-1, -1] = 0.0
-    for i in range(m):
-        for j in range(m):
-            B[i, j] = float(np.sum(error_list[i] * error_list[j]))
+    B[:m, :m] = overlaps
     rhs = np.zeros(m + 1)
     rhs[-1] = -1.0
     try:

@@ -92,31 +92,27 @@ def sampled_expectation(amplitudes: np.ndarray, basis: np.ndarray,
     psi = np.asarray(amplitudes)
     if psi.shape != states.shape:
         raise ValueError("need one amplitude per basis state")
-    constant, coeffs, masks = 0.0, [], {}
-    for (x, z), coeff in observable.items():
-        if x | z:
-            masks.setdefault(x, []).append((len(coeffs), z))
-            coeffs.append(coeff.real)
-        else:
-            constant += coeff.real
-    expected = [0.0] * len(coeffs)
-    for x, terms in masks.items():
-        targets = states ^ x
+    measured = (observable.x | observable.z) != 0
+    coeffs = observable.coeffs.real[measured]
+    x, z = observable.x[measured], observable.z[measured]
+    expected = np.empty(coeffs.size)
+    for mask in dict.fromkeys(x.tolist()):
+        targets = states ^ mask
         at = np.minimum(np.searchsorted(states, targets), states.size - 1)
         inside = states[at] == targets
         kets = states[inside]
         products = np.conj(psi[at[inside]]) * psi[inside]
-        for k, z in terms:
-            signs = 1.0 - 2.0 * bit_parity(kets & z)
-            expected[k] = (I_POWERS[(x & z).bit_count() % 4]
+        for k in np.flatnonzero(x == mask).tolist():
+            signs = 1.0 - 2.0 * bit_parity(kets & z[k])
+            expected[k] = (I_POWERS[(mask & int(z[k])).bit_count() % 4]
                            * np.dot(signs, products)).real
-    p_plus = np.clip(0.5 * (1.0 + np.array(expected)), 0.0, 1.0)
+    p_plus = np.clip(0.5 * (1.0 + expected), 0.0, 1.0)
     means = (2 * rng.binomial(shots, p_plus) - shots) / shots
     # at one shot m = +-1, so the variance is 0
     variances = shots * (1.0 - means ** 2) / max(shots - 1, 1)
-    c = np.array(coeffs)
-    return (constant + float(np.sum(c * means)),
-            float(np.sqrt(np.sum(c * c * variances) / shots)))
+    constant = np.sum(observable.coeffs.real[~measured], initial=0.0)
+    return (float(constant + np.sum(coeffs * means)),
+            float(np.sqrt(np.sum(coeffs * coeffs * variances) / shots)))
 
 
 # ---- circuits ------------------------------------------------------------------

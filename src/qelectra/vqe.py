@@ -125,7 +125,9 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
     (and j) occupied and a (and b) empty, its targets T D up to the sign
     T picks up there, the Jordan-Wigner sign (-1)^(occupied modes below
     the mode) of each ladder operator in turn. Every mapping encodes these
-    same amplitudes, so the mapping enters only through the decoding.
+    same amplitudes, so the mapping enters only through the decoding. All
+    excitations are compiled at once, in (excitation, determinant) arrays
+    with one pass per ladder operator, and then split per excitation.
     """
     occupations = decode_states(system.mapping, ansatz.n_spin_orbitals,
                                 system.sector)
@@ -138,18 +140,29 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
             raise ValueError("the ansatz leaves the system's sector")
         return order[pos]
 
-    instructions = []
-    for exc in ansatz.excitations:
-        holes = sum(1 << i for i in exc.occupied)
-        moved = holes | sum(1 << a for a in exc.virtual)
-        source = np.flatnonzero((occupations & moved) == holes)
-        occ = occupations[source]
-        parity = np.zeros(source.size, dtype=np.int8)
-        # T acts right to left: a_i, a_j, then a_b^, a_a^
-        for mode in exc.occupied + exc.virtual[::-1]:
-            parity ^= bit_parity(occ & ((1 << mode) - 1))
-            occ = occ ^ (1 << mode)
-        instructions.append((source, locate(occ), 1.0 - 2.0 * parity))
+    # T acts right to left: a_i, a_j, then a_b^, a_a^; each row of `flips`
+    # holds an excitation's steps, padded with steps that flip no mode
+    steps = [exc.occupied + exc.virtual[::-1] for exc in ansatz.excitations]
+    width = max(map(len, steps), default=0)
+    flips = np.array([[1 << m for m in modes] + [0] * (width - len(modes))
+                      for modes in steps],
+                     dtype=np.int64).reshape(len(steps), width)
+    holes = np.array([sum(1 << i for i in exc.occupied)
+                      for exc in ansatz.excitations], dtype=np.int64)
+    moved = np.bitwise_or.reduce(flips, axis=1)
+    # row k marks the determinants D that excitation k acts on
+    sources = (occupations & moved[:, None]) == holes[:, None]
+    # T D and its sign for every (excitation, determinant) pair; only the
+    # sources' are kept
+    occ = occupations
+    parity = np.zeros(sources.shape, dtype=np.int8)
+    for flip in flips.T[:, :, None]:
+        parity ^= bit_parity(occ & np.maximum(flip - 1, 0))
+        occ = occ ^ flip
+    targets = locate(np.where(sources, occ, ranked[0]))
+    signs = 1.0 - 2.0 * parity
+    instructions = [(np.flatnonzero(row), t[row], s[row])
+                    for row, t, s in zip(sources, targets, signs)]
     aufbau = np.array([(1 << ansatz.n_electrons) - 1])
     return Circuit(occupations.size, int(locate(aufbau)[0]), instructions)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from qelectra.fermion import ActiveSpaceSpec
 from qelectra.pipeline import assemble, shipped_geometry
 
 SHIPPED = ["h2", "lih", "h2o", "nh3", "ch4", "co2"]
@@ -16,3 +17,10 @@ def assembled():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def wide_ch4():
+    """CH4 assembled once in the wide (8e, 8o) window: 16 qubits, a
+    4,900-determinant sector."""
+    return assemble(shipped_geometry("ch4"), ActiveSpaceSpec(8, 8))

@@ -3,9 +3,13 @@ of the UCCSD state.
 
 The package reads a Pauli string only as its masks (x, z), standing for
 its Hermitian letters-operator, character k of the letters on qubit k;
-`letters` and `masks` convert between the two, and `pauli_sum` writes a
-`PauliSum` by letters; `block_matrix` is the dense matrix of a block
-`oracle.pauli_to_sparse` built. `add` and `product` combine two sums
+`letters` and `masks` convert between the two, `pauli_sum` writes a
+`PauliSum` by letters and `masked_sum` by masks; `block_matrix` is the
+dense matrix of a block `oracle.pauli_to_sparse` built, and
+`block_by_diagonals` the oracle it is checked against bit for bit: each
+X-mask's diagonal summed term by term in a Python loop.
+`fermion_operator` writes a `FermionOperator` from (term key,
+coefficient) pairs. `add` and `product` combine two sums
 string by string, and `ladder_image` is the qubit image of one ladder
 operator as a two-string sum: the term-by-term products of ladder images
 are the oracle `map_fermion` must match bit for bit, and
@@ -28,7 +32,9 @@ applies it. `PauliCircuit` compiles the rotations once into those
 actions, so `run` only gathers and multiplies and is bit-identical to
 applying the rotations one by one with `apply_pauli_exponential`.
 `adjoint_gradient` walks them backwards (Jones & Gacon,
-arXiv:2009.02823).
+arXiv:2009.02823). `circuit_by_excitations` compiles the sector route's
+`simulator.Circuit` one excitation at a time, the oracle
+`vqe.ansatz_circuit` is checked against bit for bit.
 
 `rotated_plus_probability` is the probability of +1 when one string is
 measured on a register state the way a device measures it: each qubit
@@ -40,15 +46,17 @@ it.
 checked against.
 """
 
+import itertools
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from qelectra.fermion import FermionOperator
-from qelectra.oracle import SparseBlock
+from qelectra.oracle import SparseBlock, basis_states
 from qelectra.pauli import (I_POWERS, MappingKind, PauliSum, _encoding,
-                            _mode_masks, bit_parity, map_fermion)
-from qelectra.simulator import StateVector
+                            _mode_masks, bit_parity, decode_states,
+                            map_fermion)
+from qelectra.simulator import Circuit, StateVector
 from qelectra.vqe import Excitation, UccsdAnsatz
 
 Masks = Tuple[int, int]
@@ -121,7 +129,13 @@ def pauli_sum(n_qubits: int,
             raise ValueError("register size mismatch")
         key = masks(word)
         data[key] = data.get(key, 0.0) + coeff
-    return PauliSum(n_qubits, data)
+    return masked_sum(n_qubits, data)
+
+
+def masked_sum(n_qubits: int, data: Dict[Masks, complex]) -> PauliSum:
+    """The sum of a {(x, z): coefficient} map, strings in its order."""
+    return PauliSum(n_qubits, [x for x, _ in data], [z for _, z in data],
+                    list(data.values()))
 
 
 def block_matrix(block: SparseBlock) -> np.ndarray:
@@ -129,6 +143,53 @@ def block_matrix(block: SparseBlock) -> np.ndarray:
     out = np.zeros(block.shape)
     out[block.rows, block.cols] = block.values
     return out
+
+
+def _diagonal(x: int, terms: List[Tuple[int, float]],
+              states: np.ndarray) -> np.ndarray:
+    """Entries (b ^ x, b) over the basis states b, summed in `terms` order."""
+    out = np.zeros(states.size)
+    for z, coeff in terms:
+        signs = 1.0 - 2.0 * bit_parity(states & z)
+        # i^{n_y} = (-1)^{n_y / 2} for an even Y count n_y
+        out += (coeff * (1 - ((x & z).bit_count() & 2))) * signs
+    return out
+
+
+def block_by_diagonals(observable: PauliSum,
+                       basis: np.ndarray) -> SparseBlock:
+    """The block `oracle.pauli_to_sparse` builds, one X-mask at a time:
+    the terms grouped by X-mask in `items()` order, each group's diagonal
+    summed term by term, with the same refusals."""
+    states = basis_states(basis, observable.n_qubits)
+    dim = states.size
+    if not observable.is_hermitian() or any(
+            (x & z).bit_count() % 2 for (x, z), _ in observable.items()):
+        raise ValueError(
+            "the block needs a real symmetric operator: a Hermitian sum "
+            "(real coefficients) with an even number of Y letters in "
+            "every string")
+    groups: Dict[int, List[Tuple[int, float]]] = {}
+    for (x, z), coeff in observable.items():
+        groups.setdefault(x, []).append((z, coeff.real))
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, values = [empty], [empty], [np.zeros(0)]
+    for x, terms in groups.items():
+        d_x = _diagonal(x, terms, states)
+        nonzero = np.flatnonzero(d_x)
+        targets = states[nonzero] ^ x
+        at = np.minimum(np.searchsorted(states, targets), dim - 1)
+        inside = states[at] == targets
+        if np.any(np.abs(d_x[nonzero[~inside]]) > 1e-10):
+            raise ValueError(
+                "the operator maps basis states outside the basis")
+        rows.append(at[inside])
+        cols.append(nonzero[inside])
+        values.append(d_x[nonzero[inside]])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(rows * dim + cols)
+    return SparseBlock(rows[order], cols[order],
+                       np.concatenate(values)[order], dim)
 
 
 def add(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:
@@ -139,7 +200,7 @@ def add(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:
     data = dict(a.items())
     for key, c in b.items():
         data[key] = data.get(key, 0.0) + scale * c
-    return PauliSum(a.n_qubits, data)
+    return masked_sum(a.n_qubits, data)
 
 
 def product(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -159,7 +220,7 @@ def product(a: PauliSum, b: PauliSum) -> PauliSum:
             power = (y1 + y2 - y3 + 2 * (z1 & x2).bit_count()) % 4
             key = (x3, z3)
             data[key] = data.get(key, 0.0) + c1 * c2 * I_POWERS[power]
-    return PauliSum(a.n_qubits, data)
+    return masked_sum(a.n_qubits, data)
 
 
 def ladder_image(kind: MappingKind, index: int, dagger: bool,
@@ -176,8 +237,8 @@ def ladder_image(kind: MappingKind, index: int, dagger: bool,
                         for per_mode in _mode_masks(kind, n_modes))
     # complex() keeps the real part +0.0, where the literal -0.5j has -0.0
     y_like = complex(0.0, -0.5 if dagger else 0.5)
-    return PauliSum(n_modes, {(flip, below): 0.5,
-                              (flip, below ^ occ): y_like})
+    return masked_sum(n_modes, {(flip, below): 0.5,
+                                (flip, below ^ occ): y_like})
 
 
 def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
@@ -191,7 +252,7 @@ def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
 
     lower = [ladder_image(kind, i, False, n_modes) for i in range(n_modes)]
     raise_ = [ladder_image(kind, i, True, n_modes) for i in range(n_modes)]
-    identity = PauliSum(n_modes, {(0, 0): 1.0})
+    identity = masked_sum(n_modes, {(0, 0): 1.0})
     worst = 0.0
     for i in range(n_modes):
         for j in range(n_modes):
@@ -205,24 +266,35 @@ def anticommutation_check(kind: MappingKind, n_modes: int) -> float:
     return worst
 
 
-def fermion_operator(terms) -> FermionOperator:
-    """A FermionOperator holding the given {term key: coefficient} map."""
-    op = FermionOperator()
-    op.terms.update(terms)
-    return op
+def fermion_operator(terms: Iterable[Tuple[tuple, complex]]
+                     ) -> FermionOperator:
+    """The operator of (term key, coefficient) pairs, a key a tuple of
+    (mode, dagger) pairs: a repeated key adds its coefficient to its
+    total, and the terms keep the order of their first appearance, in
+    runs of equal length."""
+    data: Dict[tuple, complex] = {}
+    for key, coeff in terms:
+        data[key] = data[key] + coeff if key in data else coeff
+    runs = []
+    for length, keys in itertools.groupby(data, key=len):
+        keys = list(keys)
+        factors = np.array(keys, dtype=np.int64).reshape(len(keys), length, 2)
+        runs.append((factors[:, :, 0], factors[:, :, 1] != 0,
+                     np.array([data[key] for key in keys], dtype=complex)))
+    return FermionOperator(runs)
 
 
 def number_operator(n_modes: int) -> FermionOperator:
     """Total particle number, sum of a_p^ a_p over all modes."""
-    return fermion_operator({((p, 1), (p, 0)): 1.0 for p in range(n_modes)})
+    return fermion_operator((((p, 1), (p, 0)), 1.0) for p in range(n_modes))
 
 
 def sz_operator(n_modes: int) -> FermionOperator:
     """Spin projection S_z for the interleaved even-alpha, odd-beta layout."""
     if n_modes % 2 != 0:
         raise ValueError("spin layout needs an even number of modes")
-    return fermion_operator({((p, 1), (p, 0)): 0.5 - p % 2
-                             for p in range(n_modes)})
+    return fermion_operator((((p, 1), (p, 0)), 0.5 - p % 2)
+                            for p in range(n_modes))
 
 
 # ---- Pauli strings on the register ------------------------------------------
@@ -284,19 +356,16 @@ def rotated_plus_probability(state: StateVector, x: int, z: int) -> float:
 
 def excitation_generator(excitation: Excitation) -> FermionOperator:
     """Anti-Hermitian generator T - T^ for one excitation."""
-    op = FermionOperator()
     order = len(excitation.occupied)
     if order == 1:
         (i,), (a,) = excitation.occupied, excitation.virtual
-        op.add_term(((a, 1), (i, 0)), 1.0)
-        op.add_term(((i, 1), (a, 0)), -1.0)
-    elif order == 2:
+        return fermion_operator([(((a, 1), (i, 0)), 1.0),
+                                 (((i, 1), (a, 0)), -1.0)])
+    if order == 2:
         (i, j), (a, b) = excitation.occupied, excitation.virtual
-        op.add_term(((a, 1), (b, 1), (j, 0), (i, 0)), 1.0)
-        op.add_term(((i, 1), (j, 1), (b, 0), (a, 0)), -1.0)
-    else:
-        raise ValueError(f"unsupported excitation order {order}")
-    return op
+        return fermion_operator([(((a, 1), (b, 1), (j, 0), (i, 0)), 1.0),
+                                 (((i, 1), (j, 1), (b, 0), (a, 0)), -1.0)])
+    raise ValueError(f"unsupported excitation order {order}")
 
 
 def generator_rotations(excitation: Excitation, kind: MappingKind,
@@ -427,3 +496,35 @@ def register_state(system, amplitudes: np.ndarray) -> StateVector:
     data = np.zeros(1 << system.n_qubits, dtype=complex)
     data[system.sector] = amplitudes
     return StateVector(system.n_qubits, data)
+
+
+def circuit_by_excitations(ansatz: UccsdAnsatz, system) -> Circuit:
+    """The circuit `vqe.ansatz_circuit` compiles, one excitation at a
+    time: the sources of excitation T are the determinants with its
+    occupied modes occupied and its virtual modes empty, and T's ladder
+    operators act on them right to left, each adding the parity of the
+    occupied modes below its own to the sign."""
+    occupations = decode_states(system.mapping, ansatz.n_spin_orbitals,
+                                system.sector)
+    order = np.argsort(occupations)
+    ranked = occupations[order]
+
+    def locate(occ: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(ranked, occ), ranked.size - 1)
+        if np.any(ranked[pos] != occ):
+            raise ValueError("the ansatz leaves the system's sector")
+        return order[pos]
+
+    instructions = []
+    for exc in ansatz.excitations:
+        holes = sum(1 << i for i in exc.occupied)
+        moved = holes | sum(1 << a for a in exc.virtual)
+        source = np.flatnonzero((occupations & moved) == holes)
+        occ = occupations[source]
+        parity = np.zeros(source.size, dtype=np.int8)
+        for mode in exc.occupied + exc.virtual[::-1]:
+            parity ^= bit_parity(occ & ((1 << mode) - 1))
+            occ = occ ^ (1 << mode)
+        instructions.append((source, locate(occ), 1.0 - 2.0 * parity))
+    aufbau = np.array([(1 << ansatz.n_electrons) - 1])
+    return Circuit(occupations.size, int(locate(aufbau)[0]), instructions)

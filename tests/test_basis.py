@@ -57,3 +57,18 @@ def test_p_functions_on_carbon():
     assert len(p_funcs) == 3
     assert sorted(f.powers for f in p_funcs) == [(0, 0, 1), (0, 1, 0),
                                                  (1, 0, 0)]
+
+
+def test_each_call_builds_new_functions_on_shared_read_only_arrays():
+    # an element's shells are normalized once per process; a function
+    # cannot write through to another molecule's
+    first, second = (load_basis(shipped_geometry("h2o")) for _ in range(2))
+    assert len(first) == len(second) == 7
+    for a, b in zip(first, second):
+        assert a is not b and a.center is not b.center
+        assert a.alphas is b.alphas and a.coeffs is b.coeffs
+        assert not (a.alphas.flags.writeable or a.coeffs.flags.writeable)
+    # both hydrogens share one contraction
+    assert first[5].coeffs is first[6].coeffs
+    with pytest.raises(ValueError, match="read-only"):
+        first[0].coeffs[0] = 1.0

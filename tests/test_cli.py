@@ -287,10 +287,11 @@ from qelectra.oracle import lowest_eigenvalues, pauli_to_sparse
 from qelectra.pauli import PauliSum
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["--molecule", "h2", "--method", "hf,vqe,fci"])
-# 12 qubits, 4,096 dimensions; Z_q and X_q keyed by their masks (x, z)
-spins = PauliSum(12, {key: coeff for q in range(12)
-                      for key, coeff in (((0, 1 << q), 1.0 + q),
-                                         ((1 << q, 0), 0.3))})
+# 12 qubits, 4,096 dimensions; Z_q and X_q by their masks (x, z)
+ones = 1 << np.arange(12)
+spins = PauliSum(12, np.concatenate([0 * ones, ones]),
+                 np.concatenate([ones, 0 * ones]),
+                 np.concatenate([1.0 + np.arange(12), np.full(12, 0.3)]))
 lowest_eigenvalues(pauli_to_sparse(spins, np.arange(1 << 12)))
 print(rc, *sorted(name for name in sys.modules
                   if name.split(".")[0] == "scipy"

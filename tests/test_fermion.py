@@ -19,7 +19,8 @@ from qelectra.pauli import MappingKind, map_fermion
 from qelectra.pipeline import SHIPPED_MOLECULES, assemble, shipped_geometry
 from qelectra.scf import run_rhf
 from qelectra.simulator import StateVector
-from pauli_oracle import block_matrix, number_operator, sz_operator
+from pauli_oracle import (block_matrix, fermion_operator, number_operator,
+                          sz_operator)
 
 
 def dense_annihilator(mode, n_modes):
@@ -55,9 +56,9 @@ def bitwise(items):
 def build_hamiltonian_by_loops(so):
     """The Hamiltonian index tuple by index tuple, in nested loops: the
     loop `build_hamiltonian` replaces with array passes."""
-    op = FermionOperator()
+    terms = []
     if abs(so.core_energy) > 0.0:
-        op.add_term((), complex(so.core_energy))
+        terms.append(((), complex(so.core_energy)))
     n = so.n_orbitals
     h = so.one_body
     g = so.two_body
@@ -65,7 +66,7 @@ def build_hamiltonian_by_loops(so):
         for q in range(n):
             c = complex(h[p, q])
             if abs(c) > TERM_THRESHOLD:
-                op.add_term(((p, 1), (q, 0)), c)
+                terms.append((((p, 1), (q, 0)), c))
     for p in range(n):
         for q in range(n):
             if p == q:
@@ -76,8 +77,8 @@ def build_hamiltonian_by_loops(so):
                         continue
                     c = 0.5 * complex(g[p, q, r, s])
                     if abs(c) > TERM_THRESHOLD:
-                        op.add_term(((p, 1), (q, 1), (s, 0), (r, 0)), c)
-    return op
+                        terms.append((((p, 1), (q, 1), (s, 0), (r, 0)), c))
+    return fermion_operator(terms)
 
 
 def full_spin_orbitals(ints, scf, n_electrons):
@@ -128,6 +129,19 @@ def h2_spin_orbitals():
     ints = compute_integrals(mol)
     scf = run_rhf(ints, 2)
     return scf, full_spin_orbitals(ints, scf, 2)
+
+
+def test_fermion_operator_refuses_runs_of_unequal_shapes():
+    # one (terms, length) shape for modes and flags, one coefficient per
+    # term: otherwise a term would read another's factors
+    modes = np.array([[0, 1], [1, 0]])
+    flags = np.array([[True, False], [True, False]])
+    coeffs = np.array([1.0, 2.0], dtype=complex)
+    assert len(FermionOperator([(modes, flags, coeffs)])) == 2
+    for run in ((modes, flags[:, :1], coeffs), (modes, flags, coeffs[:1]),
+                (modes[0], flags[0], coeffs[:1])):
+        with pytest.raises(ValueError, match="one coefficient per term"):
+            FermionOperator([run])
 
 
 def test_h2_term_count():

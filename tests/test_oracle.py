@@ -1,6 +1,7 @@
 """Exact diagonalization: the Pauli matrix builder and the eigensolver."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelectra import cli
-from qelectra.fermion import ActiveSpaceSpec, FermionOperator
+from qelectra.fermion import ActiveSpaceSpec
 from qelectra import oracle
 from qelectra.oracle import (
     exact_ground_energy,
     lowest_eigenvalues,
     pauli_to_sparse,
 )
-from qelectra.pauli import MappingKind, PauliSum, map_fermion, sector_basis
+from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.pipeline import assemble, shipped_geometry
 from qelectra.simulator import StateVector
-from pauli_oracle import (add, apply_pauli, block_matrix, encode_occupation,
-                          fermion_operator, number_operator, pauli_sum)
+from conftest import SHIPPED
+from pauli_oracle import (add, apply_pauli, block_by_diagonals, block_matrix,
+                          encode_occupation, fermion_operator, masked_sum,
+                          number_operator, pauli_sum)
 from test_cli import method_row
 from test_pauli import dense_sum, pauli_sums, term
 
@@ -73,7 +76,7 @@ def test_sparse_build_matches_kron_reference(op):
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_empty_sum_gives_zero_matrix(n):
-    matrix = pauli_to_sparse(PauliSum(n), np.arange(1 << n))
+    matrix = pauli_to_sparse(masked_sum(n, {}), np.arange(1 << n))
     assert matrix.shape == (1 << n, 1 << n)
     assert matrix.nnz == 0
     assert not block_matrix(matrix).any()
@@ -110,7 +113,7 @@ def test_block_matvec_is_bit_identical_to_csr(kind):
 
 def test_block_has_no_qubit_cap():
     # a block never spans the register, so 25 qubits build at once
-    block = pauli_to_sparse(PauliSum(25, {(0, 0): 1.0}),
+    block = pauli_to_sparse(masked_sum(25, {(0, 0): 1.0}),
                             np.array([0, 5, 1 << 19]))
     assert np.array_equal(block_matrix(block), np.eye(3))
 
@@ -119,7 +122,7 @@ def test_block_has_no_qubit_cap():
 def test_zero_diagonal_block_reaches_the_ground_state(n):
     # X_0 - X_0 Z_1 has a zero diagonal and maps states 0 and 1 to zero,
     # so a start on their unit vectors converges to 0.0, not -2.0
-    op = PauliSum(12, {(1, 0): 1.0, (1, 2): -1.0})
+    op = masked_sum(12, {(1, 0): 1.0, (1, 2): -1.0})
     assert lowest_eigenvalues(pauli_to_sparse(op, np.arange(1 << n))) \
         == pytest.approx(-2.0, abs=1e-12)
 
@@ -142,8 +145,8 @@ def hermitian_sums(draw):
                       st.floats(-2.0, -1e-6))
     terms = draw(st.lists(st.tuples(x_mask, mask, coeff),
                           min_size=1, max_size=12))
-    return PauliSum(n, {(x, z ^ (x & -x) * ((x & z).bit_count() % 2)): c
-                        for x, z, c in terms})
+    return masked_sum(n, {(x, z ^ (x & -x) * ((x & z).bit_count() % 2)): c
+                          for x, z, c in terms})
 
 
 @settings(deadline=None)
@@ -158,7 +161,7 @@ def test_one_state_block_and_empty_sum():
     # Z_0 + 0.5 I on state 1 alone is the 1 x 1 block [-0.5]
     op = pauli_sum(2, [("ZI", 1.0), ("II", 0.5)])
     assert lowest_eigenvalues(pauli_to_sparse(op, np.array([1]))) == -0.5
-    assert lowest_eigenvalues(pauli_to_sparse(PauliSum(3),
+    assert lowest_eigenvalues(pauli_to_sparse(masked_sum(3, {}),
                                               np.arange(8))) == 0.0
 
 
@@ -167,7 +170,7 @@ def test_non_hermitian_inputs_rejected(monkeypatch):
     def refuse(*args):
         raise AssertionError("the block was built")
 
-    monkeypatch.setattr(oracle, "_diagonal", refuse)
+    monkeypatch.setattr(oracle, "_diagonals", refuse)
     # 1j * X has eigenvalues +-i, and -i XY an imaginary coefficient
     for op in (term("X", 0.5j), term("X", 1j), term("XY", -1j)):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -190,6 +193,105 @@ def test_mapped_hamiltonians_build_a_real_block(key, window, kind):
     block = system.block
     assert block.values.dtype == np.float64
     assert block.shape[0] == system.sector.size
+
+
+def same_block(got, want):
+    """Whether two blocks have the same shape and the same bytes."""
+    return got.shape == want.shape and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in ((got.rows, want.rows), (got.cols, want.cols),
+                     (got.values, want.values)))
+
+
+@pytest.mark.parametrize("kind", list(MappingKind))
+@pytest.mark.parametrize("key", SHIPPED + ["ch4 (8e, 8o)"])
+def test_block_matches_the_diagonal_loop_bit_for_bit(key, kind, assembled,
+                                                     wide_ch4):
+    system = wide_ch4 if key == "ch4 (8e, 8o)" else assembled(key)
+    hamiltonian = map_fermion(system.hamiltonian, kind, system.n_qubits)
+    sector = sector_basis(kind, system.n_qubits,
+                          *[system.spin_orbitals.n_electrons // 2] * 2)
+    assert same_block(pauli_to_sparse(hamiltonian, sector),
+                      block_by_diagonals(hamiltonian, sector))
+
+
+# exact values, so that terms sharing an X-mask often cancel exactly
+_EXACT = st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.25, 1e-11, -3e-11])
+
+
+@st.composite
+def sums_on_bases(draw):
+    """A real symmetric Pauli sum on 1-6 qubits (real coefficients, an
+    even Y count in every string), up to 40 strings on few X-masks, and a
+    sorted basis of distinct states: either closed under the sum's
+    X-masks, so that no entry leaves it, or any subset of the register."""
+    n = draw(st.integers(1, 6))
+    x_masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                            max_size=4))
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(x_masks), st.integers(0, (1 << n) - 1),
+        st.one_of(_EXACT, st.floats(-2.0, 2.0))), min_size=1, max_size=40))
+    op = masked_sum(n, {(x, z ^ (x & -x) * ((x & z).bit_count() % 2)): c
+                        for x, z, c in terms})
+    states = set(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=8)))
+    if draw(st.booleans()):
+        for x in x_masks:
+            states |= {b ^ x for b in states}
+    return op, np.array(sorted(states))
+
+
+@settings(deadline=None, max_examples=300)
+@given(sums_on_bases())
+def test_block_matches_the_diagonal_loop_on_random_bases(case):
+    op, basis = case
+    try:
+        want = block_by_diagonals(op, basis)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=str(refusal)):
+            pauli_to_sparse(op, basis)
+    else:
+        assert same_block(pauli_to_sparse(op, basis), want)
+
+
+@pytest.mark.parametrize("basis", [[0], [0, 1 << 4]])
+def test_block_adds_an_entrys_terms_in_order(basis):
+    # twelve diagonal strings, each +1 on both states: a pairwise sum of
+    # the column, such as numpy's along a one-state axis, rounds otherwise
+    coeffs = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.3]
+    op = masked_sum(5, {(0, z): c for z, c in enumerate(coeffs)})
+    block = pauli_to_sparse(op, np.array(basis))
+    assert same_block(block, block_by_diagonals(op, np.array(basis)))
+    assert block.values.tolist() == [sum(coeffs)] * len(basis)
+
+
+@pytest.mark.parametrize("op, basis, fragment", [
+    (term("X", 1j), [0, 1], "Hermitian"),
+    (term("XY"), [0, 1, 2, 3], "even number of Y"),
+    (term("X"), [0], "outside the basis")])
+def test_block_and_its_oracle_refuse_alike(op, basis, fragment):
+    for build in (pauli_to_sparse, block_by_diagonals):
+        with pytest.raises(ValueError, match=fragment):
+            build(op, np.array(basis))
+    # an entry outside the basis at or below 1e-10 is dropped, not refused
+    small = term("X", 1e-10)
+    assert same_block(pauli_to_sparse(small, np.array([0])),
+                      block_by_diagonals(small, np.array([0])))
+    assert pauli_to_sparse(small, np.array([0])).nnz == 0
+
+
+def test_ch4_block_peaks_below_3_4_megabytes(assembled):
+    # each pass's sign table holds about oracle._PASS_ENTRIES entries; the
+    # block's 44,320 stored entries dominate the peak
+    system = assembled("ch4")
+    hamiltonian, sector = system.qubit_hamiltonian, system.sector
+    tracemalloc.start()
+    try:
+        pauli_to_sparse(hamiltonian, sector)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_400_000
 
 
 def independent_spins(n, fields, coupling):
@@ -263,7 +365,7 @@ def test_davidson_resolves_a_block_of_small_entries():
     # 1e-10 X: the start's residual, about 1e-10, would pass a tolerance
     # that ignored the block's size, and the solve would return the
     # Rayleigh quotient of the start instead of -1e-10
-    block = pauli_to_sparse(PauliSum(1, {(1, 0): 1e-10}), np.arange(2))
+    block = pauli_to_sparse(masked_sum(1, {(1, 0): 1e-10}), np.arange(2))
     assert lowest_eigenvalues(block) == pytest.approx(-1e-10, rel=1e-9)
 
 
@@ -305,17 +407,16 @@ def number_conserving(draw):
     n_electrons = draw(st.integers(0, n_modes))
     mode = st.integers(0, n_modes - 1)
     coeff = st.floats(-1.0, 1.0, allow_nan=False)
-    op = FermionOperator()
     # each term T enters as T + T^, so the operator's block is real
     # symmetric
+    terms = []
     for p, q, c in draw(st.lists(st.tuples(mode, mode, coeff), max_size=4)):
-        op.add_term(((p, 1), (q, 0)), c)
-        op.add_term(((q, 1), (p, 0)), c)
+        terms += [(((p, 1), (q, 0)), c), (((q, 1), (p, 0)), c)]
     for p, q, r, s, c in draw(st.lists(
             st.tuples(mode, mode, mode, mode, coeff), max_size=4)):
-        op.add_term(((p, 1), (q, 1), (r, 0), (s, 0)), c)
-        op.add_term(((s, 1), (r, 1), (q, 0), (p, 0)), c)
-    mapped = map_fermion(op, kind, n_modes)
+        terms += [(((p, 1), (q, 1), (r, 0), (s, 0)), c),
+                  (((s, 1), (r, 1), (q, 0), (p, 0)), c)]
+    mapped = map_fermion(fermion_operator(terms), kind, n_modes)
     return mapped, fixed_number_basis(kind, n_modes, n_electrons)
 
 
@@ -344,15 +445,15 @@ def test_lithium_hydride_sector_block_equals_the_slice(assembled):
 @pytest.mark.parametrize("kind", list(MappingKind))
 def test_sector_block_refuses_an_operator_that_leaves_it(kind):
     # a_0^ + a_0 changes the particle number of every state it touches
-    ladder = map_fermion(fermion_operator({((0, 1),): 1.0, ((0, 0),): 1.0}),
-                         kind, 4)
+    ladder = map_fermion(fermion_operator([(((0, 1),), 1.0),
+                                           (((0, 0),), 1.0)]), kind, 4)
     basis = sector_basis(kind, 4, 1, 1)
     with pytest.raises(ValueError, match="outside the basis"):
         pauli_to_sparse(ladder, basis)
 
 
 def test_sector_basis_argument_validation():
-    op = PauliSum(2, {(0, 0): 1.0})
+    op = masked_sum(2, {(0, 0): 1.0})
     for bad, fragment in (([2, 1], "sorted"), ([1, 1], "sorted"),
                           ([0, 4], "0..3"), ([-1, 0], "0..3"),
                           ([], "nonempty")):

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelectra.fermion import FermionOperator
 from qelectra.oracle import pauli_to_sparse
 from qelectra.pauli import (
     DEFAULT_PRUNE_THRESHOLD,
     MAX_MAPPED_MODES,
     MappingKind,
-    PauliSum,
     bit_parity,
     decode_states,
     map_fermion,
@@ -25,8 +23,8 @@ from qelectra.pauli import (
 from qelectra.pipeline import SHIPPED_MOLECULES
 from pauli_oracle import (add, anticommutation_check, bit_parity_by_folds,
                           encode_occupation, fermion_operator, ladder_image,
-                          letters, masks, number_operator, pauli_sum,
-                          product, sz_operator)
+                          letters, masked_sum, masks, number_operator,
+                          pauli_sum, product, sz_operator)
 from test_fermion import bitwise, dense_annihilator
 
 I2 = np.eye(2, dtype=complex)
@@ -355,7 +353,7 @@ def map_by_ladder_products(op, kind, n_modes):
             prod = img if prod is None else product(prod, img)
         for k, c in prod.items():
             data[k] = data.get(k, 0.0) + c * coeff
-    return PauliSum(n_modes, data).simplify()
+    return masked_sum(n_modes, data).simplify()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -376,11 +374,8 @@ def fermion_operators(draw):
     n = draw(st.integers(1, 8))
     ladder = st.tuples(st.integers(0, n - 1), st.sampled_from([0, 1]))
     coeff = st.one_of(_PARTS, st.builds(complex, _PARTS, _PARTS))
-    op = FermionOperator()
-    for key, c in draw(st.lists(st.tuples(
-            st.lists(ladder, max_size=4).map(tuple), coeff), max_size=12)):
-        op.add_term(key, c)
-    return op, n
+    return fermion_operator(draw(st.lists(st.tuples(
+        st.lists(ladder, max_size=4).map(tuple), coeff), max_size=12))), n
 
 
 @settings(deadline=None, max_examples=300)
@@ -392,22 +387,19 @@ def test_map_fermion_matches_ladder_products_bit_for_bit(case, kind):
 
 
 def test_map_fermion_refuses_a_mode_outside_the_register():
-    for key in [((0, 1), (4, 0)), ((-1, 1), (0, 0)), ((0, 1), (2**64, 0))]:
+    # the modes are int64: 2**63 - 1 is the largest one a run can hold
+    for key in [((0, 1), (4, 0)), ((-1, 1), (0, 0)),
+                ((0, 1), (2**63 - 1, 0))]:
         with pytest.raises(ValueError, match="outside register of 4"):
-            map_fermion(fermion_operator({key: 1.0}), MappingKind.PARITY, 4)
-
-
-def test_map_fermion_refuses_a_factor_that_is_not_a_pair():
-    # the second term would otherwise be read from the first one's spill
-    op = fermion_operator({((0, 1, 1),): 1.0, ((1, 0),): 1.0})
-    with pytest.raises(ValueError, match="pairs"):
-        map_fermion(op, MappingKind.PARITY, 4)
+            map_fermion(fermion_operator([(key, 1.0)]), MappingKind.PARITY,
+                        4)
 
 
 def test_map_fermion_refuses_a_register_wider_than_its_masks():
     widest = MAX_MAPPED_MODES
-    op = number_operator(widest)
-    op.add_term(((0, 1), (widest - 1, 1), (widest - 2, 0), (1, 0)), 0.25j)
+    op = fermion_operator([
+        *number_operator(widest).terms.items(),
+        (((0, 1), (widest - 1, 1), (widest - 2, 0), (1, 0)), 0.25j)])
     for kind in ALL_KINDS:
         assert bitwise(map_fermion(op, kind, widest).items()) == bitwise(
             map_by_ladder_products(op, kind, widest).items())

@@ -28,8 +28,8 @@ from qelectra.vqe import (
     spsa_schedule,
 )
 from conftest import SHIPPED
-from pauli_oracle import (add, excitation_generator, fermion_operator,
-                          pauli_circuit, register_state,
+from pauli_oracle import (add, circuit_by_excitations, excitation_generator,
+                          fermion_operator, pauli_circuit, register_state,
                           rotated_plus_probability)
 from test_fermion import dense_operator
 from test_pauli import term
@@ -414,7 +414,8 @@ def test_hamiltonian_leaving_the_reference_sector_is_refused(assembled):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     # a_0^ + a_0 is Hermitian but changes the particle number
-    ladder = map_fermion(fermion_operator({((0, 1),): 0.1, ((0, 0),): 0.1}),
+    ladder = map_fermion(fermion_operator([(((0, 1),), 0.1),
+                                           (((0, 0),), 0.1)]),
                          MappingKind.PARITY, system.n_qubits)
     leaky = dataclasses.replace(system)
     leaky.qubit_hamiltonian = add(system.qubit_hamiltonian, ladder)
@@ -566,6 +567,29 @@ def test_sector_route_matches_the_pauli_oracle(key, kind, assembled):
     want_gradient = pauli.adjoint_gradient(theta, data, lam)
     assert abs(psi @ h_psi - want_energy) <= 1e-12
     assert np.max(np.abs(gradient - want_gradient)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("key", SHIPPED + ["ch4 (8e, 8o)"])
+def test_circuit_matches_the_excitation_loop_bit_for_bit(key, kind,
+                                                         assembled, wide_ch4):
+    system = remapped(wide_ch4 if key == "ch4 (8e, 8o)" else assembled(key),
+                      kind)
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    got = ansatz_circuit(ansatz, system)
+    want = circuit_by_excitations(ansatz, system)
+    assert (got.dim, got.reference) == (want.dim, want.reference)
+    assert len(got.instructions) == len(want.instructions)
+    for rotations, wanted in zip(got.instructions, want.instructions):
+        for a, b in zip(rotations, wanted):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_circuit_of_an_empty_ansatz_has_no_rotations(assembled):
+    system = assembled("h2")
+    circuit = ansatz_circuit(UccsdAnsatz(4, 2, []), system)
+    assert circuit.instructions == ()
+    assert circuit.run([]) @ circuit.run([]) == 1.0
 
 
 def refuse_registers(monkeypatch, dim):
