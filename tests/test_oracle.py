@@ -273,7 +273,10 @@ def test_block_and_its_oracle_refuse_alike(op, basis, fragment):
     for build in (pauli_to_sparse, block_by_diagonals):
         with pytest.raises(ValueError, match=fragment):
             build(op, np.array(basis))
-    # an entry outside the basis at or below 1e-10 is dropped, not refused
+
+
+def test_block_drops_an_entry_outside_the_basis_at_rounding_level():
+    # at or below 1e-10 an entry outside the basis is dropped, not refused
     small = term("X", 1e-10)
     assert same_block(pauli_to_sparse(small, np.array([0])),
                       block_by_diagonals(small, np.array([0])))
