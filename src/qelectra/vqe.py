@@ -49,6 +49,10 @@ from .pauli import bit_parity, decode_states
 from .pipeline import AssembledSystem
 from .simulator import Circuit, sampled_expectation
 
+# (excitation, determinant) entries per pass of `ansatz_circuit`, which
+# bound the pass's temporaries
+_COMPILE_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Excitation:
@@ -125,9 +129,9 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
     (and j) occupied and a (and b) empty, its targets T D up to the sign
     T picks up there, the Jordan-Wigner sign (-1)^(occupied modes below
     the mode) of each ladder operator in turn. Every mapping encodes these
-    same amplitudes, so the mapping enters only through the decoding. All
-    excitations are compiled at once, in (excitation, determinant) arrays
-    with one pass per ladder operator, and then split per excitation.
+    same amplitudes, so the mapping enters only through the decoding.
+    Excitations are compiled in passes over several at once, one array
+    step per ladder operator, and each pass is split per excitation.
     """
     occupations = decode_states(system.mapping, ansatz.n_spin_orbitals,
                                 system.sector)
@@ -141,28 +145,38 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
         return order[pos]
 
     # T acts right to left: a_i, a_j, then a_b^, a_a^; each row of `flips`
-    # holds an excitation's steps, padded with steps that flip no mode
+    # holds an excitation's steps, padded with steps that flip no mode,
+    # and `below` the modes below each step's
     steps = [exc.occupied + exc.virtual[::-1] for exc in ansatz.excitations]
     width = max(map(len, steps), default=0)
     flips = np.array([[1 << m for m in modes] + [0] * (width - len(modes))
                       for modes in steps],
                      dtype=np.int64).reshape(len(steps), width)
+    below = np.maximum(flips - 1, 0)
     holes = np.array([sum(1 << i for i in exc.occupied)
                       for exc in ansatz.excitations], dtype=np.int64)
     moved = np.bitwise_or.reduce(flips, axis=1)
-    # row k marks the determinants D that excitation k acts on
-    sources = (occupations & moved[:, None]) == holes[:, None]
-    # T D and its sign for every (excitation, determinant) pair; only the
-    # sources' are kept
-    occ = occupations
-    parity = np.zeros(sources.shape, dtype=np.int8)
-    for flip in flips.T[:, :, None]:
-        parity ^= bit_parity(occ & np.maximum(flip - 1, 0))
-        occ = occ ^ flip
-    targets = locate(np.where(sources, occ, ranked[0]))
-    signs = 1.0 - 2.0 * parity
-    instructions = [(np.flatnonzero(row), t[row], s[row])
-                    for row, t, s in zip(sources, targets, signs)]
+    # excitations per pass: (excitation, determinant) entries at most
+    # _COMPILE_ENTRIES, and fewer than the register's states, so that no
+    # pass makes an array of the register's size
+    span = max(1, (min(_COMPILE_ENTRIES, 1 << ansatz.n_spin_orbitals) - 1)
+               // occupations.size)
+    instructions = []
+    for lo in range(0, len(steps), span):
+        hi = min(lo + span, len(steps))
+        # excitation by excitation, the determinants each one acts on
+        owner, source = np.divmod(np.flatnonzero(
+            (occupations & moved[lo:hi, None]) == holes[lo:hi, None]),
+            occupations.size)
+        occ = occupations[source]
+        parity = np.zeros(source.size, dtype=np.int8)
+        for flip, lower in zip(flips[lo:hi].T, below[lo:hi].T):
+            parity ^= bit_parity(occ & lower[owner])
+            occ ^= flip[owner]
+        rotations = (source, locate(occ), 1.0 - 2.0 * parity)
+        bounds = np.searchsorted(owner, np.arange(hi - lo + 1)).tolist()
+        instructions += [tuple(a[b:e] for a in rotations)
+                         for b, e in zip(bounds, bounds[1:])]
     aufbau = np.array([(1 << ansatz.n_electrons) - 1])
     return Circuit(occupations.size, int(locate(aufbau)[0]), instructions)
 
