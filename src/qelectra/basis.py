@@ -107,23 +107,21 @@ STO3G = {
 BASIS_NAME = "sto-3g"
 
 
-def _double_factorial(n: int) -> int:
-    # (-1)!! == 1 by convention
+def _double_factorials(powers: Tuple[int, int, int]) -> int:
+    """(2l - 1)!! (2m - 1)!! (2n - 1)!! of the powers (l, m, n), with
+    (-1)!! = 1."""
     out = 1
-    while n > 1:
-        out *= n
-        n -= 2
+    for power in powers:
+        for factor in range(2 * power - 1, 1, -2):
+            out *= factor
     return out
 
 
 def primitive_norm(alpha: float, powers: Tuple[int, int, int]) -> float:
     """L2 norm constant of x^l y^m z^n exp(-alpha r^2)."""
-    l, m, n = powers
-    total = l + m + n
-    dfac = (_double_factorial(2 * l - 1)
-            * _double_factorial(2 * m - 1)
-            * _double_factorial(2 * n - 1))
-    return ((2.0 * alpha / np.pi) ** 0.75) * np.sqrt((4.0 * alpha) ** total / dfac)
+    total = sum(powers)
+    return ((2.0 * alpha / np.pi) ** 0.75) * np.sqrt(
+        (4.0 * alpha) ** total / _double_factorials(powers))
 
 
 @dataclass
@@ -141,11 +139,8 @@ class ContractedGaussian:
 
 
 def _contracted_self_overlap(alphas, coeffs, powers) -> float:
-    l, m, n = powers
-    total = l + m + n
-    dfac = (_double_factorial(2 * l - 1)
-            * _double_factorial(2 * m - 1)
-            * _double_factorial(2 * n - 1))
+    total = sum(powers)
+    dfac = _double_factorials(powers)
     s = 0.0
     for ai, ci in zip(alphas, coeffs):
         for aj, cj in zip(alphas, coeffs):

@@ -28,7 +28,8 @@ from .pauli import MAX_MAPPED_MODES, MappingKind, mapping_from_name
 from .pipeline import (assemble, canonical_formula, diatomic_geometry,
                        display_name, load_molecule_argument, window_size)
 from .reference import REFERENCE_FOOTNOTE, reference_for
-from .vqe import build_uccsd, optimizer_kind, run_vqe
+from .simulator import MAX_SHOTS
+from .vqe import build_uccsd, run_vqe
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -57,7 +58,6 @@ class RunSpec:
     methods: Tuple[str, ...] = ("hf",)
     mapping: MappingKind = MappingKind.PARITY
     active: Optional[ActiveSpaceSpec] = None    # None: the shipped window
-    optimizer: Optional[str] = None             # None: by the shot setting
     shots: Optional[int] = None
     seed: int = 0
     fcidump_path: Optional[str] = None
@@ -91,11 +91,10 @@ def _refuse(spec: RunSpec) -> None:
     They read the spec and the basis size alone, so one call covers every
     point of a bond scan.
     """
-    # bfgs differentiates exact expectations
-    if spec.shots is not None and spec.optimizer not in (None, "spsa"):
-        raise ValueError(f"--optimizer {spec.optimizer} needs exact "
-                         "expectations; use --optimizer spsa with --shots, "
-                         "or --shots exact")
+    # a count a binomial draw takes, for any method
+    if spec.shots is not None and not 1 <= spec.shots <= MAX_SHOTS:
+        raise ValueError("--shots must be positive and at most "
+                         f"{MAX_SHOTS}, got {spec.shots}")
     # a window that does not fit, for any method; a problem over a cap,
     # for every method but hf: fci and vqe map the Hamiltonian and work on
     # the amplitudes of the sector
@@ -134,8 +133,7 @@ def execute(spec: RunSpec,
         elif method == "vqe":
             so = system.spin_orbitals
             ansatz = build_uccsd(so.n_orbitals, so.n_electrons)
-            result = run_vqe(system, ansatz, optimizer=spec.optimizer,
-                             seed=spec.seed, shots=spec.shots)
+            result = run_vqe(system, ansatz, seed=spec.seed, shots=spec.shots)
             row = MethodResult(method="vqe", energy=result.energy,
                                converged=result.converged,
                                iterations=result.n_iterations,
@@ -233,7 +231,7 @@ def report_to_json(spec: RunSpec, report: ComparisonReport,
         "n_qubits": report.n_qubits,
         "seed": spec.seed,
         "shots": spec.shots,
-        "optimizer": (optimizer_kind(spec.optimizer, spec.shots)
+        "optimizer": (("bfgs" if spec.shots is None else "spsa")
                       if "vqe" in spec.methods else None),
         "methods": {
             row.method: {
@@ -377,13 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--active-space", default=None, metavar="NE,NO",
                         help="override the active window: electrons,"
                              "spatial-orbitals (for example 8,6)")
-    parser.add_argument("--optimizer", default=None,
-                        choices=["bfgs", "spsa"],
-                        help="vqe optimizer (default: bfgs for exact "
-                             "expectations, spsa with --shots)")
     parser.add_argument("--shots", default="exact",
                         help="'exact' or a shot count per measured term "
-                             "(default: exact)")
+                             "(default: exact); vqe runs bfgs on exact "
+                             "expectations and spsa on sampled ones")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every stochastic component "
                              "(default: 0)")
@@ -441,8 +436,6 @@ def _parse_shots(raw: str) -> Optional[int]:
         shots = int(raw)
     except ValueError:
         raise ValueError("--shots expects 'exact' or an integer") from None
-    if shots < 1:
-        raise ValueError("--shots must be positive")
     return shots
 
 
@@ -466,7 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),
                        active=_parse_active(args.active_space),
-                       optimizer=args.optimizer,
                        shots=_parse_shots(args.shots),
                        seed=args.seed,
                        fcidump_path=args.fcidump)

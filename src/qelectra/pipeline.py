@@ -220,7 +220,7 @@ def assemble(molecule: Molecule, active: Optional[ActiveSpaceSpec] = None,
 
 
 def diatomic_geometry(symbols: Tuple[str, str], bond_length: float,
-                      charge: int = 0, name: Optional[str] = None) -> Molecule:
+                      charge: int = 0, name: str = "") -> Molecule:
     """Two atoms on the z axis separated by bond_length (Bohr)."""
     a, b = symbols
     return from_atom_list([(a, (0.0, 0.0, 0.0)), (b, (0.0, 0.0, bond_length))],

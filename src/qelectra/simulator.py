@@ -28,6 +28,8 @@ from .oracle import basis_states
 from .pauli import I_POWERS, PauliSum, bit_parity
 
 MAX_QUBITS = 24
+# largest shot count per term: `Generator.binomial` draws an int64 count
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 # largest imaginary part, relative to max(1, |real part|), that an
 # expectation value may carry before the observable counts as not Hermitian
 IMAG_TOL = 1e-10
@@ -82,10 +84,11 @@ def sampled_expectation(amplitudes: np.ndarray, basis: np.ndarray,
     The term's mean is m = (2k - s) / s and the sample variance of its
     outcomes s (1 - m^2) / (s - 1); identity terms enter exactly. Returns
     the estimate and its standard error, the square root of the summed
-    per-term variances of the mean.
+    per-term variances of the mean, for 1 <= s <= MAX_SHOTS.
     """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be positive and at most {MAX_SHOTS}, "
+                         f"got {shots}")
     if not observable.is_hermitian():
         raise ValueError("sampling needs a Hermitian observable")
     states = basis_states(basis, observable.n_qubits)

@@ -11,21 +11,21 @@ of its aufbau reference. `ansatz_circuit` compiles those pairs once per
 `run_vqe`, in the rows of `system.sector`, into a `simulator.Circuit`:
 real amplitudes over the sector's determinants, no qubit register.
 
-Two optimizers are provided, and this module owns every setting of both:
-a caller names at most the kind and the seed. `run_vqe` hands one
-objective, `energy(theta, gradient=False)`, and one trajectory recorder
-to `_bfgs` or `_spsa`; each evaluates its start, takes its budget from
+The shot setting picks the optimizer, and this module owns every setting
+of both: a caller names at most the seed and the shot count. `run_vqe`
+hands one objective, `energy(theta, gradient=False)`, and one trajectory
+recorder to `_bfgs` for exact expectations or to `_spsa` for
+shot-sampled ones; each evaluates its start, takes its budget from
 DEFAULT_ITERATIONS, its tolerance from DEFAULT_TOLERANCE and its own stop
 rule, and returns only whether it converged. Iteration counts are read
 off the trajectory, one entry per accepted iterate after the start.
-`_bfgs`, with an Armijo line search and the default for exact
-expectations, takes exact gradients: one circuit run forward and one
-adjoint sweep back (`Circuit.adjoint_gradient`) give the energy and all
-its parameter derivatives. It stops on its gradient bound, at a step
-that moves the energy only at rounding level, at a line search with no
-descent, or at its budget. `_spsa` (simultaneous-perturbation stochastic
-approximation) needs only energies and is the one optimizer for
-shot-sampled runs; its gains and budget follow the parameter count
+`_bfgs`, with an Armijo line search, takes exact gradients: one circuit
+run forward and one adjoint sweep back (`Circuit.adjoint_gradient`) give
+the energy and all its parameter derivatives. It stops on its gradient
+bound, at a step that moves the energy only at rounding level, at a line
+search with no descent, or at its budget. `_spsa`
+(simultaneous-perturbation stochastic approximation) needs only
+energies; its gains and budget follow the parameter count
 (`spsa_schedule`), and it stops after SPSA_PATIENCE consecutive
 sub-tolerance energy changes or at its budget.
 
@@ -208,14 +208,6 @@ DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
 DEFAULT_TOLERANCE = {"spsa": 1e-5, "bfgs": 1e-6}
 
 
-def optimizer_kind(kind: Optional[str], shots: Optional[int]) -> str:
-    """The optimizer a run uses: `kind`, or by default bfgs for exact
-    expectations and spsa for shot-sampled ones."""
-    if kind is not None:
-        return kind
-    return "bfgs" if shots is None else "spsa"
-
-
 @dataclass(frozen=True)
 class SpsaSchedule:
     """Iteration budget and gains of one SPSA run: a_k = a / (k + 1 +
@@ -268,31 +260,27 @@ class VqeResult:
         return len(self.energy_history) - 1
 
 
-def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
-            optimizer: Optional[str] = None, seed: int = 0,
+def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz, seed: int = 0,
             shots: Optional[int] = None) -> VqeResult:
     """Minimize the energy of the ansatz state over its parameters.
 
     The ansatz must have the system's register and electron count; its
     state is held as amplitudes over `system.sector` (`ansatz_circuit`).
     `shots = None` evaluates exact expectations on `system.block`, the
-    qubit Hamiltonian on that sector: one that leaves the sector, or whose
-    block is not real symmetric, raises the ValueError of
-    `oracle.pauli_to_sparse` before the first evaluation. An integer turns on
-    simulated projective measurement of `system.qubit_hamiltonian` on the
-    same sector amplitudes (`simulator.sampled_expectation`), with that
-    many shots per term drawn from the same seeded generator as the
-    optimizer; only spsa accepts it, and the reported energy is then one
-    more estimate at theta_star. No run, exact or sampled, holds an array
-    over the 2^n register. `optimizer` is "bfgs" or "spsa", or None to
-    choose by the shot setting (`optimizer_kind`); `seed` seeds the spsa
-    perturbations. Each optimizer (`_bfgs`, `_spsa`) derives its budget,
-    tolerance and gains from its kind and the ansatz size. The run starts
-    from the reference state, all parameters zero. Identical (system,
-    ansatz, optimizer, seed, shots) reproduce the identical result.
+    qubit Hamiltonian on that sector, and runs `_bfgs`: a Hamiltonian
+    that leaves the sector, or whose block is not real symmetric, raises
+    the ValueError of `oracle.pauli_to_sparse` before the first
+    evaluation. An integer turns on simulated projective measurement of
+    `system.qubit_hamiltonian` on the same sector amplitudes
+    (`simulator.sampled_expectation`), with that many shots per term, and
+    runs `_spsa`; `seed` seeds the one generator that draws both its
+    perturbations and the shots, and the reported energy is one more
+    estimate at theta_star. No run, exact or sampled, holds an array over
+    the 2^n register. Each optimizer derives its budget, tolerance and
+    gains from the ansatz size. The run starts from the reference state,
+    all parameters zero. Identical (system, ansatz, seed, shots)
+    reproduce the identical result.
     """
-    if optimizer is not None and optimizer not in DEFAULT_TOLERANCE:
-        raise ValueError(f"unknown optimizer kind {optimizer!r}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     n, n_e = system.n_qubits, system.spin_orbitals.n_electrons
@@ -300,14 +288,8 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
         raise ValueError(
             f"the system has {n_e} electrons on {n} qubits but the ansatz "
             f"has {ansatz.n_electrons} on {ansatz.n_spin_orbitals}")
-    kind = optimizer_kind(optimizer, shots)
-    if shots is not None and kind != "spsa":
-        raise ValueError(
-            f"the {kind} optimizer needs exact expectations; use "
-            "spsa for shot-sampled energies")
     circuit = ansatz_circuit(ansatz, system)
-    # only spsa draws: its perturbations, and the shots of a sampled run
-    rng = np.random.default_rng(seed) if kind == "spsa" else None
+    rng = None if shots is None else np.random.default_rng(seed)
     # built, or refused, before the first evaluation
     block = system.block if shots is None else None
     n_evaluations = 0
@@ -338,7 +320,7 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz,
     if ansatz.n_parameters == 0:
         record(energy(theta), theta)
         converged = True
-    elif kind == "bfgs":
+    elif shots is None:
         converged = _bfgs(energy, theta, record)
     else:
         converged = _spsa(energy, theta, record, rng)

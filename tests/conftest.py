@@ -4,6 +4,10 @@ from qelectra.fermion import ActiveSpaceSpec
 from qelectra.pipeline import assemble, shipped_geometry
 
 SHIPPED = ["h2", "lih", "h2o", "nh3", "ch4", "co2"]
+# shots per term at which sampled energies are almost free of noise: one
+# binomial draw costs the same at any count, so SPSA runs its schedule on
+# near-exact energies
+NEAR_EXACT_SHOTS = 10 ** 10
 
 
 @pytest.fixture(scope="session")

@@ -27,8 +27,8 @@ from pauli_oracle import (anticommutation_check, block_matrix,
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector, sampled_expectation
 from qelectra.vqe import (DEFAULT_ITERATIONS, DEFAULT_TOLERANCE,
-                          ansatz_circuit, build_uccsd, optimizer_kind,
-                          run_vqe)
+                          ansatz_circuit, build_uccsd, run_vqe)
+from conftest import NEAR_EXACT_SHOTS
 from test_cli import method_row
 
 ALL_KINDS = (MappingKind.JORDAN_WIGNER, MappingKind.PARITY,
@@ -92,7 +92,7 @@ def test_bfgs_reaches_exact_ground_energy(bench_hydrogen):
     assert target == pytest.approx(BENCH_GROUND, abs=1e-9)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     # the default budget of 200 iterations
-    result = run_vqe(system, ansatz, "bfgs")
+    result = run_vqe(system, ansatz)
     elapsed = time.perf_counter() - t0
     gap = abs(result.energy - target)
     ok = gap <= 1e-6 and result.converged and elapsed < 60.0
@@ -106,8 +106,8 @@ def test_seeded_spsa_is_accurate_and_reproducible(bench_hydrogen):
     system = bench_hydrogen
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     # the default budget of 300 iterations for 3 parameters
-    first = run_vqe(system, ansatz, "spsa", 0)
-    second = run_vqe(system, ansatz, "spsa", 0)
+    first = run_vqe(system, ansatz, seed=0, shots=NEAR_EXACT_SHOTS)
+    second = run_vqe(system, ansatz, seed=0, shots=NEAR_EXACT_SHOTS)
     elapsed = time.perf_counter() - t0
     gap = abs(first.energy - BENCH_GROUND)
     identical = (first.energy == second.energy
@@ -138,8 +138,8 @@ def test_variational_ordering_on_every_shipped_molecule(assembled):
               and e_vqe >= e_fci - 1e-9
               and e_hf >= e_fci - 1e-9
               and vqe.converged)
-        budget = DEFAULT_ITERATIONS[optimizer_kind(spec.optimizer,
-                                                   spec.shots)]
+        # exact expectations: bfgs
+        budget = DEFAULT_ITERATIONS["bfgs"]
         margins.append(f"{key} {e_hf - e_vqe:.4f} Ha (gap to fci "
                        f"{1000.0 * (e_vqe - e_fci):.3g} mHa, "
                        f"converged={vqe.converged} at "
@@ -198,7 +198,7 @@ def test_number_and_spin_conserved_along_trajectory(assembled, monkeypatch):
     ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
     monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 100)
     monkeypatch.setitem(DEFAULT_TOLERANCE, "spsa", 1e-30)
-    result = run_vqe(system, ansatz, "spsa", 2)
+    result = run_vqe(system, ansatz, seed=2, shots=NEAR_EXACT_SHOTS)
     assert result.n_iterations == 100
     circuit = pauli_circuit(ansatz, system.mapping)
     worst_n = 0.0

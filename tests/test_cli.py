@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import qelectra.cli as cli
-from qelectra import oracle, pipeline, vqe
+from qelectra import oracle, pipeline, simulator, vqe
 from qelectra.reference import REFERENCE_FOOTNOTE
+from conftest import NEAR_EXACT_SHOTS
 from fcidump_oracle import read_fcidump
 
 
@@ -192,8 +193,7 @@ def test_unconverged_vqe_sets_exit_code(capsys, monkeypatch):
 
 def test_bfgs_optimizer_converges_tightly(capsys):
     code, out, _ = run_cli(capsys, "--molecule", "h2",
-                           "--method", "vqe,fci", "--optimizer", "bfgs",
-                           "--output", "json")
+                           "--method", "vqe,fci", "--output", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["optimizer"] == "bfgs"
@@ -211,13 +211,23 @@ def test_default_optimizer_follows_the_shot_setting(capsys, shots,
     assert json.loads(out)["optimizer"] == optimizer
 
 
-def test_run_spec_with_shots_defaults_to_spsa():
-    # the default optimizer follows the shot setting in the library too,
-    # not only behind the --optimizer flag
+def test_run_spec_with_shots_defaults_to_spsa(monkeypatch):
+    # the optimizer follows the shot setting in the library too, not only
+    # on the command line
+    ran = []
+
+    def recording(name, optimizer):
+        def run(*args):
+            ran.append(name)
+            return optimizer(*args)
+        return run
+
+    for name in ("_bfgs", "_spsa"):
+        monkeypatch.setattr(vqe, name, recording(name, getattr(vqe, name)))
     spec = cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
                        methods=("vqe",), shots=64)
     report = cli.execute(spec)
-    assert vqe.optimizer_kind(spec.optimizer, spec.shots) == "spsa"
+    assert ran == ["_spsa"]
     assert method_row(report, "vqe").evaluations > 1
 
 
@@ -237,12 +247,14 @@ def test_run_spec_defaults_are_the_cli_defaults(capsys, monkeypatch):
 
 def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
                                                  monkeypatch):
-    # the SPSA schedule belongs to run_vqe: a library run on LiH (24
-    # parameters, c = 0.051) retraces the CLI run step by step
+    # the SPSA schedule belongs to run_vqe: a library shot run on LiH (24
+    # parameters, c = 0.051) retraces the CLI run step by step, here to
+    # convergence at iteration 120 of 300
     system = assembled("lih")
     ansatz = vqe.build_uccsd(system.n_qubits,
                              system.spin_orbitals.n_electrons)
-    library = vqe.run_vqe(system, ansatz, "spsa", 0)
+    library = vqe.run_vqe(system, ansatz, seed=0, shots=NEAR_EXACT_SHOTS)
+    assert library.converged
     runs = []
 
     def recording(*args, **kwargs):
@@ -251,30 +263,35 @@ def test_library_spsa_follows_the_cli_trajectory(capsys, assembled,
 
     monkeypatch.setattr(cli, "run_vqe", recording)
     _, out, _ = run_cli(capsys, "--molecule", "lih", "--method", "vqe",
-                        "--optimizer", "spsa", "--seed", "0",
+                        "--shots", str(NEAR_EXACT_SHOTS), "--seed", "0",
                         "--output", "json")
     assert json.loads(out)["optimizer"] == "spsa"
     assert len(runs) == 1
     assert runs[0].energy_history == library.energy_history
 
 
-@pytest.mark.parametrize("optimizer", ["bfgs"])
-def test_gradient_optimizers_refuse_shots_before_the_chain_runs(
-        capsys, monkeypatch, optimizer):
+def test_shot_counts_beyond_one_draw_are_refused_before_the_chain_runs(
+        capsys, monkeypatch):
+    # 2^63 reached Generator.binomial, which raised an OverflowError after
+    # the integrals and the SCF had run. The count is refused for any
+    # method; a vqe run and its scan are cases of
+    # test_scan_refusals_come_before_any_integral
     def refuse(*args, **kwargs):
-        raise AssertionError("integrals computed for a refused optimizer")
+        raise AssertionError("integrals computed for a refused shot count")
 
     monkeypatch.setattr(pipeline, "compute_integrals", refuse)
-    code, out, err = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
-                             "--optimizer", optimizer, "--shots", "100")
-    assert code == 1
-    assert out == ""
-    assert f"--optimizer {optimizer} needs exact expectations" in err
-    # a library caller of execute is refused as early
-    with pytest.raises(ValueError, match="needs exact expectations"):
-        cli.execute(cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
-                                methods=("vqe",), optimizer=optimizer,
-                                shots=100))
+    too_many = simulator.MAX_SHOTS + 1
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--method", "hf",
+                             "--shots", str(too_many))
+    assert (code, out) == (1, "")
+    assert err == ("error: --shots must be positive and at most "
+                   f"{simulator.MAX_SHOTS}, got {too_many}\n")
+    # a library caller of execute is refused as early, at either end
+    for shots in (0, too_many):
+        with pytest.raises(ValueError, match="--shots must be positive"):
+            cli.execute(cli.RunSpec(
+                molecule=cli.load_molecule_argument("h2"), methods=("vqe",),
+                shots=shots))
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -647,14 +664,16 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_removed_gd_optimizer_is_an_invalid_choice(capsys):
+def test_removed_optimizer_flag_is_unrecognized(capsys):
+    # the shot setting picks the optimizer: bfgs for exact expectations,
+    # spsa for sampled ones
     with pytest.raises(SystemExit) as info:
         cli.main(["--molecule", "h2", "--method", "vqe", "--optimizer",
-                  "gd"])
+                  "spsa"])
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --optimizer: invalid choice: 'gd'" in captured.err
+    assert "unrecognized arguments: --optimizer spsa" in captured.err
 
 
 def test_missing_molecule_flag_exits_one(capsys):
@@ -747,9 +766,9 @@ NITROGEN = "2\nN2\nN 0.0 0.0 0.0\nN 0.0 0.0 1.1\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--molecule", "h2", "--method", "vqe", "--optimizer", "bfgs",
-      "--shots", "100"],
-     "--optimizer bfgs needs exact expectations"),
+    (["--molecule", "h2", "--method", "vqe", "--shots", str(1 << 63)],
+     f"--shots must be positive and at most {(1 << 63) - 1}, got "
+     f"{1 << 63}"),
     (["--molecule", "lih", "--active-space", "4,9"],
      "active window (0 frozen + 9 active) exceeds 6 spatial orbitals"),
     (["--method", "hf,fci"],

@@ -205,6 +205,11 @@ def test_diatomic_geometry_layout():
     assert mol.charge == 1
     assert mol.n_electrons == 2
     assert mol.name == "helium hydride"
+    # unnamed is "", as for from_atom_list and parse_xyz, and the display
+    # name falls back to the formula
+    unnamed = diatomic_geometry(("Li", "H"), 3.0)
+    assert unnamed.name == ""
+    assert display_name(unnamed) == "LiH"
 
 
 def test_active_integrals_export(assembled):

@@ -1,5 +1,5 @@
-"""The README's Python API example runs as written, and its command lines
-parse."""
+"""The README's Python API example runs as written, its command lines
+parse, and its Command line section names every CLI option and no other."""
 
 import re
 import shlex
@@ -43,3 +43,15 @@ def test_command_lines_parse():
         mapping_from_name(args.mapping)
         if args.scan:
             cli._parse_scan(args.scan)
+
+
+def test_command_line_section_names_exactly_the_parser_options():
+    # a removed flag left in the prose, or a new one left out of it, fails
+    text = README.read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", section))
+    options = {option for action in cli.build_parser()._actions
+               for option in action.option_strings
+               if option.startswith("--")} - {"--help", "--version"}
+    assert named - options == set(), "README names flags the CLI lacks"
+    assert options - named == set(), "README leaves CLI flags out"

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qelectra.pauli import MappingKind
-from qelectra.simulator import (MAX_QUBITS, Circuit, StateVector,
-                                sampled_expectation)
+from qelectra.simulator import (MAX_QUBITS, MAX_SHOTS, Circuit,
+                                StateVector, sampled_expectation)
 from qelectra.vqe import ansatz_circuit, build_uccsd
 from conftest import SHIPPED
 from pauli_oracle import (PauliCircuit, apply_pauli, apply_pauli_exponential,
@@ -182,6 +182,10 @@ def test_sampled_expectation_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="positive"):
         sample(sv, op, 0, rng)
+    # one binomial draw takes an int64 count: 2^63 raised an OverflowError
+    with pytest.raises(ValueError, match=f"at most {MAX_SHOTS}, got"):
+        sample(sv, op, MAX_SHOTS + 1, rng)
+    assert sample(sv, op, MAX_SHOTS, rng) == (1.0, 0.0)
     # a basis wider than the observable's register
     with pytest.raises(ValueError, match="lie in 0..1"):
         sample(basis_state(2, 0), op, 10, rng)

@@ -22,12 +22,11 @@ from qelectra.vqe import (
     UccsdAnsatz,
     ansatz_circuit,
     build_uccsd,
-    optimizer_kind,
     run_vqe,
     spsa_gradient_estimate,
     spsa_schedule,
 )
-from conftest import SHIPPED
+from conftest import NEAR_EXACT_SHOTS, SHIPPED
 from pauli_oracle import (add, circuit_by_excitations, excitation_generator,
                           fermion_operator, pauli_circuit, register_state,
                           rotated_plus_probability)
@@ -167,7 +166,7 @@ def test_adjoint_gradient_validation(assembled):
 def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
     system = remapped(assembled("lih"), kind)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    result = run_vqe(system, ansatz, "bfgs")
+    result = run_vqe(system, ansatz)
     target = exact_ground_energy(system.block)
     assert result.converged
     assert result.n_iterations < 20
@@ -184,7 +183,7 @@ def test_bfgs_converges_on_the_gradient_norm(kind, assembled):
                                         (system.block @ psi).real)
     assert np.max(np.abs(gradient)) <= 1e-6
     # BFGS is deterministic to the last bit
-    again = run_vqe(system, ansatz, "bfgs")
+    again = run_vqe(system, ansatz)
     assert again.energy_history == result.energy_history
     assert again.theta_star.tobytes() == result.theta_star.tobytes()
 
@@ -196,7 +195,7 @@ def test_bfgs_stops_when_no_descent_is_left(assembled, monkeypatch):
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     monkeypatch.setitem(DEFAULT_TOLERANCE, "bfgs", 1e-12)
-    result = run_vqe(system, ansatz, "bfgs")
+    result = run_vqe(system, ansatz)
     assert not result.converged
     assert result.n_iterations < 200
     assert result.n_evaluations <= 20
@@ -241,7 +240,7 @@ def test_every_bfgs_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
         monkeypatch.setitem(DEFAULT_TOLERANCE, "bfgs", 1e-12)
     if stop == "budget":
         monkeypatch.setitem(DEFAULT_ITERATIONS, "bfgs", 3)
-    result = run_vqe(system, ansatz, "bfgs")
+    result = run_vqe(system, ansatz)
     assert_trajectory(result)
     # the verdict is the gradient bound at the last accepted iterate
     theta = result.theta_history[-1]
@@ -268,8 +267,8 @@ def test_every_spsa_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     if stop == "budget":
         monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 10)
-    result = run_vqe(system, ansatz, "spsa", 2)
-    assert_trajectory(result)
+    result = run_vqe(system, ansatz, seed=2, shots=NEAR_EXACT_SHOTS)
+    assert_trajectory(result, sampled=True)
     budget = spsa_schedule(ansatz.n_parameters).iterations
     changes = np.abs(np.diff(result.energy_history))
     quiet = changes[-SPSA_PATIENCE:] <= DEFAULT_TOLERANCE["spsa"]
@@ -277,7 +276,7 @@ def test_every_spsa_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
         assert result.n_iterations == budget == 10
         assert not result.converged
     else:
-        # seed 2 converges at iteration 46 of 300
+        # seed 2 converges at iteration 65 of 300
         assert SPSA_PATIENCE <= result.n_iterations < budget
         assert result.converged
         assert np.all(quiet)
@@ -297,29 +296,15 @@ def test_the_bare_ansatz_and_a_shot_run_keep_the_trajectory(assembled,
     assert sampled.n_iterations == 20
 
 
-@pytest.mark.parametrize("optimizer", ["bfgs"])
-def test_gradient_optimizers_refuse_shots(optimizer, assembled,
-                                          monkeypatch):
-    system = assembled("h2")
-    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-
-    def refuse(self, parameters):
-        raise AssertionError("no circuit runs for a refused optimizer")
-
-    monkeypatch.setattr(simulator.Circuit, "run", refuse)
-    with pytest.raises(ValueError, match="exact expectations"):
-        run_vqe(system, ansatz, optimizer, shots=64)
-
-
 def test_spsa_reproduces_bitwise_and_lands_near_target(assembled,
                                                        monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 200)
-    first = run_vqe(system, ansatz, "spsa", 11)
+    first = run_vqe(system, ansatz, seed=11, shots=NEAR_EXACT_SHOTS)
     target = exact_ground_energy(system.block)
     assert abs(first.energy - target) < 1e-3
-    second = run_vqe(system, ansatz, "spsa", 11)
+    second = run_vqe(system, ansatz, seed=11, shots=NEAR_EXACT_SHOTS)
     assert first.energy == second.energy
     assert first.energy_history == second.energy_history
     assert first.theta_star.tobytes() == second.theta_star.tobytes()
@@ -329,11 +314,12 @@ def test_shot_noise_runs_are_seeded(assembled, monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 10)
-    first = run_vqe(system, ansatz, "spsa", 5, shots=128)
-    second = run_vqe(system, ansatz, "spsa", 5, shots=128)
+    first = run_vqe(system, ansatz, seed=5, shots=128)
+    second = run_vqe(system, ansatz, seed=5, shots=128)
     assert first.energy_history == second.energy_history
-    exact = run_vqe(system, ansatz, "spsa", 5)
-    assert first.energy_history != exact.energy_history
+    # the seed draws both the perturbations and the shots
+    other = run_vqe(system, ansatz, seed=6, shots=128)
+    assert first.energy_history != other.energy_history
 
 
 def test_register_mismatch_rejected(assembled):
@@ -375,8 +361,7 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
         return build(observable, basis)
 
     monkeypatch.setattr(oracle, "pauli_to_sparse", counting)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 5)
-    result = run_vqe(system, ansatz, "spsa", 3)
+    result = run_vqe(system, ansatz)
     assert len(built) == 1
     observable, basis = built[0]
     assert observable is system.qubit_hamiltonian
@@ -386,11 +371,12 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
     assert basis.size == 4
     assert result.n_evaluations > 1
     # a second run, and the FCI solve, reuse the system's block
-    run_vqe(system, ansatz, "spsa", 3)
+    run_vqe(system, ansatz)
     exact_ground_energy(system.block)
     assert len(built) == 1
     # sampled energies measure the Pauli terms; no matrix is built
-    run_vqe(dataclasses.replace(system), ansatz, "spsa", 3, shots=64)
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 5)
+    run_vqe(dataclasses.replace(system), ansatz, seed=3, shots=64)
     assert len(built) == 1
 
 
@@ -463,27 +449,20 @@ def test_optimizer_config_validation(assembled, monkeypatch):
         raise AssertionError("no circuit runs for refused settings")
 
     monkeypatch.setattr(simulator.Circuit, "run", refuse)
-    for kind in ("adam", "gd"):
-        with pytest.raises(ValueError, match="kind"):
-            run_vqe(system, ansatz, kind)
     with pytest.raises(ValueError, match="seed"):
         run_vqe(system, ansatz, seed=-1)
-    # the budget, the tolerance and the gains are derived by run_vqe, not
-    # set
-    for name in ("max_iterations", "tolerance", "a"):
+    # the optimizer follows the shot setting, and its budget, tolerance
+    # and gains are derived by run_vqe: none of them is set
+    for name in ("optimizer", "max_iterations", "tolerance", "a"):
         with pytest.raises(TypeError):
             run_vqe(system, ansatz, **{name: 0.2})
 
 
 def test_optimizer_config_defaults():
     parameters = inspect.signature(run_vqe).parameters
-    assert list(parameters) == ["system", "ansatz", "optimizer", "seed",
-                                "shots"]
+    assert list(parameters) == ["system", "ansatz", "seed", "shots"]
     assert [parameters[name].default
-            for name in ("optimizer", "seed", "shots")] == [None, 0, None]
-    assert optimizer_kind(None, None) == "bfgs"
-    assert optimizer_kind(None, 64) == "spsa"
-    assert optimizer_kind("spsa", None) == "spsa"
+            for name in ("seed", "shots")] == [0, None]
     assert DEFAULT_TOLERANCE == {"spsa": 1e-5, "bfgs": 1e-6}
     assert DEFAULT_ITERATIONS == {"spsa": 300, "bfgs": 200}
 
@@ -622,10 +601,9 @@ def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
     assert system.block.shape[0] < dim
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     refuse_registers(monkeypatch, dim)
-    for optimizer in ("bfgs", "spsa"):
-        monkeypatch.setitem(DEFAULT_ITERATIONS, optimizer, 3)
-        result = run_vqe(system, ansatz, optimizer, 0)
-        assert result.n_evaluations > 1
+    monkeypatch.setitem(DEFAULT_ITERATIONS, "bfgs", 3)
+    result = run_vqe(system, ansatz)
+    assert result.n_evaluations > 1
 
 
 @pytest.mark.parametrize("key", SHIPPED)
@@ -640,7 +618,7 @@ def test_shot_runs_hold_no_register(key, assembled, monkeypatch):
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     refuse_registers(monkeypatch, dim)
     monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 3)
-    result = run_vqe(system, ansatz, "spsa", 0, shots=64)
+    result = run_vqe(system, ansatz, seed=0, shots=64)
     assert result.n_evaluations > 1
 
 
