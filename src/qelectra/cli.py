@@ -22,7 +22,7 @@ from .basis import BASIS_NAME, load_basis
 from .fcidump import write_fcidump
 from .fermion import ActiveSpaceSpec
 from .integrals import IntegralSet, compute_integrals_batch
-from .molecule import Molecule
+from .molecule import MAX_COORDINATE_BOHR, Molecule
 from .oracle import exact_ground_energy
 from .pauli import MAX_MAPPED_MODES, MappingKind, mapping_from_name
 from .pipeline import (assemble, canonical_formula, diatomic_geometry,
@@ -91,6 +91,8 @@ def _refuse(spec: RunSpec) -> None:
     They read the spec and the basis size alone, so one call covers every
     point of a bond scan.
     """
+    if spec.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
     # a count a binomial draw takes, for any method
     if spec.shots is not None and not 1 <= spec.shots <= MAX_SHOTS:
         raise ValueError("--shots must be positive and at most "
@@ -177,6 +179,9 @@ def scan(spec: RunSpec, start: float, stop: float,
                          "would repeat one geometry; use STEPS 1")
     if start <= 0 or stop <= 0:
         raise ValueError("bond lengths must be positive")
+    if max(start, stop) > MAX_COORDINATE_BOHR:
+        raise ValueError(f"--scan bounds must be at most "
+                         f"{MAX_COORDINATE_BOHR:g} Bohr; got {start}, {stop}")
     symbols = (spec.molecule.atoms[0].symbol, spec.molecule.atoms[1].symbol)
     charge = spec.molecule.charge
     name = display_name(spec.molecule)
@@ -453,8 +458,6 @@ def _parse_scan(raw: str) -> Tuple[float, float, int]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ValueError("--seed must be a non-negative integer")
         spec = RunSpec(molecule=load_molecule_argument(args.molecule),
                        methods=_parse_methods(args.method),
                        mapping=mapping_from_name(args.mapping),

@@ -17,6 +17,9 @@ BOHR_PER_ANGSTROM = 1.0 / 0.529177210903
 # Nuclei nearer than this are refused before any integral: it is far below
 # any bond (H2's is 1.4 Bohr), and nearer, basis functions become dependent.
 MIN_SEPARATION_BOHR = 0.1
+# Coordinates beyond this magnitude are refused before any integral: a
+# hundred times the longest dissociation scan, and far below overflow.
+MAX_COORDINATE_BOHR = 1e4
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,9 @@ def make_atom(symbol: str, position_bohr) -> Atom:
     if not np.isfinite([x, y, zc]).all():
         raise ValueError(
             f"non-finite coordinate for {symbol}: {(x, y, zc)}")
+    if max(abs(x), abs(y), abs(zc)) > MAX_COORDINATE_BOHR:
+        raise ValueError(f"coordinate of {symbol} at {(x, y, zc)} Bohr lies "
+                         f"beyond the {MAX_COORDINATE_BOHR:g} Bohr bound")
     return Atom(symbol.strip().capitalize(), z, (x, y, zc))
 
 

@@ -5,17 +5,15 @@ measured against. The matrix builder uses the same little-endian
 convention as the simulator (qubit k lives in bit k, so qubit n-1 is the
 leftmost Kronecker factor).
 
-`pauli_to_sparse` builds the block of a `PauliSum` on a sorted array of
-basis states, such as one (N, S_z) sector from `pauli.sector_basis`, from
-the sum's arrays: its terms sorted by X-mask, in passes of whole X-mask
-diagonals, each pass one bounded table of signed coefficients. It
-returns a real `SparseBlock`, and refuses a sum whose block is not real
-symmetric; `basis_states` checks such an
-array, for it and for `simulator.sampled_expectation`, which reads a
-state on the same basis. `lowest_eigenvalues` solves such
-a block by Davidson's method. `AssembledSystem.block` is the block of a
-system's qubit Hamiltonian on its sector: FCI diagonalizes it and exact
-VQE takes <H> on it. The module needs numpy alone.
+`pauli_to_sparse` builds the real `SparseBlock` of a `PauliSum` on
+distinct basis states in any order, such as one (N, S_z) sector from
+`pauli.sector_basis`, in passes of whole X-mask diagonals.
+`basis_lookup` finds rows of such a basis, for the block,
+`simulator.sampled_expectation` and `vqe.ansatz_circuit`.
+`lowest_eigenvalues` solves a block by Davidson's method.
+`AssembledSystem.block` is the block of a system's qubit Hamiltonian on
+its sector: FCI diagonalizes it and exact VQE takes <H> on it. The
+module needs numpy alone.
 """
 
 import bisect
@@ -71,7 +69,7 @@ class SparseBlock:
 
 
 def _diagonals(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
-               sizes: np.ndarray, states: np.ndarray):
+               sizes: np.ndarray, states: np.ndarray, find):
     """Nonzero entries (rows, cols, values) of the X-mask groups of one
     pass of `pauli_to_sparse`.
 
@@ -89,25 +87,31 @@ def _diagonals(x: np.ndarray, z: np.ndarray, coeffs: np.ndarray,
                        signed.ravel(), x.size * dim)
     nonzero = np.flatnonzero(sums)
     cols = nonzero % dim
-    targets = states[cols] ^ x[nonzero // dim]
-    at = np.minimum(np.searchsorted(states, targets), dim - 1)
-    inside = states[at] == targets
+    at, inside = find(states[cols] ^ x[nonzero // dim])
     if np.any(np.abs(sums[nonzero[~inside]]) > _LEAK_TOL):
         raise ValueError("the operator maps basis states outside the basis")
     return at[inside], cols[inside], sums[nonzero[inside]]
 
 
-def basis_states(basis: np.ndarray, n_qubits: int) -> np.ndarray:
-    """`basis` as int64 states, checked to be a nonempty, sorted array of
-    distinct states of an n-qubit register; raises ValueError otherwise."""
+def basis_lookup(basis: np.ndarray, n_qubits: int):
+    """`basis` as int64 states, checked to be a nonempty array of distinct
+    states of an n-qubit register in any order (else ValueError), and
+    `find`: each target's row in it, and whether it holds the target."""
     states = np.asarray(basis, dtype=np.int64)
     if states.ndim != 1 or states.size == 0:
         raise ValueError("basis must be a nonempty 1-D array of states")
-    if states[0] < 0 or states[-1] >= 1 << n_qubits:
+    order = np.argsort(states)
+    ranked = states[order]
+    if ranked[0] < 0 or ranked[-1] >= 1 << n_qubits:
         raise ValueError(f"basis states must lie in 0..{(1 << n_qubits) - 1}")
-    if np.any(np.diff(states) <= 0):
-        raise ValueError("basis states must be sorted and distinct")
-    return states
+    if np.any(np.diff(ranked) == 0):
+        raise ValueError("basis states must be distinct")
+
+    def find(targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        at = np.minimum(np.searchsorted(ranked, targets), ranked.size - 1)
+        return order[at], ranked[at] == targets
+
+    return states, find
 
 
 def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
@@ -128,7 +132,7 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     with an odd Y count n_y in a string, raises ValueError before any is
     built.
 
-    `basis` is a sorted array of distinct basis states, for example one
+    `basis` holds distinct basis states in any order, for example one
     sector from `pauli.sector_basis`, or `np.arange(1 << n)` for the whole
     register: row and column i stand for state basis[i], and the entries
     are the same sums as in the matrix on the whole register. An operator
@@ -136,7 +140,7 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     raises ValueError. The block never forms a vector over the whole
     register, so it has no qubit cap.
     """
-    states = basis_states(basis, observable.n_qubits)
+    states, find = basis_lookup(basis, observable.n_qubits)
     dim = states.size
     # cast first: 1 - (n_y & 2) would wrap in bitwise_count's uint8
     n_y = np.bitwise_count(observable.x & observable.z).astype(np.int64)
@@ -165,7 +169,7 @@ def pauli_to_sparse(observable: PauliSum, basis: np.ndarray) -> SparseBlock:
     rows, cols, values = map(np.concatenate, zip(*[
         _diagonals(x[starts[a:b]], z[starts[a]:starts[b]],
                    coeffs[starts[a]:starts[b]], np.diff(starts[a:b + 1]),
-                   states)
+                   states, find)
         for a, b in zip(passes, passes[1:])]))
     order = np.argsort(rows * dim + cols)
     return SparseBlock(rows[order], cols[order], values[order], dim)

@@ -11,17 +11,17 @@ x = x1 ^ x2, z = z1 ^ z2; `I_POWERS` is the one table of the phases.
 Three mappings are implemented: Jordan-Wigner, the full-register parity
 transform and Bravyi-Kitaev, each as one linear encoding over GF(2) (Seeley,
 Richard & Love, arXiv:1208.5986): qubit q stores the parity of the modes in
-row q. Ladder images, encoded states and their decoding all come from
-those rows. The image of a_j^ is (X-like - i Y-like)/2 and that of a_j its
+row q. Ladder images and encoded states come from those rows. The
+image of a_j^ is (X-like - i Y-like)/2 and that of a_j its
 conjugate: both strings flip the qubits whose row holds mode j, and their
 Z-masks read the parity of the modes below j (X-like) or up to and
 including j (Y-like). `map_fermion` multiplies these images as bit
 operations on their masks, reading a `FermionOperator`'s runs of
 equal-length terms and returning the strings' arrays; `sector_basis`
-lists one (N, S_z) sector by forward enumeration, and `decode_states`
-reads occupations back by back-substitution. `tests/pauli_oracle.py`
-keeps the images and their product as whole sums, the oracle
-`map_fermion` is checked against bit for bit. A binary-code style
+encodes one (N, S_z) sector in alpha-beta string order, one order under
+every mapping. `tests/pauli_oracle.py` keeps the images and their
+product as whole sums, the oracle `map_fermion` is checked against bit
+for bit, and the decoding of states. A binary-code style
 transformation is out of scope and requesting one raises immediately.
 """
 
@@ -336,16 +336,6 @@ def map_fermion(op: FermionOperator, kind: MappingKind,
                     strings & ((1 << n_modes) - 1), coeffs).simplify()
 
 
-def decode_states(kind: MappingKind, n_modes: int,
-                  states: np.ndarray) -> np.ndarray:
-    """Occupied modes of each encoded basis state, as a bitmask with mode m
-    at bit m: the parity of the state's qubits that read mode m."""
-    occupations = np.zeros_like(states)
-    for m, mask in enumerate(_occupation_masks(_encoding(kind, n_modes))):
-        occupations |= bit_parity(states & mask).astype(np.int64) << m
-    return occupations
-
-
 def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
                  n_beta: int) -> np.ndarray:
     """Encoded basis states of the determinants in one (N, S_z) sector.
@@ -353,8 +343,10 @@ def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
     `n_alpha` electrons sit on the even (alpha) modes and `n_beta` on the
     odd (beta) modes. The encoding is linear over GF(2), so each
     determinant's state is the XOR of its occupied modes' flip masks.
-    Returns C(n/2, n_alpha) * C(n/2, n_beta) states as a sorted int64
-    array.
+    Returns C(n/2, n_alpha) * C(n/2, n_beta) states as an int64 array in
+    alpha-beta string order: row I_a * C(n/2, n_beta) + I_b joins alpha
+    string I_a with beta string I_b, each spin's strings in
+    `itertools.combinations` order.
     """
     if n_modes % 2 != 0:
         raise ValueError("spin layout needs an even number of modes")
@@ -372,6 +364,5 @@ def sector_basis(kind: MappingKind, n_modes: int, n_alpha: int,
             range(first, n_modes, 2), count)), dtype=np.int64)
         return np.bitwise_xor.reduce(unit[picks], axis=1)
 
-    states = spin_states(0, n_alpha)[:, None] ^ spin_states(1, n_beta)
-    return np.sort(states, axis=None)
+    return (spin_states(0, n_alpha)[:, None] ^ spin_states(1, n_beta)).ravel()
 

@@ -3,8 +3,9 @@
 `assemble` runs what every method reads: basis lookup, integrals,
 restricted Hartree-Fock and the optional active-space window. The
 system it returns builds the rest (second quantization, the qubit
-mapping, the sector and its block) on first use. The module also
-carries the registry of shipped example molecules with their default
+mapping, the sector and its block) on first use; the mapping shapes the
+qubit Hamiltonian and the encoded sector, not the sector. The module
+also carries the registry of shipped example molecules with their default
 active spaces, chosen so the minimal-basis method comparison stays
 representative while every system remains exactly diagonalizable.
 """
@@ -153,22 +154,30 @@ class AssembledSystem:
     def qubit_hamiltonian(self) -> PauliSum:
         return map_fermion(self.hamiltonian, self.mapping, self.n_qubits)
 
+    def _encoded(self, kind: MappingKind) -> np.ndarray:
+        half = self.spin_orbitals.n_electrons // 2
+        return sector_basis(kind, self.n_qubits, half, half)
+
     @cached_property
     def sector(self) -> np.ndarray:
-        """Encoded determinants of the closed-shell (N, S_z = 0) sector.
+        """Occupation masks (mode m at bit m) of the closed-shell
+        (N, S_z = 0) determinants in alpha-beta string order, whatever the
+        mapping: the rows of the FCI block and of the UCCSD amplitudes.
+        They are their own Jordan-Wigner states; RHF and the active window
+        already require an even electron count."""
+        return self._encoded(MappingKind.JORDAN_WIGNER)
 
-        These are the basis states the FCI energy is taken over, and the
-        sector the UCCSD state stays in; RHF and the active window already
-        require an even electron count.
-        """
-        half = self.spin_orbitals.n_electrons // 2
-        return sector_basis(self.mapping, self.n_qubits, half, half)
+    @cached_property
+    def encoded_sector(self) -> np.ndarray:
+        """`sector` encoded under `mapping`, row for row."""
+        return self._encoded(self.mapping)
 
     @cached_property
     def block(self) -> oracle.SparseBlock:
-        """The qubit Hamiltonian on `sector`, built once: FCI diagonalizes
-        it and exact VQE takes its expectation values on it."""
-        return oracle.pauli_to_sparse(self.qubit_hamiltonian, self.sector)
+        """The qubit Hamiltonian on `encoded_sector`, built once: FCI
+        diagonalizes it and exact VQE takes its expectation values on it."""
+        return oracle.pauli_to_sparse(self.qubit_hamiltonian,
+                                      self.encoded_sector)
 
 
 def _fitted_window(molecule: Molecule,

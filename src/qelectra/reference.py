@@ -1,15 +1,10 @@
 """Published per-molecule energies shipped for side-by-side display.
 
 These numbers are transcribed from an external source and are shown next
-to computed results on request. They are display-only: the source does
-not state its basis set, so minimal-basis results computed here are not
-expected to match them (water differs by roughly one Hartree), and its
-energy tables are labeled in joules although the magnitudes are plainly
-Hartree; they are reproduced here unconverted. The dft entries have no
-computed counterpart in this package at all.
-
-Keys are canonical Hill formulas as produced by
-pipeline.canonical_formula.
+to computed results on request, display-only, reproduced unconverted;
+`REFERENCE_FOOTNOTE`, printed with them, says why they do not compare
+with the results computed here. Keys are canonical Hill formulas as
+produced by pipeline.canonical_formula.
 """
 
 from typing import Dict, Optional
@@ -44,9 +39,12 @@ REFERENCE_ENERGIES: Dict[str, Dict[str, float]] = {
 
 REFERENCE_FOOTNOTE = (
     "published reference values: basis set unspecified at the source, so "
-    "they are not comparable to minimal-basis results; source labels the "
-    "units J but the magnitudes are Hartree and they are reproduced "
-    "unconverted; dft values are display-only (no dft implementation here)")
+    "they are not comparable to minimal-basis results (its hf lies "
+    "0.12-2.59 Ha below the sto-3g hf here); its vqe lies above its own hf "
+    "for H2O (+0.22 mHa), LiH (+1.78 mHa) and NH3 (+8.99 mHa), where a vqe "
+    "started from hf cannot end; source labels the units J but the "
+    "magnitudes are Hartree and they are reproduced unconverted; dft "
+    "values are display-only (no dft implementation here)")
 
 
 def reference_for(formula: str) -> Optional[Dict[str, float]]:

@@ -6,25 +6,26 @@ k in bit k of b. In the symplectic picture
 acts as one permutation of the amplitudes plus a sign per basis state,
 times the phase i^{|x & z|} of its letters-operator; no Pauli string
 becomes a matrix. `sampled_expectation` measures that way on amplitudes
-over a sorted array of basis states, such as one sector, and holds
-nothing of the register's size. `StateVector.expectation` sums
+over distinct basis states in any order, such as one encoded sector, and
+holds nothing of the register's size. `StateVector.expectation` sums
 <psi|P|psi> over a whole register of at most 24 qubits, the reference the
 sector route is checked against. The action of one string on a state is
 kept in `tests/pauli_oracle.py`, where the Pauli-rotation circuit applies
 it.
 
 A `Circuit` never holds the register. It is a real program over the
-amplitudes of one sector (for UCCSD, the determinants of one (N, S_z)
-sector): a reference basis state and, per parameter, the pairs of states
-it rotates into each other, with a sign per pair. `Circuit.run` only
-gathers, multiplies and scatters, and `Circuit.adjoint_gradient` walks the
-same rotations backwards for the gradient of an expectation value.
+amplitudes of one sector (for UCCSD, the rows of
+`AssembledSystem.sector`): a reference basis state and, per parameter,
+the pairs of states it rotates into each other, with a sign per pair.
+`Circuit.run` only gathers, multiplies and scatters, and
+`Circuit.adjoint_gradient` walks the same rotations backwards for the
+gradient of an expectation value.
 """
 
 import numpy as np
 from typing import Sequence, Tuple
 
-from .oracle import basis_states
+from . import oracle
 from .pauli import I_POWERS, PauliSum, bit_parity
 
 MAX_QUBITS = 24
@@ -75,12 +76,13 @@ def sampled_expectation(amplitudes: np.ndarray, basis: np.ndarray,
                         rng: "np.random.Generator") -> Tuple[float, float]:
     """Estimate <O> by simulated projective measurement, `shots` per term.
 
-    The state is the normalized `amplitudes` over the `basis` states
-    (`oracle.basis_states`), zero elsewhere. Measuring a non-identity term
-    P gives +1 with probability (1 + <P>) / 2, so one `rng.binomial` draw
-    gives each term's +1 count k of s = `shots`, in `items()` order.
-    <P> = Re(i^{n_y} sum_b conj(psi[b ^ x]) (-1)^{|z & b|} psi[b]) sums
-    over the basis states b with b ^ x in the basis, grouped by X-mask.
+    The state is the normalized `amplitudes` over the `basis` states, in
+    any order (`oracle.basis_lookup`), zero elsewhere. Measuring a
+    non-identity term P gives +1 with probability (1 + <P>) / 2, so one
+    `rng.binomial` draw gives each term's +1 count k of s = `shots`, in
+    `items()` order. <P> = Re(i^{n_y} sum_b conj(psi[b ^ x])
+    (-1)^{|z & b|} psi[b]) sums over the basis states b with b ^ x in the
+    basis, in basis order, grouped by X-mask.
     The term's mean is m = (2k - s) / s and the sample variance of its
     outcomes s (1 - m^2) / (s - 1); identity terms enter exactly. Returns
     the estimate and its standard error, the square root of the summed
@@ -91,7 +93,7 @@ def sampled_expectation(amplitudes: np.ndarray, basis: np.ndarray,
                          f"got {shots}")
     if not observable.is_hermitian():
         raise ValueError("sampling needs a Hermitian observable")
-    states = basis_states(basis, observable.n_qubits)
+    states, find = oracle.basis_lookup(basis, observable.n_qubits)
     psi = np.asarray(amplitudes)
     if psi.shape != states.shape:
         raise ValueError("need one amplitude per basis state")
@@ -100,9 +102,7 @@ def sampled_expectation(amplitudes: np.ndarray, basis: np.ndarray,
     x, z = observable.x[measured], observable.z[measured]
     expected = np.empty(coeffs.size)
     for mask in dict.fromkeys(x.tolist()):
-        targets = states ^ mask
-        at = np.minimum(np.searchsorted(states, targets), states.size - 1)
-        inside = states[at] == targets
+        at, inside = find(states ^ mask)
         kets = states[inside]
         products = np.conj(psi[at[inside]]) * psi[inside]
         for k in np.flatnonzero(x == mask).tolist():

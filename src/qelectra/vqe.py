@@ -29,23 +29,23 @@ energies; its gains and budget follow the parameter count
 (`spsa_schedule`), and it stops after SPSA_PATIENCE consecutive
 sub-tolerance energy changes or at its budget.
 
-`run_vqe` takes the assembled system, which builds on first use the
-qubit Hamiltonian in its mapping, the sector and the Hamiltonian's block
-on it (the block the FCI eigensolver diagonalizes). An exact energy
-evaluation is one `Circuit.run` giving the sector amplitudes psi and
-psi^T H psi with H that block; a gradient adds one adjoint sweep with
-H psi. A shot-sampled evaluation measures the qubit Hamiltonian term by
-term on the same amplitudes (`simulator.sampled_expectation` over
-`system.sector`), so no run holds an array over the 2^n register. The
-mapping shapes only the Hamiltonian, the block and these measurements,
-never the ansatz.
+An exact energy evaluation is one `Circuit.run` giving the sector
+amplitudes psi and psi^T H psi with H `system.block`, the block the FCI
+eigensolver diagonalizes; a gradient adds one adjoint sweep with H psi.
+A shot-sampled evaluation measures the qubit Hamiltonian term by term on
+the same amplitudes (`simulator.sampled_expectation` over
+`system.encoded_sector`), so no run holds an array over the 2^n
+register. The mapping shapes only what the system builds, never the
+ansatz; this module never reads it.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .pauli import bit_parity, decode_states
+from . import oracle
+from .pauli import bit_parity
 from .pipeline import AssembledSystem
 from .simulator import Circuit, sampled_expectation
 
@@ -96,21 +96,13 @@ def build_uccsd(n_spin_orbitals: int, n_electrons: int) -> UccsdAnsatz:
             "degenerate ansatz")
     occupied = range(n_electrons)
     virtual = range(n_electrons, n_spin_orbitals)
-    excitations: List[Excitation] = []
-    for i in occupied:
-        for a in virtual:
-            if i % 2 == a % 2:
-                excitations.append(Excitation((i,), (a,)))
-    for i in occupied:
-        for j in occupied:
-            if j <= i:
-                continue
-            for a in virtual:
-                for b in virtual:
-                    if b <= a:
-                        continue
-                    if (i % 2 + j % 2) == (a % 2 + b % 2):
-                        excitations.append(Excitation((i, j), (a, b)))
+    singles = [Excitation((i,), (a,)) for i in occupied for a in virtual
+               if i % 2 == a % 2]
+    doubles = [Excitation((i, j), (a, b))
+               for i, j in combinations(occupied, 2)
+               for a, b in combinations(virtual, 2)
+               if i % 2 + j % 2 == a % 2 + b % 2]
+    excitations = singles + doubles
     if not excitations:
         raise ValueError("degenerate ansatz: no spin-preserving excitations")
     return UccsdAnsatz(n_spin_orbitals=n_spin_orbitals,
@@ -122,27 +114,21 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
     """The ansatz as a program over the amplitudes of `system.sector`.
 
     The ansatz must have the system's register and electron count. The
-    sector's encoded states are decoded to occupations, and the run starts
-    from the aufbau determinant, the modes below n_electrons occupied.
+    sector holds each determinant's occupied modes, and the run starts
+    from the aufbau determinant, the modes below n_electrons occupied: the
+    first alpha and the first beta string, row 0.
     Excitation k, T = a_a^ a_b^ a_j a_i (a single: a_a^ a_i), becomes the
     rotations of parameter k: its sources are the determinants D with i
     (and j) occupied and a (and b) empty, its targets T D up to the sign
     T picks up there, the Jordan-Wigner sign (-1)^(occupied modes below
-    the mode) of each ladder operator in turn. Every mapping encodes these
-    same amplitudes, so the mapping enters only through the decoding.
+    the mode) of each ladder operator in turn, whatever the mapping.
     Excitations are compiled in passes over several at once, one array
     step per ladder operator, and each pass is split per excitation.
     """
-    occupations = decode_states(system.mapping, ansatz.n_spin_orbitals,
-                                system.sector)
-    order = np.argsort(occupations)
-    ranked = occupations[order]
-
-    def locate(occ: np.ndarray) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(ranked, occ), ranked.size - 1)
-        if np.any(ranked[pos] != occ):
-            raise ValueError("the ansatz leaves the system's sector")
-        return order[pos]
+    occupations, find = oracle.basis_lookup(system.sector,
+                                            ansatz.n_spin_orbitals)
+    if occupations[0] != (1 << ansatz.n_electrons) - 1:
+        raise ValueError("the ansatz's reference leaves the system's sector")
 
     # T acts right to left: a_i, a_j, then a_b^, a_a^; each row of `flips`
     # holds an excitation's steps, padded with steps that flip no mode,
@@ -173,12 +159,14 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
         for flip, lower in zip(flips[lo:hi].T, below[lo:hi].T):
             parity ^= bit_parity(occ & lower[owner])
             occ ^= flip[owner]
-        rotations = (source, locate(occ), 1.0 - 2.0 * parity)
+        target, inside = find(occ)
+        if not inside.all():
+            raise ValueError("the ansatz leaves the system's sector")
+        rotations = (source, target, 1.0 - 2.0 * parity)
         bounds = np.searchsorted(owner, np.arange(hi - lo + 1)).tolist()
         instructions += [tuple(a[b:e] for a in rotations)
                          for b, e in zip(bounds, bounds[1:])]
-    aufbau = np.array([(1 << ansatz.n_electrons) - 1])
-    return Circuit(occupations.size, int(locate(aufbau)[0]), instructions)
+    return Circuit(occupations.size, 0, instructions)
 
 
 # ---- optimization ----------------------------------------------------------
@@ -304,7 +292,7 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz, seed: int = 0,
             e = float(psi @ h_psi)
             return ((e, circuit.adjoint_gradient(theta, psi, h_psi))
                     if gradient else e)
-        return sampled_expectation(psi, system.sector,
+        return sampled_expectation(psi, system.encoded_sector,
                                    system.qubit_hamiltonian, shots, rng)[0]
 
     energy_history: List[float] = []

@@ -35,6 +35,9 @@ applying the rotations one by one with `apply_pauli_exponential`.
 arXiv:2009.02823). `circuit_by_excitations` compiles the sector route's
 `simulator.Circuit` one excitation at a time, the oracle
 `vqe.ansatz_circuit` is checked against bit for bit.
+`decode_states` reads determinants back from encoded states, the oracle
+the order of `pauli.sector_basis` is checked against, and
+`register_state` scatters sector amplitudes onto the whole register.
 
 `rotated_plus_probability` is the probability of +1 when one string is
 measured on a register state the way a device measures it: each qubit
@@ -52,10 +55,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from qelectra.fermion import FermionOperator
-from qelectra.oracle import SparseBlock, basis_states
+from qelectra.oracle import SparseBlock, basis_lookup
 from qelectra.pauli import (I_POWERS, MappingKind, PauliSum, _encoding,
-                            _mode_masks, bit_parity, decode_states,
-                            map_fermion)
+                            _mode_masks, bit_parity, map_fermion)
 from qelectra.simulator import Circuit, StateVector
 from qelectra.vqe import Excitation, UccsdAnsatz
 
@@ -85,6 +87,19 @@ def encode_occupation(kind: MappingKind, occupied: Iterable[int],
         occ |= 1 << m
     return [q for q, row in enumerate(_encoding(kind, n_modes))
             if (row & occ).bit_count() & 1]
+
+
+def decode_states(kind: MappingKind, n_modes: int,
+                  states: np.ndarray) -> np.ndarray:
+    """Occupied modes of each encoded basis state, as a bitmask with mode m
+    at bit m, by back-substitution: row q of the encoding holds mode q and
+    otherwise only lower modes, so mode q is occupied when qubit q's bit
+    differs from the parity of the lower modes row q holds."""
+    occupations = np.zeros_like(states)
+    for q, row in enumerate(_encoding(kind, n_modes)):
+        bit = (states >> q & 1) ^ bit_parity(occupations & row)
+        occupations |= bit.astype(np.int64) << q
+    return occupations
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -161,8 +176,9 @@ def block_by_diagonals(observable: PauliSum,
     """The block `oracle.pauli_to_sparse` builds, one X-mask at a time:
     the terms grouped by X-mask in `items()` order, each group's diagonal
     summed term by term, with the same refusals."""
-    states = basis_states(basis, observable.n_qubits)
+    states = basis_lookup(basis, observable.n_qubits)[0]
     dim = states.size
+    row = {b: i for i, b in enumerate(states.tolist())}
     if not observable.is_hermitian() or any(
             (x & z).bit_count() % 2 for (x, z), _ in observable.items()):
         raise ValueError(
@@ -177,9 +193,9 @@ def block_by_diagonals(observable: PauliSum,
     for x, terms in groups.items():
         d_x = _diagonal(x, terms, states)
         nonzero = np.flatnonzero(d_x)
-        targets = states[nonzero] ^ x
-        at = np.minimum(np.searchsorted(states, targets), dim - 1)
-        inside = states[at] == targets
+        at = np.array([row.get(b ^ x, -1) for b in states[nonzero].tolist()],
+                      dtype=np.int64)
+        inside = at >= 0
         if np.any(np.abs(d_x[nonzero[~inside]]) > 1e-10):
             raise ValueError(
                 "the operator maps basis states outside the basis")
@@ -492,9 +508,10 @@ def pauli_circuit(ansatz: UccsdAnsatz, kind: MappingKind) -> PauliCircuit:
 
 
 def register_state(system, amplitudes: np.ndarray) -> StateVector:
-    """Sector amplitudes scattered onto the whole register of `system`."""
+    """Sector amplitudes scattered onto the whole register of `system`,
+    each onto its determinant's state under the system's mapping."""
     data = np.zeros(1 << system.n_qubits, dtype=complex)
-    data[system.sector] = amplitudes
+    data[system.encoded_sector] = amplitudes
     return StateVector(system.n_qubits, data)
 
 
@@ -503,17 +520,15 @@ def circuit_by_excitations(ansatz: UccsdAnsatz, system) -> Circuit:
     time: the sources of excitation T are the determinants with its
     occupied modes occupied and its virtual modes empty, and T's ladder
     operators act on them right to left, each adding the parity of the
-    occupied modes below its own to the sign."""
-    occupations = decode_states(system.mapping, ansatz.n_spin_orbitals,
-                                system.sector)
-    order = np.argsort(occupations)
-    ranked = occupations[order]
+    occupied modes below its own to the sign. Determinants are found in
+    the rows of `system.sector` by a dictionary."""
+    occupations = system.sector
+    row = {occ: i for i, occ in enumerate(occupations.tolist())}
 
     def locate(occ: np.ndarray) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(ranked, occ), ranked.size - 1)
-        if np.any(ranked[pos] != occ):
+        if not set(occ.tolist()) <= row.keys():
             raise ValueError("the ansatz leaves the system's sector")
-        return order[pos]
+        return np.array([row[o] for o in occ.tolist()], dtype=np.int64)
 
     instructions = []
     for exc in ansatz.excitations:

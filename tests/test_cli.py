@@ -384,16 +384,49 @@ def test_degenerate_scan_grid_exit_one(capsys):
 def test_negative_seed_is_refused_before_the_chain_runs(capsys, monkeypatch,
                                                        method, seed):
     # vqe used to fail after SCF with numpy's message, naming no flag, and
-    # hf used to exit 0
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrals computed for a negative seed")
+    # hf used to exit 0; a library caller of execute is refused as early
+    calls = []
+    compute = pipeline.compute_integrals
 
-    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_integrals", counting)
     code, out, err = run_cli(capsys, "--molecule", "h2", "--method", method,
                              "--seed", seed)
     assert code == 1
     assert out == ""
-    assert "error: --seed must be a non-negative integer" in err
+    assert err == "error: --seed must be a non-negative integer\n"
+    with pytest.raises(ValueError,
+                       match="--seed must be a non-negative integer"):
+        cli.execute(cli.RunSpec(molecule=cli.load_molecule_argument("h2"),
+                                methods=(method,), seed=int(seed)))
+    assert calls == []
+
+
+def test_absurd_coordinates_are_refused_before_any_integral(
+        capsys, tmp_path, monkeypatch, recwarn):
+    # H2 at 1e300 Angstrom printed numpy overflow warnings and exited 2;
+    # an XYZ file and a scan bound are refused against one stated bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrals computed")
+
+    monkeypatch.setattr(pipeline, "compute_integrals", refuse)
+    monkeypatch.setattr(cli, "compute_integrals_batch", refuse)
+    xyz = tmp_path / "far.xyz"
+    xyz.write_text("2\n\nH 0 0 0\nH 0 0 1e300\n")
+    code, out, err = run_cli(capsys, "--molecule", str(xyz), "--method",
+                             "hf,fci")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: coordinate of H at (0.0, 0.0, 1.8897")
+    assert err.endswith("Bohr lies beyond the 10000 Bohr bound\n")
+    code, out, err = run_cli(capsys, "--molecule", "h2", "--scan",
+                             "1,1e300,3")
+    assert (code, out) == (1, "")
+    assert err == ("error: --scan bounds must be at most 10000 Bohr; got "
+                   "1.0, 1e+300\n")
+    assert len(recwarn) == 0
 
 
 def test_fci_cap_is_checked_before_the_chain_runs(capsys, monkeypatch):

@@ -341,8 +341,8 @@ SHARED_NAMES = {
                  "cli.execute",
     "energy": "MethodResult: the renderers; VqeResult: cli.execute",
     "iterations": "MethodResult: the renderers; SpsaSchedule: vqe._spsa",
-    "mapping": "AssembledSystem: its qubit_hamiltonian and sector, "
-               "vqe.ansatz_circuit; RunSpec: cli.execute and the renderers",
+    "mapping": "AssembledSystem: its qubit_hamiltonian and "
+               "encoded_sector; RunSpec: cli.execute and the renderers",
     "molecule": "AssembledSystem and RunSpec: cli.execute",
     "n_electrons": "Molecule: pipeline.assemble; SpinOrbitalIntegrals: "
                    "AssembledSystem.sector; UccsdAnsatz: vqe.run_vqe",

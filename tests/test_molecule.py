@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qelectra.molecule import (BOHR_PER_ANGSTROM, from_atom_list, load_xyz,
-                               nuclear_repulsion, parse_xyz)
+from qelectra.molecule import (BOHR_PER_ANGSTROM, MAX_COORDINATE_BOHR,
+                               from_atom_list, load_xyz, nuclear_repulsion,
+                               parse_xyz)
 from qelectra.pipeline import (canonical_formula, display_name,
                                shipped_geometry)
 
@@ -39,6 +40,20 @@ def test_non_finite_coordinates_rejected():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             from_atom_list([("H", (0, 0, 0)), ("H", (0, bad, 1.4))])
+
+
+def test_coordinates_beyond_the_bound_rejected():
+    # a 100 Bohr dissociation scan point and the bound itself are admitted,
+    # on any axis and either side of the origin
+    far = from_atom_list([("H", (0, 0, 0)), ("H", (0, 0, 100.0))])
+    assert far.atoms[1].position == (0.0, 0.0, 100.0)
+    from_atom_list([("H", (-MAX_COORDINATE_BOHR, 0, 0)),
+                    ("H", (0, MAX_COORDINATE_BOHR, 0))])
+    for bad in (1e300, -1e300, MAX_COORDINATE_BOHR * (1 + 1e-15)):
+        with pytest.raises(ValueError, match="beyond the 10000 Bohr bound"):
+            from_atom_list([("H", (0, 0, 0)), ("H", (0, bad, 1.4))])
+    with pytest.raises(ValueError, match="beyond the 10000 Bohr bound"):
+        parse_xyz("2\ncomment\nH 0 0 1e300\nH 0 0 0\n")
 
 
 def test_parse_xyz_rejects_unknown_element():

@@ -20,7 +20,8 @@ from qelectra.oracle import (
 )
 from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.pipeline import assemble, shipped_geometry
-from qelectra.simulator import StateVector
+from qelectra.simulator import StateVector, sampled_expectation
+from qelectra.vqe import ansatz_circuit, build_uccsd
 from conftest import SHIPPED
 from pauli_oracle import (add, apply_pauli, block_by_diagonals, block_matrix,
                           encode_occupation, fermion_operator, masked_sum,
@@ -224,7 +225,7 @@ _EXACT = st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.25, 1e-11, -3e-11])
 def sums_on_bases(draw):
     """A real symmetric Pauli sum on 1-6 qubits (real coefficients, an
     even Y count in every string), up to 40 strings on few X-masks, and a
-    sorted basis of distinct states: either closed under the sum's
+    basis of distinct states in any order: either closed under the sum's
     X-masks, so that no entry leaves it, or any subset of the register."""
     n = draw(st.integers(1, 6))
     x_masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
@@ -239,7 +240,8 @@ def sums_on_bases(draw):
     if draw(st.booleans()):
         for x in x_masks:
             states |= {b ^ x for b in states}
-    return op, np.array(sorted(states))
+    return op, np.array(draw(st.permutations(sorted(states))),
+                        dtype=np.int64)
 
 
 @settings(deadline=None, max_examples=300)
@@ -253,6 +255,51 @@ def test_block_matches_the_diagonal_loop_on_random_bases(case):
             pauli_to_sparse(op, basis)
     else:
         assert same_block(pauli_to_sparse(op, basis), want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sums_on_bases(), st.data())
+def test_permuting_the_basis_permutes_the_block(case, data):
+    # row and column i stand for basis[i] in any order, and each entry
+    # keeps its value bit for bit: basis[perm] puts block entry
+    # (perm[i], perm[j]) at (i, j)
+    op, basis = case
+    perm = np.array(data.draw(st.permutations(range(basis.size))),
+                    dtype=np.int64)
+    try:
+        block = pauli_to_sparse(op, basis)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
+            pauli_to_sparse(op, basis[perm])
+        return
+    inverse = np.argsort(perm)
+    rows, cols = inverse[block.rows], inverse[block.cols]
+    order = np.argsort(rows * basis.size + cols)
+    assert same_block(pauli_to_sparse(op, basis[perm]), oracle.SparseBlock(
+        rows[order], cols[order], block.values[order], basis.size))
+
+
+def test_one_lookup_serves_the_block_the_sampler_and_the_circuit(
+        assembled, monkeypatch):
+    # the block and the sampler find states in the encoded sector, the
+    # circuit finds determinants in the sector, each through one lookup
+    system = dataclasses.replace(assembled("lih"))
+    lookup = oracle.basis_lookup
+    bases = []
+
+    def recording(basis, n_qubits):
+        bases.append(basis)
+        return lookup(basis, n_qubits)
+
+    monkeypatch.setattr(oracle, "basis_lookup", recording)
+    assert system.block.shape[0] == 25
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    psi = ansatz_circuit(ansatz, system).run(np.zeros(ansatz.n_parameters))
+    sampled_expectation(psi, system.encoded_sector, system.qubit_hamiltonian,
+                        16, np.random.default_rng(0))
+    assert [id(basis) for basis in bases] == [
+        id(system.encoded_sector), id(system.sector),
+        id(system.encoded_sector)]
 
 
 @pytest.mark.parametrize("basis", [[0], [0, 1 << 4]])
@@ -288,7 +335,7 @@ def test_ch4_block_peaks_below_3_4_megabytes(assembled):
     # each pass's sign table holds about oracle._PASS_ENTRIES entries; the
     # block's 44,320 stored entries dominate the peak
     system = assembled("ch4")
-    hamiltonian, sector = system.qubit_hamiltonian, system.sector
+    hamiltonian, sector = system.qubit_hamiltonian, system.encoded_sector
     tracemalloc.start()
     try:
         pauli_to_sparse(hamiltonian, sector)
@@ -335,8 +382,8 @@ def test_davidson_thick_restart_keeps_the_ground_state(monkeypatch):
     assert widths.count(3) > 1
 
 
-@pytest.mark.parametrize("key, value", [("h2", -1.1373060359051403),
-                                        ("lih", -7.882176004920572)])
+@pytest.mark.parametrize("key, value", [("h2", -1.1373060359051408),
+                                        ("lih", -7.882176004920567)])
 def test_davidson_stops_once_the_subspace_stops_growing(assembled, key,
                                                         value, monkeypatch):
     # with no residual small enough, the subspace stops growing at 4 (H2,
@@ -437,7 +484,7 @@ def test_sector_block_equals_the_slice_of_the_full_matrix(case):
 
 def test_lithium_hydride_sector_block_equals_the_slice(assembled):
     system = assembled("lih")
-    basis = system.sector
+    basis = system.encoded_sector
     assert basis.size == 25
     block = pauli_to_sparse(system.qubit_hamiltonian, basis)
     full = pauli_to_sparse(system.qubit_hamiltonian,
@@ -457,12 +504,15 @@ def test_sector_block_refuses_an_operator_that_leaves_it(kind):
 
 
 def test_sector_basis_argument_validation():
+    # states in any order are a basis; a repeated or out-of-range one is not
     op = masked_sum(2, {(0, 0): 1.0})
-    for bad, fragment in (([2, 1], "sorted"), ([1, 1], "sorted"),
+    for bad, fragment in (([1, 1], "distinct"), ([3, 0, 3], "distinct"),
                           ([0, 4], "0..3"), ([-1, 0], "0..3"),
-                          ([], "nonempty")):
+                          ([4, 0], "0..3"), ([], "nonempty")):
         with pytest.raises(ValueError, match=fragment):
             pauli_to_sparse(op, np.array(bad, dtype=np.int64))
+    assert pauli_to_sparse(op, np.array([2, 1])).values.tolist() == [1.0,
+                                                                      1.0]
 
 
 @pytest.mark.parametrize("kind", list(MappingKind))
@@ -480,7 +530,8 @@ def test_fci_stays_in_the_sector_when_the_fock_minimum_leaves_it(
               for a in (0, 2) for b in (1, 3)]
     full = pauli_to_sparse(shifted, np.arange(1 << n))
     want = np.linalg.eigvalsh(block_matrix(full)[np.ix_(states, states)])[0]
-    got = exact_ground_energy(pauli_to_sparse(shifted, system.sector))
+    got = exact_ground_energy(pauli_to_sparse(shifted,
+                                              system.encoded_sector))
     assert got == pytest.approx(want, abs=1e-12)
     assert got > exact_ground_energy(full) + 1.0
     # the CLI's FCI route, on the shifted system

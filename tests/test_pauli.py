@@ -15,16 +15,15 @@ from qelectra.pauli import (
     MAX_MAPPED_MODES,
     MappingKind,
     bit_parity,
-    decode_states,
     map_fermion,
     mapping_from_name,
     sector_basis,
 )
 from qelectra.pipeline import SHIPPED_MOLECULES
 from pauli_oracle import (add, anticommutation_check, bit_parity_by_folds,
-                          encode_occupation, fermion_operator, ladder_image,
-                          letters, masked_sum, masks, number_operator,
-                          pauli_sum, product, sz_operator)
+                          decode_states, encode_occupation, fermion_operator,
+                          ladder_image, letters, masked_sum, masks,
+                          number_operator, pauli_sum, product, sz_operator)
 from test_fermion import bitwise, dense_annihilator
 
 I2 = np.eye(2, dtype=complex)
@@ -447,12 +446,21 @@ def test_bit_parity_matches_the_bit_folds(values):
 # ---- (N, S_z) sectors ---------------------------------------------------------
 
 
+def string_order(n_modes, n_alpha, n_beta):
+    """Occupation masks of one sector's determinants in alpha-beta string
+    order: alpha strings (even modes) outer, beta strings (odd modes)
+    inner, each in `itertools.combinations` order."""
+    return [sum(1 << m for m in alpha + beta)
+            for alpha in itertools.combinations(range(0, n_modes, 2), n_alpha)
+            for beta in itertools.combinations(range(1, n_modes, 2), n_beta)]
+
+
 @pytest.mark.parametrize("n_spatial", range(1, 7))
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_sector_basis_holds_exactly_the_sector(kind, n_spatial):
     # distinct states, as many as determinants, each an eigenstate of N
     # and S_z with the sector's values: together these make the array the
-    # whole sector
+    # whole sector, in any order
     n = 2 * n_spatial
     register = np.arange(1 << n)
     number = pauli_to_sparse(map_fermion(number_operator(n), kind, n),
@@ -462,7 +470,7 @@ def test_sector_basis_holds_exactly_the_sector(kind, n_spatial):
         for n_beta in range(n_spatial + 1):
             states = sector_basis(kind, n, n_alpha, n_beta)
             assert states.dtype == np.int64
-            assert np.all(np.diff(states) > 0)
+            assert np.unique(states).size == states.size
             assert states.size == comb(n_spatial, n_alpha) * comb(n_spatial,
                                                                   n_beta)
             assert np.allclose(number.diagonal()[states], n_alpha + n_beta,
@@ -494,17 +502,18 @@ def test_decoding_inverts_the_encoding(kind, n, data):
 @given(kind=st.sampled_from(ALL_KINDS), n_spatial=st.integers(1, 8),
        data=st.data())
 def test_a_sector_decodes_to_its_determinants(kind, n_spatial, data):
+    # row I_a * C(n/2, n_beta) + I_b is alpha string I_a with beta string
+    # I_b under every mapping; under Jordan-Wigner the states are the
+    # occupations themselves
     n_alpha = data.draw(st.integers(0, n_spatial))
     n_beta = data.draw(st.integers(0, n_spatial))
     n = 2 * n_spatial
-    occupations = decode_states(kind, n, sector_basis(kind, n, n_alpha,
-                                                      n_beta)).tolist()
-    assert len(set(occupations)) == len(occupations) == (
-        comb(n_spatial, n_alpha) * comb(n_spatial, n_beta))
-    even = sum(1 << m for m in range(0, n, 2))
-    for occ in occupations:
-        assert (occ & even).bit_count() == n_alpha
-        assert (occ & ~even).bit_count() == n_beta
+    want = string_order(n, n_alpha, n_beta)
+    assert len(want) == comb(n_spatial, n_alpha) * comb(n_spatial, n_beta)
+    states = sector_basis(kind, n, n_alpha, n_beta)
+    assert decode_states(kind, n, states).tolist() == want
+    assert sector_basis(MappingKind.JORDAN_WIGNER, n, n_alpha,
+                        n_beta).tolist() == want
 
 
 def test_encode_occupation_values_and_validation():

@@ -1,6 +1,8 @@
 """End-to-end assembly, shipped-molecule registry, scan plumbing helpers,
 and the package exports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from qelectra.fermion import (ActiveSpaceSpec, mo_spatial_integrals,
 from qelectra.molecule import from_atom_list
 from qelectra import pipeline
 from qelectra.oracle import exact_ground_energy, pauli_to_sparse
-from qelectra.pauli import MappingKind
+from qelectra.pauli import MappingKind, sector_basis
 from qelectra.pipeline import (
     DEFAULT_ACTIVE_SPACES,
     SHIPPED_MOLECULES,
@@ -24,7 +26,11 @@ from qelectra.pipeline import (
     load_molecule_argument,
     shipped_geometry,
 )
+from qelectra.vqe import build_uccsd, run_vqe
+from conftest import SHIPPED
+from pauli_oracle import decode_states
 from test_cli import method_row
+from test_pauli import string_order
 
 
 def test_every_export_resolves():
@@ -132,6 +138,43 @@ def test_shipped_hf_and_fci_energies_are_pinned(assembled, key):
     # sector built here
     assert pipeline.window_size(system.molecule) == (system.n_qubits,
                                                      system.sector.size)
+
+
+@pytest.mark.parametrize("key", SHIPPED + ["ch4 (8e, 8o)"])
+def test_the_sector_is_one_array_under_every_mapping(key, assembled,
+                                                     wide_ch4):
+    # the determinants' occupations in alpha-beta string order, whatever
+    # the mapping; each mapping's encoded states decode to them row for row
+    system = wide_ch4 if key == "ch4 (8e, 8o)" else assembled(key)
+    n, half = system.n_qubits, system.spin_orbitals.n_electrons // 2
+    want = np.array(string_order(n, half, half), dtype=np.int64)
+    for kind in MappingKind:
+        remapped = dataclasses.replace(system, mapping=kind)
+        assert remapped.sector.dtype == np.int64
+        assert remapped.sector.tobytes() == want.tobytes()
+        encoded = remapped.encoded_sector
+        assert encoded.tobytes() == sector_basis(kind, n, half,
+                                                 half).tobytes()
+        assert decode_states(kind, n, encoded).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key", SHIPPED)
+def test_fci_and_exact_vqe_do_not_depend_on_the_mapping(key, assembled):
+    # one sector order under every mapping: the energies agree to 1e-12 Ha
+    # (on the shipped molecules, bit for bit) and the optimizer takes the
+    # same iterations and evaluations
+    system = assembled(key)
+    ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
+    runs = []
+    for kind in MappingKind:
+        remapped = dataclasses.replace(system, mapping=kind)
+        result = run_vqe(remapped, ansatz)
+        runs.append((exact_ground_energy(remapped.block), result.energy,
+                     result.n_iterations, result.n_evaluations))
+    for fci, vqe, iterations, evaluations in runs[1:]:
+        assert abs(fci - runs[0][0]) <= 1e-12
+        assert abs(vqe - runs[0][1]) <= 1e-12
+        assert (iterations, evaluations) == runs[0][2:]
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_ENERGIES))

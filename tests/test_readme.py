@@ -1,6 +1,9 @@
 """The README's Python API example runs as written, its command lines
-parse, and its Command line section names every CLI option and no other."""
+parse, its Command line section names every CLI option and no other, and
+every package name it writes in backticks exists."""
 
+import dataclasses
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -9,8 +12,43 @@ import pytest
 
 from qelectra import cli
 from qelectra.pauli import mapping_from_name
+from qelectra.pipeline import AssembledSystem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = README.parent / "src" / "qelectra"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if path.stem != "__init__")
+SYSTEM_NAMES = set(dir(AssembledSystem)) | {
+    field.name for field in dataclasses.fields(AssembledSystem)}
+
+
+def unresolved_names(text):
+    """Each `module.name` of a package module, and each `system.name`,
+    written in an inline code span of `text` (code blocks aside) that is
+    not an attribute of that module, or of `AssembledSystem`."""
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    dotted = re.compile(r"(?<![\w.])(%s)\.(\w+)" % "|".join(
+        MODULES + ["system"]))
+    missing = []
+    for span in re.findall(r"`([^`]+)`", prose):
+        for owner, name in dotted.findall(span):
+            known = (name in SYSTEM_NAMES if owner == "system" else hasattr(
+                importlib.import_module(f"qelectra.{owner}"), name))
+            if not known:
+                missing.append(f"{owner}.{name}")
+    return missing
+
+
+def test_the_name_check_sees_a_removed_name():
+    text = ("`pauli.decode_states` and `system.sector`, `oracle.basis_lookup`"
+            " and `system.mapping_name`; `tests/pauli_oracle.py` and "
+            "`np.arange`\n```\npauli.nothing\n```\n")
+    assert unresolved_names(text) == ["pauli.decode_states",
+                                      "system.mapping_name"]
+
+
+def test_every_backticked_package_name_exists():
+    assert unresolved_names(README.read_text()) == []
 
 
 def test_python_api_example_runs(capsys):

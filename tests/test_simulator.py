@@ -191,8 +191,11 @@ def test_sampled_expectation_validation():
         sample(basis_state(2, 0), op, 10, rng)
     with pytest.raises(ValueError, match="one amplitude per basis state"):
         sampled_expectation(sv.data, np.arange(1), op, 10, rng)
-    with pytest.raises(ValueError, match="sorted and distinct"):
-        sampled_expectation(sv.data, np.array([1, 0]), op, 10, rng)
+    with pytest.raises(ValueError, match="distinct"):
+        sampled_expectation(sv.data, np.array([0, 0]), op, 10, rng)
+    # states in any order: the first amplitude stands for state 1 here
+    assert sampled_expectation(sv.data, np.array([1, 0]), op, 10,
+                               rng) == (-1.0, 0.0)
     with pytest.raises(ValueError, match="Hermitian"):
         sample(sv, term("Z", 1j), 10, rng)
 
@@ -220,7 +223,7 @@ def test_sector_and_register_measure_every_term_alike(key, kind, assembled):
     state = pauli_circuit(ansatz, kind).run(theta)
     observable = system.qubit_hamiltonian
     recorder = ProbabilityRecorder()
-    sampled_expectation(psi, system.sector, observable, 1, recorder)
+    sampled_expectation(psi, system.encoded_sector, observable, 1, recorder)
     want = [rotated_plus_probability(state, x, z)
             for (x, z), _ in observable.items() if x | z]
     assert recorder.p.shape == (len(want),)

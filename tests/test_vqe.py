@@ -512,7 +512,7 @@ def test_one_excitation_is_the_exponential_of_its_generator(data):
     kind = MappingKind.JORDAN_WIGNER
     sector = sector_basis(kind, n, (n_e + 1) // 2, n_e // 2)
     circuit = ansatz_circuit(UccsdAnsatz(n, n_e, [exc]),
-                             SimpleNamespace(mapping=kind, sector=sector))
+                             SimpleNamespace(sector=sector))
     assert len(circuit.instructions) == 1
     aufbau = np.zeros(1 << n)
     aufbau[(1 << n_e) - 1] = 1.0
@@ -539,9 +539,9 @@ def test_sector_route_matches_the_pauli_oracle(key, kind, assembled):
     data = pauli.run(theta).data
     lam = np.zeros_like(data)
     # the real block on the real and imaginary parts apart
-    gathered = data[system.sector]
-    lam[system.sector] = (system.block @ gathered.real
-                          + 1j * (system.block @ gathered.imag))
+    gathered = data[system.encoded_sector]
+    lam[system.encoded_sector] = (system.block @ gathered.real
+                                  + 1j * (system.block @ gathered.imag))
     want_energy = np.vdot(data, lam).real
     want_gradient = pauli.adjoint_gradient(theta, data, lam)
     assert abs(psi @ h_psi - want_energy) <= 1e-12
@@ -624,7 +624,7 @@ def test_shot_runs_hold_no_register(key, assembled, monkeypatch):
 
 def test_sampled_runs_report_a_fresh_estimate_at_theta_star(assembled,
                                                             monkeypatch):
-    # the lowest of ~900 noisy energies sits 6.9 mHa (about 3.7 standard
+    # the lowest of ~900 noisy energies sits 5.0 mHa (about 2.5 standard
     # errors) below FCI here; one more draw at theta_star is unbiased
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
