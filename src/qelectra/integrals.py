@@ -10,8 +10,8 @@ weights, and per-axis Hermite coefficients E zero-padded to the longest
 axis, beside the pair's per-axis Hermite lengths. Rows are filled per power
 class (primitive counts and powers of both functions), one Hermite call per
 axis and kinetic shift, with S and T. V takes one Hermite Coulomb call per
-angular class (primitive pairs, Hermite lengths) and one Boys call per
-Boys order. The ERIs, a dense (n, n, n, n) array in chemists' notation
+angular class (primitive pairs, Hermite lengths) and one Boys call for
+each. The ERIs, a dense (n, n, n, n) array in chemists' notation
 (ij|kl), are computed once per canonical quartet that no coordinate plane
 makes zero (below) and batched by what the arithmetic depends on: Boys
 order, primitive counts and box (sx, sy, sz), the per-axis bra plus ket
@@ -330,36 +330,28 @@ class _PairTables:
 def _nuclear_attraction(tables: _PairTables, nuclei: np.ndarray,
                         charges: np.ndarray) -> np.ndarray:
     """V for every pair, attracted by its own geometry's nuclei (nuclei[r]
-    for row r): one Hermite Coulomb call per angular class over all its
-    pairs, nuclei and primitive pairs, and one Boys call per Boys order
-    over all classes of that order."""
-    # angular classes (Boys order, K, lengths), sorted by Boys order
+    for row r): one Boys call and one Hermite Coulomb call per angular
+    class over all its pairs, nuclei and primitive pairs."""
+    # angular classes (Boys order, K, lengths)
     key = np.column_stack((tables.length.sum(axis=1) - 3, tables.K,
                            tables.length))
     classes, of_pair = np.unique(key, axis=0, return_inverse=True)
     v = np.empty(tables.K.size)
-    for order, members in groupby(enumerate(classes.tolist()),
-                                  key=lambda item: item[1][0]):
-        work = []
-        for c, (_, k, *lengths) in members:
-            index = np.flatnonzero(of_pair.ravel() == c)
-            PC = tables.P[index, None, :k] - nuclei[index, :, None]
-            p = np.broadcast_to(tables.p[index, None, :k], PC.shape[:3])
-            work.append((index, k, lengths, p.ravel(), PC.reshape(-1, 3)))
-        F = boys(order, np.concatenate(
-            [_boys_argument(p, PC) for *_, p, PC in work]))
-        start = 0
-        for index, k, (tx, ty, tz), p, PC in work:
-            F_class, start = F[:, start:start + p.size], start + p.size
-            R = _hermite_coulomb(tx - 1, ty - 1, tz - 1, p, PC, F_class)
-            R = R.reshape(tx, ty, tz, index.size, charges.size, k)
-            acc = _hermite_sum(*(np.moveaxis(E[index, None, :k], -1, 0)
-                                 for E in tables.E), R)   # E: (t, n, 1, K)
-            # np.sum over each (pair, nucleus) row of primitive pairs, then
-            # the nuclei added in input order
-            coeff, p = (T[index, None, :k] for T in (tables.coeff, tables.p))
-            per_nucleus = np.sum(coeff * (2.0 * np.pi / p) * acc, axis=-1)
-            v[index] = _sequential_sum(-charges * per_nucleus)
+    for c, (order, k, tx, ty, tz) in enumerate(classes.tolist()):
+        index = np.flatnonzero(of_pair.ravel() == c)
+        PC = tables.P[index, None, :k] - nuclei[index, :, None]
+        p = np.broadcast_to(tables.p[index, None, :k], PC.shape[:3]).ravel()
+        PC = PC.reshape(-1, 3)
+        R = _hermite_coulomb(tx - 1, ty - 1, tz - 1, p, PC,
+                             boys(order, _boys_argument(p, PC)))
+        R = R.reshape(tx, ty, tz, index.size, charges.size, k)
+        acc = _hermite_sum(*(np.moveaxis(E[index, None, :k], -1, 0)
+                             for E in tables.E), R)   # E: (t, n, 1, K)
+        # np.sum over each (pair, nucleus) row of primitive pairs, then
+        # the nuclei added in input order
+        coeff, p = (T[index, None, :k] for T in (tables.coeff, tables.p))
+        per_nucleus = np.sum(coeff * (2.0 * np.pi / p) * acc, axis=-1)
+        v[index] = _sequential_sum(-charges * per_nucleus)
     return v
 
 

@@ -326,12 +326,9 @@ def map_fermion(op: FermionOperator, kind: MappingKind,
             # Python's complex product, part by part
             totals.add(packed, a * c_real - b * c_imag,
                        a * c_imag + b * c_real)
-    strings, real, imag = totals.strings(), totals.real, totals.imag
-    # |c| <= sqrt(2) max(|Re c|, |Im c|): what this drops, simplify would
-    kept = np.maximum(abs(real), abs(imag)) > 0.5 * DEFAULT_PRUNE_THRESHOLD
-    strings = strings[kept]
+    strings = totals.strings()
     coeffs = np.empty(strings.size, dtype=complex)
-    coeffs.real, coeffs.imag = real[kept], imag[kept]
+    coeffs.real, coeffs.imag = totals.real, totals.imag
     return PauliSum(n_modes, strings >> n_modes,
                     strings & ((1 << n_modes) - 1), coeffs).simplify()
 

@@ -15,7 +15,7 @@ it.
 
 A `Circuit` never holds the register. It is a real program over the
 amplitudes of one sector (for UCCSD, the rows of
-`AssembledSystem.sector`): a reference basis state and, per parameter,
+`AssembledSystem.sector`), started from its first state: per parameter,
 the pairs of states it rotates into each other, with a sign per pair.
 `Circuit.run` only gathers, multiplies and scatters, and
 `Circuit.adjoint_gradient` walks the same rotations backwards for the
@@ -137,7 +137,7 @@ class Circuit:
     """Real two-state rotations of a sector's amplitudes, compiled once.
 
     Amplitude k stands for basis state k of a sector of `dim` states; a
-    run starts from basis state `reference`. `instructions[p]` holds the
+    run starts from basis state 0. `instructions[p]` holds the
     rotations of parameter p, a (source, target, sign) triple of equal-
     length arrays in which no index appears twice: it turns every pair
     (s, t) = (source[j], target[j]) by theta[p],
@@ -148,12 +148,8 @@ class Circuit:
     in order.
     """
 
-    def __init__(self, dim: int, reference: int,
-                 instructions: Sequence[Rotations]):
-        if not 0 <= reference < dim:
-            raise ValueError(f"reference {reference} outside 0..{dim - 1}")
+    def __init__(self, dim: int, instructions: Sequence[Rotations]):
         self.dim = dim
-        self.reference = reference
         self.instructions = tuple(instructions)
 
     @property
@@ -168,11 +164,11 @@ class Circuit:
         return theta
 
     def run(self, parameters: Sequence[float]) -> np.ndarray:
-        """The sector amplitudes the rotations at `parameters` make of the
-        reference state."""
+        """The sector amplitudes the rotations at `parameters` make of
+        basis state 0."""
         theta = self._angles(parameters)
         psi = np.zeros(self.dim)
-        psi[self.reference] = 1.0
+        psi[0] = 1.0
         for (source, target, sign), angle in zip(self.instructions, theta):
             _turn(psi, source, target, np.cos(angle), sign * np.sin(angle))
         return psi

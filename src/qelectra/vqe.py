@@ -15,19 +15,19 @@ The shot setting picks the optimizer, and this module owns every setting
 of both: a caller names at most the seed and the shot count. `run_vqe`
 hands one objective, `energy(theta, gradient=False)`, and one trajectory
 recorder to `_bfgs` for exact expectations or to `_spsa` for
-shot-sampled ones; each evaluates its start, takes its budget from
-DEFAULT_ITERATIONS, its tolerance from DEFAULT_TOLERANCE and its own stop
-rule, and returns only whether it converged. Iteration counts are read
-off the trajectory, one entry per accepted iterate after the start.
+shot-sampled ones; each evaluates its start, keeps its own budget,
+tolerance (module constants, BFGS_* or SPSA_*) and stop rule, and returns
+only whether it converged. Iteration counts are read off the trajectory,
+one entry per accepted iterate after the start.
 `_bfgs`, with an Armijo line search, takes exact gradients: one circuit
 run forward and one adjoint sweep back (`Circuit.adjoint_gradient`) give
 the energy and all its parameter derivatives. It stops on its gradient
 bound, at a step that moves the energy only at rounding level, at a line
 search with no descent, or at its budget. `_spsa`
 (simultaneous-perturbation stochastic approximation) needs only
-energies; its gains and budget follow the parameter count
-(`spsa_schedule`), and it stops after SPSA_PATIENCE consecutive
-sub-tolerance energy changes or at its budget.
+energies; its gains and budget follow the parameter count, and it
+stops after SPSA_PATIENCE consecutive sub-tolerance energy changes or at
+its budget.
 
 An exact energy evaluation is one `Circuit.run` giving the sector
 amplitudes psi and psi^T H psi with H `system.block`, the block the FCI
@@ -166,7 +166,7 @@ def ansatz_circuit(ansatz: UccsdAnsatz, system: AssembledSystem) -> Circuit:
         bounds = np.searchsorted(owner, np.arange(hi - lo + 1)).tolist()
         instructions += [tuple(a[b:e] for a in rotations)
                          for b, e in zip(bounds, bounds[1:])]
-    return Circuit(occupations.size, 0, instructions)
+    return Circuit(occupations.size, instructions)
 
 
 # ---- optimization ----------------------------------------------------------
@@ -180,54 +180,22 @@ MIN_STEP = 1e-10
 # fraction of |E| (4 eps): the energy no longer resolves further descent,
 # and later line searches would only fail on rounding
 ROUNDING_LEVEL = 4.0 * float(np.finfo(float).eps)
+# iteration budget of a BFGS run
+BFGS_ITERATIONS = 200
+# BFGS converges once every energy derivative is at most this
+BFGS_TOLERANCE = 1e-6
 # SPSA gain exponents, fixed by Spall (IEEE Trans. Aerosp. Electron. Syst.
 # 34, 817 (1998)): a_k = a / (k + 1 + A)**alpha, c_k = c / (k + 1)**gamma
 SPSA_ALPHA = 0.602
 SPSA_GAMMA = 0.101
-# an SPSA run converges after this many consecutive sub-tolerance changes
-SPSA_PATIENCE = 5
-# ansatz size up to which the base SPSA budget applies unscaled
+# base iteration budget of an SPSA run, which `_spsa` scales with the
+# ansatz size beyond SPSA_BUDGET_PARAMETERS parameters
+SPSA_ITERATIONS = 300
 SPSA_BUDGET_PARAMETERS = 48
-# iteration budget per optimizer kind: for spsa the base that
-# `spsa_schedule` scales
-DEFAULT_ITERATIONS = {"spsa": 300, "bfgs": 200}
-# convergence tolerance per optimizer kind: a gradient bound for bfgs, an
-# energy change for spsa
-DEFAULT_TOLERANCE = {"spsa": 1e-5, "bfgs": 1e-6}
-
-
-@dataclass(frozen=True)
-class SpsaSchedule:
-    """Iteration budget and gains of one SPSA run: a_k = a / (k + 1 +
-    big_a)**SPSA_ALPHA and c_k = c / (k + 1)**SPSA_GAMMA."""
-    iterations: int
-    a: float
-    c: float
-    big_a: float
-
-
-def spsa_schedule(n_parameters: int) -> SpsaSchedule:
-    """SPSA settings for an ansatz of m = `n_parameters` parameters.
-
-    Perturbation sizes shrink with m: at a flat c = 0.1 a ~100-parameter
-    ansatz probes the landscape about a radian away from the reference
-    state, where the two-point estimate carries no usable gradient signal
-    and the optimizer stalls. c = min(0.1, 0.25 / sqrt(m)) keeps the probe
-    radius roughly constant, and a = 2c.
-
-    The iteration budget grows with m, because the variance of the
-    two-point gradient estimate does: the base budget
-    DEFAULT_ITERATIONS["spsa"] up to SPSA_BUDGET_PARAMETERS parameters,
-    base * m / SPSA_BUDGET_PARAMETERS (rounded up) beyond. The gains do not
-    grow with it: the stability constant A stays at 10% of the base, so a
-    larger budget only lets the same trajectory run longer.
-    """
-    base = DEFAULT_ITERATIONS["spsa"]
-    m = max(1, n_parameters)
-    c = min(0.1, 0.25 / np.sqrt(m))
-    return SpsaSchedule(
-        iterations=max(base, -(-base * m // SPSA_BUDGET_PARAMETERS)),
-        a=2.0 * c, c=c, big_a=0.1 * base)
+# an SPSA run converges after SPSA_PATIENCE consecutive iterates that each
+# change the energy by at most SPSA_TOLERANCE
+SPSA_TOLERANCE = 1e-5
+SPSA_PATIENCE = 5
 
 
 @dataclass
@@ -264,10 +232,10 @@ def run_vqe(system: AssembledSystem, ansatz: UccsdAnsatz, seed: int = 0,
     runs `_spsa`; `seed` seeds the one generator that draws both its
     perturbations and the shots, and the reported energy is one more
     estimate at theta_star. No run, exact or sampled, holds an array over
-    the 2^n register. Each optimizer derives its budget, tolerance and
-    gains from the ansatz size. The run starts from the reference state,
-    all parameters zero. Identical (system, ansatz, seed, shots)
-    reproduce the identical result.
+    the 2^n register. `_bfgs` has a fixed budget and tolerance; `_spsa`
+    derives its budget and gains from the ansatz size. The run starts from
+    the aufbau determinant, all parameters zero. Identical (system,
+    ansatz, seed, shots) reproduce the identical result.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -331,18 +299,17 @@ def _bfgs(energy, theta: np.ndarray, record) -> bool:
     before its first update; a step with s.y <= 0 leaves it unchanged, so
     it stays positive definite. Each iteration backtracks by halves from
     the full quasi-Newton step until the Armijo condition holds. Converged
-    means max |gradient| <= DEFAULT_TOLERANCE["bfgs"]. A line search whose
-    step falls below MIN_STEP ends the run unconverged; an accepted step
-    with |dE| <= ROUNDING_LEVEL * |E| ends it there, converged only if that
+    means max |gradient| <= BFGS_TOLERANCE. A line search whose step falls
+    below MIN_STEP ends the run unconverged; an accepted step with
+    |dE| <= ROUNDING_LEVEL * |E| ends it there, converged only if that
     iterate meets the gradient bound; so does the end of the budget,
-    DEFAULT_ITERATIONS["bfgs"] iterations.
+    BFGS_ITERATIONS iterations.
     """
-    tol = DEFAULT_TOLERANCE["bfgs"]
     e, gradient = energy(theta, gradient=True)
     record(e, theta)
     inverse = np.eye(theta.size)
-    for k in range(DEFAULT_ITERATIONS["bfgs"]):
-        if np.max(np.abs(gradient)) <= tol:
+    for k in range(BFGS_ITERATIONS):
+        if np.max(np.abs(gradient)) <= BFGS_TOLERANCE:
             return True
         direction = -(inverse @ gradient)
         slope = float(gradient @ direction)
@@ -369,27 +336,46 @@ def _bfgs(energy, theta: np.ndarray, record) -> bool:
         record(e, theta)
         if stalled:
             break
-    return bool(np.max(np.abs(gradient)) <= tol)
+    return bool(np.max(np.abs(gradient)) <= BFGS_TOLERANCE)
 
 
 def _spsa(energy, theta: np.ndarray, record, rng: "np.random.Generator"
           ) -> bool:
-    """SPSA from theta on the gains and budget of `spsa_schedule`; returns
-    whether it converged: SPSA_PATIENCE consecutive iterates that each move
-    the energy by at most DEFAULT_TOLERANCE["spsa"]. `record(energy,
-    theta)` takes the start and every iterate."""
-    schedule = spsa_schedule(theta.size)
-    tol = DEFAULT_TOLERANCE["spsa"]
+    """SPSA from theta; returns whether it converged: SPSA_PATIENCE
+    consecutive iterates that each move the energy by at most
+    SPSA_TOLERANCE. `record(energy, theta)` takes the start and every
+    iterate.
+
+    The gains are a_k = a / (k + 1 + A)**SPSA_ALPHA and c_k = c / (k +
+    1)**SPSA_GAMMA for an ansatz of m = theta.size parameters. The
+    perturbation size shrinks with m: at a flat c = 0.1 a ~100-parameter
+    ansatz probes the landscape about a radian away from the reference
+    state, where the two-point estimate carries no usable gradient signal
+    and the optimizer stalls. c = min(0.1, 0.25 / sqrt(m)) keeps the probe
+    radius roughly constant, and a = 2c.
+
+    The budget grows with m, because the variance of the two-point
+    gradient estimate does: SPSA_ITERATIONS up to SPSA_BUDGET_PARAMETERS
+    parameters, SPSA_ITERATIONS * m / SPSA_BUDGET_PARAMETERS (rounded up)
+    beyond. The gains do not grow with it: the stability constant A stays
+    at 10% of SPSA_ITERATIONS, so a larger budget only lets the same
+    trajectory run longer.
+    """
+    m = max(1, theta.size)
+    iterations = max(SPSA_ITERATIONS,
+                     -(-SPSA_ITERATIONS * m // SPSA_BUDGET_PARAMETERS))
+    c = min(0.1, 0.25 / np.sqrt(m))
+    a, big_a = 2.0 * c, 0.1 * SPSA_ITERATIONS
     e = energy(theta)
     record(e, theta)
     streak = 0
-    for k in range(schedule.iterations):
-        a_k = schedule.a / (k + 1 + schedule.big_a) ** SPSA_ALPHA
-        c_k = schedule.c / (k + 1) ** SPSA_GAMMA
+    for k in range(iterations):
+        a_k = a / (k + 1 + big_a) ** SPSA_ALPHA
+        c_k = c / (k + 1) ** SPSA_GAMMA
         theta = theta - a_k * spsa_gradient_estimate(energy, theta, c_k, rng)
         e_new = energy(theta)
         record(e_new, theta)
-        streak = streak + 1 if abs(e_new - e) <= tol else 0
+        streak = streak + 1 if abs(e_new - e) <= SPSA_TOLERANCE else 0
         if streak >= SPSA_PATIENCE:
             return True
         e = e_new

@@ -520,9 +520,14 @@ def circuit_by_excitations(ansatz: UccsdAnsatz, system) -> Circuit:
     time: the sources of excitation T are the determinants with its
     occupied modes occupied and its virtual modes empty, and T's ladder
     operators act on them right to left, each adding the parity of the
-    occupied modes below its own to the sign. Determinants are found in
-    the rows of `system.sector` by a dictionary."""
-    occupations = system.sector
+    occupied modes below its own to the sign. The rows are those of
+    `system.sector` with the aufbau determinant moved first, where the
+    circuit starts, and determinants are found in them by a dictionary."""
+    aufbau = (1 << ansatz.n_electrons) - 1
+    if aufbau not in system.sector:
+        raise ValueError("the ansatz's reference leaves the system's sector")
+    occupations = np.concatenate(
+        ([aufbau], system.sector[system.sector != aufbau]))
     row = {occ: i for i, occ in enumerate(occupations.tolist())}
 
     def locate(occ: np.ndarray) -> np.ndarray:
@@ -541,5 +546,4 @@ def circuit_by_excitations(ansatz: UccsdAnsatz, system) -> Circuit:
             parity ^= bit_parity(occ & ((1 << mode) - 1))
             occ = occ ^ (1 << mode)
         instructions.append((source, locate(occ), 1.0 - 2.0 * parity))
-    aufbau = np.array([(1 << ansatz.n_electrons) - 1])
-    return Circuit(occupations.size, int(locate(aufbau)[0]), instructions)
+    return Circuit(occupations.size, instructions)

@@ -26,8 +26,8 @@ from pauli_oracle import (anticommutation_check, block_matrix,
                           register_state, sz_operator)
 from quadrature_oracle import quadrature_one_electron
 from qelectra.simulator import StateVector, sampled_expectation
-from qelectra.vqe import (DEFAULT_ITERATIONS, DEFAULT_TOLERANCE,
-                          ansatz_circuit, build_uccsd, run_vqe)
+from qelectra.vqe import (BFGS_ITERATIONS, ansatz_circuit, build_uccsd,
+                          run_vqe)
 from conftest import NEAR_EXACT_SHOTS
 from test_cli import method_row
 
@@ -139,7 +139,7 @@ def test_variational_ordering_on_every_shipped_molecule(assembled):
               and e_hf >= e_fci - 1e-9
               and vqe.converged)
         # exact expectations: bfgs
-        budget = DEFAULT_ITERATIONS["bfgs"]
+        budget = BFGS_ITERATIONS
         margins.append(f"{key} {e_hf - e_vqe:.4f} Ha (gap to fci "
                        f"{1000.0 * (e_vqe - e_fci):.3g} mHa, "
                        f"converged={vqe.converged} at "
@@ -196,8 +196,8 @@ def test_number_and_spin_conserved_along_trajectory(assembled, monkeypatch):
     number = map_fermion(number_operator(n), system.mapping, n)
     spin_z = map_fermion(sz_operator(n), system.mapping, n)
     ansatz = build_uccsd(n, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 100)
-    monkeypatch.setitem(DEFAULT_TOLERANCE, "spsa", 1e-30)
+    monkeypatch.setattr("qelectra.vqe.SPSA_ITERATIONS", 100)
+    monkeypatch.setattr("qelectra.vqe.SPSA_TOLERANCE", 1e-30)
     result = run_vqe(system, ansatz, seed=2, shots=NEAR_EXACT_SHOTS)
     assert result.n_iterations == 100
     circuit = pauli_circuit(ansatz, system.mapping)

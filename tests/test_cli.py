@@ -183,7 +183,7 @@ def test_json_output_is_byte_stable(capsys):
 
 def test_unconverged_vqe_sets_exit_code(capsys, monkeypatch):
     # H2 needs four BFGS iterations
-    monkeypatch.setitem(vqe.DEFAULT_ITERATIONS, "bfgs", 1)
+    monkeypatch.setattr(vqe, "BFGS_ITERATIONS", 1)
     code, out, _ = run_cli(capsys, "--molecule", "h2", "--method", "vqe",
                            "--output", "json")
     assert code == 2

@@ -332,25 +332,44 @@ def test_every_dataclass_field_is_read(module):
 # ---- every shared name has a reader per class --------------------------------
 
 # field, method and property names declared by more than one class in
-# `src/`, each with the package code that reads every declaration: a
-# reader of one class's name also passes the other's in the checks above
+# `src/`, each with, per declaring class, the package functions that read
+# it, as `module.function` or `module.Class.method`: a reader of one
+# class's name also passes the other's in the checks above
 SHARED_NAMES = {
-    "active_space": "AssembledSystem: cli.execute; ComparisonReport: "
-                    "the three report renderers",
-    "converged": "MethodResult: the renderers; ScfResult and VqeResult: "
-                 "cli.execute",
-    "energy": "MethodResult: the renderers; VqeResult: cli.execute",
-    "iterations": "MethodResult: the renderers; SpsaSchedule: vqe._spsa",
-    "mapping": "AssembledSystem: its qubit_hamiltonian and "
-               "encoded_sector; RunSpec: cli.execute and the renderers",
-    "molecule": "AssembledSystem and RunSpec: cli.execute",
-    "n_electrons": "Molecule: pipeline.assemble; SpinOrbitalIntegrals: "
-                   "AssembledSystem.sector; UccsdAnsatz: vqe.run_vqe",
-    "n_iterations": "ScfResult and VqeResult, each a property read off "
-                    "its trajectory: cli.execute",
-    "n_parameters": "Circuit: Circuit.run; UccsdAnsatz: vqe.run_vqe",
-    "n_qubits": "AssembledSystem: cli.execute, vqe.run_vqe; "
-                "ComparisonReport: the renderers",
+    "active_space": {
+        "AssembledSystem": ("cli.execute",),
+        "ComparisonReport": ("cli.render_table", "cli.report_to_json")},
+    "converged": {
+        "MethodResult": ("cli.render_table", "cli.report_to_json",
+                         "cli.report_to_csv"),
+        "ScfResult": ("cli.execute",),
+        "VqeResult": ("cli.execute",)},
+    "energy": {
+        "MethodResult": ("cli.render_table", "cli.report_to_json",
+                         "cli.report_to_csv"),
+        "VqeResult": ("cli.execute",)},
+    "mapping": {
+        "AssembledSystem": ("pipeline.AssembledSystem.qubit_hamiltonian",
+                            "pipeline.AssembledSystem.encoded_sector"),
+        "RunSpec": ("cli.execute", "cli.render_table",
+                    "cli.report_to_json")},
+    "molecule": {
+        "AssembledSystem": ("cli.execute",),
+        "RunSpec": ("cli.execute",)},
+    "n_electrons": {
+        "Molecule": ("pipeline.assemble",),
+        "SpinOrbitalIntegrals": ("pipeline.AssembledSystem._encoded",),
+        "UccsdAnsatz": ("vqe.run_vqe",)},
+    # properties read off each trajectory
+    "n_iterations": {
+        "ScfResult": ("cli.execute",),
+        "VqeResult": ("cli.execute",)},
+    "n_parameters": {
+        "Circuit": ("simulator.Circuit._angles",),
+        "UccsdAnsatz": ("vqe.run_vqe",)},
+    "n_qubits": {
+        "AssembledSystem": ("cli.execute", "vqe.run_vqe"),
+        "ComparisonReport": ("cli.render_table", "cli.report_to_json")},
 }
 
 
@@ -392,13 +411,58 @@ def test_the_check_sees_a_shared_name():
     assert shared_names({"a": first, "b": second}) == ["order", "run"]
 
 
+def function_node(trees, reader):
+    """The function `module.function` or method `module.Class.method` of
+    the `trees`, keyed by module name, or None."""
+    module, *path = reader.split(".")
+    node = trees.get(module)
+    for name in path:
+        node = next((item for item in getattr(node, "body", [])
+                     if isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                     and item.name == name), None)
+    return node if isinstance(node, ast.FunctionDef) else None
+
+
+def unread_shared_names(shared, trees):
+    """The "name: Class: reader" entries of `shared` whose reader is no
+    function of the `trees`, keyed by module name, or does not read the
+    name as an attribute."""
+    return [f"{name}: {owner}: {reader}"
+            for name, owners in shared.items()
+            for owner, readers in owners.items() for reader in readers
+            if (function := function_node(trees, reader)) is None
+            or name not in attributes_read([function])]
+
+
+def test_the_check_sees_a_reader_that_does_not_read():
+    trees = {"a": ast.parse("class Row:\n    def total(self):\n"
+                            "        return self.energy\n\n"
+                            "def show(row):\n    row.energy = 1\n")}
+    shared = {"energy": {"Row": ("a.Row.total",),
+                         "Step": ("a.show", "a.gone", "b.total", "a.Row")}}
+    # a write is no read, and a class is no reader
+    assert unread_shared_names(shared, trees) == [
+        "energy: Step: a.show", "energy: Step: a.gone",
+        "energy: Step: b.total", "energy: Step: a.Row"]
+
+
+PACKAGE_TREES = {path.stem: tree for path, tree in SEARCHED.items()
+                 if path.parent == PACKAGE}
+
+
 def test_every_shared_name_is_reviewed():
     # equality: a name that a second class starts to declare fails until
-    # each declaration's reader is checked and listed; a name no longer
-    # shared leaves the list
-    trees = {path.stem: tree for path, tree in SEARCHED.items()
-             if path.parent == PACKAGE}
-    assert shared_names(trees) == sorted(SHARED_NAMES)
+    # each declaration's readers are listed; a name no longer shared, or
+    # a class that no longer declares it, leaves the list
+    assert shared_names(PACKAGE_TREES) == sorted(SHARED_NAMES)
+    declared = declared_names(PACKAGE_TREES)
+    for name, owners in SHARED_NAMES.items():
+        assert sorted(owners) == sorted(
+            owner.split(".")[1] for owner in declared[name]), name
+
+
+def test_every_listed_reader_reads_its_name():
+    assert unread_shared_names(SHARED_NAMES, PACKAGE_TREES) == []
 
 
 # ---- every default is passed by the package ----------------------------------
@@ -415,20 +479,19 @@ def is_init_false(value):
                     and kw.value.value is False for kw in value.keywords))
 
 
-def defaulted(tree):
-    """Parameters and dataclass fields with a default, as (name a call
-    uses, position of its argument in that call or None for a keyword-only
-    one, parameter name). A class's `__init__` and a dataclass's fields
-    are called by the class name, and a method's `self` takes no
-    argument; fields declared init=False take none either. Other dunder
-    methods are called by the language."""
+def signature(tree):
+    """Parameters and dataclass fields, as (name a call uses, position of
+    its argument in that call or None for a keyword-only one, parameter
+    name, whether it has a default). A class's `__init__` and a
+    dataclass's fields are called by the class name, and a method's `self`
+    takes no argument; fields declared init=False take none either. Other
+    dunder methods are called by the language."""
     positions = {}
     for owner, item in dataclass_fields(tree):
         if is_init_false(item.value):
             continue
         positions[owner] = positions.get(owner, -1) + 1
-        if item.value is not None:
-            yield owner, positions[owner], item.target.id
+        yield owner, positions[owner], item.target.id, item.value is not None
     methods = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -439,9 +502,17 @@ def defaulted(tree):
             yield from parameters(node, methods.get(node))
 
 
+def defaulted(tree):
+    """The parameters and fields of `signature` with a default, as (name a
+    call uses, position or None, parameter name)."""
+    return [(name, position, parameter)
+            for name, position, parameter, default in signature(tree)
+            if default]
+
+
 def parameters(function, owner):
-    """The defaulted parameters of a function, or of a method of the class
-    named `owner`, as `defaulted` lists them."""
+    """The parameters of a function, or of a method of the class named
+    `owner`, as `signature` lists them."""
     name = function.name
     if owner is not None and name == "__init__":
         name = owner
@@ -451,12 +522,18 @@ def parameters(function, owner):
     bound = owner is not None
     positional = function.args.posonlyargs + function.args.args
     first = len(positional) - len(function.args.defaults)
-    for index in range(first, len(positional)):
-        yield name, index - bound, positional[index].arg
+    for index in range(bound, len(positional)):
+        yield name, index - bound, positional[index].arg, index >= first
     for arg, default in zip(function.args.kwonlyargs,
                             function.args.kw_defaults):
-        if default is not None:
-            yield name, None, arg.arg
+        yield name, None, arg.arg, default is not None
+
+
+def called_name(call):
+    """The name a call calls, bare or as an attribute, or None."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
 
 
 def passed_arguments(trees):
@@ -468,9 +545,7 @@ def passed_arguments(trees):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
+            name = called_name(node)
             if name is None:
                 continue
             count = (float("inf") if any(isinstance(arg, ast.Starred)
@@ -579,6 +654,90 @@ def test_every_default_is_omitted_by_some_call(module):
     # disguise
     path = PACKAGE / module
     assert unomitted_defaults(path.read_text(), SEARCHED) == []
+
+
+# ---- no parameter takes one literal from every call -------------------------
+
+# parameters and fields that every call in `src/` or `perfbench/` passes as
+# one and the same literal, by module, each with the reason it stays
+CONSTANT_ARGUMENTS = {}
+
+
+def passed_literal(call, position, parameter):
+    """The literal a call passes for a parameter, as a dump of its syntax,
+    or None where the call passes no literal there: a name or expression,
+    nothing (the default), or a `*args` or `**kwargs` that may fill it."""
+    if (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return None
+    given = [kw.value for kw in call.keywords if kw.arg == parameter]
+    if position is not None and position < len(call.args):
+        given.append(call.args[position])
+    if not given:
+        return None
+    try:
+        ast.literal_eval(given[0])
+    except ValueError:
+        return None
+    return ast.dump(given[0])
+
+
+def constant_arguments(source, trees):
+    """Parameters and fields in `source` that every call in the trees
+    outside `tests/` passes as the same literal, by keyword or by position,
+    as "name.parameter"; a parameter no such call calls is not listed.
+    Calls are matched by name alone, as in `passed_arguments`. `trees`
+    maps the paths of the files to their syntax trees."""
+    calls = {}
+    for path, tree in trees.items():
+        if TESTS not in path.parents:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(called_name(node), []).append(node)
+    found = []
+    for name, position, parameter, _ in signature(ast.parse(source)):
+        literals = {passed_literal(call, position, parameter)
+                    for call in calls.get(name, [])}
+        if len(literals) == 1 and None not in literals:
+            found.append(f"{name}.{parameter}")
+    return found
+
+
+def test_the_check_sees_a_parameter_every_call_fixes():
+    source = ("from dataclasses import dataclass\n\n"
+              "def solve(block, k, tol=1e-9, *, dense):\n"
+              "    return block\n\n"
+              "@dataclass\nclass Report:\n    name: str\n    seed: int = 0\n"
+              "\n"
+              "class Solver:\n    def __init__(self, size, start):\n"
+              "        self.size = size\n\n"
+              "    def run(self, steps):\n        return steps\n\n"
+              "def unused(flag):\n    return flag\n")
+    trees = {PACKAGE / "caller.py": ast.parse(
+                 "solve(b, 2, dense=True)\nsolve(c, k=2, dense=False)\n"
+                 "Report('x', seed=-1)\nReport(name, -1)\n"
+                 "Solver(8, 0).run(n)\nSolver(size=4, start=0).run(*steps)\n"),
+             TESTS / "test_thing.py": ast.parse(
+                 "solve(b, 5, 0.1, dense=True)\nReport('y', 3)\n"
+                 "Solver(2, 1).run(5)\nunused(True)\n")}
+    # a call that passes a name, nothing or a starred argument, or a call
+    # in `tests/`, clears a parameter; one nothing outside them calls is
+    # not listed
+    assert sorted(constant_arguments(source, trees)) == [
+        "Report.seed", "Solver.start", "solve.k"]
+    trees[PACKAGE / "more.py"] = ast.parse(
+        "solve(b, k, dense=True)\nReport('x')\nSolver(8, 0.0)\n")
+    assert constant_arguments(source, trees) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_parameter_takes_one_literal_from_every_call(module):
+    # a parameter that every call fixes to one value is a constant in
+    # disguise; equality: a listed parameter that some call now varies, or
+    # that is gone, leaves the list too
+    path = PACKAGE / module
+    listed = CONSTANT_ARGUMENTS.get(module, {})
+    assert set(constant_arguments(path.read_text(), SEARCHED)) == set(listed)
 
 
 # ---- every module-level constant is read -------------------------------------

@@ -382,10 +382,9 @@ def test_davidson_thick_restart_keeps_the_ground_state(monkeypatch):
     assert widths.count(3) > 1
 
 
-@pytest.mark.parametrize("key, value", [("h2", -1.1373060359051408),
-                                        ("lih", -7.882176004920567)])
+@pytest.mark.parametrize("key", ["h2", "lih"])
 def test_davidson_stops_once_the_subspace_stops_growing(assembled, key,
-                                                        value, monkeypatch):
+                                                        monkeypatch):
     # with no residual small enough, the subspace stops growing at 4 (H2,
     # the whole block) and 18 (LiH) vectors, once neither the correction
     # nor the residual, now at rounding level, can widen it
@@ -402,7 +401,8 @@ def test_davidson_stops_once_the_subspace_stops_growing(assembled, key,
     # the largest entry of a molecular block is above 1 Ha: scale 1
     got, _ = oracle._davidson(block, 1.0)
     assert len(calls) <= block.shape[0] + 1
-    assert got == value
+    # bit for bit
+    assert got == {"h2": -1.1373060359051408, "lih": -7.882176004920567}[key]
 
 
 def test_davidson_that_does_not_converge_raises(monkeypatch):

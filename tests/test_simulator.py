@@ -331,19 +331,24 @@ def generator_matrix(dim, rotations):
 @st.composite
 def sector_circuits(draw):
     """Random sector programs on 2-8 states: per parameter, disjoint
-    (source, target) pairs with random signs."""
+    (source, target) pairs with random signs, drawn on states that are
+    then relabelled so that a drawn start state becomes state 0, where
+    every run starts."""
     dim = draw(st.integers(2, 8))
+    start = draw(st.integers(0, dim - 1))
+    # state `start` becomes 0 and state 0 becomes `start`
+    label = np.arange(dim)
+    label[[0, start]] = label[[start, 0]]
     instructions = []
     for _ in range(draw(st.integers(0, 4))):
-        states = draw(st.permutations(range(dim)))
+        states = label[draw(st.permutations(range(dim)))]
         n_pairs = draw(st.integers(0, dim // 2))
         signs = draw(st.lists(st.sampled_from([1.0, -1.0]),
                               min_size=n_pairs, max_size=n_pairs))
-        instructions.append((np.array(states[:n_pairs], dtype=np.int64),
-                             np.array(states[n_pairs:2 * n_pairs],
-                                      dtype=np.int64),
+        instructions.append((states[:n_pairs],
+                             states[n_pairs:2 * n_pairs],
                              np.array(signs)))
-    circuit = Circuit(dim, draw(st.integers(0, dim - 1)), instructions)
+    circuit = Circuit(dim, instructions)
     theta = np.array(draw(st.lists(_ANGLES, min_size=circuit.n_parameters,
                                    max_size=circuit.n_parameters)))
     return circuit, theta
@@ -354,7 +359,7 @@ def sector_circuits(draw):
 def test_sector_circuit_matches_expm_and_differentiates(case, seed):
     circuit, theta = case
     dim = circuit.dim
-    want = np.eye(dim)[circuit.reference]
+    want = np.eye(dim)[0]
     for rotations, angle in zip(circuit.instructions, theta):
         want = expm(angle * generator_matrix(dim, rotations)) @ want
     psi = circuit.run(theta)
@@ -378,14 +383,12 @@ def test_sector_circuit_matches_expm_and_differentiates(case, seed):
 
 def test_sector_circuit_validation():
     pairs = (np.array([0]), np.array([2]), np.array([1.0]))
-    with pytest.raises(ValueError, match="reference"):
-        Circuit(3, 3, [pairs])
-    circuit = Circuit(3, 0, [pairs])
+    circuit = Circuit(3, [pairs])
     assert circuit.n_parameters == 1
     with pytest.raises(ValueError, match="parameters"):
         circuit.run([0.1, 0.2])
     psi = circuit.run([0.3])
     with pytest.raises(ValueError, match="shape"):
         circuit.adjoint_gradient([0.3], psi[:2], psi)
-    # with no instructions the run is the reference state
-    assert np.array_equal(Circuit(3, 1, []).run([]), [0.0, 1.0, 0.0])
+    # with no instructions the run is state 0
+    assert np.array_equal(Circuit(3, []).run([]), [1.0, 0.0, 0.0])

@@ -14,8 +14,6 @@ from qelectra import oracle, simulator, vqe
 from qelectra.oracle import exact_ground_energy
 from qelectra.pauli import MappingKind, map_fermion, sector_basis
 from qelectra.vqe import (
-    DEFAULT_ITERATIONS,
-    DEFAULT_TOLERANCE,
     ROUNDING_LEVEL,
     SPSA_PATIENCE,
     Excitation,
@@ -24,7 +22,6 @@ from qelectra.vqe import (
     build_uccsd,
     run_vqe,
     spsa_gradient_estimate,
-    spsa_schedule,
 )
 from conftest import NEAR_EXACT_SHOTS, SHIPPED
 from pauli_oracle import (add, circuit_by_excitations, excitation_generator,
@@ -194,7 +191,7 @@ def test_bfgs_stops_when_no_descent_is_left(assembled, monkeypatch):
     # (iterate 17, 18 evaluations) instead of in failing line searches
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(DEFAULT_TOLERANCE, "bfgs", 1e-12)
+    monkeypatch.setattr(vqe, "BFGS_TOLERANCE", 1e-12)
     result = run_vqe(system, ansatz)
     assert not result.converged
     assert result.n_iterations < 200
@@ -237,9 +234,9 @@ def test_every_bfgs_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
     system = assembled("lih")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     if stop == "rounding":
-        monkeypatch.setitem(DEFAULT_TOLERANCE, "bfgs", 1e-12)
+        monkeypatch.setattr(vqe, "BFGS_TOLERANCE", 1e-12)
     if stop == "budget":
-        monkeypatch.setitem(DEFAULT_ITERATIONS, "bfgs", 3)
+        monkeypatch.setattr(vqe, "BFGS_ITERATIONS", 3)
     result = run_vqe(system, ansatz)
     assert_trajectory(result)
     # the verdict is the gradient bound at the last accepted iterate
@@ -248,13 +245,13 @@ def test_every_bfgs_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
     psi = circuit.run(theta)
     gradient = circuit.adjoint_gradient(theta, psi, system.block @ psi)
     assert result.converged == (
-        np.max(np.abs(gradient)) <= DEFAULT_TOLERANCE["bfgs"])
+        np.max(np.abs(gradient)) <= vqe.BFGS_TOLERANCE)
     energies = result.energy_history
     if stop == "budget":
         assert result.n_iterations == 3
         assert not result.converged
         return
-    assert result.n_iterations < DEFAULT_ITERATIONS["bfgs"]
+    assert result.n_iterations < vqe.BFGS_ITERATIONS
     stalled = abs(energies[-1] - energies[-2]) <= (ROUNDING_LEVEL
                                                     * abs(energies[-1]))
     assert result.converged == (stop == "gradient")
@@ -266,12 +263,13 @@ def test_every_spsa_stop_keeps_the_trajectory(stop, assembled, monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     if stop == "budget":
-        monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 10)
+        monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 10)
     result = run_vqe(system, ansatz, seed=2, shots=NEAR_EXACT_SHOTS)
     assert_trajectory(result, sampled=True)
-    budget = spsa_schedule(ansatz.n_parameters).iterations
+    # H2's 3 parameters take the base budget unscaled
+    budget = vqe.SPSA_ITERATIONS
     changes = np.abs(np.diff(result.energy_history))
-    quiet = changes[-SPSA_PATIENCE:] <= DEFAULT_TOLERANCE["spsa"]
+    quiet = changes[-SPSA_PATIENCE:] <= vqe.SPSA_TOLERANCE
     if stop == "budget":
         assert result.n_iterations == budget == 10
         assert not result.converged
@@ -289,7 +287,7 @@ def test_the_bare_ansatz_and_a_shot_run_keep_the_trajectory(assembled,
     assert_trajectory(bare)
     assert (bare.converged, bare.n_iterations, bare.n_evaluations) == (
         True, 0, 1)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 20)
+    monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 20)
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     sampled = run_vqe(system, ansatz, seed=3, shots=64)
     assert_trajectory(sampled, sampled=True)
@@ -300,7 +298,7 @@ def test_spsa_reproduces_bitwise_and_lands_near_target(assembled,
                                                        monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 200)
+    monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 200)
     first = run_vqe(system, ansatz, seed=11, shots=NEAR_EXACT_SHOTS)
     target = exact_ground_energy(system.block)
     assert abs(first.energy - target) < 1e-3
@@ -313,7 +311,7 @@ def test_spsa_reproduces_bitwise_and_lands_near_target(assembled,
 def test_shot_noise_runs_are_seeded(assembled, monkeypatch):
     system = assembled("h2")
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 10)
+    monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 10)
     first = run_vqe(system, ansatz, seed=5, shots=128)
     second = run_vqe(system, ansatz, seed=5, shots=128)
     assert first.energy_history == second.energy_history
@@ -375,7 +373,7 @@ def test_exact_runs_build_the_hamiltonian_matrix_once(assembled,
     exact_ground_energy(system.block)
     assert len(built) == 1
     # sampled energies measure the Pauli terms; no matrix is built
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 5)
+    monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 5)
     run_vqe(dataclasses.replace(system), ansatz, seed=3, shots=64)
     assert len(built) == 1
 
@@ -463,24 +461,51 @@ def test_optimizer_config_defaults():
     assert list(parameters) == ["system", "ansatz", "seed", "shots"]
     assert [parameters[name].default
             for name in ("seed", "shots")] == [0, None]
-    assert DEFAULT_TOLERANCE == {"spsa": 1e-5, "bfgs": 1e-6}
-    assert DEFAULT_ITERATIONS == {"spsa": 300, "bfgs": 200}
+    assert (vqe.BFGS_ITERATIONS, vqe.BFGS_TOLERANCE) == (200, 1e-6)
+    assert (vqe.SPSA_ITERATIONS, vqe.SPSA_TOLERANCE) == (300, 1e-5)
+
+
+def spsa_gains(m):
+    """Budget and gains of `_spsa` for m parameters, read off one run that
+    never converges (each energy is 1 Ha above the last): each gradient
+    estimate records its c_k and returns the unit vector of parameter k
+    mod m, so that parameter k < m ends its step k at exactly -a_k.
+    Returns the iteration count, every c_k and a_0 .. a_{m-1}."""
+    probes, thetas = [], []
+
+    def estimate(energy, theta, c_k, rng):
+        probes.append(c_k)
+        return np.eye(theta.size)[(len(probes) - 1) % theta.size]
+
+    energies = iter(range(1 << 20))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vqe, "spsa_gradient_estimate", estimate)
+        converged = vqe._spsa(lambda theta: float(next(energies)),
+                              np.zeros(m),
+                              lambda e, theta: thetas.append(theta), None)
+    assert not converged
+    return (len(thetas) - 1, probes,
+            [-thetas[k + 1][k] for k in range(min(m, len(thetas) - 1))])
 
 
 def test_spsa_budget_grows_with_parameter_count_but_gains_do_not(
         monkeypatch):
     for m, budget in ((3, 300), (24, 300), (92, 575), (117, 732)):
-        schedule = spsa_schedule(m)
+        iterations, c_k, a_k = spsa_gains(m)
         c = min(0.1, 0.25 / np.sqrt(m))
-        assert schedule.iterations == budget
-        assert schedule.big_a == 0.1 * 300
-        assert schedule.c == c
-        assert schedule.a == 2.0 * c
-    # the base budget is the one the schedule scales
-    default = spsa_schedule(117)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 100)
-    assert spsa_schedule(117) == dataclasses.replace(
-        default, iterations=244, big_a=0.1 * 100)
+        assert iterations == budget
+        assert c_k == [c / (k + 1) ** vqe.SPSA_GAMMA for k in range(budget)]
+        # a = 2c and A = 30
+        assert a_k == [2.0 * c / (k + 1 + 0.1 * 300) ** vqe.SPSA_ALPHA
+                       for k in range(m)]
+    # the base budget is the one that scales, and A stays 10% of it
+    monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 100)
+    iterations, c_k, a_k = spsa_gains(117)
+    c = min(0.1, 0.25 / np.sqrt(117))
+    assert iterations == 244
+    assert c_k == [c / (k + 1) ** vqe.SPSA_GAMMA for k in range(244)]
+    assert a_k == [2.0 * c / (k + 1 + 0.1 * 100) ** vqe.SPSA_ALPHA
+                   for k in range(117)]
 
 
 def test_spsa_gradient_is_exact_for_one_parameter_quadratic():
@@ -557,7 +582,7 @@ def test_circuit_matches_the_excitation_loop_bit_for_bit(key, kind,
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     got = ansatz_circuit(ansatz, system)
     want = circuit_by_excitations(ansatz, system)
-    assert (got.dim, got.reference) == (want.dim, want.reference)
+    assert got.dim == want.dim
     assert len(got.instructions) == len(want.instructions)
     for rotations, wanted in zip(got.instructions, want.instructions):
         for a, b in zip(rotations, wanted):
@@ -601,7 +626,7 @@ def test_exact_runs_hold_no_register(key, assembled, monkeypatch):
     assert system.block.shape[0] < dim
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     refuse_registers(monkeypatch, dim)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "bfgs", 3)
+    monkeypatch.setattr(vqe, "BFGS_ITERATIONS", 3)
     result = run_vqe(system, ansatz)
     assert result.n_evaluations > 1
 
@@ -617,7 +642,7 @@ def test_shot_runs_hold_no_register(key, assembled, monkeypatch):
     assert system.qubit_hamiltonian.n_qubits == system.n_qubits
     ansatz = build_uccsd(system.n_qubits, system.spin_orbitals.n_electrons)
     refuse_registers(monkeypatch, dim)
-    monkeypatch.setitem(DEFAULT_ITERATIONS, "spsa", 3)
+    monkeypatch.setattr(vqe, "SPSA_ITERATIONS", 3)
     result = run_vqe(system, ansatz, seed=0, shots=64)
     assert result.n_evaluations > 1
 
